@@ -8,8 +8,8 @@
 //!   shared job queue ([`ThreadPool::execute`] for `'static` jobs, used by
 //!   `multiem-serve` to drive HTTP connections) plus a scoped fork-join entry
 //!   point ([`ThreadPool::run_scoped`]) for jobs that borrow local data;
-//! * the `par_iter` adapters below, which split their input into contiguous
-//!   chunks and map them concurrently — capped at the width of the process
+//! * the `par_iter` adapters below, which cut their input into contiguous
+//!   blocks and map them concurrently — capped at the width of the process
 //!   [`global_pool`] — while preserving the sequential output order, so
 //!   `parallel: true` pipelines produce byte-identical results to sequential
 //!   runs (the equivalence the test-suite asserts).
@@ -187,10 +187,16 @@ fn default_num_threads() -> usize {
 // Parallel mapping core
 // --------------------------------------------------------------------------
 
+/// Blocks per thread in [`map_chunked`]. With one block per thread a map is as
+/// slow as its slowest thread: a worker that loses its core for a while holds
+/// its whole share back while the others sit idle. With small blocks they
+/// take over what it has not started.
+const BLOCKS_PER_THREAD: usize = 16;
+
 /// Map `f` over `items` concurrently, preserving input order in the output.
-/// The slice is split into one contiguous chunk per thread; each chunk is
-/// mapped independently and the per-chunk outputs are concatenated in order,
-/// so the result is identical to `items.iter().map(f).collect()`.
+/// The slice is cut into contiguous blocks which the threads claim from a
+/// shared counter; the per-block outputs are concatenated in block order, so
+/// the result is identical to `items.iter().map(f).collect()`.
 fn map_chunked<'a, T, R, F>(items: &'a [T], f: &F) -> Vec<R>
 where
     T: Sync,
@@ -201,21 +207,34 @@ where
     if width <= 1 {
         return items.iter().map(f).collect();
     }
-    let chunk = items.len().div_ceil(width);
-    let mut out = Vec::with_capacity(items.len());
+    let block = items.len().div_ceil(width * BLOCKS_PER_THREAD);
+    let next = AtomicUsize::new(0);
+    let mut blocks: Vec<(usize, Vec<R>)> = Vec::with_capacity(items.len().div_ceil(block));
     thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<R>>()))
+        let handles: Vec<_> = (0..width)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        // relaxed-ok: block-ticket dispenser; the RMW uniqueness is all that matters
+                        let b = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(chunk) = items.chunks(block).nth(b) else {
+                            break mine;
+                        };
+                        mine.push((b, chunk.iter().map(f).collect::<Vec<R>>()));
+                    }
+                })
+            })
             .collect();
         for handle in handles {
-            out.extend(handle.join().expect("parallel map worker panicked"));
+            blocks.extend(handle.join().expect("parallel map worker panicked"));
         }
     });
-    out
+    blocks.sort_unstable_by_key(|&(b, _)| b);
+    blocks.into_iter().flat_map(|(_, mapped)| mapped).collect()
 }
 
-/// `for_each` over mutable chunks, same chunking scheme as [`map_chunked`].
+/// `for_each` over mutable chunks, one contiguous chunk per thread.
 fn for_each_mut_chunked<T, F>(items: &mut [T], f: &F)
 where
     T: Send,
@@ -470,10 +489,13 @@ mod tests {
 
     #[test]
     fn par_map_preserves_order_at_scale() {
-        let items: Vec<usize> = (0..10_000).collect();
-        let seq: Vec<usize> = items.iter().map(|&x| x * x).collect();
-        let par: Vec<usize> = items.par_iter().map(|&x| x * x).collect();
-        assert_eq!(seq, par);
+        // Empty, fewer items than blocks, a ragged last block, many blocks.
+        for n in [0usize, 1, 2, 3, 31, 33, 1_001, 10_000] {
+            let items: Vec<usize> = (0..n).collect();
+            let seq: Vec<usize> = items.iter().map(|&x| x * x).collect();
+            let par: Vec<usize> = items.par_iter().map(|&x| x * x).collect();
+            assert_eq!(seq, par, "n = {n}");
+        }
     }
 
     #[test]

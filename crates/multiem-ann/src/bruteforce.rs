@@ -72,8 +72,13 @@ impl BruteForceIndex {
             let d = self.metric.distance_qnormed(query, self.vector(i), qnorm);
             results.push(Neighbor::new(i, d));
         }
-        results.sort_by(rank);
+        results.sort_by(Neighbor::rank);
         results.truncate(k);
+        // Hand the scan-sized buffer back. A join keeps one result per query:
+        // with `len()` slots each they would hold n² slots between them, every
+        // scan would fault in fresh pages, and a run's time would follow what
+        // a page fault costs that minute instead of what the scan costs.
+        results.shrink_to_fit();
         results
     }
 
@@ -109,26 +114,17 @@ impl BruteForceIndex {
                         .distance_prenormed(query, candidate, qnorm, cnorm),
                 );
                 if hits.len() == keep {
-                    if rank(&found, &hits[keep - 1]) != std::cmp::Ordering::Less {
+                    if found.rank(&hits[keep - 1]) != std::cmp::Ordering::Less {
                         continue;
                     }
                     hits.pop();
                 }
-                let at = hits.partition_point(|h| rank(h, &found) != std::cmp::Ordering::Greater);
+                let at = hits.partition_point(|h| h.rank(&found) != std::cmp::Ordering::Greater);
                 hits.insert(at, found);
             }
         }
         results
     }
-}
-
-/// The ranking shared by every search path: ascending distance, ties broken
-/// by insertion index for determinism.
-fn rank(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
-    a.distance
-        .partial_cmp(&b.distance)
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then(a.index.cmp(&b.index))
 }
 
 impl DynamicVectorIndex for BruteForceIndex {
@@ -250,6 +246,21 @@ mod tests {
         assert!(idx.search_batch(&[], 3).is_empty());
         let empty = BruteForceIndex::new(4, Metric::Cosine);
         assert_eq!(empty.search_batch(&refs, 3), vec![Vec::new(); 9]);
+    }
+
+    #[test]
+    fn nan_query_is_deterministic_and_panic_free() {
+        let mut idx = BruteForceIndex::new(2, Metric::Euclidean);
+        for i in 0..40 {
+            idx.add(&[i as f32, 1.0]);
+        }
+        // Every distance is NaN: the ranking falls back to insertion order.
+        let query = [f32::NAN, 1.0];
+        let order: Vec<usize> = idx.search(&query, 5).iter().map(|n| n.index).collect();
+        assert_eq!(order, vec![0, 1, 2, 3, 4]);
+        let batched = idx.search_batch(&[&query], 5);
+        let order: Vec<usize> = batched[0].iter().map(|n| n.index).collect();
+        assert_eq!(order, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -20,10 +20,13 @@ use std::collections::BinaryHeap;
 /// Configuration of an [`HnswIndex`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HnswConfig {
-    /// Maximum number of bidirectional links per node on layers > 0 (the
-    /// HNSW `M` parameter).
+    /// Number of neighbours a new node is linked to on **every** layer it
+    /// joins (the HNSW `M` parameter, Algorithm 1), and the link cap of
+    /// layers > 0.
     pub m: usize,
-    /// Maximum links on layer 0 (usually `2 * m`).
+    /// Link cap of layer 0 (`Mmax0`, usually `2 * m`). A node is born with at
+    /// most `m` links there and gains the rest as later nodes link back to
+    /// it; a list that outgrows the cap is re-pruned by the heuristic.
     pub m0: usize,
     /// Size of the dynamic candidate list during construction.
     pub ef_construction: usize,
@@ -59,21 +62,15 @@ impl HnswConfig {
     }
 }
 
-/// Max-heap entry ordered by distance (for the result set).
+/// Max-heap entry: the farthest neighbour on top (the result set).
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct FarthestFirst {
-    dist: f32,
-    node: usize,
-}
+struct FarthestFirst(Neighbor);
 
 impl Eq for FarthestFirst {}
 
 impl Ord for FarthestFirst {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.dist
-            .partial_cmp(&other.dist)
-            .unwrap_or(Ordering::Equal)
-            .then(self.node.cmp(&other.node))
+        self.0.rank(&other.0)
     }
 }
 
@@ -83,29 +80,72 @@ impl PartialOrd for FarthestFirst {
     }
 }
 
-/// Min-heap entry ordered by distance (for the candidate queue); implemented as
-/// a max-heap over reversed ordering.
+/// Min-heap entry: the closest neighbour on top (the candidate queue);
+/// implemented as a max-heap over the reversed ranking.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct ClosestFirst {
-    dist: f32,
-    node: usize,
-}
+struct ClosestFirst(Neighbor);
 
 impl Eq for ClosestFirst {}
 
 impl Ord for ClosestFirst {
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then(other.node.cmp(&self.node))
+        other.0.rank(&self.0)
     }
 }
 
 impl PartialOrd for ClosestFirst {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// Working memory of the layer searches of one `add` or `search` call, so the
+/// traversal allocates nothing once the buffers have grown.
+#[derive(Debug, Clone, Default)]
+struct SearchScratch {
+    /// `visited[node] == epoch` marks `node` as seen by the current layer
+    /// search; bumping `epoch` clears the whole set in O(1).
+    visited: Vec<u32>,
+    epoch: u32,
+    candidates: BinaryHeap<ClosestFirst>,
+    results: BinaryHeap<FarthestFirst>,
+    /// Entry points of the next layer search on the way in, its result
+    /// (ascending by [`Neighbor::rank`]) on the way out.
+    found: Vec<Neighbor>,
+    /// Candidate list of the link list being re-pruned.
+    shrink: Vec<Neighbor>,
+    /// Output of the neighbour-selection heuristic.
+    selected: Vec<Neighbor>,
+}
+
+impl SearchScratch {
+    /// Start a layer search over `nodes` nodes with an empty visited set.
+    fn begin(&mut self, nodes: usize) {
+        if self.visited.len() < nodes {
+            self.visited.resize(nodes, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamps from 2^32 searches ago would read as visited.
+            self.visited.fill(0);
+            self.epoch = 1;
+        }
+        self.candidates.clear();
+        self.results.clear();
+    }
+
+    /// Distance of the farthest result so far.
+    #[inline]
+    fn worst(&self) -> f32 {
+        self.results.peek().map_or(f32::INFINITY, |f| f.0.distance)
+    }
+
+    /// Mark `node` visited; `true` if it was not yet.
+    #[inline]
+    fn visit(&mut self, node: usize) -> bool {
+        let fresh = self.visited[node] != self.epoch;
+        self.visited[node] = self.epoch;
+        fresh
     }
 }
 
@@ -117,6 +157,10 @@ pub struct HnswIndex {
     dim: usize,
     /// Flat row-major vector storage.
     data: Vec<f32>,
+    /// Squared norm of every stored vector, so a graph distance is one pass
+    /// over the pair ([`Metric::distance_prenormed`]). Derived from `data`:
+    /// never serialized, recomputed on deserialize.
+    norms: Vec<f32>,
     /// `links[node][layer]` = neighbour list of `node` at `layer`.
     links: Vec<Vec<Vec<u32>>>,
     /// Highest layer currently present.
@@ -127,6 +171,8 @@ pub struct HnswIndex {
     rng: ChaCha8Rng,
     /// `1 / ln(M)` — the level normalisation factor from the HNSW paper.
     level_mult: f64,
+    /// Scratch of `add` (`search` takes `&self` and brings its own).
+    scratch: SearchScratch,
 }
 
 impl HnswIndex {
@@ -139,11 +185,13 @@ impl HnswIndex {
             metric,
             dim,
             data: Vec::new(),
+            norms: Vec::new(),
             links: Vec::new(),
             max_layer: 0,
             entry_point: None,
             rng,
             level_mult,
+            scratch: SearchScratch::default(),
         }
     }
 
@@ -164,9 +212,17 @@ impl HnswIndex {
         &self.config
     }
 
+    /// Distance from a query with squared norm `qnorm` to stored `node`.
     #[inline]
-    fn dist_to(&self, query: &[f32], node: usize) -> f32 {
-        self.metric.distance(query, self.vector(node))
+    fn dist_to(&self, query: &[f32], qnorm: f32, node: usize) -> f32 {
+        self.metric
+            .distance_prenormed(query, self.vector(node), qnorm, self.norms[node])
+    }
+
+    /// Distance between two stored nodes.
+    #[inline]
+    fn dist_between(&self, a: usize, b: usize) -> f32 {
+        self.dist_to(self.vector(a), self.norms[a], b)
     }
 
     fn random_level(&mut self) -> usize {
@@ -174,78 +230,107 @@ impl HnswIndex {
         ((-u.ln()) * self.level_mult).floor() as usize
     }
 
-    /// Greedy search restricted to one layer, returning up to `ef` closest
-    /// candidates to `query` starting from `entry_points`.
+    /// The `ef = 1` layer search of the upper-layer descent: walk from
+    /// `current` to whichever neighbour is strictly closer to `query` until
+    /// none is. No heaps and no visited set — a revisited node is never
+    /// closer than the current best, so it cannot be taken twice.
+    fn greedy_closest(
+        &self,
+        query: &[f32],
+        qnorm: f32,
+        mut current: Neighbor,
+        layer: usize,
+    ) -> Neighbor {
+        loop {
+            let from = current.index;
+            for &nb in &self.links[from][layer] {
+                let d = self.dist_to(query, qnorm, nb as usize);
+                if d < current.distance {
+                    current = Neighbor::new(nb as usize, d);
+                }
+            }
+            if current.index == from {
+                return current;
+            }
+        }
+    }
+
+    /// Descend greedily from the entry point `entry` through every layer
+    /// from the top one down to `above + 1`.
+    fn descend(&self, query: &[f32], qnorm: f32, entry: usize, above: usize) -> Neighbor {
+        let mut current = Neighbor::new(entry, self.dist_to(query, qnorm, entry));
+        for layer in (above + 1..=self.max_layer).rev() {
+            current = self.greedy_closest(query, qnorm, current, layer);
+        }
+        current
+    }
+
+    /// Best-first search restricted to one layer. On entry `scratch.found`
+    /// holds the entry points with their distances to `query`; on exit it
+    /// holds the up to `ef` closest nodes reached from them, ascending.
     fn search_layer(
         &self,
         query: &[f32],
-        entry_points: &[usize],
+        qnorm: f32,
         ef: usize,
         layer: usize,
-    ) -> Vec<Neighbor> {
-        let mut visited = vec![false; self.len()];
-        let mut candidates: BinaryHeap<ClosestFirst> = BinaryHeap::new();
-        let mut results: BinaryHeap<FarthestFirst> = BinaryHeap::new();
-
-        for &ep in entry_points {
-            if visited[ep] {
-                continue;
+        scratch: &mut SearchScratch,
+    ) {
+        scratch.begin(self.len());
+        for i in 0..scratch.found.len() {
+            let ep = scratch.found[i];
+            if scratch.visit(ep.index) {
+                scratch.candidates.push(ClosestFirst(ep));
+                scratch.results.push(FarthestFirst(ep));
             }
-            visited[ep] = true;
-            let d = self.dist_to(query, ep);
-            candidates.push(ClosestFirst { dist: d, node: ep });
-            results.push(FarthestFirst { dist: d, node: ep });
         }
 
-        while let Some(ClosestFirst { dist, node }) = candidates.pop() {
-            let worst = results.peek().map(|f| f.dist).unwrap_or(f32::INFINITY);
-            if dist > worst && results.len() >= ef {
+        while let Some(ClosestFirst(closest)) = scratch.candidates.pop() {
+            let worst = scratch.worst();
+            if closest.distance > worst && scratch.results.len() >= ef {
                 break;
             }
-            for &nb in &self.links[node][layer] {
+            for &nb in &self.links[closest.index][layer] {
                 let nb = nb as usize;
-                if visited[nb] {
+                if !scratch.visit(nb) {
                     continue;
                 }
-                visited[nb] = true;
-                let d = self.dist_to(query, nb);
-                let worst = results.peek().map(|f| f.dist).unwrap_or(f32::INFINITY);
-                if results.len() < ef || d < worst {
-                    candidates.push(ClosestFirst { dist: d, node: nb });
-                    results.push(FarthestFirst { dist: d, node: nb });
-                    if results.len() > ef {
-                        results.pop();
+                let d = self.dist_to(query, qnorm, nb);
+                let worst = scratch.worst();
+                if scratch.results.len() < ef || d < worst {
+                    let reached = Neighbor::new(nb, d);
+                    scratch.candidates.push(ClosestFirst(reached));
+                    scratch.results.push(FarthestFirst(reached));
+                    if scratch.results.len() > ef {
+                        scratch.results.pop();
                     }
                 }
             }
         }
 
-        let mut out: Vec<Neighbor> = results
-            .into_iter()
-            .map(|f| Neighbor::new(f.node, f.dist))
-            .collect();
-        out.sort_by(|a, b| {
-            a.distance
-                .partial_cmp(&b.distance)
-                .unwrap_or(Ordering::Equal)
-                .then(a.index.cmp(&b.index))
-        });
-        out
+        scratch.found.clear();
+        scratch.found.extend(scratch.results.drain().map(|f| f.0));
+        scratch.found.sort_unstable_by(Neighbor::rank);
     }
 
-    /// Heuristic neighbour selection (HNSW paper, Algorithm 4): prefer
-    /// candidates that are closer to the new node than to any already-selected
-    /// neighbour, which preserves graph navigability between clusters.
-    fn select_neighbors_heuristic(&self, candidates: &[Neighbor], m: usize) -> Vec<usize> {
-        let mut selected: Vec<Neighbor> = Vec::with_capacity(m);
+    /// Heuristic neighbour selection (HNSW paper, Algorithm 4) of up to `m`
+    /// of the ascending `candidates` into `selected`: prefer candidates that
+    /// are closer to the base node than to any already-selected neighbour,
+    /// which preserves graph navigability between clusters.
+    fn select_neighbors_heuristic(
+        &self,
+        candidates: &[Neighbor],
+        m: usize,
+        selected: &mut Vec<Neighbor>,
+    ) {
+        selected.clear();
         for &cand in candidates {
             if selected.len() >= m {
                 break;
             }
-            let cand_vec = self.vector(cand.index);
             let dominated = selected
                 .iter()
-                .any(|s| self.metric.distance(cand_vec, self.vector(s.index)) < cand.distance);
+                .any(|s| self.dist_between(cand.index, s.index) < cand.distance);
             if !dominated {
                 selected.push(cand);
             }
@@ -261,7 +346,6 @@ impl HnswIndex {
                 }
             }
         }
-        selected.into_iter().map(|n| n.index).collect()
     }
 
     fn max_links(&self, layer: usize) -> usize {
@@ -273,29 +357,22 @@ impl HnswIndex {
     }
 
     /// Re-prune the neighbour list of `node` at `layer` to the layer's link cap.
-    fn shrink_links(&mut self, node: usize, layer: usize) {
+    fn shrink_links(&mut self, node: usize, layer: usize, scratch: &mut SearchScratch) {
         let cap = self.max_links(layer);
         if self.links[node][layer].len() <= cap {
             return;
         }
-        let node_vec: Vec<f32> = self.vector(node).to_vec();
-        let mut cands: Vec<Neighbor> = self.links[node][layer]
-            .iter()
-            .map(|&nb| {
-                Neighbor::new(
-                    nb as usize,
-                    self.metric.distance(&node_vec, self.vector(nb as usize)),
-                )
-            })
-            .collect();
-        cands.sort_by(|a, b| {
-            a.distance
-                .partial_cmp(&b.distance)
-                .unwrap_or(Ordering::Equal)
-                .then(a.index.cmp(&b.index))
-        });
-        let kept = self.select_neighbors_heuristic(&cands, cap);
-        self.links[node][layer] = kept.into_iter().map(|i| i as u32).collect();
+        scratch.shrink.clear();
+        scratch.shrink.extend(
+            self.links[node][layer]
+                .iter()
+                .map(|&nb| Neighbor::new(nb as usize, self.dist_between(node, nb as usize))),
+        );
+        scratch.shrink.sort_unstable_by(Neighbor::rank);
+        self.select_neighbors_heuristic(&scratch.shrink, cap, &mut scratch.selected);
+        let list = &mut self.links[node][layer];
+        list.clear();
+        list.extend(scratch.selected.iter().map(|n| n.index as u32));
     }
 
     /// Insert a vector; returns its index.
@@ -305,7 +382,9 @@ impl HnswIndex {
     pub fn add(&mut self, vector: &[f32]) -> usize {
         assert_eq!(vector.len(), self.dim, "vector dimensionality mismatch");
         let new_id = self.len();
+        let qnorm = Metric::squared_norm(vector);
         self.data.extend_from_slice(vector);
+        self.norms.push(qnorm);
         let level = self.random_level();
         self.links.push(vec![Vec::new(); level + 1]);
 
@@ -315,40 +394,26 @@ impl HnswIndex {
             return new_id;
         };
 
-        let query: Vec<f32> = vector.to_vec();
-        let mut current = entry;
-
         // Phase 1: greedy descent through layers above the new node's level.
-        let mut layer = self.max_layer;
-        while layer > level {
-            let found = self.search_layer(&query, &[current], 1, layer);
-            if let Some(best) = found.first() {
-                current = best.index;
-            }
-            if layer == 0 {
-                break;
-            }
-            layer -= 1;
-        }
+        let nearest = self.descend(vector, qnorm, entry, level);
 
-        // Phase 2: connect on every layer from min(level, max_layer) down to 0.
-        let top = level.min(self.max_layer);
-        let mut entry_points = vec![current];
-        for layer in (0..=top).rev() {
-            let candidates =
-                self.search_layer(&query, &entry_points, self.config.ef_construction, layer);
-            let m = self.max_links(layer);
-            let selected = self.select_neighbors_heuristic(&candidates, m);
-            for &nb in &selected {
-                self.links[new_id][layer].push(nb as u32);
-                self.links[nb][layer].push(new_id as u32);
-                self.shrink_links(nb, layer);
+        // Phase 2: connect on every layer from min(level, max_layer) down to
+        // 0; each layer's candidates are the entry points of the next.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.found.clear();
+        scratch.found.push(nearest);
+        let ef = self.config.ef_construction.max(1);
+        for layer in (0..=level.min(self.max_layer)).rev() {
+            self.search_layer(vector, qnorm, ef, layer, &mut scratch);
+            self.select_neighbors_heuristic(&scratch.found, self.config.m, &mut scratch.selected);
+            let own: Vec<u32> = scratch.selected.iter().map(|n| n.index as u32).collect();
+            for &nb in &own {
+                self.links[nb as usize][layer].push(new_id as u32);
+                self.shrink_links(nb as usize, layer, &mut scratch);
             }
-            entry_points = candidates.iter().map(|n| n.index).collect();
-            if entry_points.is_empty() {
-                entry_points = vec![current];
-            }
+            self.links[new_id][layer] = own;
         }
+        self.scratch = scratch;
 
         if level > self.max_layer {
             self.max_layer = level;
@@ -441,6 +506,13 @@ impl Deserialize for HnswIndex {
             }
         }
         let mut index = HnswIndex::new(state.dim, state.metric, state.config);
+        if state.dim != 0 {
+            index.norms = state
+                .data
+                .chunks_exact(state.dim)
+                .map(Metric::squared_norm)
+                .collect();
+        }
         index.data = state.data;
         index.links = state.links;
         index.max_layer = state.max_layer;
@@ -473,24 +545,19 @@ impl VectorIndex for HnswIndex {
     }
 
     fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        if k == 0 || self.is_empty() {
+        let Some(entry) = self.entry_point else {
+            return Vec::new();
+        };
+        if k == 0 {
             return Vec::new();
         }
-        let entry = self
-            .entry_point
-            .expect("non-empty index has an entry point");
-        let mut current = entry;
-        // Greedy descent to layer 1.
-        for layer in (1..=self.max_layer).rev() {
-            let found = self.search_layer(query, &[current], 1, layer);
-            if let Some(best) = found.first() {
-                current = best.index;
-            }
-        }
+        let qnorm = Metric::squared_norm(query);
+        let mut scratch = SearchScratch::default();
+        scratch.found.push(self.descend(query, qnorm, entry, 0));
         let ef = self.config.ef_search.max(k);
-        let mut results = self.search_layer(query, &[current], ef, 0);
-        results.truncate(k);
-        results
+        self.search_layer(query, qnorm, ef, 0, &mut scratch);
+        scratch.found.truncate(k);
+        scratch.found
     }
 
     fn vector(&self, index: usize) -> &[f32] {
@@ -509,7 +576,8 @@ impl VectorIndex for HnswIndex {
                     .sum::<usize>()
             })
             .sum();
-        self.data.capacity() * 4 + link_bytes + std::mem::size_of::<Self>()
+        let words = self.data.capacity() + self.norms.capacity() + self.scratch.visited.capacity();
+        words * 4 + link_bytes + std::mem::size_of::<Self>()
     }
 }
 
@@ -524,6 +592,129 @@ mod tests {
         (0..n)
             .map(|_| (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
             .collect()
+    }
+
+    /// Unit vectors in tight clusters around random unit centres — the shape
+    /// of the encoder's output on duplicate-bearing tables, and the case the
+    /// neighbour-selection heuristic exists for.
+    fn clustered_unit_vectors(clusters: usize, per: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let unit = |mut v: Vec<f32>| {
+            let norm = Metric::squared_norm(&v).sqrt();
+            v.iter_mut().for_each(|x| *x /= norm);
+            v
+        };
+        let centres: Vec<Vec<f32>> = random_vectors(clusters, dim, seed ^ 0x5eed)
+            .into_iter()
+            .map(unit)
+            .collect();
+        let mut out = Vec::with_capacity(clusters * per);
+        // Round-robin over the clusters so insertion order is not grouped.
+        for _ in 0..per {
+            for centre in &centres {
+                out.push(unit(
+                    centre
+                        .iter()
+                        .map(|c| c + rng.gen_range(-0.03f32..0.03))
+                        .collect(),
+                ));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn graph_distances_agree_with_metric_distance() {
+        for metric in [Metric::Cosine, Metric::Euclidean, Metric::InnerProduct] {
+            for dim in [384, 13] {
+                let vectors = clustered_unit_vectors(4, 5, dim, 31);
+                let idx = HnswIndex::build(
+                    dim,
+                    metric,
+                    HnswConfig::small(),
+                    vectors.iter().map(|v| v.as_slice()),
+                );
+                let query = &clustered_unit_vectors(1, 1, dim, 77)[0];
+                let qnorm = Metric::squared_norm(query);
+                for a in 0..vectors.len() {
+                    let to = idx.dist_to(query, qnorm, a);
+                    assert!(
+                        (to - metric.distance(query, &vectors[a])).abs() < 1e-5,
+                        "{metric:?} dim {dim}: query -> node {a}"
+                    );
+                    for b in 0..vectors.len() {
+                        let between = idx.dist_between(a, b);
+                        assert!(
+                            (between - metric.distance(&vectors[a], &vectors[b])).abs() < 1e-5,
+                            "{metric:?} dim {dim}: node {a} -> node {b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recall_on_clustered_384d_unit_vectors() {
+        let dim = 384;
+        let all = clustered_unit_vectors(20, 35, dim, 13);
+        // The last five members of every cluster are the queries.
+        let (vectors, queries) = all.split_at(20 * 30);
+        // Clusters (30) are larger than `m0` (16): with plain nearest-first
+        // selection every link stays inside its cluster and both recalls
+        // measure 0.90 here; with the heuristic they are 1.0.
+        let hnsw = HnswIndex::build(
+            dim,
+            Metric::Cosine,
+            HnswConfig::small(),
+            vectors.iter().map(|v| v.as_slice()),
+        );
+        let exact = BruteForceIndex::from_vectors(
+            dim,
+            Metric::Cosine,
+            vectors.iter().map(|v| v.as_slice()),
+        );
+        let (mut top1, mut top10) = (0usize, 0usize);
+        for q in queries {
+            let approx = hnsw.search(q, 10);
+            let truth = exact.search(q, 10);
+            top1 += usize::from(approx[0].index == truth[0].index);
+            top10 += truth
+                .iter()
+                .filter(|t| approx.iter().any(|a| a.index == t.index))
+                .count();
+        }
+        let recall1 = top1 as f64 / queries.len() as f64;
+        let recall10 = top10 as f64 / (10 * queries.len()) as f64;
+        assert!(recall1 >= 0.98, "recall@1 {recall1}");
+        assert!(recall10 >= 0.95, "recall@10 {recall10}");
+    }
+
+    #[test]
+    fn nan_query_is_deterministic_and_panic_free() {
+        let vectors = random_vectors(200, 8, 41);
+        // Euclidean: a NaN coordinate makes every distance NaN (cosine's
+        // `.max(0.0)` clamp would turn them into 0.0).
+        let idx = HnswIndex::build(
+            8,
+            Metric::Euclidean,
+            HnswConfig::small(),
+            vectors.iter().map(|v| v.as_slice()),
+        );
+        let mut query = vectors[0].clone();
+        query[3] = f32::NAN;
+        let bits = |hits: Vec<Neighbor>| -> Vec<(usize, u32)> {
+            hits.iter()
+                .map(|n| (n.index, n.distance.to_bits()))
+                .collect()
+        };
+        let first = bits(idx.search(&query, 10));
+        assert!(!first.is_empty());
+        assert_eq!(first, bits(idx.search(&query, 10)));
+        // Inserting it must not panic either, and leaves the index searchable.
+        let mut idx = idx;
+        idx.add(&query);
+        assert_eq!(idx.search(&vectors[1], 1)[0].index, 1);
     }
 
     #[test]
@@ -628,29 +819,35 @@ mod tests {
     }
 
     #[test]
-    fn link_counts_respect_caps() {
+    fn new_nodes_get_m_links_and_no_list_exceeds_its_cap() {
         let vectors = random_vectors(300, 8, 21);
         let config = HnswConfig {
             m: 6,
             m0: 12,
             ..HnswConfig::default()
         };
-        let idx = HnswIndex::build(
-            8,
-            Metric::Cosine,
-            config,
-            vectors.iter().map(|v| v.as_slice()),
-        );
-        for layers in &idx.links {
-            for (layer, l) in layers.iter().enumerate() {
-                let cap = if layer == 0 { 12 } else { 6 };
-                assert!(
-                    l.len() <= cap,
-                    "layer {layer} has {} links (cap {cap})",
-                    l.len()
-                );
+        let mut idx = HnswIndex::new(8, Metric::Cosine, config);
+        let mut grown_past_m = false;
+        for v in &vectors {
+            let id = idx.add(v);
+            // Algorithm 1: a node is born with at most M links per layer...
+            for l in &idx.links[id] {
+                assert!(l.len() <= 6, "new node {id} has {} links", l.len());
+            }
+            // ...and back-links fill layer 0 up to Mmax0, never past it.
+            for layers in &idx.links {
+                for (layer, l) in layers.iter().enumerate() {
+                    let cap = if layer == 0 { 12 } else { 6 };
+                    assert!(
+                        l.len() <= cap,
+                        "layer {layer} has {} links (cap {cap})",
+                        l.len()
+                    );
+                }
+                grown_past_m |= layers[0].len() > 6;
             }
         }
+        assert!(grown_past_m, "layer-0 slack between m and m0 is never used");
     }
 
     #[test]
@@ -689,6 +886,26 @@ mod tests {
         );
         let json = serde_json::to_string(&original).unwrap();
         let mut restored: HnswIndex = serde_json::from_str(&json).unwrap();
+
+        // The snapshot shape is the pre-norm-cache one (old snapshots load,
+        // new ones load in old builds); the cache is rebuilt from `data`.
+        let serde::Value::Map(fields) = original.to_value() else {
+            panic!("an index serializes as a map");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "config",
+                "metric",
+                "dim",
+                "data",
+                "links",
+                "max_layer",
+                "entry_point"
+            ]
+        );
+        assert_eq!(original.norms, restored.norms);
 
         // Same graph: identical search results.
         assert_eq!(

@@ -43,6 +43,15 @@ impl Neighbor {
     pub fn new(index: usize, distance: f32) -> Self {
         Self { index, distance }
     }
+
+    /// The ranking shared by every search path: ascending distance under
+    /// [`f32::total_cmp`] (a total order even with NaN distances, which the
+    /// sorts and heaps require), ties broken by index for determinism.
+    pub(crate) fn rank(&self, other: &Self) -> std::cmp::Ordering {
+        self.distance
+            .total_cmp(&other.distance)
+            .then(self.index.cmp(&other.index))
+    }
 }
 
 /// Vector indexes that support online insertion after construction.

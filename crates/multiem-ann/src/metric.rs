@@ -52,10 +52,11 @@ impl Metric {
     /// A scan evaluates one query against many stored vectors; for
     /// [`Metric::Cosine`] that makes `Σa²` loop-invariant, so hoisting it
     /// drops the per-pair work from three accumulations to two (dot product
-    /// and the candidate's norm). Bit-identical to `distance`: each
-    /// accumulation is its own chain in the fused loop, so summing them in
-    /// separate passes yields the same floats. Other metrics have no
-    /// norm term and fall through to `distance` unchanged.
+    /// and the candidate's norm). Bit-identical to
+    /// [`Metric::distance_prenormed`] for the same pair: the dot and norm
+    /// chains keep their own lanes in the fused loop, so summing them in
+    /// separate passes yields the same floats. Other metrics have no norm
+    /// term and share `distance_prenormed`'s lane-unrolled bodies.
     #[inline]
     pub fn distance_qnormed(&self, a: &[f32], b: &[f32], na: f32) -> f32 {
         match self {
@@ -63,25 +64,28 @@ impl Metric {
                 let (dot, nb) = dot_and_norm_lanes(a, b);
                 Self::cosine_from_parts(dot, na, nb)
             }
-            _ => self.distance(a, b),
+            _ => self.distance_prenormed(a, b, na, 0.0),
         }
     }
 
     /// [`Metric::distance`] with **both** squared norms precomputed, leaving
-    /// only the dot product per pair.
+    /// one lane-unrolled pass per pair: a dot product for
+    /// [`Metric::Cosine`] / [`Metric::InnerProduct`], a sum of squared
+    /// differences for [`Metric::Euclidean`] (the norm-expanded form
+    /// `na + nb - 2·dot` cancels catastrophically for near-duplicates, so
+    /// the norms are only used by cosine).
     ///
-    /// This is the kernel of a *batched* scan, and the reason batching a
-    /// memory- and compute-bound linear scan genuinely saves work: the
-    /// candidate's norm `nb` is computed once per stored vector and shared
-    /// by every query of the batch, which a single-query scan cannot do
-    /// (each candidate is visited once per scan, so there is nothing to
-    /// amortize its norm over). Bit-identical to `distance` for the same
-    /// pair. Other metrics fall through to `distance` unchanged.
+    /// This is the kernel wherever stored-vector norms can be shared: a
+    /// *batched* scan computes the candidate's norm `nb` once per stored
+    /// vector for every query of the batch, and the HNSW graph caches one
+    /// norm per node for every traversal that touches it. Agrees with
+    /// `distance` up to summation order (eight lanes instead of one chain).
     #[inline]
     pub fn distance_prenormed(&self, a: &[f32], b: &[f32], na: f32, nb: f32) -> f32 {
         match self {
             Metric::Cosine => Self::cosine_from_parts(dot_lanes(a, b), na, nb),
-            _ => self.distance(a, b),
+            Metric::Euclidean => squared_diff_lanes(a, b).sqrt(),
+            Metric::InnerProduct => -dot_lanes(a, b),
         }
     }
 
@@ -122,24 +126,37 @@ fn sum_lanes(acc: [f32; LANES]) -> f32 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
 }
 
-/// Lane-unrolled dot product. Same lane assignment as the dot chain of
-/// [`dot_and_norm_lanes`], so the two produce bit-identical dots.
+/// Lane-unrolled `Σ term(aᵢ, bᵢ)`: the one-pass pair kernels share this
+/// lane assignment, so [`dot_lanes`] is bit-identical to the dot chain of
+/// [`dot_and_norm_lanes`].
 #[inline]
-fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
+fn lane_sum(a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = [0.0f32; LANES];
     let mut ca = a.chunks_exact(LANES);
     let mut cb = b.chunks_exact(LANES);
     for (xs, ys) in (&mut ca).zip(&mut cb) {
         for ((lane, x), y) in acc.iter_mut().zip(xs).zip(ys) {
-            *lane += x * y;
+            *lane += term(*x, *y);
         }
     }
-    let mut dot = sum_lanes(acc);
+    let mut sum = sum_lanes(acc);
     for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        dot += x * y;
+        sum += term(*x, *y);
     }
-    dot
+    sum
+}
+
+/// Lane-unrolled dot product.
+#[inline]
+fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
+    lane_sum(a, b, |x, y| x * y)
+}
+
+/// Lane-unrolled sum of squared differences (squared Euclidean distance).
+#[inline]
+fn squared_diff_lanes(a: &[f32], b: &[f32]) -> f32 {
+    lane_sum(a, b, |x, y| (x - y) * (x - y))
 }
 
 /// Fused lane-unrolled dot product and squared norm of `b` — one pass over

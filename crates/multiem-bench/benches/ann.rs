@@ -1,38 +1,67 @@
 //! Criterion micro-benchmark: HNSW vs brute-force nearest-neighbour search.
 //!
 //! Supports the merging-phase analysis: the ANN index is what keeps each
-//! two-table merge sub-quadratic. The benchmark measures build and query cost
-//! for both backends at increasing collection sizes.
+//! two-table merge sub-quadratic. The benchmark measures build, per-insert
+//! and query cost for both backends at increasing collection sizes, on the
+//! vectors the pipeline really indexes: `music-20` records through the
+//! default encoder (dim 384, unit norm, duplicates clustered tightly).
+//! `ann/insert` is the kernel row under the benchmark's `ann.hnsw.insert_us`;
+//! its `elem/s` is inserts per second, so per-insert time is its inverse.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use multiem_ann::{BruteForceIndex, HnswConfig, HnswIndex, Metric, VectorIndex};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use multiem_core::{AttributeSelection, EmbeddingStore, MergedTable, MultiEmConfig};
+use multiem_datagen::benchmark_specs;
+use multiem_embed::{EmbeddingModel, HashedLexicalEncoder};
+use std::sync::OnceLock;
 
-fn random_vectors(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
-        .collect()
+/// Record embeddings of the `music-20` preset at half scale (~9.5k records),
+/// source table after source table, with the encoder's dimensionality.
+/// Generated once for all groups.
+fn music_embeddings() -> (&'static [Vec<f32>], usize) {
+    static EMBEDDINGS: OnceLock<(Vec<Vec<f32>>, usize)> = OnceLock::new();
+    let (vectors, dim) = EMBEDDINGS.get_or_init(|| {
+        let dataset = benchmark_specs()
+            .into_iter()
+            .find(|s| s.name == "music-20")
+            .expect("music-20 is a Table III preset")
+            .generate(0.5);
+        let encoder = HashedLexicalEncoder::default();
+        let selection = AttributeSelection::all_attributes(&dataset);
+        let store = EmbeddingStore::build(
+            &dataset,
+            &encoder,
+            &selection.selected,
+            &MultiEmConfig::default(),
+        );
+        let vectors = (0..dataset.num_sources() as u32)
+            .flat_map(|s| MergedTable::from_source(&dataset, s, &store).items)
+            .map(|item| item.embedding)
+            .collect();
+        (vectors, encoder.dim())
+    });
+    (vectors, *dim)
+}
+
+fn hnsw(dim: usize, vectors: &[Vec<f32>]) -> HnswIndex {
+    HnswIndex::build(
+        dim,
+        Metric::Cosine,
+        HnswConfig::default(),
+        vectors.iter().map(|v| v.as_slice()),
+    )
 }
 
 fn bench_build(c: &mut Criterion) {
-    let dim = 64;
+    let (vectors, dim) = music_embeddings();
     let mut group = c.benchmark_group("ann/build");
     for &n in &[500usize, 2_000] {
-        let vectors = random_vectors(n, dim, 7);
+        let vectors = &vectors[..n];
         group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("hnsw", n), &vectors, |b, v| {
-            b.iter(|| {
-                HnswIndex::build(
-                    dim,
-                    Metric::Cosine,
-                    HnswConfig::default(),
-                    v.iter().map(|x| x.as_slice()),
-                )
-            })
+        group.bench_with_input(BenchmarkId::new("hnsw", n), vectors, |b, v| {
+            b.iter(|| hnsw(dim, v))
         });
-        group.bench_with_input(BenchmarkId::new("bruteforce", n), &vectors, |b, v| {
+        group.bench_with_input(BenchmarkId::new("bruteforce", n), vectors, |b, v| {
             b.iter(|| {
                 BruteForceIndex::from_vectors(dim, Metric::Cosine, v.iter().map(|x| x.as_slice()))
             })
@@ -41,32 +70,51 @@ fn bench_build(c: &mut Criterion) {
     group.finish();
 }
 
+/// Cost of one `HnswIndex::add` into an index that already holds `n`
+/// vectors. Each iteration clones the built index and inserts `n / 10` further
+/// vectors, so the index stays within 10% of `n` and the clone is under 1% of
+/// the iteration.
+fn bench_insert(c: &mut Criterion) {
+    let (vectors, dim) = music_embeddings();
+    let mut group = c.benchmark_group("ann/insert");
+    for &n in &[500usize, 2_000, 8_000] {
+        let (indexed, rest) = vectors.split_at(n);
+        let batch = &rest[..n / 10];
+        let base = hnsw(dim, indexed);
+        group.throughput(Throughput::Elements(batch.len() as u64));
+        group.bench_with_input(BenchmarkId::new("hnsw", n), batch, |b, batch| {
+            b.iter(|| {
+                let mut index = base.clone();
+                for v in batch {
+                    index.add(v);
+                }
+                index
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_query(c: &mut Criterion) {
-    let dim = 64;
-    let n = 5_000;
-    let vectors = random_vectors(n, dim, 11);
-    let queries = random_vectors(100, dim, 13);
-    let hnsw = HnswIndex::build(
-        dim,
-        Metric::Cosine,
-        HnswConfig::default(),
-        vectors.iter().map(|v| v.as_slice()),
-    );
+    let (vectors, dim) = music_embeddings();
+    let (indexed, rest) = vectors.split_at(5_000);
+    let queries = &rest[..100];
+    let hnsw = hnsw(dim, indexed);
     let brute =
-        BruteForceIndex::from_vectors(dim, Metric::Cosine, vectors.iter().map(|v| v.as_slice()));
+        BruteForceIndex::from_vectors(dim, Metric::Cosine, indexed.iter().map(|v| v.as_slice()));
 
     let mut group = c.benchmark_group("ann/query_top10");
     group.throughput(Throughput::Elements(queries.len() as u64));
     group.bench_function("hnsw", |b| {
         b.iter(|| {
-            for q in &queries {
+            for q in queries {
                 std::hint::black_box(hnsw.search(q, 10));
             }
         })
     });
     group.bench_function("bruteforce", |b| {
         b.iter(|| {
-            for q in &queries {
+            for q in queries {
                 std::hint::black_box(brute.search(q, 10));
             }
         })
@@ -77,6 +125,6 @@ fn bench_query(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_build, bench_query
+    targets = bench_build, bench_insert, bench_query
 }
 criterion_main!(benches);

@@ -46,6 +46,17 @@ pub struct MultiEmConfig {
     /// Index backend selection.
     pub index_backend: IndexBackend,
     /// Table size above which [`IndexBackend::Auto`] switches to HNSW.
+    ///
+    /// The default (2,000) is the measured break-even of the two backends in
+    /// a merge, where every item is inserted once into its own table's index
+    /// and searched once in the other table's. Per item HNSW costs
+    /// `ann.hnsw.insert_us + ann.hnsw.search_us` — 474 µs at n = 1,143,
+    /// 638 µs at 2,296, 690 µs at 3,667 — and brute force costs
+    /// `ann.brute.search_us` = 0.285 µs × n — 315 / 655 / 1,068 µs — so the
+    /// lines cross near n ≈ 2,200. Those are rows of the benchmark's traced
+    /// runs (`benchmark/README.md`; seed 103, dim-384 embeddings, `k = 1`,
+    /// default [`HnswConfig`]) on a 2-core x86-64 VM with rustc 1.95;
+    /// re-measure before moving the threshold on other hardware.
     pub hnsw_threshold: usize,
     /// HNSW construction/search parameters.
     pub hnsw: HnswConfig,

@@ -46,6 +46,7 @@ pub enum LockClass {
     Wal = 1,
 }
 
+#[cfg(debug_assertions)]
 impl LockClass {
     fn name(self) -> &'static str {
         match self {
