@@ -3,17 +3,26 @@
 //! Used as the correctness oracle for [`crate::HnswIndex`], for the small
 //! per-tuple neighbourhood computations in the pruning phase, and as a simple
 //! fallback for tiny tables where building a graph index is not worth it.
+//!
+//! There is one scan, [`VectorIndex::search_batch`]; a single-query
+//! [`VectorIndex::search`] is a batch of one through it.
 
 use crate::metric::Metric;
-use crate::{DynamicVectorIndex, Neighbor, VectorIndex};
+use crate::{DynamicVectorIndex, FarthestFirst, Neighbor, VectorIndex};
 use serde::{Deserialize, Serialize};
+use std::collections::BinaryHeap;
 
 /// Exact nearest-neighbour index backed by a flat array of vectors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct BruteForceIndex {
     metric: Metric,
     dim: usize,
     data: Vec<f32>,
+    /// Squared norm of every stored vector, so a scan is one pass per pair
+    /// ([`Metric::distance_prenormed`]). Derived from `data`: never
+    /// serialized, recomputed on deserialize.
+    #[serde(skip)]
+    norms: Vec<f32>,
 }
 
 impl BruteForceIndex {
@@ -23,6 +32,7 @@ impl BruteForceIndex {
             metric,
             dim,
             data: Vec::new(),
+            norms: Vec::new(),
         }
     }
 
@@ -48,82 +58,30 @@ impl BruteForceIndex {
     pub fn add(&mut self, vector: &[f32]) -> usize {
         assert_eq!(vector.len(), self.dim, "vector dimensionality mismatch");
         self.data.extend_from_slice(vector);
+        self.norms.push(Metric::squared_norm(vector));
         self.len() - 1
     }
+}
 
-    /// Search, excluding a specific stored index (useful for self-joins where
-    /// the query vector itself is part of the index).
-    pub fn search_excluding(
-        &self,
-        query: &[f32],
-        k: usize,
-        exclude: Option<usize>,
-    ) -> Vec<Neighbor> {
-        if k == 0 || self.is_empty() {
-            return Vec::new();
+impl Deserialize for BruteForceIndex {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        /// The serialized fields of a [`BruteForceIndex`].
+        #[derive(Deserialize)]
+        struct Stored {
+            metric: Metric,
+            dim: usize,
+            data: Vec<f32>,
         }
-        // The query's norm is loop-invariant across the scan; hoist it.
-        let qnorm = Metric::squared_norm(query);
-        let mut results: Vec<Neighbor> = Vec::with_capacity(self.len());
-        for i in 0..self.len() {
-            if exclude == Some(i) {
-                continue;
-            }
-            let d = self.metric.distance_qnormed(query, self.vector(i), qnorm);
-            results.push(Neighbor::new(i, d));
-        }
-        results.sort_by(Neighbor::rank);
-        results.truncate(k);
-        // Hand the scan-sized buffer back. A join keeps one result per query:
-        // with `len()` slots each they would hold n² slots between them, every
-        // scan would fault in fresh pages, and a run's time would follow what
-        // a page fault costs that minute instead of what the scan costs.
-        results.shrink_to_fit();
-        results
-    }
-
-    /// Search several queries in **one pass** over the stored vectors.
-    ///
-    /// The scan is candidates-outer / queries-inner, which saves real work
-    /// twice over per-query scans: each stored vector is loaded once per
-    /// *batch* and scored against every query while it is cache-hot, and —
-    /// for [`Metric::Cosine`] — its squared norm is computed once and shared
-    /// by the whole batch, so the per-pair kernel degenerates to a dot
-    /// product ([`Metric::distance_prenormed`]). A single-query scan cannot
-    /// amortize candidate norms (each candidate is visited once per scan).
-    /// Each query's result is bit-identical to what [`VectorIndex::search`]
-    /// returns for it (same floats, same distance-then-index ranking, same
-    /// top-`k` cut).
-    pub fn search_batch(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<Neighbor>> {
-        if k == 0 || self.is_empty() {
-            return vec![Vec::new(); queries.len()];
-        }
-        let keep = k.min(self.len());
-        let qnorms: Vec<f32> = queries.iter().map(|q| Metric::squared_norm(q)).collect();
-        // Per-query bounded insertion sort (ascending, worst hit last): with
-        // small `k` almost every candidate costs one compare against the
-        // current worst, so the inner loop stays distance-computation bound.
-        let mut results = vec![Vec::with_capacity(keep + 1); queries.len()];
-        for i in 0..self.len() {
-            let candidate = self.vector(i);
-            let cnorm = Metric::squared_norm(candidate);
-            for ((query, &qnorm), hits) in queries.iter().zip(&qnorms).zip(results.iter_mut()) {
-                let found = Neighbor::new(
-                    i,
-                    self.metric
-                        .distance_prenormed(query, candidate, qnorm, cnorm),
-                );
-                if hits.len() == keep {
-                    if found.rank(&hits[keep - 1]) != std::cmp::Ordering::Less {
-                        continue;
-                    }
-                    hits.pop();
-                }
-                let at = hits.partition_point(|h| h.rank(&found) != std::cmp::Ordering::Greater);
-                hits.insert(at, found);
-            }
-        }
-        results
+        let Stored { metric, dim, data } = Stored::from_value(v)?;
+        // A shorter index would no longer line up with the node numbers the
+        // caller stored beside it.
+        let norms = crate::row_norms("BruteForceIndex", &data, dim)?;
+        Ok(Self {
+            metric,
+            dim,
+            data,
+            norms,
+        })
     }
 }
 
@@ -147,7 +105,50 @@ impl VectorIndex for BruteForceIndex {
     }
 
     fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.search_excluding(query, k, None)
+        self.search_batch(&[query], k).pop().unwrap_or_default()
+    }
+
+    /// The scan: **one pass** over the stored vectors answers every query.
+    ///
+    /// It is candidates-outer / queries-inner, so each stored vector is
+    /// loaded once per *batch* and scored against every query while it is
+    /// cache-hot; with the cached norms the per-pair kernel is a single
+    /// lane-unrolled pass ([`Metric::distance_prenormed`]). Each query keeps
+    /// its `k` best in a bounded max-heap under `Neighbor::rank`: a
+    /// candidate costs one compare against the current worst, and an
+    /// accepted one `O(log k)` — for `k = 1` as for the store's
+    /// `k + stale_nodes` in the hundreds.
+    fn search_batch(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<Neighbor>> {
+        let keep = k.min(self.len());
+        if keep == 0 || queries.is_empty() {
+            return vec![Vec::new(); queries.len()];
+        }
+        let qnorms: Vec<f32> = queries.iter().map(|q| Metric::squared_norm(q)).collect();
+        // Exactly `keep` slots per query and no more: a join holds one
+        // result per query, so spare capacity here is multiplied by n.
+        let mut best: Vec<BinaryHeap<FarthestFirst>> = queries
+            .iter()
+            .map(|_| BinaryHeap::with_capacity(keep))
+            .collect();
+        let stored = self.data.chunks_exact(self.dim).zip(&self.norms);
+        for (i, (candidate, &cnorm)) in stored.enumerate() {
+            for ((query, &qnorm), heap) in queries.iter().zip(&qnorms).zip(best.iter_mut()) {
+                let distance = self
+                    .metric
+                    .distance_prenormed(query, candidate, qnorm, cnorm);
+                let found = FarthestFirst(Neighbor::new(i, distance));
+                if heap.len() < keep {
+                    heap.push(found);
+                } else if let Some(mut worst) = heap.peek_mut() {
+                    if found < *worst {
+                        *worst = found;
+                    }
+                }
+            }
+        }
+        best.into_iter()
+            .map(|heap| heap.into_sorted_vec().into_iter().map(|f| f.0).collect())
+            .collect()
     }
 
     fn vector(&self, index: usize) -> &[f32] {
@@ -156,7 +157,8 @@ impl VectorIndex for BruteForceIndex {
     }
 
     fn approx_bytes(&self) -> usize {
-        self.data.capacity() * std::mem::size_of::<f32>() + std::mem::size_of::<Self>()
+        (self.data.capacity() + self.norms.capacity()) * std::mem::size_of::<f32>()
+            + std::mem::size_of::<Self>()
     }
 }
 
@@ -199,13 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn exclusion_skips_self() {
-        let idx = index_with(&[[0.0, 0.0], [1.0, 0.0]]);
-        let res = idx.search_excluding(&[0.0, 0.0], 1, Some(0));
-        assert_eq!(res[0].index, 1);
-    }
-
-    #[test]
     fn vector_accessor_and_bytes() {
         let idx = index_with(&[[1.0, 2.0], [3.0, 4.0]]);
         assert_eq!(idx.vector(1), &[3.0, 4.0]);
@@ -222,30 +217,105 @@ mod tests {
         idx.add(&[1.0, 2.0]);
     }
 
-    #[test]
-    fn batch_search_agrees_with_single_searches() {
-        let mut idx = BruteForceIndex::new(4, Metric::Cosine);
-        let mut x = 1.0f32;
-        for _ in 0..57 {
-            // Deterministic pseudo-random-ish vectors, including duplicates.
-            x = (x * 7.31).fract() + 0.1;
-            idx.add(&[x, 1.0 - x, x * x, 0.5]);
-            idx.add(&[x, 1.0 - x, x * x, 0.5]);
-        }
-        let queries: Vec<Vec<f32>> = (0..9)
-            .map(|q| vec![0.1 * q as f32, 1.0, 0.3, 0.2 * q as f32])
+    /// Top-`k` by definition: score every stored vector, sort, truncate.
+    fn reference_top_k(idx: &BruteForceIndex, query: &[f32], k: usize) -> Vec<Neighbor> {
+        let qnorm = Metric::squared_norm(query);
+        let mut all: Vec<Neighbor> = (0..idx.len())
+            .map(|i| {
+                let stored = idx.vector(i);
+                let norm = Metric::squared_norm(stored);
+                let d = idx.metric().distance_prenormed(query, stored, qnorm, norm);
+                Neighbor::new(i, d)
+            })
             .collect();
+        all.sort_by(Neighbor::rank);
+        all.truncate(k);
+        all
+    }
+
+    fn bits(hits: &[Neighbor]) -> Vec<(usize, u32)> {
+        hits.iter()
+            .map(|n| (n.index, n.distance.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn scan_agrees_with_sort_and_truncate_reference() {
+        // 11 dimensions: one full lane block plus a remainder.
+        let dim = 11;
+        let mut x = 1.0f32;
+        let mut vectors: Vec<Vec<f32>> = Vec::new();
+        for _ in 0..57 {
+            let v: Vec<f32> = (0..dim)
+                .map(|_| {
+                    x = (x * 7.31).fract() + 0.1;
+                    x - 0.6
+                })
+                .collect();
+            // Every vector twice: ties everywhere, broken by index.
+            vectors.push(v.clone());
+            vectors.push(v);
+        }
+        let mut queries: Vec<Vec<f32>> = (0..9)
+            .map(|q| (0..dim).map(|j| 0.1 * q as f32 - 0.05 * j as f32).collect())
+            .collect();
+        queries.push(vectors[20].clone());
+        queries.push(vec![0.0; dim]);
+        let mut poisoned = vectors[3].clone();
+        poisoned[5] = f32::NAN;
+        queries.push(poisoned);
         let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
-        for k in [0, 1, 3, 200] {
-            let batched = idx.search_batch(&refs, k);
-            assert_eq!(batched.len(), queries.len());
-            for (query, hits) in refs.iter().zip(&batched) {
-                assert_eq!(hits, &idx.search(query, k));
+
+        for metric in [Metric::Cosine, Metric::Euclidean, Metric::InnerProduct] {
+            let built =
+                BruteForceIndex::from_vectors(dim, metric, vectors.iter().map(Vec::as_slice));
+            let value = built.to_value();
+            let serde::Value::Map(fields) = &value else {
+                panic!("an index serializes as a map");
+            };
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, ["metric", "dim", "data"], "the norm cache is derived");
+            let restored = BruteForceIndex::from_value(&value).unwrap();
+            assert_eq!(restored.norms, built.norms);
+
+            let n = built.len();
+            for idx in [&built, &restored] {
+                for k in [0, 1, 3, n / 2, n, n + 7] {
+                    let batched = idx.search_batch(&refs, k);
+                    assert_eq!(batched.len(), refs.len());
+                    for (query, hits) in refs.iter().zip(&batched) {
+                        let expected = reference_top_k(&built, query, k);
+                        assert_eq!(bits(hits), bits(&expected), "{metric:?} k={k}");
+                        assert_eq!(bits(&idx.search(query, k)), bits(&expected));
+                    }
+                }
             }
         }
+
+        let idx =
+            BruteForceIndex::from_vectors(dim, Metric::Cosine, vectors.iter().map(Vec::as_slice));
         assert!(idx.search_batch(&[], 3).is_empty());
-        let empty = BruteForceIndex::new(4, Metric::Cosine);
-        assert_eq!(empty.search_batch(&refs, 3), vec![Vec::new(); 9]);
+        let empty = BruteForceIndex::new(dim, Metric::Cosine);
+        assert_eq!(empty.search_batch(&refs, 3), vec![Vec::new(); refs.len()]);
+    }
+
+    #[test]
+    fn deserialize_rejects_malformed_snapshots() {
+        let idx = index_with(&[[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]]);
+        let json = serde_json::to_string(&idx).unwrap();
+        assert!(serde_json::from_str::<BruteForceIndex>(&json).is_ok());
+        // Six floats are not a whole number of 4-d vectors.
+        let bad = json.replace("\"dim\":2", "\"dim\":4");
+        assert_ne!(bad, json);
+        assert!(serde_json::from_str::<BruteForceIndex>(&bad).is_err());
+        // Data without a dimensionality.
+        let bad = json.replace("\"dim\":2", "\"dim\":0");
+        assert!(serde_json::from_str::<BruteForceIndex>(&bad).is_err());
+        // An empty index of dimension 0 is what `new(0, ..)` serializes to.
+        let empty = serde_json::to_string(&BruteForceIndex::new(0, Metric::Cosine)).unwrap();
+        assert!(serde_json::from_str::<BruteForceIndex>(&empty)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! the sensitivity experiments (Figure 6(b)) reproducible.
 
 use crate::metric::Metric;
-use crate::{DynamicVectorIndex, Neighbor, VectorIndex};
+use crate::{DynamicVectorIndex, FarthestFirst, Neighbor, VectorIndex};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -59,24 +59,6 @@ impl HnswConfig {
             ef_search: 32,
             seed: 42,
         }
-    }
-}
-
-/// Max-heap entry: the farthest neighbour on top (the result set).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct FarthestFirst(Neighbor);
-
-impl Eq for FarthestFirst {}
-
-impl Ord for FarthestFirst {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.rank(&other.0)
-    }
-}
-
-impl PartialOrd for FarthestFirst {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
     }
 }
 
@@ -462,13 +444,8 @@ impl Deserialize for HnswIndex {
         // Cross-field validation: a malformed (e.g. hand-edited or truncated)
         // snapshot must fail here with an error, not panic later in search.
         let nodes = state.links.len();
-        if state.dim == 0 && !state.data.is_empty() {
-            return Err(serde::Error::type_mismatch(
-                "HnswIndex",
-                "dim > 0 for non-empty data",
-            ));
-        }
-        if state.dim != 0 && state.data.len() != nodes * state.dim {
+        let norms = crate::row_norms("HnswIndex", &state.data, state.dim)?;
+        if state.dim != 0 && norms.len() != nodes {
             return Err(serde::Error::type_mismatch(
                 "HnswIndex",
                 "data length matching links length times dim",
@@ -506,13 +483,7 @@ impl Deserialize for HnswIndex {
             }
         }
         let mut index = HnswIndex::new(state.dim, state.metric, state.config);
-        if state.dim != 0 {
-            index.norms = state
-                .data
-                .chunks_exact(state.dim)
-                .map(Metric::squared_norm)
-                .collect();
-        }
+        index.norms = norms;
         index.data = state.data;
         index.links = state.links;
         index.max_layer = state.max_layer;

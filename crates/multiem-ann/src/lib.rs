@@ -11,6 +11,8 @@
 //!   Small World graphs (Malkov & Yashunin, TPAMI 2020) with heuristic
 //!   neighbour selection, `ef_construction` / `ef_search` control and
 //!   deterministic seeding;
+//! * [`AnnIndex`] — either of the two behind one serializable type, for
+//!   callers that pick the backend from the collection size;
 //! * [`mutual_top_k`] — the mutual top-K join used by the two-table merging
 //!   strategy (Algorithm 3).
 
@@ -19,11 +21,13 @@
 
 pub mod bruteforce;
 pub mod hnsw;
+pub mod index;
 pub mod metric;
 pub mod mutual;
 
 pub use bruteforce::BruteForceIndex;
 pub use hnsw::{HnswConfig, HnswIndex};
+pub use index::AnnIndex;
 pub use metric::Metric;
 pub use mutual::{merge_ranked, mutual_top_k, MutualMatch};
 
@@ -54,9 +58,52 @@ impl Neighbor {
     }
 }
 
+/// Max-heap entry: the farthest neighbour on top, so a heap capped at `n`
+/// entries keeps the `n` closest seen so far (the HNSW result set and the
+/// brute-force scan's top-k).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct FarthestFirst(pub(crate) Neighbor);
+
+impl Eq for FarthestFirst {}
+
+impl Ord for FarthestFirst {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.rank(&other.0)
+    }
+}
+
+impl PartialOrd for FarthestFirst {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Squared norm of every `dim`-float row of a deserialized flat vector array,
+/// or an error when `data` is not a whole number of rows: a malformed
+/// (hand-edited or truncated) snapshot must fail while it is read, not come
+/// back as a shorter index or panic later in a search.
+pub(crate) fn row_norms(owner: &str, data: &[f32], dim: usize) -> Result<Vec<f32>, serde::Error> {
+    if dim == 0 && !data.is_empty() {
+        return Err(serde::Error::type_mismatch(
+            owner,
+            "dim > 0 for non-empty data",
+        ));
+    }
+    if dim != 0 && !data.len().is_multiple_of(dim) {
+        return Err(serde::Error::type_mismatch(
+            owner,
+            "data length that is a multiple of dim",
+        ));
+    }
+    Ok(data
+        .chunks_exact(dim.max(1))
+        .map(Metric::squared_norm)
+        .collect())
+}
+
 /// Vector indexes that support online insertion after construction.
 ///
-/// Both [`BruteForceIndex`] and [`HnswIndex`] implement this: HNSW insertion
+/// [`BruteForceIndex`], [`HnswIndex`] and [`AnnIndex`] implement this: HNSW insertion
 /// is `O(log N)` (the graph is built incrementally anyway), which is what the
 /// streaming entity store in `multiem-online` relies on.
 pub trait DynamicVectorIndex: VectorIndex {
@@ -87,6 +134,15 @@ pub trait VectorIndex: Send + Sync {
     /// Return (up to) the `k` nearest stored vectors to `query`, ordered by
     /// increasing distance.
     fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor>;
+
+    /// [`VectorIndex::search`] for several queries at once: one result per
+    /// query, in query order, each exactly what `search` returns for it.
+    /// The default searches query by query (HNSW has no batched traversal);
+    /// [`BruteForceIndex`] answers the whole batch in one pass over its
+    /// stored vectors.
+    fn search_batch(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<Neighbor>> {
+        queries.iter().map(|q| self.search(q, k)).collect()
+    }
 
     /// Borrow the stored vector at `index`.
     fn vector(&self, index: usize) -> &[f32];

@@ -47,27 +47,6 @@ impl Metric {
         }
     }
 
-    /// [`Metric::distance`] with the query's squared norm `na` precomputed.
-    ///
-    /// A scan evaluates one query against many stored vectors; for
-    /// [`Metric::Cosine`] that makes `Σa²` loop-invariant, so hoisting it
-    /// drops the per-pair work from three accumulations to two (dot product
-    /// and the candidate's norm). Bit-identical to
-    /// [`Metric::distance_prenormed`] for the same pair: the dot and norm
-    /// chains keep their own lanes in the fused loop, so summing them in
-    /// separate passes yields the same floats. Other metrics have no norm
-    /// term and share `distance_prenormed`'s lane-unrolled bodies.
-    #[inline]
-    pub fn distance_qnormed(&self, a: &[f32], b: &[f32], na: f32) -> f32 {
-        match self {
-            Metric::Cosine => {
-                let (dot, nb) = dot_and_norm_lanes(a, b);
-                Self::cosine_from_parts(dot, na, nb)
-            }
-            _ => self.distance_prenormed(a, b, na, 0.0),
-        }
-    }
-
     /// [`Metric::distance`] with **both** squared norms precomputed, leaving
     /// one lane-unrolled pass per pair: a dot product for
     /// [`Metric::Cosine`] / [`Metric::InnerProduct`], a sum of squared
@@ -75,11 +54,10 @@ impl Metric {
     /// `na + nb - 2·dot` cancels catastrophically for near-duplicates, so
     /// the norms are only used by cosine).
     ///
-    /// This is the kernel wherever stored-vector norms can be shared: a
-    /// *batched* scan computes the candidate's norm `nb` once per stored
-    /// vector for every query of the batch, and the HNSW graph caches one
-    /// norm per node for every traversal that touches it. Agrees with
-    /// `distance` up to summation order (eight lanes instead of one chain).
+    /// This is the kernel of both indexes: each caches one squared norm per
+    /// stored vector (`nb`) and computes the query's (`na`) once per search.
+    /// Agrees with `distance` up to summation order (eight lanes instead of
+    /// one chain).
     #[inline]
     pub fn distance_prenormed(&self, a: &[f32], b: &[f32], na: f32, nb: f32) -> f32 {
         match self {
@@ -89,8 +67,8 @@ impl Metric {
         }
     }
 
-    /// Squared L2 norm with the same lane structure as the norm chain of
-    /// [`Metric::distance_qnormed`] (required for bit-parity when hoisted).
+    /// Squared L2 norm on the lane structure of the pair kernels — the norm
+    /// [`Metric::distance_prenormed`] takes for either side.
     #[inline]
     pub fn squared_norm(v: &[f32]) -> f32 {
         let mut acc = [0.0f32; LANES];
@@ -126,9 +104,7 @@ fn sum_lanes(acc: [f32; LANES]) -> f32 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
 }
 
-/// Lane-unrolled `Σ term(aᵢ, bᵢ)`: the one-pass pair kernels share this
-/// lane assignment, so [`dot_lanes`] is bit-identical to the dot chain of
-/// [`dot_and_norm_lanes`].
+/// Lane-unrolled `Σ term(aᵢ, bᵢ)`, the body of the one-pass pair kernels.
 #[inline]
 fn lane_sum(a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -157,32 +133,6 @@ fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
 #[inline]
 fn squared_diff_lanes(a: &[f32], b: &[f32]) -> f32 {
     lane_sum(a, b, |x, y| (x - y) * (x - y))
-}
-
-/// Fused lane-unrolled dot product and squared norm of `b` — one pass over
-/// both slices, two independent lane sets (bit-identical to [`dot_lanes`]
-/// and [`Metric::squared_norm`] computed separately).
-#[inline]
-fn dot_and_norm_lanes(a: &[f32], b: &[f32]) -> (f32, f32) {
-    debug_assert_eq!(a.len(), b.len());
-    let mut dot_acc = [0.0f32; LANES];
-    let mut norm_acc = [0.0f32; LANES];
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (xs, ys) in (&mut ca).zip(&mut cb) {
-        for (((dlane, nlane), x), y) in dot_acc.iter_mut().zip(norm_acc.iter_mut()).zip(xs).zip(ys)
-        {
-            *dlane += x * y;
-            *nlane += y * y;
-        }
-    }
-    let mut dot = sum_lanes(dot_acc);
-    let mut norm = sum_lanes(norm_acc);
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        dot += x * y;
-        norm += y * y;
-    }
-    (dot, norm)
 }
 
 impl Metric {

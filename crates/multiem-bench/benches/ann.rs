@@ -7,9 +7,12 @@
 //! default encoder (dim 384, unit norm, duplicates clustered tightly).
 //! `ann/insert` is the kernel row under the benchmark's `ann.hnsw.insert_us`;
 //! its `elem/s` is inserts per second, so per-insert time is its inverse.
+//! `ann/join` is the brute-force mutual top-1 join at the per-side sizes of
+//! the benchmark's `batch_many` (1,150) and `batch_wide` (2,300) merges; its
+//! `elem/s` is queries per second over both directions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use multiem_ann::{BruteForceIndex, HnswConfig, HnswIndex, Metric, VectorIndex};
+use multiem_ann::{mutual_top_k, BruteForceIndex, HnswConfig, HnswIndex, Metric, VectorIndex};
 use multiem_core::{AttributeSelection, EmbeddingStore, MergedTable, MultiEmConfig};
 use multiem_datagen::benchmark_specs;
 use multiem_embed::{EmbeddingModel, HashedLexicalEncoder};
@@ -112,19 +115,39 @@ fn bench_query(c: &mut Criterion) {
             }
         })
     });
-    group.bench_function("bruteforce", |b| {
-        b.iter(|| {
-            for q in queries {
-                std::hint::black_box(brute.search(q, 10));
-            }
-        })
-    });
+    // k = 500 is the online store's `k + stale_nodes` over-fetch regime.
+    for (name, k) in [("bruteforce", 10), ("bruteforce_k500", 500)] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for q in queries {
+                    std::hint::black_box(brute.search(q, k));
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
+fn bench_join(c: &mut Criterion) {
+    let (vectors, dim) = music_embeddings();
+    let mut group = c.benchmark_group("ann/join");
+    for &n in &[1_150usize, 2_300] {
+        let (left, rest) = vectors.split_at(n);
+        let left: Vec<&[f32]> = left.iter().map(|v| v.as_slice()).collect();
+        let right: Vec<&[f32]> = rest[..n].iter().map(|v| v.as_slice()).collect();
+        let left_index = BruteForceIndex::from_vectors(dim, Metric::Cosine, left.iter().copied());
+        let right_index = BruteForceIndex::from_vectors(dim, Metric::Cosine, right.iter().copied());
+        group.throughput(Throughput::Elements(2 * n as u64));
+        group.bench_function(BenchmarkId::new("bruteforce", n), |b| {
+            b.iter(|| mutual_top_k(&left_index, &right_index, &left, &right, 1, 0.35))
+        });
+    }
     group.finish();
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_build, bench_insert, bench_query
+    targets = bench_build, bench_insert, bench_query, bench_join
 }
 criterion_main!(benches);

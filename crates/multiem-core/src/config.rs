@@ -1,6 +1,6 @@
 //! Configuration of the MultiEM pipeline.
 
-use multiem_ann::{HnswConfig, Metric};
+use multiem_ann::{AnnIndex, HnswConfig, Metric};
 use multiem_table::SerializeOptions;
 use serde::{Deserialize, Serialize};
 
@@ -56,7 +56,11 @@ pub struct MultiEmConfig {
     /// lines cross near n ≈ 2,200. Those are rows of the benchmark's traced
     /// runs (`benchmark/README.md`; seed 103, dim-384 embeddings, `k = 1`,
     /// default [`HnswConfig`]) on a 2-core x86-64 VM with rustc 1.95;
-    /// re-measure before moving the threshold on other hardware.
+    /// re-measure before moving the threshold on other hardware. Since then
+    /// the brute-force scan runs on cached norms at 0.13–0.14 µs × n, which
+    /// puts the crossing near n ≈ 5,000; the default was deliberately not
+    /// moved along with it (README, "Where the default `hnsw_threshold` comes
+    /// from").
     pub hnsw_threshold: usize,
     /// HNSW construction/search parameters.
     pub hnsw: HnswConfig,
@@ -124,6 +128,24 @@ impl MultiEmConfig {
         self
     }
 
+    /// Whether an index that holds `len` vectors is an HNSW graph rather than
+    /// the exact index — the one place [`MultiEmConfig::index_backend`] and
+    /// [`MultiEmConfig::hnsw_threshold`] are read.
+    pub fn wants_hnsw(&self, len: usize) -> bool {
+        match self.index_backend {
+            IndexBackend::BruteForce => false,
+            IndexBackend::Hnsw => true,
+            IndexBackend::Auto => len >= self.hnsw_threshold,
+        }
+    }
+
+    /// An empty merge-phase index of dimensionality `dim`, on the backend
+    /// chosen for holding `len` vectors.
+    pub fn index_for(&self, len: usize, dim: usize) -> AnnIndex {
+        let hnsw = self.wants_hnsw(len).then(|| self.hnsw.clone());
+        AnnIndex::new(dim, self.merge_metric, hnsw)
+    }
+
     /// Validate the configuration, returning a description of the first
     /// problem found.
     pub fn validate(&self) -> Result<(), String> {
@@ -176,6 +198,25 @@ mod tests {
         assert!(!c.pruning);
         let c = MultiEmConfig::parallel();
         assert!(c.parallel);
+    }
+
+    #[test]
+    fn backend_policy_follows_backend_and_threshold() {
+        let auto = MultiEmConfig {
+            hnsw_threshold: 10,
+            ..MultiEmConfig::default()
+        };
+        assert!(!auto.wants_hnsw(9) && auto.wants_hnsw(10));
+        assert!(!auto.index_for(9, 4).is_hnsw() && auto.index_for(10, 4).is_hnsw());
+        let brute = MultiEmConfig {
+            index_backend: IndexBackend::BruteForce,
+            ..auto.clone()
+        };
+        let hnsw = MultiEmConfig {
+            index_backend: IndexBackend::Hnsw,
+            ..auto
+        };
+        assert!(!brute.wants_hnsw(1_000_000) && hnsw.wants_hnsw(0));
     }
 
     #[test]

@@ -19,8 +19,13 @@
 //!
 //! Tombstones accumulate as clusters merge; once their fraction exceeds
 //! `rebuild_staleness`, the representative index is rebuilt from live
-//! clusters (switching between brute force and HNSW around
-//! `hnsw_threshold`, like the batch merger does per table).
+//! clusters, on the backend [`multiem_core::MultiEmConfig::index_for`] picks for
+//! their number — the policy the batch merger applies per table.
+//!
+//! Every search of the representative index — an insert's candidates, the
+//! mutual check's reverse look-up, a batch of `/match` queries — goes through
+//! one helper that over-fetches by the tombstone count, drops tombstones and
+//! cuts to `k`; a single query is a batch of one.
 //!
 //! Density-based pruning (Algorithm 4) runs over clusters that changed since
 //! the last pass ("dirty" clusters) every `prune_interval` accepted records:
@@ -38,9 +43,8 @@ use crate::error::OnlineError;
 use crate::storage::{CompactionReport, RecordStorage, RecordStore, SegmentStats, StorageStats};
 use crate::wire::{self, SnapshotFormat};
 use crate::Result;
-use multiem_ann::{BruteForceIndex, DynamicVectorIndex, HnswIndex, Neighbor, VectorIndex};
+use multiem_ann::{AnnIndex, DynamicVectorIndex, VectorIndex};
 use multiem_cluster::DynamicUnionFind;
-use multiem_core::config::IndexBackend;
 use multiem_core::representation::{select_attributes, AttributeSelection, EmbeddingStore};
 use multiem_core::{hierarchical_merge, prune_item, prune_points, MergedTable};
 use multiem_embed::{l2_normalize, EmbeddingModel};
@@ -116,51 +120,6 @@ impl ClusterMeta {
     }
 }
 
-/// Either representative-index backend; which one is active can change at
-/// rebuild time (brute force below `hnsw_threshold` live clusters, HNSW
-/// above, mirroring [`IndexBackend::Auto`] in the batch merger).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum RepIndex {
-    /// Exact index.
-    Brute(BruteForceIndex),
-    /// HNSW graph index.
-    Hnsw(Box<HnswIndex>),
-}
-
-impl RepIndex {
-    fn insert(&mut self, v: &[f32]) -> usize {
-        match self {
-            RepIndex::Brute(i) => i.insert(v),
-            RepIndex::Hnsw(i) => i.insert(v),
-        }
-    }
-
-    fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        match self {
-            RepIndex::Brute(i) => i.search(query, k),
-            RepIndex::Hnsw(i) => i.search(query, k),
-        }
-    }
-
-    /// Search several queries at once. The brute-force backend answers all
-    /// of them with one candidates-outer pass over its flat vector array;
-    /// HNSW has no batched traversal, so it falls back to per-query graph
-    /// searches. Per-query results are identical to [`RepIndex::search`].
-    fn search_batch(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<Neighbor>> {
-        match self {
-            RepIndex::Brute(i) => i.search_batch(queries, k),
-            RepIndex::Hnsw(i) => queries.iter().map(|q| i.search(q, k)).collect(),
-        }
-    }
-
-    fn approx_bytes(&self) -> usize {
-        match self {
-            RepIndex::Brute(i) => i.approx_bytes(),
-            RepIndex::Hnsw(i) => i.approx_bytes(),
-        }
-    }
-}
-
 /// The serializable state of an [`EntityStore`] (everything but the encoder).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct StoreState {
@@ -181,7 +140,7 @@ struct StoreState {
     entity_of_dense: Vec<EntityId>,
     uf: DynamicUnionFind,
     clusters: BTreeMap<usize, ClusterMeta>,
-    index: RepIndex,
+    index: AnnIndex,
     /// Index node -> cluster root (`None` = tombstone).
     node_root: Vec<Option<usize>>,
     stale_nodes: usize,
@@ -220,7 +179,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
         config.validate().map_err(OnlineError::InvalidConfig)?;
         let dim = encoder.dim();
         let records = RecordStorage::new(&config.storage, dim)?;
-        let index = new_index(&config, 0, dim);
+        let index = config.base.index_for(0, dim);
         Ok(Self {
             encoder,
             state: StoreState {
@@ -605,17 +564,16 @@ impl<E: EmbeddingModel> EntityStore<E> {
     pub fn match_record(&self, record: &Record) -> Vec<(EntityId, f32)> {
         self.match_batch(std::slice::from_ref(record))
             .pop()
-            .expect("a one-record batch yields one result")
+            .unwrap_or_default()
     }
 
-    /// Batched [`EntityStore::match_record`]: answer every query of
-    /// `records` with **one** candidates-outer pass over the representative
-    /// index, so the index's vector array is streamed through the cache
-    /// hierarchy once per batch instead of once per query (the win of the
-    /// serving layer's match micro-batching on a memory-bound scan). Each
-    /// query's result is exactly what `match_record` would return for it;
-    /// the single-record path is a batch of one through here, so the two
-    /// can never drift in semantics.
+    /// Batched [`EntityStore::match_record`]: every query of `records` goes
+    /// to the representative index in **one** `search_batch` call, which the
+    /// brute-force backend answers by streaming its vector array through the
+    /// cache hierarchy once per batch instead of once per query (the win of
+    /// the serving layer's match micro-batching on a memory-bound scan).
+    /// `match_record` is a batch of one through here, so the two can never
+    /// drift in semantics.
     pub fn match_batch(&self, records: &[Record]) -> Vec<Vec<(EntityId, f32)>> {
         let mut out: Vec<Vec<(EntityId, f32)>> = vec![Vec::new(); records.len()];
         let Some(selected) = self.state.selected.as_deref() else {
@@ -637,19 +595,13 @@ impl<E: EmbeddingModel> EntityStore<E> {
             })
             .collect();
         let queries: Vec<&[f32]> = embeddings.iter().map(|(_, e)| e.as_slice()).collect();
-        // Same tombstone over-fetch + live filter + top-k cut as
-        // `search_live`, applied per query.
-        let fetch = (k + self.state.stale_nodes).min(self.state.node_root.len());
-        for ((query, _), hits) in embeddings
-            .iter()
-            .zip(self.state.index.search_batch(&queries, fetch))
-        {
+        for ((query, _), hits) in embeddings.iter().zip(self.search_live(&queries, k)) {
             out[*query] = hits
                 .into_iter()
-                .filter_map(|n| self.state.node_root[n.index].map(|root| (root, n.distance)))
-                .take(k)
-                .filter(|&(root, dist)| dist <= self.state.config.base.m && self.mutual(root, dist))
-                .map(|(root, dist)| (self.canonical_id(root), dist))
+                .filter(|&(root, _, dist)| {
+                    dist <= self.state.config.base.m && self.mutual(root, dist)
+                })
+                .map(|(root, _, dist)| (self.canonical_id(root), dist))
                 .collect();
         }
         out
@@ -899,20 +851,24 @@ impl<E: EmbeddingModel> EntityStore<E> {
         }
     }
 
-    /// Search the representative index, returning up to `k` *live* clusters
-    /// as `(root, node, distance)`, closest first.
-    fn search_live(&self, query: &[f32], k: usize) -> Vec<(usize, usize, f32)> {
-        if k == 0 {
-            return Vec::new();
-        }
+    /// Search the representative index for every query at once, returning
+    /// per query up to `k` *live* clusters as `(root, node, distance)`,
+    /// closest first.
+    fn search_live(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<(usize, usize, f32)>> {
         // Tombstones still occupy index slots, so over-fetch by their count.
         let fetch = (k + self.state.stale_nodes).min(self.state.node_root.len());
         self.state
             .index
-            .search(query, fetch)
+            .search_batch(queries, fetch)
             .into_iter()
-            .filter_map(|n| self.state.node_root[n.index].map(|root| (root, n.index, n.distance)))
-            .take(k)
+            .map(|hits| {
+                hits.into_iter()
+                    .filter_map(|n| {
+                        self.state.node_root[n.index].map(|root| (root, n.index, n.distance))
+                    })
+                    .take(k)
+                    .collect()
+            })
             .collect()
     }
 
@@ -927,8 +883,9 @@ impl<E: EmbeddingModel> EntityStore<E> {
             return false;
         };
         let closer = self
-            .search_live(&meta.centroid(), k + 1)
+            .search_live(&[&meta.centroid()], k + 1)
             .into_iter()
+            .flatten()
             .filter(|&(_, node, dist)| node != own_node && dist < dist_to_candidate)
             .count();
         closer < k
@@ -974,8 +931,9 @@ impl<E: EmbeddingModel> EntityStore<E> {
         }
 
         let matches: Vec<usize> = self
-            .search_live(emb, k)
+            .search_live(&[emb], k)
             .into_iter()
+            .flatten()
             .filter(|&(root, _, dist)| {
                 dist <= m && self.source_compatible(root, source) && self.mutual(root, dist)
             })
@@ -1081,8 +1039,8 @@ impl<E: EmbeddingModel> EntityStore<E> {
     }
 
     /// Rebuild the representative index when tombstones dominate, or when the
-    /// store grew past `hnsw_threshold` while still on the brute-force
-    /// backend (the online analogue of [`IndexBackend::Auto`]).
+    /// live clusters have outgrown the brute-force backend
+    /// ([`multiem_core::MultiEmConfig::wants_hnsw`]).
     fn maybe_rebuild(&mut self) {
         let total = self.state.node_root.len();
         if total == 0 {
@@ -1090,13 +1048,11 @@ impl<E: EmbeddingModel> EntityStore<E> {
         }
         let live = total - self.state.stale_nodes;
         let staleness = self.state.stale_nodes as f64 / total as f64;
-        let needs_upgrade = matches!(self.state.config.base.index_backend, IndexBackend::Auto)
-            && matches!(self.state.index, RepIndex::Brute(_))
-            && live >= self.state.config.base.hnsw_threshold;
+        let needs_upgrade = !self.state.index.is_hnsw() && self.state.config.base.wants_hnsw(live);
         if staleness <= self.state.config.rebuild_staleness && !needs_upgrade {
             return;
         }
-        let mut index = new_index(&self.state.config, live, self.encoder.dim());
+        let mut index = self.state.config.base.index_for(live, self.encoder.dim());
         let mut node_root = Vec::with_capacity(live);
         for (&root, meta) in self.state.clusters.iter_mut() {
             if meta.node.is_some() {
@@ -1110,23 +1066,6 @@ impl<E: EmbeddingModel> EntityStore<E> {
         self.state.node_root = node_root;
         self.state.stale_nodes = 0;
         self.state.rebuilds += 1;
-    }
-}
-
-fn new_index(config: &OnlineConfig, live: usize, dim: usize) -> RepIndex {
-    let use_hnsw = match config.base.index_backend {
-        IndexBackend::BruteForce => false,
-        IndexBackend::Hnsw => true,
-        IndexBackend::Auto => live >= config.base.hnsw_threshold,
-    };
-    if use_hnsw {
-        RepIndex::Hnsw(Box::new(HnswIndex::new(
-            dim,
-            config.base.merge_metric,
-            config.base.hnsw.clone(),
-        )))
-    } else {
-        RepIndex::Brute(BruteForceIndex::new(dim, config.base.merge_metric))
     }
 }
 
@@ -1459,13 +1398,116 @@ mod tests {
         ))
         .unwrap();
         assert!(
-            matches!(s.state.index, RepIndex::Hnsw(_)),
+            s.state.index.is_hnsw(),
             "auto backend should have upgraded to HNSW"
         );
         // Matching still works on the upgraded index.
         let hits = s.match_record(&Record::from_texts(["golden heart river remaster"]));
         assert_eq!(hits.len(), 1);
         assert_eq!(s.tuples().len(), 1);
+    }
+
+    #[test]
+    fn insert_and_match_see_the_same_candidates_past_tombstones() {
+        let ds = music_dataset(13);
+        let mut cfg = config();
+        cfg.rebuild_staleness = 1.0; // never rebuild: tombstones pile up
+        cfg.prune_interval = None;
+        let mut s = EntityStore::new(cfg, HashedLexicalEncoder::default());
+        let (probes, ingested) = ds.tables().split_last().unwrap();
+        for table in ingested {
+            s.ingest_batch(table).unwrap();
+        }
+        assert!(s.stats().stale_nodes > 10, "the index must hold tombstones");
+        assert_eq!(s.stats().rebuilds, 0);
+
+        let metric = s.state.config.base.merge_metric;
+        let (k, m) = (s.state.config.base.k, s.state.config.base.m);
+        let mut merged = 0;
+        for record in probes.records() {
+            let hits = s.match_record(record);
+            // What `match_record` may return: the `k` live clusters closest
+            // to the record, by definition rather than through the index.
+            let text = serialize_record_projected(
+                record,
+                s.selected_attributes().unwrap(),
+                &s.state.config.base.serialize,
+            );
+            let emb = s.encoder.encode(&text);
+            let qnorm = multiem_ann::Metric::squared_norm(&emb);
+            let mut live: Vec<(u32, EntityId)> = s
+                .state
+                .clusters
+                .iter()
+                .filter(|(_, meta)| meta.node.is_some())
+                .map(|(&root, meta)| {
+                    let c = meta.centroid();
+                    let cnorm = multiem_ann::Metric::squared_norm(&c);
+                    let d = metric.distance_prenormed(&emb, &c, qnorm, cnorm);
+                    (d.to_bits(), s.canonical_id(root))
+                })
+                .collect();
+            // Cosine distances are non-negative, so bit order is value order.
+            live.sort_unstable();
+            let cut = live.get(k - 1).map_or(u32::MAX, |&(d, _)| d);
+            for &(id, dist) in &hits {
+                assert!(dist <= m && dist.to_bits() <= cut);
+                assert!(live.contains(&(dist.to_bits(), id)), "{id:?} at {dist}");
+            }
+
+            // `insert` fuses exactly the clusters `match_record` named.
+            let mut expected: Vec<EntityId> = hits
+                .iter()
+                .flat_map(|&(id, _)| s.cluster_members(id).unwrap())
+                .collect();
+            let id = s.insert(record.clone()).unwrap();
+            expected.push(id);
+            expected.sort_unstable();
+            assert_eq!(s.cluster_members(id).unwrap(), expected);
+            merged += usize::from(!hits.is_empty());
+        }
+        assert!(merged > 5, "only {merged} probes matched: vacuous");
+    }
+
+    #[test]
+    fn snapshot_keeps_the_index_shape() {
+        let schema = title_schema();
+        let mut cfg = config();
+        cfg.base.hnsw_threshold = 3;
+        let mut s = EntityStore::new(cfg, HashedLexicalEncoder::default());
+        let index_entry = |s: &EntityStore<HashedLexicalEncoder>| {
+            let snapshot = s.snapshot_value();
+            let index = serde::__get_field(&snapshot, "index").expect("index field");
+            let (variant, payload) = index.as_single_entry_map().expect("variant entry");
+            let keys: Vec<String> = payload
+                .as_map()
+                .expect("index fields")
+                .iter()
+                .map(|(k, _)| k.clone())
+                .collect();
+            (variant.to_string(), keys)
+        };
+        s.ingest_batch(&table("a", &schema, &["golden heart river", "sony tv"]))
+            .unwrap();
+        let (variant, keys) = index_entry(&s);
+        assert_eq!(variant, "Brute");
+        assert_eq!(keys, ["metric", "dim", "data"]);
+        s.ingest_batch(&table("b", &schema, &["makita drill 18v", "dyson v11"]))
+            .unwrap();
+        let (variant, keys) = index_entry(&s);
+        assert_eq!(variant, "Hnsw");
+        assert_eq!(
+            keys,
+            [
+                "config",
+                "metric",
+                "dim",
+                "data",
+                "links",
+                "max_layer",
+                "entry_point"
+            ]
+        );
     }
 
     #[test]

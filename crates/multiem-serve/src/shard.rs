@@ -335,9 +335,9 @@ impl<E: EmbeddingModel> ShardedEntityStore<E> {
             .map(|shard| {
                 let started = Instant::now();
                 let guard = shard.store.read();
-                // One candidates-outer index pass answers the whole batch
-                // (see `EntityStore::match_batch`), on top of the one lock
-                // acquisition amortized here.
+                // One `search_batch` call on the representative index
+                // answers the whole batch (see `EntityStore::match_batch`),
+                // on top of the one lock acquisition amortized here.
                 let hits = guard.match_batch(records);
                 (hits, elapsed_ns(started))
             })
