@@ -130,31 +130,29 @@ impl Drop for ThreadPool {
     }
 }
 
-/// Run `jobs` tasks on up to `width` scoped threads, claiming indices from a
-/// shared atomic counter.
+/// Run `jobs` tasks on up to `width` threads, claiming indices from a shared
+/// atomic counter. The calling thread is one of the `width`: it would only
+/// wait in `join` otherwise, so `width - 1` scoped threads are spawned and the
+/// caller works the same counter beside them.
 fn run_scoped_width<F: Fn(usize) + Sync>(width: usize, jobs: usize, f: &F) {
     if jobs == 0 {
         return;
     }
     let width = width.min(jobs).max(1);
-    if width == 1 {
-        for i in 0..jobs {
-            f(i);
-        }
-        return;
-    }
     let next = AtomicUsize::new(0);
-    thread::scope(|scope| {
-        for _ in 0..width {
-            scope.spawn(|| loop {
-                // relaxed-ok: job-ticket dispenser; the RMW uniqueness is all that matters
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs {
-                    break;
-                }
-                f(i);
-            });
+    let work = || loop {
+        // relaxed-ok: job-ticket dispenser; the RMW uniqueness is all that matters
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= jobs {
+            break;
         }
+        f(i);
+    };
+    thread::scope(|scope| {
+        for _ in 1..width {
+            scope.spawn(work);
+        }
+        work();
     });
 }
 
@@ -209,26 +207,25 @@ where
     }
     let block = items.len().div_ceil(width * BLOCKS_PER_THREAD);
     let next = AtomicUsize::new(0);
-    let mut blocks: Vec<(usize, Vec<R>)> = Vec::with_capacity(items.len().div_ceil(block));
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..width)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        // relaxed-ok: block-ticket dispenser; the RMW uniqueness is all that matters
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(chunk) = items.chunks(block).nth(b) else {
-                            break mine;
-                        };
-                        mine.push((b, chunk.iter().map(f).collect::<Vec<R>>()));
-                    }
-                })
-            })
-            .collect();
+    let work = || {
+        let mut mine = Vec::new();
+        loop {
+            // relaxed-ok: block-ticket dispenser; the RMW uniqueness is all that matters
+            let b = next.fetch_add(1, Ordering::Relaxed);
+            let Some(chunk) = items.chunks(block).nth(b) else {
+                break mine;
+            };
+            mine.push((b, chunk.iter().map(f).collect::<Vec<R>>()));
+        }
+    };
+    // The caller is one of the `width` threads (see `run_scoped_width`).
+    let mut blocks: Vec<(usize, Vec<R>)> = thread::scope(|scope| {
+        let handles: Vec<_> = (1..width).map(|_| scope.spawn(work)).collect();
+        let mut blocks = work();
         for handle in handles {
             blocks.extend(handle.join().expect("parallel map worker panicked"));
         }
+        blocks
     });
     blocks.sort_unstable_by_key(|&(b, _)| b);
     blocks.into_iter().flat_map(|(_, mapped)| mapped).collect()

@@ -4,8 +4,9 @@
 //! per-tuple neighbourhood computations in the pruning phase, and as a simple
 //! fallback for tiny tables where building a graph index is not worth it.
 //!
-//! There is one scan, [`VectorIndex::search_batch`]; a single-query
-//! [`VectorIndex::search`] is a batch of one through it.
+//! There is one scan, `BruteForceIndex::scan`: a single-query
+//! [`VectorIndex::search`] is a batch of one through it, and an unfiltered
+//! search is a filtered one that accepts every row.
 
 use crate::metric::Metric;
 use crate::{DynamicVectorIndex, FarthestFirst, Neighbor, VectorIndex};
@@ -61,6 +62,59 @@ impl BruteForceIndex {
         self.norms.push(Metric::squared_norm(vector));
         self.len() - 1
     }
+
+    /// The scan: **one pass** over the stored vectors answers every query.
+    ///
+    /// It is candidates-outer / queries-inner, so each stored vector is
+    /// loaded once per *batch* and scored against every query while it is
+    /// cache-hot; with the cached norms the per-pair kernel is a single
+    /// lane-unrolled pass ([`Metric::distance_prenormed`]). A row `keep`
+    /// rejects is skipped before the kernel: it costs one predicate call and
+    /// no distance. Each query keeps its `k` best accepted rows in a bounded
+    /// max-heap under `Neighbor::rank`: a candidate costs one compare against
+    /// the current worst, and one that displaces it `O(log k)`. The result is
+    /// bit-equal to scoring every accepted row, sorting and truncating.
+    ///
+    /// Generic over `keep` so the unfiltered searches compile to a loop with
+    /// no predicate in it.
+    fn scan<F>(&self, queries: &[&[f32]], k: usize, keep: F) -> Vec<Vec<Neighbor>>
+    where
+        F: Fn(usize) -> bool,
+    {
+        let cap = k.min(self.len());
+        if cap == 0 || queries.is_empty() {
+            return vec![Vec::new(); queries.len()];
+        }
+        let qnorms: Vec<f32> = queries.iter().map(|q| Metric::squared_norm(q)).collect();
+        // Exactly `cap` slots per query and no more: a join holds one
+        // result per query, so spare capacity here is multiplied by n.
+        let mut best: Vec<BinaryHeap<FarthestFirst>> = queries
+            .iter()
+            .map(|_| BinaryHeap::with_capacity(cap))
+            .collect();
+        let stored = self.data.chunks_exact(self.dim).zip(&self.norms);
+        for (i, (candidate, &cnorm)) in stored.enumerate() {
+            if !keep(i) {
+                continue;
+            }
+            for ((query, &qnorm), heap) in queries.iter().zip(&qnorms).zip(best.iter_mut()) {
+                let distance = self
+                    .metric
+                    .distance_prenormed(query, candidate, qnorm, cnorm);
+                let found = FarthestFirst(Neighbor::new(i, distance));
+                if heap.len() < cap {
+                    heap.push(found);
+                } else if let Some(mut worst) = heap.peek_mut() {
+                    if found < *worst {
+                        *worst = found;
+                    }
+                }
+            }
+        }
+        best.into_iter()
+            .map(|heap| heap.into_sorted_vec().into_iter().map(|f| f.0).collect())
+            .collect()
+    }
 }
 
 impl Deserialize for BruteForceIndex {
@@ -108,47 +162,17 @@ impl VectorIndex for BruteForceIndex {
         self.search_batch(&[query], k).pop().unwrap_or_default()
     }
 
-    /// The scan: **one pass** over the stored vectors answers every query.
-    ///
-    /// It is candidates-outer / queries-inner, so each stored vector is
-    /// loaded once per *batch* and scored against every query while it is
-    /// cache-hot; with the cached norms the per-pair kernel is a single
-    /// lane-unrolled pass ([`Metric::distance_prenormed`]). Each query keeps
-    /// its `k` best in a bounded max-heap under `Neighbor::rank`: a
-    /// candidate costs one compare against the current worst, and an
-    /// accepted one `O(log k)` — for `k = 1` as for the store's
-    /// `k + stale_nodes` in the hundreds.
     fn search_batch(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<Neighbor>> {
-        let keep = k.min(self.len());
-        if keep == 0 || queries.is_empty() {
-            return vec![Vec::new(); queries.len()];
-        }
-        let qnorms: Vec<f32> = queries.iter().map(|q| Metric::squared_norm(q)).collect();
-        // Exactly `keep` slots per query and no more: a join holds one
-        // result per query, so spare capacity here is multiplied by n.
-        let mut best: Vec<BinaryHeap<FarthestFirst>> = queries
-            .iter()
-            .map(|_| BinaryHeap::with_capacity(keep))
-            .collect();
-        let stored = self.data.chunks_exact(self.dim).zip(&self.norms);
-        for (i, (candidate, &cnorm)) in stored.enumerate() {
-            for ((query, &qnorm), heap) in queries.iter().zip(&qnorms).zip(best.iter_mut()) {
-                let distance = self
-                    .metric
-                    .distance_prenormed(query, candidate, qnorm, cnorm);
-                let found = FarthestFirst(Neighbor::new(i, distance));
-                if heap.len() < keep {
-                    heap.push(found);
-                } else if let Some(mut worst) = heap.peek_mut() {
-                    if found < *worst {
-                        *worst = found;
-                    }
-                }
-            }
-        }
-        best.into_iter()
-            .map(|heap| heap.into_sorted_vec().into_iter().map(|f| f.0).collect())
-            .collect()
+        self.scan(queries, k, |_| true)
+    }
+
+    fn search_batch_filtered(
+        &self,
+        queries: &[&[f32]],
+        k: usize,
+        keep: &dyn Fn(usize) -> bool,
+    ) -> Vec<Vec<Neighbor>> {
+        self.scan(queries, k, keep)
     }
 
     fn vector(&self, index: usize) -> &[f32] {
@@ -217,10 +241,17 @@ mod tests {
         idx.add(&[1.0, 2.0]);
     }
 
-    /// Top-`k` by definition: score every stored vector, sort, truncate.
-    fn reference_top_k(idx: &BruteForceIndex, query: &[f32], k: usize) -> Vec<Neighbor> {
+    /// Top-`k` by definition: score every stored vector `keep` accepts,
+    /// sort, truncate.
+    fn reference_top_k(
+        idx: &BruteForceIndex,
+        query: &[f32],
+        k: usize,
+        keep: &dyn Fn(usize) -> bool,
+    ) -> Vec<Neighbor> {
         let qnorm = Metric::squared_norm(query);
         let mut all: Vec<Neighbor> = (0..idx.len())
+            .filter(|&i| keep(i))
             .map(|i| {
                 let stored = idx.vector(i);
                 let norm = Metric::squared_norm(stored);
@@ -239,9 +270,10 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn scan_agrees_with_sort_and_truncate_reference() {
-        // 11 dimensions: one full lane block plus a remainder.
+    /// 114 stored vectors of 11 dimensions (one full lane block plus a
+    /// remainder), every one twice so ties are everywhere, and 12 queries:
+    /// generic ones, a stored vector, the zero vector and one with a NaN.
+    fn tie_heavy_fixture() -> (usize, Vec<Vec<f32>>, Vec<Vec<f32>>) {
         let dim = 11;
         let mut x = 1.0f32;
         let mut vectors: Vec<Vec<f32>> = Vec::new();
@@ -264,6 +296,12 @@ mod tests {
         let mut poisoned = vectors[3].clone();
         poisoned[5] = f32::NAN;
         queries.push(poisoned);
+        (dim, vectors, queries)
+    }
+
+    #[test]
+    fn scan_agrees_with_sort_and_truncate_reference() {
+        let (dim, vectors, queries) = tie_heavy_fixture();
         let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
 
         for metric in [Metric::Cosine, Metric::Euclidean, Metric::InnerProduct] {
@@ -284,7 +322,7 @@ mod tests {
                     let batched = idx.search_batch(&refs, k);
                     assert_eq!(batched.len(), refs.len());
                     for (query, hits) in refs.iter().zip(&batched) {
-                        let expected = reference_top_k(&built, query, k);
+                        let expected = reference_top_k(&built, query, k, &|_| true);
                         assert_eq!(bits(hits), bits(&expected), "{metric:?} k={k}");
                         assert_eq!(bits(&idx.search(query, k)), bits(&expected));
                     }
@@ -297,6 +335,45 @@ mod tests {
         assert!(idx.search_batch(&[], 3).is_empty());
         let empty = BruteForceIndex::new(dim, Metric::Cosine);
         assert_eq!(empty.search_batch(&refs, 3), vec![Vec::new(); refs.len()]);
+    }
+
+    #[test]
+    fn filtered_scan_is_the_reference_over_the_accepted_rows() {
+        let (dim, vectors, queries) = tie_heavy_fixture();
+        let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
+        let n = vectors.len();
+        // Dead shares: none, every other row, all but one, all.
+        type Keep = fn(usize) -> bool;
+        let masks: [(&str, Keep); 4] = [
+            ("none dead", |_| true),
+            ("half dead", |i| i % 2 == 1),
+            ("one live", |i| i == 40),
+            ("all dead", |_| false),
+        ];
+        for metric in [Metric::Cosine, Metric::Euclidean, Metric::InnerProduct] {
+            let idx = BruteForceIndex::from_vectors(dim, metric, vectors.iter().map(Vec::as_slice));
+            for (name, keep) in &masks {
+                let live = (0..n).filter(|&i| keep(i)).count();
+                for k in [0, 1, 3, live, live + 7] {
+                    let found = idx.search_batch_filtered(&refs, k, keep);
+                    assert_eq!(found.len(), refs.len());
+                    for (query, hits) in refs.iter().zip(&found) {
+                        let expected = reference_top_k(&idx, query, k, keep);
+                        assert_eq!(expected.len(), k.min(live));
+                        assert_eq!(bits(hits), bits(&expected), "{metric:?} {name} k={k}");
+                        // What the store used to do: fetch `k` plus the dead
+                        // count unfiltered, drop the dead, cut to `k`.
+                        let overfetched: Vec<Neighbor> = idx
+                            .search(query, k + (n - live))
+                            .into_iter()
+                            .filter(|hit| keep(hit.index))
+                            .take(k)
+                            .collect();
+                        assert_eq!(bits(hits), bits(&overfetched), "{metric:?} {name} k={k}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

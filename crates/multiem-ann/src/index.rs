@@ -71,6 +71,15 @@ impl VectorIndex for AnnIndex {
         self.backend().search_batch(queries, k)
     }
 
+    fn search_batch_filtered(
+        &self,
+        queries: &[&[f32]],
+        k: usize,
+        keep: &dyn Fn(usize) -> bool,
+    ) -> Vec<Vec<Neighbor>> {
+        self.backend().search_batch_filtered(queries, k, keep)
+    }
+
     fn vector(&self, index: usize) -> &[f32] {
         self.backend().vector(index)
     }
@@ -109,6 +118,13 @@ mod tests {
                 index.search_batch(&[&[3.2, 1.0], &[0.1, 1.0]], 2),
                 [index.search(&[3.2, 1.0], 2), index.search(&[0.1, 1.0], 2)]
             );
+            let odd: Vec<usize> = index
+                .search_batch_filtered(&[&[3.2, 1.0]], 2, &|node| node % 2 == 1)
+                .concat()
+                .iter()
+                .map(|n| n.index)
+                .collect();
+            assert_eq!(odd, [3, 5]);
         }
         assert!(!filled(None).is_hnsw());
         assert!(filled(Some(HnswConfig::small())).is_hnsw());

@@ -144,6 +144,24 @@ pub trait VectorIndex: Send + Sync {
         queries.iter().map(|q| self.search(q, k)).collect()
     }
 
+    /// [`VectorIndex::search_batch`] over the stored vectors `keep` accepts:
+    /// per query the (up to) `k` nearest of *those*, as if the rejected ones
+    /// were not stored. This is how a caller that retires entries without
+    /// removing them (the online store's tombstones) searches what is left:
+    /// the cost follows the accepted vectors, not `k` plus the rejected ones.
+    /// [`BruteForceIndex`] skips a rejected row before scoring it;
+    /// [`HnswIndex`] walks through rejected nodes, so the graph stays
+    /// navigable, but never counts one as a result.
+    ///
+    /// `search` and `search_batch` are this with every vector accepted, run
+    /// through the same scan or traversal.
+    fn search_batch_filtered(
+        &self,
+        queries: &[&[f32]],
+        k: usize,
+        keep: &dyn Fn(usize) -> bool,
+    ) -> Vec<Vec<Neighbor>>;
+
     /// Borrow the stored vector at `index`.
     fn vector(&self, index: usize) -> &[f32];
 

@@ -7,6 +7,8 @@
 //! default encoder (dim 384, unit norm, duplicates clustered tightly).
 //! `ann/insert` is the kernel row under the benchmark's `ann.hnsw.insert_us`;
 //! its `elem/s` is inserts per second, so per-insert time is its inverse.
+//! `ann/query_top1` is the online store's look-up past tombstones, filtered
+//! search beside the over-fetch it replaced.
 //! `ann/join` is the brute-force mutual top-1 join at the per-side sizes of
 //! the benchmark's `batch_many` (1,150) and `batch_wide` (2,300) merges; its
 //! `elem/s` is queries per second over both directions.
@@ -115,15 +117,59 @@ fn bench_query(c: &mut Criterion) {
             }
         })
     });
-    // k = 500 is the online store's `k + stale_nodes` over-fetch regime.
-    for (name, k) in [("bruteforce", 10), ("bruteforce_k500", 500)] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                for q in queries {
-                    std::hint::black_box(brute.search(q, k));
-                }
-            })
-        });
+    group.bench_function("bruteforce", |b| {
+        b.iter(|| {
+            for q in queries {
+                std::hint::black_box(brute.search(q, 10));
+            }
+        })
+    });
+    group.finish();
+}
+
+/// The online store's look-up: the nearest *live* node of an index in which
+/// 0%, 25% and 50% of the nodes are tombstones. `<backend>_dead<share>` is
+/// the filtered search the store runs; `..._overfetch` beside it is what it
+/// ran before — fetch `k` plus the tombstone count unfiltered, drop the dead,
+/// cut to `k` — kept here for the ratio.
+fn bench_query_dead(c: &mut Criterion) {
+    let (vectors, dim) = music_embeddings();
+    let (indexed, rest) = vectors.split_at(3_000);
+    let queries = &rest[..100];
+    let hnsw = hnsw(dim, indexed);
+    let brute =
+        BruteForceIndex::from_vectors(dim, Metric::Cosine, indexed.iter().map(|v| v.as_slice()));
+    let backends: [(&str, &dyn VectorIndex); 2] = [("bruteforce", &brute), ("hnsw", &hnsw)];
+
+    let mut group = c.benchmark_group("ann/query_top1");
+    group.throughput(Throughput::Elements(queries.len() as u64));
+    for share in [0usize, 25, 50] {
+        // A multiplicative hash spreads the tombstones over the clusters.
+        let dead: Vec<bool> = (0..indexed.len())
+            .map(|i| i.wrapping_mul(2_654_435_761) % 100 < share)
+            .collect();
+        let stale = dead.iter().filter(|&&d| d).count();
+        let live = |node: usize| !dead[node];
+        for (name, index) in backends {
+            group.bench_function(format!("{name}_dead{share}"), |b| {
+                b.iter(|| {
+                    for q in queries {
+                        std::hint::black_box(index.search_batch_filtered(&[q], 1, &live));
+                    }
+                })
+            });
+            group.bench_function(format!("{name}_dead{share}_overfetch"), |b| {
+                b.iter(|| {
+                    for q in queries {
+                        let nearest = index
+                            .search(q, 1 + stale)
+                            .into_iter()
+                            .find(|hit| live(hit.index));
+                        std::hint::black_box(nearest);
+                    }
+                })
+            });
+        }
     }
     group.finish();
 }
@@ -148,6 +194,6 @@ fn bench_join(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_build, bench_insert, bench_query, bench_join
+    targets = bench_build, bench_insert, bench_query, bench_query_dead, bench_join
 }
 criterion_main!(benches);

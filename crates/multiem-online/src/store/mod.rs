@@ -24,8 +24,12 @@
 //!
 //! Every search of the representative index — an insert's candidates, the
 //! mutual check's reverse look-up, a batch of `/match` queries — goes through
-//! one helper that over-fetches by the tombstone count, drops tombstones and
-//! cuts to `k`; a single query is a batch of one.
+//! one helper that asks the index for the `k` nearest *live* nodes
+//! ([`VectorIndex::search_batch_filtered`] with `node_root` as the
+//! predicate); a single query is a batch of one. A tombstone therefore costs
+//! a look-up nothing on the brute-force backend (the row is skipped unscored)
+//! and only the graph steps that pass through it on HNSW; the tombstone
+//! count decides when to rebuild, not how much to fetch.
 //!
 //! Density-based pruning (Algorithm 4) runs over clusters that changed since
 //! the last pass ("dirty" clusters) every `prune_interval` accepted records:
@@ -83,7 +87,8 @@ pub struct StoreStats {
     pub tuples: usize,
     /// Nodes in the representative index (live + tombstoned).
     pub index_nodes: usize,
-    /// Tombstoned representative nodes awaiting a rebuild.
+    /// Tombstoned representative nodes awaiting a rebuild. Searches skip
+    /// them; their share of `index_nodes` is what `rebuild_staleness` bounds.
     pub stale_nodes: usize,
     /// Times the representative index has been rebuilt.
     pub rebuilds: usize,
@@ -150,6 +155,36 @@ struct StoreState {
     /// Records removed by [`EntityStore::delete_record`] (their dense slots
     /// stay allocated as detached orphans; payloads are freed by storage).
     deleted_records: usize,
+}
+
+impl StoreState {
+    /// The entries of the map the derived `Serialize` produces, in its
+    /// order, so a binary snapshot can be written field by field
+    /// ([`wire::write_fields`]): the value tree of the index and that of the
+    /// cluster sums are each tens of megabytes on a store of a few thousand
+    /// records, and a checkpoint's peak memory is whichever trees are alive
+    /// together.
+    fn fields(&self) -> [(&'static str, &dyn Serialize); 17] {
+        [
+            ("config", &self.config),
+            ("schema", &self.schema),
+            ("records", &self.records),
+            ("stream_source", &self.stream_source),
+            ("selected", &self.selected),
+            ("selection", &self.selection),
+            ("dense_base", &self.dense_base),
+            ("entity_of_dense", &self.entity_of_dense),
+            ("uf", &self.uf),
+            ("clusters", &self.clusters),
+            ("index", &self.index),
+            ("node_root", &self.node_root),
+            ("stale_nodes", &self.stale_nodes),
+            ("accepted_since_prune", &self.accepted_since_prune),
+            ("rebuilds", &self.rebuilds),
+            ("pruned_outliers", &self.pruned_outliers),
+            ("deleted_records", &self.deleted_records),
+        ]
+    }
 }
 
 /// A long-lived, incrementally updatable multi-table matching engine.
@@ -568,7 +603,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
     }
 
     /// Batched [`EntityStore::match_record`]: every query of `records` goes
-    /// to the representative index in **one** `search_batch` call, which the
+    /// to the representative index in **one** `search_batch_filtered` call, which the
     /// brute-force backend answers by streaming its vector array through the
     /// cache hierarchy once per batch instead of once per query (the win of
     /// the serving layer's match micro-batching on a memory-bound scan).
@@ -595,13 +630,11 @@ impl<E: EmbeddingModel> EntityStore<E> {
             })
             .collect();
         let queries: Vec<&[f32]> = embeddings.iter().map(|(_, e)| e.as_slice()).collect();
-        for ((query, _), hits) in embeddings.iter().zip(self.search_live(&queries, k)) {
+        for ((query, _), hits) in embeddings.iter().zip(self.search_live(&queries, k, None)) {
             out[*query] = hits
                 .into_iter()
-                .filter(|&(root, _, dist)| {
-                    dist <= self.state.config.base.m && self.mutual(root, dist)
-                })
-                .map(|(root, _, dist)| (self.canonical_id(root), dist))
+                .filter(|&(root, dist)| dist <= self.state.config.base.m && self.mutual(root, dist))
+                .map(|(root, dist)| (self.canonical_id(root), dist))
                 .collect();
         }
         out
@@ -658,7 +691,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
             SnapshotFormat::Json => self.snapshot_json().map(String::into_bytes),
             SnapshotFormat::Binary => {
                 let mut out = Vec::from(*wire::SNAPSHOT_MAGIC);
-                wire::write_value(&mut out, &self.snapshot_value());
+                wire::write_fields(&mut out, &self.state.fields());
                 Ok(out)
             }
         }
@@ -852,21 +885,29 @@ impl<E: EmbeddingModel> EntityStore<E> {
     }
 
     /// Search the representative index for every query at once, returning
-    /// per query up to `k` *live* clusters as `(root, node, distance)`,
-    /// closest first.
-    fn search_live(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<(usize, usize, f32)>> {
-        // Tombstones still occupy index slots, so over-fetch by their count.
-        let fetch = (k + self.state.stale_nodes).min(self.state.node_root.len());
+    /// per query up to `k` *live* clusters as `(root, distance)`, closest
+    /// first; the node `exclude`, if any, is passed over like a tombstone.
+    ///
+    /// Tombstones still occupy index slots, but the index is told which
+    /// nodes are live (`node_root` is the only record of that) and never
+    /// returns a dead one, so the look-up asks for exactly `k`: the
+    /// brute-force scan does not score a tombstone, and the HNSW traversal
+    /// only passes through it.
+    fn search_live(
+        &self,
+        queries: &[&[f32]],
+        k: usize,
+        exclude: Option<usize>,
+    ) -> Vec<Vec<(usize, f32)>> {
+        let node_root = &self.state.node_root;
+        let live = |node: usize| node_root[node].is_some() && Some(node) != exclude;
         self.state
             .index
-            .search_batch(queries, fetch)
+            .search_batch_filtered(queries, k, &live)
             .into_iter()
             .map(|hits| {
                 hits.into_iter()
-                    .filter_map(|n| {
-                        self.state.node_root[n.index].map(|root| (root, n.index, n.distance))
-                    })
-                    .take(k)
+                    .filter_map(|n| node_root[n.index].map(|root| (root, n.distance)))
                     .collect()
             })
             .collect()
@@ -883,10 +924,10 @@ impl<E: EmbeddingModel> EntityStore<E> {
             return false;
         };
         let closer = self
-            .search_live(&[&meta.centroid()], k + 1)
+            .search_live(&[&meta.centroid()], k, Some(own_node))
             .into_iter()
             .flatten()
-            .filter(|&(_, node, dist)| node != own_node && dist < dist_to_candidate)
+            .filter(|&(_, dist)| dist < dist_to_candidate)
             .count();
         closer < k
     }
@@ -931,13 +972,13 @@ impl<E: EmbeddingModel> EntityStore<E> {
         }
 
         let matches: Vec<usize> = self
-            .search_live(&[emb], k)
+            .search_live(&[emb], k, None)
             .into_iter()
             .flatten()
-            .filter(|&(root, _, dist)| {
+            .filter(|&(root, dist)| {
                 dist <= m && self.source_compatible(root, source) && self.mutual(root, dist)
             })
-            .map(|(root, _, _)| root)
+            .map(|(root, _)| root)
             .collect();
 
         let merged = !matches.is_empty();
@@ -1421,6 +1462,31 @@ mod tests {
         assert!(s.stats().stale_nodes > 10, "the index must hold tombstones");
         assert_eq!(s.stats().rebuilds, 0);
 
+        // The same store with its tombstones compacted away answers every
+        // probe identically: a search past tombstones is a search of the
+        // live nodes, exactly (this index is the brute-force one).
+        s.refresh(); // prune now, so the copy's refresh only rebuilds
+        let mut compacted = s.clone();
+        compacted.state.config.rebuild_staleness = 0.0;
+        compacted.refresh();
+        assert!(!s.state.index.is_hnsw() && !compacted.state.index.is_hnsw());
+        assert!(s.stats().stale_nodes > 10 && s.stats().rebuilds == 0);
+        assert_eq!(compacted.stats().stale_nodes, 0);
+        assert_eq!(compacted.stats().rebuilds, 1);
+        assert_eq!(
+            compacted.stats().index_nodes,
+            s.stats().index_nodes - s.stats().stale_nodes
+        );
+        for record in probes.records() {
+            let bits = |hits: Vec<(EntityId, f32)>| -> Vec<(EntityId, u32)> {
+                hits.into_iter().map(|(id, d)| (id, d.to_bits())).collect()
+            };
+            assert_eq!(
+                bits(s.match_record(record)),
+                bits(compacted.match_record(record))
+            );
+        }
+
         let metric = s.state.config.base.merge_metric;
         let (k, m) = (s.state.config.base.k, s.state.config.base.m);
         let mut merged = 0;
@@ -1561,6 +1627,10 @@ mod tests {
 
         let json = s.snapshot_bytes(SnapshotFormat::Json).unwrap();
         let binary = s.snapshot_bytes(SnapshotFormat::Binary).unwrap();
+        // Written field by field, the bytes are those of the whole state's
+        // value tree: no field of `StoreState` is missing from `fields()`.
+        let whole = wire::value_to_bytes(&s.snapshot_value());
+        assert_eq!(binary, [wire::SNAPSHOT_MAGIC.as_slice(), &whole].concat());
         assert!(
             binary.len() * 3 < json.len(),
             "binary snapshot should be well under a third of JSON ({} vs {} bytes)",

@@ -146,14 +146,34 @@ pub fn write_value(out: &mut Vec<u8>, value: &Value) {
             }
         }
         Value::Map(entries) => {
-            out.push(TAG_MAP);
-            write_varint(out, entries.len() as u64);
+            write_map_header(out, entries.len());
             for (key, item) in entries {
-                write_varint(out, key.len() as u64);
-                out.extend_from_slice(key.as_bytes());
-                write_value(out, item);
+                write_map_entry(out, key, item);
             }
         }
+    }
+}
+
+fn write_map_header(out: &mut Vec<u8>, entries: usize) {
+    out.push(TAG_MAP);
+    write_varint(out, entries as u64);
+}
+
+fn write_map_entry(out: &mut Vec<u8>, key: &str, item: &Value) {
+    write_varint(out, key.len() as u64);
+    out.extend_from_slice(key.as_bytes());
+    write_value(out, item);
+}
+
+/// Append the binary encoding of the map `fields` serialize to — the bytes
+/// [`write_value`] gives for `Value::Map` of their value trees — building one
+/// field's tree at a time. A tree costs 32 bytes per number, eight times the
+/// `f32` it came from, so for a struct whose fields are large float arrays
+/// this caps the transient at the largest field instead of their sum.
+pub fn write_fields(out: &mut Vec<u8>, fields: &[(&str, &dyn serde::Serialize)]) {
+    write_map_header(out, fields.len());
+    for (key, field) in fields {
+        write_map_entry(out, key, &field.to_value());
     }
 }
 

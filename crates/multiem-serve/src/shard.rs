@@ -335,7 +335,7 @@ impl<E: EmbeddingModel> ShardedEntityStore<E> {
             .map(|shard| {
                 let started = Instant::now();
                 let guard = shard.store.read();
-                // One `search_batch` call on the representative index
+                // One `search_batch_filtered` call on the representative index
                 // answers the whole batch (see `EntityStore::match_batch`),
                 // on top of the one lock acquisition amortized here.
                 let hits = guard.match_batch(records);
