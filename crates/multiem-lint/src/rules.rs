@@ -22,12 +22,14 @@ pub const RULES: &[RuleSpec] = &[
     RuleSpec {
         id: "no-panic-hot-path",
         summary: "unwrap()/expect()/panic!/todo!/unimplemented!/unreachable! are forbidden \
-                  outside tests in serve hot-path files (net, http, server, shard, wal, sync, obs/*)",
+                  outside tests in serve hot-path files (every non-bin file of \
+                  multiem-serve/src but lib.rs and metrics.rs)",
     },
     RuleSpec {
         id: "no-locks-on-fast-path",
-        summary: "functions marked `lint:fast-path` (the lock-free I/O-thread routes: /metrics, \
-                  /healthz, /readyz, /debug/*) must not take blocking locks",
+        summary: "functions marked `// lint:fast-path`, and every function of a file whose module \
+                  doc starts a line with `//! lint:fast-path` (serve's views.rs: the routes its \
+                  route table answers inline on the I/O threads), must not take blocking locks",
     },
     RuleSpec {
         id: "relaxed-needs-justification",
@@ -46,7 +48,8 @@ pub const RULES: &[RuleSpec] = &[
     },
     RuleSpec {
         id: "forbid-unsafe-attr",
-        summary: "every crate root (lib.rs, main.rs, src/bin/*.rs) declares #![forbid(unsafe_code)]",
+        summary:
+            "every crate root (lib.rs, main.rs, src/bin/*.rs) declares #![forbid(unsafe_code)]",
     },
 ];
 
@@ -433,8 +436,9 @@ fn lock_order(info: &FileInfo, scanned: &ScannedFile, out: &mut Vec<Diagnostic>)
 }
 
 fn no_locks_on_fast_path(info: &FileInfo, scanned: &ScannedFile, out: &mut Vec<Diagnostic>) {
+    let whole_file = file_is_fast_path(scanned);
     for f in &scanned.functions {
-        if !is_fast_path_marked(scanned, f) {
+        if !whole_file && !is_fast_path_marked(scanned, f) {
             continue;
         }
         for line_no in f.body_start..=f.body_end {
@@ -463,6 +467,17 @@ fn no_locks_on_fast_path(info: &FileInfo, scanned: &ScannedFile, out: &mut Vec<D
             }
         }
     }
+}
+
+/// A file is fast-path-marked when a line of its module doc *starts* with
+/// the marker (`//! lint:fast-path ...`): every function in it is then held
+/// to the rule, so one added later cannot forget its own marker. Prose that
+/// merely mentions the marker mid-sentence is inert.
+fn file_is_fast_path(scanned: &ScannedFile) -> bool {
+    (1..=scanned.line_count()).any(|l| {
+        let doc = scanned.comment_line(l).strip_prefix('!');
+        doc.is_some_and(|text| text.trim_start().starts_with("lint:fast-path"))
+    })
 }
 
 /// A function is fast-path-marked when a `lint:fast-path` comment sits on
@@ -618,6 +633,23 @@ mod tests {
         let unmarked =
             "fn metrics(&self) -> String {\n    let g = self.state.lock();\n    String::new()\n}\n";
         assert!(rules_hit(&plain(), unmarked).is_empty());
+    }
+
+    #[test]
+    fn file_level_fast_path_marker_covers_every_function() {
+        let marked = "//! lint:fast-path — every route here answers on the I/O threads.\n\
+            fn healthz(&self) -> String {\n    String::new()\n}\n\
+            fn added_later(&self) -> String {\n    let g = self.state.lock();\n    String::new()\n}\n\
+            #[cfg(test)]\nmod tests {\n    fn helper(m: &Mutex<u8>) {\n        let g = m.lock();\n    }\n}\n";
+        assert_eq!(
+            rules_hit(&plain(), marked),
+            vec![("no-locks-on-fast-path".to_string(), 6)]
+        );
+        // Prose that mentions the marker does not mark the file (the gap
+        // keeps it clear of the per-function rule's four-line reach).
+        let prose = "//! The `lint:fast-path` marker is looked up in comments.\n\n\n\n\n\n\
+            fn f(&self) {\n    let g = self.state.lock();\n}\n";
+        assert!(rules_hit(&plain(), prose).is_empty());
     }
 
     #[test]

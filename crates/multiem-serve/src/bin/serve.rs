@@ -165,8 +165,8 @@ fn main() {
             .unwrap_or_else(|| "in-memory".into())
     );
     println!(
-        "  POST /records  POST /match  POST /snapshot  POST /admin/shutdown  \
-         GET /stats  GET /healthz  GET /readyz  GET /metrics  GET /debug/*"
+        "  {}",
+        MatchServer::<HashedLexicalEncoder>::routes().join("  ")
     );
     if let Err(e) = server.run() {
         fail(&format!("server error: {e}"));

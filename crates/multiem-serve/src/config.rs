@@ -1,0 +1,143 @@
+//! Serving configuration and the service-level error type.
+
+use crate::obs::ObsConfig;
+use crate::wal::FsyncPolicy;
+use multiem_online::{OnlineConfig, OnlineError, SnapshotFormat};
+use std::io;
+use std::path::PathBuf;
+
+/// Everything that can go wrong while building or operating the service.
+#[derive(Debug)]
+pub enum ServeError {
+    /// Invalid serving configuration.
+    Config(String),
+    /// Filesystem / network error.
+    Io(io::Error),
+    /// Error bubbled up from the entity store.
+    Store(OnlineError),
+}
+
+impl std::fmt::Display for ServeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ServeError::Config(msg) => write!(f, "invalid serve config: {msg}"),
+            ServeError::Io(e) => write!(f, "io error: {e}"),
+            ServeError::Store(e) => write!(f, "store error: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ServeError {}
+
+impl From<io::Error> for ServeError {
+    fn from(e: io::Error) -> Self {
+        ServeError::Io(e)
+    }
+}
+
+impl From<OnlineError> for ServeError {
+    fn from(e: OnlineError) -> Self {
+        ServeError::Store(e)
+    }
+}
+
+/// Record-storage backend of the served shards (`--storage mem|disk`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StorageBackend {
+    /// Fully resident record storage (the default).
+    Memory,
+    /// Spill-to-disk segment storage under `<data_dir>/segments/shard-NNN`.
+    /// Requires a data dir; checkpoints of disk-backed shards are deltas
+    /// (segment index + cluster state, no record payloads).
+    Disk,
+}
+
+impl StorageBackend {
+    /// Parse a `--storage` CLI value (`mem` or `disk`).
+    pub fn parse(text: &str) -> Result<Self, String> {
+        match text {
+            "mem" | "memory" => Ok(StorageBackend::Memory),
+            "disk" => Ok(StorageBackend::Disk),
+            other => Err(format!(
+                "unknown storage backend `{other}` (expected mem or disk)"
+            )),
+        }
+    }
+
+    /// The backend's name on `/healthz`.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            StorageBackend::Memory => "memory",
+            StorageBackend::Disk => "disk",
+        }
+    }
+}
+
+/// Configuration of a [`MatchServer`](crate::MatchServer).
+#[derive(Debug, Clone)]
+pub struct ServeConfig {
+    /// Number of hash-partitioned store shards.
+    pub shards: usize,
+    /// Worker threads executing parsed requests (the compute pool — no
+    /// longer tied to connection count).
+    pub workers: usize,
+    /// I/O event-loop threads, each multiplexing many nonblocking
+    /// connections (the reactor).
+    pub io_threads: usize,
+    /// Attribute names of the served schema (positional).
+    pub attributes: Vec<String>,
+    /// Store configuration shared by every shard. The selection strategy
+    /// must be data-free (`Fixed` / `AllAttributes`).
+    pub online: OnlineConfig,
+    /// Durability directory (WAL + checkpoints). `None` serves from memory
+    /// only.
+    pub data_dir: Option<PathBuf>,
+    /// Checkpoint encoding.
+    pub snapshot_format: SnapshotFormat,
+    /// Where ingested records live ([`StorageBackend::Disk`] needs
+    /// `data_dir`).
+    pub storage: StorageBackend,
+    /// WAL fsync policy (ignored without a data dir).
+    pub fsync: FsyncPolicy,
+    /// Per-shard bound on records admitted but not yet applied: `POST
+    /// /records` answers `429` with `Retry-After` when a target shard is
+    /// full. `0` rejects every write (useful for drain/maintenance).
+    pub queue_depth: u64,
+    /// Match micro-batching: how long the first request of a batch waits
+    /// for company, in microseconds (`--batch-window-us`). `0` disables
+    /// coalescing — every match runs its own fan-out, exactly the pre-batch
+    /// behavior.
+    pub batch_window_us: u64,
+    /// Upper bound on concurrent match requests coalesced into one fan-out
+    /// (`--batch-max`); a batch that fills flushes immediately without
+    /// waiting out the window. `<= 1` disables coalescing.
+    pub batch_max: usize,
+    /// Observability: metrics, tracing and structured logging (see
+    /// [`ObsConfig`]).
+    pub obs: ObsConfig,
+}
+
+impl Default for ServeConfig {
+    fn default() -> Self {
+        let online = OnlineConfig::new(multiem_core::MultiEmConfig {
+            m: 0.35,
+            ..multiem_core::MultiEmConfig::default()
+        })
+        .with_all_attributes();
+        Self {
+            shards: 4,
+            workers: 4,
+            io_threads: 2,
+            attributes: vec!["title".to_string()],
+            online,
+            data_dir: None,
+            snapshot_format: SnapshotFormat::Binary,
+            storage: StorageBackend::Memory,
+            fsync: FsyncPolicy::default(),
+            queue_depth: 4096,
+            batch_window_us: 0,
+            batch_max: 64,
+            obs: ObsConfig::default(),
+        }
+    }
+}

@@ -232,6 +232,20 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
     }
 }
 
+/// The reason phrase of every status code the service answers with.
+pub fn reason_phrase(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        400 => "Bad Request",
+        404 => "Not Found",
+        405 => "Method Not Allowed",
+        429 => "Too Many Requests",
+        500 => "Internal Server Error",
+        503 => "Service Unavailable",
+        _ => "Unknown",
+    }
+}
+
 /// Serialize one JSON response to its on-wire bytes (the reactor's write
 /// path queues these on the connection's output buffer).
 pub fn render_response(

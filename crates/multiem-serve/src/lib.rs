@@ -31,10 +31,11 @@
 //!   by the checkpoint-time segment compaction
 //!   ([`multiem_online::RecordStore::compact`]);
 //! * [`MatchServer`] — a dependency-free HTTP/1.1 server exposing
-//!   `POST /records`, `DELETE /records/{id}`, `POST /match`,
-//!   `POST /snapshot`, `POST /admin/shutdown`, `GET /stats`,
-//!   `GET /healthz`, `GET /readyz` and the `GET /debug/*` introspection
-//!   surface, fronted by
+//!   `POST /records`, `POST /records/delete`, `DELETE /records/{id}`,
+//!   `POST /match`, `POST /snapshot`, `POST /admin/shutdown`, `GET /stats`,
+//!   `GET /healthz`, `GET /readyz`, `GET /metrics` and the `GET /debug/*`
+//!   introspection surface (`window`, `top`, `slow`, `storage`) — the rows
+//!   of one route table ([`MatchServer::routes`] lists them) — fronted by
 //!   the event-driven [`Reactor`] in [`net`]: an acceptor plus a few I/O
 //!   event loops multiplex *many* nonblocking keep-alive connections
 //!   (incremental request parsing, buffered writeback), and only fully
@@ -79,18 +80,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod checkpoint;
+pub mod config;
 pub mod http;
+mod ingest;
+mod matching;
 pub mod metrics;
 pub mod net;
 pub mod obs;
+mod routes;
 pub mod server;
 pub mod shard;
 pub mod sync;
+mod views;
 pub mod wal;
 
+pub use config::{ServeConfig, ServeError, StorageBackend};
 pub use net::Reactor;
 pub use obs::{ObsConfig, Telemetry};
-pub use server::{MatchServer, ServeConfig, ServeError, ServerHandle, StorageBackend};
-pub use shard::{GlobalEntityId, MatchTiming, ShardedEntityStore, ShardedStats};
+pub use server::{MatchServer, ServerHandle};
+pub use shard::{GlobalEntityId, MatchTiming, ShardStats, ShardedEntityStore, ShardedStats};
 pub use sync::{lock_unpoisoned, LockClass, OrderedMutex, OrderedRwLock};
 pub use wal::{AppendTiming, FsyncPolicy, Wal, WalOp};

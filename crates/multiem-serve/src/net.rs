@@ -28,8 +28,8 @@
 //! takes a per-connection sequence number and completions are resequenced:
 //! a response whose turn has not come waits in a small pending buffer, and
 //! responses are appended to the connection's output buffer strictly in
-//! sequence order. `GET` probes the server marks *fast* (liveness/stats)
-//! are answered inline on the I/O thread — they take a sequence number like
+//! sequence order. Requests the server answers inline on the I/O thread
+//! (liveness/stats probes) take a sequence number like
 //! any other request, so they cannot jump the queue ahead of an earlier
 //! in-flight request on the same connection. A malformed request mid-
 //! pipeline is sequenced the same way: its 400 flushes after every earlier
@@ -55,7 +55,7 @@
 //! a request in flight or unflushed output (or [`DRAIN_DEADLINE`] passes)
 //! do the loops exit. The server layer then flushes WALs and exits cleanly.
 
-use crate::http::{render_response, Request, RequestParser};
+use crate::http::{reason_phrase, render_response, Request, RequestParser};
 use crate::obs::NetMetrics;
 use rayon::ThreadPool;
 use std::io::{self, Read, Write};
@@ -91,16 +91,20 @@ const READ_CHUNK: usize = 16 << 10;
 /// matter how deep the client pipelines.
 pub const MAX_PIPELINE: usize = 32;
 
-/// The worker-pool request handler: consumes a parsed request plus the
-/// instant the I/O loop dispatched it (the difference to the handler's own
-/// entry time is the trace's `queue_wait` span), returns the rendered
-/// response bytes and whether to close the connection afterwards.
-pub type Handler = dyn Fn(Request, Instant) -> (Vec<u8>, bool) + Send + Sync;
+/// What the server decided about one parsed request.
+pub enum Routed {
+    /// Answered inline on the I/O thread — for requests that must stay
+    /// responsive when every worker is busy (probes, scrapes): the rendered
+    /// response bytes and whether to close the connection afterwards.
+    Inline(Vec<u8>, bool),
+    /// A job for the worker pool, returning the same pair.
+    Worker(Box<dyn FnOnce() -> (Vec<u8>, bool) + Send>),
+}
 
-/// Inline fast-path handler, run on the I/O thread itself: return `Some`
-/// for requests that must stay responsive when every worker is busy
-/// (liveness probes). Must not block.
-pub type FastHandler = dyn Fn(&Request) -> Option<(Vec<u8>, bool)> + Send + Sync;
+/// The request handler, called once per parsed request on the I/O thread
+/// that parsed it. Must not block: anything that can goes in a
+/// [`Routed::Worker`] job.
+pub type Handler = dyn Fn(Request) -> Routed + Send + Sync;
 
 /// Messages delivered to an event loop's channel (which is also its waker).
 enum LoopMsg {
@@ -128,8 +132,8 @@ pub struct Reactor {
 
 impl Reactor {
     /// Spawn the acceptor and `io_threads` event loops over `listener`.
-    /// Parsed requests run on `pool` through `handler`; `fast` requests are
-    /// answered inline. Setting `shutdown` and poking the listener with a
+    /// `handler` routes every parsed request: answered inline, or as a job
+    /// run on `pool`. Setting `shutdown` and poking the listener with a
     /// connect (to unblock the acceptor) begins the drain; the acceptor
     /// relays the wakeup to every event loop on its way out.
     pub fn start(
@@ -137,7 +141,6 @@ impl Reactor {
         io_threads: usize,
         pool: Arc<ThreadPool>,
         handler: Arc<Handler>,
-        fast: Arc<FastHandler>,
         shutdown: Arc<AtomicBool>,
         net_metrics: NetMetrics,
     ) -> io::Result<Self> {
@@ -154,7 +157,6 @@ impl Reactor {
                 next_generation: 0,
                 pool: Arc::clone(&pool),
                 handler: Arc::clone(&handler),
-                fast: Arc::clone(&fast),
                 shutdown: Arc::clone(&shutdown),
                 drain_deadline: None,
                 net_metrics: net_metrics.clone(),
@@ -265,7 +267,6 @@ struct EventLoop {
     next_generation: u64,
     pool: Arc<ThreadPool>,
     handler: Arc<Handler>,
-    fast: Arc<FastHandler>,
     shutdown: Arc<AtomicBool>,
     drain_deadline: Option<Instant>,
     net_metrics: NetMetrics,
@@ -475,31 +476,27 @@ impl EventLoop {
                         }
                         (seq, conn.generation)
                     };
-                    if let Some((bytes, close)) = (self.fast)(&request) {
-                        // Inline fast-path response: completes immediately,
-                        // but still takes its sequenced turn behind earlier
-                        // in-flight requests on this connection.
-                        self.complete(slot, seq, bytes, close);
-                        progress = true;
-                        continue;
-                    }
-                    let tx = self.tx.clone();
-                    let handler = Arc::clone(&self.handler);
-                    let dispatched = Instant::now();
-                    self.pool.execute_then(
-                        move || handler(request, dispatched),
-                        move |(bytes, close)| {
-                            // The loop may be gone past the drain deadline;
-                            // nothing to do with the response then.
-                            let _ = tx.send(LoopMsg::Response {
-                                slot,
-                                generation,
-                                seq,
-                                bytes,
-                                close,
+                    match (self.handler)(request) {
+                        // Completes immediately, but still takes its
+                        // sequenced turn behind earlier in-flight requests
+                        // on this connection.
+                        Routed::Inline(bytes, close) => self.complete(slot, seq, bytes, close),
+                        Routed::Worker(job) => {
+                            let tx = self.tx.clone();
+                            self.pool.execute_then(job, move |(bytes, close)| {
+                                // The loop may be gone past the drain
+                                // deadline; nothing to do with the response
+                                // then.
+                                let _ = tx.send(LoopMsg::Response {
+                                    slot,
+                                    generation,
+                                    seq,
+                                    bytes,
+                                    close,
+                                });
                             });
-                        },
-                    );
+                        }
+                    }
                     progress = true;
                     continue; // keep parsing pipelined requests behind it
                 }
@@ -518,7 +515,7 @@ impl EventLoop {
                         seq
                     };
                     let body = error_body(&msg);
-                    let bytes = render_response(400, "Bad Request", &body, true, &[]);
+                    let bytes = render_response(400, reason_phrase(400), &body, true, &[]);
                     self.complete(slot, seq, bytes, true);
                     progress = true;
                     continue;

@@ -52,7 +52,7 @@ pub use histogram::{Histogram, HistogramSnapshot};
 pub use log::{Level, Logger};
 pub use registry::{Counter, Gauge, Registry};
 pub use topk::{HeavyHitter, SpaceSaving, WindowedTopK};
-pub use trace::{Stage, Trace, Tracer};
+pub use trace::{elapsed_ns, Stage, Trace, Tracer};
 pub use window::{WindowedHistogram, WorkloadWindows};
 
 use serde::Value;
@@ -125,7 +125,8 @@ impl Default for ObsConfig {
     }
 }
 
-/// Route classes the request metrics are labelled by.
+/// Route classes the request metrics are labelled by; the route table
+/// (`routes.rs`) assigns one to every row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
     /// `GET /healthz`.
@@ -185,24 +186,6 @@ impl Endpoint {
             Endpoint::Snapshot => "snapshot",
             Endpoint::Shutdown => "shutdown",
             Endpoint::Other => "other",
-        }
-    }
-
-    /// Classify a request (mirrors the server's route table).
-    pub fn of(method: &str, path: &str) -> Endpoint {
-        match (method, path) {
-            ("GET", "/healthz") => Endpoint::Healthz,
-            ("GET", "/readyz") => Endpoint::Readyz,
-            ("GET", "/stats") => Endpoint::Stats,
-            ("GET", "/metrics") => Endpoint::Metrics,
-            ("GET", p) if p.starts_with("/debug/") => Endpoint::Debug,
-            ("POST", "/records") => Endpoint::Records,
-            ("POST", "/records/delete") => Endpoint::RecordsDelete,
-            ("DELETE", p) if p.starts_with("/records/") => Endpoint::RecordsDelete,
-            ("POST", "/match") => Endpoint::Match,
-            ("POST", "/snapshot") => Endpoint::Snapshot,
-            ("POST", "/admin/shutdown") => Endpoint::Shutdown,
-            _ => Endpoint::Other,
         }
     }
 
@@ -321,36 +304,14 @@ impl ServeMetrics {
                 )
             })
             .collect();
-        let request_rate = Endpoint::ALL
-            .iter()
-            .map(|endpoint| {
-                registry.gauge(
-                    "multiem_request_rate",
-                    "Requests per second over the rolling analytics window.",
-                    &format!("endpoint=\"{}\"", endpoint.name()),
-                )
-            })
-            .collect();
-        let window_p50 = Endpoint::ALL
-            .iter()
-            .map(|endpoint| {
-                registry.gauge(
-                    "multiem_request_window_p50_seconds",
-                    "Median request latency over the rolling analytics window.",
-                    &format!("endpoint=\"{}\"", endpoint.name()),
-                )
-            })
-            .collect();
-        let window_p99 = Endpoint::ALL
-            .iter()
-            .map(|endpoint| {
-                registry.gauge(
-                    "multiem_request_window_p99_seconds",
-                    "p99 request latency over the rolling analytics window.",
-                    &format!("endpoint=\"{}\"", endpoint.name()),
-                )
-            })
-            .collect();
+        // The three windowed families are one gauge per endpoint each.
+        let endpoint_gauges = |name: &str, help: &str| -> Vec<Arc<Gauge>> {
+            let labels = Endpoint::ALL.map(|e| format!("endpoint=\"{}\"", e.name()));
+            labels
+                .iter()
+                .map(|l| registry.gauge(name, help, l))
+                .collect()
+        };
         let build = registry.gauge(
             "multiem_build_info",
             "Build metadata; the value is always 1.",
@@ -443,9 +404,18 @@ impl ServeMetrics {
                 "Record-store hot-cache misses across shards.",
                 "",
             ),
-            request_rate,
-            window_p50,
-            window_p99,
+            request_rate: endpoint_gauges(
+                "multiem_request_rate",
+                "Requests per second over the rolling analytics window.",
+            ),
+            window_p50: endpoint_gauges(
+                "multiem_request_window_p50_seconds",
+                "Median request latency over the rolling analytics window.",
+            ),
+            window_p99: endpoint_gauges(
+                "multiem_request_window_p99_seconds",
+                "p99 request latency over the rolling analytics window.",
+            ),
             fsync_window_p99: registry.gauge(
                 "multiem_fsync_window_p99_seconds",
                 "p99 WAL fsync latency over the rolling analytics window.",
@@ -673,9 +643,9 @@ impl Telemetry {
         }
     }
 
-    /// Refresh the windowed gauge families (`multiem_request_rate`,
-    /// `multiem_request_window_p{50,99}_seconds`,
-    /// `multiem_fsync_window_p99_seconds`) from the rolling windows. Called
+    /// Refresh the per-endpoint windowed gauge families
+    /// (`multiem_request_rate`, `multiem_request_window_p{50,99}_seconds`)
+    /// from the rolling windows. Called
     /// at scrape time; a no-op when analytics is off (the gauges then stay
     /// at their zero default).
     pub fn refresh_window_metrics(&self) {
@@ -691,10 +661,6 @@ impl Telemetry {
                 snap.quantile_ms(0.99) / 1_000.0,
             );
         }
-        let fsync = analytics.windows.fsync_window();
-        self.metrics
-            .fsync_window_p99
-            .set(fsync.quantile_ms(0.99) / 1_000.0);
     }
 
     /// The reactor's counter pair.
@@ -771,30 +737,6 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn endpoints_classify_the_route_table() {
-        assert_eq!(Endpoint::of("GET", "/healthz"), Endpoint::Healthz);
-        assert_eq!(Endpoint::of("GET", "/readyz"), Endpoint::Readyz);
-        assert_eq!(Endpoint::of("GET", "/metrics"), Endpoint::Metrics);
-        assert_eq!(Endpoint::of("GET", "/debug/top"), Endpoint::Debug);
-        assert_eq!(Endpoint::of("GET", "/debug/window"), Endpoint::Debug);
-        assert_eq!(Endpoint::of("POST", "/debug/top"), Endpoint::Other);
-        assert_eq!(Endpoint::of("POST", "/records"), Endpoint::Records);
-        assert_eq!(
-            Endpoint::of("POST", "/records/delete"),
-            Endpoint::RecordsDelete
-        );
-        assert_eq!(
-            Endpoint::of("DELETE", "/records/0-1-2"),
-            Endpoint::RecordsDelete
-        );
-        assert_eq!(Endpoint::of("POST", "/match"), Endpoint::Match);
-        assert_eq!(Endpoint::of("POST", "/snapshot"), Endpoint::Snapshot);
-        assert_eq!(Endpoint::of("POST", "/admin/shutdown"), Endpoint::Shutdown);
-        assert_eq!(Endpoint::of("GET", "/nope"), Endpoint::Other);
-        assert_eq!(Endpoint::of("PUT", "/records"), Endpoint::Other);
-    }
 
     #[test]
     fn status_classes_split_out_429() {

@@ -18,6 +18,12 @@
 use super::log::Logger;
 use serde::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
+
+/// Nanoseconds since `started`, saturated into a `u64` (what a span holds).
+pub fn elapsed_ns(started: Instant) -> u64 {
+    started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
+}
 
 /// Pipeline stages a request can spend time in, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

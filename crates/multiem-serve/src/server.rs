@@ -1,276 +1,104 @@
 //! The HTTP matching service.
 //!
 //! [`MatchServer`] glues the pieces together: a [`ShardedEntityStore`]
-//! behind per-shard `RwLock`s, an optional [`Wal`] for durability, and the
-//! event-driven [`Reactor`](crate::net::Reactor) front end — an acceptor
-//! plus `io_threads` event loops multiplexing nonblocking keep-alive
-//! connections, with fully parsed requests executed on the fixed-size
-//! [`rayon::ThreadPool`] worker pool. Connection count and worker count
-//! scale independently: idle connections cost buffers, not threads.
+//! behind per-shard `RwLock`s, an optional [`Wal`] per shard
+//! for durability (`checkpoint.rs`), and the event-driven
+//! [`Reactor`] front end — an acceptor plus `io_threads` event loops
+//! multiplexing nonblocking keep-alive connections, with fully parsed
+//! requests executed on the fixed-size [`rayon::ThreadPool`] worker pool.
+//! Connection count and worker count scale independently: idle connections
+//! cost buffers, not threads.
 //!
-//! # Endpoints
-//!
-//! | Route            | Body                                   | Effect |
-//! |------------------|----------------------------------------|--------|
-//! | `GET /healthz`   | —                                      | liveness probe (answered on the I/O thread, no shard locks) |
-//! | `GET /readyz`    | —                                      | readiness: `503` when the ingest backlog or the windowed p99 fsync latency crosses its `--ready-max-*` threshold |
-//! | `GET /stats`     | —                                      | aggregate + per-shard [`StoreStats`], WAL size, queue/storage counters (lock-free: shards a writer holds report their last published stats) |
-//! | `GET /metrics`   | —                                      | Prometheus text exposition: request/ingest/delete/429 counters, WAL byte/fsync counters, end-to-end + per-stage latency histograms, uptime/epoch/queue/cache gauges, windowed rate + quantile gauges (same lock-free discipline as `/stats`) |
-//! | `GET /debug/window` | —                                   | per-endpoint rates and p50/p99 over the rolling `--window-secs` window, plus windowed fsync latency |
-//! | `GET /debug/top` | —                                      | heavy hitters of the current + previous window: ingest sources, routed shards, match-result entities |
-//! | `GET /debug/slow` | —                                     | the slowest requests of the current + previous window, with full span traces |
-//! | `GET /debug/storage` | —                                  | per-shard storage health: cache hit rate, WAL bytes, per-segment live ratios |
-//! | `POST /records`  | `{"records": [[v, ...], ...]}`         | WAL-append + insert each record into its shard; `429` + adaptive `Retry-After` (backlog / drain rate, clamped 1..=30) when a target shard's ingest queue is full |
-//! | `DELETE /records/{shard}-{source}-{row}` | —              | WAL-append + delete one record (404 for unknown/already-deleted ids) |
-//! | `POST /records/delete` | `{"ids": [[shard, source, row], ...]}` | batch deletion; per-id outcomes, unknown ids report `false` |
-//! | `POST /match`    | `{"record": [v, ...]}`                 | read-only fan-out match across all shards |
-//! | `POST /snapshot` | —                                      | delta checkpoint: persist changed shards (disk shards compact low-live segments first), truncate the WAL, GC orphaned + superseded segment files |
-//! | `POST /admin/shutdown` | —                                | graceful shutdown: stop accepting, drain in-flight requests, flush WALs, exit 0 |
-//!
-//! Attribute values are JSON strings, numbers or `null`, positionally
-//! aligned with the configured schema.
-//!
-//! # Durability protocol
-//!
-//! Each shard owns its own WAL file, so writers to different shards share
-//! no lock at all: a write takes its shard's write lock, appends to *that
-//! shard's* WAL (`shard i → wals[i]` lock order everywhere), then applies
-//! the insert. Startup restores the checkpoint named by `MANIFEST.json` (if
-//! any) and replays each shard's WAL in its own order — shards are
-//! independent, so per-shard order is the only order that matters — through
-//! the same deterministic routing. Killing the process at any point loses
-//! at most the torn tail of a final append; acknowledged writes survive.
-//!
-//! Checkpoints are epoch-versioned **deltas** that commit via an atomic
-//! manifest rename (see [`checkpoint`]'s step list): only shards whose
-//! write sequence moved since the last checkpoint write a new snapshot
-//! file, the manifest records a per-shard snapshot-epoch vector, and with
-//! [`StorageBackend::Disk`] even a dirty shard's snapshot is just its
-//! segment index + cluster state (record payloads already live in sealed
-//! segment files). A crash *during* a checkpoint can neither duplicate
-//! replayed ops into a snapshot that already contains them nor leave a
-//! torn manifest behind. The WAL's [`FsyncPolicy`] decides what a
-//! machine crash (as opposed to a process kill) can lose.
+//! The endpoints are the rows of the route table in `routes.rs`; the
+//! comment above each row documents the route.
 
-use crate::http::{render_response, render_response_typed, Request};
-use crate::net::Reactor;
-use crate::obs::{Endpoint, Logger, ObsConfig, Stage, Telemetry, Trace, BUILD_VERSION};
+use crate::checkpoint::{open_wals, restore_or_create};
+use crate::config::{ServeConfig, ServeError, StorageBackend};
+use crate::http::Request;
+use crate::ingest::DrainWindow;
+use crate::matching::MatchBatcher;
+use crate::net::{Reactor, Routed};
+use crate::obs::{elapsed_ns, Stage, Telemetry, BUILD_VERSION};
+use crate::routes::{lookup, obj, ApiError, Call, Handler, Route};
 use crate::shard::ShardedEntityStore;
-use crate::sync::{lock_unpoisoned, LockClass, OrderedMutex, OrderedReadGuard, OrderedWriteGuard};
-use crate::wal::{FsyncPolicy, Wal, WalOp};
+use crate::sync::OrderedMutex;
+use crate::wal::Wal;
 use multiem_embed::EmbeddingModel;
-use multiem_online::{DiskStorageConfig, OnlineConfig, OnlineError, SnapshotFormat, StorageConfig};
-use multiem_table::{EntityId, Record, Schema, Value as AttrValue};
+use multiem_online::{DiskStorageConfig, StorageConfig};
+use multiem_table::Schema;
 use rayon::ThreadPool;
-use serde::{Serialize, Value};
-use std::io::{self, Write};
+use serde::Value;
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Everything that can go wrong while building or operating the service.
-#[derive(Debug)]
-pub enum ServeError {
-    /// Invalid serving configuration.
-    Config(String),
-    /// Filesystem / network error.
-    Io(io::Error),
-    /// Error bubbled up from the entity store.
-    Store(OnlineError),
-}
-
-impl std::fmt::Display for ServeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeError::Config(msg) => write!(f, "invalid serve config: {msg}"),
-            ServeError::Io(e) => write!(f, "io error: {e}"),
-            ServeError::Store(e) => write!(f, "store error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
-impl From<io::Error> for ServeError {
-    fn from(e: io::Error) -> Self {
-        ServeError::Io(e)
-    }
-}
-
-impl From<OnlineError> for ServeError {
-    fn from(e: OnlineError) -> Self {
-        ServeError::Store(e)
-    }
-}
-
-/// Record-storage backend of the served shards (`--storage mem|disk`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StorageBackend {
-    /// Fully resident record storage (the default).
-    Memory,
-    /// Spill-to-disk segment storage under `<data_dir>/segments/shard-NNN`.
-    /// Requires a data dir; checkpoints of disk-backed shards are deltas
-    /// (segment index + cluster state, no record payloads).
-    Disk,
-}
-
-impl StorageBackend {
-    /// Parse a `--storage` CLI value (`mem` or `disk`).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        match text {
-            "mem" | "memory" => Ok(StorageBackend::Memory),
-            "disk" => Ok(StorageBackend::Disk),
-            other => Err(format!(
-                "unknown storage backend `{other}` (expected mem or disk)"
-            )),
-        }
-    }
-}
-
-/// Configuration of a [`MatchServer`].
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Number of hash-partitioned store shards.
-    pub shards: usize,
-    /// Worker threads executing parsed requests (the compute pool — no
-    /// longer tied to connection count).
-    pub workers: usize,
-    /// I/O event-loop threads, each multiplexing many nonblocking
-    /// connections (the reactor).
-    pub io_threads: usize,
-    /// Attribute names of the served schema (positional).
-    pub attributes: Vec<String>,
-    /// Store configuration shared by every shard. The selection strategy
-    /// must be data-free (`Fixed` / `AllAttributes`).
-    pub online: OnlineConfig,
-    /// Durability directory (WAL + checkpoints). `None` serves from memory
-    /// only.
-    pub data_dir: Option<PathBuf>,
-    /// Checkpoint encoding.
-    pub snapshot_format: SnapshotFormat,
-    /// Where ingested records live ([`StorageBackend::Disk`] needs
-    /// `data_dir`).
-    pub storage: StorageBackend,
-    /// WAL fsync policy (ignored without a data dir).
-    pub fsync: FsyncPolicy,
-    /// Per-shard bound on records admitted but not yet applied: `POST
-    /// /records` answers `429` with `Retry-After` when a target shard is
-    /// full. `0` rejects every write (useful for drain/maintenance).
-    pub queue_depth: u64,
-    /// Match micro-batching: how long the first request of a batch waits
-    /// for company, in microseconds (`--batch-window-us`). `0` disables
-    /// coalescing — every match runs its own fan-out, exactly the pre-batch
-    /// behavior.
-    pub batch_window_us: u64,
-    /// Upper bound on concurrent match requests coalesced into one fan-out
-    /// (`--batch-max`); a batch that fills flushes immediately without
-    /// waiting out the window. `<= 1` disables coalescing.
-    pub batch_max: usize,
-    /// Observability: metrics, tracing and structured logging (see
-    /// [`ObsConfig`]).
-    pub obs: ObsConfig,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        let online = OnlineConfig::new(multiem_core::MultiEmConfig {
-            m: 0.35,
-            ..multiem_core::MultiEmConfig::default()
-        })
-        .with_all_attributes();
-        Self {
-            shards: 4,
-            workers: 4,
-            io_threads: 2,
-            attributes: vec!["title".to_string()],
-            online,
-            data_dir: None,
-            snapshot_format: SnapshotFormat::Binary,
-            storage: StorageBackend::Memory,
-            fsync: FsyncPolicy::default(),
-            queue_depth: 4096,
-            batch_window_us: 0,
-            batch_max: 64,
-            obs: ObsConfig::default(),
-        }
-    }
-}
-
-struct ServerState<E: EmbeddingModel> {
-    store: ShardedEntityStore<E>,
+/// Everything the routes share (crate-internal: the fields are the
+/// handlers' working set).
+pub(crate) struct ServerState<E: EmbeddingModel> {
+    pub store: ShardedEntityStore<E>,
     /// One WAL per shard (same index), present in durable mode. Lock order
     /// is always `shard i write lock → wals[i]`; the checkpoint takes every
     /// shard lock (ascending) before any WAL lock. The [`OrderedMutex`]
     /// enforces that order dynamically in debug builds (see [`crate::sync`]).
-    wals: Option<Vec<OrderedMutex<Wal>>>,
+    pub wals: Option<Vec<OrderedMutex<Wal>>>,
     /// Checkpoint epoch: WAL files are named by it, and the manifest names
     /// the only epoch that is ever loaded. Mutated only under all shard +
     /// WAL locks (the checkpoint).
-    epoch: AtomicU64,
+    pub epoch: AtomicU64,
     /// Per-shard epoch of the latest persisted snapshot (0 = never
     /// snapshotted). Delta checkpoints only advance the entries of shards
     /// that changed; the manifest records the whole vector.
-    shard_epochs: Mutex<Vec<u64>>,
+    pub shard_epochs: Mutex<Vec<u64>>,
     /// Per-shard count of applied writes (replayed WAL ops count too) —
     /// compared against `checkpoint_seq` to decide which shards a delta
     /// checkpoint must re-snapshot.
-    write_seq: Vec<AtomicU64>,
+    pub write_seq: Vec<AtomicU64>,
     /// `write_seq` as of the last checkpoint (guarded by the checkpoint's
     /// all-locks critical section).
-    checkpoint_seq: Mutex<Vec<u64>>,
+    pub checkpoint_seq: Mutex<Vec<u64>>,
     /// Per-shard records admitted to ingestion but not yet applied; bounded
     /// by `queue_depth` (backpressure).
-    inflight: Vec<AtomicU64>,
-    queue_depth: u64,
-    /// `/readyz` degrades past this total ingest backlog (0 = disabled).
-    ready_max_backlog: u64,
-    /// `/readyz` degrades past this windowed p99 fsync latency in
-    /// milliseconds (0 = disabled).
-    ready_max_fsync_ms: u64,
+    pub inflight: Vec<AtomicU64>,
     /// Records refused with `429 Too Many Requests` since startup.
-    rejected: AtomicU64,
+    pub rejected: AtomicU64,
     /// Per-shard records *applied* through the HTTP ingest path since
     /// startup (WAL replay excluded) — the counter behind the adaptive
     /// `Retry-After` on 429s.
-    drained: Vec<AtomicU64>,
+    pub drained: Vec<AtomicU64>,
     /// Per-shard windowed drain-rate estimates (sampled on 429s, so a
     /// long-idle stretch skews at most the first refusal of a burst).
-    drain_windows: Vec<Mutex<DrainWindow>>,
+    pub drain_windows: Vec<Mutex<DrainWindow>>,
     /// Per-shard WAL size, published after every append/checkpoint so
     /// `/stats` never touches a WAL lock (appends hold it through fsyncs).
-    wal_bytes: Vec<AtomicU64>,
-    /// Configured record-storage backend (lock-free copy for `/healthz`
-    /// and for sizing the checkpoint's lock acquisition).
-    storage: StorageBackend,
-    data_dir: Option<PathBuf>,
-    snapshot_format: SnapshotFormat,
-    attributes: Vec<String>,
+    pub wal_bytes: Vec<AtomicU64>,
+    /// The configuration the server was bound with (the storage backend
+    /// resolved into `online.storage`).
+    pub config: ServeConfig,
     /// Match micro-batch coalescer, present when batching is enabled
     /// (`batch_window_us > 0 && batch_max > 1`). `None` keeps the direct
     /// one-request-one-fan-out path byte-for-byte.
-    batcher: Option<MatchBatcher>,
-    requests: AtomicU64,
+    pub batcher: Option<MatchBatcher>,
+    pub requests: AtomicU64,
     /// Metrics registry + logger + tracer (`GET /metrics`, the access log,
     /// sampled traces). Recording is atomics; scraping takes only the
     /// registry's own mutex.
-    telemetry: Telemetry,
+    pub telemetry: Telemetry,
     /// Set to begin a graceful shutdown (shared with the reactor and the
     /// `POST /admin/shutdown` route).
-    shutdown: Arc<AtomicBool>,
+    pub shutdown: Arc<AtomicBool>,
     /// Bound address (the shutdown route self-connects to unblock the
     /// acceptor).
-    addr: SocketAddr,
+    pub addr: SocketAddr,
 }
 
 /// The serving layer: a sharded store, a WAL, and an event-driven HTTP
 /// front end ([`crate::net`]).
 pub struct MatchServer<E: EmbeddingModel> {
-    state: Arc<ServerState<E>>,
+    pub(crate) state: Arc<ServerState<E>>,
     listener: TcpListener,
-    io_threads: usize,
     pool: Arc<ThreadPool>,
 }
 
@@ -312,31 +140,6 @@ impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.stop();
     }
-}
-
-fn wal_path(dir: &Path, shard: usize, epoch: u64) -> PathBuf {
-    dir.join(format!("wal-{shard:03}-{epoch:06}.log"))
-}
-
-fn manifest_path(dir: &Path) -> PathBuf {
-    dir.join("MANIFEST.json")
-}
-
-fn snapshot_path(dir: &Path, shard: usize, epoch: u64) -> PathBuf {
-    dir.join(format!("shard-{shard:03}-{epoch:06}.snap"))
-}
-
-/// Atomically publish `bytes` at `path` via a temp file + fsync + rename, so
-/// a crash mid-write can never leave a torn file under the final name. The
-/// `sync_all` before the rename matters: without it the rename can become
-/// durable *before* the file contents, and a power cut would commit a
-/// manifest or snapshot full of zeros.
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(bytes)?;
-    file.sync_all()?;
-    std::fs::rename(&tmp, path)
 }
 
 impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
@@ -383,8 +186,8 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
 
         let mut wals = None;
         let mut epoch = 0u64;
-        let mut shard_epochs = vec![0u64; config.shards];
-        let mut replayed = vec![0u64; config.shards];
+        let mut shard_epochs = Vec::new();
+        let mut replayed = Vec::new();
         let store = match &config.data_dir {
             None => ShardedEntityStore::new(
                 config.online.clone(),
@@ -398,47 +201,9 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
                     restore_or_create(&config, schema.clone(), dir, encoder, &telemetry.logger)?;
                 epoch = checkpoint_epoch;
                 shard_epochs = epochs;
-                replayed = vec![0u64; store.num_shards()];
-                // One WAL per shard; replay each shard's surviving ops in
-                // its own order (shards are independent, so cross-shard
-                // interleaving does not matter).
-                let mut logs = Vec::with_capacity(store.num_shards());
-                for (shard, dirtied) in replayed.iter_mut().enumerate() {
-                    let (log, recovery) =
-                        Wal::open_with(&wal_path(dir, shard, epoch), config.fsync)?;
-                    if recovery.torn_tail {
-                        telemetry
-                            .logger
-                            .warn("wal_torn_tail", &[("shard", Value::UInt(shard as u64))]);
-                    }
-                    for op in recovery.ops {
-                        match op {
-                            WalOp::Insert(record) => {
-                                store.insert(record).map_err(|e| {
-                                    ServeError::Config(format!(
-                                        "WAL replay failed ({e}); the log was written under \
-                                         a different schema or store configuration"
-                                    ))
-                                })?;
-                            }
-                            WalOp::Delete(entity) => {
-                                // Idempotent: replaying a delete of an id a
-                                // snapshot already dropped is a no-op.
-                                store
-                                    .write_shard(shard)
-                                    .delete_record(entity)
-                                    .map_err(|e| {
-                                        ServeError::Config(format!("WAL delete replay failed: {e}"))
-                                    })?;
-                            }
-                        }
-                        // Replayed ops dirty their shard: the next delta
-                        // checkpoint must re-snapshot it.
-                        *dirtied += 1;
-                    }
-                    logs.push(OrderedMutex::new(LockClass::Wal, log));
-                }
+                let (logs, ops) = open_wals(&store, &config, dir, epoch, &telemetry.logger)?;
                 wals = Some(logs);
+                replayed = ops;
                 store
             }
         };
@@ -448,6 +213,7 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
         // own); size the per-shard bookkeeping off the real count.
         shard_epochs.resize(num_shards, 0);
         replayed.resize(num_shards, 0);
+        let counters = || (0..num_shards).map(|_| AtomicU64::new(0)).collect();
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
         let wal_bytes = match &wals {
@@ -455,7 +221,7 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
                 .iter()
                 .map(|wal| AtomicU64::new(wal.lock().bytes()))
                 .collect(),
-            None => (0..num_shards).map(|_| AtomicU64::new(0)).collect(),
+            None => counters(),
         };
         let pool = Arc::new(ThreadPool::new(config.workers.max(1)));
         Ok(Self {
@@ -466,20 +232,13 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
                 shard_epochs: Mutex::new(shard_epochs),
                 write_seq: replayed.iter().map(|&n| AtomicU64::new(n)).collect(),
                 checkpoint_seq: Mutex::new(vec![0u64; num_shards]),
-                inflight: (0..num_shards).map(|_| AtomicU64::new(0)).collect(),
-                queue_depth: config.queue_depth,
-                ready_max_backlog: config.obs.ready_max_backlog,
-                ready_max_fsync_ms: config.obs.ready_max_fsync_ms,
+                inflight: counters(),
                 rejected: AtomicU64::new(0),
-                drained: (0..num_shards).map(|_| AtomicU64::new(0)).collect(),
+                drained: counters(),
                 drain_windows: (0..num_shards)
                     .map(|_| Mutex::new(DrainWindow::new()))
                     .collect(),
                 wal_bytes,
-                storage: config.storage,
-                data_dir: config.data_dir.clone(),
-                snapshot_format: config.snapshot_format,
-                attributes: config.attributes.clone(),
                 batcher: MatchBatcher::new(
                     config.batch_window_us,
                     config.batch_max,
@@ -489,9 +248,9 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
                 telemetry,
                 shutdown: Arc::new(AtomicBool::new(false)),
                 addr: bound,
+                config,
             }),
             listener,
-            io_threads: config.io_threads.max(1),
             pool,
         })
     }
@@ -501,14 +260,18 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
         self.listener.local_addr()
     }
 
+    /// Every route the server answers, as `METHOD /path` (the `serve`
+    /// start-up banner): the route table's rows, so none can go missing.
+    pub fn routes() -> Vec<String> {
+        Route::<E>::TABLE.iter().map(Route::label).collect()
+    }
+
     /// Serve until a shutdown is signalled (`POST /admin/shutdown`, or the
     /// flag a [`ServerHandle`] sets), then drain in-flight requests and
     /// flush the WALs. The CLI entry point: returning `Ok` means a clean
     /// exit 0.
     pub fn run(self) -> io::Result<()> {
         let state = Arc::clone(&self.state);
-        let shutdown = Arc::clone(&state.shutdown);
-
         state.telemetry.logger.info(
             "startup",
             &[
@@ -519,92 +282,13 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
             ],
         );
 
-        let handler_state = Arc::clone(&state);
-        let handler = Arc::new(
-            move |request: Request, dispatched: Instant| -> (Vec<u8>, bool) {
-                let entered = Instant::now();
-                // relaxed-ok: standalone request counter, no ordering with other state
-                handler_state.requests.fetch_add(1, Ordering::Relaxed);
-                let mut trace = handler_state.telemetry.tracer.start();
-                trace.add(Stage::Parse, request.parse_ns);
-                let queue_ns = entered.saturating_duration_since(dispatched).as_nanos();
-                trace.add(Stage::QueueWait, queue_ns.min(u128::from(u64::MAX)) as u64);
-                let close = request.close;
-                let response = route(&handler_state, &request, &mut trace);
-                let status = response.status;
-                let bytes = response.render(close);
-                // End-to-end latency = parse + queue wait + worker execution
-                // (the same wall-clock sum the trace's spans decompose).
-                let executed = entered.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                let total_ns = request
-                    .parse_ns
-                    .saturating_add(trace.get(Stage::QueueWait))
-                    .saturating_add(executed);
-                handler_state.telemetry.finish_request(
-                    &request.method,
-                    &request.path,
-                    Endpoint::of(&request.method, &request.path),
-                    status,
-                    bytes.len() as u64,
-                    total_ns,
-                    &mut trace,
-                );
-                (bytes, close)
-            },
-        );
-
-        // Probes, the metrics scrape, and the `/debug/*` introspection
-        // surface are answered inline on the I/O threads: they take no
-        // shard or WAL locks, so they stay green even when every worker is
-        // busy or a checkpoint holds the store. Fast-path requests count
-        // toward `multiem_requests_total` but not the duration histograms —
-        // those cover exactly the worker path.
-        let fast_state = Arc::clone(&state);
-        let fast = Arc::new(move |request: &Request| -> Option<(Vec<u8>, bool)> {
-            const JSON: &str = "application/json";
-            let (status, reason, body, content_type) =
-                match (request.method.as_str(), request.path.as_str()) {
-                    ("GET", "/healthz") => (200, "OK", healthz(&fast_state), JSON),
-                    ("GET", "/readyz") => {
-                        let (ready, body) = readyz(&fast_state);
-                        if ready {
-                            (200, "OK", body, JSON)
-                        } else {
-                            (503, "Service Unavailable", body, JSON)
-                        }
-                    }
-                    ("GET", "/stats") => (200, "OK", stats(&fast_state), JSON),
-                    ("GET", "/metrics") => (
-                        200,
-                        "OK",
-                        metrics_scrape(&fast_state),
-                        "text/plain; version=0.0.4; charset=utf-8",
-                    ),
-                    ("GET", "/debug/window") => (200, "OK", debug_window(&fast_state), JSON),
-                    ("GET", "/debug/top") => (200, "OK", debug_top(&fast_state), JSON),
-                    ("GET", "/debug/slow") => (200, "OK", debug_slow(&fast_state), JSON),
-                    ("GET", "/debug/storage") => (200, "OK", debug_storage(&fast_state), JSON),
-                    _ => return None,
-                };
-            // relaxed-ok: standalone request counter, no ordering with other state
-            fast_state.requests.fetch_add(1, Ordering::Relaxed);
-            fast_state
-                .telemetry
-                .metrics
-                .count_request(Endpoint::of(&request.method, &request.path), status);
-            Some((
-                render_response_typed(status, reason, content_type, &body, request.close, &[]),
-                request.close,
-            ))
-        });
-
+        let front = Arc::clone(&state);
         let reactor = Reactor::start(
             self.listener,
-            self.io_threads,
+            state.config.io_threads,
             Arc::clone(&self.pool),
-            handler,
-            fast,
-            Arc::clone(&shutdown),
+            Arc::new(move |request| front.dispatch(request)),
+            Arc::clone(&state.shutdown),
             state.telemetry.net_metrics(),
         )?;
         // Blocks until shutdown is signalled and in-flight work drains.
@@ -638,1517 +322,79 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
     }
 }
 
-/// Load the store named by `MANIFEST.json` (the manifest is the only source
-/// of truth — files from interrupted checkpoints of other epochs are
-/// ignored), or create a fresh one at epoch 0 when no manifest exists.
-/// Returns the store, the manifest (WAL) epoch, and the per-shard snapshot
-/// epochs (`shard_epochs[i] == 0` means shard `i` was never snapshotted and
-/// restores empty — delta checkpoints skip untouched shards).
-fn restore_or_create<E: EmbeddingModel + Clone>(
-    config: &ServeConfig,
-    schema: Arc<Schema>,
-    dir: &Path,
-    encoder: E,
-    logger: &Logger,
-) -> Result<(ShardedEntityStore<E>, u64, Vec<u64>), ServeError> {
-    let manifest = manifest_path(dir);
-    if !manifest.exists() {
-        let store = ShardedEntityStore::new(config.online.clone(), schema, config.shards, encoder)?;
-        let shards = store.num_shards();
-        return Ok((store, 0, vec![0; shards]));
-    }
-    let text = std::fs::read_to_string(&manifest)?;
-    let value: Value = serde_json::from_str(&text)
-        .map_err(|e| ServeError::Config(format!("unreadable MANIFEST.json: {e}")))?;
-    let shards = field(&value, "shards")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| ServeError::Config("MANIFEST.json lacks `shards`".into()))?
-        as usize;
-    let epoch = field(&value, "epoch")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| ServeError::Config("MANIFEST.json lacks `epoch`".into()))?;
-    let attributes: Vec<String> = field(&value, "attributes")
-        .and_then(Value::as_seq)
-        .map(|seq| {
-            seq.iter()
-                .filter_map(|v| v.as_str().map(str::to_string))
-                .collect()
-        })
-        .unwrap_or_default();
-    if !attributes.is_empty() && attributes != config.attributes {
-        return Err(ServeError::Config(format!(
-            "checkpoint schema {attributes:?} differs from configured {:?}",
-            config.attributes
-        )));
-    }
-    if shards != config.shards {
-        logger.warn(
-            "checkpoint_shard_override",
-            &[
-                ("checkpoint_shards", Value::UInt(shards as u64)),
-                ("configured_shards", Value::UInt(config.shards as u64)),
-            ],
-        );
-    }
-    // Per-shard snapshot epochs (pre-delta manifests lack the field: every
-    // shard was written at the manifest epoch).
-    let shard_epochs: Vec<u64> = field(&value, "shard_epochs")
-        .and_then(Value::as_seq)
-        .map(|seq| seq.iter().filter_map(Value::as_u64).collect())
-        .unwrap_or_else(|| vec![epoch; shards]);
-    if shard_epochs.len() != shards {
-        return Err(ServeError::Config(format!(
-            "MANIFEST.json lists {} shard epochs for {shards} shards",
-            shard_epochs.len()
-        )));
-    }
-    let snapshots: Vec<Option<Vec<u8>>> = shard_epochs
-        .iter()
-        .enumerate()
-        .map(|(i, &e)| {
-            if e == 0 {
-                Ok(None)
-            } else {
-                std::fs::read(snapshot_path(dir, i, e)).map(Some)
+impl<E: EmbeddingModel + 'static> ServerState<E> {
+    /// The reactor's front end, called once per parsed request on its I/O
+    /// thread — the one route [`lookup`] of the request's life. An inline
+    /// row is answered here; a worker row (the 404/405 fallbacks included)
+    /// becomes a job that carries the row it matched.
+    pub(crate) fn dispatch(self: &Arc<Self>, request: Request) -> Routed {
+        let route = lookup::<E>(&request.method, &request.path);
+        match route.handler {
+            Handler::Inline(handler) => {
+                let response = handler(self);
+                self.count_request();
+                let metrics = &self.telemetry.metrics;
+                metrics.count_request(route.endpoint, response.status);
+                Routed::Inline(response.render(request.close), request.close)
             }
-        })
-        .collect::<io::Result<_>>()?;
-    let store = ShardedEntityStore::restore(config.online.clone(), schema, &snapshots, encoder)?;
-    Ok((store, epoch, shard_epochs))
-}
-
-// --------------------------------------------------------------------------
-// Routing (executed on the worker pool; `net.rs` owns all socket I/O)
-// --------------------------------------------------------------------------
-
-/// One routed response (status line, JSON body, optional `Retry-After`).
-struct Response {
-    status: u16,
-    reason: &'static str,
-    body: String,
-    retry_after: Option<u64>,
-}
-
-impl Response {
-    fn new(status: u16, reason: &'static str, body: String) -> Self {
-        Self {
-            status,
-            reason,
-            body,
-            retry_after: None,
-        }
-    }
-
-    /// On-wire bytes of this response.
-    fn render(&self, close: bool) -> Vec<u8> {
-        let mut extra: Vec<(&str, String)> = Vec::new();
-        if let Some(seconds) = self.retry_after {
-            extra.push(("Retry-After", seconds.to_string()));
-        }
-        render_response(self.status, self.reason, &self.body, close, &extra)
-    }
-}
-
-fn route<E: EmbeddingModel>(
-    state: &ServerState<E>,
-    request: &Request,
-    trace: &mut Trace,
-) -> Response {
-    match (request.method.as_str(), request.path.as_str()) {
-        // The reactor normally intercepts these read-only routes on its
-        // inline fast path (see `run`); the arms stay as the single source
-        // of the route table in case the front-end wiring ever changes, and
-        // call the same renderers.
-        ("GET", "/healthz") => Response::new(200, "OK", healthz(state)),
-        ("GET", "/readyz") => {
-            let (ready, body) = readyz(state);
-            if ready {
-                Response::new(200, "OK", body)
-            } else {
-                Response::new(503, "Service Unavailable", body)
+            Handler::Worker(_) => {
+                let state = Arc::clone(self);
+                let dispatched = Instant::now();
+                Routed::Worker(Box::new(move || {
+                    state.execute(&route, &request, dispatched)
+                }))
             }
         }
-        ("GET", "/stats") => Response::new(200, "OK", stats(state)),
-        ("GET", "/metrics") => Response::new(200, "OK", metrics_scrape(state)),
-        ("GET", "/debug/window") => Response::new(200, "OK", debug_window(state)),
-        ("GET", "/debug/top") => Response::new(200, "OK", debug_top(state)),
-        ("GET", "/debug/slow") => Response::new(200, "OK", debug_slow(state)),
-        ("GET", "/debug/storage") => Response::new(200, "OK", debug_storage(state)),
-        ("POST", "/admin/shutdown") => {
-            // Begin the graceful drain: the reactor stops parsing new
-            // requests, finishes in-flight ones (this response included),
-            // then `run` flushes the WALs and returns cleanly. The
-            // self-connect unblocks the acceptor thread.
-            state.shutdown.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(state.addr);
-            Response::new(
-                200,
-                "OK",
-                render(Value::Map(vec![(
-                    "shutting_down".into(),
-                    Value::Bool(true),
-                )])),
-            )
-        }
-        ("POST", "/records") => match ingest(state, &request.body, trace) {
-            Ok(body) => Response::new(200, "OK", body),
-            Err(IngestError::Invalid(msg)) => Response::new(400, "Bad Request", error_body(&msg)),
-            Err(IngestError::Overloaded {
-                rejected,
-                retry_after,
-            }) => Response {
-                status: 429,
-                reason: "Too Many Requests",
-                body: render(Value::Map(vec![
-                    (
-                        "error".into(),
-                        Value::Str("ingest queue full; retry later".into()),
-                    ),
-                    ("rejected".into(), Value::UInt(rejected)),
-                    ("retry_after".into(), Value::UInt(retry_after)),
-                ])),
-                retry_after: Some(retry_after),
-            },
-        },
-        ("POST", "/records/delete") => match delete_batch(state, &request.body, trace) {
-            Ok(body) => Response::new(200, "OK", body),
-            Err(DeleteError::Invalid(msg)) => Response::new(400, "Bad Request", error_body(&msg)),
-            Err(DeleteError::Internal(msg)) => {
-                Response::new(500, "Internal Server Error", error_body(&msg))
-            }
-        },
-        ("DELETE", path) if path.starts_with("/records/") => {
-            match parse_record_id(&path["/records/".len()..]) {
-                Some(id) => match delete_one(state, id, trace) {
-                    Ok(true) => Response::new(
-                        200,
-                        "OK",
-                        render(Value::Map(vec![("deleted".into(), Value::Bool(true))])),
-                    ),
-                    Ok(false) => Response::new(
-                        404,
-                        "Not Found",
-                        error_body("unknown or already-deleted record"),
-                    ),
-                    Err(msg) => Response::new(500, "Internal Server Error", error_body(&msg)),
-                },
-                None => Response::new(
-                    400,
-                    "Bad Request",
-                    error_body("record id must be shard-source-row (e.g. /records/0-1-42)"),
-                ),
-            }
-        }
-        ("POST", "/match") => match match_one(state, &request.body, trace) {
-            Ok(body) => Response::new(200, "OK", body),
-            Err(msg) => Response::new(400, "Bad Request", error_body(&msg)),
-        },
-        ("POST", "/snapshot") => match checkpoint(state) {
-            Ok(body) => Response::new(200, "OK", body),
-            Err(ServeError::Config(msg)) => Response::new(400, "Bad Request", error_body(&msg)),
-            Err(e) => Response::new(500, "Internal Server Error", error_body(&e.to_string())),
-        },
-        ("GET" | "POST" | "DELETE", _) => {
-            Response::new(404, "Not Found", error_body("no such route"))
-        }
-        _ => Response::new(405, "Method Not Allowed", error_body("unsupported method")),
-    }
-}
-
-/// Parse a `{shard}-{source}-{row}` record id (the triple `POST /records`
-/// returns for every ingested record).
-fn parse_record_id(text: &str) -> Option<crate::shard::GlobalEntityId> {
-    let mut parts = text.split('-');
-    let shard: u32 = parts.next()?.parse().ok()?;
-    let source: u32 = parts.next()?.parse().ok()?;
-    let row: u32 = parts.next()?.parse().ok()?;
-    if parts.next().is_some() {
-        return None;
-    }
-    Some(crate::shard::GlobalEntityId {
-        shard,
-        entity: EntityId::new(source, row),
-    })
-}
-
-/// Apply one deletion: WAL-append first (the op must survive a crash that
-/// happens mid-apply), then detach the record under the shard's write lock.
-/// Same `shard → wal` lock order as ingestion. A delete of an unknown id
-/// still logs — replaying it is a no-op, and the log stays a faithful
-/// record of what was requested.
-fn delete_one<E: EmbeddingModel>(
-    state: &ServerState<E>,
-    id: crate::shard::GlobalEntityId,
-    trace: &mut Trace,
-) -> Result<bool, String> {
-    let shard = id.shard as usize;
-    if shard >= state.store.num_shards() {
-        return Ok(false);
-    }
-    let mut guard = state.store.write_shard(shard);
-    if let Some(wals) = &state.wals {
-        let mut wal = wals[shard].lock();
-        let timing = wal
-            .append_timed(&WalOp::Delete(id.entity))
-            .map_err(|e| format!("wal append failed: {e}"))?;
-        // relaxed-ok: published size for lock-free /stats; staleness is benign
-        state.wal_bytes[shard].store(wal.bytes(), Ordering::Relaxed);
-        record_wal_timing(state, trace, &timing);
-    }
-    let apply_started = Instant::now();
-    let deleted = guard.delete_record(id.entity).map_err(|e| e.to_string())?;
-    trace.add(Stage::Apply, elapsed_ns(apply_started));
-    if deleted {
-        state.write_seq[shard].fetch_add(1, Ordering::SeqCst);
-        state.telemetry.metrics.deleted_records.inc();
-    }
-    Ok(deleted)
-}
-
-/// Fold one WAL append's timing into the request trace and the WAL
-/// counters (`wal_append` excludes the fsync portion; `fsync` gets it).
-fn record_wal_timing<E: EmbeddingModel>(
-    state: &ServerState<E>,
-    trace: &mut Trace,
-    timing: &crate::wal::AppendTiming,
-) {
-    trace.add(
-        Stage::WalAppend,
-        timing.total_ns.saturating_sub(timing.fsync_ns),
-    );
-    trace.add(Stage::Fsync, timing.fsync_ns);
-    let metrics = &state.telemetry.metrics;
-    metrics.wal_appended_bytes.add(timing.appended_bytes);
-    if timing.fsynced {
-        metrics.wal_fsyncs.inc();
-        // The rolling fsync window is the `/readyz` degradation signal.
-        state.telemetry.record_fsync_window(timing.fsync_ns);
-    }
-}
-
-/// Nanoseconds since `started`, saturated into a `u64`.
-fn elapsed_ns(started: Instant) -> u64 {
-    started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-}
-
-/// Why `POST /records/delete` failed.
-enum DeleteError {
-    /// Malformed body (`400`).
-    Invalid(String),
-    /// A WAL or store failure mid-batch (`500` — already-applied deletions
-    /// stand, and retrying the batch is safe because deletion is
-    /// idempotent).
-    Internal(String),
-}
-
-/// `POST /records/delete`: batch deletion of `{"ids": [[shard, source,
-/// row], ...]}` triples. Per-id outcomes come back positionally; unknown or
-/// repeated ids report `false` rather than failing the batch.
-fn delete_batch<E: EmbeddingModel>(
-    state: &ServerState<E>,
-    body: &[u8],
-    trace: &mut Trace,
-) -> Result<String, DeleteError> {
-    let value = parse_body(body).map_err(DeleteError::Invalid)?;
-    let ids = field(&value, "ids")
-        .and_then(Value::as_seq)
-        .ok_or_else(|| {
-            DeleteError::Invalid("body must be {\"ids\": [[shard, source, row], ...]}".into())
-        })?;
-    let mut parsed = Vec::with_capacity(ids.len());
-    for (i, item) in ids.iter().enumerate() {
-        let triple = item
-            .as_seq()
-            .filter(|seq| seq.len() == 3)
-            .and_then(|seq| {
-                let shard = seq[0].as_u64()? as u32;
-                let source = seq[1].as_u64()? as u32;
-                let row = seq[2].as_u64()? as u32;
-                Some(crate::shard::GlobalEntityId {
-                    shard,
-                    entity: EntityId::new(source, row),
-                })
-            })
-            .ok_or_else(|| {
-                DeleteError::Invalid(format!("ids[{i}] must be a [shard, source, row] triple"))
-            })?;
-        parsed.push(triple);
-    }
-    let mut deleted = 0u64;
-    let mut missing = 0u64;
-    let mut results = Vec::with_capacity(parsed.len());
-    for id in parsed {
-        let ok = delete_one(state, id, trace).map_err(DeleteError::Internal)?;
-        if ok {
-            deleted += 1;
-        } else {
-            missing += 1;
-        }
-        results.push(Value::Bool(ok));
-    }
-    Ok(render(Value::Map(vec![
-        ("deleted".into(), Value::UInt(deleted)),
-        ("missing".into(), Value::UInt(missing)),
-        ("results".into(), Value::Seq(results)),
-    ])))
-}
-
-// lint:fast-path — answered inline on the I/O threads; must stay lock-free.
-fn healthz<E: EmbeddingModel>(state: &ServerState<E>) -> String {
-    render(Value::Map(vec![
-        ("status".into(), Value::Str("ok".into())),
-        (
-            "shards".into(),
-            Value::UInt(state.store.num_shards() as u64),
-        ),
-        ("durable".into(), Value::Bool(state.wals.is_some())),
-        // Config-derived, deliberately lock-free: the liveness probe must
-        // answer even while a checkpoint holds every shard lock.
-        (
-            "storage".into(),
-            Value::Str(
-                match state.storage {
-                    StorageBackend::Memory => "memory",
-                    StorageBackend::Disk => "disk",
-                }
-                .into(),
-            ),
-        ),
-        (
-            "uptime_seconds".into(),
-            Value::Float(state.telemetry.uptime_seconds()),
-        ),
-        ("version".into(), Value::Str(BUILD_VERSION.into())),
-        (
-            "checkpoint_epoch".into(),
-            Value::UInt(state.epoch.load(Ordering::SeqCst)),
-        ),
-    ]))
-}
-
-/// The degradation rule behind `GET /readyz`: which configured thresholds
-/// the current signals cross (`0` disables a threshold). Empty = ready.
-/// Pure so the rule is unit-testable without a server.
-fn degraded_reasons(
-    backlog: u64,
-    max_backlog: u64,
-    fsync_p99_ms: f64,
-    max_fsync_ms: u64,
-) -> Vec<&'static str> {
-    let mut reasons = Vec::new();
-    if max_backlog > 0 && backlog > max_backlog {
-        reasons.push("ingest backlog above --ready-max-backlog");
-    }
-    if max_fsync_ms > 0 && fsync_p99_ms > max_fsync_ms as f64 {
-        reasons.push("windowed fsync p99 above --ready-max-fsync-ms");
-    }
-    reasons
-}
-
-/// Render `GET /readyz`: readiness as distinct from liveness. `/healthz`
-/// answers "is the process up"; this answers "should a load balancer send
-/// traffic here" — `false` (a 503 from the caller) when the ingest backlog
-/// or the rolling-window p99 fsync latency crosses its configured
-/// threshold. Lock-free like every fast-path route: the backlog reads the
-/// admission atomics, the fsync signal reads the analytics window.
-// lint:fast-path — answered inline on the I/O threads; must stay lock-free.
-fn readyz<E: EmbeddingModel>(state: &ServerState<E>) -> (bool, String) {
-    let backlog: u64 = state
-        .inflight
-        .iter()
-        .map(|n| n.load(Ordering::SeqCst))
-        .sum();
-    let fsync_p99_ms = state
-        .telemetry
-        .analytics
-        .as_ref()
-        .map(|a| a.windows.fsync_window().quantile_ms(0.99))
-        .unwrap_or(0.0);
-    let reasons = degraded_reasons(
-        backlog,
-        state.ready_max_backlog,
-        fsync_p99_ms,
-        state.ready_max_fsync_ms,
-    );
-    let ready = reasons.is_empty();
-    let body = render(Value::Map(vec![
-        (
-            "status".into(),
-            Value::Str(if ready { "ready" } else { "degraded" }.into()),
-        ),
-        ("backlog".into(), Value::UInt(backlog)),
-        ("max_backlog".into(), Value::UInt(state.ready_max_backlog)),
-        ("fsync_window_p99_ms".into(), Value::Float(fsync_p99_ms)),
-        ("max_fsync_ms".into(), Value::UInt(state.ready_max_fsync_ms)),
-        (
-            "reasons".into(),
-            Value::Seq(reasons.into_iter().map(|r| Value::Str(r.into())).collect()),
-        ),
-    ]));
-    (ready, body)
-}
-
-/// The `{"enabled": false}` body every `/debug/*` route answers when the
-/// analytics layer is off (`--no-telemetry` or `--window-secs 0`).
-fn analytics_disabled() -> String {
-    render(Value::Map(vec![("enabled".into(), Value::Bool(false))]))
-}
-
-/// Render `GET /debug/window`: per-endpoint request rates and latency
-/// quantiles over the rolling window, plus the windowed fsync latency.
-/// Endpoints with no traffic inside the window are omitted. The raw
-/// nanosecond quantiles ride along so machine consumers (the integration
-/// tests, `obstop`) need not re-derive them from the millisecond floats.
-// lint:fast-path — answered inline on the I/O threads; must stay lock-free.
-fn debug_window<E: EmbeddingModel>(state: &ServerState<E>) -> String {
-    let Some(analytics) = &state.telemetry.analytics else {
-        return analytics_disabled();
-    };
-    let windows = &analytics.windows;
-    let mut endpoints = Vec::new();
-    for endpoint in Endpoint::ALL {
-        let snap = windows.endpoint_window(endpoint);
-        if snap.count() == 0 {
-            continue;
-        }
-        endpoints.push(Value::Map(vec![
-            ("endpoint".into(), Value::Str(endpoint.name().into())),
-            ("count".into(), Value::UInt(snap.count())),
-            ("rate_rps".into(), Value::Float(windows.rate(snap.count()))),
-            ("p50_ms".into(), Value::Float(snap.quantile_ms(0.5))),
-            ("p99_ms".into(), Value::Float(snap.quantile_ms(0.99))),
-            (
-                "p50_ns".into(),
-                Value::UInt(snap.quantile(0.5).unwrap_or(0)),
-            ),
-            (
-                "p99_ns".into(),
-                Value::UInt(snap.quantile(0.99).unwrap_or(0)),
-            ),
-        ]));
-    }
-    let fsync = windows.fsync_window();
-    // Batch occupancy is dimensionless (requests or records per executed
-    // batch), so its quantiles are plain sizes, not latencies.
-    let batch = windows.batch_window();
-    render(Value::Map(vec![
-        ("enabled".into(), Value::Bool(true)),
-        ("window_secs".into(), Value::UInt(windows.window_secs())),
-        ("covered_secs".into(), Value::Float(windows.covered_secs())),
-        ("endpoints".into(), Value::Seq(endpoints)),
-        (
-            "fsync".into(),
-            Value::Map(vec![
-                ("count".into(), Value::UInt(fsync.count())),
-                ("p50_ms".into(), Value::Float(fsync.quantile_ms(0.5))),
-                ("p99_ms".into(), Value::Float(fsync.quantile_ms(0.99))),
-            ]),
-        ),
-        (
-            "batch".into(),
-            Value::Map(vec![
-                ("count".into(), Value::UInt(batch.count())),
-                ("p50".into(), Value::UInt(batch.quantile(0.5).unwrap_or(0))),
-                ("max".into(), Value::UInt(batch.quantile(1.0).unwrap_or(0))),
-            ]),
-        ),
-    ]))
-}
-
-/// JSON rows for one heavy-hitter list.
-fn hitters_value(hitters: &[crate::obs::HeavyHitter]) -> Value {
-    Value::Seq(
-        hitters
-            .iter()
-            .map(|h| {
-                Value::Map(vec![
-                    ("key".into(), Value::Str(h.key.clone())),
-                    ("count".into(), Value::UInt(h.count)),
-                    ("error".into(), Value::UInt(h.error)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Render `GET /debug/top`: the hottest ingest sources, routed shards, and
-/// match-result entities of the current window (previous window alongside).
-/// Counts come from space-saving sketches: a `count` overestimates the true
-/// frequency by at most its `error`.
-// lint:fast-path — answered inline on the I/O threads; must stay lock-free.
-fn debug_top<E: EmbeddingModel>(state: &ServerState<E>) -> String {
-    let Some(analytics) = &state.telemetry.analytics else {
-        return analytics_disabled();
-    };
-    let epoch = analytics.windows.window_epoch();
-    let section = |topk: &crate::obs::WindowedTopK| {
-        let (current, previous) = topk.top_at(epoch);
-        Value::Map(vec![
-            ("current".into(), hitters_value(&current)),
-            ("previous".into(), hitters_value(&previous)),
-        ])
-    };
-    render(Value::Map(vec![
-        ("enabled".into(), Value::Bool(true)),
-        ("window_epoch".into(), Value::UInt(epoch)),
-        ("sources".into(), section(&analytics.sources)),
-        ("shards".into(), section(&analytics.shards)),
-        ("entities".into(), section(&analytics.entities)),
-    ]))
-}
-
-/// Render `GET /debug/slow`: the retained slow-request exemplars (current
-/// window first, then the previous one, slowest first), each with its full
-/// span decomposition — the request that blew the SLO, inspectable after
-/// the fact without log spelunking.
-// lint:fast-path — answered inline on the I/O threads; must stay lock-free.
-fn debug_slow<E: EmbeddingModel>(state: &ServerState<E>) -> String {
-    let Some(analytics) = &state.telemetry.analytics else {
-        return analytics_disabled();
-    };
-    let exemplars = analytics
-        .exemplars
-        .snapshot_at(analytics.windows.window_epoch());
-    let entries: Vec<Value> = exemplars
-        .iter()
-        .map(|e| {
-            let spans: Vec<(String, Value)> = e
-                .trace
-                .spans()
-                .map(|(stage, ns)| (stage.name().to_string(), Value::UInt(ns)))
-                .collect();
-            Value::Map(vec![
-                ("request_id".into(), Value::UInt(e.trace.id)),
-                ("method".into(), Value::Str(e.method.clone())),
-                ("path".into(), Value::Str(e.path.clone())),
-                ("status".into(), Value::UInt(u64::from(e.status))),
-                ("total_ns".into(), Value::UInt(e.total_ns)),
-                ("ts_ms".into(), Value::UInt(e.ts_ms)),
-                ("fan_out".into(), Value::UInt(e.trace.fan_out_width())),
-                ("spans".into(), Value::Map(spans)),
-            ])
-        })
-        .collect();
-    render(Value::Map(vec![
-        ("enabled".into(), Value::Bool(true)),
-        ("exemplars".into(), Value::Seq(entries)),
-    ]))
-}
-
-/// Render `GET /debug/storage`: per-shard storage health — cache hit rates,
-/// WAL sizes, and per-segment live ratios (what compaction will act on) —
-/// plus the windowed fsync latency. Never blocks: a shard held by a writer
-/// reports its published counters with its segment list omitted.
-// lint:fast-path — answered inline on the I/O threads; must stay lock-free.
-fn debug_storage<E: EmbeddingModel>(state: &ServerState<E>) -> String {
-    let details = state.store.shard_storage_details();
-    let mut cache_hits = 0u64;
-    let mut cache_misses = 0u64;
-    let mut shards = Vec::with_capacity(details.len());
-    for (i, (stats, segments)) in details.iter().enumerate() {
-        cache_hits += stats.cache_hits;
-        cache_misses += stats.cache_misses;
-        let mut entries = match stats.to_value() {
-            Value::Map(entries) => entries,
-            other => vec![("stats".into(), other)],
-        };
-        entries.insert(0, ("shard".into(), Value::UInt(i as u64)));
-        entries.push((
-            "wal_bytes".into(),
-            // relaxed-ok: monitoring read of a published counter
-            Value::UInt(state.wal_bytes[i].load(Ordering::Relaxed)),
-        ));
-        entries.push((
-            "segment_files".into(),
-            Value::Seq(
-                segments
-                    .iter()
-                    .map(|s| {
-                        Value::Map(vec![
-                            ("records".into(), Value::UInt(s.records as u64)),
-                            ("dead".into(), Value::UInt(s.dead as u64)),
-                            ("bytes".into(), Value::UInt(s.bytes)),
-                            ("live_ratio".into(), Value::Float(s.live_ratio())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-        shards.push(Value::Map(entries));
-    }
-    let looked_up = cache_hits + cache_misses;
-    let hit_rate = if looked_up > 0 {
-        cache_hits as f64 / looked_up as f64
-    } else {
-        0.0
-    };
-    let fsync_p99_ms = state
-        .telemetry
-        .analytics
-        .as_ref()
-        .map(|a| a.windows.fsync_window().quantile_ms(0.99))
-        .unwrap_or(0.0);
-    render(Value::Map(vec![
-        ("cache_hits".into(), Value::UInt(cache_hits)),
-        ("cache_misses".into(), Value::UInt(cache_misses)),
-        ("cache_hit_rate".into(), Value::Float(hit_rate)),
-        (
-            "wal_bytes".into(),
-            Value::UInt(
-                state
-                    .wal_bytes
-                    .iter()
-                    // relaxed-ok: monitoring read of published counters
-                    .map(|bytes| bytes.load(Ordering::Relaxed))
-                    .sum(),
-            ),
-        ),
-        ("fsync_window_p99_ms".into(), Value::Float(fsync_p99_ms)),
-        ("shards".into(), Value::Seq(shards)),
-    ]))
-}
-
-/// Render `GET /metrics` (Prometheus text exposition). Runs on the I/O fast
-/// path under the same discipline as `/stats`: gauges refresh from published
-/// atomics and rendering takes only the registry's own mutex — **never** a
-/// shard write lock or a WAL lock, so scrapes stay green through
-/// checkpoints and write bursts.
-// lint:fast-path — answered inline on the I/O threads; must stay lock-free.
-fn metrics_scrape<E: EmbeddingModel>(state: &ServerState<E>) -> String {
-    let telemetry = &state.telemetry;
-    let metrics = &telemetry.metrics;
-    metrics.uptime_seconds.set(telemetry.uptime_seconds());
-    let wal_bytes: u64 = state
-        .wal_bytes
-        .iter()
-        // relaxed-ok: monitoring read of published counters
-        .map(|bytes| bytes.load(Ordering::Relaxed))
-        .sum();
-    metrics.wal_bytes.set(wal_bytes as f64);
-    metrics
-        .checkpoint_epoch
-        .set(state.epoch.load(Ordering::SeqCst) as f64);
-    let inflight: u64 = state
-        .inflight
-        .iter()
-        .map(|n| n.load(Ordering::SeqCst))
-        .sum();
-    metrics.queue_inflight.set(inflight as f64);
-    // Storage cache counters ride the same nonblocking per-shard pass
-    // `/stats` uses; windowed rate/quantile gauges refresh from the rolling
-    // analytics windows (no-op with analytics off).
-    let storage = state.store.storage_stats();
-    metrics.storage_cache_hits.set(storage.cache_hits as f64);
-    metrics
-        .storage_cache_misses
-        .set(storage.cache_misses as f64);
-    telemetry.refresh_window_metrics();
-    telemetry.registry.render()
-}
-
-/// Render `/stats`. Runs on the I/O fast path, so it must never block on a
-/// shard write lock or a WAL lock: shard stats fall back to their last
-/// published value when a writer holds the shard
-/// ([`ShardedEntityStore::stats`]), and WAL sizes read published atomics.
-// lint:fast-path — answered inline on the I/O threads; must stay lock-free.
-fn stats<E: EmbeddingModel>(state: &ServerState<E>) -> String {
-    // One nonblocking pass yields both the store and the storage counters.
-    let (sharded, storage) = state.store.stats_with_storage();
-    let mut entries = match sharded.to_value() {
-        Value::Map(entries) => entries,
-        other => vec![("stats".into(), other)],
-    };
-    let wal_bytes = state
-        .wals
-        .as_ref()
-        .map(|_| {
-            state
-                .wal_bytes
-                .iter()
-                // relaxed-ok: monitoring read of published counters
-                .map(|bytes| bytes.load(Ordering::Relaxed))
-                .sum()
-        })
-        .unwrap_or(0);
-    entries.push(("wal_bytes".into(), Value::UInt(wal_bytes)));
-    entries.push((
-        "requests".into(),
-        // relaxed-ok: monitoring read of a standalone counter
-        Value::UInt(state.requests.load(Ordering::Relaxed)),
-    ));
-    // Everything below `requests` is process-local (counters reset on
-    // restart, cache contents differ) — the store-state prefix above stays
-    // byte-identical across a kill + WAL replay.
-    entries.push((
-        "rejected".into(),
-        // relaxed-ok: monitoring read of a standalone counter
-        Value::UInt(state.rejected.load(Ordering::Relaxed)),
-    ));
-    entries.push(("queue_depth".into(), Value::UInt(state.queue_depth)));
-    entries.push(("storage".into(), storage.to_value()));
-    render(Value::Map(entries))
-}
-
-/// A shard lock held for the duration of a checkpoint: shared for the
-/// memory backend (reads keep serving), exclusive for the disk backend
-/// (its storage tail is sealed under the lock).
-enum ShardGuard<'a, E: EmbeddingModel> {
-    Read(OrderedReadGuard<'a, multiem_online::EntityStore<E>>),
-    Write(OrderedWriteGuard<'a, multiem_online::EntityStore<E>>),
-}
-
-impl<E: EmbeddingModel> ShardGuard<'_, E> {
-    fn get(&self) -> &multiem_online::EntityStore<E> {
-        match self {
-            ShardGuard::Read(g) => g,
-            ShardGuard::Write(g) => g,
-        }
-    }
-}
-
-/// Why `POST /records` was refused.
-enum IngestError {
-    /// Malformed body (`400`).
-    Invalid(String),
-    /// A target shard's ingest queue is full (`429` + `Retry-After`).
-    Overloaded {
-        /// Records turned away by this refusal.
-        rejected: u64,
-        /// Seconds the client should wait, derived from the rejecting
-        /// shard's backlog and measured drain rate.
-        retry_after: u64,
-    },
-}
-
-/// Per-shard drain-rate sample: the applied-record counter at the start of
-/// the current window, and the rate the last *completed* window measured.
-struct DrainWindow {
-    since: Instant,
-    drained: u64,
-    /// Records/s over the last completed window (`0.0` until one closes —
-    /// conservatively treated as "no measurable drain").
-    rate: f64,
-}
-
-impl DrainWindow {
-    fn new() -> Self {
-        Self {
-            since: Instant::now(),
-            drained: 0,
-            rate: 0.0,
-        }
     }
 
-    /// Close the window (at >= 1 s granularity) against the current applied
-    /// count and return the freshest rate estimate. Sampling happens on
-    /// 429s, so under a sustained burst the estimate tracks the *current*
-    /// shard throughput within about a second — a lifetime average would
-    /// report hours-old rates on long-lived servers.
-    fn sample(&mut self, drained_now: u64) -> f64 {
-        let dt = self.since.elapsed().as_secs_f64();
-        if dt >= 1.0 {
-            self.rate = drained_now.saturating_sub(self.drained) as f64 / dt;
-            self.since = Instant::now();
-            self.drained = drained_now;
-        }
-        self.rate
-    }
-}
-
-/// `Retry-After` seconds for a 429: how long the rejecting shard needs to
-/// drain its current backlog at its recently measured ingest rate, clamped
-/// to `1..=30`. A shard with no measurable drain (stalled, or no window has
-/// closed yet) gets the maximum backoff instead of a hardcoded `1` that
-/// would send every client straight back into the full queue.
-fn derive_retry_after(backlog: u64, rate: f64) -> u64 {
-    if rate <= 0.0 {
-        return 30;
-    }
-    ((backlog as f64 / rate).ceil() as u64).clamp(1, 30)
-}
-
-/// Admission slots on the per-shard ingest queues, released on drop (also
-/// on error paths, so a failed insert never leaks queue capacity).
-struct QueueSlots<'a, E: EmbeddingModel> {
-    state: &'a ServerState<E>,
-    /// `(shard, records admitted)` pairs.
-    acquired: Vec<(usize, u64)>,
-}
-
-impl<E: EmbeddingModel> Drop for QueueSlots<'_, E> {
-    fn drop(&mut self) {
-        for &(shard, n) in &self.acquired {
-            self.state.inflight[shard].fetch_sub(n, Ordering::SeqCst);
-        }
-    }
-}
-
-/// Outcome of queue admission: slots, or the shard that refused the batch.
-enum Admission<'a, E: EmbeddingModel> {
-    /// The whole batch holds queue slots.
-    Admitted(QueueSlots<'a, E>),
-    /// A target shard lacked room; its backlog drives the `Retry-After`.
-    Refused {
-        /// The shard whose queue was full.
-        shard: usize,
-    },
-}
-
-/// Admit a whole batch onto its target shards' queues, or refuse the batch
-/// atomically when any shard lacks room. `Err` means the batch can *never*
-/// fit (a per-shard count above the queue depth): retrying it verbatim
-/// would loop forever, so the caller must answer with a terminal 400
-/// rather than 429 + `Retry-After`. (`queue_depth == 0` is the explicit
-/// drain mode, where 429-everything is the intent.)
-fn admit<'a, E: EmbeddingModel>(
-    state: &'a ServerState<E>,
-    records: &[Record],
-) -> Result<Admission<'a, E>, String> {
-    let mut per_shard: Vec<(usize, u64)> = Vec::new();
-    for record in records {
-        let shard = state.store.shard_of(record);
-        match per_shard.iter_mut().find(|(s, _)| *s == shard) {
-            Some((_, n)) => *n += 1,
-            None => per_shard.push((shard, 1)),
-        }
-    }
-    if state.queue_depth > 0 {
-        if let Some((shard, n)) = per_shard.iter().find(|(_, n)| *n > state.queue_depth) {
-            return Err(format!(
-                "batch routes {n} records to shard {shard}, above the ingest queue \
-                 depth {}; split the batch",
-                state.queue_depth
-            ));
-        }
-    }
-    let mut slots = QueueSlots {
-        state,
-        acquired: Vec::with_capacity(per_shard.len()),
-    };
-    for (shard, n) in per_shard {
-        let before = state.inflight[shard].fetch_add(n, Ordering::SeqCst);
-        slots.acquired.push((shard, n));
-        if before + n > state.queue_depth {
-            // Dropping `slots` rolls back every acquisition.
-            drop(slots);
-            return Ok(Admission::Refused { shard });
-        }
-    }
-    Ok(Admission::Admitted(slots))
-}
-
-fn ingest<E: EmbeddingModel>(
-    state: &ServerState<E>,
-    body: &[u8],
-    trace: &mut Trace,
-) -> Result<String, IngestError> {
-    let value = parse_body(body).map_err(IngestError::Invalid)?;
-    let records = field(&value, "records")
-        .and_then(Value::as_seq)
-        .ok_or_else(|| IngestError::Invalid("body must be {\"records\": [[...], ...]}".into()))?;
-    let arity = state.attributes.len();
-    let mut parsed = Vec::with_capacity(records.len());
-    for (i, item) in records.iter().enumerate() {
-        let record = record_from_value(item)
-            .map_err(|e| IngestError::Invalid(format!("records[{i}]: {e}")))?;
-        if record.arity() != arity {
-            return Err(IngestError::Invalid(format!(
-                "records[{i}] has {} values, schema has {arity} attributes",
-                record.arity()
-            )));
-        }
-        parsed.push(record);
-    }
-
-    // Backpressure: the whole batch is admitted or refused before any write
-    // lands, so a 429 never leaves a half-applied request behind. The slots
-    // release when the request finishes (`_slots` drops on every path).
-    let _slots = match admit(state, &parsed).map_err(IngestError::Invalid)? {
-        Admission::Admitted(slots) => slots,
-        Admission::Refused { shard } => {
-            let rejected = parsed.len() as u64;
-            // relaxed-ok: standalone rejection counter, no ordering with other state
-            state.rejected.fetch_add(rejected, Ordering::Relaxed);
-            state.telemetry.metrics.rejected_records.add(rejected);
-            // relaxed-ok: the drain estimate is advisory; a stale read skews one Retry-After
-            let drained_now = state.drained[shard].load(Ordering::Relaxed);
-            let rate = lock_unpoisoned(&state.drain_windows[shard]).sample(drained_now);
-            let backlog = state.inflight[shard].load(Ordering::SeqCst) + rejected;
-            return Err(IngestError::Overloaded {
-                rejected,
-                retry_after: derive_retry_after(backlog, rate),
-            });
-        }
-    };
-
-    // Group-commit: records are grouped by target shard, and each shard's
-    // group rides ONE WAL batch append (one frame run, one fsync decision)
-    // followed by the applies, all under a single acquisition of that
-    // shard's write lock. Per-shard order still follows request order, so
-    // WAL replay reconstructs exactly the same state as per-record appends
-    // — the bytes on disk are identical, there are just fewer fsyncs.
-    let mut by_shard: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (i, record) in parsed.iter().enumerate() {
-        let shard = state.store.shard_of(record);
-        // Heavy-hitter analytics, before any lock: the source key is the
-        // routing token, so `/debug/top` ranks what drives placement.
-        if state.telemetry.analytics.is_some() {
-            state
-                .telemetry
-                .note_source(&crate::shard::route_token(record));
-            state.telemetry.note_shard(shard);
-        }
-        match by_shard.iter_mut().find(|(s, _)| *s == shard) {
-            Some((_, indices)) => indices.push(i),
-            None => by_shard.push((shard, vec![i])),
-        }
-    }
-    let mut parsed: Vec<Option<Record>> = parsed.into_iter().map(Some).collect();
-    let mut results: Vec<Option<Value>> = (0..parsed.len()).map(|_| None).collect();
-    for (shard, indices) in by_shard {
-        // Lock order: shard write lock first, then that shard's WAL (see
-        // module docs). Writers to different shards share nothing here.
-        let mut guard = state.store.write_shard(shard);
-        if let Some(wals) = &state.wals {
-            // `indices` partitions `0..parsed.len()`, so every slot is still
-            // `Some` here; `filter_map` keeps the path panic-free regardless.
-            let ops: Vec<WalOp> = indices
-                .iter()
-                .filter_map(|&i| parsed[i].clone().map(WalOp::Insert))
-                .collect();
-            let mut wal = wals[shard].lock();
-            let timing = wal
-                .append_batch_timed(&ops)
-                .map_err(|e| IngestError::Invalid(format!("wal append failed: {e}")))?;
-            // relaxed-ok: published size for lock-free /stats; staleness is benign
-            state.wal_bytes[shard].store(wal.bytes(), Ordering::Relaxed);
-            record_wal_timing(state, trace, &timing);
-        }
-        let apply_started = Instant::now();
-        let mut applied = 0u64;
-        for &i in &indices {
-            // Each index is visited exactly once (see above), so the slot is
-            // populated; a `None` would mean a routing bug, answered as 400.
-            let Some(record) = parsed[i].take() else {
-                return Err(IngestError::Invalid(format!(
-                    "internal routing error: records[{i}] dispatched twice"
-                )));
-            };
-            let (gid, matched) = crate::shard::apply_insert(&mut guard, shard, record)
-                .map_err(|e| IngestError::Invalid(e.to_string()))?;
-            applied += 1;
-            results[i] = Some(Value::Map(vec![
-                ("shard".into(), Value::UInt(u64::from(gid.shard))),
-                ("source".into(), Value::UInt(u64::from(gid.entity.source))),
-                ("row".into(), Value::UInt(u64::from(gid.entity.row))),
-                ("matched".into(), Value::Bool(matched)),
-            ]));
-        }
-        trace.add(Stage::Apply, elapsed_ns(apply_started));
-        state.write_seq[shard].fetch_add(applied, Ordering::SeqCst);
-        // relaxed-ok: drain-rate sample counter; the estimate is advisory
-        state.drained[shard].fetch_add(applied, Ordering::Relaxed);
-        state.telemetry.metrics.ingested_records.add(applied);
-        state.telemetry.record_ingest_batch(applied);
-        drop(guard);
-    }
-    let results: Vec<Value> = results.into_iter().flatten().collect();
-    Ok(render(Value::Map(vec![
-        ("ingested".into(), Value::UInt(results.len() as u64)),
-        ("results".into(), Value::Seq(results)),
-    ])))
-}
-
-/// What one coalesced match request resolves to: its globally ranked hits
-/// plus the timing breakdown attributed to it.
-type MatchOutcome = (
-    Vec<(crate::shard::GlobalEntityId, f32)>,
-    crate::shard::MatchTiming,
-);
-
-/// One match request parked in the coalescing queue: its completion slot,
-/// filled by whichever worker executes the batch.
-struct MatchSlot {
-    result: Mutex<Option<MatchOutcome>>,
-    ready: Condvar,
-}
-
-/// The match micro-batch coalescer. Concurrent `POST /match` workers park
-/// their parsed records here; the **first** request of an empty queue
-/// becomes the batch leader and waits up to `window` for company (woken
-/// early when the batch fills to `max`), then swaps the queue out and runs
-/// one [`ShardedEntityStore::match_batch_timed`] fan-out for everyone —
-/// one lock acquisition and one index pass per shard instead of one per
-/// request. Followers block on their slot until the leader distributes
-/// results. A request arriving while a leader executes starts the next
-/// batch, so batches overlap and the queue never convoys behind a slow
-/// fan-out.
-struct MatchBatcher {
-    window: Duration,
-    max: usize,
-    queue: Mutex<Vec<(Record, Arc<MatchSlot>)>>,
-    /// Signalled by enqueuers when the queue fills to `max`, so the leader
-    /// flushes immediately instead of sleeping out the window.
-    full: Condvar,
-}
-
-impl MatchBatcher {
-    /// A coalescer for the configured knobs, or `None` when they disable
-    /// batching (`window == 0`, `max <= 1`, or a single-worker pool, where
-    /// no two requests can ever be in flight to coalesce). The effective
-    /// cap is clamped to the worker count: each parked request occupies one
-    /// worker, so a batch can never hold more than `workers` requests —
-    /// an uncapped `max` would just stall every leader for the full window.
-    fn new(window_us: u64, max: usize, workers: usize) -> Option<Self> {
-        let max = max.min(workers);
-        (window_us > 0 && max > 1).then(|| Self {
-            window: Duration::from_micros(window_us),
-            max,
-            queue: Mutex::new(Vec::new()),
-            full: Condvar::new(),
-        })
-    }
-
-    /// Run `record` through a coalesced fan-out, blocking until its result
-    /// is available (bounded by the batch window plus one batch execution).
-    fn run<E: EmbeddingModel>(
+    /// Answer `request` through `route` on the calling (worker) thread,
+    /// traced: `dispatched` is when the I/O loop handed it over, so the gap
+    /// to now is the trace's `queue_wait` span.
+    pub(crate) fn execute(
         &self,
-        store: &ShardedEntityStore<E>,
-        telemetry: &Telemetry,
-        record: Record,
-    ) -> (
-        Vec<(crate::shard::GlobalEntityId, f32)>,
-        crate::shard::MatchTiming,
-    ) {
-        let slot = Arc::new(MatchSlot {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-        });
-        // Poison-tolerant throughout: the queue and slots hold plain data
-        // (Vec pushes, Option writes) that stays consistent across a
-        // panicking holder, and a match worker must never panic a request.
-        let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
-        let leader = queue.is_empty();
-        queue.push((record, Arc::clone(&slot)));
-        if queue.len() >= self.max {
-            self.full.notify_all();
-        }
-        if leader {
-            let deadline = Instant::now() + self.window;
-            while queue.len() < self.max {
-                let Some(remaining) = deadline
-                    .checked_duration_since(Instant::now())
-                    .filter(|d| !d.is_zero())
-                else {
-                    break;
-                };
-                let (guard, timeout) = self
-                    .full
-                    .wait_timeout(queue, remaining)
-                    .unwrap_or_else(PoisonError::into_inner);
-                queue = guard;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-            let batch = std::mem::take(&mut *queue);
-            drop(queue);
-            let flushed_full = batch.len() >= self.max;
-            telemetry.record_match_batch(batch.len() as u64, flushed_full);
-            let (records, slots): (Vec<Record>, Vec<Arc<MatchSlot>>) = batch.into_iter().unzip();
-            let results = store.match_batch_timed(&records);
-            for (slot, result) in slots.iter().zip(results) {
-                *lock_unpoisoned(&slot.result) = Some(result);
-                slot.ready.notify_one();
-            }
-        } else {
-            drop(queue);
-        }
-        let mut result = lock_unpoisoned(&slot.result);
-        loop {
-            match result.take() {
-                Some(result) => return result,
-                None => {
-                    result = slot
-                        .ready
-                        .wait(result)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-        }
+        route: &Route<E>,
+        request: &Request,
+        dispatched: Instant,
+    ) -> (Vec<u8>, bool) {
+        let entered = Instant::now();
+        self.count_request();
+        let mut trace = self.telemetry.tracer.start();
+        trace.add(Stage::Parse, request.parse_ns);
+        let queue_ns = entered.saturating_duration_since(dispatched).as_nanos();
+        trace.add(Stage::QueueWait, queue_ns.min(u128::from(u64::MAX)) as u64);
+        let response = route.run(self, request, &mut trace);
+        let bytes = response.render(request.close);
+        // End-to-end latency = parse + queue wait + worker execution (the
+        // same wall-clock sum the trace's spans decompose).
+        let total_ns = request
+            .parse_ns
+            .saturating_add(trace.get(Stage::QueueWait))
+            .saturating_add(elapsed_ns(entered));
+        self.telemetry.finish_request(
+            &request.method,
+            &request.path,
+            route.endpoint,
+            response.status,
+            bytes.len() as u64,
+            total_ns,
+            &mut trace,
+        );
+        (bytes, request.close)
+    }
+
+    fn count_request(&self) {
+        // relaxed-ok: standalone request counter, no ordering with other state
+        self.requests.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-fn match_one<E: EmbeddingModel>(
-    state: &ServerState<E>,
-    body: &[u8],
-    trace: &mut Trace,
-) -> Result<String, String> {
-    let value = parse_body(body)?;
-    let record = field(&value, "record")
-        .ok_or_else(|| "body must be {\"record\": [...]}".to_string())
-        .and_then(record_from_value)?;
-    if record.arity() != state.attributes.len() {
-        return Err(format!(
-            "record has {} values, schema has {} attributes",
-            record.arity(),
-            state.attributes.len()
-        ));
-    }
-    let (ranked, timing) = match &state.batcher {
-        Some(batcher) => batcher.run(&state.store, &state.telemetry, record),
-        None => state.store.match_record_timed(&record),
-    };
-    // The fan-out's wall time decomposes into the slowest shard's search
-    // (the critical path), the merge, and scatter/gather coordination.
-    trace.add(Stage::AnnSearch, timing.ann_max_ns);
-    trace.add(Stage::RankMerge, timing.merge_ns);
-    trace.add(Stage::FanOut, timing.coordination_ns());
-    trace.set_fan_out_width(timing.fan_out);
-    // The best match is this request's "result entity" for /debug/top.
-    if let Some((gid, _)) = ranked.first() {
-        state.telemetry.note_match_entity(&format!(
-            "{}-{}-{}",
-            gid.shard, gid.entity.source, gid.entity.row
-        ));
-    }
-    let matches: Vec<Value> = ranked
-        .into_iter()
-        .map(|(gid, distance)| {
-            Value::Map(vec![
-                ("shard".into(), Value::UInt(u64::from(gid.shard))),
-                ("source".into(), Value::UInt(u64::from(gid.entity.source))),
-                ("row".into(), Value::UInt(u64::from(gid.entity.row))),
-                ("distance".into(), Value::Float(f64::from(distance))),
-            ])
-        })
-        .collect();
-    Ok(render(Value::Map(vec![(
-        "matches".into(),
-        Value::Seq(matches),
-    )])))
-}
-
-/// Delta checkpoint protocol (crash-atomic): snapshot the shards that
-/// changed since the last checkpoint and start a new WAL epoch, with the
-/// manifest rename as the single commit point.
-///
-/// 1. take every shard lock (ascending), then every WAL lock — the same
-///    global order writers use, so no write interleaves. Memory-backed
-///    stores take **read** locks (reads keep serving through the
-///    checkpoint, as in PR 2); disk-backed stores take **write** locks
-///    because dirty shards seal their storage tail here;
-/// 2. for every *dirty* shard (its `write_seq` moved since the last
-///    checkpoint, or it has no snapshot yet despite holding records):
-///    flush its storage and write `shard-NNN-{epoch+1}.snap` (temp +
-///    rename each). Clean shards keep their existing snapshot file — with
-///    the disk backend even a dirty shard's snapshot is only the segment
-///    index + cluster state, so the checkpoint cost tracks the delta, not
-///    the store size;
-/// 3. create empty `wal-NNN-{epoch+1}.log` files for **all** shards (WAL
-///    truncation is keyed to the new delta epoch);
-/// 4. **commit**: atomically rename the new `MANIFEST.json` naming
-///    `epoch + 1` and the per-shard snapshot epochs into place;
-/// 5. swap the in-memory WAL handles, best-effort delete the old epoch's
-///    WALs and each re-snapshotted shard's superseded snapshot, and (disk
-///    backend) GC segment files the committed segment index no longer
-///    references — orphans left by checkpoints that crashed between
-///    sealing and committing.
-///
-/// A crash before step 4 leaves the manifest pointing at the old epoch —
-/// the old snapshots and old WALs are untouched, so startup sees exactly
-/// the pre-checkpoint state and the half-written new epoch is ignored (and
-/// overwritten by the next checkpoint). A crash after step 4 loads the new
-/// manifest's mix of old and new snapshots with the new (empty) WALs. No
-/// ordering replays an op into a snapshot that already contains it.
-fn checkpoint<E: EmbeddingModel>(state: &ServerState<E>) -> Result<String, ServeError> {
-    let Some(dir) = &state.data_dir else {
-        return Err(ServeError::Config(
-            "server runs without a data dir; nothing to checkpoint".into(),
-        ));
-    };
-    let Some(wals) = &state.wals else {
-        return Err(ServeError::Config("server has no WAL".into()));
-    };
-
-    let num_shards = state.store.num_shards();
-    // Only the disk backend mutates shard state here (sealing storage
-    // tails); the memory backend checkpoints under read locks so matches
-    // keep serving.
-    let mut guards: Vec<ShardGuard<'_, E>> = (0..num_shards)
-        .map(|i| match state.storage {
-            StorageBackend::Memory => ShardGuard::Read(state.store.read_shard(i)),
-            StorageBackend::Disk => ShardGuard::Write(state.store.write_shard(i)),
-        })
-        .collect();
-    let mut wal_guards: Vec<_> = wals.iter().map(|wal| wal.lock()).collect();
-    // Checkpoint bookkeeping vectors: only ever mutated inside this
-    // all-locks critical section, and every update lands before the commit
-    // rename — recovering a poisoned guard observes a consistent vector.
-    let mut shard_epochs = lock_unpoisoned(&state.shard_epochs);
-    let mut checkpoint_seq = lock_unpoisoned(&state.checkpoint_seq);
-    let old_epoch = state.epoch.load(Ordering::SeqCst);
-    let new_epoch = old_epoch + 1;
-
-    let mut total_bytes = 0usize;
-    let mut snapshots_written = 0u64;
-    let mut compactions = 0u64;
-    let mut reclaimed_bytes = 0u64;
-    let mut superseded: Vec<(usize, u64)> = Vec::new();
-    for (i, guard) in guards.iter_mut().enumerate() {
-        let seq = state.write_seq[i].load(Ordering::SeqCst);
-        let dirty = seq != checkpoint_seq[i] || (shard_epochs[i] == 0 && !guard.get().is_empty());
-        if !dirty {
-            continue;
-        }
-        // Seal the storage tail first (disk backend): the snapshot then
-        // carries the segment index instead of record payloads. Then
-        // compact: segments deletion has hollowed out are rewritten *before*
-        // the snapshot, so the committed manifest references the compacted
-        // files and the superseded ones become gc-able right after the
-        // commit below.
-        if let ShardGuard::Write(store) = guard {
-            store.flush_storage()?;
-            let report = store.compact_storage()?;
-            compactions += report.segments_compacted;
-            reclaimed_bytes += report.reclaimed_bytes;
-        }
-        let bytes = guard.get().snapshot_bytes(state.snapshot_format)?;
-        total_bytes += bytes.len();
-        write_atomic(&snapshot_path(dir, i, new_epoch), &bytes)?;
-        if shard_epochs[i] != 0 {
-            superseded.push((i, shard_epochs[i]));
-        }
-        shard_epochs[i] = new_epoch;
-        checkpoint_seq[i] = seq;
-        snapshots_written += 1;
-    }
-    // Fresh, empty WALs for the new epoch (truncate any leftovers from a
-    // previously crashed checkpoint attempt at this same epoch).
-    let mut new_wals = Vec::with_capacity(wal_guards.len());
-    for (shard, wal) in wal_guards.iter_mut().enumerate() {
-        // Make the superseded log durable before committing past it.
-        wal.sync()?;
-        let (mut log, _) = Wal::open_with(&wal_path(dir, shard, new_epoch), wal.fsync_policy())?;
-        log.truncate()?;
-        new_wals.push(log);
-    }
-
-    let manifest = Value::Map(vec![
-        ("shards".into(), Value::UInt(num_shards as u64)),
-        ("epoch".into(), Value::UInt(new_epoch)),
-        (
-            "shard_epochs".into(),
-            Value::Seq(shard_epochs.iter().map(|&e| Value::UInt(e)).collect()),
-        ),
-        (
-            "format".into(),
-            Value::Str(
-                match state.snapshot_format {
-                    SnapshotFormat::Json => "json",
-                    SnapshotFormat::Binary => "binary",
-                }
-                .into(),
-            ),
-        ),
-        (
-            "attributes".into(),
-            Value::Seq(
-                state
-                    .attributes
-                    .iter()
-                    .map(|a| Value::Str(a.clone()))
-                    .collect(),
-            ),
-        ),
-    ]);
-    // Commit point: after this rename the new epoch is the only one loaded.
-    write_atomic(&manifest_path(dir), render(manifest).as_bytes())?;
-    state.epoch.store(new_epoch, Ordering::SeqCst);
-
-    let mut truncated = 0u64;
-    for (shard, new_wal) in new_wals.into_iter().enumerate() {
-        let old = std::mem::replace(&mut *wal_guards[shard], new_wal);
-        truncated += old.bytes();
-        drop(old);
-        // relaxed-ok: published size for lock-free /stats; staleness is benign
-        state.wal_bytes[shard].store(0, Ordering::Relaxed);
-        std::fs::remove_file(wal_path(dir, shard, old_epoch)).ok();
-    }
-    for (shard, epoch) in superseded {
-        std::fs::remove_file(snapshot_path(dir, shard, epoch)).ok();
-    }
-
-    // Post-commit housekeeping, still under the shard locks: GC segment
-    // files the committed index no longer references (best-effort — the
-    // checkpoint itself already committed), and republish each shard's
-    // stats so the lock-free `/stats` path reflects the checkpointed state.
-    let mut segments_deleted = 0u64;
-    for (i, guard) in guards.iter_mut().enumerate() {
-        if let ShardGuard::Write(store) = guard {
-            match store.gc_storage() {
-                Ok(deleted) => segments_deleted += deleted,
-                Err(e) => state.telemetry.logger.error(
-                    "segment_gc_failed",
-                    &[
-                        ("shard", Value::UInt(i as u64)),
-                        ("error", Value::Str(e.to_string())),
-                    ],
-                ),
-            }
-        }
-        state.store.publish_stats(i, guard.get());
-    }
-
-    state.telemetry.metrics.checkpoints.inc();
-    state
-        .telemetry
-        .metrics
-        .checkpoint_epoch
-        .set(new_epoch as f64);
-    state.telemetry.logger.info(
-        "checkpoint",
-        &[
-            ("epoch", Value::UInt(new_epoch)),
-            ("snapshots_written", Value::UInt(snapshots_written)),
-            ("wal_bytes_truncated", Value::UInt(truncated)),
-            ("segments_deleted", Value::UInt(segments_deleted)),
-        ],
-    );
-
-    Ok(render(Value::Map(vec![
-        ("checkpointed".into(), Value::Bool(true)),
-        ("shards".into(), Value::UInt(num_shards as u64)),
-        ("epoch".into(), Value::UInt(new_epoch)),
-        ("snapshots_written".into(), Value::UInt(snapshots_written)),
-        ("snapshot_bytes".into(), Value::UInt(total_bytes as u64)),
-        ("wal_bytes_truncated".into(), Value::UInt(truncated)),
-        ("segments_deleted".into(), Value::UInt(segments_deleted)),
-        ("compactions".into(), Value::UInt(compactions)),
-        ("reclaimed_bytes".into(), Value::UInt(reclaimed_bytes)),
-    ])))
-}
-
-// --------------------------------------------------------------------------
-// JSON helpers
-// --------------------------------------------------------------------------
-
-fn parse_body(body: &[u8]) -> Result<Value, String> {
-    serde_json::from_slice(body).map_err(|e| format!("invalid JSON body: {e}"))
-}
-
-fn field<'a>(value: &'a Value, name: &str) -> Option<&'a Value> {
-    value
-        .as_map()?
-        .iter()
-        .find(|(key, _)| key == name)
-        .map(|(_, v)| v)
-}
-
-/// `["text", 4.5, null]` → a positional [`Record`].
-fn record_from_value(value: &Value) -> Result<Record, String> {
-    let items = value.as_seq().ok_or("record must be a JSON array")?;
-    let mut values = Vec::with_capacity(items.len());
-    for item in items {
-        values.push(match item {
-            Value::Str(s) => AttrValue::Text(s.clone()),
-            Value::Int(_) | Value::UInt(_) | Value::Float(_) => {
-                AttrValue::Number(item.as_f64().unwrap_or(f64::NAN))
-            }
-            Value::Null => AttrValue::Null,
-            _ => return Err("attribute values must be strings, numbers or null".into()),
-        });
-    }
-    Ok(Record::new(values))
-}
-
-fn error_body(msg: &str) -> String {
-    render(Value::Map(vec![(
-        "error".into(),
-        Value::Str(msg.to_string()),
-    )]))
-}
-
-fn render(value: Value) -> String {
-    serde_json::to_string(&value).unwrap_or_else(|_| "{}".to_string())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn retry_after_tracks_backlog_over_drain_rate() {
-        // No measurable drain: maximum backoff, not a hardcoded 1.
-        assert_eq!(derive_retry_after(10, 0.0), 30);
-        // 5 queued at 10 records/s drain in 1s.
-        assert_eq!(derive_retry_after(5, 10.0), 1);
-        // 50 queued at 10/s = 5s.
-        assert_eq!(derive_retry_after(50, 10.0), 5);
-        // A deep backlog over a slow shard clamps at 30.
-        assert_eq!(derive_retry_after(10_000, 0.1), 30);
-        // A tiny backlog still asks for at least one second.
-        assert_eq!(derive_retry_after(1, 1_000_000.0), 1);
-    }
-
-    #[test]
-    fn drain_window_measures_recent_rate_not_lifetime() {
-        let mut window = DrainWindow {
-            since: Instant::now() - std::time::Duration::from_secs(2),
-            drained: 0,
-            rate: 0.0,
-        };
-        // 100 records applied over the 2s window: ~50/s.
-        let rate = window.sample(100);
-        assert!((40.0..=60.0).contains(&rate), "rate {rate}");
-        // Within the same (fresh) window the stored estimate answers; the
-        // extra 100 records do not skew it until a window closes.
-        let again = window.sample(200);
-        assert_eq!(again, rate);
-        // A fresh window has no estimate yet.
-        assert_eq!(DrainWindow::new().sample(0), 0.0);
-    }
-
-    #[test]
-    fn readiness_degrades_only_past_enabled_thresholds() {
-        // Disabled thresholds (0) never degrade, whatever the signals say.
-        assert!(degraded_reasons(1_000_000, 0, 1e9, 0).is_empty());
-        // Backlog at the threshold is still ready; one past it degrades.
-        assert!(degraded_reasons(100, 100, 0.0, 0).is_empty());
-        let reasons = degraded_reasons(101, 100, 0.0, 0);
-        assert_eq!(reasons, ["ingest backlog above --ready-max-backlog"]);
-        // Windowed fsync p99 crossing its threshold degrades independently.
-        assert!(degraded_reasons(0, 100, 5.0, 5).is_empty());
-        let reasons = degraded_reasons(0, 100, 5.1, 5);
-        assert_eq!(reasons, ["windowed fsync p99 above --ready-max-fsync-ms"]);
-        // Both at once report both reasons.
-        assert_eq!(degraded_reasons(101, 100, 6.0, 5).len(), 2);
-    }
-
-    #[test]
-    fn record_ids_parse_and_reject_garbage() {
-        let id = parse_record_id("2-0-17").unwrap();
-        assert_eq!(id.shard, 2);
-        assert_eq!(id.entity, EntityId::new(0, 17));
-        assert!(parse_record_id("2-0").is_none());
-        assert!(parse_record_id("2-0-17-9").is_none());
-        assert!(parse_record_id("a-b-c").is_none());
-        assert!(parse_record_id("").is_none());
-    }
-
-    #[test]
-    fn record_from_value_handles_the_three_kinds() {
-        let v = Value::Seq(vec![
-            Value::Str("sony tv".into()),
-            Value::Float(4.5),
-            Value::Null,
-        ]);
-        let record = record_from_value(&v).unwrap();
-        assert_eq!(record.arity(), 3);
-        assert_eq!(record.values()[0].as_text(), Some("sony tv"));
-        assert_eq!(record.values()[1].as_number(), Some(4.5));
-        assert!(record.values()[2].is_empty());
-        assert!(record_from_value(&Value::Str("not an array".into())).is_err());
-        assert!(record_from_value(&Value::Seq(vec![Value::Bool(true)])).is_err());
-    }
+/// `POST /admin/shutdown`: begin the graceful drain. The reactor stops
+/// parsing new requests, finishes in-flight ones (this response included),
+/// then `run` flushes the WALs and returns cleanly. The self-connect
+/// unblocks the acceptor thread.
+pub(crate) fn post_shutdown<E: EmbeddingModel>(call: Call<'_, E>) -> Result<Value, ApiError> {
+    let state = call.state;
+    state.shutdown.store(true, Ordering::SeqCst);
+    let _ = TcpStream::connect(state.addr);
+    Ok(obj([("shutting_down", Value::Bool(true))]))
 }

@@ -24,6 +24,7 @@
 //! counts therefore want to stay modest (4–16) unless write pressure demands
 //! more; `1` recovers the exact single-store behaviour.
 
+use crate::obs::elapsed_ns;
 use crate::sync::{lock_unpoisoned, LockClass, OrderedReadGuard, OrderedRwLock, OrderedWriteGuard};
 use multiem_ann::merge_ranked;
 use multiem_embed::EmbeddingModel;
@@ -32,7 +33,7 @@ use multiem_online::{
 };
 use multiem_table::{EntityId, Record, Schema};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -66,11 +67,6 @@ impl MatchTiming {
     }
 }
 
-/// Nanoseconds since `started`, saturated into a `u64`.
-fn elapsed_ns(started: Instant) -> u64 {
-    started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-}
-
 /// A cluster handle that is unique across the whole sharded store: the shard
 /// index plus the shard-local [`EntityId`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -79,6 +75,49 @@ pub struct GlobalEntityId {
     pub shard: u32,
     /// Shard-local entity id.
     pub entity: EntityId,
+}
+
+impl GlobalEntityId {
+    /// The id named by exactly three components — shard, source, row — each
+    /// of which must fit a `u32`. `None` for a missing, extra, non-numeric
+    /// or out-of-range component: ids arrive from clients, and a narrowing
+    /// cast would silently alias `4294967296` to shard `0`.
+    pub fn from_parts(parts: impl IntoIterator<Item = Option<u64>>) -> Option<Self> {
+        let mut parts = parts.into_iter();
+        let mut next = || u32::try_from(parts.next()??).ok();
+        let (shard, source, row) = (next()?, next()?, next()?);
+        parts.next().is_none().then_some(Self {
+            shard,
+            entity: EntityId::new(source, row),
+        })
+    }
+
+    /// The `shard` / `source` / `row` JSON fields every response names an
+    /// entity by (callers append their own, e.g. `matched` or `distance`).
+    pub fn fields(&self) -> Vec<(String, Value)> {
+        vec![
+            ("shard".into(), Value::UInt(u64::from(self.shard))),
+            ("source".into(), Value::UInt(u64::from(self.entity.source))),
+            ("row".into(), Value::UInt(u64::from(self.entity.row))),
+        ]
+    }
+}
+
+/// Parses the `{shard}-{source}-{row}` spelling [`GlobalEntityId`] displays
+/// as (the `DELETE /records/{id}` path segment).
+impl std::str::FromStr for GlobalEntityId {
+    type Err = ();
+
+    fn from_str(text: &str) -> Result<Self, ()> {
+        Self::from_parts(text.split('-').map(|part| part.parse().ok())).ok_or(())
+    }
+}
+
+impl std::fmt::Display for GlobalEntityId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let EntityId { source, row } = self.entity;
+        write!(f, "{}-{source}-{row}", self.shard)
+    }
 }
 
 /// Aggregated statistics over all shards.
@@ -96,6 +135,61 @@ pub struct ShardedStats {
     pub pruned_outliers: usize,
     /// Per-shard breakdown, indexed by shard.
     pub shards: Vec<StoreStats>,
+}
+
+impl ShardedStats {
+    /// Total the store counters of one [`ShardedEntityStore::shard_stats`]
+    /// pass.
+    pub fn of(shards: &[ShardStats]) -> Self {
+        let shards: Vec<StoreStats> = shards.iter().map(|s| s.store).collect();
+        Self {
+            records: shards.iter().map(|s| s.records).sum(),
+            deleted: shards.iter().map(|s| s.deleted).sum(),
+            clusters: shards.iter().map(|s| s.clusters).sum(),
+            tuples: shards.iter().map(|s| s.tuples).sum(),
+            pruned_outliers: shards.iter().map(|s| s.pruned_outliers).sum(),
+            shards,
+        }
+    }
+}
+
+/// What one shard reports to [`ShardedEntityStore::shard_stats`].
+#[derive(Debug, Clone)]
+pub struct ShardStats {
+    /// Cluster-level counters.
+    pub store: StoreStats,
+    /// Record-storage counters.
+    pub storage: StorageStats,
+    /// Per-segment health of a disk-backed shard. Empty for the memory
+    /// backend, and for a shard a writer held during the pass (segment
+    /// health is diagnostic, not worth waiting on a checkpoint for).
+    pub segments: Vec<SegmentStats>,
+}
+
+impl ShardStats {
+    /// Record-storage counters totalled over a pass (the backend tag is
+    /// the first shard's; every shard shares one configuration).
+    pub fn storage_total(shards: &[ShardStats]) -> StorageStats {
+        let mut shards = shards.iter().map(|s| s.storage);
+        // A sharded store always has at least one shard; the default only
+        // papers over that impossibility without a panic path.
+        let mut sum = shards.next().unwrap_or_default();
+        for stats in shards {
+            sum.records += stats.records;
+            sum.deleted_records += stats.deleted_records;
+            sum.resident_records += stats.resident_records;
+            sum.resident_bytes += stats.resident_bytes;
+            sum.spilled_records += stats.spilled_records;
+            sum.spilled_bytes += stats.spilled_bytes;
+            sum.segments += stats.segments;
+            sum.segments_deleted += stats.segments_deleted;
+            sum.compactions += stats.compactions;
+            sum.reclaimed_bytes += stats.reclaimed_bytes;
+            sum.cache_hits += stats.cache_hits;
+            sum.cache_misses += stats.cache_misses;
+        }
+        sum
+    }
 }
 
 /// One shard: the store behind its `RwLock`, plus the last stats it
@@ -123,19 +217,22 @@ impl<E: EmbeddingModel> Shard<E> {
     /// published copy (never blocks on a writer). The published copy is a
     /// self-consistent value pair, so a poisoned publisher just means we
     /// keep serving the last good copy ([`lock_unpoisoned`]).
-    fn stats_nonblocking(&self) -> (StoreStats, StorageStats) {
-        match self.store.try_read() {
-            Some(store) => {
-                let fresh = (store.stats(), store.storage_stats());
-                *lock_unpoisoned(&self.published) = fresh;
-                fresh
-            }
-            None => *lock_unpoisoned(&self.published),
+    fn stats_nonblocking(&self) -> ShardStats {
+        let ((store, storage), segments) = match self.store.try_read() {
+            Some(guard) => (self.publish(&guard), guard.segment_stats()),
+            None => (*lock_unpoisoned(&self.published), Vec::new()),
+        };
+        ShardStats {
+            store,
+            storage,
+            segments,
         }
     }
 
-    fn publish(&self, store: &EntityStore<E>) {
-        *lock_unpoisoned(&self.published) = (store.stats(), store.storage_stats());
+    fn publish(&self, store: &EntityStore<E>) -> (StoreStats, StorageStats) {
+        let fresh = (store.stats(), store.storage_stats());
+        *lock_unpoisoned(&self.published) = fresh;
+        fresh
     }
 }
 
@@ -398,54 +495,22 @@ impl<E: EmbeddingModel> ShardedEntityStore<E> {
         )
     }
 
-    /// Aggregate statistics. **Never blocks on a shard write lock**: a
-    /// shard a writer currently holds (e.g. a disk-backend checkpoint
-    /// holding every shard) reports its last published stats instead, so
-    /// `/stats` and health checks stay responsive through exclusive
-    /// sections. Quiescent stores always report fresh, exact values.
-    pub fn stats(&self) -> ShardedStats {
-        self.stats_with_storage().0
+    /// Every shard's counters from **one nonblocking pass** — the only
+    /// stats read there is, so a shard is visited and its counters computed
+    /// once however many surfaces render them. **Never blocks on a shard
+    /// write lock**: a shard a writer currently holds (e.g. a disk-backend
+    /// checkpoint holding every shard) reports its last published counters
+    /// instead, so `/stats` and health checks stay responsive through
+    /// exclusive sections. Quiescent stores always report fresh, exact
+    /// values.
+    pub fn shard_stats(&self) -> Vec<ShardStats> {
+        self.shards.iter().map(Shard::stats_nonblocking).collect()
     }
 
-    /// Store and storage statistics from one nonblocking pass over the
-    /// shards (the `/stats` fast path runs on an I/O thread, so each shard
-    /// is visited — and its stats computed — exactly once).
-    pub fn stats_with_storage(&self) -> (ShardedStats, StorageStats) {
-        let per_shard: Vec<(StoreStats, StorageStats)> =
-            self.shards.iter().map(Shard::stats_nonblocking).collect();
-        let mut storage: Option<StorageStats> = None;
-        for (_, stats) in &per_shard {
-            storage = Some(match storage {
-                None => *stats,
-                Some(mut sum) => {
-                    sum.records += stats.records;
-                    sum.deleted_records += stats.deleted_records;
-                    sum.resident_records += stats.resident_records;
-                    sum.resident_bytes += stats.resident_bytes;
-                    sum.spilled_records += stats.spilled_records;
-                    sum.spilled_bytes += stats.spilled_bytes;
-                    sum.segments += stats.segments;
-                    sum.segments_deleted += stats.segments_deleted;
-                    sum.compactions += stats.compactions;
-                    sum.reclaimed_bytes += stats.reclaimed_bytes;
-                    sum.cache_hits += stats.cache_hits;
-                    sum.cache_misses += stats.cache_misses;
-                    sum
-                }
-            });
-        }
-        let shards: Vec<StoreStats> = per_shard.into_iter().map(|(store, _)| store).collect();
-        let sharded = ShardedStats {
-            records: shards.iter().map(|s| s.records).sum(),
-            deleted: shards.iter().map(|s| s.deleted).sum(),
-            clusters: shards.iter().map(|s| s.clusters).sum(),
-            tuples: shards.iter().map(|s| s.tuples).sum(),
-            pruned_outliers: shards.iter().map(|s| s.pruned_outliers).sum(),
-            shards,
-        };
-        // A sharded store always has at least one shard; the default only
-        // papers over that impossibility without a panic path.
-        (sharded, storage.unwrap_or_default())
+    /// The store counters of a [`ShardedEntityStore::shard_stats`] pass,
+    /// totalled.
+    pub fn stats(&self) -> ShardedStats {
+        ShardedStats::of(&self.shard_stats())
     }
 
     /// Run density-based pruning + index maintenance on every shard
@@ -463,31 +528,6 @@ impl<E: EmbeddingModel> ShardedEntityStore<E> {
         format: SnapshotFormat,
     ) -> Result<Vec<u8>, OnlineError> {
         self.read_shard(shard).snapshot_bytes(format)
-    }
-
-    /// Aggregate record-storage counters across every shard. Like
-    /// [`ShardedEntityStore::stats`], never blocks on a write lock (held
-    /// shards report their last published counters).
-    pub fn storage_stats(&self) -> StorageStats {
-        self.stats_with_storage().1
-    }
-
-    /// Per-shard storage counters plus per-segment health, for the
-    /// `/debug/storage` surface. Never blocks on a write lock: a held shard
-    /// reports its last published counters with an empty segment list
-    /// (segment health is diagnostic, not worth waiting on a checkpoint
-    /// for).
-    pub fn shard_storage_details(&self) -> Vec<(StorageStats, Vec<SegmentStats>)> {
-        self.shards
-            .iter()
-            .map(|shard| match shard.store.try_read() {
-                Some(store) => {
-                    shard.publish(&store);
-                    (store.storage_stats(), store.segment_stats())
-                }
-                None => (lock_unpoisoned(&shard.published).1, Vec::new()),
-            })
-            .collect()
     }
 }
 
@@ -565,6 +605,25 @@ mod tests {
             HashedLexicalEncoder::default(),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn record_ids_parse_and_reject_garbage() {
+        let id: GlobalEntityId = "2-0-17".parse().unwrap();
+        assert_eq!(id.shard, 2);
+        assert_eq!(id.entity, EntityId::new(0, 17));
+        assert_eq!(id.to_string(), "2-0-17");
+        assert_eq!(
+            GlobalEntityId::from_parts([Some(2), Some(0), Some(17)]),
+            Some(id)
+        );
+        for garbage in ["2-0", "2-0-17-9", "a-b-c", "", "2--17", "4294967296-0-17"] {
+            assert!(garbage.parse::<GlobalEntityId>().is_err(), "{garbage}");
+        }
+        let max = u64::from(u32::MAX);
+        assert!(GlobalEntityId::from_parts([Some(max); 3]).is_some());
+        assert!(GlobalEntityId::from_parts([Some(0), Some(max + 1), Some(0)]).is_none());
+        assert!(GlobalEntityId::from_parts([Some(0), None, Some(0)]).is_none());
     }
 
     #[test]
@@ -788,7 +847,7 @@ mod tests {
         assert_eq!(on_disk.match_record(&probe), in_mem.match_record(&probe));
 
         // Each shard sealed into its own subdirectory — no name races.
-        let storage = on_disk.storage_stats();
+        let storage = ShardStats::storage_total(&on_disk.shard_stats());
         assert_eq!(storage.backend, "disk");
         assert!(storage.spilled_records > 0);
         let shard_dirs: Vec<_> = std::fs::read_dir(&dir)

@@ -15,6 +15,7 @@
 //! checkpoint (`POST /snapshot`) persists every shard snapshot and swaps in
 //! a fresh log epoch (see the server's `checkpoint`), bounding replay time.
 
+use crate::obs::elapsed_ns;
 use multiem_online::wire::{self, Frame};
 use multiem_table::{EntityId, Record};
 use serde::{Deserialize, Serialize};
@@ -99,11 +100,6 @@ pub struct AppendTiming {
     pub fsync_ns: u64,
     /// Whole append wall time, fsync included.
     pub total_ns: u64,
-}
-
-/// Nanoseconds since `started`, saturated into a `u64`.
-fn elapsed_ns(started: Instant) -> u64 {
-    started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
 /// Outcome of opening a WAL file.
