@@ -52,15 +52,6 @@ impl UnionFind {
         root
     }
 
-    /// Find without mutating (no path compression); useful behind shared refs.
-    pub fn find_immutable(&self, x: usize) -> usize {
-        let mut root = x;
-        while self.parent[root] != root {
-            root = self.parent[root];
-        }
-        root
-    }
-
     /// Merge the sets containing `a` and `b`. Returns `true` if they were
     /// previously disjoint.
     pub fn union(&mut self, a: usize, b: usize) -> bool {
@@ -144,16 +135,6 @@ mod tests {
         assert_eq!(groups, vec![vec![0, 2], vec![1], vec![3, 5], vec![4]]);
         let multi = uf.groups_min_size(2);
         assert_eq!(multi, vec![vec![0, 2], vec![3, 5]]);
-    }
-
-    #[test]
-    fn find_immutable_agrees_with_find() {
-        let mut uf = UnionFind::new(8);
-        uf.union(0, 7);
-        uf.union(7, 3);
-        let root_mut = uf.find(3);
-        let root_imm = uf.find_immutable(0);
-        assert_eq!(root_mut, root_imm);
     }
 
     #[test]

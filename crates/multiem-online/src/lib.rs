@@ -19,13 +19,17 @@
 //! * [`EntityStore::match_record`] answers read-only "which entities does this
 //!   record refer to?" queries without mutating the store;
 //! * density-based pruning (Algorithm 4) re-runs periodically over *dirty*
-//!   clusters only, detaching outliers through
-//!   [`multiem_cluster::DynamicUnionFind`];
+//!   clusters only, splitting outliers off into singletons;
+//! * the partition has one owner, the store's cluster table: member lists,
+//!   centroid sums and index nodes are stated once, and the record → cluster
+//!   look-up every read uses is derived from them;
 //! * [`EntityStore::snapshot_bytes`] / [`EntityStore::restore_bytes`] persist
 //!   and resurrect the full store state (embeddings, ANN index, cluster
 //!   partition) so a service can restart without re-ingesting — either as
 //!   JSON or in the compact [`wire`] binary format, which also provides the
-//!   framing of `multiem-serve`'s write-ahead log;
+//!   framing of `multiem-serve`'s write-ahead log
+//!   ([`EntityStore::snapshot_json`] / [`EntityStore::restore_json`] are the
+//!   string conveniences over the same two entry points);
 //! * record and embedding payloads live behind the pluggable [`storage`]
 //!   layer ([`OnlineConfig::storage`]): fully resident by default, or
 //!   spilled to append-only CRC-framed segment files with a bounded hot

@@ -14,8 +14,8 @@
 //!   and a fixed-size hot cache in memory
 //!   ([`crate::StorageConfig::Disk`]).
 //!
-//! The matching state itself (cluster metadata, centroids, the
-//! representative ANN index, union-find) stays in memory in both cases —
+//! The matching state itself (the cluster table: member lists, centroid
+//! sums, the representative ANN index) stays in memory in both cases —
 //! it is the *per-record* payload (text + `dim` floats) that dominates
 //! long-running deployments and that the disk backend bounds.
 //!
@@ -148,7 +148,8 @@ pub trait RecordStore {
     fn open_source(&mut self, name: &str) -> u32;
 
     /// Append one record with its embedding to `source`, returning the id
-    /// it is retrievable under (row numbers are dense per source).
+    /// it is retrievable under (row numbers are dense per source). On `Err`
+    /// nothing was stored: no row number was spent.
     fn append(&mut self, source: u32, record: &Record, embedding: &[f32]) -> Result<EntityId>;
 
     /// The record stored under `id`, or `None` for unknown or deleted ids.

@@ -567,7 +567,15 @@ impl RecordStore for SegmentRecordStore {
         self.entity_of_seq.push(id);
         self.tail.push((source, record.clone(), embedding.to_vec()));
         if self.tail.len() >= self.config.segment_records {
-            self.seal()?;
+            if let Err(e) = self.seal() {
+                // A failed seal leaves the tail as it was; take the record
+                // back out of it, so `Err` means nothing was stored and the
+                // next append tries the seal again.
+                self.seq_of[source as usize].pop();
+                self.entity_of_seq.pop();
+                self.tail.pop();
+                return Err(e);
+            }
         }
         Ok(id)
     }

@@ -1,0 +1,744 @@
+//! The cluster table: the one owner of the store's partition.
+//!
+//! Every live record belongs to exactly one cluster, and every cluster with
+//! a non-zero embedding has one live node in the representative index. The
+//! table states each of those facts once — a cluster's member list and its
+//! `node` — and derives the reverse maps from them: `cluster_of` (record →
+//! cluster, the look-up behind every read) and `node_root` (index node →
+//! cluster, the liveness map every search filters by), with `stale_nodes`
+//! counting the dead slots of the latter. Only the operations of this file
+//! write any of them, each keeping all of them in step; a snapshot carries
+//! the clusters and the index, and [`ClusterTable::reindex`] derives the
+//! rest on restore.
+//!
+//! A cluster id is one past the largest live id when the cluster is made. An
+//! id can therefore come back after its cluster is gone, which is sound
+//! because [`ClusterTable::take`] leaves no reference to it behind: the node
+//! is tombstoned, and every caller re-homes the members it took. Ids are a
+//! function of the live set alone, so a restored table hands out the ids the
+//! original would have.
+
+use super::StoreStats;
+use crate::config::OnlineConfig;
+use crate::wire::Field;
+use multiem_ann::{AnnIndex, DynamicVectorIndex, VectorIndex};
+use multiem_embed::l2_normalize;
+use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+
+/// One cluster of the partition.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(super) struct Cluster {
+    /// Dense record ids of the members.
+    members: Vec<usize>,
+    /// Running (unnormalised) sum of member embeddings.
+    sum: Vec<f32>,
+    /// Live node in the representative index, if the cluster is indexed.
+    node: Option<usize>,
+    /// Whether the cluster changed since the last pruning pass.
+    dirty: bool,
+}
+
+impl Cluster {
+    /// Dense record ids of the members.
+    pub(super) fn members(&self) -> &[usize] {
+        &self.members
+    }
+
+    /// The representative: the normalised mean of the member embeddings,
+    /// exactly the item embedding the batch merger maintains.
+    pub(super) fn centroid(&self) -> Vec<f32> {
+        let mut c = self.sum.clone();
+        let inv = 1.0 / self.members.len().max(1) as f32;
+        for x in c.iter_mut() {
+            *x *= inv;
+        }
+        l2_normalize(&mut c);
+        c
+    }
+}
+
+fn add_into(sum: &mut [f32], x: &[f32]) {
+    for (a, x) in sum.iter_mut().zip(x) {
+        *a += *x;
+    }
+}
+
+/// The partition of the store's records into clusters, and the index of the
+/// clusters' representatives. See the [module docs](self).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(super) struct ClusterTable {
+    clusters: BTreeMap<usize, Cluster>,
+    /// One node per indexed cluster, plus the tombstones of clusters since
+    /// fused, split or emptied.
+    index: AnnIndex,
+    /// Times the index has been rebuilt.
+    rebuilds: usize,
+    /// Record -> cluster (`None` = deleted). Derived from the member lists.
+    #[serde(skip)]
+    cluster_of: Vec<Option<usize>>,
+    /// Index node -> cluster (`None` = tombstone). Derived from the
+    /// clusters' nodes.
+    #[serde(skip)]
+    node_root: Vec<Option<usize>>,
+    /// Tombstones in `node_root`: what `rebuild_staleness` bounds.
+    #[serde(skip)]
+    stale_nodes: usize,
+}
+
+impl ClusterTable {
+    /// An empty table over an empty representative index.
+    pub(super) fn new(index: AnnIndex) -> Self {
+        Self {
+            clusters: BTreeMap::new(),
+            index,
+            rebuilds: 0,
+            cluster_of: Vec::new(),
+            node_root: Vec::new(),
+            stale_nodes: 0,
+        }
+    }
+
+    /// The entries the derived `Serialize` produces, in its order, so a
+    /// binary snapshot can write them one tree at a time
+    /// ([`crate::wire::write_fields`]).
+    pub(super) fn fields(&self) -> [(&'static str, Field<'_>); 3] {
+        [
+            ("clusters", Field::Value(&self.clusters)),
+            ("index", Field::Value(&self.index)),
+            ("rebuilds", Field::Value(&self.rebuilds)),
+        ]
+    }
+
+    /// Derive `cluster_of`, `node_root` and the tombstone count of a
+    /// deserialized table holding `records` records, refusing clusters that
+    /// could not have come from this file's operations.
+    pub(super) fn reindex(&mut self, records: usize) -> Result<(), String> {
+        let mut cluster_of = vec![None; records];
+        let mut node_root = vec![None; self.index.len()];
+        for (&id, cluster) in &self.clusters {
+            if cluster.members.is_empty() || cluster.sum.len() != self.index.dim() {
+                return Err(format!("cluster {id} is empty or of the wrong width"));
+            }
+            for &record in &cluster.members {
+                match cluster_of.get_mut(record) {
+                    Some(slot @ None) => *slot = Some(id),
+                    Some(Some(_)) => return Err(format!("record {record} is in two clusters")),
+                    None => return Err(format!("cluster {id} names unknown record {record}")),
+                }
+            }
+            if let Some(node) = cluster.node {
+                match node_root.get_mut(node) {
+                    Some(slot @ None) => *slot = Some(id),
+                    _ => return Err(format!("cluster {id} has no index node of its own")),
+                }
+            }
+        }
+        self.stale_nodes = node_root.iter().filter(|root| root.is_none()).count();
+        self.cluster_of = cluster_of;
+        self.node_root = node_root;
+        Ok(())
+    }
+
+    // --- reads --------------------------------------------------------------
+
+    /// Every cluster with its id, in id order.
+    pub(super) fn iter(&self) -> impl Iterator<Item = (usize, &Cluster)> {
+        self.clusters.iter().map(|(&id, cluster)| (id, cluster))
+    }
+
+    /// The cluster holding `record`, unless the record was deleted.
+    pub(super) fn cluster_of(&self, record: usize) -> Option<usize> {
+        self.cluster_of.get(record).copied().flatten()
+    }
+
+    /// Members of a cluster this table named.
+    pub(super) fn members(&self, id: usize) -> &[usize] {
+        &self.clusters[&id].members
+    }
+
+    /// Ids of the multi-member clusters that changed since they were last
+    /// pruned.
+    pub(super) fn dirty(&self) -> Vec<usize> {
+        self.iter()
+            .filter(|(_, c)| c.dirty && c.members.len() >= 2)
+            .map(|(id, _)| id)
+            .collect()
+    }
+
+    /// The cluster and index counters of [`StoreStats`]; the record counters
+    /// are the store's to fill in.
+    pub(super) fn stats(&self) -> StoreStats {
+        StoreStats {
+            clusters: self.clusters.len(),
+            tuples: self.iter().filter(|(_, c)| c.members.len() >= 2).count(),
+            index_nodes: self.node_root.len(),
+            stale_nodes: self.stale_nodes,
+            rebuilds: self.rebuilds,
+            ..StoreStats::default()
+        }
+    }
+
+    /// Approximate heap footprint of the representative index.
+    pub(super) fn index_bytes(&self) -> usize {
+        self.index.approx_bytes()
+    }
+
+    /// Search the representative index for every query at once, returning
+    /// per query up to `k` *live* clusters as `(cluster, distance)`, closest
+    /// first; the node `exclude`, if any, is passed over like a tombstone.
+    ///
+    /// Tombstones still occupy index slots, but the index is told which
+    /// nodes are live (`node_root` is the only record of that) and never
+    /// returns a dead one, so the look-up asks for exactly `k`: the
+    /// brute-force scan does not score a tombstone, and the HNSW traversal
+    /// only passes through it.
+    pub(super) fn search_live(
+        &self,
+        queries: &[&[f32]],
+        k: usize,
+        exclude: Option<usize>,
+    ) -> Vec<Vec<(usize, f32)>> {
+        let node_root = &self.node_root;
+        let live = |node: usize| node_root[node].is_some() && Some(node) != exclude;
+        self.index
+            .search_batch_filtered(queries, k, &live)
+            .into_iter()
+            .map(|hits| {
+                hits.into_iter()
+                    .filter_map(|n| node_root[n.index].map(|id| (id, n.distance)))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Would a record at `dist` from the representative of `candidate` be
+    /// within the candidate's top-K? True when fewer than `k` other live
+    /// representatives are closer to the candidate than the record is — the
+    /// reverse direction of Eq. 1.
+    pub(super) fn mutual(&self, candidate: usize, dist: f32, k: usize) -> bool {
+        let cluster = &self.clusters[&candidate];
+        let Some(own_node) = cluster.node else {
+            return false;
+        };
+        let closer = self
+            .search_live(&[&cluster.centroid()], k, Some(own_node))
+            .into_iter()
+            .flatten()
+            .filter(|&(_, d)| d < dist)
+            .count();
+        closer < k
+    }
+
+    // --- writes -------------------------------------------------------------
+
+    /// The one place a cluster is made: `members` move in, and the
+    /// representative is indexed when the embedding is non-zero (a zero
+    /// embedding — empty serialized text — never matches anything, like the
+    /// batch merger skips it).
+    fn register(&mut self, members: Vec<usize>, sum: Vec<f32>, dirty: bool) {
+        let id = self.clusters.keys().next_back().map_or(0, |&id| id + 1);
+        for &record in &members {
+            if record >= self.cluster_of.len() {
+                self.cluster_of.resize(record + 1, None);
+            }
+            self.cluster_of[record] = Some(id);
+        }
+        let mut cluster = Cluster {
+            members,
+            sum,
+            node: None,
+            dirty,
+        };
+        if cluster.sum.iter().any(|&x| x != 0.0) {
+            let node = self.index.insert(&cluster.centroid());
+            debug_assert_eq!(node, self.node_root.len());
+            self.node_root.push(Some(id));
+            cluster.node = Some(node);
+        }
+        self.clusters.insert(id, cluster);
+    }
+
+    /// Remove a cluster this table named, tombstoning its node. The caller
+    /// re-homes the members.
+    fn take(&mut self, id: usize) -> Cluster {
+        let cluster = self
+            .clusters
+            .remove(&id)
+            .expect("cluster ids come from this table");
+        if let Some(node) = cluster.node {
+            self.node_root[node] = None;
+            self.stale_nodes += 1;
+        }
+        cluster
+    }
+
+    /// Add a clean cluster of `members` whose stored embeddings are
+    /// `points`, in the same order.
+    pub(super) fn add<'a>(
+        &mut self,
+        members: Vec<usize>,
+        points: impl IntoIterator<Item = &'a [f32]>,
+    ) {
+        let mut sum = vec![0.0f32; self.index.dim()];
+        for point in points {
+            add_into(&mut sum, point);
+        }
+        self.register(members, sum, false);
+    }
+
+    /// Fuse the new `record` with every cluster it matched (transitively:
+    /// they all become one cluster, due for pruning); with no match it
+    /// starts a clean singleton.
+    pub(super) fn fuse(&mut self, record: usize, embedding: &[f32], matched: &[usize]) {
+        let mut members = vec![record];
+        let mut sum = embedding.to_vec();
+        for &id in matched {
+            let old = self.take(id);
+            members.extend_from_slice(&old.members);
+            add_into(&mut sum, &old.sum);
+        }
+        self.register(members, sum, !matched.is_empty());
+    }
+
+    /// Split the members at the (ascending) positions `outliers` off a
+    /// cluster into singletons of their own; `points[i]` is the stored
+    /// embedding of member `i`. The rest stay together, their sum taken
+    /// afresh from `points`, and every cluster involved is clean.
+    pub(super) fn split(&mut self, id: usize, outliers: &[usize], points: &[Vec<f32>]) {
+        if outliers.is_empty() {
+            if let Some(cluster) = self.clusters.get_mut(&id) {
+                cluster.dirty = false;
+            }
+            return;
+        }
+        let old = self.take(id);
+        let mut kept = Vec::with_capacity(old.members.len() - outliers.len());
+        for (i, &record) in old.members.iter().enumerate() {
+            if outliers.binary_search(&i).is_ok() {
+                self.add(vec![record], [points[i].as_slice()]);
+            } else {
+                kept.push(i);
+            }
+        }
+        if !kept.is_empty() {
+            let members = kept.iter().map(|&i| old.members[i]).collect();
+            self.add(members, kept.iter().map(|&i| points[i].as_slice()));
+        }
+    }
+
+    /// Take the deleted `record` (stored embedding `embedding`) out of its
+    /// cluster. The survivors keep matching under a representative
+    /// recomputed without it; a cluster left empty is gone.
+    pub(super) fn remove_member(&mut self, record: usize, embedding: &[f32]) {
+        let Some(id) = self.cluster_of.get_mut(record).and_then(Option::take) else {
+            return;
+        };
+        let mut old = self.take(id);
+        old.members.retain(|&r| r != record);
+        if !old.members.is_empty() {
+            for (a, x) in old.sum.iter_mut().zip(embedding) {
+                *a -= *x;
+            }
+            self.register(old.members, old.sum, old.dirty);
+        }
+    }
+
+    /// Rebuild the representative index from the live clusters when
+    /// tombstones exceed `rebuild_staleness` of it, or when the live
+    /// clusters have outgrown the brute-force backend
+    /// ([`multiem_core::MultiEmConfig::wants_hnsw`]) — the backend policy the
+    /// batch merger applies per table.
+    pub(super) fn maybe_rebuild(&mut self, config: &OnlineConfig) {
+        let total = self.node_root.len();
+        if total == 0 {
+            return;
+        }
+        let live = total - self.stale_nodes;
+        let staleness = self.stale_nodes as f64 / total as f64;
+        let needs_upgrade = !self.index.is_hnsw() && config.base.wants_hnsw(live);
+        if staleness <= config.rebuild_staleness && !needs_upgrade {
+            return;
+        }
+        let mut index = config.base.index_for(live, self.index.dim());
+        let mut node_root = Vec::with_capacity(live);
+        for (&id, cluster) in self.clusters.iter_mut() {
+            if cluster.node.is_some() {
+                let node = index.insert(&cluster.centroid());
+                debug_assert_eq!(node, node_root.len());
+                node_root.push(Some(id));
+                cluster.node = Some(node);
+            }
+        }
+        self.index = index;
+        self.node_root = node_root;
+        self.stale_nodes = 0;
+        self.rebuilds += 1;
+    }
+}
+
+#[cfg(test)]
+impl Cluster {
+    /// Running (unnormalised) sum of member embeddings.
+    pub(super) fn sum(&self) -> &[f32] {
+        &self.sum
+    }
+
+    /// Whether the cluster has a node in the representative index.
+    pub(super) fn is_indexed(&self) -> bool {
+        self.node.is_some()
+    }
+}
+
+#[cfg(test)]
+impl ClusterTable {
+    /// Whether the representative index is an HNSW graph.
+    pub(super) fn is_hnsw(&self) -> bool {
+        self.index.is_hnsw()
+    }
+
+    /// Assert the table's invariants over a store of `records` records: the
+    /// derived maps are exactly what [`ClusterTable::reindex`] derives from
+    /// the clusters — each live record in one member list and `cluster_of`
+    /// naming it, each indexed cluster's node mapping back to it, the
+    /// tombstone count equal to the dead `node_root` slots — and the index
+    /// holds one vector per `node_root` slot.
+    pub(super) fn check(&self, records: usize) {
+        let mut derived = self.clone();
+        derived
+            .reindex(records)
+            .expect("a table the operations built");
+        assert_eq!(self.cluster_of, derived.cluster_of);
+        assert_eq!(self.node_root, derived.node_root);
+        assert_eq!(self.stale_nodes, derived.stale_nodes);
+        assert_eq!(self.index.len(), self.node_root.len());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use multiem_core::MultiEmConfig;
+
+    /// Unit vector at `degrees` in the plane.
+    fn at(degrees: f32) -> Vec<f32> {
+        let r = degrees.to_radians();
+        vec![r.cos(), r.sin()]
+    }
+
+    fn config() -> OnlineConfig {
+        OnlineConfig::new(MultiEmConfig::default())
+    }
+
+    fn table() -> ClusterTable {
+        ClusterTable::new(config().base.index_for(0, 2))
+    }
+
+    /// Singletons `0..n`, record `i` at `10 * i` degrees.
+    fn singletons(n: usize) -> ClusterTable {
+        let mut t = table();
+        for record in 0..n {
+            t.fuse(record, &at(10.0 * record as f32), &[]);
+        }
+        t
+    }
+
+    /// Member lists, each ascending, ordered by smallest member.
+    fn groups(t: &ClusterTable) -> Vec<Vec<usize>> {
+        let mut out: Vec<Vec<usize>> = t
+            .iter()
+            .map(|(_, c)| {
+                let mut members = c.members().to_vec();
+                members.sort_unstable();
+                members
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    fn together(t: &ClusterTable, a: usize, b: usize) -> bool {
+        t.cluster_of(a).is_some() && t.cluster_of(a) == t.cluster_of(b)
+    }
+
+    #[test]
+    fn empty_table() {
+        let mut t = table();
+        t.check(0);
+        assert!(groups(&t).is_empty() && t.dirty().is_empty());
+        assert_eq!(t.stats(), StoreStats::default());
+        assert_eq!(t.cluster_of(0), None);
+        assert_eq!(t.search_live(&[&at(0.0)], 3, None), [vec![]]);
+        t.maybe_rebuild(&config());
+        assert_eq!(t.stats().rebuilds, 0);
+    }
+
+    #[test]
+    fn records_arrive_as_singletons_and_fuse_transitively() {
+        let mut t = singletons(3);
+        t.check(3);
+        assert_eq!(groups(&t), [vec![0], vec![1], vec![2]]);
+        assert!(!together(&t, 0, 1));
+
+        // Record 3 matched the clusters of 0 and 2: all three are one.
+        let matched = [t.cluster_of(0).unwrap(), t.cluster_of(2).unwrap()];
+        t.fuse(3, &at(5.0), &matched);
+        t.check(4);
+        assert_eq!(groups(&t), [vec![0, 2, 3], vec![1]]);
+        assert!(together(&t, 0, 3) && together(&t, 2, 3) && !together(&t, 1, 3));
+        assert_eq!(t.dirty(), [t.cluster_of(3).unwrap()], "only the fused one");
+        let stats = t.stats();
+        assert_eq!((stats.clusters, stats.tuples), (2, 1));
+        assert_eq!((stats.index_nodes, stats.stale_nodes), (4, 2));
+
+        // The table keeps growing after fuses, and a fused cluster fuses on.
+        t.fuse(4, &at(40.0), &[]);
+        assert!(!together(&t, 4, 0));
+        t.fuse(
+            5,
+            &at(7.0),
+            &[t.cluster_of(0).unwrap(), t.cluster_of(4).unwrap()],
+        );
+        t.check(6);
+        assert_eq!(groups(&t), [vec![0, 2, 3, 4, 5], vec![1]]);
+    }
+
+    #[test]
+    fn sum_and_representative_follow_the_members() {
+        let mut t = singletons(2);
+        t.fuse(2, &at(40.0), &[t.cluster_of(0).unwrap()]);
+        let (_, fused) = t.iter().find(|(_, c)| c.members().len() == 2).unwrap();
+        assert_eq!(fused.sum(), [at(40.0)[0] + 1.0, at(40.0)[1]]);
+        // The representative is the unit vector half-way between the two.
+        let c = fused.centroid();
+        assert!((c[0] - at(20.0)[0]).abs() < 1e-6 && (c[1] - at(20.0)[1]).abs() < 1e-6);
+        // It is what the index answers with, and the superseded singleton
+        // of record 0 is passed over.
+        let hits = &t.search_live(&[&at(20.0)], 3, None)[0];
+        assert_eq!(hits.len(), 2);
+        assert_eq!(hits[0].0, t.cluster_of(2).unwrap());
+        assert!(hits[0].1 < 1e-6);
+        assert_eq!(hits[1].0, t.cluster_of(1).unwrap());
+    }
+
+    #[test]
+    fn split_keeps_the_rest_together_when_the_first_member_goes() {
+        let mut t = singletons(1);
+        t.fuse(1, &at(10.0), &[t.cluster_of(0).unwrap()]);
+        t.fuse(2, &at(20.0), &[t.cluster_of(0).unwrap()]);
+        t.fuse(3, &at(90.0), &[]);
+        let id = t.cluster_of(0).unwrap();
+        // Members are in fuse order, newest first: [2, 1, 0].
+        assert_eq!(t.members(id), [2, 1, 0]);
+        let points = [at(20.0), at(10.0), at(0.0)];
+
+        // Nothing to split: the cluster is only marked clean.
+        t.split(id, &[], &points);
+        assert!(t.dirty().is_empty());
+        assert_eq!(t.cluster_of(0), Some(id));
+
+        t.split(id, &[0], &points);
+        t.check(4);
+        assert_eq!(groups(&t), [vec![0, 1], vec![2], vec![3]]);
+        assert!(together(&t, 0, 1) && !together(&t, 2, 1));
+        assert!(t.dirty().is_empty());
+        let (_, rest) = t.iter().find(|(_, c)| c.members().len() == 2).unwrap();
+        assert_eq!(
+            rest.sum(),
+            [at(10.0)[0] + at(0.0)[0], at(10.0)[1] + at(0.0)[1]]
+        );
+
+        // A record split off can join clusters again.
+        t.fuse(
+            4,
+            &at(25.0),
+            &[t.cluster_of(2).unwrap(), t.cluster_of(3).unwrap()],
+        );
+        t.check(5);
+        assert_eq!(groups(&t), [vec![0, 1], vec![2, 3, 4]]);
+
+        // Splitting every member off leaves singletons only.
+        let id = t.cluster_of(0).unwrap();
+        let points = [at(10.0), at(0.0)];
+        assert_eq!(t.members(id), [1, 0]);
+        t.split(id, &[0, 1], &points);
+        t.check(5);
+        assert_eq!(groups(&t), [vec![0], vec![1], vec![2, 3, 4]]);
+    }
+
+    #[test]
+    fn remove_member_leaves_the_survivors_one_cluster() {
+        let mut t = singletons(2);
+        t.fuse(
+            2,
+            &at(20.0),
+            &[t.cluster_of(0).unwrap(), t.cluster_of(1).unwrap()],
+        );
+        assert_eq!(t.members(t.cluster_of(2).unwrap()), [2, 0, 1]);
+        // The first member goes; the other two stay one (still dirty) cluster
+        // whose sum no longer counts it.
+        t.remove_member(2, &at(20.0));
+        t.check(3);
+        assert_eq!(t.cluster_of(2), None);
+        assert_eq!(groups(&t), [vec![0, 1]]);
+        assert_eq!(t.dirty().len(), 1);
+        let (_, rest) = t.iter().next().unwrap();
+        for (got, want) in rest
+            .sum()
+            .iter()
+            .zip([at(0.0)[0] + at(10.0)[0], at(10.0)[1]])
+        {
+            assert!((got - want).abs() < 1e-6);
+        }
+        // Removing it again changes nothing; removing the last member of a
+        // cluster removes the cluster.
+        let before = t.stats();
+        t.remove_member(2, &at(20.0));
+        t.remove_member(7, &at(0.0));
+        assert_eq!(t.stats(), before);
+        t.remove_member(0, &at(0.0));
+        t.remove_member(1, &at(10.0));
+        t.check(3);
+        assert!(groups(&t).is_empty());
+        assert_eq!(t.stats().stale_nodes, t.stats().index_nodes);
+        assert_eq!(t.search_live(&[&at(0.0)], 3, None), [vec![]]);
+    }
+
+    #[test]
+    fn zero_embeddings_stay_out_of_the_index() {
+        let mut t = singletons(1);
+        t.fuse(1, &[0.0, 0.0], &[]);
+        t.check(2);
+        assert_eq!(t.stats().clusters, 2);
+        assert_eq!(t.stats().index_nodes, 1);
+        let blank = t.cluster_of(1).unwrap();
+        assert!(
+            !t.mutual(blank, 0.0, 3),
+            "an unindexed cluster accepts nothing"
+        );
+        assert_eq!(t.search_live(&[&at(0.0)], 3, None)[0].len(), 1);
+    }
+
+    #[test]
+    fn mutual_counts_closer_live_representatives() {
+        // 0 and 1 are 10 degrees apart, 2 is far away.
+        let mut t = table();
+        for (record, degrees) in [0.0, 10.0, 120.0].into_iter().enumerate() {
+            t.fuse(record, &at(degrees), &[]);
+        }
+        let zero = t.cluster_of(0).unwrap();
+        let d10 = t.search_live(&[&at(0.0)], 2, None)[0][1].1;
+        // With k = 1, a record farther from 0 than 1 is loses to it...
+        assert!(!t.mutual(zero, d10 * 1.5, 1));
+        assert!(t.mutual(zero, d10 * 0.5, 1));
+        // ...unless 1 is gone: tombstones do not count.
+        t.remove_member(1, &at(10.0));
+        assert!(t.mutual(zero, d10 * 1.5, 1));
+    }
+
+    #[test]
+    fn rebuild_drops_tombstones_and_upgrades_the_backend() {
+        let mut config = config();
+        config.rebuild_staleness = 0.4;
+        let mut t = singletons(4);
+        t.fuse(
+            4,
+            &at(5.0),
+            &[t.cluster_of(0).unwrap(), t.cluster_of(1).unwrap()],
+        );
+        // 2 of 5 nodes are tombstones: at the bound, not over it.
+        t.maybe_rebuild(&config);
+        assert_eq!((t.stats().rebuilds, t.stats().stale_nodes), (0, 2));
+        t.remove_member(3, &at(30.0));
+        t.maybe_rebuild(&config);
+        t.check(5);
+        let stats = t.stats();
+        assert_eq!(
+            (stats.rebuilds, stats.stale_nodes, stats.index_nodes),
+            (1, 0, 2)
+        );
+        let hits = &t.search_live(&[&at(20.0)], 3, None)[0];
+        assert_eq!(hits[0].0, t.cluster_of(2).unwrap());
+        assert_eq!(hits[1].0, t.cluster_of(4).unwrap());
+
+        // Outgrowing the brute-force backend rebuilds onto HNSW, tombstones
+        // or not.
+        config.base.hnsw_threshold = 2;
+        assert!(!t.is_hnsw());
+        t.maybe_rebuild(&config);
+        t.check(5);
+        assert!(t.is_hnsw());
+        assert_eq!(t.stats().rebuilds, 2);
+        assert_eq!(
+            t.search_live(&[&at(20.0)], 3, None)[0][0].0,
+            t.cluster_of(2).unwrap()
+        );
+    }
+
+    #[test]
+    fn a_freed_id_can_come_back_without_a_trace_of_its_old_cluster() {
+        let mut t = singletons(3);
+        let last = t.cluster_of(2).unwrap();
+        t.remove_member(2, &at(20.0));
+        t.fuse(3, &at(30.0), &[]);
+        assert_eq!(t.cluster_of(3), Some(last), "one past the largest live id");
+        t.check(4);
+        assert_eq!(t.cluster_of(2), None);
+        assert_eq!(t.members(last), [3]);
+        let hits = &t.search_live(&[&at(20.0)], 1, None)[0];
+        assert_eq!(
+            hits[0].0,
+            t.cluster_of(1).unwrap(),
+            "record 2's node is dead"
+        );
+    }
+
+    #[test]
+    fn reindex_derives_the_maps_and_refuses_impossible_tables() {
+        let mut t = singletons(3);
+        t.fuse(3, &at(5.0), &[t.cluster_of(0).unwrap()]);
+        let restored = {
+            let mut r = ClusterTable::from_value(&t.to_value()).unwrap();
+            assert!(r.cluster_of.is_empty() && r.node_root.is_empty());
+            r.reindex(4).unwrap();
+            r
+        };
+        assert_eq!(restored.cluster_of, t.cluster_of);
+        assert_eq!(restored.node_root, t.node_root);
+        assert_eq!(restored.stats(), t.stats());
+
+        let broken = |edit: &dyn Fn(&mut ClusterTable)| {
+            let mut r = ClusterTable::from_value(&t.to_value()).unwrap();
+            edit(&mut r);
+            r.reindex(4)
+        };
+        let first = |r: &mut ClusterTable| *r.clusters.keys().next().unwrap();
+        assert!(t.clone().reindex(3).is_err(), "a member past the records");
+        assert!(broken(&|r| {
+            let id = first(r);
+            r.clusters.get_mut(&id).unwrap().members.push(3);
+        })
+        .is_err());
+        assert!(broken(&|r| {
+            let id = first(r);
+            r.clusters.get_mut(&id).unwrap().members.clear();
+        })
+        .is_err());
+        assert!(broken(&|r| {
+            let id = first(r);
+            r.clusters.get_mut(&id).unwrap().sum.push(0.0);
+        })
+        .is_err());
+        assert!(broken(&|r| {
+            let id = first(r);
+            r.clusters.get_mut(&id).unwrap().node = Some(99);
+        })
+        .is_err());
+        assert!(broken(&|r| {
+            let node = r.clusters.values().last().unwrap().node;
+            let id = first(r);
+            r.clusters.get_mut(&id).unwrap().node = node;
+        })
+        .is_err());
+    }
+}

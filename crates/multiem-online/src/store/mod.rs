@@ -13,9 +13,15 @@
 //! 2. a candidate cluster accepts the record only if the record would also be
 //!    in the *cluster's* top-K — i.e. fewer than K other live representatives
 //!    are closer to the candidate than the new record (the mutual check);
-//! 3. accepted matches are fused transitively through
-//!    [`DynamicUnionFind`], the merged cluster gets a fresh representative,
-//!    and the superseded representatives are tombstoned.
+//! 3. the record and every cluster that accepted it become one cluster
+//!    (matches are transitive) under a fresh representative, and the
+//!    superseded representatives are tombstoned.
+//!
+//! The partition lives in one place, the cluster table (`clusters.rs`):
+//! member lists, running sums, the representative index and its liveness
+//! map, and the record → cluster look-up derived from them. This file never
+//! touches those; it asks the table to add, fuse, split or remove, and the
+//! table keeps them in step.
 //!
 //! Tombstones accumulate as clusters merge; once their fraction exceeds
 //! `rebuild_staleness`, the representative index is rebuilt from live
@@ -25,16 +31,17 @@
 //! Every search of the representative index — an insert's candidates, the
 //! mutual check's reverse look-up, a batch of `/match` queries — goes through
 //! one helper that asks the index for the `k` nearest *live* nodes
-//! ([`VectorIndex::search_batch_filtered`] with `node_root` as the
-//! predicate); a single query is a batch of one. A tombstone therefore costs
-//! a look-up nothing on the brute-force backend (the row is skipped unscored)
-//! and only the graph steps that pass through it on HNSW; the tombstone
-//! count decides when to rebuild, not how much to fetch.
+//! ([`multiem_ann::VectorIndex::search_batch_filtered`] with the table's
+//! liveness map as the predicate); a single query is a batch of one. A
+//! tombstone therefore costs a look-up nothing on the brute-force backend
+//! (the row is skipped unscored) and only the graph steps that pass through
+//! it on HNSW; the tombstone count decides when to rebuild, not how much to
+//! fetch.
 //!
 //! Density-based pruning (Algorithm 4) runs over clusters that changed since
 //! the last pass ("dirty" clusters) every `prune_interval` accepted records:
-//! outliers are detached back into singleton clusters, mirroring what the
-//! batch pipeline does once at the end.
+//! outliers are split off into singleton clusters, mirroring what the batch
+//! pipeline does once at the end.
 //!
 //! Record and embedding payloads are owned by a pluggable
 //! [`RecordStore`](crate::storage::RecordStore) ([`OnlineConfig::storage`]):
@@ -42,21 +49,21 @@
 //! bounded hot cache ([`crate::storage::SegmentRecordStore`]) so resident
 //! memory stops growing linearly with ingest.
 
+mod clusters;
+mod snapshot;
+
 use crate::config::{OnlineConfig, SelectionStrategy};
 use crate::error::OnlineError;
 use crate::storage::{CompactionReport, RecordStorage, RecordStore, SegmentStats, StorageStats};
-use crate::wire::{self, SnapshotFormat};
 use crate::Result;
-use multiem_ann::{AnnIndex, DynamicVectorIndex, VectorIndex};
-use multiem_cluster::DynamicUnionFind;
+use clusters::ClusterTable;
 use multiem_core::representation::{select_attributes, AttributeSelection, EmbeddingStore};
-use multiem_core::{hierarchical_merge, prune_item, prune_points, MergedTable};
-use multiem_embed::{l2_normalize, EmbeddingModel};
+use multiem_core::{hierarchical_merge, prune_merged_table, prune_points, MergedTable};
+use multiem_embed::EmbeddingModel;
 use multiem_table::{
     serialize_record_projected, AttrId, Dataset, EntityId, MatchTuple, Record, Schema, Table,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Outcome of ingesting one batch (or one record).
@@ -96,95 +103,39 @@ pub struct StoreStats {
     pub pruned_outliers: usize,
 }
 
-/// Metadata of one cluster, keyed by its [`DynamicUnionFind`] root.
+/// The schema the store serves and the attribute projection resolved against
+/// it. One value, adopted whole by [`EntityStore::adopt_schema`]: a store
+/// has both or neither.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct ClusterMeta {
-    /// Dense record ids of the members.
-    members: Vec<usize>,
-    /// Running (unnormalised) sum of member embeddings.
-    sum: Vec<f32>,
-    /// Live node in the representative index, if the cluster is indexed.
-    node: Option<usize>,
-    /// Whether the cluster changed since the last pruning pass.
-    dirty: bool,
-}
-
-impl ClusterMeta {
-    fn centroid(&self) -> Vec<f32> {
-        let mut c = self.sum.clone();
-        let inv = 1.0 / self.members.len().max(1) as f32;
-        for x in c.iter_mut() {
-            *x *= inv;
-        }
-        l2_normalize(&mut c);
-        c
-    }
-
-    fn is_embedded(&self) -> bool {
-        self.sum.iter().any(|&x| x != 0.0)
-    }
+struct AdoptedSchema {
+    schema: Arc<Schema>,
+    /// Attribute projection in effect (resolved from the selection strategy).
+    selected: Vec<AttrId>,
+    /// Full Algorithm 1 outcome when the strategy ran it.
+    selection: Option<AttributeSelection>,
 }
 
 /// The serializable state of an [`EntityStore`] (everything but the encoder).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct StoreState {
     config: OnlineConfig,
-    schema: Option<Arc<Schema>>,
+    schema: Option<AdoptedSchema>,
     /// Record + embedding payloads (pluggable backend; see
     /// [`crate::storage`]).
     records: RecordStorage,
     /// Source currently accepting single-record inserts, if any.
     stream_source: Option<u32>,
-    /// Attribute projection in effect (resolved from the selection strategy).
-    selected: Option<Vec<AttrId>>,
-    /// Full Algorithm 1 outcome when the strategy ran it.
-    selection: Option<AttributeSelection>,
     /// Dense id of the first record of each source.
     dense_base: Vec<usize>,
     /// Dense id -> entity id.
     entity_of_dense: Vec<EntityId>,
-    uf: DynamicUnionFind,
-    clusters: BTreeMap<usize, ClusterMeta>,
-    index: AnnIndex,
-    /// Index node -> cluster root (`None` = tombstone).
-    node_root: Vec<Option<usize>>,
-    stale_nodes: usize,
+    /// The partition of the dense ids and the representative index.
+    clusters: ClusterTable,
     accepted_since_prune: usize,
-    rebuilds: usize,
     pruned_outliers: usize,
     /// Records removed by [`EntityStore::delete_record`] (their dense slots
-    /// stay allocated as detached orphans; payloads are freed by storage).
+    /// stay allocated; payloads are freed by storage).
     deleted_records: usize,
-}
-
-impl StoreState {
-    /// The entries of the map the derived `Serialize` produces, in its
-    /// order, so a binary snapshot can be written field by field
-    /// ([`wire::write_fields`]): the value tree of the index and that of the
-    /// cluster sums are each tens of megabytes on a store of a few thousand
-    /// records, and a checkpoint's peak memory is whichever trees are alive
-    /// together.
-    fn fields(&self) -> [(&'static str, &dyn Serialize); 17] {
-        [
-            ("config", &self.config),
-            ("schema", &self.schema),
-            ("records", &self.records),
-            ("stream_source", &self.stream_source),
-            ("selected", &self.selected),
-            ("selection", &self.selection),
-            ("dense_base", &self.dense_base),
-            ("entity_of_dense", &self.entity_of_dense),
-            ("uf", &self.uf),
-            ("clusters", &self.clusters),
-            ("index", &self.index),
-            ("node_root", &self.node_root),
-            ("stale_nodes", &self.stale_nodes),
-            ("accepted_since_prune", &self.accepted_since_prune),
-            ("rebuilds", &self.rebuilds),
-            ("pruned_outliers", &self.pruned_outliers),
-            ("deleted_records", &self.deleted_records),
-        ]
-    }
 }
 
 /// A long-lived, incrementally updatable multi-table matching engine.
@@ -214,7 +165,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
         config.validate().map_err(OnlineError::InvalidConfig)?;
         let dim = encoder.dim();
         let records = RecordStorage::new(&config.storage, dim)?;
-        let index = config.base.index_for(0, dim);
+        let clusters = ClusterTable::new(config.base.index_for(0, dim));
         Ok(Self {
             encoder,
             state: StoreState {
@@ -222,17 +173,10 @@ impl<E: EmbeddingModel> EntityStore<E> {
                 schema: None,
                 records,
                 stream_source: None,
-                selected: None,
-                selection: None,
                 dense_base: Vec::new(),
                 entity_of_dense: Vec::new(),
-                uf: DynamicUnionFind::new(),
-                clusters: BTreeMap::new(),
-                index,
-                node_root: Vec::new(),
-                stale_nodes: 0,
+                clusters,
                 accepted_since_prune: 0,
-                rebuilds: 0,
                 pruned_outliers: 0,
                 deleted_records: 0,
             },
@@ -251,12 +195,12 @@ impl<E: EmbeddingModel> EntityStore<E> {
 
     /// The attribute projection in effect, once resolved from the first data.
     pub fn selected_attributes(&self) -> Option<&[AttrId]> {
-        self.state.selected.as_deref()
+        Some(&self.state.schema.as_ref()?.selected)
     }
 
     /// The Algorithm 1 outcome, when the selection strategy ran it.
     pub fn attribute_selection(&self) -> Option<&AttributeSelection> {
-        self.state.selection.as_ref()
+        self.state.schema.as_ref()?.selection.as_ref()
     }
 
     /// Number of *live* records (ingested minus deleted).
@@ -351,30 +295,10 @@ impl<E: EmbeddingModel> EntityStore<E> {
         let Some(embedding) = self.state.records.embedding(id) else {
             return Ok(false);
         };
-
-        let root = self.state.uf.find(dense);
-        let mut meta = self
-            .state
-            .clusters
-            .remove(&root)
-            .expect("every live record belongs to a cluster");
-        meta.members.retain(|&d| d != dense);
-        self.state.uf.detach(dense);
-        self.tombstone(meta.node);
-        meta.node = None;
-        if !meta.members.is_empty() {
-            // The cluster survives without the deleted member: rebuild its
-            // centroid sum and re-index the representative.
-            for (a, x) in meta.sum.iter_mut().zip(&embedding) {
-                *a -= *x;
-            }
-            let surviving_root = self.state.uf.find(meta.members[0]);
-            self.register_cluster(surviving_root, meta);
-        }
-
+        self.state.clusters.remove_member(dense, &embedding);
         self.state.records.delete(id)?;
         self.state.deleted_records += 1;
-        self.maybe_rebuild();
+        self.state.clusters.maybe_rebuild(&self.state.config);
         Ok(true)
     }
 
@@ -384,17 +308,8 @@ impl<E: EmbeddingModel> EntityStore<E> {
             records: self.num_records(),
             deleted: self.state.deleted_records,
             sources: self.num_sources(),
-            clusters: self.state.clusters.len(),
-            tuples: self
-                .state
-                .clusters
-                .values()
-                .filter(|m| m.members.len() >= 2)
-                .count(),
-            index_nodes: self.state.node_root.len(),
-            stale_nodes: self.state.stale_nodes,
-            rebuilds: self.state.rebuilds,
             pruned_outliers: self.state.pruned_outliers,
+            ..self.state.clusters.stats()
         }
     }
 
@@ -403,29 +318,25 @@ impl<E: EmbeddingModel> EntityStore<E> {
     /// keeps in memory (everything for the memory backend; tail + hot cache
     /// + per-record index for the disk backend).
     pub fn approx_bytes(&self) -> usize {
-        self.state.records.stats().resident_bytes + self.state.index.approx_bytes()
+        self.state.records.stats().resident_bytes + self.state.clusters.index_bytes()
     }
 
     /// Current matched tuples: every cluster with at least two members.
     pub fn tuples(&self) -> Vec<MatchTuple> {
         self.state
             .clusters
-            .values()
-            .filter(|m| m.members.len() >= 2)
-            .map(|m| MatchTuple::new(m.members.iter().map(|&d| self.state.entity_of_dense[d])))
+            .iter()
+            .filter(|(_, c)| c.members().len() >= 2)
+            .map(|(_, c)| MatchTuple::new(self.entities(c.members())))
             .collect()
     }
 
     /// All members of the cluster containing `id` (including `id` itself), or
     /// `None` for unknown entities.
     pub fn cluster_members(&self, id: EntityId) -> Option<Vec<EntityId>> {
-        let dense = self.dense_of(id)?;
-        let root = self.state.uf.find_immutable(dense);
-        let meta = self.state.clusters.get(&root)?;
-        let mut members: Vec<EntityId> = meta
-            .members
-            .iter()
-            .map(|&d| self.state.entity_of_dense[d])
+        let cluster = self.state.clusters.cluster_of(self.dense_of(id)?)?;
+        let mut members: Vec<EntityId> = self
+            .entities(self.state.clusters.members(cluster))
             .collect();
         members.sort_unstable();
         Some(members)
@@ -444,107 +355,91 @@ impl<E: EmbeddingModel> EntityStore<E> {
                 multiem_core::MultiEmError::EmptyDataset,
             ));
         }
-        self.state.schema = Some(dataset.schema().clone());
-        self.resolve_selection(dataset)?;
-        let selected = self.state.selected.clone().expect("selection resolved");
+        let selected = self.adopt_schema(dataset.schema(), Some(dataset))?;
+        let base = self.state.config.base.clone();
 
         // Phase R over the whole dataset at once. The batch embedding store
         // drives the merge/prune phases below and is then dropped — the
         // per-record payloads stream into the pluggable record store, which
         // may spill them to disk as it goes.
-        let embeddings =
-            EmbeddingStore::build(dataset, &self.encoder, &selected, &self.state.config.base);
+        let embeddings = EmbeddingStore::build(dataset, &self.encoder, &selected, &base);
         for (s, table) in dataset.tables().iter().enumerate() {
             let source = self.open_source(table.name());
-            debug_assert_eq!(source as usize, s);
             for (row, record) in table.iter() {
-                let id = EntityId::new(s as u32, row);
-                self.state
-                    .records
-                    .append(source, record, embeddings.embedding(id))?;
+                let embedding = embeddings.embedding(EntityId::new(s as u32, row));
+                let id = self.state.records.append(source, record, embedding)?;
                 self.state.entity_of_dense.push(id);
-                self.state.uf.push();
             }
         }
 
-        // Phases M and P: table-wise hierarchical merging, then density-based
-        // pruning of every multi-member item.
+        // Phases M and P, as `MultiEm::run` spells them: table-wise
+        // hierarchical merging, then density-based pruning of every
+        // multi-member item.
         let tables: Vec<MergedTable> = (0..dataset.num_sources() as u32)
             .map(|s| MergedTable::from_source(dataset, s, &embeddings))
             .collect();
-        let merge_out = hierarchical_merge(tables, &self.state.config.base, self.encoder.dim());
+        let merge_out = hierarchical_merge(tables, &base, self.encoder.dim());
+        let tuples = if base.pruning {
+            let summary = prune_merged_table(&merge_out.integrated, &embeddings, &base);
+            self.state.pruned_outliers += summary.outliers_removed;
+            summary.tuples
+        } else {
+            merge_out.integrated.tuples()
+        };
 
-        let mut merged_records = 0usize;
-        for item in &merge_out.integrated.items {
-            let kept: Vec<EntityId> = if item.members.len() >= 2 && self.state.config.base.pruning {
-                let outcome = prune_item(&item.members, &embeddings, &self.state.config.base);
-                self.state.pruned_outliers += outcome.removed.len();
-                outcome.kept
-            } else {
-                item.members.clone()
-            };
-            if kept.len() < 2 {
-                continue;
-            }
-            merged_records += kept.len();
-            let dense: Vec<usize> = kept
-                .iter()
-                .map(|&id| self.dense_of(id).expect("bootstrap id"))
-                .collect();
-            for w in dense.windows(2) {
-                self.state.uf.union(w[0], w[1]);
-            }
-        }
-
-        // Build cluster metadata for every record (clusters formed above,
-        // everything else as singletons) and index the representatives.
-        let mut members_of: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for d in 0..self.state.entity_of_dense.len() {
-            members_of.entry(self.state.uf.find(d)).or_default().push(d);
-        }
-        for (root, members) in members_of {
-            let meta = self.make_meta(members);
-            self.register_cluster(root, meta);
-        }
-
+        // Every surviving tuple is a cluster, every other record a singleton.
         let records = self.num_records();
+        let mut in_tuple = vec![false; records];
+        for tuple in &tuples {
+            let members: Vec<usize> = tuple
+                .members()
+                .iter()
+                .filter_map(|&id| self.dense_of(id))
+                .collect();
+            for &dense in &members {
+                in_tuple[dense] = true;
+            }
+            let points = tuple.members().iter().map(|&id| embeddings.embedding(id));
+            self.state.clusters.add(members, points);
+        }
+        for dense in (0..records).filter(|&dense| !in_tuple[dense]) {
+            let point = embeddings.embedding(self.state.entity_of_dense[dense]);
+            self.state.clusters.add(vec![dense], [point]);
+        }
+
+        let merged = in_tuple.iter().filter(|&&t| t).count();
         Ok(IngestReport {
             source: 0,
             records,
-            merged: merged_records,
-            singletons: records - merged_records,
+            merged,
+            singletons: records - merged,
         })
     }
 
     /// Ingest a whole table as a new source. Every record runs the
     /// incremental mutual-top-K merge against the current clusters (records
     /// of the same batch become visible to each other as they are inserted).
+    /// If a record fails to store, the rows accepted before it stand.
     pub fn ingest_batch(&mut self, table: &Table) -> Result<IngestReport> {
-        self.ensure_schema(table.schema())?;
-        if self.state.selected.is_none() {
-            let mut ds = Dataset::new(table.name(), table.schema().clone());
-            ds.add_table(table.clone())
+        let selected = if self.state.schema.is_some() {
+            self.adopt_schema(table.schema(), None)?
+        } else {
+            // The first data a schema-less store sees is what Algorithm 1
+            // scores.
+            let mut first_data = Dataset::new(table.name(), table.schema().clone());
+            first_data
+                .add_table(table.clone())
                 .map_err(|e| OnlineError::SchemaMismatch(e.to_string()))?;
-            self.resolve_selection(&ds)?;
-        }
-
-        let source = self.open_source(table.name());
-        let selected = self.state.selected.clone().expect("selection resolved");
-        let opts = self.state.config.base.serialize.clone();
-        let texts: Vec<String> = table
-            .records()
-            .iter()
-            .map(|r| serialize_record_projected(r, &selected, &opts))
-            .collect();
-        let matrix = self.encoder.encode_batch(&texts);
+            self.adopt_schema(table.schema(), Some(&first_data))?
+        };
 
         let mut report = IngestReport {
-            source,
-            records: 0,
+            source: self.open_source(table.name()),
             ..IngestReport::default()
         };
-        for (row, record) in table.iter() {
-            let merged = self.insert_embedded(source, record, matrix.row(row as usize))?;
+        for record in table.records() {
+            let embedding = self.embed(record, &selected);
+            let (_, merged) = self.insert_embedded(report.source, record, &embedding)?;
             report.records += 1;
             if merged {
                 report.merged += 1;
@@ -552,26 +447,25 @@ impl<E: EmbeddingModel> EntityStore<E> {
                 report.singletons += 1;
             }
         }
-        // A batch seals its source: later single inserts open a fresh one.
-        self.state.stream_source = None;
         Ok(report)
     }
 
     /// Insert one record, returning its own (stable) [`EntityId`]. Use
     /// [`EntityStore::cluster_members`] to see which entities it matched.
     pub fn insert(&mut self, record: Record) -> Result<EntityId> {
-        let schema = self.state.schema.clone().ok_or_else(|| {
+        let adopted = self.state.schema.as_ref().ok_or_else(|| {
             OnlineError::SchemaMismatch(
                 "store has no schema yet; bootstrap or ingest a batch first".into(),
             )
         })?;
-        if record.arity() != schema.len() {
+        if record.arity() != adopted.schema.len() {
             return Err(OnlineError::SchemaMismatch(format!(
                 "record has {} values, schema has {} attributes",
                 record.arity(),
-                schema.len()
+                adopted.schema.len()
             )));
         }
+        let embedding = self.embed(&record, &adopted.selected);
         let source = match self.state.stream_source {
             Some(s) => s,
             None => {
@@ -581,13 +475,8 @@ impl<E: EmbeddingModel> EntityStore<E> {
                 s
             }
         };
-        let selected = self.state.selected.clone().expect("selection resolved");
-        let text =
-            serialize_record_projected(&record, &selected, &self.state.config.base.serialize);
-        let emb = self.encoder.encode(&text);
-        let row = self.state.records.source_len(source) as u32;
-        self.insert_embedded(source, &record, &emb)?;
-        Ok(EntityId::new(source, row))
+        let (id, _) = self.insert_embedded(source, &record, &embedding)?;
+        Ok(id)
     }
 
     /// Find the clusters a record would match, without mutating the store.
@@ -611,10 +500,10 @@ impl<E: EmbeddingModel> EntityStore<E> {
     /// drift in semantics.
     pub fn match_batch(&self, records: &[Record]) -> Vec<Vec<(EntityId, f32)>> {
         let mut out: Vec<Vec<(EntityId, f32)>> = vec![Vec::new(); records.len()];
-        let Some(selected) = self.state.selected.as_deref() else {
+        let Some(adopted) = &self.state.schema else {
             return out;
         };
-        let k = self.state.config.base.k;
+        let (k, m) = (self.state.config.base.k, self.state.config.base.m);
         if k == 0 {
             return out;
         }
@@ -622,19 +511,21 @@ impl<E: EmbeddingModel> EntityStore<E> {
             .iter()
             .enumerate()
             .filter_map(|(query, record)| {
-                let text =
-                    serialize_record_projected(record, selected, &self.state.config.base.serialize);
-                let emb = self.encoder.encode(&text);
+                let emb = self.embed(record, &adopted.selected);
                 // Queries with no recognised tokens match nothing.
                 emb.iter().any(|&x| x != 0.0).then_some((query, emb))
             })
             .collect();
         let queries: Vec<&[f32]> = embeddings.iter().map(|(_, e)| e.as_slice()).collect();
-        for ((query, _), hits) in embeddings.iter().zip(self.search_live(&queries, k, None)) {
+        let clusters = &self.state.clusters;
+        for ((query, _), hits) in embeddings
+            .iter()
+            .zip(clusters.search_live(&queries, k, None))
+        {
             out[*query] = hits
                 .into_iter()
-                .filter(|&(root, dist)| dist <= self.state.config.base.m && self.mutual(root, dist))
-                .map(|(root, dist)| (self.canonical_id(root), dist))
+                .filter(|&(cluster, dist)| dist <= m && clusters.mutual(cluster, dist, k))
+                .map(|(cluster, dist)| (self.canonical_id(cluster), dist))
                 .collect();
         }
         out
@@ -645,84 +536,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
     /// rebuild the representative index if it got too stale.
     pub fn refresh(&mut self) {
         self.prune_dirty();
-        self.maybe_rebuild();
-    }
-
-    // --- snapshot / restore -------------------------------------------------
-
-    /// Serialize the full store state (embeddings, representative index,
-    /// cluster partition, ingested records) to JSON. The encoder itself is
-    /// not serialized: restore with an identically configured encoder.
-    pub fn snapshot_json(&self) -> Result<String> {
-        serde_json::to_string(&self.state).map_err(|e| OnlineError::Snapshot(e.to_string()))
-    }
-
-    /// Restore a store from a [`EntityStore::snapshot_json`] snapshot.
-    ///
-    /// `encoder` must be configured identically to the encoder the snapshot
-    /// was taken with (same dimensionality and weights); otherwise new
-    /// embeddings would be incompatible with the stored ones.
-    pub fn restore_json(snapshot: &str, encoder: E) -> Result<Self> {
-        let state: StoreState =
-            serde_json::from_str(snapshot).map_err(|e| OnlineError::Snapshot(e.to_string()))?;
-        Self::adopt_state(state, encoder)
-    }
-
-    /// The full store state as a [`serde::Value`] tree — the common
-    /// representation behind both snapshot formats and the serving layer's
-    /// write-ahead log.
-    pub fn snapshot_value(&self) -> serde::Value {
-        self.state.to_value()
-    }
-
-    /// Restore a store from a [`EntityStore::snapshot_value`] tree.
-    pub fn restore_value(value: &serde::Value, encoder: E) -> Result<Self> {
-        let state =
-            StoreState::from_value(value).map_err(|e| OnlineError::Snapshot(e.to_string()))?;
-        Self::adopt_state(state, encoder)
-    }
-
-    /// Serialize the full store state in the requested wire format.
-    /// [`SnapshotFormat::Binary`] is typically 5–10x smaller than JSON (see
-    /// [`crate::wire`]); [`EntityStore::restore_bytes`] auto-detects which
-    /// one it is handed.
-    pub fn snapshot_bytes(&self, format: SnapshotFormat) -> Result<Vec<u8>> {
-        match format {
-            SnapshotFormat::Json => self.snapshot_json().map(String::into_bytes),
-            SnapshotFormat::Binary => {
-                let mut out = Vec::from(*wire::SNAPSHOT_MAGIC);
-                wire::write_fields(&mut out, &self.state.fields());
-                Ok(out)
-            }
-        }
-    }
-
-    /// Restore a store from [`EntityStore::snapshot_bytes`] output of either
-    /// format (binary snapshots are recognised by their magic prefix).
-    pub fn restore_bytes(bytes: &[u8], encoder: E) -> Result<Self> {
-        if let Some(payload) = bytes.strip_prefix(wire::SNAPSHOT_MAGIC.as_slice()) {
-            let value = wire::value_from_bytes(payload)
-                .map_err(|e| OnlineError::Snapshot(e.to_string()))?;
-            Self::restore_value(&value, encoder)
-        } else {
-            let text = std::str::from_utf8(bytes)
-                .map_err(|e| OnlineError::Snapshot(format!("snapshot is not utf-8: {e}")))?;
-            Self::restore_json(text, encoder)
-        }
-    }
-
-    fn adopt_state(mut state: StoreState, encoder: E) -> Result<Self> {
-        if state.records.dim() != encoder.dim() {
-            return Err(OnlineError::Snapshot(format!(
-                "snapshot embeddings have dim {}, encoder produces dim {}",
-                state.records.dim(),
-                encoder.dim()
-            )));
-        }
-        // Re-attach the storage backend to its backing files (disk-backed
-        // snapshots carry the segment index, not the sealed payloads).
-        state.records.reopen()?;
-        Ok(Self { encoder, state })
+        self.state.clusters.maybe_rebuild(&self.state.config);
     }
 
     /// Prepare an empty store to accept single-record
@@ -732,26 +546,63 @@ impl<E: EmbeddingModel> EntityStore<E> {
     /// before any data arrives.
     ///
     /// Fails when `schema` conflicts with one already in place, or when the
-    /// selection strategy is [`SelectionStrategy::AutoOnFirstData`] and no
-    /// data has resolved it yet — Algorithm 1 needs records to score, so
-    /// data-free initialisation requires `Fixed` or `AllAttributes`.
+    /// selection strategy is [`SelectionStrategy::AutoOnFirstData`] — Algorithm
+    /// 1 needs records to score, so data-free initialisation requires `Fixed`
+    /// or `AllAttributes`. A failed call leaves the store as it was.
     pub fn init_schema(&mut self, schema: Arc<Schema>) -> Result<()> {
-        self.ensure_schema(&schema)?;
-        if self.state.selected.is_some() {
-            return Ok(());
+        self.adopt_schema(&schema, None).map(|_| ())
+    }
+
+    // --- internals ----------------------------------------------------------
+
+    /// The one place the store takes on a schema: check `schema` against the
+    /// one in place, or — on a store that has none — resolve the selection
+    /// strategy against it (scoring `data` when the strategy is Algorithm 1)
+    /// and commit schema and projection together. Returns the projection in
+    /// effect; on `Err` nothing was committed.
+    fn adopt_schema(
+        &mut self,
+        schema: &Arc<Schema>,
+        data: Option<&Dataset>,
+    ) -> Result<Vec<AttrId>> {
+        if let Some(adopted) = &self.state.schema {
+            let existing = &adopted.schema;
+            if existing.same_shape(schema) {
+                return Ok(adopted.selected.clone());
+            }
+            let detail = if schema.len() != existing.len() {
+                format!(
+                    "table schema has {} attributes, store schema has {}",
+                    schema.len(),
+                    existing.len()
+                )
+            } else {
+                let diff = existing
+                    .names()
+                    .zip(schema.names())
+                    .find(|(a, b)| a != b)
+                    .map(|(a, b)| format!("store has `{a}`, table has `{b}`"))
+                    .unwrap_or_else(|| "attribute lists differ".to_string());
+                format!("attribute names differ: {diff}")
+            };
+            return Err(OnlineError::SchemaMismatch(detail));
         }
         let schema_len = schema.len();
-        let selected = match &self.state.config.selection {
-            SelectionStrategy::Fixed(attrs) => {
+        let (selected, selection) = match (&self.state.config.selection, data) {
+            (SelectionStrategy::Fixed(attrs), _) => {
                 if attrs.iter().any(|&a| a >= schema_len) {
                     return Err(OnlineError::InvalidConfig(format!(
                         "fixed attribute selection references attribute >= {schema_len}"
                     )));
                 }
-                attrs.clone()
+                (attrs.clone(), None)
             }
-            SelectionStrategy::AllAttributes => (0..schema_len).collect(),
-            SelectionStrategy::AutoOnFirstData => {
+            (SelectionStrategy::AllAttributes, _) => ((0..schema_len).collect(), None),
+            (SelectionStrategy::AutoOnFirstData, Some(dataset)) => {
+                let sel = select_attributes(dataset, &self.encoder, &self.state.config.base)?;
+                (sel.selected.clone(), Some(sel))
+            }
+            (SelectionStrategy::AutoOnFirstData, None) => {
                 return Err(OnlineError::InvalidConfig(
                     "AutoOnFirstData cannot resolve an attribute projection without data; \
                      bootstrap or ingest a batch first, or configure Fixed / AllAttributes"
@@ -759,11 +610,19 @@ impl<E: EmbeddingModel> EntityStore<E> {
                 ))
             }
         };
-        self.state.selected = Some(selected);
-        Ok(())
+        self.state.schema = Some(AdoptedSchema {
+            schema: schema.clone(),
+            selected: selected.clone(),
+            selection,
+        });
+        Ok(selected)
     }
 
-    // --- internals ----------------------------------------------------------
+    /// Phase R for one record: project, serialize, encode.
+    fn embed(&self, record: &Record, selected: &[AttrId]) -> Vec<f32> {
+        let text = serialize_record_projected(record, selected, &self.state.config.base.serialize);
+        self.encoder.encode(&text)
+    }
 
     fn dense_of(&self, id: EntityId) -> Option<usize> {
         let base = *self.state.dense_base.get(id.source as usize)?;
@@ -774,231 +633,71 @@ impl<E: EmbeddingModel> EntityStore<E> {
         }
     }
 
-    /// The stored embedding of a dense record id. Memory backend: a copy of
-    /// the resident vector; disk backend: tail/cache hit or a segment read.
-    fn embedding_of_dense(&self, dense: usize) -> Vec<f32> {
-        let id = self.state.entity_of_dense[dense];
-        self.state
-            .records
-            .embedding(id)
-            .expect("every ingested record has a stored embedding")
+    fn entities<'a>(&'a self, members: &'a [usize]) -> impl Iterator<Item = EntityId> + 'a {
+        members.iter().map(|&d| self.state.entity_of_dense[d])
     }
 
-    fn canonical_id(&self, root: usize) -> EntityId {
-        let meta = &self.state.clusters[&root];
-        meta.members
-            .iter()
-            .map(|&d| self.state.entity_of_dense[d])
+    fn canonical_id(&self, cluster: usize) -> EntityId {
+        self.entities(self.state.clusters.members(cluster))
             .min()
             .expect("clusters are never empty")
     }
 
-    fn ensure_schema(&mut self, schema: &Arc<Schema>) -> Result<()> {
-        match &self.state.schema {
-            None => {
-                self.state.schema = Some(schema.clone());
-                Ok(())
-            }
-            Some(existing) if existing.same_shape(schema) => Ok(()),
-            Some(existing) => {
-                let detail = if schema.len() != existing.len() {
-                    format!(
-                        "table schema has {} attributes, store schema has {}",
-                        schema.len(),
-                        existing.len()
-                    )
-                } else {
-                    let diff = existing
-                        .names()
-                        .zip(schema.names())
-                        .find(|(a, b)| a != b)
-                        .map(|(a, b)| format!("store has `{a}`, table has `{b}`"))
-                        .unwrap_or_else(|| "attribute lists differ".to_string());
-                    format!("attribute names differ: {diff}")
-                };
-                Err(OnlineError::SchemaMismatch(detail))
-            }
-        }
-    }
-
-    fn resolve_selection(&mut self, dataset: &Dataset) -> Result<()> {
-        let schema_len = dataset.schema().len();
-        let (selected, selection) = match &self.state.config.selection {
-            SelectionStrategy::Fixed(attrs) => {
-                if attrs.iter().any(|&a| a >= schema_len) {
-                    return Err(OnlineError::InvalidConfig(format!(
-                        "fixed attribute selection references attribute >= {schema_len}"
-                    )));
-                }
-                (attrs.clone(), None)
-            }
-            SelectionStrategy::AllAttributes => ((0..schema_len).collect(), None),
-            SelectionStrategy::AutoOnFirstData => {
-                let sel = select_attributes(dataset, &self.encoder, &self.state.config.base)?;
-                (sel.selected.clone(), Some(sel))
-            }
-        };
-        self.state.selected = Some(selected);
-        self.state.selection = selection;
-        Ok(())
-    }
-
+    /// Open a source. Dense ids are `dense_base[source] + row`, so only the
+    /// newest source can take rows: whichever source single inserts were
+    /// streaming into is closed to them from here on.
     fn open_source(&mut self, name: &str) -> u32 {
+        self.state.stream_source = None;
         self.state.dense_base.push(self.state.entity_of_dense.len());
         self.state.records.open_source(name)
-    }
-
-    fn make_meta(&self, members: Vec<usize>) -> ClusterMeta {
-        let dim = self.encoder.dim();
-        let mut sum = vec![0.0f32; dim];
-        for &d in &members {
-            for (a, x) in sum.iter_mut().zip(self.embedding_of_dense(d)) {
-                *a += x;
-            }
-        }
-        ClusterMeta {
-            members,
-            sum,
-            node: None,
-            dirty: false,
-        }
-    }
-
-    /// Insert `meta` into the cluster map under `root`, indexing its
-    /// representative when the cluster has a non-zero embedding.
-    fn register_cluster(&mut self, root: usize, mut meta: ClusterMeta) {
-        if meta.is_embedded() {
-            let node = self.state.index.insert(&meta.centroid());
-            debug_assert_eq!(node, self.state.node_root.len());
-            self.state.node_root.push(Some(root));
-            meta.node = Some(node);
-        }
-        self.state.clusters.insert(root, meta);
-    }
-
-    fn tombstone(&mut self, node: Option<usize>) {
-        if let Some(n) = node {
-            if self.state.node_root[n].take().is_some() {
-                self.state.stale_nodes += 1;
-            }
-        }
-    }
-
-    /// Search the representative index for every query at once, returning
-    /// per query up to `k` *live* clusters as `(root, distance)`, closest
-    /// first; the node `exclude`, if any, is passed over like a tombstone.
-    ///
-    /// Tombstones still occupy index slots, but the index is told which
-    /// nodes are live (`node_root` is the only record of that) and never
-    /// returns a dead one, so the look-up asks for exactly `k`: the
-    /// brute-force scan does not score a tombstone, and the HNSW traversal
-    /// only passes through it.
-    fn search_live(
-        &self,
-        queries: &[&[f32]],
-        k: usize,
-        exclude: Option<usize>,
-    ) -> Vec<Vec<(usize, f32)>> {
-        let node_root = &self.state.node_root;
-        let live = |node: usize| node_root[node].is_some() && Some(node) != exclude;
-        self.state
-            .index
-            .search_batch_filtered(queries, k, &live)
-            .into_iter()
-            .map(|hits| {
-                hits.into_iter()
-                    .filter_map(|n| node_root[n.index].map(|root| (root, n.distance)))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Would the new record (at `dist_to_candidate` from the candidate's
-    /// representative) be within the candidate's top-K? True when fewer than
-    /// K other live representatives are closer to the candidate than the new
-    /// record is — the reverse direction of Eq. 1.
-    fn mutual(&self, candidate_root: usize, dist_to_candidate: f32) -> bool {
-        let k = self.state.config.base.k;
-        let meta = &self.state.clusters[&candidate_root];
-        let Some(own_node) = meta.node else {
-            return false;
-        };
-        let closer = self
-            .search_live(&[&meta.centroid()], k, Some(own_node))
-            .into_iter()
-            .flatten()
-            .filter(|&(_, dist)| dist < dist_to_candidate)
-            .count();
-        closer < k
     }
 
     /// Whether a record from `source` may merge directly into the cluster:
     /// the batch pipeline never compares two items of the same source table
     /// directly, so by default a candidate whose members all share the
     /// record's source is skipped.
-    fn source_compatible(&self, candidate_root: usize, source: u32) -> bool {
-        if self.state.config.match_within_source {
-            return true;
-        }
-        self.state.clusters[&candidate_root]
-            .members
-            .iter()
-            .any(|&d| self.state.entity_of_dense[d].source != source)
+    fn source_compatible(&self, cluster: usize, source: u32) -> bool {
+        self.state.config.match_within_source
+            || self
+                .entities(self.state.clusters.members(cluster))
+                .any(|id| id.source != source)
     }
 
-    /// The shared incremental insert path. Returns whether the record merged
-    /// into at least one existing cluster.
-    fn insert_embedded(&mut self, source: u32, record: &Record, emb: &[f32]) -> Result<bool> {
-        let row_id = self.state.records.append(source, record, emb)?;
-        let dense = self.state.uf.push();
-        self.state.entity_of_dense.push(row_id);
-        debug_assert_eq!(self.dense_of(row_id), Some(dense));
+    /// The shared incremental insert path. Returns the id storage gave the
+    /// record and whether it merged into at least one existing cluster; on
+    /// `Err` storage holds nothing of it and the store is unchanged.
+    fn insert_embedded(
+        &mut self,
+        source: u32,
+        record: &Record,
+        emb: &[f32],
+    ) -> Result<(EntityId, bool)> {
+        let id = self.state.records.append(source, record, emb)?;
+        let dense = self.state.entity_of_dense.len();
+        self.state.entity_of_dense.push(id);
+        debug_assert_eq!(self.dense_of(id), Some(dense));
 
-        let k = self.state.config.base.k;
-        let m = self.state.config.base.m;
-        let singleton = ClusterMeta {
-            members: vec![dense],
-            sum: emb.to_vec(),
-            node: None,
-            dirty: false,
-        };
-
-        // Zero embeddings (empty serialized text) never match anything; keep
-        // them as unindexed singletons, like the batch merger skips them.
-        if !singleton.is_embedded() {
-            let root = self.state.uf.find(dense);
-            self.state.clusters.insert(root, singleton);
-            return Ok(false);
+        // Zero embeddings (empty serialized text) never match anything; the
+        // table keeps them as unindexed singletons.
+        if emb.iter().all(|&x| x == 0.0) {
+            self.state.clusters.fuse(dense, emb, &[]);
+            return Ok((id, false));
         }
 
-        let matches: Vec<usize> = self
+        let (k, m) = (self.state.config.base.k, self.state.config.base.m);
+        let clusters = &self.state.clusters;
+        let matches: Vec<usize> = clusters
             .search_live(&[emb], k, None)
             .into_iter()
             .flatten()
-            .filter(|&(root, dist)| {
-                dist <= m && self.source_compatible(root, source) && self.mutual(root, dist)
+            .filter(|&(cluster, dist)| {
+                dist <= m
+                    && self.source_compatible(cluster, source)
+                    && clusters.mutual(cluster, dist, k)
             })
-            .map(|(root, _)| root)
+            .map(|(cluster, _)| cluster)
             .collect();
-
-        let merged = !matches.is_empty();
-        let mut fused = singleton;
-        for root in matches {
-            let old = self
-                .state
-                .clusters
-                .remove(&root)
-                .expect("candidate root exists");
-            self.tombstone(old.node);
-            self.state.uf.union(dense, old.members[0]);
-            fused.members.extend_from_slice(&old.members);
-            for (a, x) in fused.sum.iter_mut().zip(&old.sum) {
-                *a += *x;
-            }
-        }
-        fused.dirty = merged;
-        let root = self.state.uf.find(dense);
-        self.register_cluster(root, fused);
+        self.state.clusters.fuse(dense, emb, &matches);
 
         self.state.accepted_since_prune += 1;
         if let Some(interval) = self.state.config.prune_interval {
@@ -1006,113 +705,43 @@ impl<E: EmbeddingModel> EntityStore<E> {
                 self.prune_dirty();
             }
         }
-        self.maybe_rebuild();
-        Ok(merged)
+        self.state.clusters.maybe_rebuild(&self.state.config);
+        Ok((id, !matches.is_empty()))
     }
 
     /// Density-based pruning (Algorithm 4) over dirty clusters: outliers are
-    /// detached into fresh singleton clusters.
+    /// split off into fresh singleton clusters.
     fn prune_dirty(&mut self) {
         self.state.accepted_since_prune = 0;
         if !self.state.config.base.pruning {
             return;
         }
-        let dirty_roots: Vec<usize> = self
-            .state
-            .clusters
-            .iter()
-            .filter(|(_, m)| m.dirty && m.members.len() >= 2)
-            .map(|(&root, _)| root)
-            .collect();
-        for root in dirty_roots {
-            let mut meta = self
-                .state
-                .clusters
-                .remove(&root)
-                .expect("dirty root exists");
+        for cluster in self.state.clusters.dirty() {
             // Fetch member embeddings through the storage backend (resident
             // for the memory backend; tail/cache hits or segment reads for
-            // disk) and prune the raw points.
-            let points: Vec<Vec<f32>> = meta
-                .members
-                .iter()
-                .map(|&d| self.embedding_of_dense(d))
+            // disk) and prune the raw points; the table re-sums whatever
+            // stays together from the same points, so each is fetched once.
+            let points: Vec<Vec<f32>> = self
+                .entities(self.state.clusters.members(cluster))
+                .map(|id| {
+                    self.state
+                        .records
+                        .embedding(id)
+                        .expect("every clustered record has a stored embedding")
+                })
                 .collect();
             let point_refs: Vec<&[f32]> = points.iter().map(Vec::as_slice).collect();
-            let (kept, removed) = prune_points(&point_refs, &self.state.config.base);
-            if removed.is_empty() {
-                meta.dirty = false;
-                self.state.clusters.insert(root, meta);
-                continue;
-            }
-            self.state.pruned_outliers += removed.len();
-            self.tombstone(meta.node);
-            // Rebuild cluster sums from the points already fetched above —
-            // a refetch through `make_meta` would hit the storage backend
-            // (and possibly segment files) a second time per member.
-            for &i in &removed {
-                let dense = meta.members[i];
-                let new_root = self.state.uf.detach(dense);
-                let single = ClusterMeta {
-                    members: vec![dense],
-                    sum: points[i].clone(),
-                    node: None,
-                    dirty: false,
-                };
-                self.register_cluster(new_root, single);
-            }
-            if !kept.is_empty() {
-                let mut sum = vec![0.0f32; self.encoder.dim()];
-                for &i in &kept {
-                    for (a, x) in sum.iter_mut().zip(&points[i]) {
-                        *a += *x;
-                    }
-                }
-                let kept_meta = ClusterMeta {
-                    members: kept.iter().map(|&i| meta.members[i]).collect(),
-                    sum,
-                    node: None,
-                    dirty: false,
-                };
-                self.register_cluster(root, kept_meta);
-            }
+            let (_, outliers) = prune_points(&point_refs, &self.state.config.base);
+            self.state.pruned_outliers += outliers.len();
+            self.state.clusters.split(cluster, &outliers, &points);
         }
-    }
-
-    /// Rebuild the representative index when tombstones dominate, or when the
-    /// live clusters have outgrown the brute-force backend
-    /// ([`multiem_core::MultiEmConfig::wants_hnsw`]).
-    fn maybe_rebuild(&mut self) {
-        let total = self.state.node_root.len();
-        if total == 0 {
-            return;
-        }
-        let live = total - self.state.stale_nodes;
-        let staleness = self.state.stale_nodes as f64 / total as f64;
-        let needs_upgrade = !self.state.index.is_hnsw() && self.state.config.base.wants_hnsw(live);
-        if staleness <= self.state.config.rebuild_staleness && !needs_upgrade {
-            return;
-        }
-        let mut index = self.state.config.base.index_for(live, self.encoder.dim());
-        let mut node_root = Vec::with_capacity(live);
-        for (&root, meta) in self.state.clusters.iter_mut() {
-            if meta.node.is_some() {
-                let node = index.insert(&meta.centroid());
-                debug_assert_eq!(node, node_root.len());
-                node_root.push(Some(root));
-                meta.node = Some(node);
-            }
-        }
-        self.state.index = index;
-        self.state.node_root = node_root;
-        self.state.stale_nodes = 0;
-        self.state.rebuilds += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{self, SnapshotFormat};
     use multiem_core::MultiEmConfig;
     use multiem_datagen::{
         CorruptionConfig, Corruptor, Domain, GeneratorConfig, MultiSourceGenerator,
@@ -1439,7 +1068,7 @@ mod tests {
         ))
         .unwrap();
         assert!(
-            s.state.index.is_hnsw(),
+            s.state.clusters.is_hnsw(),
             "auto backend should have upgraded to HNSW"
         );
         // Matching still works on the upgraded index.
@@ -1469,7 +1098,7 @@ mod tests {
         let mut compacted = s.clone();
         compacted.state.config.rebuild_staleness = 0.0;
         compacted.refresh();
-        assert!(!s.state.index.is_hnsw() && !compacted.state.index.is_hnsw());
+        assert!(!s.state.clusters.is_hnsw() && !compacted.state.clusters.is_hnsw());
         assert!(s.stats().stale_nodes > 10 && s.stats().rebuilds == 0);
         assert_eq!(compacted.stats().stale_nodes, 0);
         assert_eq!(compacted.stats().rebuilds, 1);
@@ -1505,12 +1134,12 @@ mod tests {
                 .state
                 .clusters
                 .iter()
-                .filter(|(_, meta)| meta.node.is_some())
-                .map(|(&root, meta)| {
-                    let c = meta.centroid();
+                .filter(|(_, cluster)| cluster.is_indexed())
+                .map(|(id, cluster)| {
+                    let c = cluster.centroid();
                     let cnorm = multiem_ann::Metric::squared_norm(&c);
                     let d = metric.distance_prenormed(&emb, &c, qnorm, cnorm);
-                    (d.to_bits(), s.canonical_id(root))
+                    (d.to_bits(), s.canonical_id(id))
                 })
                 .collect();
             // Cosine distances are non-negative, so bit order is value order.
@@ -1542,8 +1171,9 @@ mod tests {
         cfg.base.hnsw_threshold = 3;
         let mut s = EntityStore::new(cfg, HashedLexicalEncoder::default());
         let index_entry = |s: &EntityStore<HashedLexicalEncoder>| {
-            let snapshot = s.snapshot_value();
-            let index = serde::__get_field(&snapshot, "index").expect("index field");
+            let snapshot = s.state.to_value();
+            let clusters = serde::__get_field(&snapshot, "clusters").expect("cluster table");
+            let index = serde::__get_field(clusters, "index").expect("index field");
             let (variant, payload) = index.as_single_entry_map().expect("variant entry");
             let keys: Vec<String> = payload
                 .as_map()
@@ -1629,7 +1259,7 @@ mod tests {
         let binary = s.snapshot_bytes(SnapshotFormat::Binary).unwrap();
         // Written field by field, the bytes are those of the whole state's
         // value tree: no field of `StoreState` is missing from `fields()`.
-        let whole = wire::value_to_bytes(&s.snapshot_value());
+        let whole = wire::value_to_bytes(&s.state.to_value());
         assert_eq!(binary, [wire::SNAPSHOT_MAGIC.as_slice(), &whole].concat());
         assert!(
             binary.len() * 3 < json.len(),
@@ -1950,5 +1580,410 @@ mod tests {
         let snapshot = s.snapshot_json().unwrap();
         let err = EntityStore::restore_json(&snapshot, HashedLexicalEncoder::with_dim(64));
         assert!(matches!(err, Err(OnlineError::Snapshot(_))));
+    }
+
+    // --- one owner per fact: faults that used to leave two owners apart -----
+
+    /// Distinct titles: no two of them match, so each is its own cluster.
+    fn distinct_titles(n: usize) -> Vec<Record> {
+        const WORDS: [&str; 12] = [
+            "makita", "bravia", "dyson", "golden", "crimson", "jigsaw", "kettle", "saddle",
+            "violin", "tractor", "lantern", "harbour",
+        ];
+        (0..n)
+            .map(|i| {
+                Record::from_texts([format!(
+                    "{} {} {}",
+                    WORDS[i % 12],
+                    WORDS[(i / 12 + 5) % 12],
+                    1000 + i
+                )])
+            })
+            .collect()
+    }
+
+    /// Every id reads back its own record and is its own cluster, and
+    /// deleting one of them removes only it.
+    fn assert_each_id_is_its_own(
+        s: &mut EntityStore<HashedLexicalEncoder>,
+        stored: &[(EntityId, Record)],
+    ) {
+        for (id, record) in stored {
+            assert_eq!(s.record(*id).as_ref(), Some(record), "{id:?}");
+            assert_eq!(s.cluster_members(*id), Some(vec![*id]), "{id:?}");
+        }
+        let (victim, rest) = stored.split_last().unwrap();
+        let before = s.stats();
+        assert!(s.delete_record(victim.0).unwrap());
+        assert_eq!(s.stats().records, before.records - 1);
+        assert_eq!(s.record(victim.0), None);
+        for (id, record) in rest {
+            assert_eq!(s.record(*id).as_ref(), Some(record), "{id:?}");
+            assert_eq!(s.cluster_members(*id), Some(vec![*id]), "{id:?}");
+        }
+    }
+
+    /// A disk-backed store that seals every 4 records, plus its directory.
+    fn sealing_store(tag: &str) -> (EntityStore<HashedLexicalEncoder>, std::path::PathBuf) {
+        let (mut cfg, dir) = disk_config(tag);
+        if let crate::config::StorageConfig::Disk(disk) = &mut cfg.storage {
+            disk.segment_records = 4;
+        }
+        let mut s = EntityStore::new(cfg, HashedLexicalEncoder::default());
+        s.init_schema(title_schema()).unwrap();
+        (s, dir)
+    }
+
+    #[test]
+    fn a_failed_append_stores_nothing_and_later_ids_stay_their_own() {
+        let (mut on_disk, dir) = sealing_store("failed-seal");
+        let mut in_mem = store();
+        in_mem.init_schema(title_schema()).unwrap();
+        let records = distinct_titles(9);
+        let (mut disk_ids, mut mem_ids) = (Vec::new(), Vec::new());
+        for record in &records[..3] {
+            disk_ids.push((on_disk.insert(record.clone()).unwrap(), record.clone()));
+            mem_ids.push((in_mem.insert(record.clone()).unwrap(), record.clone()));
+        }
+
+        // The fourth record fills the tail; with the segment directory gone
+        // the seal fails, and so must the insert — leaving nothing behind.
+        std::fs::remove_dir_all(&dir).unwrap();
+        let lost = on_disk.insert(records[3].clone());
+        assert!(matches!(lost, Err(OnlineError::Storage(_))), "{lost:?}");
+        std::fs::create_dir_all(&dir).unwrap();
+        assert_eq!(on_disk.stats().records, 3);
+        assert_eq!(on_disk.storage_stats().records, 3);
+        assert_eq!(on_disk.stats(), in_mem.stats());
+
+        // The memory backend runs the same sequence without the fault.
+        for record in &records[4..] {
+            disk_ids.push((on_disk.insert(record.clone()).unwrap(), record.clone()));
+            mem_ids.push((in_mem.insert(record.clone()).unwrap(), record.clone()));
+        }
+        assert_eq!(disk_ids, mem_ids);
+        assert!(on_disk.storage_stats().segments >= 2, "later seals succeed");
+        assert_eq!(on_disk.stats(), in_mem.stats());
+        assert_each_id_is_its_own(&mut on_disk, &disk_ids);
+        assert_each_id_is_its_own(&mut in_mem, &mem_ids);
+        assert_eq!(on_disk.stats(), in_mem.stats());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_batch_that_fails_part_way_closes_the_older_stream_source() {
+        let (mut on_disk, dir) = sealing_store("failed-batch");
+        let mut in_mem = store();
+        in_mem.init_schema(title_schema()).unwrap();
+        let schema = title_schema();
+        let records = distinct_titles(8);
+        let batch =
+            |rows: &[Record]| Table::with_records("batch", schema.clone(), rows.to_vec()).unwrap();
+
+        let first = on_disk.insert(records[0].clone()).unwrap();
+        assert_eq!(first, in_mem.insert(records[0].clone()).unwrap());
+        // One record in the tail, so the batch's third row fills it and the
+        // seal fails: two rows of the batch are in, the rest are not.
+        std::fs::remove_dir_all(&dir).unwrap();
+        let failed = on_disk.ingest_batch(&batch(&records[1..6]));
+        assert!(matches!(failed, Err(OnlineError::Storage(_))), "{failed:?}");
+        std::fs::create_dir_all(&dir).unwrap();
+        in_mem.ingest_batch(&batch(&records[1..3])).unwrap();
+        assert_eq!(on_disk.stats().records, 3);
+        assert_eq!(on_disk.storage_stats().records, 3);
+        assert_eq!(on_disk.stats(), in_mem.stats());
+
+        // The next single insert must not land in the stream source the
+        // batch superseded: its dense slot there belongs to a batch row.
+        let mut stored = vec![
+            (first, records[0].clone()),
+            (EntityId::new(1, 0), records[1].clone()),
+            (EntityId::new(1, 1), records[2].clone()),
+        ];
+        for record in &records[6..] {
+            let id = on_disk.insert(record.clone()).unwrap();
+            assert_eq!(id, in_mem.insert(record.clone()).unwrap());
+            assert_eq!(id.source, 2, "a fresh stream source");
+            stored.push((id, record.clone()));
+        }
+        assert_eq!(on_disk.stats(), in_mem.stats());
+        assert_each_id_is_its_own(&mut on_disk, &stored);
+        assert_each_id_is_its_own(&mut in_mem, &stored);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_selection_that_fails_to_resolve_leaves_the_store_schema_less() {
+        let two = Schema::new(["name", "city"]).shared();
+        let rows = vec![Record::from_texts(["golden heart river", "oslo"])];
+        let table = Table::with_records("a", two.clone(), rows.clone()).unwrap();
+        let mut s = EntityStore::new(
+            config().with_fixed_attributes(vec![5]),
+            HashedLexicalEncoder::default(),
+        );
+        for _ in 0..2 {
+            assert!(matches!(
+                s.ingest_batch(&table),
+                Err(OnlineError::InvalidConfig(_))
+            ));
+            assert!(matches!(
+                s.init_schema(two.clone()),
+                Err(OnlineError::InvalidConfig(_))
+            ));
+            // Nothing was committed: no projection, no source, and an insert
+            // is told there is no schema instead of finding half of one.
+            assert_eq!(s.selected_attributes(), None);
+            assert!(s.is_empty() && s.num_sources() == 0);
+            assert!(matches!(
+                s.insert(rows[0].clone()),
+                Err(OnlineError::SchemaMismatch(_))
+            ));
+            assert!(s.match_record(&rows[0]).is_empty());
+        }
+        // The store is still usable: a schema the projection fits is adopted.
+        let six = Schema::new(["a", "b", "c", "d", "e", "f"]).shared();
+        let wide = Record::from_texts(["1", "2", "3", "4", "5", "golden heart river"]);
+        let table = Table::with_records("wide", six, vec![wide.clone()]).unwrap();
+        assert_eq!(s.ingest_batch(&table).unwrap().records, 1);
+        assert_eq!(s.selected_attributes(), Some(&[5][..]));
+        assert_eq!(s.match_record(&wide).len(), 1);
+    }
+
+    #[test]
+    fn bootstrap_refuses_a_dataset_of_another_schema() {
+        let ds = music_dataset(37);
+        assert!(!ds.schema().same_shape(&title_schema()));
+        let mut s = store();
+        s.init_schema(title_schema()).unwrap();
+        assert!(matches!(
+            s.bootstrap(&ds),
+            Err(OnlineError::SchemaMismatch(_))
+        ));
+        // As `ingest_batch` answers, and the store keeps the schema it had.
+        assert!(matches!(
+            s.ingest_batch(&ds.tables()[0]),
+            Err(OnlineError::SchemaMismatch(_))
+        ));
+        assert!(s.is_empty() && s.num_sources() == 0);
+        let id = s
+            .insert(Record::from_texts(["golden heart river"]))
+            .unwrap();
+        assert_eq!(s.cluster_members(id), Some(vec![id]));
+    }
+
+    // --- snapshots that are not this build's ---------------------------------
+
+    #[test]
+    fn foreign_and_truncated_binary_snapshots_are_errors_not_panics() {
+        let schema = title_schema();
+        let mut s = store();
+        s.ingest_batch(&table("a", &schema, &["golden heart river", "sony tv"]))
+            .unwrap();
+        s.ingest_batch(&table("b", &schema, &["golden heart river live"]))
+            .unwrap();
+        let good = s.snapshot_bytes(SnapshotFormat::Binary).unwrap();
+        assert_eq!(&good[..4], b"MEB2");
+        let restore = |bytes: &[u8]| {
+            EntityStore::restore_bytes(bytes, HashedLexicalEncoder::default()).map(|s| s.stats())
+        };
+        assert_eq!(restore(&good).unwrap(), s.stats());
+
+        // What the parent build wrote: its magic, then a map this build's
+        // decoder would stumble over field by field. It is refused by name.
+        let mut parent = b"MEB1".to_vec();
+        wire::write_value(
+            &mut parent,
+            &serde::Value::Map(vec![("uf".into(), serde::Value::Null)]),
+        );
+        for foreign in [
+            &parent[..],
+            &b"MEB1"[..],
+            &b"MEB9 whatever"[..],
+            &b"MEB"[..],
+        ] {
+            match restore(foreign) {
+                Err(OnlineError::Snapshot(msg)) => {
+                    assert!(msg.contains("MEB2"), "{msg}");
+                    assert!(
+                        foreign.len() < 4 || msg.contains(&format!("MEB{}", foreign[3] as char))
+                    );
+                }
+                other => panic!("expected a snapshot error, got {other:?}"),
+            }
+        }
+
+        // Every truncation of a good snapshot, and a flipped byte anywhere
+        // in its head, is an error or — for a flip that lands in a payload —
+        // a store; never a panic.
+        for cut in 0..good.len() {
+            assert!(restore(&good[..cut]).is_err(), "cut at {cut}");
+        }
+        for at in 0..good.len().min(512) {
+            let mut bad = good.clone();
+            bad[at] ^= 0x55;
+            let _ = restore(&bad);
+        }
+    }
+
+    // --- the table's invariants under a seeded op sequence -------------------
+
+    /// What every operation must leave true, whatever came before it.
+    fn check_invariants(s: &EntityStore<HashedLexicalEncoder>) {
+        let records = s.state.entity_of_dense.len();
+        let table = &s.state.clusters;
+        table.check(records);
+
+        // A record is in a cluster exactly while storage holds it.
+        let mut live = 0;
+        for (dense, &id) in s.state.entity_of_dense.iter().enumerate() {
+            let stored = s.state.records.embedding(id).is_some();
+            assert_eq!(table.cluster_of(dense).is_some(), stored, "{id:?}");
+            assert_eq!(s.cluster_members(id).is_some(), stored, "{id:?}");
+            live += usize::from(stored);
+        }
+
+        // A cluster's sum is the sum of its members' stored embeddings, and
+        // it is indexed exactly when that sum is non-zero.
+        let (mut clustered, mut indexed, mut tuples) = (0, 0, 0);
+        for (id, cluster) in table.iter() {
+            assert_eq!(table.members(id), cluster.members());
+            let mut sum = vec![0.0f32; s.encoder.dim()];
+            for entity in s.entities(cluster.members()) {
+                let embedding = s.state.records.embedding(entity).unwrap();
+                sum.iter_mut().zip(&embedding).for_each(|(a, x)| *a += x);
+            }
+            for (got, want) in cluster.sum().iter().zip(&sum) {
+                assert!((got - want).abs() < 1e-4, "cluster {id}: {got} vs {want}");
+            }
+            assert_eq!(
+                cluster.is_indexed(),
+                cluster.sum().iter().any(|&x| x != 0.0)
+            );
+            clustered += cluster.members().len();
+            indexed += usize::from(cluster.is_indexed());
+            tuples += usize::from(cluster.members().len() >= 2);
+        }
+
+        let stats = s.stats();
+        assert_eq!(clustered, live);
+        assert_eq!(stats.records, live);
+        assert_eq!(stats.records + stats.deleted, records);
+        assert_eq!(stats.clusters, table.iter().count());
+        assert_eq!(stats.tuples, tuples);
+        assert_eq!(s.tuples().len(), tuples);
+        assert_eq!(stats.index_nodes - stats.stale_nodes, indexed);
+        assert_eq!(s.storage_stats().records, records);
+        assert_eq!(s.storage_stats().deleted_records, stats.deleted);
+    }
+
+    #[test]
+    fn seeded_op_sequences_keep_the_invariants_and_backends_agree() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        let ds = music_dataset(41);
+        let pool: Vec<Record> = ds
+            .tables()
+            .iter()
+            .flat_map(Table::records)
+            .cloned()
+            .collect();
+        for (seed, hnsw) in [(1u64, false), (2, true)] {
+            let (mut disk_cfg, dir) = disk_config(&format!("ops-{seed}"));
+            disk_cfg.prune_interval = Some(16);
+            disk_cfg.match_within_source = true;
+            disk_cfg.base.m = 0.5;
+            if hnsw {
+                // Low enough that the run upgrades the backend, then
+                // rebuilds the graph again for staleness.
+                disk_cfg.base.hnsw_threshold = 24;
+                disk_cfg.rebuild_staleness = 0.2;
+            } else {
+                disk_cfg.base.index_backend = multiem_core::IndexBackend::BruteForce;
+            }
+            let mut mem_cfg = disk_cfg.clone();
+            mem_cfg.storage = crate::config::StorageConfig::Memory;
+            let encoder = || HashedLexicalEncoder::with_dim(64);
+            let mut stores = [
+                EntityStore::new(mem_cfg, encoder()),
+                EntityStore::new(disk_cfg, encoder()),
+            ];
+
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut ids: Vec<EntityId> = Vec::new();
+            let mut counts = [0usize; 5];
+            for step in 0..220 {
+                let op = if step == 0 {
+                    1 // the first data fixes the schema
+                } else {
+                    match rng.gen_range(0..100) {
+                        0..=54 => 0,
+                        55..=64 => 1,
+                        65..=84 => 2,
+                        85..=89 => 3,
+                        _ => 4,
+                    }
+                };
+                counts[op] += 1;
+                match op {
+                    0 => {
+                        let record = &pool[rng.gen_range(0..pool.len())];
+                        let [a, b] = stores.each_mut().map(|s| s.insert(record.clone()).unwrap());
+                        assert_eq!(a, b, "step {step}");
+                        ids.push(a);
+                    }
+                    1 => {
+                        let rows: Vec<Record> = (0..rng.gen_range(1..8))
+                            .map(|_| pool[rng.gen_range(0..pool.len())].clone())
+                            .collect();
+                        let batch =
+                            Table::with_records("batch", ds.schema().clone(), rows).unwrap();
+                        let [a, b] = stores.each_mut().map(|s| s.ingest_batch(&batch).unwrap());
+                        assert_eq!(a, b, "step {step}");
+                        ids.extend((0..a.records as u32).map(|row| EntityId::new(a.source, row)));
+                    }
+                    2 if !ids.is_empty() => {
+                        // One id in four was deleted before: a miss, twice.
+                        let id = ids[rng.gen_range(0..ids.len())];
+                        let [a, b] = stores.each_mut().map(|s| s.delete_record(id).unwrap());
+                        assert_eq!(a, b, "step {step}");
+                    }
+                    3 => stores.iter_mut().for_each(EntityStore::refresh),
+                    _ => {
+                        let format = if rng.gen_bool(0.5) {
+                            SnapshotFormat::Binary
+                        } else {
+                            SnapshotFormat::Json
+                        };
+                        for s in &mut stores {
+                            let before = s.stats();
+                            let bytes = s.snapshot_bytes(format).unwrap();
+                            *s = EntityStore::restore_bytes(&bytes, encoder()).unwrap();
+                            assert_eq!(s.stats(), before, "step {step}");
+                        }
+                    }
+                }
+                for s in &stores {
+                    check_invariants(s);
+                }
+                assert_eq!(stores[0].stats(), stores[1].stats(), "step {step}");
+            }
+
+            assert!(counts.iter().all(|&c| c >= 5), "every op ran: {counts:?}");
+            let [mem, disk] = &stores;
+            let (mut a, mut b) = (mem.tuples(), disk.tuples());
+            a.sort();
+            b.sort();
+            assert_eq!(a, b, "mem and disk must end in the same tuples");
+            assert!(a.len() > 10, "vacuous: {} tuples", a.len());
+            let stats = disk.stats();
+            assert!(stats.deleted > 10 && stats.stale_nodes + stats.rebuilds > 0);
+            assert!(disk.storage_stats().spilled_records > 0, "must spill");
+            assert_eq!(disk.state.clusters.is_hnsw(), hnsw);
+            if hnsw {
+                assert!(stats.rebuilds >= 2, "an upgrade and a staleness rebuild");
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

@@ -40,8 +40,9 @@ pub enum SnapshotFormat {
 }
 
 /// Magic prefix of binary snapshots (`restore` sniffs it to auto-detect the
-/// format).
-pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MEB1";
+/// format). The last byte is the layout version: a snapshot under `MEB` and
+/// any other version is refused by name, not misread.
+pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MEB2";
 
 /// Magic prefix of segment files written by the spill-to-disk record store
 /// (`crate::storage::SegmentRecordStore`).
@@ -148,7 +149,8 @@ pub fn write_value(out: &mut Vec<u8>, value: &Value) {
         Value::Map(entries) => {
             write_map_header(out, entries.len());
             for (key, item) in entries {
-                write_map_entry(out, key, item);
+                write_key(out, key);
+                write_value(out, item);
             }
         }
     }
@@ -159,10 +161,17 @@ fn write_map_header(out: &mut Vec<u8>, entries: usize) {
     write_varint(out, entries as u64);
 }
 
-fn write_map_entry(out: &mut Vec<u8>, key: &str, item: &Value) {
+fn write_key(out: &mut Vec<u8>, key: &str) {
     write_varint(out, key.len() as u64);
     out.extend_from_slice(key.as_bytes());
-    write_value(out, item);
+}
+
+/// One entry of the map [`write_fields`] writes.
+pub(crate) enum Field<'a> {
+    /// A field written through its value tree.
+    Value(&'a dyn serde::Serialize),
+    /// A field that is itself a struct, written entry by entry.
+    Struct(&'a [(&'a str, Field<'a>)]),
 }
 
 /// Append the binary encoding of the map `fields` serialize to — the bytes
@@ -170,10 +179,14 @@ fn write_map_entry(out: &mut Vec<u8>, key: &str, item: &Value) {
 /// field's tree at a time. A tree costs 32 bytes per number, eight times the
 /// `f32` it came from, so for a struct whose fields are large float arrays
 /// this caps the transient at the largest field instead of their sum.
-pub fn write_fields(out: &mut Vec<u8>, fields: &[(&str, &dyn serde::Serialize)]) {
+pub(crate) fn write_fields(out: &mut Vec<u8>, fields: &[(&str, Field<'_>)]) {
     write_map_header(out, fields.len());
     for (key, field) in fields {
-        write_map_entry(out, key, &field.to_value());
+        write_key(out, key);
+        match field {
+            Field::Value(value) => write_value(out, &value.to_value()),
+            Field::Struct(inner) => write_fields(out, inner),
+        }
     }
 }
 

@@ -9,7 +9,6 @@
 #![forbid(unsafe_code)]
 
 use multiem_embed::HashedLexicalEncoder;
-use multiem_online::SnapshotFormat;
 use multiem_serve::obs::Level;
 use multiem_serve::{FsyncPolicy, MatchServer, ServeConfig, StorageBackend};
 use std::path::PathBuf;
@@ -38,7 +37,6 @@ fn main() {
                     .collect();
             }
             "--m" => config.online.base.m = parse(&value("--m"), "--m"),
-            "--json-snapshots" => config.snapshot_format = SnapshotFormat::Json,
             "--storage" => {
                 config.storage =
                     StorageBackend::parse(&value("--storage")).unwrap_or_else(|e| fail(&e));
@@ -103,7 +101,6 @@ fn main() {
                      \x20 --data-dir PATH    enable WAL + checkpoints under PATH\n\
                      \x20 --attrs a,b,c      schema attribute names (default `title`)\n\
                      \x20 --m FLOAT          merge distance threshold (default 0.35)\n\
-                     \x20 --json-snapshots   checkpoint as JSON instead of binary\n\
                      \x20 --storage mem|disk record storage backend (disk spills to\n\
                      \x20                    segment files under --data-dir; default mem)\n\
                      \x20 --fsync POLICY     WAL fsync: never, interval or always\n\

@@ -290,7 +290,7 @@ pub(crate) fn checkpoint<E: EmbeddingModel>(state: &ServerState<E>) -> Result<Va
             compactions += report.segments_compacted;
             reclaimed_bytes += report.reclaimed_bytes;
         }
-        let bytes = guard.get().snapshot_bytes(state.config.snapshot_format)?;
+        let bytes = guard.get().snapshot_bytes(SnapshotFormat::Binary)?;
         total_bytes += bytes.len();
         write_atomic(&snapshot_path(dir, i, new_epoch), &bytes)?;
         if shard_epochs[i] != 0 {
@@ -311,10 +311,6 @@ pub(crate) fn checkpoint<E: EmbeddingModel>(state: &ServerState<E>) -> Result<Va
         new_wals.push(log);
     }
 
-    let format = match state.config.snapshot_format {
-        SnapshotFormat::Json => "json",
-        SnapshotFormat::Binary => "binary",
-    };
     let attributes = state
         .config
         .attributes
@@ -327,7 +323,7 @@ pub(crate) fn checkpoint<E: EmbeddingModel>(state: &ServerState<E>) -> Result<Va
             "shard_epochs",
             Value::Seq(shard_epochs.iter().map(|&e| Value::UInt(e)).collect()),
         ),
-        ("format", Value::Str(format.into())),
+        ("format", Value::Str("binary".into())),
         ("attributes", Value::Seq(attributes.collect())),
     ]);
     // Commit point: after this rename the new epoch is the only one loaded.

@@ -2,7 +2,7 @@
 
 use crate::obs::ObsConfig;
 use crate::wal::FsyncPolicy;
-use multiem_online::{OnlineConfig, OnlineError, SnapshotFormat};
+use multiem_online::{OnlineConfig, OnlineError};
 use std::io;
 use std::path::PathBuf;
 
@@ -92,8 +92,6 @@ pub struct ServeConfig {
     /// Durability directory (WAL + checkpoints). `None` serves from memory
     /// only.
     pub data_dir: Option<PathBuf>,
-    /// Checkpoint encoding.
-    pub snapshot_format: SnapshotFormat,
     /// Where ingested records live ([`StorageBackend::Disk`] needs
     /// `data_dir`).
     pub storage: StorageBackend,
@@ -131,7 +129,6 @@ impl Default for ServeConfig {
             attributes: vec!["title".to_string()],
             online,
             data_dir: None,
-            snapshot_format: SnapshotFormat::Binary,
             storage: StorageBackend::Memory,
             fsync: FsyncPolicy::default(),
             queue_depth: 4096,

@@ -521,13 +521,10 @@ impl<E: EmbeddingModel> ShardedEntityStore<E> {
         }
     }
 
-    /// Serialize one shard in the given format (read-locks it).
-    pub fn snapshot_shard(
-        &self,
-        shard: usize,
-        format: SnapshotFormat,
-    ) -> Result<Vec<u8>, OnlineError> {
-        self.read_shard(shard).snapshot_bytes(format)
+    /// Serialize one shard as a binary snapshot (read-locks it).
+    pub fn snapshot_shard(&self, shard: usize) -> Result<Vec<u8>, OnlineError> {
+        self.read_shard(shard)
+            .snapshot_bytes(SnapshotFormat::Binary)
     }
 }
 
@@ -794,7 +791,7 @@ mod tests {
                 .unwrap();
         }
         let snapshots: Vec<Option<Vec<u8>>> = (0..store.num_shards())
-            .map(|s| Some(store.snapshot_shard(s, SnapshotFormat::Binary).unwrap()))
+            .map(|s| Some(store.snapshot_shard(s).unwrap()))
             .collect();
         let restored = ShardedEntityStore::restore(
             config(),

@@ -12,7 +12,8 @@
 //!   ground truth, CSV I/O);
 //! * [`embed`] — entity serialization and the embedding backend;
 //! * [`ann`] — brute-force and HNSW nearest-neighbour indexes;
-//! * [`cluster`] — union-find, DBSCAN, HAC and affinity propagation;
+//! * [`cluster`] — the batch merger's union-find, DBSCAN, HAC and affinity
+//!   propagation;
 //! * [`datagen`] — synthetic multi-source benchmark datasets;
 //! * [`eval`] — tuple / pair metrics and profiling;
 //! * [`baselines`] — the comparison methods of the paper's evaluation;
