@@ -9,9 +9,8 @@
 //! search is a filtered one that accepts every row.
 
 use crate::metric::Metric;
-use crate::{DynamicVectorIndex, FarthestFirst, Neighbor, VectorIndex};
+use crate::{for_each_group, DynamicVectorIndex, Neighbor, Rows, TopK, VectorIndex};
 use serde::{Deserialize, Serialize};
-use std::collections::BinaryHeap;
 
 /// Exact nearest-neighbour index backed by a flat array of vectors.
 #[derive(Debug, Clone, Serialize)]
@@ -63,17 +62,34 @@ impl BruteForceIndex {
         self.len() - 1
     }
 
+    /// Make room for `additional` more vectors.
+    pub fn reserve(&mut self, additional: usize) {
+        self.data.reserve_exact(additional * self.dim);
+        self.norms.reserve_exact(additional);
+    }
+
+    /// The stored vectors and their norms, as the distance loops read them.
+    pub(crate) fn rows(&self) -> Rows<'_> {
+        Rows {
+            metric: self.metric,
+            dim: self.dim,
+            data: &self.data,
+            norms: &self.norms,
+        }
+    }
+
     /// The scan: **one pass** over the stored vectors answers every query.
     ///
-    /// It is candidates-outer / queries-inner, so each stored vector is
-    /// loaded once per *batch* and scored against every query while it is
-    /// cache-hot; with the cached norms the per-pair kernel is a single
-    /// lane-unrolled pass ([`Metric::distance_prenormed`]). A row `keep`
-    /// rejects is skipped before the kernel: it costs one predicate call and
-    /// no distance. Each query keeps its `k` best accepted rows in a bounded
-    /// max-heap under `Neighbor::rank`: a candidate costs one compare against
-    /// the current worst, and one that displaces it `O(log k)`. The result is
-    /// bit-equal to scoring every accepted row, sorting and truncating.
+    /// It is candidates-outer / queries-inner: the rows `keep` accepts are
+    /// taken a group at a time ([`crate::GROUP`]) and the group is scored
+    /// against every query while it is cache-hot, one 1 × `GROUP` tile of
+    /// [`Metric::distance_tile`] per query (a batch of one is one tile per
+    /// group). A row `keep` rejects is skipped before the kernel: it costs
+    /// one predicate call and no distance. Each query keeps its `k` best
+    /// accepted rows in its row of a [`TopK`] table: a candidate costs one
+    /// compare against the current worst, and one that displaces it
+    /// `O(log k)`. The result is bit-equal to scoring every accepted row
+    /// with the pair kernel, sorting by `Neighbor::rank` and truncating.
     ///
     /// Generic over `keep` so the unfiltered searches compile to a loop with
     /// no predicate in it.
@@ -86,34 +102,17 @@ impl BruteForceIndex {
             return vec![Vec::new(); queries.len()];
         }
         let qnorms: Vec<f32> = queries.iter().map(|q| Metric::squared_norm(q)).collect();
-        // Exactly `cap` slots per query and no more: a join holds one
-        // result per query, so spare capacity here is multiplied by n.
-        let mut best: Vec<BinaryHeap<FarthestFirst>> = queries
-            .iter()
-            .map(|_| BinaryHeap::with_capacity(cap))
-            .collect();
-        let stored = self.data.chunks_exact(self.dim).zip(&self.norms);
-        for (i, (candidate, &cnorm)) in stored.enumerate() {
-            if !keep(i) {
-                continue;
-            }
-            for ((query, &qnorm), heap) in queries.iter().zip(&qnorms).zip(best.iter_mut()) {
-                let distance = self
-                    .metric
-                    .distance_prenormed(query, candidate, qnorm, cnorm);
-                let found = FarthestFirst(Neighbor::new(i, distance));
-                if heap.len() < cap {
-                    heap.push(found);
-                } else if let Some(mut worst) = heap.peek_mut() {
-                    if found < *worst {
-                        *worst = found;
-                    }
+        let mut best = TopK::new(queries.len(), cap);
+        let rows = self.rows();
+        for_each_group((0..self.len()).filter(|&i| keep(i)), |group| {
+            for (q, (query, &qnorm)) in queries.iter().zip(&qnorms).enumerate() {
+                let distances = rows.distances_to(query, qnorm, group);
+                for (&i, &distance) in group.iter().zip(&distances) {
+                    best.offer(q, Neighbor::new(i, distance));
                 }
             }
-        }
-        best.into_iter()
-            .map(|heap| heap.into_sorted_vec().into_iter().map(|f| f.0).collect())
-            .collect()
+        });
+        best.rows().collect()
     }
 }
 
@@ -180,6 +179,10 @@ impl VectorIndex for BruteForceIndex {
         &self.data[start..start + self.dim]
     }
 
+    fn as_exact(&self) -> Option<&BruteForceIndex> {
+        Some(self)
+    }
+
     fn approx_bytes(&self) -> usize {
         (self.data.capacity() + self.norms.capacity()) * std::mem::size_of::<f32>()
             + std::mem::size_of::<Self>()
@@ -187,7 +190,7 @@ impl VectorIndex for BruteForceIndex {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn index_with(points: &[[f32; 2]]) -> BruteForceIndex {
@@ -264,7 +267,7 @@ mod tests {
         all
     }
 
-    fn bits(hits: &[Neighbor]) -> Vec<(usize, u32)> {
+    pub(crate) fn bits(hits: &[Neighbor]) -> Vec<(usize, u32)> {
         hits.iter()
             .map(|n| (n.index, n.distance.to_bits()))
             .collect()
@@ -273,7 +276,7 @@ mod tests {
     /// 114 stored vectors of 11 dimensions (one full lane block plus a
     /// remainder), every one twice so ties are everywhere, and 12 queries:
     /// generic ones, a stored vector, the zero vector and one with a NaN.
-    fn tie_heavy_fixture() -> (usize, Vec<Vec<f32>>, Vec<Vec<f32>>) {
+    pub(crate) fn tie_heavy_fixture() -> (usize, Vec<Vec<f32>>, Vec<Vec<f32>>) {
         let dim = 11;
         let mut x = 1.0f32;
         let mut vectors: Vec<Vec<f32>> = Vec::new();
@@ -342,14 +345,20 @@ mod tests {
         let (dim, vectors, queries) = tie_heavy_fixture();
         let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
         let n = vectors.len();
-        // Dead shares: none, every other row, all but one, all.
+        // Dead shares: none, every other row, all, and all but a few — one
+        // short of a kernel group, exactly one, and one past it, so the last
+        // group of the scan is empty, partial and full.
         type Keep = fn(usize) -> bool;
-        let masks: [(&str, Keep); 4] = [
+        let masks: [(&str, Keep); 7] = [
             ("none dead", |_| true),
             ("half dead", |i| i % 2 == 1),
-            ("one live", |i| i == 40),
             ("all dead", |_| false),
+            ("one live", |i| i == 40),
+            ("three live", |i| [7, 40, 41].contains(&i)),
+            ("four live", |i| [0, 7, 40, 113].contains(&i)),
+            ("five live", |i| [0, 7, 40, 41, 113].contains(&i)),
         ];
+        assert_eq!(crate::GROUP, 4, "the masks straddle the group size");
         for metric in [Metric::Cosine, Metric::Euclidean, Metric::InnerProduct] {
             let idx = BruteForceIndex::from_vectors(dim, metric, vectors.iter().map(Vec::as_slice));
             for (name, keep) in &masks {
@@ -397,17 +406,22 @@ mod tests {
 
     #[test]
     fn nan_query_is_deterministic_and_panic_free() {
-        let mut idx = BruteForceIndex::new(2, Metric::Euclidean);
-        for i in 0..40 {
-            idx.add(&[i as f32, 1.0]);
+        // Cosine too: its clamp used to turn the NaN distances into 0.0.
+        for metric in [Metric::Euclidean, Metric::Cosine] {
+            let mut idx = BruteForceIndex::new(2, metric);
+            for i in 0..40 {
+                idx.add(&[i as f32, 1.0]);
+            }
+            // Every distance is NaN: the ranking falls back to insertion order.
+            let query = [f32::NAN, 1.0];
+            let hits = idx.search(&query, 5);
+            assert!(hits.iter().all(|n| n.distance.is_nan()), "{metric:?}");
+            let order: Vec<usize> = hits.iter().map(|n| n.index).collect();
+            assert_eq!(order, vec![0, 1, 2, 3, 4], "{metric:?}");
+            let batched = idx.search_batch(&[&query], 5);
+            let order: Vec<usize> = batched[0].iter().map(|n| n.index).collect();
+            assert_eq!(order, vec![0, 1, 2, 3, 4], "{metric:?}");
         }
-        // Every distance is NaN: the ranking falls back to insertion order.
-        let query = [f32::NAN, 1.0];
-        let order: Vec<usize> = idx.search(&query, 5).iter().map(|n| n.index).collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
-        let batched = idx.search_batch(&[&query], 5);
-        let order: Vec<usize> = batched[0].iter().map(|n| n.index).collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

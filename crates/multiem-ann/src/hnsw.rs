@@ -10,7 +10,7 @@
 //! the sensitivity experiments (Figure 6(b)) reproducible.
 
 use crate::metric::Metric;
-use crate::{DynamicVectorIndex, FarthestFirst, Neighbor, VectorIndex};
+use crate::{for_each_group, DynamicVectorIndex, Neighbor, Rows, VectorIndex};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -62,6 +62,26 @@ impl HnswConfig {
     }
 }
 
+/// Max-heap entry: the farthest neighbour on top, so a heap capped at `ef`
+/// entries keeps the `ef` closest seen so far (the result set of a layer
+/// search).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct FarthestFirst(Neighbor);
+
+impl Eq for FarthestFirst {}
+
+impl Ord for FarthestFirst {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.rank(&other.0)
+    }
+}
+
+impl PartialOrd for FarthestFirst {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// Min-heap entry: the closest neighbour on top (the candidate queue);
 /// implemented as a max-heap over the reversed ranking.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,6 +114,10 @@ struct SearchScratch {
     /// Entry points of the next layer search on the way in, its result
     /// (ascending by [`Neighbor::rank`]) on the way out.
     found: Vec<Neighbor>,
+    /// The nodes about to be scored together (the unvisited neighbours of
+    /// the node being expanded) and their distances, in the same order.
+    batch: Vec<usize>,
+    distances: Vec<f32>,
     /// Candidate list of the link list being re-pruned.
     shrink: Vec<Neighbor>,
     /// Output of the neighbour-selection heuristic.
@@ -120,6 +144,25 @@ impl SearchScratch {
     #[inline]
     fn worst(&self) -> f32 {
         self.results.peek().map_or(f32::INFINITY, |f| f.0.distance)
+    }
+
+    /// A neighbour's turn in the expansion: `reached` joins the candidates
+    /// if the results are short of `ef` or it is closer than the worst of
+    /// them, and then the results too if `keep` accepts it.
+    #[inline]
+    fn reach<F>(&mut self, reached: Neighbor, ef: usize, keep: &F)
+    where
+        F: Fn(usize) -> bool + ?Sized,
+    {
+        if self.results.len() < ef || reached.distance < self.worst() {
+            self.candidates.push(ClosestFirst(reached));
+            if keep(reached.index) {
+                self.results.push(FarthestFirst(reached));
+                if self.results.len() > ef {
+                    self.results.pop();
+                }
+            }
+        }
     }
 
     /// Mark `node` visited; `true` if it was not yet.
@@ -155,6 +198,10 @@ pub struct HnswIndex {
     level_mult: f64,
     /// Scratch of `add` (`search` takes `&self` and brings its own).
     scratch: SearchScratch,
+    /// Score and expand one neighbour at a time, as before the tiled
+    /// expansion: the reference the tests compare the tiled index against.
+    #[cfg(test)]
+    one_at_a_time: bool,
 }
 
 impl HnswIndex {
@@ -174,7 +221,16 @@ impl HnswIndex {
             rng,
             level_mult,
             scratch: SearchScratch::default(),
+            #[cfg(test)]
+            one_at_a_time: false,
         }
+    }
+
+    /// Make room for `additional` more vectors.
+    pub fn reserve(&mut self, additional: usize) {
+        self.data.reserve_exact(additional * self.dim);
+        self.norms.reserve_exact(additional);
+        self.links.reserve_exact(additional);
     }
 
     /// Build an index from a set of vectors.
@@ -194,11 +250,45 @@ impl HnswIndex {
         &self.config
     }
 
+    /// The stored vectors and their norms, as the distance loops read them.
+    fn rows(&self) -> Rows<'_> {
+        Rows {
+            metric: self.metric,
+            dim: self.dim,
+            data: &self.data,
+            norms: &self.norms,
+        }
+    }
+
     /// Distance from a query with squared norm `qnorm` to stored `node`.
     #[inline]
     fn dist_to(&self, query: &[f32], qnorm: f32, node: usize) -> f32 {
         self.metric
             .distance_prenormed(query, self.vector(node), qnorm, self.norms[node])
+    }
+
+    /// Distance from the query to every one of `nodes`, in order, into `out`
+    /// — a group of nodes per kernel tile ([`Rows::distances_to`]), so the
+    /// vectors of a link list, which sit anywhere in `data`, are fetched
+    /// together instead of one cache miss after another. Each entry is
+    /// bit-equal to [`Self::dist_to`].
+    fn distances_to(
+        &self,
+        query: &[f32],
+        qnorm: f32,
+        nodes: impl Iterator<Item = usize>,
+        out: &mut Vec<f32>,
+    ) {
+        out.clear();
+        #[cfg(test)]
+        if self.one_at_a_time {
+            out.extend(nodes.map(|node| self.dist_to(query, qnorm, node)));
+            return;
+        }
+        let rows = self.rows();
+        for_each_group(nodes, |group| {
+            out.extend_from_slice(&rows.distances_to(query, qnorm, group)[..group.len()]);
+        });
     }
 
     /// Distance between two stored nodes.
@@ -222,13 +312,16 @@ impl HnswIndex {
         qnorm: f32,
         mut current: Neighbor,
         layer: usize,
+        distances: &mut Vec<f32>,
     ) -> Neighbor {
         loop {
             let from = current.index;
-            for &nb in &self.links[from][layer] {
-                let d = self.dist_to(query, qnorm, nb as usize);
+            let links = &self.links[from][layer];
+            let nodes = links.iter().map(|&nb| nb as usize);
+            self.distances_to(query, qnorm, nodes.clone(), distances);
+            for (nb, &d) in nodes.zip(distances.iter()) {
                 if d < current.distance {
-                    current = Neighbor::new(nb as usize, d);
+                    current = Neighbor::new(nb, d);
                 }
             }
             if current.index == from {
@@ -239,10 +332,17 @@ impl HnswIndex {
 
     /// Descend greedily from the entry point `entry` through every layer
     /// from the top one down to `above + 1`.
-    fn descend(&self, query: &[f32], qnorm: f32, entry: usize, above: usize) -> Neighbor {
+    fn descend(
+        &self,
+        query: &[f32],
+        qnorm: f32,
+        entry: usize,
+        above: usize,
+        distances: &mut Vec<f32>,
+    ) -> Neighbor {
         let mut current = Neighbor::new(entry, self.dist_to(query, qnorm, entry));
         for layer in (above + 1..=self.max_layer).rev() {
-            current = self.greedy_closest(query, qnorm, current, layer);
+            current = self.greedy_closest(query, qnorm, current, layer, distances);
         }
         current
     }
@@ -285,23 +385,34 @@ impl HnswIndex {
             if closest.distance > worst && scratch.results.len() >= ef {
                 break;
             }
-            for &nb in &self.links[closest.index][layer] {
-                let nb = nb as usize;
-                if !scratch.visit(nb) {
-                    continue;
-                }
-                let d = self.dist_to(query, qnorm, nb);
-                let worst = scratch.worst();
-                if scratch.results.len() < ef || d < worst {
-                    let reached = Neighbor::new(nb, d);
-                    scratch.candidates.push(ClosestFirst(reached));
-                    if keep(nb) {
-                        scratch.results.push(FarthestFirst(reached));
-                        if scratch.results.len() > ef {
-                            scratch.results.pop();
-                        }
+            let links = &self.links[closest.index][layer];
+            // The expansion as it was before the tile: each neighbour is
+            // visited, scored with the pair kernel and given its turn before
+            // the next one is looked at.
+            #[cfg(test)]
+            if self.one_at_a_time {
+                for &nb in links {
+                    if scratch.visit(nb as usize) {
+                        let d = self.dist_to(query, qnorm, nb as usize);
+                        scratch.reach(Neighbor::new(nb as usize, d), ef, keep);
                     }
                 }
+                continue;
+            }
+            // The unvisited neighbours are scored together, then take their
+            // turns in link order: a distance does not depend on the turns
+            // before it, so this is the one-at-a-time expansion exactly.
+            scratch.batch.clear();
+            for &nb in links {
+                if scratch.visit(nb as usize) {
+                    scratch.batch.push(nb as usize);
+                }
+            }
+            let nodes = scratch.batch.iter().copied();
+            self.distances_to(query, qnorm, nodes, &mut scratch.distances);
+            for i in 0..scratch.batch.len() {
+                let reached = Neighbor::new(scratch.batch[i], scratch.distances[i]);
+                scratch.reach(reached, ef, keep);
             }
         }
 
@@ -325,7 +436,8 @@ impl HnswIndex {
         }
         let qnorm = Metric::squared_norm(query);
         let mut scratch = SearchScratch::default();
-        scratch.found.push(self.descend(query, qnorm, entry, 0));
+        let nearest = self.descend(query, qnorm, entry, 0, &mut scratch.distances);
+        scratch.found.push(nearest);
         let ef = self.config.ef_search.max(k);
         self.search_layer(query, qnorm, ef, 0, keep, &mut scratch);
         scratch.found.truncate(k);
@@ -381,11 +493,14 @@ impl HnswIndex {
         if self.links[node][layer].len() <= cap {
             return;
         }
+        let nodes = self.links[node][layer].iter().map(|&nb| nb as usize);
+        let (from, norm) = (self.vector(node), self.norms[node]);
+        self.distances_to(from, norm, nodes.clone(), &mut scratch.distances);
         scratch.shrink.clear();
         scratch.shrink.extend(
-            self.links[node][layer]
-                .iter()
-                .map(|&nb| Neighbor::new(nb as usize, self.dist_between(node, nb as usize))),
+            nodes
+                .zip(&scratch.distances)
+                .map(|(nb, &d)| Neighbor::new(nb, d)),
         );
         scratch.shrink.sort_unstable_by(Neighbor::rank);
         self.select_neighbors_heuristic(&scratch.shrink, cap, &mut scratch.selected);
@@ -414,11 +529,11 @@ impl HnswIndex {
         };
 
         // Phase 1: greedy descent through layers above the new node's level.
-        let nearest = self.descend(vector, qnorm, entry, level);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let nearest = self.descend(vector, qnorm, entry, level, &mut scratch.distances);
 
         // Phase 2: connect on every layer from min(level, max_layer) down to
         // 0; each layer's candidates are the entry points of the next.
-        let mut scratch = std::mem::take(&mut self.scratch);
         scratch.found.clear();
         scratch.found.push(nearest);
         let ef = self.config.ef_construction.max(1);
@@ -704,6 +819,58 @@ mod tests {
         assert!(recall10 >= 0.95, "recall@10 {recall10}");
     }
 
+    /// An index built and searched with the tiled neighbour expansion is the
+    /// index the one-at-a-time expansion builds, link for link, and answers
+    /// every query — filtered or not — with the same hits, bit for bit.
+    #[test]
+    fn tiled_expansion_is_the_one_at_a_time_expansion() {
+        let fixtures = [
+            (Metric::Cosine, clustered_unit_vectors(12, 30, 384, 3)),
+            (Metric::Euclidean, random_vectors(400, 13, 5)),
+            (Metric::InnerProduct, random_vectors(300, 8, 7)),
+        ];
+        for (metric, vectors) in fixtures {
+            let dim = vectors[0].len();
+            let (stored, probes) = vectors.split_at(vectors.len() - 20);
+            let mut tiled = HnswIndex::new(dim, metric, HnswConfig::small());
+            let mut reference = tiled.clone();
+            reference.one_at_a_time = true;
+            for v in stored {
+                assert_eq!(tiled.add(v), reference.add(v));
+            }
+            assert_eq!(tiled.links, reference.links, "{metric:?}");
+            assert_eq!(tiled.max_layer, reference.max_layer);
+            assert_eq!(tiled.entry_point, reference.entry_point);
+            assert!(
+                tiled.max_layer > 0,
+                "{metric:?}: the descent is not exercised"
+            );
+
+            let dead = dead_mask(stored.len(), 30, 11);
+            let bits = |hits: Vec<Neighbor>| -> Vec<(usize, u32)> {
+                hits.iter()
+                    .map(|n| (n.index, n.distance.to_bits()))
+                    .collect()
+            };
+            let mut poisoned = probes[0].clone();
+            poisoned[dim / 2] = f32::NAN;
+            for query in probes.iter().chain(&stored[..10]).chain([&poisoned]) {
+                for k in [1, 10, 50] {
+                    assert_eq!(
+                        bits(tiled.search(query, k)),
+                        bits(reference.search(query, k)),
+                        "{metric:?} k {k}"
+                    );
+                    assert_eq!(
+                        bits(tiled.search_where(query, k, &|node| !dead[node])),
+                        bits(reference.search_where(query, k, &|node| !dead[node])),
+                        "{metric:?} k {k}, filtered"
+                    );
+                }
+            }
+        }
+    }
+
     /// A seeded mask with about `percent` of `n` nodes dead.
     fn dead_mask(n: usize, percent: u32, seed: u64) -> Vec<bool> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -804,28 +971,31 @@ mod tests {
     #[test]
     fn nan_query_is_deterministic_and_panic_free() {
         let vectors = random_vectors(200, 8, 41);
-        // Euclidean: a NaN coordinate makes every distance NaN (cosine's
-        // `.max(0.0)` clamp would turn them into 0.0).
-        let idx = HnswIndex::build(
-            8,
-            Metric::Euclidean,
-            HnswConfig::small(),
-            vectors.iter().map(|v| v.as_slice()),
-        );
-        let mut query = vectors[0].clone();
-        query[3] = f32::NAN;
-        let bits = |hits: Vec<Neighbor>| -> Vec<(usize, u32)> {
-            hits.iter()
-                .map(|n| (n.index, n.distance.to_bits()))
-                .collect()
-        };
-        let first = bits(idx.search(&query, 10));
-        assert!(!first.is_empty());
-        assert_eq!(first, bits(idx.search(&query, 10)));
-        // Inserting it must not panic either, and leaves the index searchable.
-        let mut idx = idx;
-        idx.add(&query);
-        assert_eq!(idx.search(&vectors[1], 1)[0].index, 1);
+        // A NaN coordinate makes every distance NaN, under cosine too (its
+        // clamp used to turn them into 0.0).
+        for metric in [Metric::Euclidean, Metric::Cosine] {
+            let idx = HnswIndex::build(
+                8,
+                metric,
+                HnswConfig::small(),
+                vectors.iter().map(|v| v.as_slice()),
+            );
+            let mut query = vectors[0].clone();
+            query[3] = f32::NAN;
+            let bits = |hits: Vec<Neighbor>| -> Vec<(usize, u32)> {
+                hits.iter()
+                    .map(|n| (n.index, n.distance.to_bits()))
+                    .collect()
+            };
+            let first = idx.search(&query, 10);
+            assert!(!first.is_empty());
+            assert!(first.iter().all(|n| n.distance.is_nan()), "{metric:?}");
+            assert_eq!(bits(first), bits(idx.search(&query, 10)));
+            // Inserting it must not panic either, and leaves the index searchable.
+            let mut idx = idx;
+            idx.add(&query);
+            assert_eq!(idx.search(&vectors[1], 1)[0].index, 1);
+        }
     }
 
     #[test]

@@ -28,6 +28,15 @@ impl AnnIndex {
         }
     }
 
+    /// Make room for `additional` more vectors, so a caller that knows how
+    /// many it is about to insert fills the index without regrowing it.
+    pub fn reserve(&mut self, additional: usize) {
+        match self {
+            AnnIndex::Brute(i) => i.reserve(additional),
+            AnnIndex::Hnsw(i) => i.reserve(additional),
+        }
+    }
+
     /// Whether this is the HNSW backend.
     pub fn is_hnsw(&self) -> bool {
         matches!(self, AnnIndex::Hnsw(_))
@@ -82,6 +91,10 @@ impl VectorIndex for AnnIndex {
 
     fn vector(&self, index: usize) -> &[f32] {
         self.backend().vector(index)
+    }
+
+    fn as_exact(&self) -> Option<&BruteForceIndex> {
+        self.backend().as_exact()
     }
 
     fn approx_bytes(&self) -> usize {

@@ -58,23 +58,164 @@ impl Neighbor {
     }
 }
 
-/// Max-heap entry: the farthest neighbour on top, so a heap capped at `n`
-/// entries keeps the `n` closest seen so far (the HNSW result set and the
-/// brute-force scan's top-k).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct FarthestFirst(pub(crate) Neighbor);
+/// The `cap` best neighbours of each of `rows` rows under [`Neighbor::rank`]
+/// — the top-k of the brute-force scan (a row per query) and of the exact
+/// join (a row per vector of either side) — in one flat allocation: row `r`
+/// keeps its `len[r]` entries in `slots[r * cap..]` as a binary max-heap,
+/// the worst of them first.
+pub(crate) struct TopK {
+    cap: usize,
+    len: Vec<usize>,
+    slots: Vec<Neighbor>,
+    /// Per row, a distance no entry that could still get in exceeds: the
+    /// worst kept distance once the row is full, infinity before. Almost
+    /// every offer of a scan or a join ends at this one compare.
+    bound: Vec<f32>,
+}
 
-impl Eq for FarthestFirst {}
+impl TopK {
+    pub(crate) fn new(rows: usize, cap: usize) -> Self {
+        Self {
+            cap,
+            len: vec![0; rows],
+            slots: vec![Neighbor::new(0, 0.0); rows * cap],
+            bound: vec![f32::INFINITY; rows],
+        }
+    }
 
-impl Ord for FarthestFirst {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.rank(&other.0)
+    /// The entries of `row`, in heap order.
+    pub(crate) fn row(&self, row: usize) -> &[Neighbor] {
+        &self.slots[row * self.cap..][..self.len[row]]
+    }
+
+    /// Every row's entries, best first, in row order.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = Vec<Neighbor>> + '_ {
+        (0..self.len.len()).map(|row| {
+            let mut entries = self.row(row).to_vec();
+            entries.sort_unstable_by(Neighbor::rank);
+            entries
+        })
+    }
+
+    /// Offer `found` to `row`: kept if the row is not full or `found` ranks
+    /// before its worst entry, which it then displaces. The order of offers
+    /// does not matter: the rank is total, so the `cap` best of a set are
+    /// the same whichever way it is walked.
+    #[inline]
+    pub(crate) fn offer(&mut self, row: usize, found: Neighbor) {
+        // `>` is false for a NaN on either side and for a tie: those go on
+        // to the exact comparison under `Neighbor::rank`.
+        if found.distance > self.bound[row] {
+            return;
+        }
+        self.insert(row, found);
+    }
+
+    fn insert(&mut self, row: usize, found: Neighbor) {
+        let slots = &mut self.slots[row * self.cap..][..self.cap];
+        let len = &mut self.len[row];
+        let mut at;
+        if *len < slots.len() {
+            // A new leaf, sifted up past every parent it ranks after.
+            at = *len;
+            *len += 1;
+            while at > 0 && found.rank(&slots[(at - 1) / 2]).is_gt() {
+                slots[at] = slots[(at - 1) / 2];
+                at = (at - 1) / 2;
+            }
+        } else {
+            if slots.first().is_none_or(|worst| found.rank(worst).is_ge()) {
+                return;
+            }
+            // In place of the root, sifted down past every child that ranks
+            // after it.
+            at = 0;
+            loop {
+                let mut child = 2 * at + 1;
+                if child + 1 < *len && slots[child + 1].rank(&slots[child]).is_gt() {
+                    child += 1;
+                }
+                if child >= *len || slots[child].rank(&found).is_le() {
+                    break;
+                }
+                slots[at] = slots[child];
+                at = child;
+            }
+        }
+        slots[at] = found;
+        if *len == slots.len() {
+            self.bound[row] = slots[0].distance;
+        }
     }
 }
 
-impl PartialOrd for FarthestFirst {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+/// Stored vectors scored per kernel call against one query: a full group is
+/// one 1 × `GROUP` tile of [`Metric::distance_tile`]. Four pairs are eight
+/// accumulator registers on the baseline target (`ann/kernel` bench rows;
+/// see `LANES` in `metric.rs`); rows of five and six still fit its sixteen
+/// but measured slower than four.
+pub(crate) const GROUP: usize = 4;
+
+/// Hand `nodes` to `f` in groups of [`GROUP`], in order; the last group may
+/// be shorter, none is empty.
+pub(crate) fn for_each_group(nodes: impl Iterator<Item = usize>, mut f: impl FnMut(&[usize])) {
+    let mut group = [0usize; GROUP];
+    let mut filled = 0;
+    for node in nodes {
+        group[filled] = node;
+        filled += 1;
+        if filled == GROUP {
+            f(&group);
+            filled = 0;
+        }
+    }
+    if filled > 0 {
+        f(&group[..filled]);
+    }
+}
+
+/// What both indexes store — a flat row-major array of `dim`-float vectors
+/// and one cached squared norm per row — as every loop that scores stored
+/// vectors reads it: the brute-force scan, the exact join and the HNSW
+/// neighbour expansion.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Rows<'a> {
+    pub(crate) metric: Metric,
+    pub(crate) dim: usize,
+    pub(crate) data: &'a [f32],
+    pub(crate) norms: &'a [f32],
+}
+
+impl<'a> Rows<'a> {
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.norms.len()
+    }
+
+    /// The vector at `row`.
+    #[inline]
+    pub(crate) fn row(&self, row: usize) -> &'a [f32] {
+        &self.data[row * self.dim..(row + 1) * self.dim]
+    }
+
+    /// Distance from `query` (squared norm `qnorm`) to each row of `group`,
+    /// in group order, in the first `group.len()` slots of the result: one
+    /// tile when the group is full, the pair kernel row by row when it is
+    /// not. Every entry is bit-equal to the pair kernel's either way.
+    #[inline]
+    pub(crate) fn distances_to(&self, query: &[f32], qnorm: f32, group: &[usize]) -> [f32; GROUP] {
+        if let Ok(full) = <[usize; GROUP]>::try_from(group) {
+            let (rows, norms) = (full.map(|r| self.row(r)), full.map(|r| self.norms[r]));
+            let [distances] = self.metric.distance_tile([query], rows, [qnorm], norms);
+            return distances;
+        }
+        let mut distances = [0.0; GROUP];
+        for (distance, &r) in distances.iter_mut().zip(group) {
+            *distance = self
+                .metric
+                .distance_prenormed(query, self.row(r), qnorm, self.norms[r]);
+        }
+        distances
     }
 }
 
@@ -164,6 +305,14 @@ pub trait VectorIndex: Send + Sync {
 
     /// Borrow the stored vector at `index`.
     fn vector(&self, index: usize) -> &[f32];
+
+    /// The exact index behind this one, when that is what it is (the
+    /// default says it is not). [`mutual_top_k`] asks both of its sides:
+    /// two exact indexes are joined in one pass over their distance matrix
+    /// instead of one search per row and direction.
+    fn as_exact(&self) -> Option<&BruteForceIndex> {
+        None
+    }
 
     /// Approximate heap footprint of the index in bytes (memory accounting).
     fn approx_bytes(&self) -> usize;

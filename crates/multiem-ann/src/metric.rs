@@ -32,10 +32,7 @@ impl Metric {
                     na += x * x;
                     nb += y * y;
                 }
-                if na == 0.0 || nb == 0.0 {
-                    return 1.0;
-                }
-                (1.0 - dot / (na.sqrt() * nb.sqrt())).max(0.0)
+                cosine_from_parts(dot, na.sqrt(), nb.sqrt())
             }
             Metric::Euclidean => a
                 .iter()
@@ -54,49 +51,98 @@ impl Metric {
     /// `na + nb - 2·dot` cancels catastrophically for near-duplicates, so
     /// the norms are only used by cosine).
     ///
-    /// This is the kernel of both indexes: each caches one squared norm per
-    /// stored vector (`nb`) and computes the query's (`na`) once per search.
-    /// Agrees with `distance` up to summation order (eight lanes instead of
-    /// one chain).
+    /// Each index caches one squared norm per stored vector (`nb`) and
+    /// computes the query's (`na`) once per search. Agrees with `distance`
+    /// up to summation order (eight lanes instead of one chain). This is the
+    /// 1×1 instance of [`Metric::distance_tile`].
     #[inline]
     pub fn distance_prenormed(&self, a: &[f32], b: &[f32], na: f32, nb: f32) -> f32 {
+        self.distance_tile([a], [b], [na], [nb])[0][0]
+    }
+
+    /// [`Metric::distance_prenormed`] for every pair of `R` vectors `a` and
+    /// `C` vectors `b` at once: entry `[r][c]` is
+    /// `distance_prenormed(a[r], b[c], na[r], nb[c])`, **bit for bit** — a
+    /// tile changes how many pairs are in flight, never the order in which
+    /// one pair's terms are summed, so a caller may score a pair in whatever
+    /// tile it falls into and rankings do not depend on the tiling.
+    ///
+    /// This is the one distance kernel of the crate: the brute-force scan,
+    /// the exact join and the HNSW neighbour expansion all score through it.
+    ///
+    /// What the tile buys: a pair's sum runs on eight accumulator lanes,
+    /// which on the baseline x86-64 target (SSE2: four-float registers, no
+    /// fused multiply-add, sixteen registers) are two registers, i.e. two
+    /// dependent add chains, so a lone pair is bound by add latency. A tile
+    /// runs `R × C` pairs' chains side by side and loads each vector's block
+    /// once for a whole row or column of pairs. The `2 · R · C` accumulator
+    /// registers have to fit beside the loaded blocks: 1×4 and 2×2 (eight)
+    /// do; 4×4 (thirty-two) spills every accumulator on every block.
+    /// Measured on 384-d vectors (`cargo bench -p multiem-bench --bench ann`,
+    /// `ann/kernel`, four runs on a shared two-core VM): 1×1 43–58 ns per
+    /// pair, 1×4 30–38 ns, 2×2 30–46 ns, 4×4 50–79 ns.
+    #[inline]
+    pub fn distance_tile<const R: usize, const C: usize>(
+        &self,
+        a: [&[f32]; R],
+        b: [&[f32]; C],
+        na: [f32; R],
+        nb: [f32; C],
+    ) -> [[f32; C]; R] {
         match self {
-            Metric::Cosine => Self::cosine_from_parts(dot_lanes(a, b), na, nb),
-            Metric::Euclidean => squared_diff_lanes(a, b).sqrt(),
-            Metric::InnerProduct => -dot_lanes(a, b),
+            Metric::Cosine => {
+                // One square root per row and per column, not two per pair.
+                let (ra, rb) = (na.map(f32::sqrt), nb.map(f32::sqrt));
+                let mut tile = tile_sum(a, b, |x, y| x * y);
+                for (row, &ra) in tile.iter_mut().zip(&ra) {
+                    for (dot, &rb) in row.iter_mut().zip(&rb) {
+                        *dot = cosine_from_parts(*dot, ra, rb);
+                    }
+                }
+                tile
+            }
+            Metric::Euclidean => {
+                tile_sum(a, b, |x, y| (x - y) * (x - y)).map(|row| row.map(f32::sqrt))
+            }
+            Metric::InnerProduct => tile_sum(a, b, |x, y| x * y).map(|row| row.map(|dot| -dot)),
         }
     }
 
-    /// Squared L2 norm on the lane structure of the pair kernels — the norm
+    /// Squared L2 norm on the lane structure of the pair kernel — the norm
     /// [`Metric::distance_prenormed`] takes for either side.
     #[inline]
     pub fn squared_norm(v: &[f32]) -> f32 {
-        let mut acc = [0.0f32; LANES];
-        let mut chunks = v.chunks_exact(LANES);
-        for c in &mut chunks {
-            for (lane, x) in acc.iter_mut().zip(c) {
-                *lane += x * x;
-            }
-        }
-        let mut n = sum_lanes(acc);
-        for x in chunks.remainder() {
-            n += x * x;
-        }
-        n
-    }
-
-    #[inline]
-    fn cosine_from_parts(dot: f32, na: f32, nb: f32) -> f32 {
-        if na == 0.0 || nb == 0.0 {
-            return 1.0;
-        }
-        (1.0 - dot / (na.sqrt() * nb.sqrt())).max(0.0)
+        tile_sum([v], [v], |x, y| x * y)[0][0]
     }
 }
 
-/// Accumulator lanes of the unrolled scan kernels. A single-accumulator
-/// f32 reduction is bound by FMA latency (one chain); eight independent
-/// lanes keep the multiplier ports busy and let LLVM vectorize the body.
+/// Cosine distance from a dot product and the two **norms** (not squared).
+///
+/// The clamp to `[0, ∞)` must let NaN through: `f32::max` returns the
+/// non-NaN operand, which used to put a vector with one NaN component at
+/// distance 0.0 from everything. Identical bits to `.max(0.0)` for every
+/// finite input (`1.0 - x` is never `-0.0`).
+#[inline]
+fn cosine_from_parts(dot: f32, norm_a: f32, norm_b: f32) -> f32 {
+    if norm_a == 0.0 || norm_b == 0.0 {
+        return 1.0;
+    }
+    let distance = 1.0 - dot / (norm_a * norm_b);
+    if distance < 0.0 {
+        0.0
+    } else {
+        distance
+    }
+}
+
+/// Accumulator lanes per pair. A pair's sum is defined as: term `i` goes to
+/// lane `i % LANES`, the lanes are added as a balanced tree
+/// ([`sum_lanes`]), then the `len % LANES` trailing terms one by one. That
+/// order is part of the result (f32 addition does not associate) and is the
+/// same in every tile shape, which is why a tile is bit-equal to the pair
+/// kernel. More lanes would change every sum, and do not help: on SSE2 the
+/// lanes of one pair are still chains of dependent adds, and what hides
+/// their latency is other pairs' chains ([`Metric::distance_tile`]).
 const LANES: usize = 8;
 
 #[inline]
@@ -104,35 +150,71 @@ fn sum_lanes(acc: [f32; LANES]) -> f32 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
 }
 
-/// Lane-unrolled `Σ term(aᵢ, bᵢ)`, the body of the one-pass pair kernels.
-#[inline]
-fn lane_sum(a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f32; LANES];
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (xs, ys) in (&mut ca).zip(&mut cb) {
-        for ((lane, x), y) in acc.iter_mut().zip(xs).zip(ys) {
-            *lane += term(*x, *y);
+/// The lane accumulators of every pair of the tile over the whole
+/// [`LANES`]-blocks of the vectors: `[r][c][l] = Σ term(a[r][i], b[c][i])`
+/// over `i ≡ l (mod LANES)`, in index order.
+///
+/// Never inlined, on purpose. Compiled into a caller, LLVM's SLP vectorizer
+/// seeds from whatever consumes the sums (the lane tree, a top-K compare)
+/// and shuffles lanes across pairs or drops to scalar code: the
+/// 1,150 × 1,150 exact join on one thread measured 83 ms with this function
+/// inlined against 33 ms without, from the same source. Out of line the only
+/// seeds are the stores of the result, every instance compiles to the
+/// straight `load, mul, add` loop, and the `ann/kernel` bench rows measure
+/// the code every caller runs. The call costs a few ns per *tile*.
+#[inline(never)]
+fn lane_sums<const R: usize, const C: usize>(
+    a: [&[f32]; R],
+    b: [&[f32]; C],
+    term: impl Fn(f32, f32) -> f32,
+) -> [[[f32; LANES]; C]; R] {
+    let blocks = a.first().map_or(0, |v| v.len()) / LANES;
+    // Every vector cut to the same number of whole blocks up front, so the
+    // loop below indexes without bounds checks.
+    let mut xs: [&[[f32; LANES]]; R] = [&[]; R];
+    let mut ys: [&[[f32; LANES]]; C] = [&[]; C];
+    for (x, v) in xs.iter_mut().zip(a) {
+        *x = &v.as_chunks().0[..blocks];
+    }
+    for (y, v) in ys.iter_mut().zip(b) {
+        *y = &v.as_chunks().0[..blocks];
+    }
+    let mut acc = [[[0.0f32; LANES]; C]; R];
+    for i in 0..blocks {
+        for r in 0..R {
+            for c in 0..C {
+                for l in 0..LANES {
+                    acc[r][c][l] += term(xs[r][i][l], ys[c][i][l]);
+                }
+            }
         }
     }
-    let mut sum = sum_lanes(acc);
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        sum += term(*x, *y);
+    acc
+}
+
+/// `Σ term(a[r]ᵢ, b[c]ᵢ)` for every pair of the tile, each in the summation
+/// order [`LANES`] defines. All vectors must have the same length.
+#[inline]
+fn tile_sum<const R: usize, const C: usize>(
+    a: [&[f32]; R],
+    b: [&[f32]; C],
+    term: impl Fn(f32, f32) -> f32 + Copy,
+) -> [[f32; C]; R] {
+    let dim = a.first().map_or(0, |v| v.len());
+    debug_assert!(a.iter().chain(&b).all(|v| v.len() == dim));
+    let lanes = lane_sums(a, b, term);
+    let tail = dim - dim % LANES;
+    let mut sums = [[0.0f32; C]; R];
+    for r in 0..R {
+        for c in 0..C {
+            let mut sum = sum_lanes(lanes[r][c]);
+            for (x, y) in a[r][tail..].iter().zip(&b[c][tail..]) {
+                sum += term(*x, *y);
+            }
+            sums[r][c] = sum;
+        }
     }
-    sum
-}
-
-/// Lane-unrolled dot product.
-#[inline]
-fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
-    lane_sum(a, b, |x, y| x * y)
-}
-
-/// Lane-unrolled sum of squared differences (squared Euclidean distance).
-#[inline]
-fn squared_diff_lanes(a: &[f32], b: &[f32]) -> f32 {
-    lane_sum(a, b, |x, y| (x - y) * (x - y))
+    sums
 }
 
 impl Metric {
@@ -176,6 +258,125 @@ mod tests {
         assert_eq!(m.distance(&[1.0, 2.0], &[3.0, 4.0]), -11.0);
         // Larger inner product = smaller (more negative) distance.
         assert!(m.distance(&[1.0, 0.0], &[5.0, 0.0]) < m.distance(&[1.0, 0.0], &[1.0, 0.0]));
+    }
+
+    /// The pair kernel as it stood before the tile: eight lanes filled in
+    /// index order, the balanced lane tree, the trailing terms one by one,
+    /// and `f32::max` as the cosine clamp.
+    fn reference_pair(metric: Metric, a: &[f32], b: &[f32]) -> f32 {
+        let lane_sum = |a: &[f32], b: &[f32], term: fn(f32, f32) -> f32| {
+            let mut acc = [0.0f32; LANES];
+            let (mut ca, mut cb) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+            for (xs, ys) in (&mut ca).zip(&mut cb) {
+                for ((lane, x), y) in acc.iter_mut().zip(xs).zip(ys) {
+                    *lane += term(*x, *y);
+                }
+            }
+            let mut sum = sum_lanes(acc);
+            for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
+                sum += term(*x, *y);
+            }
+            sum
+        };
+        let dot = |a, b| lane_sum(a, b, |x, y| x * y);
+        match metric {
+            Metric::Cosine => {
+                let (na, nb) = (dot(a, a), dot(b, b));
+                if na == 0.0 || nb == 0.0 {
+                    return 1.0;
+                }
+                (1.0 - dot(a, b) / (na.sqrt() * nb.sqrt())).max(0.0)
+            }
+            Metric::Euclidean => lane_sum(a, b, |x, y| (x - y) * (x - y)).sqrt(),
+            Metric::InnerProduct => -dot(a, b),
+        }
+    }
+
+    /// Four vectors of `dim` floats from `seed`; the ones at `zero` and
+    /// `poisoned` are the zero vector and one with a NaN component.
+    fn tile_side(dim: usize, seed: f32, zero: usize, poisoned: usize) -> Vec<Vec<f32>> {
+        let mut x = seed;
+        let mut side: Vec<Vec<f32>> = (0..4)
+            .map(|_| {
+                (0..dim)
+                    .map(|_| {
+                        x = (x * 7.31).fract() + 0.1;
+                        x - 0.6
+                    })
+                    .collect()
+            })
+            .collect();
+        side[zero] = vec![0.0; dim];
+        if let Some(component) = side[poisoned].get_mut(dim / 2) {
+            *component = f32::NAN;
+        }
+        side
+    }
+
+    /// Every tile shape the crate uses, and 4×4, against the pair kernel.
+    fn assert_tile_is_the_pair_kernel<const R: usize, const C: usize>() {
+        for dim in [0, 1, 7, 8, 9, 11, 384] {
+            let left = tile_side(dim, 1.0, 1, 3);
+            let right = tile_side(dim, 0.37, 2, 0);
+            let a: [&[f32]; R] = std::array::from_fn(|r| left[r].as_slice());
+            let b: [&[f32]; C] = std::array::from_fn(|c| right[c].as_slice());
+            let na = a.map(Metric::squared_norm);
+            let nb = b.map(Metric::squared_norm);
+            for metric in [Metric::Cosine, Metric::Euclidean, Metric::InnerProduct] {
+                let tile = metric.distance_tile(a, b, na, nb);
+                for r in 0..R {
+                    for c in 0..C {
+                        let what = format!("{metric:?} {R}x{C} dim {dim} pair ({r}, {c})");
+                        let pair = metric.distance_prenormed(a[r], b[c], na[r], nb[c]);
+                        assert_eq!(tile[r][c].to_bits(), pair.to_bits(), "{what}");
+                        let before = reference_pair(metric, a[r], b[c]);
+                        if pair.is_nan() {
+                            // Only the cosine clamp changed, and only for NaN.
+                            let poisoned = a[r].iter().chain(b[c]).any(|x| x.is_nan());
+                            assert!(poisoned, "{what}: NaN from finite input");
+                            assert!(before.is_nan() || metric == Metric::Cosine, "{what}");
+                        } else {
+                            assert_eq!(pair.to_bits(), before.to_bits(), "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_tile_entry_is_bit_equal_to_the_pair_kernel() {
+        assert_tile_is_the_pair_kernel::<1, 1>();
+        assert_tile_is_the_pair_kernel::<1, 4>();
+        assert_tile_is_the_pair_kernel::<4, 1>();
+        assert_tile_is_the_pair_kernel::<2, 2>();
+        assert_tile_is_the_pair_kernel::<1, 2>();
+        assert_tile_is_the_pair_kernel::<2, 1>();
+        assert_tile_is_the_pair_kernel::<4, 4>();
+    }
+
+    #[test]
+    fn cosine_keeps_nan_and_clamps_only_negative_rounding() {
+        let poisoned = [f32::NAN, 0.0, 1.0];
+        let clean = [1.0, 0.0, 0.0];
+        let m = Metric::Cosine;
+        // `f32::max` used to turn these into 0.0: a perfect match.
+        assert!(m.distance(&poisoned, &clean).is_nan());
+        assert!(m.distance(&clean, &poisoned).is_nan());
+        let (np, nc) = (
+            Metric::squared_norm(&poisoned),
+            Metric::squared_norm(&clean),
+        );
+        assert!(m.distance_prenormed(&poisoned, &clean, np, nc).is_nan());
+        // A vector against itself rounds to just above or just below zero;
+        // below is clamped, so the sign bit is never set.
+        for len in 1..60 {
+            let v: Vec<f32> = (1..=len).map(|i| 1.0 / i as f32).collect();
+            let n = Metric::squared_norm(&v);
+            for d in [m.distance_prenormed(&v, &v, n, n), m.distance(&v, &v)] {
+                assert!(d.is_sign_positive() && d < 1e-6, "len {len}: {d}");
+            }
+        }
     }
 
     #[test]

@@ -4,10 +4,17 @@
 //! when `e' ∈ topK(e)`, `e ∈ topK(e')`, **and** `dist(e, e') ≤ m`. This module
 //! implements that join generically over any [`VectorIndex`] so it can run on
 //! the exact brute-force index (small tables) or the HNSW index (large tables).
+//!
+//! Both directions' top-K come from searches when a side is approximate
+//! (`top_k_tiled`), and from one pass over the distance matrix when both
+//! sides are exact (`exact_join`); reciprocity, the threshold and the order
+//! of the result are decided once, after either.
 
-use crate::{Neighbor, VectorIndex};
+use crate::{Neighbor, Rows, TopK, VectorIndex};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+use std::sync::Mutex;
 
 /// One mutual match between row `left` of collection A and row `right` of
 /// collection B.
@@ -24,10 +31,15 @@ pub struct MutualMatch {
 /// Compute the mutual top-K matches between `left_vectors` and `right_vectors`.
 ///
 /// * `left_index` must index exactly `left_vectors` (same order); likewise for
-///   the right side. The function only uses the indexes for searching and the
-///   raw slices for queries, so callers can pass HNSW or brute-force indexes.
+///   the right side. Callers can pass HNSW or brute-force indexes: an
+///   approximate side is searched once per vector of the other side; two
+///   exact sides ([`VectorIndex::as_exact`]) with one metric and
+///   dimensionality are joined in a single pass over their distance matrix,
+///   which feeds both directions' top-K — same result, bit for bit, for
+///   half the distances.
 /// * `k` is the top-K bound of Eq. 1 (the paper uses `k = 1`).
-/// * `max_distance` is the threshold `m`; pairs farther apart are discarded.
+/// * `max_distance` is the threshold `m`: a pair is kept only when its
+///   distance is `<= m`, so a NaN distance never matches.
 ///
 /// The result is sorted by `(left, right)` for determinism.
 pub fn mutual_top_k<IL, IR>(
@@ -46,17 +58,29 @@ where
         return Vec::new();
     }
 
-    let left_to_right = top_k_tiled(right_index, left_vectors, k);
-    let right_to_left = top_k_tiled(left_index, right_vectors, k);
+    let (left_to_right, right_to_left) = match (left_index.as_exact(), right_index.as_exact()) {
+        (Some(left), Some(right))
+            if left.metric() == right.metric() && left.dim() == right.dim() =>
+        {
+            debug_assert_eq!(left.len(), left_vectors.len());
+            debug_assert_eq!(right.len(), right_vectors.len());
+            // Whole tiles per range: only the last one has leftover rows.
+            let rows_per_range = RANGE_ROWS
+                .max(MIN_RANGE_PAIRS.div_ceil(right.len()))
+                .next_multiple_of(TILE_ROWS);
+            exact_join(left.rows(), right.rows(), k, rows_per_range)
+        }
+        _ => (
+            top_k_tiled(right_index, left_vectors, k),
+            top_k_tiled(left_index, right_vectors, k),
+        ),
+    };
 
     let mut matches: Vec<MutualMatch> = Vec::new();
     for (l, neighbors) in left_to_right.iter().enumerate() {
         for n in neighbors {
-            if n.distance > max_distance {
-                continue;
-            }
-            let reciprocal = right_to_left[n.index].iter().any(|back| back.index == l);
-            if reciprocal {
+            let reciprocal = || right_to_left[n.index].iter().any(|back| back.index == l);
+            if n.distance <= max_distance && reciprocal() {
                 matches.push(MutualMatch {
                     left: l,
                     right: n.index,
@@ -69,18 +93,22 @@ where
     matches
 }
 
-/// Most queries per [`VectorIndex::search_batch`] call of a join. A
-/// brute-force scan streams the whole index once per call, so wider tiles
-/// amortize that pass over more queries, until the tile's own vectors
-/// (`TILE × dim` floats) stop fitting in cache beside it.
+/// Most queries per [`VectorIndex::search_batch`] call of a join with an
+/// approximate side. A brute-force scan streams the whole index once per
+/// call, so wider tiles amortize that pass over more queries; 8 to 64 were
+/// measured within 5% of each other, so the width is not a cache fit (32
+/// queries of dimension 384 are 48 KB, a whole L1d) — the scan reads each
+/// group of stored rows once per query while it is hot, whatever the width.
 const TILE: usize = 32;
 
 /// Queries per tile for `queries` queries on `threads` threads. Tiles are
 /// also the unit of parallelism, so a side too short to give every thread a
 /// full tile is cut into narrower ones (300 queries on 16 threads: 19 wide,
 /// not 10 tiles of 32 with six threads idle). Results do not depend on the
-/// width. Measured on 2 cores only, where every side of 64 queries or more
-/// gets full tiles.
+/// width. Since the exact join left this path only joins with an HNSW side
+/// come here, i.e. sides of thousands of queries, which get full tiles on
+/// any machine the pipeline has run on; the narrow case is covered by tests,
+/// not by a measurement.
 fn tile_width(queries: usize, threads: usize) -> usize {
     TILE.min(queries.div_ceil(threads)).max(1)
 }
@@ -95,6 +123,161 @@ fn top_k_tiled<I: VectorIndex>(index: &I, queries: &[&[f32]], k: usize) -> Vec<V
         .map(|tile| index.search_batch(tile, k))
         .collect();
     per_tile.into_iter().flatten().collect()
+}
+
+/// Shape of the exact join's distance tiles: the widest square whose
+/// accumulators stay in registers on the baseline target (`ann/kernel`
+/// bench rows; see `LANES` in `metric.rs`).
+const TILE_ROWS: usize = 2;
+const TILE_COLS: usize = 2;
+
+/// Right rows per pass of the exact join. Every tile row of a range is
+/// scored against one block before the next block is touched, so the block
+/// (16 rows of dimension 384 are 24 KB) stays in L1d while the range's left
+/// rows stream past it. 8, 16, 24 and 32 rows were within run-to-run spread
+/// of each other on the 1,150- and 2,300-row joins; 32 rows of dimension 384
+/// are all of a 48 KB L1d.
+const BLOCK: usize = 16;
+
+/// Left rows per range of the exact join: the unit of parallelism, and the
+/// rows that stream past every right block — 128 rows of dimension 384 are
+/// 192 KB, which stays in L2 for the whole pass. Whole-side ranges (1,150
+/// rows, 1.7 MB) measured about a tenth slower at 2,300 × 2,300, and a
+/// thread that loses its core for a while then holds a quarter of the join
+/// back instead of a twentieth.
+const RANGE_ROWS: usize = 128;
+
+/// Fewest pairs a range is cut for: 2^15 pairs are about a millisecond of
+/// scoring, several times what handing a range to another thread costs (the
+/// pool spawns a scoped thread per parallel map), so a join with a short
+/// right side gets longer ranges, and one under 2^15 pairs runs on the
+/// calling thread. Measured at 170 × 170: one thread 0.66 ms at best and
+/// 0.82 ms in the median, two threads 0.43 ms and 0.90 ms.
+const MIN_RANGE_PAIRS: usize = 1 << 15;
+
+/// One range of left rows of an exact join against the whole right side.
+struct RangeJoin<'a> {
+    a: Rows<'a>,
+    b: Rows<'a>,
+    /// First left row of the range: `left` is indexed from it.
+    first: usize,
+    /// Top-K right rows of every left row of the range.
+    left: TopK,
+    /// Top-K left rows of every right row, among the ranges that have used
+    /// this table.
+    right: TopK,
+}
+
+impl RangeJoin<'_> {
+    /// Score left rows `l..l + R` against right rows `r..r + C` in one
+    /// kernel tile and offer every distance to both of its rows.
+    #[inline]
+    fn tile<const R: usize, const C: usize>(&mut self, l: usize, r: usize) {
+        let ls: [usize; R] = std::array::from_fn(|i| l + i);
+        let rs: [usize; C] = std::array::from_fn(|i| r + i);
+        let distances = self.a.metric.distance_tile(
+            ls.map(|l| self.a.row(l)),
+            rs.map(|r| self.b.row(r)),
+            ls.map(|l| self.a.norms[l]),
+            rs.map(|r| self.b.norms[r]),
+        );
+        for (&l, row) in ls.iter().zip(&distances) {
+            for (&r, &distance) in rs.iter().zip(row) {
+                self.left.offer(l - self.first, Neighbor::new(r, distance));
+                self.right.offer(r, Neighbor::new(l, distance));
+            }
+        }
+    }
+
+    /// Left rows `l..l + R` against right rows `cols`.
+    #[inline]
+    fn strip<const R: usize>(&mut self, l: usize, cols: Range<usize>) {
+        let mut r = cols.start;
+        while r + TILE_COLS <= cols.end {
+            self.tile::<R, TILE_COLS>(l, r);
+            r += TILE_COLS;
+        }
+        while r < cols.end {
+            self.tile::<R, 1>(l, r);
+            r += 1;
+        }
+    }
+
+    /// Left rows `rows` against the whole right side, block by block.
+    fn run(&mut self, rows: Range<usize>) {
+        for block in (0..self.b.len()).step_by(BLOCK) {
+            let cols = block..(block + BLOCK).min(self.b.len());
+            let mut l = rows.start;
+            while l + TILE_ROWS <= rows.end {
+                self.strip::<TILE_ROWS>(l, cols.clone());
+                l += TILE_ROWS;
+            }
+            while l < rows.end {
+                self.strip::<1>(l, cols.clone());
+                l += 1;
+            }
+        }
+    }
+}
+
+/// Both directions' top-`k` of a join of two exact sides — per left row its
+/// `k` nearest right rows and per right row its `k` nearest left rows, each
+/// exactly what a search of the other side's index returns — from **one**
+/// pass over the `|A| × |B|` distances: `dist(l, r)` and `dist(r, l)` are
+/// the same bits, so each is computed once and offered to both rows.
+///
+/// The left rows are cut into contiguous ranges of `rows_per_range`, joined
+/// in parallel. A range owns the tops of its left rows; for the right rows
+/// it borrows a table that ranges before it on the same thread have filled
+/// — there are as many tables as ranges in flight, so working memory is
+/// `threads × |B| × k` neighbours however many ranges there are — and the
+/// tables are merged afterwards under the same rank, so ties still break by
+/// index whichever ranges met in a table.
+fn exact_join(
+    a: Rows<'_>,
+    b: Rows<'_>,
+    k: usize,
+    rows_per_range: usize,
+) -> (Vec<Vec<Neighbor>>, Vec<Vec<Neighbor>>) {
+    let rows_per_range = rows_per_range.max(1);
+    let ranges: Vec<Range<usize>> = (0..a.len())
+        .step_by(rows_per_range)
+        .map(|start| start..(start + rows_per_range).min(a.len()))
+        .collect();
+    let spare_tables: Mutex<Vec<TopK>> = Mutex::new(Vec::new());
+    let take_table = || {
+        let spare = spare_tables.lock().expect("a range panicked").pop();
+        spare.unwrap_or_else(|| TopK::new(b.len(), k.min(a.len())))
+    };
+    let left: Vec<TopK> = ranges
+        .par_iter()
+        .map(|range| {
+            let mut join = RangeJoin {
+                a,
+                b,
+                first: range.start,
+                left: TopK::new(range.len(), k.min(b.len())),
+                right: take_table(),
+            };
+            join.run(range.clone());
+            let mut spare = spare_tables.lock().expect("a range panicked");
+            spare.push(join.right);
+            join.left
+        })
+        .collect();
+
+    let mut right = take_table();
+    for table in spare_tables.into_inner().expect("a range panicked") {
+        for row in 0..b.len() {
+            for &found in table.row(row) {
+                right.offer(row, found);
+            }
+        }
+    }
+    (
+        left.iter().flat_map(TopK::rows).collect(),
+        right.rows().collect(),
+    )
 }
 
 /// Fan-in merge of per-partition candidate lists into one global top-`k`.
@@ -293,6 +476,80 @@ mod tests {
             }
         }
         assert!(matched > 1_000, "only {matched} matches: vacuous");
+    }
+
+    /// The one-pass join of two exact sides returns, for every row of either
+    /// side, exactly what searching the other side's index returns — on the
+    /// tie-heavy fixture (every vector twice, so a tie that the merge of two
+    /// ranges' tables broke differently from the scan would show), for side
+    /// lengths around the tile, block and range boundaries, `k` past the
+    /// side length, and however the left side is cut into ranges.
+    #[test]
+    fn exact_join_is_both_sides_searches_however_it_is_cut() {
+        use crate::bruteforce::tests::{bits, tie_heavy_fixture};
+        let (dim, vectors, probes) = tie_heavy_fixture();
+        // Left: the fixture with its zero and NaN probes in the middle.
+        // Right: the fixture back to front, so equal vectors sit at unequal
+        // indexes on the two sides.
+        let mut left = vectors.clone();
+        left.splice(50..50, probes[probes.len() - 2..].iter().cloned());
+        let right: Vec<Vec<f32>> = vectors.iter().rev().cloned().collect();
+        let lengths = [0, 1, 3, 4, 5, BLOCK + 1, 2 * BLOCK + 3, right.len()];
+
+        let mut compared = 0;
+        for metric in [Metric::Cosine, Metric::Euclidean, Metric::InnerProduct] {
+            for &nl in lengths.iter().chain(&[left.len()]) {
+                for &nr in &lengths {
+                    let (left, right) = (slices(&left[..nl]), slices(&right[..nr]));
+                    let li = BruteForceIndex::from_vectors(dim, metric, left.iter().copied());
+                    let ri = BruteForceIndex::from_vectors(dim, metric, right.iter().copied());
+                    for k in [1, 3, 200] {
+                        let forward: Vec<_> = left.iter().map(|v| bits(&ri.search(v, k))).collect();
+                        let backward: Vec<_> =
+                            right.iter().map(|v| bits(&li.search(v, k))).collect();
+                        // One range, two, five, and one per tile row and less.
+                        for rows in [nl.max(1), nl.div_ceil(2), nl.div_ceil(5), 3, 2, 1] {
+                            let (l2r, r2l) = exact_join(li.rows(), ri.rows(), k, rows);
+                            let what =
+                                format!("{metric:?} {nl} x {nr}, k {k}, {rows} rows a range");
+                            let l2r: Vec<_> = l2r.iter().map(|hits| bits(hits)).collect();
+                            let r2l: Vec<_> = r2l.iter().map(|hits| bits(hits)).collect();
+                            assert_eq!(l2r, forward, "{what}");
+                            assert_eq!(r2l, backward, "{what}");
+                            compared += l2r.len() + r2l.len();
+                        }
+                    }
+                }
+            }
+        }
+        assert!(compared > 100_000, "only {compared} rows compared");
+    }
+
+    /// A vector with a NaN component matches nothing, on either path of the
+    /// join: under cosine its distances used to be clamped to 0.0, a perfect
+    /// match with whichever item had the lowest index.
+    #[test]
+    fn a_nan_vector_matches_nothing() {
+        let left = vec![vec![f32::NAN, 0.0, 1.0], vec![0.0, 0.9, 0.1]];
+        let right = vec![vec![1.0, 0.0, 0.0], vec![0.0, 1.0, 0.0]];
+        for hnsw in [None, Some(HnswConfig::small())] {
+            for metric in [Metric::Cosine, Metric::Euclidean] {
+                let index = |vectors: &[Vec<f32>]| {
+                    let mut index = AnnIndex::new(3, metric, hnsw.clone());
+                    for v in vectors {
+                        index.insert(v);
+                    }
+                    index
+                };
+                let (li, ri) = (index(&left), index(&right));
+                let pairs: Vec<(usize, usize)> =
+                    mutual_top_k(&li, &ri, &slices(&left), &slices(&right), 1, 0.35)
+                        .iter()
+                        .map(|m| (m.left, m.right))
+                        .collect();
+                assert_eq!(pairs, [(1, 1)], "{metric:?}, hnsw {}", hnsw.is_some());
+            }
+        }
     }
 
     #[test]

@@ -9,9 +9,22 @@
 //! its `elem/s` is inserts per second, so per-insert time is its inverse.
 //! `ann/query_top1` is the online store's look-up past tombstones, filtered
 //! search beside the over-fetch it replaced.
-//! `ann/join` is the brute-force mutual top-1 join at the per-side sizes of
-//! the benchmark's `batch_many` (1,150) and `batch_wide` (2,300) merges; its
-//! `elem/s` is queries per second over both directions.
+//! `ann/kernel` is `Metric::distance_tile` alone, walked the way the exact
+//! join walks it (every group of left rows against one 16-row block of right
+//! rows): its `elem/s` is 384-d pairs per second, so ns per pair is its
+//! inverse. 1×1 is the pair kernel (`distance_prenormed`), 1×4 the tile of
+//! the scan and of the HNSW neighbour expansion, 2×2 the tile of the exact
+//! join; 4×4 is there to show why it is not used (its accumulators spill).
+//! Every distance under the benchmark's `ann.mutual.join_s`,
+//! `ann.brute.search_us`, `ann.hnsw.search_us` and `ann.hnsw.insert_us` rows
+//! is one of these.
+//! `ann/join` is the mutual top-1 join (the benchmark's `ann.mutual.join_s`
+//! row, and most of `core.merge_s`): two exact sides at the per-side sizes of
+//! `batch_many`'s (1,150) and `batch_wide`'s (2,300) largest exact merges,
+//! which run the one-pass join, and `mixed`, an exact 1,800-row side against
+//! an HNSW 2,300-row side — `batch_wide`'s last merge, which searches each
+//! index once per row of the other side. Its `elem/s` is rows per second
+//! over both sides.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use multiem_ann::{mutual_top_k, BruteForceIndex, HnswConfig, HnswIndex, Metric, VectorIndex};
@@ -174,26 +187,85 @@ fn bench_query_dead(c: &mut Criterion) {
     group.finish();
 }
 
+/// One pass of `R`×`C` tiles over `left` × `right`, summing the distances so
+/// nothing is optimized away.
+fn tile_pass<const R: usize, const C: usize>(
+    left: &[&[f32]],
+    right: &[&[f32]],
+    left_norms: &[f32],
+    right_norms: &[f32],
+) -> f32 {
+    let mut sum = 0.0;
+    for (a, na) in left.chunks_exact(R).zip(left_norms.chunks_exact(R)) {
+        for (b, nb) in right.chunks_exact(C).zip(right_norms.chunks_exact(C)) {
+            let tile = Metric::Cosine.distance_tile::<R, C>(
+                a.try_into().expect("R rows"),
+                b.try_into().expect("C rows"),
+                na.try_into().expect("R norms"),
+                nb.try_into().expect("C norms"),
+            );
+            sum += tile.iter().flatten().sum::<f32>();
+        }
+    }
+    sum
+}
+
+fn bench_kernel(c: &mut Criterion) {
+    let (vectors, _) = music_embeddings();
+    let left: Vec<&[f32]> = vectors[..256].iter().map(|v| v.as_slice()).collect();
+    let right: Vec<&[f32]> = vectors[256..272].iter().map(|v| v.as_slice()).collect();
+    let left_norms: Vec<f32> = left.iter().map(|v| Metric::squared_norm(v)).collect();
+    let right_norms: Vec<f32> = right.iter().map(|v| Metric::squared_norm(v)).collect();
+
+    let mut group = c.benchmark_group("ann/kernel");
+    group.throughput(Throughput::Elements((left.len() * right.len()) as u64));
+    group.bench_function("1x1", |b| {
+        b.iter(|| tile_pass::<1, 1>(&left, &right, &left_norms, &right_norms))
+    });
+    group.bench_function("1x4", |b| {
+        b.iter(|| tile_pass::<1, 4>(&left, &right, &left_norms, &right_norms))
+    });
+    group.bench_function("2x2", |b| {
+        b.iter(|| tile_pass::<2, 2>(&left, &right, &left_norms, &right_norms))
+    });
+    group.bench_function("4x4", |b| {
+        b.iter(|| tile_pass::<4, 4>(&left, &right, &left_norms, &right_norms))
+    });
+    group.finish();
+}
+
 fn bench_join(c: &mut Criterion) {
     let (vectors, dim) = music_embeddings();
+    let exact =
+        |v: &[&[f32]]| BruteForceIndex::from_vectors(dim, Metric::Cosine, v.iter().copied());
     let mut group = c.benchmark_group("ann/join");
     for &n in &[1_150usize, 2_300] {
         let (left, rest) = vectors.split_at(n);
         let left: Vec<&[f32]> = left.iter().map(|v| v.as_slice()).collect();
         let right: Vec<&[f32]> = rest[..n].iter().map(|v| v.as_slice()).collect();
-        let left_index = BruteForceIndex::from_vectors(dim, Metric::Cosine, left.iter().copied());
-        let right_index = BruteForceIndex::from_vectors(dim, Metric::Cosine, right.iter().copied());
+        let (left_index, right_index) = (exact(&left), exact(&right));
         group.throughput(Throughput::Elements(2 * n as u64));
         group.bench_function(BenchmarkId::new("bruteforce", n), |b| {
             b.iter(|| mutual_top_k(&left_index, &right_index, &left, &right, 1, 0.35))
         });
     }
+
+    let (left, rest) = vectors.split_at(1_800);
+    let right = &rest[..2_300];
+    let right_index = hnsw(dim, right);
+    let left: Vec<&[f32]> = left.iter().map(|v| v.as_slice()).collect();
+    let right: Vec<&[f32]> = right.iter().map(|v| v.as_slice()).collect();
+    let left_index = exact(&left);
+    group.throughput(Throughput::Elements((left.len() + right.len()) as u64));
+    group.bench_function("mixed/1800x2300", |b| {
+        b.iter(|| mutual_top_k(&left_index, &right_index, &left, &right, 1, 0.35))
+    });
     group.finish();
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_build, bench_insert, bench_query, bench_query_dead, bench_join
+    targets = bench_build, bench_insert, bench_query, bench_query_dead, bench_kernel, bench_join
 }
 criterion_main!(benches);

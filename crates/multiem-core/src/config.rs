@@ -58,9 +58,16 @@ pub struct MultiEmConfig {
     /// default [`HnswConfig`]) on a 2-core x86-64 VM with rustc 1.95;
     /// re-measure before moving the threshold on other hardware. Since then
     /// the brute-force scan runs on cached norms at 0.13–0.14 µs × n, which
-    /// puts the crossing near n ≈ 5,000; the default was deliberately not
-    /// moved along with it (README, "Where the default `hnsw_threshold` comes
-    /// from").
+    /// put the crossing near n ≈ 5,000, and then a merge of two exact tables
+    /// stopped searching at all: `mutual_top_k` joins them in one pass over
+    /// their distance matrix, at `ann.mutual.join_s` ÷ items = 10 / 18 /
+    /// 21 µs per item at the same three sizes (about 0.009 µs × n) against
+    /// 193 / 337 / 408 µs for HNSW insert + search in the same runs — for a
+    /// merge the lines no longer cross below n ≈ 40,000 (extrapolated:
+    /// nothing has run past n ≈ 6,000). A single look-up, which is what the
+    /// online store pays, still crosses near n ≈ 3,700. The default was
+    /// deliberately not moved along with either (README, "Where the default
+    /// `hnsw_threshold` comes from").
     pub hnsw_threshold: usize,
     /// HNSW construction/search parameters.
     pub hnsw: HnswConfig,

@@ -120,6 +120,7 @@ impl MergedTable {
 /// Index one table's item embeddings, on the backend its size selects.
 fn index_items(items: &[MergeItem], config: &MultiEmConfig, dim: usize) -> AnnIndex {
     let mut index = config.index_for(items.len(), dim);
+    index.reserve(items.len());
     for item in items {
         index.insert(&item.embedding);
     }
