@@ -23,7 +23,7 @@ pub const RULES: &[RuleSpec] = &[
         id: "no-panic-hot-path",
         summary: "unwrap()/expect()/panic!/todo!/unimplemented!/unreachable! are forbidden \
                   outside tests in serve hot-path files (every non-bin file of \
-                  multiem-serve/src but lib.rs and metrics.rs)",
+                  multiem-serve/src but lib.rs)",
     },
     RuleSpec {
         id: "no-locks-on-fast-path",

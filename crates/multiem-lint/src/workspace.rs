@@ -9,12 +9,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Files of `crates/multiem-serve/src/` that are *not* on the hot path for
-/// the `no-panic-hot-path` rule: the crate root (re-exports only) and the
-/// load generator's report helper. Every other non-bin file of the crate is
-/// — so a module split out of `server.rs` stays covered without being named.
-const COLD_BASENAMES: &[&str] = &["lib.rs", "metrics.rs"];
-
 #[derive(Debug, Clone)]
 pub struct FileInfo {
     /// Absolute path on disk.
@@ -141,9 +135,11 @@ fn classify(root: &Path, src: &Path, path: PathBuf) -> FileInfo {
     let is_crate_root = within == "lib.rs"
         || within == "main.rs"
         || (within.starts_with("bin/") && within.matches('/').count() == 1);
-    let hot_path = rel.starts_with("crates/multiem-serve/src/")
-        && !is_bin
-        && !COLD_BASENAMES.contains(&within.as_str());
+    // The one file of `crates/multiem-serve/src/` off the hot path for the
+    // `no-panic-hot-path` rule is the crate root (re-exports only). Every
+    // other non-bin file of the crate is on it — so a module split out of
+    // `server.rs` stays covered without being named.
+    let hot_path = rel.starts_with("crates/multiem-serve/src/") && !is_bin && within != "lib.rs";
 
     FileInfo {
         path,
@@ -175,8 +171,6 @@ mod tests {
             let f = classify(root, &src, src.join(module));
             assert!(!f.is_crate_root && !f.is_bin && f.hot_path, "{module}");
         }
-        let f = classify(root, &src, src.join("metrics.rs"));
-        assert!(!f.hot_path);
         let f = classify(root, &src, src.join("obs/registry.rs"));
         assert!(f.hot_path);
         let f = classify(root, &src, src.join("bin/serve.rs"));

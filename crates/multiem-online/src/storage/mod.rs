@@ -707,10 +707,13 @@ mod tests {
         let after = store.stats();
         assert_eq!(after.compactions, 4);
         assert_eq!(after.reclaimed_bytes, report.reclaimed_bytes);
+        // Byte-accounted, so exactly repeatable: the deleted half is frame
+        // for frame the size of the surviving half (`item number {i}`, even
+        // against odd `i`), and four files become two.
         assert!(
-            after.spilled_bytes * 10 <= before.spilled_bytes * 6,
-            "half the records deleted must reclaim ~half the bytes \
-             ({} -> {})",
+            after.spilled_bytes * 2 <= before.spilled_bytes,
+            "half the records deleted must reclaim at least half the \
+             segment bytes ({} -> {})",
             before.spilled_bytes,
             after.spilled_bytes
         );

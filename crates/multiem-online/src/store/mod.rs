@@ -1374,6 +1374,16 @@ mod tests {
             "disk backend must not keep everything resident"
         );
         assert!(on_disk.approx_bytes() < in_mem.approx_bytes());
+        // What spilling buys, byte-accounted and so exactly repeatable: with
+        // segments sealed and only the hot cache resident, the disk backend
+        // holds at most half the record bytes the memory backend does.
+        let mem_stats = in_mem.storage_stats();
+        assert!(
+            ds_stats.resident_bytes * 2 <= mem_stats.resident_bytes,
+            "disk resident {} vs mem resident {}",
+            ds_stats.resident_bytes,
+            mem_stats.resident_bytes
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

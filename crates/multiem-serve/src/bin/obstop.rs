@@ -125,7 +125,7 @@ fn header(out: &mut String, opts: &Options, health: &Value) {
 
 fn window_section(out: &mut String, window: &Value) {
     if !enabled(window) {
-        out.push_str("\n[window]  analytics disabled (--window-secs 0 or --no-telemetry)\n");
+        out.push_str("\n[window]  analytics disabled (--no-telemetry)\n");
         return;
     }
     out.push_str(&format!(

@@ -11,6 +11,7 @@
 use multiem_embed::HashedLexicalEncoder;
 use multiem_serve::obs::Level;
 use multiem_serve::{FsyncPolicy, MatchServer, ServeConfig, StorageBackend};
+use std::io::Write;
 use std::path::PathBuf;
 
 fn main() {
@@ -68,11 +69,6 @@ fn main() {
                     parse(&value("--slow-request-ms"), "--slow-request-ms");
             }
             "--no-telemetry" => config.obs.telemetry = false,
-            "--window-secs" => {
-                config.obs.window_secs = parse(&value("--window-secs"), "--window-secs");
-            }
-            "--topk" => config.obs.topk = parse(&value("--topk"), "--topk"),
-            "--exemplars" => config.obs.exemplars = parse(&value("--exemplars"), "--exemplars"),
             "--ready-max-backlog" => {
                 config.obs.ready_max_backlog =
                     parse(&value("--ready-max-backlog"), "--ready-max-backlog");
@@ -121,15 +117,9 @@ fn main() {
                      \x20                    request as a JSON line (0 disables)\n\
                      \x20 --slow-request-ms N  force-emit traces of requests slower\n\
                      \x20                    than N ms, sampled or not (0 disables)\n\
-                     \x20 --no-telemetry     disable histograms, traces and the\n\
-                     \x20                    access log (counters stay on)\n\
-                     \x20 --window-secs N    rolling analytics window for /debug/*\n\
-                     \x20                    and the windowed /metrics series\n\
-                     \x20                    (default 60; 0 disables analytics)\n\
-                     \x20 --topk K           heavy hitters tracked per window\n\
-                     \x20                    (default 16; 0 disables /debug/top)\n\
-                     \x20 --exemplars N      slowest-request traces kept per window\n\
-                     \x20                    (default 8; 0 disables /debug/slow)\n\
+                     \x20 --no-telemetry     disable histograms, traces, the access\n\
+                     \x20                    log and the /debug/* analytics (60 s\n\
+                     \x20                    window; counters stay on)\n\
                      \x20 --ready-max-backlog N   /readyz answers 503 past N queued\n\
                      \x20                    ingest records (0 disables)\n\
                      \x20 --ready-max-fsync-ms N  /readyz answers 503 past N ms\n\
@@ -144,33 +134,23 @@ fn main() {
         }
     }
 
-    let server = match MatchServer::bind(config.clone(), HashedLexicalEncoder::default(), &addr) {
+    let server = match MatchServer::bind(config, HashedLexicalEncoder::default(), &addr) {
         Ok(server) => server,
         Err(e) => fail(&format!("startup failed: {e}")),
     };
-    let bound = server.local_addr().expect("listener has an address");
-    println!("multiem-serve listening on http://{bound}");
-    println!(
-        "  {} shard(s), {} worker(s), {} I/O event loop(s), durability: {}",
-        config.shards,
-        config.workers,
-        config.io_threads,
-        config
-            .data_dir
-            .as_ref()
-            .map(|d| d.display().to_string())
-            .unwrap_or_else(|| "in-memory".into())
-    );
-    println!(
-        "  {}",
-        MatchServer::<HashedLexicalEncoder>::routes().join("  ")
-    );
+    // A supervisor may read the first line and close the pipe: what it no
+    // longer reads must not panic the server, so stdout errors are ignored
+    // here and at exit.
+    let _ = writeln!(std::io::stdout().lock(), "{}", server.banner());
     if let Err(e) = server.run() {
         fail(&format!("server error: {e}"));
     }
     // run() returns only after a graceful shutdown: accepting stopped,
     // in-flight requests drained, WALs flushed.
-    println!("multiem-serve: drained and flushed; exiting");
+    let _ = writeln!(
+        std::io::stdout().lock(),
+        "multiem-serve: drained and flushed; exiting"
+    );
 }
 
 fn parse<T: std::str::FromStr>(text: &str, flag: &str) -> T {

@@ -42,10 +42,6 @@
 //!   parsed requests occupy the fixed-size worker thread pool — so
 //!   connection count and worker count scale independently, and graceful
 //!   shutdown drains in-flight requests and flushes WALs before exit;
-//! * `loadgen` (a `src/bin` tool) — a seeded mixed read/write load generator
-//!   (`--connections` keep-alive sockets, decoupled from in-flight request
-//!   concurrency) reporting p50/p99 latency and throughput, used by CI to
-//!   track the serving-path perf trajectory (`BENCH_serve.json`);
 //! * observability ([`obs`]) — a dependency-free metrics registry behind
 //!   `GET /metrics` (Prometheus text exposition; counters, gauges and
 //!   lock-free log-linear latency histograms), per-request span traces
@@ -53,8 +49,8 @@
 //!   exactly to the access-log latency, and leveled JSON-lines structured
 //!   logging (`--log-level`, `--access-log`, size-based rotation via
 //!   `--log-rotate-bytes`). Scraping never takes a shard or WAL lock, and
-//!   everything with measurable cost sits behind `--no-telemetry` so CI can
-//!   gate the overhead;
+//!   everything with measurable cost sits behind `--no-telemetry`, which is
+//!   how the repository's benchmark measures the overhead;
 //! * workload analytics ([`obs::window`], [`obs::topk`], [`obs::exemplar`])
 //!   — a rolling time window of per-endpoint latency histograms, windowed
 //!   heavy-hitter sketches over ingest sources / shards / matched entities,
@@ -85,7 +81,6 @@ pub mod config;
 pub mod http;
 mod ingest;
 mod matching;
-pub mod metrics;
 pub mod net;
 pub mod obs;
 mod routes;

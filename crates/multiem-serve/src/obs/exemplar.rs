@@ -67,8 +67,7 @@ struct ExemplarWindows {
 }
 
 impl ExemplarRing {
-    /// A ring keeping the `capacity` slowest requests per window (`0`
-    /// disables exemplars).
+    /// A ring keeping the `capacity` slowest requests per window.
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
@@ -82,20 +81,12 @@ impl ExemplarRing {
         }
     }
 
-    /// Whether the ring retains anything at all.
-    pub fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
     /// Cheap pre-check (two relaxed loads) for whether a request of
     /// `total_ns` could enter the window `window_epoch` — lets callers skip
     /// building the [`Exemplar`] (string clones) for the overwhelming
     /// majority of requests. Racy in the admitting direction only: a `true`
     /// may still be rejected under the lock, a `false` is always final.
     pub fn admits(&self, window_epoch: u64, total_ns: u64) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
         // relaxed-ok: advisory admission filter; the mutex path re-checks
         let sealed_stamp = self.floor_stamp.load(Ordering::Relaxed);
         // relaxed-ok: advisory admission filter; the mutex path re-checks
@@ -146,9 +137,6 @@ impl ExemplarRing {
     /// The retained exemplars as of `window_epoch` — current window first,
     /// then the previous one, each slowest-first.
     pub fn snapshot_at(&self, window_epoch: u64) -> Vec<Exemplar> {
-        if self.capacity == 0 {
-            return Vec::new();
-        }
         let mut inner = crate::sync::lock_unpoisoned(&self.inner);
         self.advance(&mut inner, window_epoch + 1);
         let mut current = inner.current.clone();
@@ -201,7 +189,6 @@ mod tests {
     #[test]
     fn ring_keeps_the_slowest_of_the_window() {
         let ring = ExemplarRing::new(3);
-        assert!(ring.enabled());
         for (id, ns) in [
             (1, 500),
             (2, 9_000),
@@ -218,11 +205,6 @@ mod tests {
         // anything.
         assert_eq!(ids, [2, 5, 4]);
         assert_eq!(kept[0].total_ns, 9_000);
-
-        let off = ExemplarRing::new(0);
-        assert!(!off.enabled());
-        off.offer(0, exemplar(1, 1));
-        assert!(off.snapshot_at(0).is_empty());
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! [`Histogram::absorb`]ed into an aggregate, and a [`HistogramSnapshot`]
 //! taken with [`Histogram::snapshot`] observes a consistent-enough view
 //! without ever stopping writers (counts race only by in-flight samples).
-//! Quantiles come out of the snapshot with the same nearest-rank rule as
-//! [`crate::metrics::percentile_ms`], so a recorded quantile is always
-//! within one bucket width of the exact sample statistic.
+//! Quantiles come out of the snapshot by the nearest-rank rule on sorted
+//! samples, so a recorded quantile is always within one bucket width of the
+//! exact sample statistic (the test module keeps the exact reference).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -207,9 +207,9 @@ impl HistogramSnapshot {
     }
 
     /// The `q`-quantile (0.0..=1.0) as the upper bound of the bucket holding
-    /// the nearest-rank sample — the same rank rule as
-    /// [`crate::metrics::percentile_ms`], so the answer is within one bucket
-    /// width of the exact sample. `None` on an empty snapshot.
+    /// the nearest-rank sample (index `round((n - 1) * q)` of the sorted
+    /// samples), so the answer is within one bucket width of the exact
+    /// sample. `None` on an empty snapshot.
     pub fn quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
@@ -226,8 +226,7 @@ impl HistogramSnapshot {
     }
 
     /// [`HistogramSnapshot::quantile`] of nanosecond samples, in
-    /// milliseconds (`0.0` when empty — matches
-    /// [`crate::metrics::percentile_ms`] on no samples).
+    /// milliseconds (`0.0` when empty).
     pub fn quantile_ms(&self, q: f64) -> f64 {
         self.quantile(q).map(|ns| ns as f64 / 1.0e6).unwrap_or(0.0)
     }
@@ -236,9 +235,49 @@ impl HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::percentile_ms;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    /// The exact reference the histogram is checked against: the
+    /// `q`-quantile (0.0..=1.0) of an ascending-sorted slice of nanosecond
+    /// latencies, in milliseconds. Nearest-rank on the sorted samples: an
+    /// empty slice reports `0.0`, one sample reports itself for every
+    /// quantile.
+    fn percentile_ms(sorted_ns: &[u64], q: f64) -> f64 {
+        if sorted_ns.is_empty() {
+            return 0.0;
+        }
+        let idx = ((sorted_ns.len() - 1) as f64 * q).round() as usize;
+        sorted_ns[idx] as f64 / 1.0e6
+    }
+
+    #[test]
+    fn empty_and_single_sample_percentiles() {
+        // 0 samples: every quantile is 0, as `quantile_ms` answers.
+        assert_eq!(percentile_ms(&[], 0.0), 0.0);
+        assert_eq!(percentile_ms(&[], 0.5), 0.0);
+        assert_eq!(percentile_ms(&[], 0.99), 0.0);
+        // 1 sample: that sample answers every quantile.
+        let one = [2_000_000u64]; // 2 ms
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(percentile_ms(&one, q), 2.0);
+        }
+    }
+
+    #[test]
+    fn quantiles_pick_the_expected_ranks() {
+        // 1..=100 ms as nanoseconds.
+        let sorted: Vec<u64> = (1..=100).map(|ms| ms * 1_000_000).collect();
+        assert_eq!(percentile_ms(&sorted, 0.0), 1.0);
+        assert_eq!(percentile_ms(&sorted, 1.0), 100.0);
+        // Nearest-rank rounding: (100 - 1) * 0.5 = 49.5 rounds to index 50.
+        assert_eq!(percentile_ms(&sorted, 0.5), 51.0);
+        assert_eq!(percentile_ms(&sorted, 0.99), 99.0);
+        // Two samples: the halfway quantile rounds up to the later one.
+        let two = [1_000_000u64, 3_000_000];
+        assert_eq!(percentile_ms(&two, 0.5), 3.0);
+        assert_eq!(percentile_ms(&two, 0.49), 1.0);
+    }
 
     #[test]
     fn bucket_grid_is_contiguous_and_monotone() {

@@ -10,8 +10,8 @@
 //!   Scraping takes only the registry's own mutex — never a shard or WAL
 //!   lock;
 //! * [`histogram`] — lock-free log-linear latency histograms, mergeable
-//!   across I/O loops and worker threads, quantile-queried with the same
-//!   nearest-rank rule as [`crate::metrics::percentile_ms`];
+//!   across I/O loops and worker threads, quantile-queried by the
+//!   nearest-rank rule on sorted samples;
 //! * [`trace`] — per-request span stacks over the pipeline stages (parse →
 //!   queue-wait → fan-out → ANN search → rank-merge → WAL append → fsync →
 //!   apply → respond), sampled by `--trace-sample-rate` and force-emitted
@@ -26,7 +26,7 @@
 //! * [`window`] — rolling time-window telemetry: rings of the lock-free
 //!   histograms rotated on a coarse epoch tick, so `/metrics` and
 //!   `GET /debug/window` answer rates and p50/p99 *over the last
-//!   `--window-secs` seconds* instead of since startup;
+//!   [`window::WINDOW_SECS`] seconds* instead of since startup;
 //! * [`topk`] — space-saving heavy-hitter sketches over ingest sources,
 //!   routed shards and match-result entities (`GET /debug/top`);
 //! * [`exemplar`] — a fixed ring of the slowest requests' full span traces
@@ -36,8 +36,8 @@
 //! always-on part (request counters) is a relaxed `fetch_add` per request;
 //! everything with measurable cost — histograms, traces, the access log,
 //! the analytics layer — sits behind the `enabled` flag that
-//! `--no-telemetry` clears, which is what the CI overhead gate
-//! (`BENCH_obs.json`, ≤5%) compares against.
+//! `--no-telemetry` clears, which is the baseline the repository's
+//! benchmark measures `serve.obs.overhead_pct` against.
 
 pub mod exemplar;
 pub mod histogram;
@@ -54,6 +54,7 @@ pub use registry::{Counter, Gauge, Registry};
 pub use topk::{HeavyHitter, SpaceSaving, WindowedTopK};
 pub use trace::{elapsed_ns, Stage, Trace, Tracer};
 pub use window::{WindowedHistogram, WorkloadWindows};
+use window::{EXEMPLAR_CAPACITY, TOPK_CAPACITY, WINDOW_SECS};
 
 use serde::Value;
 use std::io;
@@ -69,8 +70,9 @@ pub const BUILD_VERSION: &str = env!("CARGO_PKG_VERSION");
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
     /// Master switch for the measurable-cost telemetry (histograms, traces,
-    /// access log). `false` is `--no-telemetry`: counters stay on, the rest
-    /// is skipped — the baseline of the CI overhead gate.
+    /// access log, workload analytics). `false` is `--no-telemetry`:
+    /// counters stay on, the rest is skipped — the baseline the benchmark's
+    /// `serve.obs.overhead_pct` compares against.
     pub telemetry: bool,
     /// Minimum level the structured logger writes.
     pub log_level: Level,
@@ -84,14 +86,6 @@ pub struct ObsConfig {
     /// Force-emit the trace of any request at least this slow (`0`
     /// disables the threshold).
     pub slow_request_ms: u64,
-    /// Rolling analytics window length in seconds (`--window-secs`); `0`
-    /// disables the whole analytics layer (windows, top-K, exemplars).
-    pub window_secs: u64,
-    /// Heavy-hitter sketch capacity per window (`--topk`; `0` disables).
-    pub topk: usize,
-    /// Slow-request exemplars retained per window (`--exemplars`; `0`
-    /// disables).
-    pub exemplars: usize,
     /// `/readyz` degrades (503) past this many in-flight ingest records
     /// (`0` disables the check).
     pub ready_max_backlog: u64,
@@ -114,9 +108,6 @@ impl Default for ObsConfig {
             access_log: None,
             trace_sample_rate: 0.0,
             slow_request_ms: 0,
-            window_secs: 60,
-            topk: 16,
-            exemplars: 8,
             ready_max_backlog: 0,
             ready_max_fsync_ms: 0,
             log_rotate_bytes: 0,
@@ -259,7 +250,7 @@ pub struct ServeMetrics {
     /// time).
     pub storage_cache_misses: Arc<Gauge>,
     /// Requests/second over the rolling window, one gauge per endpoint
-    /// (refreshed at scrape time; `0` with analytics disabled).
+    /// (refreshed at scrape time; `0` with telemetry off).
     request_rate: Vec<Arc<Gauge>>,
     /// Windowed p50 latency per endpoint, seconds (scrape time).
     window_p50: Vec<Arc<Gauge>>,
@@ -477,8 +468,7 @@ impl NetMetrics {
 
 /// The workload-analytics bundle: rolling windows, heavy-hitter sketches,
 /// and the slow-request exemplar ring — everything behind `/debug/*`.
-/// Present on [`Telemetry`] only when telemetry is on and `--window-secs`
-/// is non-zero.
+/// Present on [`Telemetry`] exactly when telemetry is on.
 #[derive(Debug)]
 pub struct Analytics {
     /// Rolling latency windows (per endpoint + WAL fsync).
@@ -511,8 +501,7 @@ pub struct Telemetry {
     pub tracer: Tracer,
     /// All pre-registered metric handles.
     pub metrics: ServeMetrics,
-    /// Workload analytics (`None` when telemetry is off or `--window-secs`
-    /// is `0`).
+    /// Workload analytics (`None` when telemetry is off).
     pub analytics: Option<Analytics>,
     started: Instant,
 }
@@ -548,17 +537,13 @@ impl Telemetry {
         } else {
             None
         };
-        let analytics = if config.telemetry && config.window_secs > 0 {
-            Some(Analytics {
-                windows: WorkloadWindows::new(config.window_secs),
-                sources: WindowedTopK::new(config.topk),
-                shards: WindowedTopK::new(config.topk),
-                entities: WindowedTopK::new(config.topk),
-                exemplars: ExemplarRing::new(config.exemplars),
-            })
-        } else {
-            None
-        };
+        let analytics = config.telemetry.then(|| Analytics {
+            windows: WorkloadWindows::new(WINDOW_SECS),
+            sources: WindowedTopK::new(TOPK_CAPACITY),
+            shards: WindowedTopK::new(TOPK_CAPACITY),
+            entities: WindowedTopK::new(TOPK_CAPACITY),
+            exemplars: ExemplarRing::new(EXEMPLAR_CAPACITY),
+        });
         Ok(Self {
             enabled: config.telemetry,
             registry,
@@ -588,11 +573,9 @@ impl Telemetry {
     /// Count one routed shard in this window's heavy-hitter sketch.
     pub fn note_shard(&self, shard: usize) {
         if let Some(analytics) = &self.analytics {
-            if analytics.shards.enabled() {
-                analytics
-                    .shards
-                    .hit_at(analytics.windows.window_epoch(), &format!("shard-{shard}"));
-            }
+            analytics
+                .shards
+                .hit_at(analytics.windows.window_epoch(), &format!("shard-{shard}"));
         }
     }
 
@@ -646,8 +629,8 @@ impl Telemetry {
     /// Refresh the per-endpoint windowed gauge families
     /// (`multiem_request_rate`, `multiem_request_window_p{50,99}_seconds`)
     /// from the rolling windows. Called
-    /// at scrape time; a no-op when analytics is off (the gauges then stay
-    /// at their zero default).
+    /// at scrape time; a no-op with telemetry off (the gauges then stay at
+    /// their zero default).
     pub fn refresh_window_metrics(&self) {
         let Some(analytics) = &self.analytics else {
             return;

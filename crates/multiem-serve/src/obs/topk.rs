@@ -8,7 +8,7 @@
 //! every reported `count` overestimates the key's true frequency by at most
 //! its `error`, and any key whose true frequency exceeds `N / K` (N hits
 //! total) is guaranteed to be in the sketch. With K comfortably above the
-//! number of genuinely hot keys — the default is 16 against a handful of
+//! number of genuinely hot keys — the server's is 16 against a handful of
 //! hot sources — the top entries are exact.
 //!
 //! [`WindowedTopK`] scopes a sketch to the rolling analytics window: hits
@@ -45,8 +45,7 @@ pub struct SpaceSaving {
 }
 
 impl SpaceSaving {
-    /// An empty sketch tracking at most `capacity` keys (`0` = a no-op
-    /// sketch that records nothing).
+    /// An empty sketch tracking at most `capacity` keys.
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
@@ -55,12 +54,9 @@ impl SpaceSaving {
     }
 
     /// Count one occurrence of `key`. O(capacity) scan — capacities are
-    /// small (16 by default) so this stays cheaper than a hash lookup would
-    /// make it look.
+    /// small (16 in the server) so this stays cheaper than a hash lookup
+    /// would make it look.
     pub fn hit(&mut self, key: &str) {
-        if self.capacity == 0 {
-            return;
-        }
         if let Some(entry) = self.entries.iter_mut().find(|e| e.key == key) {
             entry.count += 1;
             return;
@@ -143,7 +139,7 @@ impl TopKWindows {
 }
 
 impl WindowedTopK {
-    /// An empty windowed sketch of `capacity` keys (`0` disables it).
+    /// An empty windowed sketch of `capacity` keys.
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
@@ -155,16 +151,8 @@ impl WindowedTopK {
         }
     }
 
-    /// Whether the sketch records anything at all.
-    pub fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
     /// Count one occurrence of `key` in the window `window_epoch`.
     pub fn hit_at(&self, window_epoch: u64, key: &str) {
-        if self.capacity == 0 {
-            return;
-        }
         let mut inner = crate::sync::lock_unpoisoned(&self.inner);
         inner.advance(self.capacity, window_epoch);
         inner.current.hit(key);
@@ -173,9 +161,6 @@ impl WindowedTopK {
     /// `(current, previous)` heavy hitters as of `window_epoch`, hottest
     /// first.
     pub fn top_at(&self, window_epoch: u64) -> (Vec<HeavyHitter>, Vec<HeavyHitter>) {
-        if self.capacity == 0 {
-            return (Vec::new(), Vec::new());
-        }
         let mut inner = crate::sync::lock_unpoisoned(&self.inner);
         inner.advance(self.capacity, window_epoch);
         (inner.current.top(), inner.previous.top())
@@ -221,10 +206,6 @@ mod tests {
             }
         );
         assert_eq!(sketch.len(), 3);
-        // A zero-capacity sketch records nothing.
-        let mut off = SpaceSaving::new(0);
-        off.hit("a");
-        assert!(off.is_empty());
     }
 
     #[test]
@@ -276,7 +257,6 @@ mod tests {
     #[test]
     fn windows_rotate_current_into_previous() {
         let topk = WindowedTopK::new(4);
-        assert!(topk.enabled());
         topk.hit_at(0, "alpha");
         topk.hit_at(0, "alpha");
         topk.hit_at(0, "beta");
@@ -295,10 +275,5 @@ mod tests {
         let (current, previous) = topk.top_at(5);
         assert!(current.is_empty());
         assert!(previous.is_empty());
-
-        let off = WindowedTopK::new(0);
-        assert!(!off.enabled());
-        off.hit_at(0, "x");
-        assert_eq!(off.top_at(0), (Vec::new(), Vec::new()));
     }
 }

@@ -32,6 +32,17 @@ use std::time::Instant;
 /// handful of snapshots.
 pub const WINDOW_SLOTS: usize = 4;
 
+/// Length of the server's rolling analytics window in seconds.
+pub const WINDOW_SECS: u64 = 60;
+
+/// Keys each of the server's heavy-hitter sketches tracks per window:
+/// comfortably above the handful of genuinely hot sources, shards or
+/// entities, so the top entries are exact.
+pub const TOPK_CAPACITY: usize = 16;
+
+/// Slowest-request exemplars the server retains per window.
+pub const EXEMPLAR_CAPACITY: usize = 8;
+
 /// Translates wall time into sub-window epochs (shared by every ring so
 /// "the current window" means the same thing everywhere).
 #[derive(Debug)]

@@ -218,8 +218,8 @@ impl<E: EmbeddingModel> Route<E> {
             // histograms, uptime/epoch/queue/cache gauges, windowed rate +
             // quantile gauges.
             Route { method: "GET", path: Exact("/metrics"), endpoint: Endpoint::Metrics, handler: Inline(views::metrics) },
-            // Per-endpoint rates and p50/p99 over the rolling `--window-secs`
-            // window, plus windowed fsync latency and batch occupancy.
+            // Per-endpoint rates and p50/p99 over the rolling 60 s window,
+            // plus windowed fsync latency and batch occupancy.
             Route { method: "GET", path: Exact("/debug/window"), endpoint: Endpoint::Debug, handler: Inline(views::debug_window) },
             // Heavy hitters of the current + previous window: ingest sources,
             // routed shards, match-result entities.

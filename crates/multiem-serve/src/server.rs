@@ -260,10 +260,31 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
         self.listener.local_addr()
     }
 
-    /// Every route the server answers, as `METHOD /path` (the `serve`
-    /// start-up banner): the route table's rows, so none can go missing.
+    /// Every route the server answers, as `METHOD /path`: the route table's
+    /// rows, so none can go missing.
     pub fn routes() -> Vec<String> {
         Route::<E>::TABLE.iter().map(Route::label).collect()
+    }
+
+    /// The three lines `serve` prints at start-up: the bound address, the
+    /// counts the server *runs* with — the store clamps a shard count and a
+    /// restored checkpoint pins its own, and both thread pools hold at least
+    /// one thread — and every route.
+    pub fn banner(&self) -> String {
+        let state = &self.state;
+        let durability = match &state.config.data_dir {
+            Some(dir) => dir.display().to_string(),
+            None => "in-memory".into(),
+        };
+        format!(
+            "multiem-serve listening on http://{}\n  \
+             {} shard(s), {} worker(s), {} I/O event loop(s), durability: {durability}\n  {}",
+            state.addr,
+            state.store.num_shards(),
+            state.config.workers.max(1),
+            state.config.io_threads.max(1),
+            Self::routes().join("  ")
+        )
     }
 
     /// Serve until a shutdown is signalled (`POST /admin/shutdown`, or the

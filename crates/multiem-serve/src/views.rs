@@ -232,7 +232,7 @@ pub(crate) fn debug_storage<E: EmbeddingModel>(state: &ServerState<E>) -> Respon
 }
 
 /// The `{"enabled": false}` body every analytics route answers when the
-/// analytics layer is off (`--no-telemetry` or `--window-secs 0`).
+/// analytics layer is off (`--no-telemetry`).
 fn analytics_disabled() -> Response {
     Response::ok(obj([("enabled", Value::Bool(false))]))
 }

@@ -1077,6 +1077,48 @@ fn admin_shutdown_drains_and_flushes_the_wal() {
 }
 
 #[test]
+fn serve_bin_announces_what_it_runs_with_and_outlives_a_closed_stdout() {
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+
+    // `--shards 0 --workers 0`: the store and the pool clamp both to 1, and
+    // the banner must say what runs, not what was asked for.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--addr", "127.0.0.1:0", "--shards", "0", "--workers", "0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("serve starts");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout was piped"));
+    let mut banner = [String::new(), String::new(), String::new()];
+    for line in &mut banner {
+        stdout.read_line(line).unwrap();
+    }
+    let addr = banner[0]
+        .trim()
+        .strip_prefix("multiem-serve listening on http://")
+        .unwrap_or_else(|| panic!("unexpected first banner line: {}", banner[0]));
+    let mut client = HttpClient::connect(addr).unwrap();
+    let (status, health) = client.request("GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200, "{health}");
+    let shards = counter(&health, "shards");
+    assert!(
+        banner[1].starts_with(&format!("  {shards} shard(s), 1 worker(s), ")),
+        "banner must announce /healthz's shard count ({shards}) and the one worker: {}",
+        banner[1]
+    );
+    assert!(banner[2].contains("POST /match"), "{}", banner[2]);
+
+    // A supervisor that read the banner and dropped the pipe: the farewell
+    // line hits EPIPE, and the process must still exit 0 after the drain.
+    drop(stdout);
+    let (status, body) = client.request("POST", "/admin/shutdown", None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let exit = child.wait().unwrap();
+    assert_eq!(exit.code(), Some(0), "serve must exit cleanly: {exit:?}");
+}
+
+#[test]
 fn checkpoint_garbage_collects_orphaned_segments() {
     let dir = temp_dir("segment-gc");
     let config = disk_config(&dir, 2);
@@ -1340,6 +1382,43 @@ fn no_telemetry_keeps_counters_but_drops_histograms() {
 }
 
 #[test]
+fn group_commit_fsyncs_once_per_shard_touched_not_once_per_record() {
+    let dir = temp_dir("group-commit");
+    let (handle, addr) = spawn_server(ServeConfig {
+        data_dir: Some(dir.clone()),
+        shards: 4,
+        fsync: multiem_serve::FsyncPolicy::Always,
+        ..ServeConfig::default()
+    });
+    let mut client = HttpClient::connect(&addr).unwrap();
+    let fsyncs = |client: &mut HttpClient| sample(&get_metrics(client), "multiem_wal_fsyncs_total");
+    // Sixteen leading tokens, so the records spread over the shards.
+    let titles: Vec<String> = (0..16).map(|i| format!("source{i} item {i}")).collect();
+    let refs: Vec<&str> = titles.iter().map(String::as_str).collect();
+
+    // One request of 16 records: each shard's group rides one WAL append,
+    // so `always` costs one fsync per shard the request touched.
+    let before = fsyncs(&mut client);
+    let response = post_records(&mut client, &refs);
+    let parsed: serde::Value = serde_json::from_str(&response).unwrap();
+    let touched: std::collections::BTreeSet<u64> = json_field(&parsed, "results")
+        .and_then(serde::Value::as_seq)
+        .expect("ingest response has results")
+        .iter()
+        .filter_map(|result| json_field(result, "shard")?.as_u64())
+        .collect();
+    assert!(touched.len() > 1, "the batch must span shards: {response}");
+    assert_eq!(fsyncs(&mut client) - before, touched.len() as f64);
+
+    // The same 16 records one request each: 16 fsyncs.
+    let before = fsyncs(&mut client);
+    ingest_with_ids(&mut client, &refs);
+    assert_eq!(fsyncs(&mut client) - before, 16.0);
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn sampled_match_trace_sums_exactly_to_access_log_latency() {
     let dir = temp_dir("obs-trace");
     let log_path = dir.join("server.log");
@@ -1551,13 +1630,12 @@ fn get_json(client: &mut HttpClient, path: &str) -> serde::Value {
 fn windowed_p99_agrees_with_the_client_observed_p99() {
     use multiem_serve::obs::histogram::{bucket_bound, bucket_width};
 
-    let mut config = ServeConfig {
+    // The 60 s analytics window outlasts this test, so every sample of it
+    // stays inside.
+    let (handle, addr) = spawn_server(ServeConfig {
         shards: 4,
         ..ServeConfig::default()
-    };
-    // A long window so every sample of this test stays inside it.
-    config.obs.window_secs = 300;
-    let (handle, addr) = spawn_server(config);
+    });
     let mut client = HttpClient::connect(&addr).unwrap();
 
     // Batched ingests cost the server tens of milliseconds each; at that
@@ -1865,6 +1943,65 @@ fn pipelined_slow_and_fast_requests_return_in_request_order() {
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"records\":2"), "then stats: {body}");
     handle.shutdown();
+}
+
+#[test]
+fn four_concurrent_matches_ride_one_full_batch_and_answer_as_direct_dispatch_does() {
+    const CORPUS: [&str; 6] = [
+        "golden heart river",
+        "makita drill 18v",
+        "apple iphone 8 silver",
+        "bosch hammer drill 800w",
+        "golden heart river live",
+        "samsung galaxy s9 black",
+    ];
+    const QUERIES: [&str; 4] = [
+        "golden heart river remastered",
+        "makita drill 18v cordless",
+        "apple iphone 8 silver 64gb",
+        "an unrelated garden hose",
+    ];
+    let serve = |batch_window_us: u64| {
+        let (handle, addr) = spawn_server(ServeConfig {
+            workers: 4,
+            batch_window_us,
+            batch_max: 4,
+            ..ServeConfig::default()
+        });
+        post_records(&mut HttpClient::connect(&addr).unwrap(), &CORPUS);
+        (handle, addr)
+    };
+
+    let (direct, direct_addr) = serve(0);
+    let mut client = HttpClient::connect(&direct_addr).unwrap();
+    let expected = QUERIES.map(|query| match_title(&mut client, query));
+    direct.shutdown();
+
+    // A window far longer than the test: the leader can only flush because
+    // the fourth request filled the batch, never because time ran out.
+    let (batched, addr) = serve(60_000_000);
+    let bodies = std::thread::scope(|scope| {
+        let parked = QUERIES.map(|query| {
+            let addr = &addr;
+            scope.spawn(move || match_title(&mut HttpClient::connect(addr).unwrap(), query))
+        });
+        parked.map(|thread| thread.join().expect("match thread"))
+    });
+    assert_eq!(
+        bodies, expected,
+        "a coalesced match must answer as a direct one"
+    );
+
+    let metrics = get_metrics(&mut HttpClient::connect(&addr).unwrap());
+    for (series, value) in [
+        ("multiem_batch_flush_total{reason=\"full\"}", 1.0),
+        ("multiem_batch_flush_total{reason=\"window\"}", 0.0),
+        ("multiem_batch_size_count{kind=\"match\"}", 1.0),
+        ("multiem_batch_size_sum{kind=\"match\"}", 4.0),
+    ] {
+        assert_eq!(sample(&metrics, series), value, "{series}");
+    }
+    batched.shutdown();
 }
 
 #[test]
