@@ -81,21 +81,6 @@ impl ThreadPool {
             .send(Box::new(job))
             .expect("pool workers are alive");
     }
-
-    /// Queue `job` on the persistent workers and hand its result to
-    /// `complete` on the same worker thread (submit-with-completion): the
-    /// submitting thread never blocks, and the completion typically ships
-    /// the result back over a channel. This is the primitive the serving
-    /// layer's event loops use to dispatch parsed requests without parking
-    /// an I/O thread on the response.
-    pub fn execute_then<T, F, C>(&self, job: F, complete: C)
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-        C: FnOnce(T) + Send + 'static,
-    {
-        self.execute(move || complete(job()));
-    }
 }
 
 impl Drop for ThreadPool {
@@ -284,24 +269,5 @@ mod tests {
         }
         drop(pool); // joins workers
         assert_eq!(done.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn execute_then_delivers_results_without_blocking_the_submitter() {
-        let pool = ThreadPool::new(2);
-        let (tx, rx) = std::sync::mpsc::channel::<usize>();
-        for i in 0..8 {
-            let tx = tx.clone();
-            pool.execute_then(
-                move || i * i,
-                move |square| {
-                    let _ = tx.send(square);
-                },
-            );
-        }
-        drop(tx);
-        let mut squares: Vec<usize> = rx.iter().collect();
-        squares.sort_unstable();
-        assert_eq!(squares, (0..8).map(|i| i * i).collect::<Vec<_>>());
     }
 }

@@ -176,44 +176,13 @@ pub fn select_attributes(
 }
 
 /// Embeddings of every entity in the dataset, organised per source table.
-///
-/// Besides the batch [`EmbeddingStore::build`] constructor, the store can be
-/// grown incrementally ([`EmbeddingStore::add_source`] /
-/// [`EmbeddingStore::push`]), which is how the streaming entity store of
-/// `multiem-online` keeps `EntityId`-based lookups working for records that
-/// arrive after bootstrap.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EmbeddingStore {
     dim: usize,
     per_source: Vec<Matrix>,
 }
 
 impl EmbeddingStore {
-    /// Create an empty store for embeddings of the given dimensionality.
-    pub fn empty(dim: usize) -> Self {
-        Self {
-            dim,
-            per_source: Vec::new(),
-        }
-    }
-
-    /// Append a new (initially empty) source table, returning its source id.
-    pub fn add_source(&mut self) -> u32 {
-        self.per_source.push(Matrix::new(self.dim));
-        (self.per_source.len() - 1) as u32
-    }
-
-    /// Append one entity embedding to a source, returning the [`EntityId`]
-    /// under which it is retrievable.
-    ///
-    /// # Panics
-    /// Panics if the source does not exist or the embedding has the wrong
-    /// dimensionality.
-    pub fn push(&mut self, source: u32, embedding: &[f32]) -> EntityId {
-        let matrix = &mut self.per_source[source as usize];
-        matrix.push_row(embedding);
-        EntityId::new(source, (matrix.len() - 1) as u32)
-    }
     /// Serialize (using `selected` attributes) and encode every entity of the
     /// dataset. Encoding is parallel across source tables.
     pub fn build(
@@ -264,11 +233,6 @@ impl EmbeddingStore {
     /// Panics if the entity id is out of range for the store.
     pub fn embedding(&self, id: EntityId) -> &[f32] {
         self.per_source[id.source as usize].row(id.row as usize)
-    }
-
-    /// The embedding matrix of one source table.
-    pub fn source_matrix(&self, source: u32) -> &Matrix {
-        &self.per_source[source as usize]
     }
 
     /// Total accounted bytes across all matrices.

@@ -18,8 +18,8 @@ pub enum SelectionStrategy {
     Fixed(Vec<AttrId>),
 }
 
-/// Tuning of the spill-to-disk segment record store
-/// ([`crate::storage::SegmentRecordStore`]).
+/// Tuning of the spill part of the record store
+/// ([`crate::storage::RecordStorage`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DiskStorageConfig {
     /// Directory holding the append-only segment files. One live writer per
@@ -36,7 +36,7 @@ pub struct DiskStorageConfig {
     /// Compaction threshold: a sealed segment whose *live* fraction
     /// (non-deleted records / records in the file) is at or below this
     /// value is rewritten by the next compaction pass
-    /// ([`crate::storage::RecordStore::compact`]), reclaiming the bytes its
+    /// ([`crate::storage::RecordStorage::compact`]), reclaiming the bytes its
     /// tombstoned records pin. `0.0` compacts only fully-dead segments;
     /// `1.0` rewrites any segment with at least one deletion.
     pub compact_live_ratio: f64,

@@ -25,21 +25,20 @@
 //!   look-up every read uses is derived from them;
 //! * [`EntityStore::snapshot_bytes`] / [`EntityStore::restore_bytes`] persist
 //!   and resurrect the full store state (embeddings, ANN index, cluster
-//!   partition) so a service can restart without re-ingesting — either as
-//!   JSON or in the compact [`wire`] binary format, which also provides the
-//!   framing of `multiem-serve`'s write-ahead log
-//!   ([`EntityStore::snapshot_json`] / [`EntityStore::restore_json`] are the
-//!   string conveniences over the same two entry points);
-//! * record and embedding payloads live behind the pluggable [`storage`]
-//!   layer ([`OnlineConfig::storage`]): fully resident by default, or
-//!   spilled to append-only CRC-framed segment files with a bounded hot
-//!   cache ([`StorageConfig::Disk`]), so resident memory stops growing
-//!   linearly with ingest and snapshots of a disk-backed store carry only
-//!   the segment index (the delta) instead of every record;
+//!   partition) so a service can restart without re-ingesting, in the
+//!   compact [`wire`] binary format, which also provides the framing of
+//!   `multiem-serve`'s write-ahead log;
+//! * record and embedding payloads, and the map from a record's id to its
+//!   place in the append order, have one owner too: the [`storage`] layer's
+//!   [`RecordStorage`] ([`OnlineConfig::storage`]), fully resident by
+//!   default, or — given a directory ([`StorageConfig::Disk`]) — spilling
+//!   to append-only CRC-framed segment files with a bounded hot cache, so
+//!   resident memory stops growing linearly with ingest and snapshots carry
+//!   only the segment index (the delta) instead of every record;
 //! * [`EntityStore::delete_record`] erases a record end to end: it is
 //!   detached from its cluster (the representative is rebuilt from the
-//!   survivors), its payload is tombstoned in storage, and — for the disk
-//!   backend — [`EntityStore::compact_storage`] rewrites segment files
+//!   survivors), its payload is tombstoned in storage, and — for a store
+//!   that spills — [`EntityStore::compact_storage`] rewrites segment files
 //!   whose live fraction fell below
 //!   [`DiskStorageConfig::compact_live_ratio`], so deleted records stop
 //!   pinning whole files.
@@ -70,9 +69,8 @@ pub mod wire;
 
 pub use config::{DiskStorageConfig, OnlineConfig, SelectionStrategy, StorageConfig};
 pub use error::OnlineError;
-pub use storage::{CompactionReport, RecordStore, SegmentStats, StorageStats};
+pub use storage::{CompactionReport, RecordStorage, SegmentStats, StorageStats};
 pub use store::{EntityStore, IngestReport, StoreStats};
-pub use wire::SnapshotFormat;
 
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, OnlineError>;

@@ -111,9 +111,14 @@ impl ClusterTable {
     }
 
     /// Derive `cluster_of`, `node_root` and the tombstone count of a
-    /// deserialized table holding `records` records, refusing clusters that
-    /// could not have come from this file's operations.
-    pub(super) fn reindex(&mut self, records: usize) -> Result<(), String> {
+    /// deserialized table over `records` records, of which storage still
+    /// holds those `live` says, refusing clusters that could not have come
+    /// from this file's operations.
+    pub(super) fn reindex(
+        &mut self,
+        records: usize,
+        live: impl Fn(usize) -> bool,
+    ) -> Result<(), String> {
         let mut cluster_of = vec![None; records];
         let mut node_root = vec![None; self.index.len()];
         for (&id, cluster) in &self.clusters {
@@ -122,7 +127,10 @@ impl ClusterTable {
             }
             for &record in &cluster.members {
                 match cluster_of.get_mut(record) {
-                    Some(slot @ None) => *slot = Some(id),
+                    Some(slot @ None) if live(record) => *slot = Some(id),
+                    Some(None) => {
+                        return Err(format!("cluster {id} names deleted record {record}"))
+                    }
                     Some(Some(_)) => return Err(format!("record {record} is in two clusters")),
                     None => return Err(format!("cluster {id} names unknown record {record}")),
                 }
@@ -406,7 +414,7 @@ impl ClusterTable {
     pub(super) fn check(&self, records: usize) {
         let mut derived = self.clone();
         derived
-            .reindex(records)
+            .reindex(records, |record| self.cluster_of(record).is_some())
             .expect("a table the operations built");
         assert_eq!(self.cluster_of, derived.cluster_of);
         assert_eq!(self.node_root, derived.node_root);
@@ -700,7 +708,7 @@ mod tests {
         let restored = {
             let mut r = ClusterTable::from_value(&t.to_value()).unwrap();
             assert!(r.cluster_of.is_empty() && r.node_root.is_empty());
-            r.reindex(4).unwrap();
+            r.reindex(4, |_| true).unwrap();
             r
         };
         assert_eq!(restored.cluster_of, t.cluster_of);
@@ -710,10 +718,17 @@ mod tests {
         let broken = |edit: &dyn Fn(&mut ClusterTable)| {
             let mut r = ClusterTable::from_value(&t.to_value()).unwrap();
             edit(&mut r);
-            r.reindex(4)
+            r.reindex(4, |_| true)
         };
         let first = |r: &mut ClusterTable| *r.clusters.keys().next().unwrap();
-        assert!(t.clone().reindex(3).is_err(), "a member past the records");
+        assert!(
+            t.clone().reindex(3, |_| true).is_err(),
+            "a member past the records"
+        );
+        assert!(
+            t.clone().reindex(4, |record| record != 3).is_err(),
+            "a member storage no longer holds"
+        );
         assert!(broken(&|r| {
             let id = first(r);
             r.clusters.get_mut(&id).unwrap().members.push(3);

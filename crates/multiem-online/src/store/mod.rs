@@ -43,18 +43,19 @@
 //! outliers are split off into singleton clusters, mirroring what the batch
 //! pipeline does once at the end.
 //!
-//! Record and embedding payloads are owned by a pluggable
-//! [`RecordStore`](crate::storage::RecordStore) ([`OnlineConfig::storage`]):
-//! fully resident by default, or spilled to append-only segment files with a
-//! bounded hot cache ([`crate::storage::SegmentRecordStore`]) so resident
-//! memory stops growing linearly with ingest.
+//! Record and embedding payloads, and the map between a record's
+//! [`EntityId`] and its place in the append order (the *sequence* the cluster
+//! table knows it by), are owned by one [`RecordStorage`]
+//! ([`OnlineConfig::storage`]): fully resident by default, or spilled to
+//! append-only segment files with a bounded hot cache so resident memory
+//! stops growing linearly with ingest.
 
 mod clusters;
 mod snapshot;
 
 use crate::config::{OnlineConfig, SelectionStrategy};
 use crate::error::OnlineError;
-use crate::storage::{CompactionReport, RecordStorage, RecordStore, SegmentStats, StorageStats};
+use crate::storage::{CompactionReport, RecordStorage, SegmentStats, StorageStats};
 use crate::Result;
 use clusters::ClusterTable;
 use multiem_core::representation::{select_attributes, AttributeSelection, EmbeddingStore};
@@ -73,7 +74,7 @@ pub struct IngestReport {
     pub source: u32,
     /// Number of records ingested.
     pub records: usize,
-    /// Records that merged into at least one existing cluster.
+    /// Records that fused with at least one existing cluster at insert time.
     pub merged: usize,
     /// Records that started a new singleton cluster.
     pub singletons: usize,
@@ -120,22 +121,15 @@ struct AdoptedSchema {
 struct StoreState {
     config: OnlineConfig,
     schema: Option<AdoptedSchema>,
-    /// Record + embedding payloads (pluggable backend; see
+    /// Record + embedding payloads and the id <-> append-sequence map (see
     /// [`crate::storage`]).
     records: RecordStorage,
     /// Source currently accepting single-record inserts, if any.
     stream_source: Option<u32>,
-    /// Dense id of the first record of each source.
-    dense_base: Vec<usize>,
-    /// Dense id -> entity id.
-    entity_of_dense: Vec<EntityId>,
-    /// The partition of the dense ids and the representative index.
+    /// The partition of the append sequences and the representative index.
     clusters: ClusterTable,
     accepted_since_prune: usize,
     pruned_outliers: usize,
-    /// Records removed by [`EntityStore::delete_record`] (their dense slots
-    /// stay allocated; payloads are freed by storage).
-    deleted_records: usize,
 }
 
 /// A long-lived, incrementally updatable multi-table matching engine.
@@ -173,12 +167,9 @@ impl<E: EmbeddingModel> EntityStore<E> {
                 schema: None,
                 records,
                 stream_source: None,
-                dense_base: Vec::new(),
-                entity_of_dense: Vec::new(),
                 clusters,
                 accepted_since_prune: 0,
                 pruned_outliers: 0,
-                deleted_records: 0,
             },
         })
     }
@@ -205,12 +196,12 @@ impl<E: EmbeddingModel> EntityStore<E> {
 
     /// Number of *live* records (ingested minus deleted).
     pub fn num_records(&self) -> usize {
-        self.state.entity_of_dense.len() - self.state.deleted_records
+        self.state.records.len() - self.state.records.deleted()
     }
 
     /// Records removed by [`EntityStore::delete_record`] so far.
     pub fn num_deleted(&self) -> usize {
-        self.state.deleted_records
+        self.state.records.deleted()
     }
 
     /// Number of source tables ingested so far.
@@ -222,7 +213,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
     /// record was deleted still counts as populated — its id space is
     /// allocated).
     pub fn is_empty(&self) -> bool {
-        self.state.entity_of_dense.is_empty()
+        self.state.records.is_empty()
     }
 
     /// Fetch an ingested record from the storage backend (a disk-backed
@@ -286,18 +277,16 @@ impl<E: EmbeddingModel> EntityStore<E> {
     /// records that only co-referred transitively through the deleted one
     /// stay fused until a pruning pass separates them.
     pub fn delete_record(&mut self, id: EntityId) -> Result<bool> {
-        let Some(dense) = self.dense_of(id) else {
+        // Only a live record has a sequence and a stored embedding — the
+        // amount to subtract from the cluster's running sum.
+        let (Some(seq), Some(embedding)) = (
+            self.state.records.seq_of(id),
+            self.state.records.embedding(id),
+        ) else {
             return Ok(false);
         };
-        // The stored embedding doubles as the liveness check (deleted rows
-        // read back as `None`) and as the amount to subtract from the
-        // cluster's running sum.
-        let Some(embedding) = self.state.records.embedding(id) else {
-            return Ok(false);
-        };
-        self.state.clusters.remove_member(dense, &embedding);
+        self.state.clusters.remove_member(seq, &embedding);
         self.state.records.delete(id)?;
-        self.state.deleted_records += 1;
         self.state.clusters.maybe_rebuild(&self.state.config);
         Ok(true)
     }
@@ -306,7 +295,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
     pub fn stats(&self) -> StoreStats {
         StoreStats {
             records: self.num_records(),
-            deleted: self.state.deleted_records,
+            deleted: self.num_deleted(),
             sources: self.num_sources(),
             pruned_outliers: self.state.pruned_outliers,
             ..self.state.clusters.stats()
@@ -334,7 +323,10 @@ impl<E: EmbeddingModel> EntityStore<E> {
     /// All members of the cluster containing `id` (including `id` itself), or
     /// `None` for unknown entities.
     pub fn cluster_members(&self, id: EntityId) -> Option<Vec<EntityId>> {
-        let cluster = self.state.clusters.cluster_of(self.dense_of(id)?)?;
+        let cluster = self
+            .state
+            .clusters
+            .cluster_of(self.state.records.seq_of(id)?)?;
         let mut members: Vec<EntityId> = self
             .entities(self.state.clusters.members(cluster))
             .collect();
@@ -367,8 +359,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
             let source = self.open_source(table.name());
             for (row, record) in table.iter() {
                 let embedding = embeddings.embedding(EntityId::new(s as u32, row));
-                let id = self.state.records.append(source, record, embedding)?;
-                self.state.entity_of_dense.push(id);
+                self.state.records.append(source, record, embedding)?;
             }
         }
 
@@ -394,17 +385,17 @@ impl<E: EmbeddingModel> EntityStore<E> {
             let members: Vec<usize> = tuple
                 .members()
                 .iter()
-                .filter_map(|&id| self.dense_of(id))
+                .filter_map(|&id| self.state.records.seq_of(id))
                 .collect();
-            for &dense in &members {
-                in_tuple[dense] = true;
+            for &seq in &members {
+                in_tuple[seq] = true;
             }
             let points = tuple.members().iter().map(|&id| embeddings.embedding(id));
             self.state.clusters.add(members, points);
         }
-        for dense in (0..records).filter(|&dense| !in_tuple[dense]) {
-            let point = embeddings.embedding(self.state.entity_of_dense[dense]);
-            self.state.clusters.add(vec![dense], [point]);
+        for seq in (0..records).filter(|&seq| !in_tuple[seq]) {
+            let point = embeddings.embedding(self.state.records.id_at(seq));
+            self.state.clusters.add(vec![seq], [point]);
         }
 
         let merged = in_tuple.iter().filter(|&&t| t).count();
@@ -453,6 +444,15 @@ impl<E: EmbeddingModel> EntityStore<E> {
     /// Insert one record, returning its own (stable) [`EntityId`]. Use
     /// [`EntityStore::cluster_members`] to see which entities it matched.
     pub fn insert(&mut self, record: Record) -> Result<EntityId> {
+        self.insert_matched(record).map(|(id, _)| id)
+    }
+
+    /// [`EntityStore::insert`], also returning whether the record *matched*:
+    /// fused with at least one existing cluster at insert time — what
+    /// [`IngestReport::merged`] counts. A pruning pass, even the one this
+    /// very insert triggers, may split the record off again; that does not
+    /// change what the merge rule decided here.
+    pub fn insert_matched(&mut self, record: Record) -> Result<(EntityId, bool)> {
         let adopted = self.state.schema.as_ref().ok_or_else(|| {
             OnlineError::SchemaMismatch(
                 "store has no schema yet; bootstrap or ingest a batch first".into(),
@@ -475,8 +475,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
                 s
             }
         };
-        let (id, _) = self.insert_embedded(source, &record, &embedding)?;
-        Ok(id)
+        self.insert_embedded(source, &record, &embedding)
     }
 
     /// Find the clusters a record would match, without mutating the store.
@@ -624,17 +623,8 @@ impl<E: EmbeddingModel> EntityStore<E> {
         self.encoder.encode(&text)
     }
 
-    fn dense_of(&self, id: EntityId) -> Option<usize> {
-        let base = *self.state.dense_base.get(id.source as usize)?;
-        if (id.row as usize) < self.state.records.source_len(id.source) {
-            Some(base + id.row as usize)
-        } else {
-            None
-        }
-    }
-
     fn entities<'a>(&'a self, members: &'a [usize]) -> impl Iterator<Item = EntityId> + 'a {
-        members.iter().map(|&d| self.state.entity_of_dense[d])
+        members.iter().map(|&seq| self.state.records.id_at(seq))
     }
 
     fn canonical_id(&self, cluster: usize) -> EntityId {
@@ -643,12 +633,10 @@ impl<E: EmbeddingModel> EntityStore<E> {
             .expect("clusters are never empty")
     }
 
-    /// Open a source. Dense ids are `dense_base[source] + row`, so only the
-    /// newest source can take rows: whichever source single inserts were
-    /// streaming into is closed to them from here on.
+    /// Open a source. Only the newest source takes rows: whichever source
+    /// single inserts were streaming into is closed to them from here on.
     fn open_source(&mut self, name: &str) -> u32 {
         self.state.stream_source = None;
-        self.state.dense_base.push(self.state.entity_of_dense.len());
         self.state.records.open_source(name)
     }
 
@@ -664,7 +652,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
     }
 
     /// The shared incremental insert path. Returns the id storage gave the
-    /// record and whether it merged into at least one existing cluster; on
+    /// record and whether it fused with at least one existing cluster; on
     /// `Err` storage holds nothing of it and the store is unchanged.
     fn insert_embedded(
         &mut self,
@@ -672,15 +660,14 @@ impl<E: EmbeddingModel> EntityStore<E> {
         record: &Record,
         emb: &[f32],
     ) -> Result<(EntityId, bool)> {
+        // A record's sequence is its place in storage's append order.
+        let seq = self.state.records.len();
         let id = self.state.records.append(source, record, emb)?;
-        let dense = self.state.entity_of_dense.len();
-        self.state.entity_of_dense.push(id);
-        debug_assert_eq!(self.dense_of(id), Some(dense));
 
         // Zero embeddings (empty serialized text) never match anything; the
         // table keeps them as unindexed singletons.
         if emb.iter().all(|&x| x == 0.0) {
-            self.state.clusters.fuse(dense, emb, &[]);
+            self.state.clusters.fuse(seq, emb, &[]);
             return Ok((id, false));
         }
 
@@ -697,7 +684,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
             })
             .map(|(cluster, _)| cluster)
             .collect();
-        self.state.clusters.fuse(dense, emb, &matches);
+        self.state.clusters.fuse(seq, emb, &matches);
 
         self.state.accepted_since_prune += 1;
         if let Some(interval) = self.state.config.prune_interval {
@@ -741,7 +728,8 @@ impl<E: EmbeddingModel> EntityStore<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{self, SnapshotFormat};
+    use crate::storage::tests::at;
+    use crate::wire;
     use multiem_core::MultiEmConfig;
     use multiem_datagen::{
         CorruptionConfig, Corruptor, Domain, GeneratorConfig, MultiSourceGenerator,
@@ -1227,9 +1215,13 @@ mod tests {
         s.insert(ds.record(EntityId::new(1, 3)).unwrap().clone())
             .unwrap();
 
-        let snapshot = s.snapshot_json().unwrap();
+        let snapshot = s.snapshot_bytes().unwrap();
+        // Written field by field, the bytes are those of the whole state's
+        // value tree: no field of `StoreState` is missing from `fields()`.
+        let whole = wire::value_to_bytes(&s.state.to_value());
+        assert_eq!(snapshot, [wire::SNAPSHOT_MAGIC.as_slice(), &whole].concat());
         let restored: EntityStore<HashedLexicalEncoder> =
-            EntityStore::restore_json(&snapshot, HashedLexicalEncoder::default()).unwrap();
+            EntityStore::restore_bytes(&snapshot, HashedLexicalEncoder::default()).unwrap();
 
         let mut a = s.tuples();
         let mut b = restored.tuples();
@@ -1247,51 +1239,6 @@ mod tests {
         let ib = r2.insert(probe).unwrap();
         assert_eq!(ia, ib);
         assert_eq!(s2.cluster_members(ia), r2.cluster_members(ib));
-    }
-
-    #[test]
-    fn binary_snapshot_roundtrips_and_is_smaller_than_json() {
-        let ds = music_dataset(11);
-        let mut s = store();
-        s.bootstrap(&ds).unwrap();
-
-        let json = s.snapshot_bytes(SnapshotFormat::Json).unwrap();
-        let binary = s.snapshot_bytes(SnapshotFormat::Binary).unwrap();
-        // Written field by field, the bytes are those of the whole state's
-        // value tree: no field of `StoreState` is missing from `fields()`.
-        let whole = wire::value_to_bytes(&s.state.to_value());
-        assert_eq!(binary, [wire::SNAPSHOT_MAGIC.as_slice(), &whole].concat());
-        assert!(
-            binary.len() * 3 < json.len(),
-            "binary snapshot should be well under a third of JSON ({} vs {} bytes)",
-            binary.len(),
-            json.len()
-        );
-
-        // Both formats restore through the same auto-detecting entry point.
-        for snapshot in [&json, &binary] {
-            let restored: EntityStore<HashedLexicalEncoder> =
-                EntityStore::restore_bytes(snapshot, HashedLexicalEncoder::default()).unwrap();
-            let mut a = s.tuples();
-            let mut b = restored.tuples();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b);
-            assert_eq!(s.stats(), restored.stats());
-        }
-
-        // The restored binary store keeps evolving identically.
-        let probe = ds.record(EntityId::new(1, 2)).unwrap().clone();
-        let mut from_binary: EntityStore<HashedLexicalEncoder> =
-            EntityStore::restore_bytes(&binary, HashedLexicalEncoder::default()).unwrap();
-        let mut original = s.clone();
-        let ia = original.insert(probe.clone()).unwrap();
-        let ib = from_binary.insert(probe).unwrap();
-        assert_eq!(ia, ib);
-        assert_eq!(
-            original.cluster_members(ia),
-            from_binary.cluster_members(ib)
-        );
     }
 
     #[test]
@@ -1404,7 +1351,7 @@ mod tests {
             if flush {
                 current.flush_storage().unwrap();
             }
-            let snapshot = current.snapshot_bytes(SnapshotFormat::Binary).unwrap();
+            let snapshot = current.snapshot_bytes().unwrap();
             let mut restored: EntityStore<HashedLexicalEncoder> =
                 EntityStore::restore_bytes(&snapshot, HashedLexicalEncoder::default()).unwrap();
             assert_eq!(restored.stats(), current.stats());
@@ -1431,9 +1378,9 @@ mod tests {
         for table in ds.tables() {
             s.ingest_batch(table).unwrap();
         }
-        let inline = s.snapshot_bytes(SnapshotFormat::Binary).unwrap();
+        let inline = s.snapshot_bytes().unwrap();
         s.flush_storage().unwrap();
-        let delta = s.snapshot_bytes(SnapshotFormat::Binary).unwrap();
+        let delta = s.snapshot_bytes().unwrap();
         assert!(
             delta.len() < inline.len(),
             "sealing the tail must shrink the snapshot ({} vs {} bytes)",
@@ -1446,7 +1393,7 @@ mod tests {
         for table in ds.tables() {
             mem.ingest_batch(table).unwrap();
         }
-        let full = mem.snapshot_bytes(SnapshotFormat::Binary).unwrap();
+        let full = mem.snapshot_bytes().unwrap();
         assert!(
             delta.len() * 2 < full.len(),
             "disk snapshot should be well under half the resident one \
@@ -1556,7 +1503,7 @@ mod tests {
         assert!(s.storage_stats().spilled_bytes < spilled_before);
         s.gc_storage().unwrap();
 
-        let snapshot = s.snapshot_bytes(SnapshotFormat::Binary).unwrap();
+        let snapshot = s.snapshot_bytes().unwrap();
         let mut restored: EntityStore<HashedLexicalEncoder> =
             EntityStore::restore_bytes(&snapshot, HashedLexicalEncoder::default()).unwrap();
         assert_eq!(restored.stats(), s.stats());
@@ -1587,8 +1534,8 @@ mod tests {
         let schema = title_schema();
         let mut s = store();
         s.ingest_batch(&table("a", &schema, &["x"])).unwrap();
-        let snapshot = s.snapshot_json().unwrap();
-        let err = EntityStore::restore_json(&snapshot, HashedLexicalEncoder::with_dim(64));
+        let snapshot = s.snapshot_bytes().unwrap();
+        let err = EntityStore::restore_bytes(&snapshot, HashedLexicalEncoder::with_dim(64));
         assert!(matches!(err, Err(OnlineError::Snapshot(_))));
     }
 
@@ -1791,8 +1738,8 @@ mod tests {
             .unwrap();
         s.ingest_batch(&table("b", &schema, &["golden heart river live"]))
             .unwrap();
-        let good = s.snapshot_bytes(SnapshotFormat::Binary).unwrap();
-        assert_eq!(&good[..4], b"MEB2");
+        let good = s.snapshot_bytes().unwrap();
+        assert_eq!(&good[..4], wire::SNAPSHOT_MAGIC);
         let restore = |bytes: &[u8]| {
             EntityStore::restore_bytes(bytes, HashedLexicalEncoder::default()).map(|s| s.stats())
         };
@@ -1807,13 +1754,13 @@ mod tests {
         );
         for foreign in [
             &parent[..],
-            &b"MEB1"[..],
+            &b"MEB2"[..],
             &b"MEB9 whatever"[..],
             &b"MEB"[..],
         ] {
             match restore(foreign) {
                 Err(OnlineError::Snapshot(msg)) => {
-                    assert!(msg.contains("MEB2"), "{msg}");
+                    assert!(msg.contains("MEB3"), "{msg}");
                     assert!(
                         foreign.len() < 4 || msg.contains(&format!("MEB{}", foreign[3] as char))
                     );
@@ -1835,19 +1782,101 @@ mod tests {
         }
     }
 
+    #[test]
+    fn snapshot_layout_is_pinned_to_its_magic() {
+        // A field added, dropped, renamed or moved below changes what
+        // `restore_bytes` reads: bump the version byte of `SNAPSHOT_MAGIC`
+        // in the same change as these lists.
+        assert_eq!(wire::SNAPSHOT_MAGIC, b"MEB3");
+        let (cfg, dir) = disk_config("layout");
+        let s = EntityStore::new(cfg, HashedLexicalEncoder::default());
+        let mut value = wire::value_from_bytes(&s.snapshot_bytes().unwrap()[4..]).unwrap();
+        let mut keys = |path: &[&str]| -> String {
+            let fields = at(&mut value, path).as_map().expect("a struct");
+            let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+            keys.join(" ")
+        };
+        assert_eq!(
+            keys(&[]),
+            "config schema records stream_source clusters accepted_since_prune pruned_outliers"
+        );
+        assert_eq!(
+            keys(&["records"]),
+            "dim names seq_of entity_of_seq sealed tail tail_dead deleted spill"
+        );
+        assert_eq!(
+            keys(&["records", "spill"]),
+            "config segments next_seg compactions reclaimed gc_deleted"
+        );
+        assert_eq!(keys(&["clusters"]), "clusters index rebuilds");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_snapshot_whose_ids_disagree_with_storage_is_refused() {
+        let schema = title_schema();
+        let mut s = store();
+        s.ingest_batch(&table("a", &schema, &["golden heart river", "sony tv"]))
+            .unwrap();
+        s.ingest_batch(&table("b", &schema, &["golden heart river live"]))
+            .unwrap();
+        assert!(s.delete_record(EntityId::new(0, 1)).unwrap());
+        let fused = vec![EntityId::new(0, 0), EntityId::new(1, 0)];
+        assert_eq!(s.tuples(), [MatchTuple::new(fused.clone())]);
+
+        let good = s.snapshot_bytes().unwrap();
+        let restore_edited = |edit: &dyn Fn(&mut serde::Value)| {
+            let mut value = wire::value_from_bytes(&good[4..]).unwrap();
+            edit(&mut value);
+            let bytes = [
+                wire::SNAPSHOT_MAGIC.as_slice(),
+                &wire::value_to_bytes(&value),
+            ]
+            .concat();
+            EntityStore::restore_bytes(&bytes, HashedLexicalEncoder::default()).map(|mut s| {
+                s.refresh();
+                s.tuples()
+            })
+        };
+        assert_eq!(restore_edited(&|_| {}).unwrap(), [MatchTuple::new(fused)]);
+
+        // Sequence 2 is the fused record `1-0`. Re-pointed at a row storage
+        // never stored, it must not come back as a phantom `1-7` for the
+        // next pruning pass to trip over.
+        let refused = |why: &str, edit: &dyn Fn(&mut serde::Value)| match restore_edited(edit) {
+            Err(e) => assert!(e.to_string().contains(why), "{e}, not `{why}`"),
+            Ok(tuples) => panic!("restored {tuples:?}, not refused for `{why}`"),
+        };
+        refused("does not map back", &|v| {
+            *at(v, &["records", "entity_of_seq", "2", "row"]) = serde::Value::Int(7);
+        });
+        refused("does not map back", &|v| {
+            *at(v, &["records", "seq_of", "1", "0"]) = serde::Value::Int(0);
+        });
+        let members = ["clusters", "clusters", "0", "1", "members"];
+        let push = |v: &mut serde::Value, seq: i64| match at(v, &members) {
+            serde::Value::Seq(members) => members.push(serde::Value::Int(seq)),
+            other => panic!("members are {other:?}"),
+        };
+        refused("unknown record 3", &|v| push(v, 3));
+        refused("deleted record 1", &|v| push(v, 1));
+    }
+
     // --- the table's invariants under a seeded op sequence -------------------
 
     /// What every operation must leave true, whatever came before it.
     fn check_invariants(s: &EntityStore<HashedLexicalEncoder>) {
-        let records = s.state.entity_of_dense.len();
+        let records = s.state.records.len();
         let table = &s.state.clusters;
         table.check(records);
 
         // A record is in a cluster exactly while storage holds it.
         let mut live = 0;
-        for (dense, &id) in s.state.entity_of_dense.iter().enumerate() {
+        for seq in 0..records {
+            let id = s.state.records.id_at(seq);
             let stored = s.state.records.embedding(id).is_some();
-            assert_eq!(table.cluster_of(dense).is_some(), stored, "{id:?}");
+            assert_eq!(s.state.records.seq_of(id), stored.then_some(seq), "{id:?}");
+            assert_eq!(table.cluster_of(seq).is_some(), stored, "{id:?}");
             assert_eq!(s.cluster_members(id).is_some(), stored, "{id:?}");
             live += usize::from(stored);
         }
@@ -1960,14 +1989,9 @@ mod tests {
                     }
                     3 => stores.iter_mut().for_each(EntityStore::refresh),
                     _ => {
-                        let format = if rng.gen_bool(0.5) {
-                            SnapshotFormat::Binary
-                        } else {
-                            SnapshotFormat::Json
-                        };
                         for s in &mut stores {
                             let before = s.stats();
-                            let bytes = s.snapshot_bytes(format).unwrap();
+                            let bytes = s.snapshot_bytes().unwrap();
                             *s = EntityStore::restore_bytes(&bytes, encoder()).unwrap();
                             assert_eq!(s.stats(), before, "step {step}");
                         }

@@ -29,23 +29,13 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Wire-format snapshot encodings selectable on
-/// [`EntityStore::snapshot_bytes`](crate::EntityStore::snapshot_bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotFormat {
-    /// Human-readable JSON (the PR-1 format; large but diffable).
-    Json,
-    /// The compact binary value codec of this module, with a magic header.
-    Binary,
-}
+/// Magic prefix of snapshots. The last byte is the layout version: a
+/// snapshot under `MEB` and any other version is refused by name, not
+/// misread.
+pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MEB3";
 
-/// Magic prefix of binary snapshots (`restore` sniffs it to auto-detect the
-/// format). The last byte is the layout version: a snapshot under `MEB` and
-/// any other version is refused by name, not misread.
-pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MEB2";
-
-/// Magic prefix of segment files written by the spill-to-disk record store
-/// (`crate::storage::SegmentRecordStore`).
+/// Magic prefix of segment files written by the record store when it spills
+/// (`crate::storage::RecordStorage`).
 pub const SEGMENT_MAGIC: &[u8; 4] = b"MES1";
 
 // --------------------------------------------------------------------------

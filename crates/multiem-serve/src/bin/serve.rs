@@ -81,10 +81,6 @@ fn main() {
                 config.obs.log_rotate_bytes =
                     parse(&value("--log-rotate-bytes"), "--log-rotate-bytes");
             }
-            "--log-rotate-keep" => {
-                config.obs.log_rotate_keep =
-                    parse(&value("--log-rotate-keep"), "--log-rotate-keep");
-            }
             "--help" | "-h" => {
                 println!(
                     "multiem-serve: sharded entity-matching service\n\n\
@@ -125,8 +121,8 @@ fn main() {
                      \x20 --ready-max-fsync-ms N  /readyz answers 503 past N ms\n\
                      \x20                    windowed p99 fsync latency (0 disables)\n\
                      \x20 --log-rotate-bytes N  rotate --log-file / --access-log\n\
-                     \x20                    at N bytes (0 disables rotation)\n\
-                     \x20 --log-rotate-keep N  rotated generations kept (default 3)"
+                     \x20                    at N bytes (0 disables rotation), keeping\n\
+                     \x20                    3 rotated generations"
                 );
                 return;
             }

@@ -30,7 +30,7 @@ use crate::shard::ShardedEntityStore;
 use crate::sync::{lock_unpoisoned, LockClass, OrderedMutex, OrderedReadGuard, OrderedWriteGuard};
 use crate::wal::{Wal, WalOp};
 use multiem_embed::EmbeddingModel;
-use multiem_online::{EntityStore, SnapshotFormat};
+use multiem_online::EntityStore;
 use multiem_table::Schema;
 use serde::Value;
 use std::io::{self, Write};
@@ -290,7 +290,7 @@ pub(crate) fn checkpoint<E: EmbeddingModel>(state: &ServerState<E>) -> Result<Va
             compactions += report.segments_compacted;
             reclaimed_bytes += report.reclaimed_bytes;
         }
-        let bytes = guard.get().snapshot_bytes(SnapshotFormat::Binary)?;
+        let bytes = guard.get().snapshot_bytes()?;
         total_bytes += bytes.len();
         write_atomic(&snapshot_path(dir, i, new_epoch), &bytes)?;
         if shard_epochs[i] != 0 {

@@ -292,30 +292,6 @@ pub fn render_response_typed(
     out
 }
 
-/// Write one JSON response.
-pub fn write_response<W: Write>(
-    writer: &mut W,
-    status: u16,
-    reason: &str,
-    body: &str,
-    close: bool,
-) -> io::Result<()> {
-    write_response_with(writer, status, reason, body, close, &[])
-}
-
-/// Write one JSON response with extra headers (e.g. `Retry-After` on a 429).
-pub fn write_response_with<W: Write>(
-    writer: &mut W,
-    status: u16,
-    reason: &str,
-    body: &str,
-    close: bool,
-    extra_headers: &[(&str, String)],
-) -> io::Result<()> {
-    writer.write_all(&render_response(status, reason, body, close, extra_headers))?;
-    writer.flush()
-}
-
 /// A fully parsed client-side response: status, lowercased `(name, value)`
 /// header pairs, body.
 pub type FullResponse = (u16, Vec<(String, String)>, String);
@@ -536,8 +512,7 @@ mod tests {
 
     #[test]
     fn response_wire_format() {
-        let mut out = Vec::new();
-        write_response(&mut out, 200, "OK", "{\"a\":1}", false).unwrap();
+        let out = render_response(200, "OK", "{\"a\":1}", false, &[]);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 7\r\n"));

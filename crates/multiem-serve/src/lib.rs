@@ -29,7 +29,7 @@
 //!   `POST /records/delete` WAL-append a [`WalOp::Delete`] and detach the
 //!   record from its cluster; tombstoned records are reclaimed from disk
 //!   by the checkpoint-time segment compaction
-//!   ([`multiem_online::RecordStore::compact`]);
+//!   ([`multiem_online::RecordStorage::compact`]);
 //! * [`MatchServer`] — a dependency-free HTTP/1.1 server exposing
 //!   `POST /records`, `POST /records/delete`, `DELETE /records/{id}`,
 //!   `POST /match`, `POST /snapshot`, `POST /admin/shutdown`, `GET /stats`,

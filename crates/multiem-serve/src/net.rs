@@ -15,10 +15,10 @@
 //!   buffer drained by partial writes, so 10k idle keep-alive connections
 //!   cost buffers, not threads;
 //! * fully parsed requests are dispatched to the shared worker
-//!   [`ThreadPool`] with [`ThreadPool::execute_then`]; the completion
-//!   callback sends the rendered response back to the owning event loop's
-//!   channel (which doubles as its wakeup), and the loop queues the bytes
-//!   on the connection for writeback.
+//!   [`ThreadPool`] with [`ThreadPool::execute`]; the job ends by sending
+//!   the rendered response back to the owning event loop's channel (which
+//!   doubles as its wakeup), so no I/O thread parks on a response, and the
+//!   loop queues the bytes on the connection for writeback.
 //!
 //! Each connection is **pipelined**: up to [`MAX_PIPELINE`] requests may be
 //! in flight at once, so a client that writes a burst of requests without
@@ -483,7 +483,8 @@ impl EventLoop {
                         Routed::Inline(bytes, close) => self.complete(slot, seq, bytes, close),
                         Routed::Worker(job) => {
                             let tx = self.tx.clone();
-                            self.pool.execute_then(job, move |(bytes, close)| {
+                            self.pool.execute(move || {
+                                let (bytes, close) = job();
                                 // The loop may be gone past the drain
                                 // deadline; nothing to do with the response
                                 // then.

@@ -13,7 +13,7 @@
 //!
 //! File sinks rotate by size when asked (`--log-rotate-bytes`): past the
 //! threshold the live file becomes `<path>.1`, older generations shift up
-//! (the oldest beyond `--log-rotate-keep` is dropped), and the fresh file
+//! (the oldest beyond [`ROTATE_KEEP`] is dropped), and the fresh file
 //! opens with a `log_rotated` event — so a chatty access log can run
 //! unattended without eating the disk.
 
@@ -22,6 +22,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+
+/// Rotated generations the server keeps per log file.
+pub const ROTATE_KEEP: usize = 3;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Log severity, ordered from most to least severe.

@@ -49,6 +49,7 @@ pub mod window;
 
 pub use exemplar::{Exemplar, ExemplarRing};
 pub use histogram::{Histogram, HistogramSnapshot};
+use log::ROTATE_KEEP;
 pub use log::{Level, Logger};
 pub use registry::{Counter, Gauge, Registry};
 pub use topk::{HeavyHitter, SpaceSaving, WindowedTopK};
@@ -95,8 +96,6 @@ pub struct ObsConfig {
     /// Rotate `--log-file`/`--access-log` once they reach this many bytes
     /// (`0` disables rotation).
     pub log_rotate_bytes: u64,
-    /// Rotated generations kept per log file.
-    pub log_rotate_keep: usize,
 }
 
 impl Default for ObsConfig {
@@ -111,7 +110,6 @@ impl Default for ObsConfig {
             ready_max_backlog: 0,
             ready_max_fsync_ms: 0,
             log_rotate_bytes: 0,
-            log_rotate_keep: 3,
         }
     }
 }
@@ -513,12 +511,9 @@ impl Telemetry {
         let registry = Registry::new();
         let metrics = ServeMetrics::register(&registry);
         let logger = Arc::new(match &config.log_file {
-            Some(path) => Logger::rotating_file(
-                config.log_level,
-                path,
-                config.log_rotate_bytes,
-                config.log_rotate_keep,
-            )?,
+            Some(path) => {
+                Logger::rotating_file(config.log_level, path, config.log_rotate_bytes, ROTATE_KEEP)?
+            }
             None => Logger::stderr(config.log_level),
         });
         let access = if config.telemetry {
@@ -526,12 +521,7 @@ impl Telemetry {
                 .access_log
                 .as_ref()
                 .map(|path| {
-                    Logger::rotating_file(
-                        Level::Info,
-                        path,
-                        config.log_rotate_bytes,
-                        config.log_rotate_keep,
-                    )
+                    Logger::rotating_file(Level::Info, path, config.log_rotate_bytes, ROTATE_KEEP)
                 })
                 .transpose()?
         } else {

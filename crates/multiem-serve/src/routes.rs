@@ -232,9 +232,10 @@ impl<E: EmbeddingModel> Route<E> {
             Route { method: "GET", path: Exact("/debug/storage"), endpoint: Endpoint::Debug, handler: Inline(views::debug_storage) },
             // Body `{"records": [[v, ...], ...]}` (values are JSON strings,
             // numbers or `null`, positional against the schema): WAL-append +
-            // insert each record into its shard; `429` + adaptive
-            // `Retry-After` (backlog / drain rate, clamped 1..=30) when a
-            // target shard's ingest queue is full.
+            // insert each record into its shard, reporting `matched` (fused
+            // with at least one existing cluster at insert time); `429` +
+            // adaptive `Retry-After` (backlog / drain rate, clamped 1..=30)
+            // when a target shard's ingest queue is full.
             Route { method: "POST", path: Exact("/records"), endpoint: Endpoint::Records, handler: Worker(ingest::post_records) },
             // Body `{"ids": [[shard, source, row], ...]}`: batch deletion;
             // per-id outcomes, unknown ids report `false`.

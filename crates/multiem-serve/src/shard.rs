@@ -29,7 +29,7 @@ use crate::sync::{lock_unpoisoned, LockClass, OrderedReadGuard, OrderedRwLock, O
 use multiem_ann::merge_ranked;
 use multiem_embed::EmbeddingModel;
 use multiem_online::{
-    EntityStore, OnlineConfig, OnlineError, SegmentStats, SnapshotFormat, StorageStats, StoreStats,
+    EntityStore, OnlineConfig, OnlineError, SegmentStats, StorageStats, StoreStats,
 };
 use multiem_table::{EntityId, Record, Schema};
 use rayon::prelude::*;
@@ -523,26 +523,22 @@ impl<E: EmbeddingModel> ShardedEntityStore<E> {
 
     /// Serialize one shard as a binary snapshot (read-locks it).
     pub fn snapshot_shard(&self, shard: usize) -> Result<Vec<u8>, OnlineError> {
-        self.read_shard(shard)
-            .snapshot_bytes(SnapshotFormat::Binary)
+        self.read_shard(shard).snapshot_bytes()
     }
 }
 
 /// Apply one insert to an already write-locked shard, returning the global
-/// id and whether the record merged into an existing cluster. Shared by
+/// id and whether the record *matched*: fused with at least one existing
+/// cluster at insert time ([`EntityStore::insert_matched`] — the store's one
+/// definition, also what its `IngestReport::merged` counts). Shared by
 /// [`ShardedEntityStore::insert`] and the serving layer's WAL-interposed
-/// write path, so the `matched` semantics and the insert sequence can never
-/// drift between the two.
+/// write path, so the insert sequence can never drift between the two.
 pub fn apply_insert<E: EmbeddingModel>(
     store: &mut EntityStore<E>,
     shard: usize,
     record: Record,
 ) -> Result<(GlobalEntityId, bool), OnlineError> {
-    let entity = store.insert(record)?;
-    let matched = store
-        .cluster_members(entity)
-        .map(|members| members.len() > 1)
-        .unwrap_or(false);
+    let (entity, matched) = store.insert_matched(record)?;
     Ok((
         GlobalEntityId {
             shard: shard as u32,
@@ -780,6 +776,47 @@ mod tests {
         // The deleted record can never come back through a match.
         let hits = store.match_record(&Record::from_texts(["golden heart river live"]));
         assert!(hits.iter().all(|(gid, _)| *gid != b));
+    }
+
+    #[test]
+    fn matched_is_what_the_merge_rule_decided_even_if_pruning_splits_it_off() {
+        // With `epsilon` this tight, the pruning pass every insert triggers
+        // (`prune_interval` 1) takes each near-duplicate pair apart again.
+        let mut config = config();
+        config.base.epsilon = 0.1;
+        config.prune_interval = Some(1);
+        config.match_within_source = true;
+        let schema = Schema::new(["title"]).shared();
+        let titles = ["golden heart river", "golden heart river live"];
+
+        let mut store = EntityStore::new(config.clone(), HashedLexicalEncoder::default());
+        store.init_schema(schema.clone()).unwrap();
+        let [(_, first), (b, second)] =
+            titles.map(|t| apply_insert(&mut store, 0, Record::from_texts([t])).unwrap());
+        assert!(!first && second, "the second record fused with the first");
+        assert_eq!(
+            store.cluster_members(b.entity),
+            Some(vec![b.entity]),
+            "and the pass that insert triggered split it off"
+        );
+        assert_eq!(
+            store.stats().pruned_outliers,
+            2,
+            "neither is near the other"
+        );
+
+        // `ingest_batch` counts the same record the same way.
+        let mut batched = EntityStore::new(config, HashedLexicalEncoder::default());
+        let reports = titles.map(|t| {
+            let rows = vec![Record::from_texts([t])];
+            let table = multiem_table::Table::with_records("batch", schema.clone(), rows);
+            batched.ingest_batch(&table.unwrap()).unwrap()
+        });
+        assert_eq!((reports[0].merged, reports[1].merged), (0, 1));
+        assert_eq!(
+            (batched.stats().tuples, batched.stats().pruned_outliers),
+            (0, 2)
+        );
     }
 
     #[test]

@@ -113,11 +113,11 @@ fn main() {
     );
 
     // 5. Persistence: snapshot the store and restore it.
-    let snapshot = store.snapshot_json().expect("snapshot serializes");
-    let restored = EntityStore::restore_json(&snapshot, HashedLexicalEncoder::default())
+    let snapshot = store.snapshot_bytes().expect("snapshot serializes");
+    let restored = EntityStore::restore_bytes(&snapshot, HashedLexicalEncoder::default())
         .expect("snapshot restores");
     println!(
-        "snapshot: {} bytes of JSON, restored store has {} clusters",
+        "snapshot: {} bytes, restored store has {} clusters",
         snapshot.len(),
         restored.stats().clusters
     );

@@ -59,7 +59,7 @@ pub mod prelude {
     pub use multiem_datagen::{benchmark_dataset, BenchmarkDataset};
     pub use multiem_embed::{EmbeddingModel, HashedLexicalEncoder};
     pub use multiem_eval::{evaluate, EvaluationReport, Metrics};
-    pub use multiem_online::{EntityStore, OnlineConfig, SnapshotFormat};
+    pub use multiem_online::{EntityStore, OnlineConfig};
     pub use multiem_serve::{MatchServer, ServeConfig, ShardedEntityStore};
     pub use multiem_table::{
         Dataset, EntityId, GroundTruth, MatchTuple, Record, Schema, Table, Value,

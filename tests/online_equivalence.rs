@@ -188,8 +188,8 @@ fn snapshot_mid_stream_then_finish() {
         store.ingest_batch(table).unwrap();
     }
 
-    let snapshot = store.snapshot_json().unwrap();
-    let mut restored = EntityStore::restore_json(&snapshot, HashedLexicalEncoder::default())
+    let snapshot = store.snapshot_bytes().unwrap();
+    let mut restored = EntityStore::restore_bytes(&snapshot, HashedLexicalEncoder::default())
         .expect("snapshot restores");
 
     for table in &tables[half..] {
