@@ -604,6 +604,15 @@ mod tests {
         );
         let good = "fn f(&self) {\n    let s = self.shards[0].store.read();\n    let w = self.wals[0].lock();\n}\n";
         assert!(rules_hit(&plain(), good).is_empty());
+        // `ShardWriter::commit`'s shape: the WAL is an optional field bound
+        // by a pattern, the shard lock a helper of the store passed in.
+        let bad = "fn commit(&self, store: &S) {\n    if let Some(wal) = &self.wal {\n        let mut durable = wal.lock();\n    }\n    let mut guard = store.write_shard(self.shard);\n}\n";
+        assert_eq!(
+            rules_hit(&plain(), bad),
+            vec![("lock-order".to_string(), 5)]
+        );
+        let good = "fn commit(&self, store: &S) {\n    let mut guard = store.write_shard(self.shard);\n    if let Some(wal) = &self.wal {\n        let mut durable = wal.lock();\n    }\n}\n";
+        assert!(rules_hit(&plain(), good).is_empty());
     }
 
     #[test]

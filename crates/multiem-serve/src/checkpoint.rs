@@ -1,38 +1,38 @@
-//! Durability: checkpoint restore, WAL replay, and the delta checkpoint.
+//! Durability: the manifest, checkpoint restore, WAL replay, and the delta
+//! checkpoint.
 //!
 //! # Durability protocol
 //!
-//! Each shard owns its own WAL file, so writers to different shards share
-//! no lock at all: a write takes its shard's write lock, appends to *that
-//! shard's* WAL (`shard i → wals[i]` lock order everywhere), then applies
-//! the insert. Startup restores the checkpoint named by `MANIFEST.json` (if
-//! any) and replays each shard's WAL in its own order — shards are
-//! independent, so per-shard order is the only order that matters — through
-//! the same deterministic routing. Killing the process at any point loses
-//! at most the torn tail of a final append; acknowledged writes survive.
+//! `MANIFEST.json` is written when a data dir is created and is from then on
+//! the one way to open it: it owns the shard count (`--shards` on a
+//! populated directory is advisory, and logged when it disagrees), the WAL
+//! epoch and each shard's snapshot epoch. Every write goes through its
+//! shard's [`ShardWriter::commit`], which logs it to *that shard's* WAL
+//! before applying it; startup restores the snapshots the manifest names and
+//! replays each log through the same `commit` into the shard that wrote it —
+//! shards are independent, so per-shard order is the only order that
+//! matters. Killing the process at any point loses at most the torn tail of
+//! a final append; acknowledged writes survive.
 //!
 //! Checkpoints are epoch-versioned **deltas** that commit via an atomic
-//! manifest rename (see [`checkpoint`]'s step list): only shards whose
-//! write sequence moved since the last checkpoint write a new snapshot
-//! file, the manifest records a per-shard snapshot-epoch vector, and with
-//! [`StorageBackend::Disk`] even a dirty shard's snapshot is just its
-//! segment index + cluster state (record payloads already live in sealed
-//! segment files). A crash *during* a checkpoint can neither duplicate
-//! replayed ops into a snapshot that already contains them nor leave a
-//! torn manifest behind. The WAL's [`FsyncPolicy`](crate::FsyncPolicy)
-//! decides what a machine crash (as opposed to a process kill) can lose.
+//! manifest rename (see [`checkpoint`]'s step list). A crash *during* a
+//! checkpoint can neither duplicate replayed ops into a snapshot that
+//! already contains them nor leave a torn manifest behind. The WAL's
+//! [`FsyncPolicy`](crate::FsyncPolicy) decides what a machine crash (as
+//! opposed to a process kill) can lose.
 
 use crate::config::{ServeConfig, ServeError, StorageBackend};
-use crate::obs::Logger;
-use crate::routes::{field, obj, render};
+use crate::ingest::{Durable, ShardWriter};
+use crate::obs::{Logger, Telemetry};
+use crate::routes::{obj, render};
 use crate::server::ServerState;
 use crate::shard::ShardedEntityStore;
-use crate::sync::{lock_unpoisoned, LockClass, OrderedMutex, OrderedReadGuard, OrderedWriteGuard};
-use crate::wal::{Wal, WalOp};
+use crate::sync::{OrderedReadGuard, OrderedWriteGuard};
+use crate::wal::Wal;
 use multiem_embed::EmbeddingModel;
 use multiem_online::EntityStore;
 use multiem_table::Schema;
-use serde::Value;
+use serde::{Deserialize, Serialize, Value};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -63,130 +63,147 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
+/// `MANIFEST.json`: what a data dir is. Written when the directory is
+/// created and atomically replaced by every checkpoint.
+#[derive(Serialize, Deserialize)]
+pub(crate) struct Manifest {
+    /// The directory's shard count — it, not `--shards`, sizes the store.
+    shards: usize,
+    /// The WAL epoch: the only `wal-NNN-{epoch}.log` files ever replayed.
+    pub epoch: u64,
+    /// Per shard, the epoch of its snapshot file (`0`: none, restores empty
+    /// — delta checkpoints skip untouched shards).
+    shard_epochs: Vec<u64>,
+    attributes: Vec<String>,
+}
+
+impl Manifest {
+    fn new(config: &ServeConfig, epoch: u64, shard_epochs: Vec<u64>) -> Self {
+        Self {
+            shards: shard_epochs.len(),
+            epoch,
+            shard_epochs,
+            attributes: config.attributes.clone(),
+        }
+    }
+
+    fn commit(&self, dir: &Path) -> io::Result<()> {
+        write_atomic(&manifest_path(dir), render(self.to_value()).as_bytes())
+    }
+}
+
+/// A directory with WALs but no manifest (an older build wrote it, or the
+/// manifest was deleted) does not say how many shards logged into it: a log
+/// this server would never replay is refused by name, not silently dropped.
+fn refuse_stray_wals(dir: &Path, shards: usize) -> Result<(), ServeError> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)?
+        .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+        .collect();
+    names.sort();
+    for name in names {
+        // `wal_path`'s names at epoch 0, where a directory without a
+        // manifest is opened.
+        let index = name.strip_prefix("wal-");
+        let index = index.and_then(|rest| rest.strip_suffix("-000000.log"));
+        if index.is_some_and(|index| index.parse().is_ok_and(|index: usize| index >= shards)) {
+            return Err(ServeError::Config(format!(
+                "{} has no MANIFEST.json and holds {name}, the log of a shard a {shards}-shard \
+                 server does not have; restart with the shard count that wrote it",
+                dir.display()
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Load the store named by `MANIFEST.json` (the manifest is the only source
 /// of truth — files from interrupted checkpoints of other epochs are
-/// ignored), or create a fresh one at epoch 0 when no manifest exists.
-/// Returns the store, the manifest (WAL) epoch, and the per-shard snapshot
-/// epochs (`shard_epochs[i] == 0` means shard `i` was never snapshotted and
-/// restores empty — delta checkpoints skip untouched shards).
+/// ignored), or, in a directory without one, create a fresh store and its
+/// manifest at epoch 0.
 pub(crate) fn restore_or_create<E: EmbeddingModel + Clone>(
     config: &ServeConfig,
     schema: Arc<Schema>,
     dir: &Path,
     encoder: E,
     logger: &Logger,
-) -> Result<(ShardedEntityStore<E>, u64, Vec<u64>), ServeError> {
-    let manifest = manifest_path(dir);
-    if !manifest.exists() {
+) -> Result<(ShardedEntityStore<E>, Manifest), ServeError> {
+    let path = manifest_path(dir);
+    if !path.exists() {
         let store = ShardedEntityStore::new(config.online.clone(), schema, config.shards, encoder)?;
-        let shards = store.num_shards();
-        return Ok((store, 0, vec![0; shards]));
+        let manifest = Manifest::new(config, 0, vec![0; store.num_shards()]);
+        refuse_stray_wals(dir, manifest.shards)?;
+        manifest.commit(dir)?;
+        return Ok((store, manifest));
     }
-    let text = std::fs::read_to_string(&manifest)?;
-    let value: Value = serde_json::from_str(&text)
+    let manifest: Manifest = serde_json::from_str(&std::fs::read_to_string(&path)?)
         .map_err(|e| ServeError::Config(format!("unreadable MANIFEST.json: {e}")))?;
-    let shards = field(&value, "shards")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| ServeError::Config("MANIFEST.json lacks `shards`".into()))?
-        as usize;
-    let epoch = field(&value, "epoch")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| ServeError::Config("MANIFEST.json lacks `epoch`".into()))?;
-    let attributes: Vec<String> = field(&value, "attributes")
-        .and_then(Value::as_seq)
-        .map(|seq| {
-            seq.iter()
-                .filter_map(|v| v.as_str().map(str::to_string))
-                .collect()
-        })
-        .unwrap_or_default();
-    if !attributes.is_empty() && attributes != config.attributes {
+    if manifest.attributes != config.attributes {
         return Err(ServeError::Config(format!(
-            "checkpoint schema {attributes:?} differs from configured {:?}",
-            config.attributes
+            "checkpoint schema {:?} differs from configured {:?}",
+            manifest.attributes, config.attributes
         )));
     }
+    let (shards, shard_epochs) = (manifest.shards, &manifest.shard_epochs);
     if shards != config.shards {
-        logger.warn(
-            "checkpoint_shard_override",
-            &[
-                ("checkpoint_shards", Value::UInt(shards as u64)),
-                ("configured_shards", Value::UInt(config.shards as u64)),
-            ],
-        );
+        let checkpoint = ("checkpoint_shards", Value::UInt(shards as u64));
+        let configured = ("configured_shards", Value::UInt(config.shards as u64));
+        logger.warn("checkpoint_shard_override", &[checkpoint, configured]);
     }
-    // Per-shard snapshot epochs (pre-delta manifests lack the field: every
-    // shard was written at the manifest epoch).
-    let shard_epochs: Vec<u64> = field(&value, "shard_epochs")
-        .and_then(Value::as_seq)
-        .map(|seq| seq.iter().filter_map(Value::as_u64).collect())
-        .unwrap_or_else(|| vec![epoch; shards]);
-    if shard_epochs.len() != shards {
+    if shards == 0 || shard_epochs.len() != shards {
         return Err(ServeError::Config(format!(
-            "MANIFEST.json lists {} shard epochs for {shards} shards",
+            "MANIFEST.json lists {} shard epochs for {shards} shards (a store has at least one)",
             shard_epochs.len()
         )));
     }
+    let snapshot = |(shard, &epoch): (usize, &u64)| {
+        (epoch != 0).then(|| std::fs::read(snapshot_path(dir, shard, epoch)))
+    };
     let snapshots: Vec<Option<Vec<u8>>> = shard_epochs
         .iter()
         .enumerate()
-        .map(|(i, &e)| {
-            if e == 0 {
-                Ok(None)
-            } else {
-                std::fs::read(snapshot_path(dir, i, e)).map(Some)
-            }
-        })
+        .map(|entry| snapshot(entry).transpose())
         .collect::<io::Result<_>>()?;
     let store = ShardedEntityStore::restore(config.online.clone(), schema, &snapshots, encoder)?;
-    Ok((store, epoch, shard_epochs))
+    Ok((store, manifest))
 }
 
-/// Open one WAL per shard at `epoch` and replay each shard's surviving ops
-/// in its own order (shards are independent, so cross-shard interleaving
-/// does not matter). Returns the logs and how many ops each shard replayed:
-/// replayed ops dirty their shard, so the next delta checkpoint must
-/// re-snapshot it.
+/// Open each shard's WAL at the manifest's epoch and replay its surviving
+/// ops, in their own order, through the [`ShardWriter`] the log belongs to —
+/// the `commit` a request goes through, with nothing to log. Replayed ops
+/// count in `write_seq` against a `checkpoint_seq` of zero, so the next
+/// delta checkpoint re-snapshots the shards they changed.
 pub(crate) fn open_wals<E: EmbeddingModel>(
     store: &ShardedEntityStore<E>,
     config: &ServeConfig,
     dir: &Path,
-    epoch: u64,
-    logger: &Logger,
-) -> Result<(Vec<OrderedMutex<Wal>>, Vec<u64>), ServeError> {
-    let mut logs = Vec::with_capacity(store.num_shards());
-    let mut replayed = vec![0u64; store.num_shards()];
-    for (shard, dirtied) in replayed.iter_mut().enumerate() {
-        let (log, recovery) = Wal::open_with(&wal_path(dir, shard, epoch), config.fsync)?;
+    manifest: &Manifest,
+    telemetry: &Telemetry,
+) -> Result<Vec<ShardWriter>, ServeError> {
+    let mut writers = Vec::with_capacity(manifest.shards);
+    for (shard, &snapshot_epoch) in manifest.shard_epochs.iter().enumerate() {
+        let path = wal_path(dir, shard, manifest.epoch);
+        let (wal, recovery) = Wal::open_with(&path, config.fsync)?;
         if recovery.torn_tail {
-            logger.warn("wal_torn_tail", &[("shard", Value::UInt(shard as u64))]);
+            let shard = Value::UInt(shard as u64);
+            telemetry.logger.warn("wal_torn_tail", &[("shard", shard)]);
         }
-        for op in recovery.ops {
-            match op {
-                WalOp::Insert(record) => {
-                    store.insert(record).map_err(|e| {
-                        ServeError::Config(format!(
-                            "WAL replay failed ({e}); the log was written under \
-                             a different schema or store configuration"
-                        ))
-                    })?;
-                }
-                WalOp::Delete(entity) => {
-                    // Idempotent: replaying a delete of an id a snapshot
-                    // already dropped is a no-op.
-                    store
-                        .write_shard(shard)
-                        .delete_record(entity)
-                        .map_err(|e| {
-                            ServeError::Config(format!("WAL delete replay failed: {e}"))
-                        })?;
-                }
-            }
-            *dirtied += 1;
-        }
-        logs.push(OrderedMutex::new(LockClass::Wal, log));
+        let durable = Durable {
+            wal,
+            snapshot_epoch,
+            checkpoint_seq: 0,
+        };
+        let writer = ShardWriter::new(shard, Some(durable));
+        writer
+            .commit(store, telemetry, recovery.ops, None)
+            .map_err(|e| {
+                ServeError::Config(format!(
+                    "WAL replay failed ({e}); the log was written under a different schema \
+                     or store configuration"
+                ))
+            })?;
+        writers.push(writer);
     }
-    Ok((logs, replayed))
+    Ok(writers)
 }
 
 /// A shard lock held for the duration of a checkpoint: shared for the
@@ -213,15 +230,13 @@ impl<E: EmbeddingModel> ShardGuard<'_, E> {
 /// 1. take every shard lock (ascending), then every WAL lock — the same
 ///    global order writers use, so no write interleaves. Memory-backed
 ///    stores take **read** locks (reads keep serving through the
-///    checkpoint, as in PR 2); disk-backed stores take **write** locks
-///    because dirty shards seal their storage tail here;
+///    checkpoint); disk-backed stores take **write** locks because dirty
+///    shards seal their storage tail here;
 /// 2. for every *dirty* shard (its `write_seq` moved since the last
 ///    checkpoint, or it has no snapshot yet despite holding records):
 ///    flush its storage and write `shard-NNN-{epoch+1}.snap` (temp +
-///    rename each). Clean shards keep their existing snapshot file — with
-///    the disk backend even a dirty shard's snapshot is only the segment
-///    index + cluster state, so the checkpoint cost tracks the delta, not
-///    the store size;
+///    rename each). Clean shards keep their existing snapshot file, so the
+///    checkpoint cost tracks the delta, not the store size;
 /// 3. create empty `wal-NNN-{epoch+1}.log` files for **all** shards (WAL
 ///    truncation is keyed to the new delta epoch);
 /// 4. **commit**: atomically rename the new `MANIFEST.json` naming
@@ -244,26 +259,20 @@ pub(crate) fn checkpoint<E: EmbeddingModel>(state: &ServerState<E>) -> Result<Va
             "server runs without a data dir; nothing to checkpoint".into(),
         ));
     };
-    let Some(wals) = &state.wals else {
-        return Err(ServeError::Config("server has no WAL".into()));
-    };
 
     let num_shards = state.store.num_shards();
-    // Only the disk backend mutates shard state here (sealing storage
-    // tails); the memory backend checkpoints under read locks so matches
-    // keep serving.
     let mut guards: Vec<ShardGuard<'_, E>> = (0..num_shards)
         .map(|i| match state.config.storage {
             StorageBackend::Memory => ShardGuard::Read(state.store.read_shard(i)),
             StorageBackend::Disk => ShardGuard::Write(state.store.write_shard(i)),
         })
         .collect();
-    let mut wal_guards: Vec<_> = wals.iter().map(|wal| wal.lock()).collect();
-    // Checkpoint bookkeeping vectors: only ever mutated inside this
-    // all-locks critical section, and every update lands before the commit
-    // rename — recovering a poisoned guard observes a consistent vector.
-    let mut shard_epochs = lock_unpoisoned(&state.shard_epochs);
-    let mut checkpoint_seq = lock_unpoisoned(&state.checkpoint_seq);
+    // Bound with a data dir, every shard has its WAL.
+    let wals = state
+        .writers
+        .iter()
+        .filter_map(|writer| writer.wal.as_ref());
+    let mut durables: Vec<_> = wals.map(|wal| wal.lock()).collect();
     let old_epoch = state.epoch.load(Ordering::SeqCst);
     let new_epoch = old_epoch + 1;
 
@@ -272,10 +281,10 @@ pub(crate) fn checkpoint<E: EmbeddingModel>(state: &ServerState<E>) -> Result<Va
     let mut compactions = 0u64;
     let mut reclaimed_bytes = 0u64;
     let mut superseded: Vec<(usize, u64)> = Vec::new();
-    for (i, guard) in guards.iter_mut().enumerate() {
-        let seq = state.write_seq[i].load(Ordering::SeqCst);
-        let dirty = seq != checkpoint_seq[i] || (shard_epochs[i] == 0 && !guard.get().is_empty());
-        if !dirty {
+    for (i, (guard, durable)) in guards.iter_mut().zip(&mut durables).enumerate() {
+        let seq = state.writers[i].write_seq.load(Ordering::SeqCst);
+        let unsaved = durable.snapshot_epoch == 0 && !guard.get().is_empty();
+        if seq == durable.checkpoint_seq && !unsaved {
             continue;
         }
         // Seal the storage tail first (disk backend): the snapshot then
@@ -293,50 +302,35 @@ pub(crate) fn checkpoint<E: EmbeddingModel>(state: &ServerState<E>) -> Result<Va
         let bytes = guard.get().snapshot_bytes()?;
         total_bytes += bytes.len();
         write_atomic(&snapshot_path(dir, i, new_epoch), &bytes)?;
-        if shard_epochs[i] != 0 {
-            superseded.push((i, shard_epochs[i]));
+        if durable.snapshot_epoch != 0 {
+            superseded.push((i, durable.snapshot_epoch));
         }
-        shard_epochs[i] = new_epoch;
-        checkpoint_seq[i] = seq;
+        durable.snapshot_epoch = new_epoch;
+        durable.checkpoint_seq = seq;
         snapshots_written += 1;
     }
     // Fresh, empty WALs for the new epoch (truncate any leftovers from a
     // previously crashed checkpoint attempt at this same epoch).
-    let mut new_wals = Vec::with_capacity(wal_guards.len());
-    for (shard, wal) in wal_guards.iter_mut().enumerate() {
+    let mut new_wals = Vec::with_capacity(durables.len());
+    for (shard, durable) in durables.iter_mut().enumerate() {
         // Make the superseded log durable before committing past it.
-        wal.sync()?;
-        let (mut log, _) = Wal::open_with(&wal_path(dir, shard, new_epoch), wal.fsync_policy())?;
+        durable.wal.sync()?;
+        let fsync = durable.wal.fsync_policy();
+        let (mut log, _) = Wal::open_with(&wal_path(dir, shard, new_epoch), fsync)?;
         log.truncate()?;
         new_wals.push(log);
     }
 
-    let attributes = state
-        .config
-        .attributes
-        .iter()
-        .map(|a| Value::Str(a.clone()));
-    let manifest = obj([
-        ("shards", Value::UInt(num_shards as u64)),
-        ("epoch", Value::UInt(new_epoch)),
-        (
-            "shard_epochs",
-            Value::Seq(shard_epochs.iter().map(|&e| Value::UInt(e)).collect()),
-        ),
-        ("format", Value::Str("binary".into())),
-        ("attributes", Value::Seq(attributes.collect())),
-    ]);
     // Commit point: after this rename the new epoch is the only one loaded.
-    write_atomic(&manifest_path(dir), render(manifest).as_bytes())?;
+    let shard_epochs = durables.iter().map(|d| d.snapshot_epoch).collect();
+    Manifest::new(&state.config, new_epoch, shard_epochs).commit(dir)?;
     state.epoch.store(new_epoch, Ordering::SeqCst);
 
     let mut truncated = 0u64;
     for (shard, new_wal) in new_wals.into_iter().enumerate() {
-        let old = std::mem::replace(&mut *wal_guards[shard], new_wal);
-        truncated += old.bytes();
-        drop(old);
+        truncated += std::mem::replace(&mut durables[shard].wal, new_wal).bytes();
         // relaxed-ok: published size for lock-free /stats; staleness is benign
-        state.wal_bytes[shard].store(0, Ordering::Relaxed);
+        state.writers[shard].wal_bytes.store(0, Ordering::Relaxed);
         std::fs::remove_file(wal_path(dir, shard, old_epoch)).ok();
     }
     for (shard, epoch) in superseded {

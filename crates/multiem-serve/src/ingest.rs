@@ -1,20 +1,21 @@
 //! The write path: queue admission, group-commit ingestion, deletion.
 //!
-//! Every write follows one protocol: take the target shard's write lock,
-//! append the ops to *that shard's* WAL ([`log_ops`]), then apply them —
-//! `shard → wal` lock order everywhere, so writers to different shards
-//! share nothing.
+//! Every write — a request's or a replayed one — is a [`WalOp`] that goes
+//! through its shard's [`ShardWriter::commit`]: take the shard's write
+//! lock, append the ops to *that shard's* WAL, then apply them — `shard →
+//! wal` lock order everywhere, so writers to different shards share nothing.
 
-use crate::obs::{elapsed_ns, Stage, Trace};
+use crate::config::ServeError;
+use crate::obs::{elapsed_ns, Stage, Telemetry, Trace};
 use crate::routes::{field, obj, parse_body, record_from_value, ApiError, Call};
 use crate::server::ServerState;
-use crate::shard::{apply_insert, route_token, GlobalEntityId};
-use crate::sync::lock_unpoisoned;
-use crate::wal::WalOp;
+use crate::shard::{apply, route_token, Applied, GlobalEntityId, ShardedEntityStore};
+use crate::sync::{lock_unpoisoned, LockClass, OrderedMutex};
+use crate::wal::{Wal, WalOp};
 use multiem_embed::EmbeddingModel;
-use multiem_table::Record;
 use serde::Value;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Per-shard drain-rate sample: the applied-record counter at the start of
@@ -27,15 +28,17 @@ pub(crate) struct DrainWindow {
     rate: f64,
 }
 
-impl DrainWindow {
-    pub fn new() -> Self {
+impl Default for DrainWindow {
+    fn default() -> Self {
         Self {
             since: Instant::now(),
             drained: 0,
             rate: 0.0,
         }
     }
+}
 
+impl DrainWindow {
     /// Close the window (at >= 1 s granularity) against the current applied
     /// count and return the freshest rate estimate. Sampling happens on
     /// 429s, so under a sustained burst the estimate tracks the *current*
@@ -64,18 +67,132 @@ fn derive_retry_after(backlog: u64, rate: f64) -> u64 {
     ((backlog as f64 / rate).ceil() as u64).clamp(1, 30)
 }
 
-/// Admission slots on the per-shard ingest queues, released on drop (also
-/// on error paths, so a failed insert never leaks queue capacity).
-struct QueueSlots<'a, E: EmbeddingModel> {
-    state: &'a ServerState<E>,
-    /// `(shard, records admitted)` pairs.
-    acquired: Vec<(usize, u64)>,
+/// A shard's log with the two numbers only a checkpoint writes, behind the
+/// WAL lock a checkpoint holds for every shard anyway.
+pub(crate) struct Durable {
+    pub wal: Wal,
+    /// Epoch of the shard's latest snapshot file (`0`: none, restores empty).
+    pub snapshot_epoch: u64,
+    /// [`ShardWriter::write_seq`] as of that snapshot: a delta checkpoint
+    /// re-snapshots the shard only when the two differ.
+    pub checkpoint_seq: u64,
 }
 
-impl<E: EmbeddingModel> Drop for QueueSlots<'_, E> {
+/// The write side of one shard: its ingest queue, its log and its counters.
+/// `ServerState::writers[i]` belongs to shard `i` of the store.
+#[derive(Default)]
+pub(crate) struct ShardWriter {
+    shard: usize,
+    /// Present in durable mode. Lock order is always `shard i write lock →
+    /// writers[i].wal`; the checkpoint takes every shard lock (ascending)
+    /// before any WAL lock ([`OrderedMutex`] checks it in debug builds).
+    pub wal: Option<OrderedMutex<Durable>>,
+    /// Writes applied to the shard, replayed WAL ops included.
+    pub write_seq: AtomicU64,
+    /// Records admitted to ingestion but not yet applied; bounded by
+    /// `queue_depth` (backpressure).
+    pub inflight: AtomicU64,
+    /// Records applied through requests since startup, and the windowed
+    /// rate estimate over them (sampled on 429s, so a long-idle stretch
+    /// skews at most the first refusal of a burst): the adaptive
+    /// `Retry-After`.
+    drained: AtomicU64,
+    drain_window: Mutex<DrainWindow>,
+    /// WAL size, published after every append/checkpoint so `/stats` never
+    /// touches a WAL lock (appends hold it through fsyncs).
+    pub wal_bytes: AtomicU64,
+}
+
+impl ShardWriter {
+    pub fn new(shard: usize, durable: Option<Durable>) -> Self {
+        Self {
+            shard,
+            wal_bytes: AtomicU64::new(durable.as_ref().map_or(0, |d| d.wal.bytes())),
+            wal: durable.map(|d| OrderedMutex::new(LockClass::Wal, d)),
+            ..Self::default()
+        }
+    }
+
+    /// The one write path. Under the shard's write lock: append `ops` to the
+    /// shard's WAL when there is one (one frame run, one fsync decision —
+    /// group commit), then [`apply`] them in order. `trace` is the
+    /// request's; start-up replay passes `None`, because its ops were *read
+    /// from* this shard's log: nothing is logged again or counted as served
+    /// traffic, and the ops land on the shard that logged them, whatever
+    /// they would hash to now.
+    ///
+    /// What was applied is counted here, whether or not a later op fails:
+    /// after an `Err` a prefix of the group is in the store (and dirties the
+    /// shard for the next checkpoint) while all of it is in the log, so the
+    /// rest may reappear after a kill — the contract has always been that
+    /// unacknowledged writes may survive and acknowledged ones must.
+    pub fn commit<E: EmbeddingModel>(
+        &self,
+        store: &ShardedEntityStore<E>,
+        telemetry: &Telemetry,
+        ops: Vec<WalOp>,
+        mut trace: Option<&mut Trace>,
+    ) -> Result<Vec<Applied>, ServeError> {
+        let metrics = &telemetry.metrics;
+        let mut guard = store.write_shard(self.shard);
+        if let (Some(wal), Some(trace)) = (&self.wal, trace.as_deref_mut()) {
+            let mut durable = wal.lock();
+            let timing = durable.wal.append_batch_timed(&ops)?;
+            // relaxed-ok: published size for lock-free /stats; staleness is benign
+            self.wal_bytes.store(durable.wal.bytes(), Ordering::Relaxed);
+            drop(durable);
+            // `wal_append` excludes the fsync portion; `fsync` gets it.
+            let append_ns = timing.total_ns.saturating_sub(timing.fsync_ns);
+            trace.add(Stage::WalAppend, append_ns);
+            trace.add(Stage::Fsync, timing.fsync_ns);
+            metrics.wal_appended_bytes.add(timing.appended_bytes);
+            if timing.fsynced {
+                metrics.wal_fsyncs.inc();
+                // The rolling fsync window is the `/readyz` degradation signal.
+                telemetry.record_fsync_window(timing.fsync_ns);
+            }
+        }
+        let apply_started = Instant::now();
+        let mut applied = Vec::with_capacity(ops.len());
+        let outcome = ops
+            .into_iter()
+            .try_for_each(|op| apply(&mut guard, self.shard, op).map(|done| applied.push(done)));
+        let count = |what: fn(&Applied) -> bool| applied.iter().filter(|a| what(a)).count() as u64;
+        let inserted = count(|a| matches!(a, Applied::Inserted(..)));
+        let deleted = count(|a| *a == Applied::Deleted(true));
+        self.write_seq
+            .fetch_add(inserted + deleted, Ordering::SeqCst);
+        if let Some(trace) = trace {
+            trace.add(Stage::Apply, elapsed_ns(apply_started));
+            // relaxed-ok: drain-rate sample counter; the estimate is advisory
+            self.drained.fetch_add(inserted, Ordering::Relaxed);
+            metrics.ingested_records.add(inserted);
+            metrics.deleted_records.add(deleted);
+            if inserted > 0 {
+                telemetry.record_ingest_batch(inserted);
+            }
+        }
+        outcome?;
+        Ok(applied)
+    }
+
+    /// The freshest drain-rate estimate, in records/s.
+    fn drain_rate(&self) -> f64 {
+        // relaxed-ok: the drain estimate is advisory; a stale read skews one Retry-After
+        let drained_now = self.drained.load(Ordering::Relaxed);
+        lock_unpoisoned(&self.drain_window).sample(drained_now)
+    }
+}
+
+/// Admission slots on the per-shard ingest queues — `(shard's writer,
+/// records admitted)` — released on drop (also on error paths, so a failed
+/// insert never leaks queue capacity).
+struct QueueSlots<'a>(Vec<(&'a ShardWriter, u64)>);
+
+impl Drop for QueueSlots<'_> {
     fn drop(&mut self) {
-        for &(shard, n) in &self.acquired {
-            self.state.inflight[shard].fetch_sub(n, Ordering::SeqCst);
+        for (writer, n) in &self.0 {
+            writer.inflight.fetch_sub(*n, Ordering::SeqCst);
         }
     }
 }
@@ -103,7 +220,7 @@ fn group_by_shard(shards: &[usize]) -> Vec<(usize, Vec<usize>)> {
 fn admit<'a, E: EmbeddingModel>(
     state: &'a ServerState<E>,
     by_shard: &[(usize, Vec<usize>)],
-) -> Result<QueueSlots<'a, E>, ApiError> {
+) -> Result<QueueSlots<'a>, ApiError> {
     let depth = state.config.queue_depth;
     let oversized = by_shard
         .iter()
@@ -115,68 +232,54 @@ fn admit<'a, E: EmbeddingModel>(
             indices.len()
         )));
     }
-    let mut slots = QueueSlots {
-        state,
-        acquired: Vec::with_capacity(by_shard.len()),
-    };
+    let mut slots = QueueSlots(Vec::with_capacity(by_shard.len()));
     for (shard, indices) in by_shard {
-        let (shard, n) = (*shard, indices.len() as u64);
-        let before = state.inflight[shard].fetch_add(n, Ordering::SeqCst);
-        slots.acquired.push((shard, n));
-        if before + n > state.config.queue_depth {
+        let (writer, n) = (&state.writers[*shard], indices.len() as u64);
+        let before = writer.inflight.fetch_add(n, Ordering::SeqCst);
+        slots.0.push((writer, n));
+        if before + n > depth {
             // Rolls back every acquisition.
             drop(slots);
             let rejected: u64 = by_shard.iter().map(|(_, i)| i.len() as u64).sum();
             // relaxed-ok: standalone rejection counter, no ordering with other state
             state.rejected.fetch_add(rejected, Ordering::Relaxed);
             state.telemetry.metrics.rejected_records.add(rejected);
-            // relaxed-ok: the drain estimate is advisory; a stale read skews one Retry-After
-            let drained_now = state.drained[shard].load(Ordering::Relaxed);
-            let rate = lock_unpoisoned(&state.drain_windows[shard]).sample(drained_now);
-            let backlog = state.inflight[shard].load(Ordering::SeqCst) + rejected;
+            let backlog = writer.inflight.load(Ordering::SeqCst) + rejected;
             return Err(ApiError::overloaded(
                 rejected,
-                derive_retry_after(backlog, rate),
+                derive_retry_after(backlog, writer.drain_rate()),
             ));
         }
     }
     Ok(slots)
 }
 
-/// Append `ops()` to `shard`'s WAL — whose write lock the caller holds —
-/// publish the log's new size for the lock-free views, and fold the
-/// append's timing into the request trace and the WAL counters
-/// (`wal_append` excludes the fsync portion; `fsync` gets it). A no-op
-/// without a data dir, in which case `ops` is never built.
-fn log_ops<E: EmbeddingModel>(
+/// Group commit: `ops[i]` goes to the shard whose group lists `i`, and each
+/// group is ONE [`ShardWriter::commit`] — one WAL batch append and the
+/// applies under a single acquisition of that shard's write lock. Per-shard
+/// order follows request order, so the bytes on disk are those of per-op
+/// appends, with fewer fsyncs. Outcomes are positional; `None` marks an op
+/// naming a shard that does not exist (a miss nobody logs).
+fn commit_grouped<E: EmbeddingModel>(
     state: &ServerState<E>,
-    shard: usize,
+    by_shard: Vec<(usize, Vec<usize>)>,
+    ops: Vec<WalOp>,
     trace: &mut Trace,
-    ops: impl FnOnce() -> Vec<WalOp>,
-) -> Result<(), ApiError> {
-    let Some(wals) = &state.wals else {
-        return Ok(());
-    };
-    let ops = ops();
-    let mut wal = wals[shard].lock();
-    let timing = wal
-        .append_batch_timed(&ops)
-        .map_err(|e| ApiError::internal(format!("wal append failed: {e}")))?;
-    // relaxed-ok: published size for lock-free /stats; staleness is benign
-    state.wal_bytes[shard].store(wal.bytes(), Ordering::Relaxed);
-    trace.add(
-        Stage::WalAppend,
-        timing.total_ns.saturating_sub(timing.fsync_ns),
-    );
-    trace.add(Stage::Fsync, timing.fsync_ns);
-    let metrics = &state.telemetry.metrics;
-    metrics.wal_appended_bytes.add(timing.appended_bytes);
-    if timing.fsynced {
-        metrics.wal_fsyncs.inc();
-        // The rolling fsync window is the `/readyz` degradation signal.
-        state.telemetry.record_fsync_window(timing.fsync_ns);
+) -> Result<Vec<Option<Applied>>, ApiError> {
+    let mut ops: Vec<Option<WalOp>> = ops.into_iter().map(Some).collect();
+    let mut outcomes = vec![None; ops.len()];
+    for (shard, indices) in by_shard {
+        let Some(writer) = state.writers.get(shard) else {
+            continue;
+        };
+        // The groups partition the indices, so every slot is still `Some`.
+        let group = indices.iter().filter_map(|&i| ops[i].take()).collect();
+        let applied = writer.commit(&state.store, &state.telemetry, group, Some(&mut *trace))?;
+        for (i, outcome) in indices.into_iter().zip(applied) {
+            outcomes[i] = Some(outcome);
+        }
     }
-    Ok(())
+    Ok(outcomes)
 }
 
 /// `POST /records`.
@@ -216,85 +319,48 @@ pub(crate) fn post_records<E: EmbeddingModel>(call: Call<'_, E>) -> Result<Value
         }
     }
 
-    // Group-commit: each shard's group rides ONE WAL batch append (one
-    // frame run, one fsync decision) followed by the applies, all under a
-    // single acquisition of that shard's write lock. Per-shard order still
-    // follows request order, so WAL replay reconstructs exactly the same
-    // state as per-record appends — the bytes on disk are identical, there
-    // are just fewer fsyncs.
-    let mut parsed: Vec<Option<Record>> = parsed.into_iter().map(Some).collect();
-    let mut results: Vec<Option<Value>> = (0..parsed.len()).map(|_| None).collect();
-    for (shard, indices) in by_shard {
-        let mut guard = state.store.write_shard(shard);
-        // `indices` partitions `0..parsed.len()`, so every slot is still
-        // `Some` here; `filter_map` keeps the path panic-free regardless.
-        log_ops(state, shard, trace, || {
-            let group = indices.iter().filter_map(|&i| parsed[i].clone());
-            group.map(WalOp::Insert).collect()
-        })?;
-        let apply_started = Instant::now();
-        let mut applied = 0u64;
-        for i in indices {
-            let Some(record) = parsed[i].take() else {
-                return Err(ApiError::internal(format!(
-                    "internal routing error: records[{i}] dispatched twice"
-                )));
-            };
-            let (gid, matched) = apply_insert(&mut guard, shard, record)?;
-            applied += 1;
+    let ops = parsed.into_iter().map(WalOp::Insert).collect();
+    let results = commit_grouped(state, by_shard, ops, trace)?.into_iter();
+    let results = results.filter_map(|outcome| match outcome {
+        Some(Applied::Inserted(gid, matched)) => {
             let mut result = gid.fields();
             result.push(("matched".into(), Value::Bool(matched)));
-            results[i] = Some(Value::Map(result));
+            Some(Value::Map(result))
         }
-        trace.add(Stage::Apply, elapsed_ns(apply_started));
-        state.write_seq[shard].fetch_add(applied, Ordering::SeqCst);
-        // relaxed-ok: drain-rate sample counter; the estimate is advisory
-        state.drained[shard].fetch_add(applied, Ordering::Relaxed);
-        state.telemetry.metrics.ingested_records.add(applied);
-        state.telemetry.record_ingest_batch(applied);
-    }
-    let results: Vec<Value> = results.into_iter().flatten().collect();
+        _ => None,
+    });
+    let results: Vec<Value> = results.collect();
     Ok(obj([
         ("ingested", Value::UInt(results.len() as u64)),
         ("results", Value::Seq(results)),
     ]))
 }
 
-/// Apply one deletion: WAL-append first (the op must survive a crash that
-/// happens mid-apply), then detach the record under the shard's write lock.
-/// A delete of an unknown id still logs — replaying it is a no-op, and the
-/// log stays a faithful record of what was requested. A failure here is a
-/// `500`: already-applied deletions of a batch stand, and retrying is safe
+/// Delete `ids`, group-committed like `POST /records`; the answers are
+/// positional. A delete of an unknown id still logs — replaying it is a
+/// no-op, and the log stays a faithful record of what was requested. A
+/// failure is a `500`: deletions already applied stand, and retrying is safe
 /// because deletion is idempotent.
-fn delete_one<E: EmbeddingModel>(
+fn delete_ids<E: EmbeddingModel>(
     state: &ServerState<E>,
-    id: GlobalEntityId,
+    ids: &[GlobalEntityId],
     trace: &mut Trace,
-) -> Result<bool, ApiError> {
-    let shard = id.shard as usize;
-    if shard >= state.store.num_shards() {
-        return Ok(false);
-    }
-    let mut guard = state.store.write_shard(shard);
-    log_ops(state, shard, trace, || vec![WalOp::Delete(id.entity)])?;
-    let apply_started = Instant::now();
-    let deleted = guard.delete_record(id.entity)?;
-    trace.add(Stage::Apply, elapsed_ns(apply_started));
-    if deleted {
-        state.write_seq[shard].fetch_add(1, Ordering::SeqCst);
-        state.telemetry.metrics.deleted_records.inc();
-    }
-    Ok(deleted)
+) -> Result<Vec<bool>, ApiError> {
+    let shards: Vec<usize> = ids.iter().map(|id| id.shard as usize).collect();
+    let ops = ids.iter().map(|id| WalOp::Delete(id.entity)).collect();
+    let outcomes = commit_grouped(state, group_by_shard(&shards), ops, trace)?.into_iter();
+    Ok(outcomes
+        .map(|outcome| outcome == Some(Applied::Deleted(true)))
+        .collect())
 }
 
 /// `DELETE /records/{shard}-{source}-{row}`: `tail` is the id triple `POST
 /// /records` returned for the record.
 pub(crate) fn delete_record<E: EmbeddingModel>(call: Call<'_, E>) -> Result<Value, ApiError> {
-    let (state, tail, trace) = (call.state, call.tail, call.trace);
-    let id = tail.parse().map_err(|()| {
+    let id = call.tail.parse().map_err(|()| {
         ApiError::bad_request("record id must be shard-source-row (e.g. /records/0-1-42)")
     })?;
-    if delete_one(state, id, trace)? {
+    if delete_ids(call.state, &[id], call.trace)? == [true] {
         Ok(obj([("deleted", Value::Bool(true))]))
     } else {
         Err(ApiError::not_found("unknown or already-deleted record"))
@@ -305,8 +371,7 @@ pub(crate) fn delete_record<E: EmbeddingModel>(call: Call<'_, E>) -> Result<Valu
 /// row], ...]}` triples. Per-id outcomes come back positionally; unknown or
 /// repeated ids report `false` rather than failing the batch.
 pub(crate) fn post_delete<E: EmbeddingModel>(call: Call<'_, E>) -> Result<Value, ApiError> {
-    let (state, body, trace) = (call.state, call.body, call.trace);
-    let value = parse_body(body)?;
+    let value = parse_body(call.body)?;
     let ids = field(&value, "ids")
         .and_then(Value::as_seq)
         .ok_or_else(|| {
@@ -322,10 +387,7 @@ pub(crate) fn post_delete<E: EmbeddingModel>(call: Call<'_, E>) -> Result<Value,
             })?;
         parsed.push(id);
     }
-    let mut results = Vec::with_capacity(parsed.len());
-    for id in parsed {
-        results.push(delete_one(state, id, trace)?);
-    }
+    let results = delete_ids(call.state, &parsed, call.trace)?;
     let deleted = results.iter().filter(|&&ok| ok).count();
     let results = results.into_iter().map(Value::Bool);
     Ok(obj([
@@ -368,6 +430,6 @@ mod tests {
         let again = window.sample(200);
         assert_eq!(again, rate);
         // A fresh window has no estimate yet.
-        assert_eq!(DrainWindow::new().sample(0), 0.0);
+        assert_eq!(DrainWindow::default().sample(0), 0.0);
     }
 }

@@ -1,8 +1,8 @@
 //! The HTTP matching service.
 //!
 //! [`MatchServer`] glues the pieces together: a [`ShardedEntityStore`]
-//! behind per-shard `RwLock`s, an optional [`Wal`] per shard
-//! for durability (`checkpoint.rs`), and the event-driven
+//! behind per-shard `RwLock`s, a [`ShardWriter`] per shard (its ingest
+//! queue and, in durable mode, its WAL — `checkpoint.rs`), and the event-driven
 //! [`Reactor`] front end — an acceptor plus `io_threads` event loops
 //! multiplexing nonblocking keep-alive connections, with fully parsed
 //! requests executed on the fixed-size [`rayon::ThreadPool`] worker pool.
@@ -15,14 +15,12 @@
 use crate::checkpoint::{open_wals, restore_or_create};
 use crate::config::{ServeConfig, ServeError, StorageBackend};
 use crate::http::Request;
-use crate::ingest::DrainWindow;
+use crate::ingest::ShardWriter;
 use crate::matching::MatchBatcher;
 use crate::net::{Reactor, Routed};
 use crate::obs::{elapsed_ns, Stage, Telemetry, BUILD_VERSION};
 use crate::routes::{lookup, obj, ApiError, Call, Handler, Route};
 use crate::shard::ShardedEntityStore;
-use crate::sync::OrderedMutex;
-use crate::wal::Wal;
 use multiem_embed::EmbeddingModel;
 use multiem_online::{DiskStorageConfig, StorageConfig};
 use multiem_table::Schema;
@@ -31,7 +29,7 @@ use serde::Value;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -39,41 +37,14 @@ use std::time::Instant;
 /// handlers' working set).
 pub(crate) struct ServerState<E: EmbeddingModel> {
     pub store: ShardedEntityStore<E>,
-    /// One WAL per shard (same index), present in durable mode. Lock order
-    /// is always `shard i write lock → wals[i]`; the checkpoint takes every
-    /// shard lock (ascending) before any WAL lock. The [`OrderedMutex`]
-    /// enforces that order dynamically in debug builds (see [`crate::sync`]).
-    pub wals: Option<Vec<OrderedMutex<Wal>>>,
+    /// The write side of each shard, same index as in `store`.
+    pub writers: Vec<ShardWriter>,
     /// Checkpoint epoch: WAL files are named by it, and the manifest names
     /// the only epoch that is ever loaded. Mutated only under all shard +
     /// WAL locks (the checkpoint).
     pub epoch: AtomicU64,
-    /// Per-shard epoch of the latest persisted snapshot (0 = never
-    /// snapshotted). Delta checkpoints only advance the entries of shards
-    /// that changed; the manifest records the whole vector.
-    pub shard_epochs: Mutex<Vec<u64>>,
-    /// Per-shard count of applied writes (replayed WAL ops count too) —
-    /// compared against `checkpoint_seq` to decide which shards a delta
-    /// checkpoint must re-snapshot.
-    pub write_seq: Vec<AtomicU64>,
-    /// `write_seq` as of the last checkpoint (guarded by the checkpoint's
-    /// all-locks critical section).
-    pub checkpoint_seq: Mutex<Vec<u64>>,
-    /// Per-shard records admitted to ingestion but not yet applied; bounded
-    /// by `queue_depth` (backpressure).
-    pub inflight: Vec<AtomicU64>,
     /// Records refused with `429 Too Many Requests` since startup.
     pub rejected: AtomicU64,
-    /// Per-shard records *applied* through the HTTP ingest path since
-    /// startup (WAL replay excluded) — the counter behind the adaptive
-    /// `Retry-After` on 429s.
-    pub drained: Vec<AtomicU64>,
-    /// Per-shard windowed drain-rate estimates (sampled on 429s, so a
-    /// long-idle stretch skews at most the first refusal of a burst).
-    pub drain_windows: Vec<Mutex<DrainWindow>>,
-    /// Per-shard WAL size, published after every append/checkpoint so
-    /// `/stats` never touches a WAL lock (appends hold it through fsyncs).
-    pub wal_bytes: Vec<AtomicU64>,
     /// The configuration the server was bound with (the storage backend
     /// resolved into `online.storage`).
     pub config: ServeConfig,
@@ -184,61 +155,32 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
             }
         }
 
-        let mut wals = None;
-        let mut epoch = 0u64;
-        let mut shard_epochs = Vec::new();
-        let mut replayed = Vec::new();
-        let store = match &config.data_dir {
-            None => ShardedEntityStore::new(
-                config.online.clone(),
-                schema.clone(),
-                config.shards,
-                encoder,
-            )?,
+        // The store has the shard count: it clamps the configured one, and
+        // a populated data dir pins its own.
+        let (store, epoch, writers) = match &config.data_dir {
+            None => {
+                let (online, shards) = (config.online.clone(), config.shards);
+                let store = ShardedEntityStore::new(online, schema, shards, encoder)?;
+                let writers = (0..store.num_shards()).map(|i| ShardWriter::new(i, None));
+                (store, 0, writers.collect())
+            }
             Some(dir) => {
                 std::fs::create_dir_all(dir)?;
-                let (store, checkpoint_epoch, epochs) =
-                    restore_or_create(&config, schema.clone(), dir, encoder, &telemetry.logger)?;
-                epoch = checkpoint_epoch;
-                shard_epochs = epochs;
-                let (logs, ops) = open_wals(&store, &config, dir, epoch, &telemetry.logger)?;
-                wals = Some(logs);
-                replayed = ops;
-                store
+                let (store, manifest) =
+                    restore_or_create(&config, schema, dir, encoder, &telemetry.logger)?;
+                let writers = open_wals(&store, &config, dir, &manifest, &telemetry)?;
+                (store, manifest.epoch, writers)
             }
         };
-
-        let num_shards = store.num_shards();
-        // The sharded store clamps shard counts (and a checkpoint pins its
-        // own); size the per-shard bookkeeping off the real count.
-        shard_epochs.resize(num_shards, 0);
-        replayed.resize(num_shards, 0);
-        let counters = || (0..num_shards).map(|_| AtomicU64::new(0)).collect();
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
-        let wal_bytes = match &wals {
-            Some(wals) => wals
-                .iter()
-                .map(|wal| AtomicU64::new(wal.lock().bytes()))
-                .collect(),
-            None => counters(),
-        };
         let pool = Arc::new(ThreadPool::new(config.workers.max(1)));
         Ok(Self {
             state: Arc::new(ServerState {
                 store,
-                wals,
+                writers,
                 epoch: AtomicU64::new(epoch),
-                shard_epochs: Mutex::new(shard_epochs),
-                write_seq: replayed.iter().map(|&n| AtomicU64::new(n)).collect(),
-                checkpoint_seq: Mutex::new(vec![0u64; num_shards]),
-                inflight: counters(),
                 rejected: AtomicU64::new(0),
-                drained: counters(),
-                drain_windows: (0..num_shards)
-                    .map(|_| Mutex::new(DrainWindow::new()))
-                    .collect(),
-                wal_bytes,
                 batcher: MatchBatcher::new(
                     config.batch_window_us,
                     config.batch_max,
@@ -298,7 +240,7 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
             &[
                 ("addr", Value::Str(state.addr.to_string())),
                 ("shards", Value::UInt(state.store.num_shards() as u64)),
-                ("durable", Value::Bool(state.wals.is_some())),
+                ("durable", Value::Bool(state.config.data_dir.is_some())),
                 ("version", Value::Str(BUILD_VERSION.into())),
             ],
         );
@@ -317,10 +259,12 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
         drop(self.pool); // joins any worker still finishing an abandoned job
 
         // Make everything acknowledged durable before exiting.
-        if let Some(wals) = &state.wals {
-            for wal in wals {
-                let _ = wal.lock().sync();
-            }
+        for wal in state
+            .writers
+            .iter()
+            .filter_map(|writer| writer.wal.as_ref())
+        {
+            let _ = wal.lock().wal.sync();
         }
         Ok(())
     }

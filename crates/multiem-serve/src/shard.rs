@@ -6,8 +6,7 @@
 //! * a record is routed to `hash(key(record)) % N`
 //!   ([`ShardedEntityStore::shard_of`], a stable FNV-1a over the record's
 //!   leading token — a cheap blocking key, so near-duplicates co-locate and
-//!   the same record always lands on the same shard across restarts and WAL
-//!   replays);
+//!   the same record always lands on the same shard across restarts);
 //! * ingestion takes the *write* lock of one shard only, so up to `N` writers
 //!   make progress concurrently while the paper's single-writer invariant
 //!   holds within every shard;
@@ -26,6 +25,7 @@
 
 use crate::obs::elapsed_ns;
 use crate::sync::{lock_unpoisoned, LockClass, OrderedReadGuard, OrderedRwLock, OrderedWriteGuard};
+use crate::wal::WalOp;
 use multiem_ann::merge_ranked;
 use multiem_embed::EmbeddingModel;
 use multiem_online::{
@@ -263,15 +263,9 @@ impl<E: EmbeddingModel + Clone> ShardedEntityStore<E> {
     ) -> Result<Self, OnlineError> {
         config.match_within_source = true;
         config.validate().map_err(OnlineError::InvalidConfig)?;
-        let num_shards = num_shards.clamp(1, 4096);
-        let k = config.base.k;
-        let mut shards = Vec::with_capacity(num_shards);
-        for shard in 0..num_shards {
-            let mut store = EntityStore::try_new(shard_config(&config, shard), encoder.clone())?;
-            store.init_schema(schema.clone())?;
-            shards.push(Shard::new(store));
-        }
-        Ok(Self { shards, schema, k })
+        // Every shard starts as `restore` leaves one it has no snapshot of.
+        let empty = vec![None; num_shards.clamp(1, 4096)];
+        Self::restore(config, schema, &empty, encoder)
     }
 
     /// Rebuild a sharded store from per-shard snapshots, in shard order, as
@@ -279,12 +273,18 @@ impl<E: EmbeddingModel + Clone> ShardedEntityStore<E> {
     /// for a shard that was never checkpointed (delta checkpoints skip
     /// untouched shards): it is recreated empty from `config`, which is
     /// deterministic, so the combination restores the exact sharded state.
+    /// A store has at least one shard: an empty `snapshots` is an error.
     pub fn restore(
         mut config: OnlineConfig,
         schema: Arc<Schema>,
         snapshots: &[Option<Vec<u8>>],
         encoder: E,
     ) -> Result<Self, OnlineError> {
+        if snapshots.is_empty() {
+            return Err(OnlineError::InvalidConfig(
+                "a sharded store needs at least one shard".into(),
+            ));
+        }
         config.match_within_source = true;
         let k = config.base.k;
         let mut shards = Vec::with_capacity(snapshots.len());
@@ -299,9 +299,6 @@ impl<E: EmbeddingModel + Clone> ShardedEntityStore<E> {
                 }
             };
             shards.push(Shard::new(store));
-        }
-        if shards.is_empty() {
-            return Self::new(config, schema, 1, encoder);
         }
         Ok(Self { shards, schema, k })
     }
@@ -383,7 +380,8 @@ impl<E: EmbeddingModel> ShardedEntityStore<E> {
             return Ok(false);
         }
         let mut guard = self.write_shard(shard);
-        guard.delete_record(id.entity)
+        let applied = apply(&mut guard, shard, WalOp::Delete(id.entity))?;
+        Ok(applied == Applied::Deleted(true))
     }
 
     /// Read-only fan-out match: query every shard concurrently under its
@@ -527,12 +525,39 @@ impl<E: EmbeddingModel> ShardedEntityStore<E> {
     }
 }
 
-/// Apply one insert to an already write-locked shard, returning the global
-/// id and whether the record *matched*: fused with at least one existing
-/// cluster at insert time ([`EntityStore::insert_matched`] — the store's one
-/// definition, also what its `IngestReport::merged` counts). Shared by
-/// [`ShardedEntityStore::insert`] and the serving layer's WAL-interposed
-/// write path, so the insert sequence can never drift between the two.
+/// What [`apply`] did with one op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Applied {
+    /// The record's global id and whether it *matched* ([`apply_insert`]).
+    Inserted(GlobalEntityId, bool),
+    /// Whether a live record was deleted (`false` for unknown ids and
+    /// repeated deletes — deletion is idempotent).
+    Deleted(bool),
+}
+
+/// Apply one write to an already write-locked shard: the only place a
+/// [`WalOp`] becomes a store mutation, whether it comes from a request, a
+/// direct [`ShardedEntityStore::insert`] / [`ShardedEntityStore::delete`] or
+/// the start-up replay of the shard's log — so a restarted store cannot
+/// drift from one that never stopped.
+pub fn apply<E: EmbeddingModel>(
+    store: &mut EntityStore<E>,
+    shard: usize,
+    op: WalOp,
+) -> Result<Applied, OnlineError> {
+    match op {
+        WalOp::Insert(record) => {
+            apply_insert(store, shard, record).map(|(id, matched)| Applied::Inserted(id, matched))
+        }
+        WalOp::Delete(entity) => store.delete_record(entity).map(Applied::Deleted),
+    }
+}
+
+/// [`apply`]'s insert arm: insert `record` into an already write-locked
+/// shard, returning the global id and whether the record *matched*: fused
+/// with at least one existing cluster at insert time
+/// ([`EntityStore::insert_matched`] — the store's one definition, also what
+/// its `IngestReport::merged` counts).
 pub fn apply_insert<E: EmbeddingModel>(
     store: &mut EntityStore<E>,
     shard: usize,

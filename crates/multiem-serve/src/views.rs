@@ -55,10 +55,10 @@ impl ServerView {
     /// liveness and readiness probes cost the same whatever the store holds.
     pub fn probe<E: EmbeddingModel>(state: &ServerState<E>) -> Self {
         let shard_wal_bytes: Vec<u64> = state
-            .wal_bytes
+            .writers
             .iter()
             // relaxed-ok: monitoring read of published counters
-            .map(|bytes| bytes.load(Ordering::Relaxed))
+            .map(|writer| writer.wal_bytes.load(Ordering::Relaxed))
             .collect();
         let analytics = state.telemetry.analytics.as_ref();
         Self {
@@ -66,9 +66,9 @@ impl ServerView {
             wal_bytes: shard_wal_bytes.iter().sum(),
             shard_wal_bytes,
             backlog: state
-                .inflight
+                .writers
                 .iter()
-                .map(|n| n.load(Ordering::SeqCst))
+                .map(|writer| writer.inflight.load(Ordering::SeqCst))
                 .sum(),
             fsync_p99_ms: analytics.map_or(0.0, |a| a.windows.fsync_window().quantile_ms(0.99)),
             epoch: state.epoch.load(Ordering::SeqCst),
@@ -95,7 +95,7 @@ pub(crate) fn healthz<E: EmbeddingModel>(state: &ServerState<E>) -> Response {
     Response::ok(obj([
         ("status", Value::Str("ok".into())),
         ("shards", Value::UInt(state.store.num_shards() as u64)),
-        ("durable", Value::Bool(state.wals.is_some())),
+        ("durable", Value::Bool(state.config.data_dir.is_some())),
         ("storage", Value::Str(state.config.storage.name().into())),
         ("uptime_seconds", Value::Float(uptime)),
         ("version", Value::Str(BUILD_VERSION.into())),

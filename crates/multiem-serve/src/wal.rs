@@ -5,10 +5,10 @@
 //! `[len u32][crc32 u32][payload]`, where the payload is the binary value
 //! encoding of one [`WalOp`]. The server keeps **one `Wal` per shard** so
 //! writers to different shards never contend on logging; on startup each
-//! shard's log is replayed in its own append order through the same
-//! deterministic routing, which restores the exact pre-crash store state
-//! (shards are independent, so per-shard order is the only order that
-//! matters).
+//! shard's log is replayed in its own append order into the shard that
+//! wrote it, through the write path requests take, which restores the exact
+//! pre-crash store state (shards are independent, so per-shard order is the
+//! only order that matters).
 //!
 //! Torn tails — a process killed mid-append — are detected by the frame CRC
 //! and truncated away on open, so the log is always append-clean. A

@@ -33,12 +33,26 @@ fn spawn_server(config: ServeConfig) -> (ServerHandle, String) {
     (server.spawn().expect("server spawns"), addr)
 }
 
-fn post_records(client: &mut HttpClient, titles: &[&str]) -> String {
-    let records: Vec<String> = titles.iter().map(|t| format!("[\"{t}\"]")).collect();
-    let body = format!("{{\"records\":[{}]}}", records.join(","));
+/// A `POST /records` body of one-attribute records.
+fn records_body<T: AsRef<str>>(titles: &[T]) -> String {
+    let records: Vec<String> = titles
+        .iter()
+        .map(|t| format!("[\"{}\"]", t.as_ref()))
+        .collect();
+    format!("{{\"records\":[{}]}}", records.join(","))
+}
+
+fn post_records<T: AsRef<str>>(client: &mut HttpClient, titles: &[T]) -> String {
+    let body = records_body(titles);
     let (status, response) = client.request("POST", "/records", Some(&body)).unwrap();
     assert_eq!(status, 200, "ingest failed: {response}");
     response
+}
+
+fn snapshot(client: &mut HttpClient) -> String {
+    let (status, body) = client.request("POST", "/snapshot", None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    body
 }
 
 fn get_stats(client: &mut HttpClient) -> String {
@@ -52,6 +66,14 @@ fn match_title(client: &mut HttpClient, title: &str) -> String {
     let (status, response) = client.request("POST", "/match", Some(&body)).unwrap();
     assert_eq!(status, 200, "match failed: {response}");
     response
+}
+
+/// The `POST /match` answer for each title. Answers name clusters by id (a
+/// cluster answers as its smallest member), so equal answers for every
+/// ingested title mean equal ids, equal clusters and equal distances.
+fn match_all<T: AsRef<str>>(client: &mut HttpClient, titles: &[T]) -> Vec<String> {
+    let titles = titles.iter();
+    titles.map(|t| match_title(client, t.as_ref())).collect()
 }
 
 /// The store-state part of a stats body: everything before the per-process
@@ -479,6 +501,333 @@ fn delta_checkpoint_skips_clean_shards() {
 }
 
 #[test]
+fn a_data_dir_owns_its_shard_count_and_a_log_nobody_replays_is_refused() {
+    let dir = temp_dir("shard-count");
+    let config = |shards| ServeConfig {
+        data_dir: Some(dir.clone()),
+        shards,
+        ..ServeConfig::default()
+    };
+    let titles: Vec<String> = (0..12).map(|i| format!("source{i} item {i}")).collect();
+
+    // First life: four shards, all of them written, no checkpoint.
+    let (stats, answers) = {
+        let (handle, addr) = spawn_server(config(4));
+        let mut client = HttpClient::connect(&addr).unwrap();
+        let ids = ids_of(&post_records(&mut client, &titles));
+        let touched: std::collections::BTreeSet<u64> = ids.iter().map(|id| id.0).collect();
+        assert_eq!(
+            touched.len(),
+            4,
+            "the titles must land on all four: {ids:?}"
+        );
+        let seen = (get_stats(&mut client), match_all(&mut client, &titles));
+        handle.shutdown();
+        seen
+    };
+
+    // (i) The manifest written at first boot says four; `shards: 2` on the
+    // populated directory is advisory.
+    {
+        let (handle, addr) = spawn_server(config(2));
+        let mut client = HttpClient::connect(&addr).unwrap();
+        assert_eq!(store_part(&get_stats(&mut client)), store_part(&stats));
+        assert_eq!(match_all(&mut client, &titles), answers);
+        handle.shutdown();
+    }
+
+    // (ii) Without the manifest nothing says four: two shards would leave
+    // two logs unread, so start-up refuses by name instead.
+    std::fs::remove_file(dir.join("MANIFEST.json")).unwrap();
+    let refused = MatchServer::bind(config(2), HashedLexicalEncoder::default(), "127.0.0.1:0");
+    let refused = refused.err().expect("a stray log must fail start-up");
+    assert!(
+        refused.to_string().contains("wal-002-000000.log"),
+        "{refused}"
+    );
+
+    // (iii) Enough shards for every log: each log replays into the shard
+    // that wrote it — whatever its records hash to among six — so every id
+    // a client was given still names its record.
+    let (handle, addr) = spawn_server(config(6));
+    let mut client = HttpClient::connect(&addr).unwrap();
+    assert_eq!(counter(&get_stats(&mut client), "records"), 12);
+    assert_eq!(match_all(&mut client, &titles), answers);
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn damaged_manifests_are_refused_not_reinterpreted() {
+    let dir = temp_dir("damaged-manifest");
+    let bind = || {
+        let config = ServeConfig {
+            data_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        };
+        MatchServer::bind(config, HashedLexicalEncoder::default(), "127.0.0.1:0").map(|_| ())
+    };
+    // The manifest a first boot writes opens again; one that lost
+    // `shard_epochs` or miscounts its shards is an error, not a guess.
+    bind().expect("creates the directory and its manifest");
+    bind().expect("reads it back");
+    for damaged in [
+        r#"{"shards":4,"epoch":0,"attributes":["title"]}"#,
+        r#"{"shards":0,"epoch":0,"shard_epochs":[],"attributes":["title"]}"#,
+        r#"{"shards":4,"epoch":0,"shard_epochs":[0,0],"attributes":["title"]}"#,
+    ] {
+        std::fs::write(dir.join("MANIFEST.json"), damaged).unwrap();
+        let refused = bind().expect_err(damaged);
+        assert!(refused.to_string().contains("MANIFEST.json"), "{refused}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Make every seal of every disk shard under `dir` fail while reads of the
+/// sealed segments keep working: a directory squats on the temp name of each
+/// segment file a seal could write next.
+fn block_seals(dir: &std::path::Path, blocked: bool) {
+    for shard in std::fs::read_dir(dir.join("segments")).unwrap() {
+        for n in 0..256 {
+            let squatter = shard
+                .as_ref()
+                .unwrap()
+                .path()
+                .join(format!("seg-{n:06}.tmp"));
+            if blocked {
+                std::fs::create_dir(squatter).unwrap();
+            } else {
+                std::fs::remove_dir(squatter).unwrap();
+            }
+        }
+    }
+}
+
+#[test]
+fn a_group_that_fails_part_way_still_dirties_its_shard() {
+    let dir = temp_dir("partial-group");
+    let config = disk_config(&dir, 1);
+    let (handle, addr) = spawn_server(config.clone());
+    let mut client = HttpClient::connect(&addr).unwrap();
+    post_records(&mut client, &["apple iphone 8 plus", "sony bravia tv"]);
+    snapshot(&mut client);
+
+    // The checkpoint sealed the tail, so of five more records the fourth
+    // fills it (`segment_records: 4`), its seal fails, and the group answers
+    // `500` with three records applied and all five logged.
+    block_seals(&dir, true);
+    let group = ["garmin gps watch", "makita drill 18v", "dyson v11 vacuum"];
+    let group = [&group[..], &["bosch washing machine", "zanussi fridge"]].concat();
+    let (status, body) = client
+        .request("POST", "/records", Some(&records_body(&group)))
+        .unwrap();
+    assert_eq!(status, 500, "{body}");
+    block_seals(&dir, false);
+    assert_eq!(counter(&get_stats(&mut client), "records"), 5);
+
+    // What was applied counted: the shard is dirty, so the checkpoint that
+    // truncates the log also writes the snapshot that holds the three.
+    assert_eq!(counter(&snapshot(&mut client), "snapshots_written"), 1);
+    let stats = get_stats(&mut client);
+    handle.shutdown();
+
+    let (handle, addr) = spawn_server(config);
+    let mut client = HttpClient::connect(&addr).unwrap();
+    assert_eq!(store_part(&get_stats(&mut client)), store_part(&stats));
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// --------------------------------------------------------------------------
+// restarted ≡ never-killed, from seeds
+// --------------------------------------------------------------------------
+
+/// One step of a seeded script. Records are named by their position among
+/// the ids the script's ingests were answered with.
+#[derive(Debug)]
+enum Step {
+    Ingest(Vec<String>),
+    Delete(usize),
+    /// These records — the first of them twice — and two ids nobody was given.
+    DeleteBatch(Vec<usize>),
+    Snapshot,
+    /// Disk only: a group the store fails part-way through, between two
+    /// checkpoints (see [`perform`]).
+    FailedGroup(Vec<String>),
+    /// Server B only: shut down without a checkpoint, bind again asking for
+    /// this many shards.
+    Restart(usize),
+}
+
+fn script(seed: u64, shards: usize, disk: bool) -> Vec<Step> {
+    use rand::{Rng, SeedableRng};
+    const BRANDS: [&str; 8] = [
+        "apple", "sony", "makita", "dyson", "garmin", "bosch", "zanussi", "lenovo",
+    ];
+    const MODELS: [&str; 5] = [
+        "phone 8 plus",
+        "bravia tv 55",
+        "drill 18v",
+        "vacuum v11",
+        "watch",
+    ];
+    const VARIANTS: [&str; 5] = ["", " silver", " 64gb", " 64 gb", " pro edition"];
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let mut pick = |from: &[&'static str]| from[rng.gen_range(0..from.len())];
+    let mut title = || format!("{} {}{}", pick(&BRANDS), pick(&MODELS), pick(&VARIANTS));
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(!seed);
+    let mut steps = Vec::new();
+    let mut records = 0;
+    for n in 0..40 {
+        steps.push(match rng.gen_range(0..10) {
+            4 if records > 0 => Step::Delete(rng.gen_range(0..records)),
+            5 if records > 0 => {
+                let picks = (0..rng.gen_range(1..=4)).map(|_| rng.gen_range(0..records));
+                Step::DeleteBatch(picks.collect())
+            }
+            6 => Step::Snapshot,
+            // One leading token, so one shard takes the whole group.
+            7 if disk => {
+                Step::FailedGroup((0..5).map(|i| format!("failing{n} item {i}")).collect())
+            }
+            8 => Step::Restart(shards + rng.gen_range(1..=2usize)),
+            _ => {
+                let group: Vec<String> = (0..rng.gen_range(1..=8)).map(|_| title()).collect();
+                records += group.len();
+                Step::Ingest(group)
+            }
+        });
+    }
+    // The end state is compared across a restart too.
+    steps.push(Step::Restart(shards + 1));
+    steps
+}
+
+/// Run one step against one server, returning what the other server must
+/// answer too.
+fn perform(
+    client: &mut HttpClient,
+    dir: &std::path::Path,
+    step: &Step,
+    ids: &[(u64, u64, u64)],
+) -> String {
+    let triple = |&(shard, source, row): &(u64, u64, u64)| format!("[{shard},{source},{row}]");
+    match step {
+        Step::Ingest(titles) => post_records(client, titles),
+        Step::Delete(at) => delete_record(client, ids[*at]).to_string(),
+        Step::DeleteBatch(picks) => {
+            let mut batch: Vec<String> = picks.iter().map(|&at| triple(&ids[at])).collect();
+            batch.extend([
+                triple(&ids[picks[0]]),
+                triple(&(0, 7, 7)),
+                triple(&(99, 0, 0)),
+            ]);
+            let body = format!("{{\"ids\":[{}]}}", batch.join(","));
+            let (status, response) = client
+                .request("POST", "/records/delete", Some(&body))
+                .unwrap();
+            assert_eq!(status, 200, "{response}");
+            response
+        }
+        Step::Snapshot => {
+            snapshot(client);
+            String::new()
+        }
+        // The first checkpoint empties every tail, so the fourth record of
+        // the group fills its shard's and fails to seal: three are applied,
+        // five are logged. No restart separates that from the second
+        // checkpoint, which must snapshot the three before it drops the log.
+        Step::FailedGroup(titles) => {
+            snapshot(client);
+            block_seals(dir, true);
+            let body = records_body(titles);
+            let (status, response) = client.request("POST", "/records", Some(&body)).unwrap();
+            block_seals(dir, false);
+            assert_eq!(status, 500, "{response}");
+            snapshot(client);
+            String::new()
+        }
+        Step::Restart(_) => unreachable!("restarts are the driver's"),
+    }
+}
+
+#[test]
+fn seeded_scripts_restarted_equals_never_killed() {
+    const PROBES: [&str; 4] = [
+        "apple phone 8",
+        "sony bravia television",
+        "makita cordless drill",
+        "nothing like this was ever ingested",
+    ];
+    for (seed, disk, shards) in [(1, false, 1), (2, false, 3), (3, true, 1), (4, true, 3)] {
+        let dirs = [temp_dir("seeded-a"), temp_dir("seeded-b")];
+        let config = |dir: &std::path::Path, shards| match disk {
+            true => disk_config(dir, shards),
+            false => ServeConfig {
+                data_dir: Some(dir.to_path_buf()),
+                shards,
+                ..ServeConfig::default()
+            },
+        };
+        let boot = |dir: &std::path::Path, shards| {
+            let (handle, addr) = spawn_server(config(dir, shards));
+            (handle, HttpClient::connect(&addr).unwrap())
+        };
+        // A runs the whole script; B is the one that gets restarted.
+        let mut a = boot(&dirs[0], shards);
+        let mut b = boot(&dirs[1], shards);
+        let (mut ids, mut titles) = (Vec::new(), Vec::<String>::new());
+        let mut first_life = true;
+        for step in script(seed, shards, disk) {
+            let context = format!("seed {seed}, {step:?}");
+            let Step::Restart(asked) = step else {
+                let answers = [(&mut a, &dirs[0]), (&mut b, &dirs[1])]
+                    .map(|(server, dir)| perform(&mut server.1, dir, &step, &ids));
+                assert_eq!(answers[0], answers[1], "{context}");
+                if let Step::Ingest(group) = step {
+                    ids.extend(ids_of(&answers[0]));
+                    titles.extend(group);
+                }
+                continue;
+            };
+            b.0.shutdown();
+            if std::mem::take(&mut first_life) {
+                // Same requests, same logs: what replay will read is what
+                // the server that keeps running wrote.
+                let logs = |dir: &PathBuf| {
+                    let mut logs: Vec<_> = std::fs::read_dir(dir)
+                        .unwrap()
+                        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+                        .filter(|name| name.starts_with("wal-"))
+                        .map(|name| {
+                            (
+                                multiem_serve::wal::read_ops(&dir.join(&name)).unwrap(),
+                                name,
+                            )
+                        })
+                        .collect();
+                    logs.sort_by(|x, y| x.1.cmp(&y.1));
+                    logs
+                };
+                assert_eq!(logs(&dirs[0]), logs(&dirs[1]), "{context}");
+            }
+            b = boot(&dirs[1], asked);
+            let seen = [&mut a, &mut b].map(|server| {
+                let stats = store_part(&get_stats(&mut server.1)).to_string();
+                let answers = match_all(&mut server.1, &titles);
+                (stats, answers, match_all(&mut server.1, &PROBES))
+            });
+            assert_eq!(seen[0], seen[1], "{context}");
+        }
+        a.0.shutdown();
+        b.0.shutdown();
+        for dir in dirs {
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+}
+
+#[test]
 fn full_ingest_queue_answers_429_with_retry_after() {
     // queue_depth 0: every write is refused (the drain/maintenance mode),
     // which makes the backpressure path deterministic to observe.
@@ -568,38 +917,29 @@ fn default_queue_depth_accepts_normal_traffic() {
 // Record deletion + segment compaction
 // --------------------------------------------------------------------------
 
+/// The `(shard, source, row)` id triples of a `POST /records` response, in
+/// request order.
+fn ids_of(response: &str) -> Vec<(u64, u64, u64)> {
+    let value: serde::Value = serde_json::from_str(response).expect("ingest response JSON");
+    let results = json_field(&value, "results").and_then(serde::Value::as_seq);
+    let results = results.expect("ingest response has results");
+    let part = |result: &serde::Value, name: &str| {
+        json_field(result, name)
+            .and_then(serde::Value::as_u64)
+            .unwrap_or_else(|| panic!("response lacks {name}: {response}"))
+    };
+    let id = |r| (part(r, "shard"), part(r, "source"), part(r, "row"));
+    results.iter().map(id).collect()
+}
+
 /// Ingest titles one request at a time, returning each record's
 /// `(shard, source, row)` id triple from the response.
 fn ingest_with_ids(client: &mut HttpClient, titles: &[&str]) -> Vec<(u64, u64, u64)> {
     let mut ids = Vec::with_capacity(titles.len());
     for title in titles {
-        let response = post_records(client, &[title]);
-        let value: serde::Value = serde_json::from_str(&response).expect("ingest response JSON");
-        let field = |map: &serde::Value, name: &str| -> u64 {
-            map.as_map()
-                .and_then(|entries| {
-                    entries
-                        .iter()
-                        .find(|(key, _)| key == name)
-                        .and_then(|(_, v)| v.as_u64())
-                })
-                .unwrap_or_else(|| panic!("response lacks {name}: {response}"))
-        };
-        let results = value
-            .as_map()
-            .and_then(|entries| {
-                entries
-                    .iter()
-                    .find(|(key, _)| key == "results")
-                    .and_then(|(_, v)| v.as_seq())
-            })
-            .expect("ingest response has results");
-        assert_eq!(results.len(), 1);
-        ids.push((
-            field(&results[0], "shard"),
-            field(&results[0], "source"),
-            field(&results[0], "row"),
-        ));
+        let posted = ids_of(&post_records(client, &[title]));
+        assert_eq!(posted.len(), 1);
+        ids.extend(posted);
     }
     ids
 }
@@ -1412,7 +1752,28 @@ fn group_commit_fsyncs_once_per_shard_touched_not_once_per_record() {
 
     // The same 16 records one request each: 16 fsyncs.
     let before = fsyncs(&mut client);
-    ingest_with_ids(&mut client, &refs);
+    let singles = ingest_with_ids(&mut client, &refs);
+    assert_eq!(fsyncs(&mut client) - before, 16.0);
+
+    // Deletes group-commit the same way: the first 16 in one request cost
+    // one fsync per shard they live on, the other 16 one `DELETE` each.
+    let triples = ids_of(&response).into_iter();
+    let triples: Vec<String> = triples.map(|(s, t, r)| format!("[{s},{t},{r}]")).collect();
+    let body = format!("{{\"ids\":[{}]}}", triples.join(","));
+    let before = fsyncs(&mut client);
+    let (status, deleted) = client
+        .request("POST", "/records/delete", Some(&body))
+        .unwrap();
+    assert_eq!(
+        (status, counter(&deleted, "deleted")),
+        (200, 16),
+        "{deleted}"
+    );
+    assert_eq!(fsyncs(&mut client) - before, touched.len() as f64);
+    let before = fsyncs(&mut client);
+    for id in singles {
+        assert_eq!(delete_record(&mut client, id), 200);
+    }
     assert_eq!(fsyncs(&mut client) - before, 16.0);
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
