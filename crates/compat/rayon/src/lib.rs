@@ -9,7 +9,8 @@
 //!   `multiem-serve` creates to execute parsed requests;
 //! * `par_iter().map().collect()`, which cuts its input into contiguous
 //!   blocks and maps them concurrently on up to [`current_num_threads`]
-//!   threads while preserving the sequential output order, so
+//!   threads (a map nested in another runs on its caller) while preserving
+//!   the sequential output order, so
 //!   `parallel: true` pipelines produce byte-identical results to sequential
 //!   runs (the equivalence the test-suite asserts).
 //!
@@ -22,6 +23,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread;
@@ -122,23 +124,57 @@ fn default_num_threads() -> usize {
 /// take over what it has not started.
 const BLOCKS_PER_THREAD: usize = 16;
 
+thread_local! {
+    /// Whether this thread is working a parallel map's blocks.
+    static IN_MAP: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as a map worker until dropped (also when `f`
+/// panics, so a caller that survives the panic can fan out again).
+struct InMap;
+
+impl InMap {
+    fn enter() -> Self {
+        IN_MAP.set(true);
+        Self
+    }
+}
+
+impl Drop for InMap {
+    fn drop(&mut self) {
+        IN_MAP.set(false);
+    }
+}
+
 /// Map `f` over `items` concurrently, preserving input order in the output.
 /// The slice is cut into contiguous blocks which the threads claim from a
 /// shared counter; the per-block outputs are concatenated in block order, so
 /// the result is identical to `items.iter().map(f).collect()`.
+///
+/// A map nested inside another map's `f` runs sequentially on its caller, so
+/// at most [`current_num_threads`] threads map at once, as under rayon's
+/// fixed pool. Spawning a width's worth of threads per nesting level instead
+/// oversubscribes the cores, and how the extra threads' allocations
+/// interleave shows in the process's peak RSS, which then differs from one
+/// run to the next.
 fn map_chunked<'a, T, R, F>(items: &'a [T], f: &F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&'a T) -> R + Sync,
 {
-    let width = current_num_threads().min(items.len());
+    let width = if IN_MAP.get() {
+        1
+    } else {
+        current_num_threads().min(items.len())
+    };
     if width <= 1 {
         return items.iter().map(f).collect();
     }
     let block = items.len().div_ceil(width * BLOCKS_PER_THREAD);
     let next = AtomicUsize::new(0);
     let work = || {
+        let _in_map = InMap::enter();
         let mut mine = Vec::new();
         loop {
             // relaxed-ok: block-ticket dispenser; the RMW uniqueness is all that matters
@@ -251,6 +287,24 @@ mod tests {
             let par: Vec<usize> = items.par_iter().map(|&x| x * x).collect();
             assert_eq!(seq, par, "n = {n}");
         }
+    }
+
+    #[test]
+    fn a_nested_map_runs_on_its_caller() {
+        let outer: Vec<usize> = (0..8).collect();
+        let inner: Vec<usize> = (0..256).collect();
+        let runs: Vec<(thread::ThreadId, Vec<thread::ThreadId>)> = outer
+            .par_iter()
+            .map(|_| {
+                let threads = inner.par_iter().map(|_| thread::current().id()).collect();
+                (thread::current().id(), threads)
+            })
+            .collect();
+        for (caller, threads) in runs {
+            assert!(threads.iter().all(|&t| t == caller));
+        }
+        // Outside any map, the caller is free to fan out again.
+        assert!(!IN_MAP.get());
     }
 
     #[test]

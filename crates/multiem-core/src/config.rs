@@ -165,11 +165,12 @@ impl MultiEmConfig {
         if !(0.0..=1.0).contains(&self.gamma) {
             return Err("gamma must be in [0, 1]".into());
         }
-        if self.m < 0.0 {
-            return Err("m must be non-negative".into());
+        // Written so NaN fails: every comparison with NaN is false.
+        if !(self.m.is_finite() && self.m >= 0.0) {
+            return Err("m must be finite and non-negative".into());
         }
-        if self.epsilon <= 0.0 {
-            return Err("epsilon must be positive".into());
+        if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
+            return Err("epsilon must be finite and positive".into());
         }
         if self.min_pts == 0 {
             return Err("min_pts must be at least 1".into());
@@ -256,6 +257,24 @@ mod tests {
         ];
         for c in bad {
             assert!(c.validate().is_err());
+        }
+    }
+
+    #[test]
+    fn validation_refuses_non_finite_thresholds() {
+        for m in [f32::NAN, f32::INFINITY] {
+            let c = MultiEmConfig {
+                m,
+                ..MultiEmConfig::default()
+            };
+            assert!(c.validate().is_err(), "m = {m}");
+        }
+        for epsilon in [f32::NAN, f32::INFINITY] {
+            let c = MultiEmConfig {
+                epsilon,
+                ..MultiEmConfig::default()
+            };
+            assert!(c.validate().is_err(), "epsilon = {epsilon}");
         }
     }
 }

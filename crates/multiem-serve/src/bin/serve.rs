@@ -9,8 +9,9 @@
 #![forbid(unsafe_code)]
 
 use multiem_embed::HashedLexicalEncoder;
+use multiem_online::StorageConfig;
 use multiem_serve::obs::Level;
-use multiem_serve::{FsyncPolicy, MatchServer, ServeConfig, StorageBackend};
+use multiem_serve::{FsyncPolicy, MatchServer, ServeConfig};
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -38,10 +39,14 @@ fn main() {
                     .collect();
             }
             "--m" => config.online.base.m = parse(&value("--m"), "--m"),
-            "--storage" => {
-                config.storage =
-                    StorageBackend::parse(&value("--storage")).unwrap_or_else(|e| fail(&e));
-            }
+            // `bind` roots a disk backend under --data-dir.
+            "--storage" => match value("--storage").as_str() {
+                "mem" | "memory" => config.online.storage = StorageConfig::Memory,
+                "disk" => config.online = config.online.with_disk_storage(""),
+                other => fail(&format!(
+                    "unknown storage backend `{other}` (expected mem or disk)"
+                )),
+            },
             "--fsync" => {
                 config.fsync = FsyncPolicy::parse(&value("--fsync")).unwrap_or_else(|e| fail(&e));
             }
@@ -61,8 +66,11 @@ fn main() {
             "--log-file" => config.obs.log_file = Some(PathBuf::from(value("--log-file"))),
             "--access-log" => config.obs.access_log = Some(PathBuf::from(value("--access-log"))),
             "--trace-sample-rate" => {
-                config.obs.trace_sample_rate =
-                    parse(&value("--trace-sample-rate"), "--trace-sample-rate");
+                let text = value("--trace-sample-rate");
+                config.obs.trace_sample_rate = parse(&text, "--trace-sample-rate");
+                if !config.obs.trace_sample_rate.is_finite() {
+                    fail(&format!("invalid value `{text}` for --trace-sample-rate"));
+                }
             }
             "--slow-request-ms" => {
                 config.obs.slow_request_ms =
@@ -93,8 +101,8 @@ fn main() {
                      \x20 --data-dir PATH    enable WAL + checkpoints under PATH\n\
                      \x20 --attrs a,b,c      schema attribute names (default `title`)\n\
                      \x20 --m FLOAT          merge distance threshold (default 0.35)\n\
-                     \x20 --storage mem|disk record storage backend (disk spills to\n\
-                     \x20                    segment files under --data-dir; default mem)\n\
+                     \x20 --storage mem|disk record storage of a new data dir (disk spills\n\
+                     \x20                    to segments under --data-dir; default mem)\n\
                      \x20 --fsync POLICY     WAL fsync: never, interval or always\n\
                      \x20                    (default interval)\n\
                      \x20 --queue-depth N    per-shard ingest queue bound; full shards\n\

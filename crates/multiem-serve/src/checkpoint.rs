@@ -4,9 +4,10 @@
 //! # Durability protocol
 //!
 //! `MANIFEST.json` is written when a data dir is created and is from then on
-//! the one way to open it: it owns the shard count (`--shards` on a
-//! populated directory is advisory, and logged when it disagrees), the WAL
-//! epoch and each shard's snapshot epoch. Every write goes through its
+//! the one way to open it: it owns the shard count and the storage backend
+//! (`--shards` and `--storage` on a populated directory are advisory, and
+//! logged when they disagree), the WAL epoch and each shard's snapshot
+//! epoch. Every write goes through its
 //! shard's [`ShardWriter::commit`], which logs it to *that shard's* WAL
 //! before applying it; startup restores the snapshots the manifest names and
 //! replays each log through the same `commit` into the shard that wrote it —
@@ -21,7 +22,7 @@
 //! [`FsyncPolicy`](crate::FsyncPolicy) decides what a machine crash (as
 //! opposed to a process kill) can lose.
 
-use crate::config::{ServeConfig, ServeError, StorageBackend};
+use crate::config::{backend_name, ServeConfig, ServeError};
 use crate::ingest::{Durable, ShardWriter};
 use crate::obs::{Logger, Telemetry};
 use crate::routes::{obj, render};
@@ -30,7 +31,7 @@ use crate::shard::ShardedEntityStore;
 use crate::sync::{OrderedReadGuard, OrderedWriteGuard};
 use crate::wal::Wal;
 use multiem_embed::EmbeddingModel;
-use multiem_online::EntityStore;
+use multiem_online::{DiskStorageConfig, EntityStore, StorageConfig};
 use multiem_table::Schema;
 use serde::{Deserialize, Serialize, Value};
 use std::io::{self, Write};
@@ -48,6 +49,11 @@ fn manifest_path(dir: &Path) -> PathBuf {
 
 fn snapshot_path(dir: &Path, shard: usize, epoch: u64) -> PathBuf {
     dir.join(format!("shard-{shard:03}-{epoch:06}.snap"))
+}
+
+/// Where a disk-backed data dir keeps its segment files.
+pub(crate) fn segments_dir(dir: &Path) -> String {
+    dir.join("segments").display().to_string()
 }
 
 /// Atomically publish `bytes` at `path` via a temp file + fsync + rename, so
@@ -75,6 +81,9 @@ pub(crate) struct Manifest {
     /// — delta checkpoints skip untouched shards).
     shard_epochs: Vec<u64>,
     attributes: Vec<String>,
+    /// The directory's storage backend (`"memory"` or `"disk"`) — it, not
+    /// `--storage`, decides where records live.
+    storage: String,
 }
 
 impl Manifest {
@@ -84,6 +93,7 @@ impl Manifest {
             epoch,
             shard_epochs,
             attributes: config.attributes.clone(),
+            storage: backend_name(&config.online.storage).into(),
         }
     }
 
@@ -119,9 +129,10 @@ fn refuse_stray_wals(dir: &Path, shards: usize) -> Result<(), ServeError> {
 /// Load the store named by `MANIFEST.json` (the manifest is the only source
 /// of truth — files from interrupted checkpoints of other epochs are
 /// ignored), or, in a directory without one, create a fresh store and its
-/// manifest at epoch 0.
+/// manifest at epoch 0. `config.online.storage` leaves as the directory's
+/// backend.
 pub(crate) fn restore_or_create<E: EmbeddingModel + Clone>(
-    config: &ServeConfig,
+    config: &mut ServeConfig,
     schema: Arc<Schema>,
     dir: &Path,
     encoder: E,
@@ -135,8 +146,19 @@ pub(crate) fn restore_or_create<E: EmbeddingModel + Clone>(
         manifest.commit(dir)?;
         return Ok((store, manifest));
     }
-    let manifest: Manifest = serde_json::from_str(&std::fs::read_to_string(&path)?)
-        .map_err(|e| ServeError::Config(format!("unreadable MANIFEST.json: {e}")))?;
+    let unreadable =
+        |e: &dyn std::fmt::Display| ServeError::Config(format!("unreadable MANIFEST.json: {e}"));
+    let text = std::fs::read_to_string(&path)?;
+    let mut manifest: Value = serde_json::from_str(&text).map_err(|e| unreadable(&e))?;
+    // A manifest written before it recorded the backend opens with the
+    // configured one.
+    let configured = backend_name(&config.online.storage);
+    if let Value::Map(entries) = &mut manifest {
+        if !entries.iter().any(|(key, _)| key == "storage") {
+            entries.push(("storage".into(), Value::Str(configured.into())));
+        }
+    }
+    let manifest = Manifest::from_value(&manifest).map_err(|e| unreadable(&e))?;
     if manifest.attributes != config.attributes {
         return Err(ServeError::Config(format!(
             "checkpoint schema {:?} differs from configured {:?}",
@@ -148,6 +170,20 @@ pub(crate) fn restore_or_create<E: EmbeddingModel + Clone>(
         let checkpoint = ("checkpoint_shards", Value::UInt(shards as u64));
         let configured = ("configured_shards", Value::UInt(config.shards as u64));
         logger.warn("checkpoint_shard_override", &[checkpoint, configured]);
+    }
+    if manifest.storage != configured {
+        config.online.storage = match manifest.storage.as_str() {
+            "memory" => StorageConfig::Memory,
+            "disk" => StorageConfig::Disk(DiskStorageConfig::new(segments_dir(dir))),
+            other => {
+                return Err(ServeError::Config(format!(
+                    "MANIFEST.json names an unknown storage backend `{other}`"
+                )))
+            }
+        };
+        let checkpoint = ("checkpoint_storage", Value::Str(manifest.storage.clone()));
+        let configured = ("configured_storage", Value::Str(configured.into()));
+        logger.warn("checkpoint_storage_override", &[checkpoint, configured]);
     }
     if shards == 0 || shard_epochs.len() != shards {
         return Err(ServeError::Config(format!(
@@ -262,9 +298,9 @@ pub(crate) fn checkpoint<E: EmbeddingModel>(state: &ServerState<E>) -> Result<Va
 
     let num_shards = state.store.num_shards();
     let mut guards: Vec<ShardGuard<'_, E>> = (0..num_shards)
-        .map(|i| match state.config.storage {
-            StorageBackend::Memory => ShardGuard::Read(state.store.read_shard(i)),
-            StorageBackend::Disk => ShardGuard::Write(state.store.write_shard(i)),
+        .map(|i| match state.config.online.storage {
+            StorageConfig::Memory => ShardGuard::Read(state.store.read_shard(i)),
+            StorageConfig::Disk(_) => ShardGuard::Write(state.store.write_shard(i)),
         })
         .collect();
     // Bound with a data dir, every shard has its WAL.

@@ -2,7 +2,7 @@
 
 use crate::obs::ObsConfig;
 use crate::wal::FsyncPolicy;
-use multiem_online::{OnlineConfig, OnlineError};
+use multiem_online::{OnlineConfig, OnlineError, StorageConfig};
 use std::io;
 use std::path::PathBuf;
 
@@ -41,35 +41,11 @@ impl From<OnlineError> for ServeError {
     }
 }
 
-/// Record-storage backend of the served shards (`--storage mem|disk`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StorageBackend {
-    /// Fully resident record storage (the default).
-    Memory,
-    /// Spill-to-disk segment storage under `<data_dir>/segments/shard-NNN`.
-    /// Requires a data dir; checkpoints of disk-backed shards are deltas
-    /// (segment index + cluster state, no record payloads).
-    Disk,
-}
-
-impl StorageBackend {
-    /// Parse a `--storage` CLI value (`mem` or `disk`).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        match text {
-            "mem" | "memory" => Ok(StorageBackend::Memory),
-            "disk" => Ok(StorageBackend::Disk),
-            other => Err(format!(
-                "unknown storage backend `{other}` (expected mem or disk)"
-            )),
-        }
-    }
-
-    /// The backend's name on `/healthz`.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            StorageBackend::Memory => "memory",
-            StorageBackend::Disk => "disk",
-        }
+/// The name of `storage`'s backend on `/healthz` and in `MANIFEST.json`.
+pub(crate) fn backend_name(storage: &StorageConfig) -> &'static str {
+    match storage {
+        StorageConfig::Memory => "memory",
+        StorageConfig::Disk(_) => "disk",
     }
 }
 
@@ -87,14 +63,14 @@ pub struct ServeConfig {
     /// Attribute names of the served schema (positional).
     pub attributes: Vec<String>,
     /// Store configuration shared by every shard. The selection strategy
-    /// must be data-free (`Fixed` / `AllAttributes`).
+    /// must be data-free (`Fixed` / `AllAttributes`). Its `storage` is where
+    /// ingested records live (`--storage`): a disk backend needs `data_dir`
+    /// and is rooted at `<data_dir>/segments`, and a populated data dir
+    /// keeps the backend it was created with.
     pub online: OnlineConfig,
     /// Durability directory (WAL + checkpoints). `None` serves from memory
     /// only.
     pub data_dir: Option<PathBuf>,
-    /// Where ingested records live ([`StorageBackend::Disk`] needs
-    /// `data_dir`).
-    pub storage: StorageBackend,
     /// WAL fsync policy (ignored without a data dir).
     pub fsync: FsyncPolicy,
     /// Per-shard bound on records admitted but not yet applied: `POST
@@ -129,7 +105,6 @@ impl Default for ServeConfig {
             attributes: vec!["title".to_string()],
             online,
             data_dir: None,
-            storage: StorageBackend::Memory,
             fsync: FsyncPolicy::default(),
             queue_depth: 4096,
             batch_window_us: 0,

@@ -11,8 +11,8 @@
 //! across reads, a body trickling in one byte at a time, or several
 //! pipelined requests arriving in one read all parse correctly — so the
 //! I/O layer never blocks a thread waiting for the rest of a request. The
-//! blocking conveniences ([`read_request`], [`HttpClient`]) are thin
-//! wrappers used by tests, the load generator and the example client.
+//! blocking client side ([`HttpClient`], [`read_response`]) is what tests,
+//! the benchmark and the example client speak.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -200,35 +200,6 @@ impl RequestParser {
             self.scanned = self.buf.len();
         }
         found
-    }
-}
-
-/// Read one request off a blocking reader (test / tooling convenience; the
-/// server itself feeds a [`RequestParser`] from nonblocking sockets).
-/// `Ok(None)` means the peer closed cleanly between requests. Bytes of a
-/// *second* pipelined request that share a buffered read with the first are
-/// consumed from `reader` and dropped — use a long-lived [`RequestParser`]
-/// when pipelining matters.
-pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
-    let mut parser = RequestParser::new();
-    loop {
-        if let Some(request) = parser.try_next()? {
-            return Ok(Some(request));
-        }
-        let chunk = reader.fill_buf()?;
-        if chunk.is_empty() {
-            return if parser.is_empty() {
-                Ok(None)
-            } else {
-                Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-request",
-                ))
-            };
-        }
-        let n = chunk.len();
-        parser.feed(chunk);
-        reader.consume(n);
     }
 }
 
@@ -422,11 +393,17 @@ fn read_line<R: BufRead>(reader: &mut R) -> io::Result<Option<String>> {
 mod tests {
     use super::*;
 
+    /// A parser holding `raw`.
+    fn parser_of(raw: &[u8]) -> RequestParser {
+        let mut parser = RequestParser::new();
+        parser.feed(raw);
+        parser
+    }
+
     #[test]
     fn parses_post_with_body() {
         let raw = b"POST /records?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nbodyGET";
-        let mut reader = BufReader::new(&raw[..]);
-        let req = read_request(&mut reader).unwrap().unwrap();
+        let req = parser_of(raw).try_next().unwrap().unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/records");
         assert_eq!(req.body, b"body");
@@ -436,10 +413,11 @@ mod tests {
     #[test]
     fn honours_connection_close_and_eof() {
         let raw = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n";
-        let mut reader = BufReader::new(&raw[..]);
-        let req = read_request(&mut reader).unwrap().unwrap();
+        let mut parser = parser_of(raw);
+        let req = parser.try_next().unwrap().unwrap();
         assert!(req.close);
-        assert!(read_request(&mut reader).unwrap().is_none());
+        assert!(parser.try_next().unwrap().is_none());
+        assert!(parser.is_empty());
     }
 
     #[test]
@@ -448,10 +426,8 @@ mod tests {
             "POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
         );
-        let mut reader = BufReader::new(raw.as_bytes());
-        assert!(read_request(&mut reader).is_err());
-        let mut reader = BufReader::new(&b"NOT-HTTP\r\n\r\n"[..]);
-        assert!(read_request(&mut reader).is_err());
+        assert!(parser_of(raw.as_bytes()).try_next().is_err());
+        assert!(parser_of(b"NOT-HTTP\r\n\r\n").try_next().is_err());
     }
 
     #[test]

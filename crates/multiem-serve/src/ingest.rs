@@ -241,8 +241,6 @@ fn admit<'a, E: EmbeddingModel>(
             // Rolls back every acquisition.
             drop(slots);
             let rejected: u64 = by_shard.iter().map(|(_, i)| i.len() as u64).sum();
-            // relaxed-ok: standalone rejection counter, no ordering with other state
-            state.rejected.fetch_add(rejected, Ordering::Relaxed);
             state.telemetry.metrics.rejected_records.add(rejected);
             let backlog = writer.inflight.load(Ordering::SeqCst) + rejected;
             return Err(ApiError::overloaded(

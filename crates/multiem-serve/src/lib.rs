@@ -18,10 +18,11 @@
 //!   epoch-versioned **delta** checkpoints (only dirty shards re-snapshot;
 //!   the atomic manifest rename stays the commit point), so restarts never
 //!   re-ingest;
-//! * pluggable record storage per shard
-//!   ([`StorageBackend`], `--storage mem|disk`): the disk backend spills
+//! * pluggable record storage per shard (`online.storage` of the
+//!   [`ServeConfig`], `--storage mem|disk`): the disk backend spills
 //!   records and embeddings to append-only segment files with a bounded
-//!   hot cache, so serving memory stops growing linearly with ingest;
+//!   hot cache, so serving memory stops growing linearly with ingest; a
+//!   data dir records its backend at creation and keeps it;
 //! * backpressure — a bounded per-shard ingest queue; `POST /records`
 //!   answers `429` with a `Retry-After` derived from the rejecting shard's
 //!   backlog and measured drain rate when a target shard is full;
@@ -90,7 +91,7 @@ pub mod sync;
 mod views;
 pub mod wal;
 
-pub use config::{ServeConfig, ServeError, StorageBackend};
+pub use config::{ServeConfig, ServeError};
 pub use net::Reactor;
 pub use obs::{ObsConfig, Telemetry};
 pub use server::{MatchServer, ServerHandle};

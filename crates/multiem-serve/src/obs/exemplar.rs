@@ -14,17 +14,9 @@
 //! traffic almost every request fails the floor check and pays nothing.
 
 use super::trace::Trace;
+use super::window::Rotation;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{SystemTime, UNIX_EPOCH};
-
-/// Wall-clock milliseconds since the Unix epoch (for exemplar timestamps).
-pub fn unix_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
 
 /// One retained slow request: the finished trace plus the request facts the
 /// trace alone does not carry.
@@ -50,20 +42,12 @@ pub struct Exemplar {
 pub struct ExemplarRing {
     capacity: usize,
     /// Admission floor: requests at or below this latency cannot enter the
-    /// current window's ring. Valid only for the window `floor_stamp`
-    /// holds; `0` admits everything (ring not full, or window just
-    /// rotated).
+    /// live window's ring. Valid only for the window `floor_stamp` holds
+    /// and any before it (a late request joins the live window); `0` admits
+    /// everything (ring not full, or window just rotated).
     floor_ns: AtomicU64,
     floor_stamp: AtomicU64,
-    inner: Mutex<ExemplarWindows>,
-}
-
-#[derive(Debug)]
-struct ExemplarWindows {
-    /// Window epoch of `current`, +1 (`0` = nothing recorded yet).
-    stamp: u64,
-    current: Vec<Exemplar>,
-    previous: Vec<Exemplar>,
+    inner: Mutex<Rotation<Vec<Exemplar>>>,
 }
 
 impl ExemplarRing {
@@ -73,11 +57,7 @@ impl ExemplarRing {
             capacity,
             floor_ns: AtomicU64::new(0),
             floor_stamp: AtomicU64::new(0),
-            inner: Mutex::new(ExemplarWindows {
-                stamp: 0,
-                current: Vec::new(),
-                previous: Vec::new(),
-            }),
+            inner: Mutex::new(Rotation::new(Vec::new())),
         }
     }
 
@@ -91,27 +71,27 @@ impl ExemplarRing {
         let sealed_stamp = self.floor_stamp.load(Ordering::Relaxed);
         // relaxed-ok: advisory admission filter; the mutex path re-checks
         let floor_ns = self.floor_ns.load(Ordering::Relaxed);
-        !(sealed_stamp == window_epoch + 1 && total_ns <= floor_ns)
+        !(sealed_stamp > window_epoch && total_ns <= floor_ns)
     }
 
-    /// Offer one finished request to the window `window_epoch`. Fast-path
-    /// rejects (two relaxed loads) when the request is no slower than the
-    /// current window's floor; otherwise displaces the fastest retained
-    /// exemplar under the mutex.
+    /// Offer one finished request to the window `window_epoch` (or the live
+    /// one, when a later window already began). Fast-path rejects (two
+    /// relaxed loads) when the request is no slower than the live window's
+    /// floor; otherwise displaces the fastest retained exemplar under the
+    /// mutex.
     pub fn offer(&self, window_epoch: u64, exemplar: Exemplar) {
         if !self.admits(window_epoch, exemplar.total_ns) {
             return;
         }
-        let stamp = window_epoch + 1;
         let mut inner = crate::sync::lock_unpoisoned(&self.inner);
-        self.advance(&mut inner, stamp);
-        if inner.current.len() < self.capacity {
-            inner.current.push(exemplar);
+        self.advance(&mut inner, window_epoch);
+        let current = &mut inner.current;
+        if current.len() < self.capacity {
+            current.push(exemplar);
         } else {
             // The ring is at capacity (> 0), so a fastest entry exists; the
             // `else` keeps the path panic-free regardless.
-            let Some((at, fastest)) = inner
-                .current
+            let Some((at, fastest)) = current
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, e)| e.total_ns)
@@ -122,15 +102,15 @@ impl ExemplarRing {
             if exemplar.total_ns <= fastest {
                 return;
             }
-            inner.current[at] = exemplar;
+            current[at] = exemplar;
         }
-        if inner.current.len() == self.capacity {
+        if current.len() == self.capacity {
             // Publish the new floor for the fast-path filter.
-            let floor = inner.current.iter().map(|e| e.total_ns).min().unwrap_or(0);
+            let floor = current.iter().map(|e| e.total_ns).min().unwrap_or(0);
             // relaxed-ok: advisory admission filter; the mutex path re-checks
             self.floor_ns.store(floor, Ordering::Relaxed);
             // relaxed-ok: advisory admission filter; the mutex path re-checks
-            self.floor_stamp.store(stamp, Ordering::Relaxed);
+            self.floor_stamp.store(inner.stamp(), Ordering::Relaxed);
         }
     }
 
@@ -138,7 +118,7 @@ impl ExemplarRing {
     /// then the previous one, each slowest-first.
     pub fn snapshot_at(&self, window_epoch: u64) -> Vec<Exemplar> {
         let mut inner = crate::sync::lock_unpoisoned(&self.inner);
-        self.advance(&mut inner, window_epoch + 1);
+        self.advance(&mut inner, window_epoch);
         let mut current = inner.current.clone();
         let mut previous = inner.previous.clone();
         drop(inner);
@@ -148,24 +128,14 @@ impl ExemplarRing {
         current
     }
 
-    /// Lazily rotate so `current` belongs to the window of `stamp`: one
-    /// window forward keeps the old ring as `previous`, a larger jump
-    /// empties both. Resets the admission floor either way.
-    fn advance(&self, inner: &mut ExemplarWindows, stamp: u64) {
-        if inner.stamp == stamp {
-            return;
+    /// [`Rotation::advance`], resetting the admission floor when it rotates.
+    fn advance(&self, inner: &mut Rotation<Vec<Exemplar>>, window_epoch: u64) {
+        if inner.advance(window_epoch) {
+            // relaxed-ok: advisory admission filter; the mutex path re-checks
+            self.floor_ns.store(0, Ordering::Relaxed);
+            // relaxed-ok: advisory admission filter; the mutex path re-checks
+            self.floor_stamp.store(inner.stamp(), Ordering::Relaxed);
         }
-        let old = std::mem::take(&mut inner.current);
-        inner.previous = if inner.stamp + 1 == stamp {
-            old
-        } else {
-            Vec::new()
-        };
-        inner.stamp = stamp;
-        // relaxed-ok: advisory admission filter; the mutex path re-checks
-        self.floor_ns.store(0, Ordering::Relaxed);
-        // relaxed-ok: advisory admission filter; the mutex path re-checks
-        self.floor_stamp.store(stamp, Ordering::Relaxed);
     }
 }
 
@@ -226,5 +196,17 @@ mod tests {
 
         // Jumping windows clears everything.
         assert!(ring.snapshot_at(9).is_empty());
+    }
+
+    #[test]
+    fn a_late_request_joins_the_live_window() {
+        // Request 3 is stamped with window 5 after window 6 began: it joins
+        // window 6 beside request 2 instead of rotating both rings away.
+        let ring = ExemplarRing::new(4);
+        ring.offer(5, exemplar(1, 1_000));
+        ring.offer(6, exemplar(2, 3_000));
+        ring.offer(5, exemplar(3, 2_000));
+        let ids: Vec<u64> = ring.snapshot_at(6).iter().map(|e| e.trace.id).collect();
+        assert_eq!(ids, [2, 3, 1]);
     }
 }

@@ -8,10 +8,11 @@
 //! running sum) — cheap enough to stay on for every request — and any
 //! number of writer threads share one histogram without locks.
 //!
-//! Histograms are **mergeable**: per-I/O-loop or per-shard instances can be
-//! [`Histogram::absorb`]ed into an aggregate, and a [`HistogramSnapshot`]
-//! taken with [`Histogram::snapshot`] observes a consistent-enough view
-//! without ever stopping writers (counts race only by in-flight samples).
+//! Histograms are **mergeable**: a [`HistogramSnapshot`] taken with
+//! [`Histogram::snapshot`] observes a consistent-enough view without ever
+//! stopping writers (counts race only by in-flight samples), and
+//! [`HistogramSnapshot::merge`] folds the snapshots of per-window or
+//! per-shard instances into an aggregate.
 //! Quantiles come out of the snapshot by the nearest-rank rule on sorted
 //! samples, so a recorded quantile is always within one bucket width of the
 //! exact sample statistic (the test module keeps the exact reference).
@@ -105,23 +106,6 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed) // relaxed-ok: independent stats counter; readers tolerate skew
     }
 
-    /// Merge every sample of `other` into `self` (bucket-wise atomic adds;
-    /// `other` keeps its contents). Merging N per-thread histograms into an
-    /// aggregate is exactly equivalent to having recorded every sample into
-    /// the aggregate directly.
-    pub fn absorb(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed); // relaxed-ok: independent stats counter; readers tolerate skew
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed); // relaxed-ok: independent stats counter; readers tolerate skew
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed); // relaxed-ok: independent stats counter; readers tolerate skew
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed); // relaxed-ok: independent stats counter; readers tolerate skew
-    }
-
     /// Reset every bucket to zero (relaxed stores). Not a linearization
     /// point: a sample recorded concurrently lands in either the old or the
     /// new generation — acceptable for the rolling-window telemetry this
@@ -193,8 +177,8 @@ impl HistogramSnapshot {
             .map(|&(index, n)| (bucket_bound(index), n))
     }
 
-    /// Fold another snapshot's buckets into this one (merge of per-shard
-    /// snapshots; equivalent to a snapshot of the absorbed histogram).
+    /// Fold another snapshot's buckets into this one: merging the snapshots
+    /// of N histograms equals a snapshot of one that recorded every sample.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         for &(index, n) in &other.buckets {
             match self.buckets.binary_search_by_key(&index, |&(i, _)| i) {
@@ -347,9 +331,9 @@ mod tests {
 
     #[test]
     fn merge_of_shards_equals_record_into_one() {
-        // Recording a stream into N shard-local histograms and merging is
-        // indistinguishable from recording everything into one — both via
-        // live absorb() and via snapshot merge().
+        // Recording a stream into N shard-local histograms and merging
+        // their snapshots is indistinguishable from recording everything
+        // into one.
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let combined = Histogram::new();
         let shards: Vec<Histogram> = (0..4).map(|_| Histogram::new()).collect();
@@ -358,12 +342,6 @@ mod tests {
             combined.record(sample);
             shards[(i % 4) as usize].record(sample);
         }
-        let absorbed = Histogram::new();
-        for shard in &shards {
-            absorbed.absorb(shard);
-        }
-        assert_eq!(absorbed.snapshot(), combined.snapshot());
-
         let mut merged = shards[0].snapshot();
         for shard in &shards[1..] {
             merged.merge(&shard.snapshot());

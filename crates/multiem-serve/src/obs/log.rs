@@ -22,10 +22,10 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Rotated generations the server keeps per log file.
 pub const ROTATE_KEEP: usize = 3;
-use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Log severity, ordered from most to least severe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -157,11 +157,6 @@ impl Logger {
         }
     }
 
-    /// A logger appending to the file at `path` at `level` (no rotation).
-    pub fn file(level: Level, path: &Path) -> io::Result<Self> {
-        Self::rotating_file(level, path, 0, 0)
-    }
-
     /// A file logger that rotates past `rotate_bytes` bytes, keeping `keep`
     /// rotated generations (`<path>.1` ... `<path>.keep`). `rotate_bytes ==
     /// 0` disables rotation.
@@ -244,7 +239,7 @@ impl Logger {
 /// ...fields}` (field order preserved).
 fn render_line(level: Level, event: &str, fields: &[(&str, Value)]) -> String {
     let mut entries: Vec<(String, Value)> = Vec::with_capacity(fields.len() + 3);
-    entries.push(("ts_ms".into(), Value::UInt(now_ms())));
+    entries.push(("ts_ms".into(), Value::UInt(unix_ms())));
     entries.push(("level".into(), Value::Str(level.name().into())));
     entries.push(("event".into(), Value::Str(event.into())));
     for (name, value) in fields {
@@ -253,8 +248,8 @@ fn render_line(level: Level, event: &str, fields: &[(&str, Value)]) -> String {
     serde_json::to_string(&Value::Map(entries)).unwrap_or_else(|_| "{}".into())
 }
 
-/// Milliseconds since the Unix epoch.
-fn now_ms() -> u64 {
+/// Wall-clock milliseconds since the Unix epoch (log lines, exemplars).
+pub fn unix_ms() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_millis().min(u128::from(u64::MAX)) as u64)
@@ -279,7 +274,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("multiem-log-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("server.log");
-        let logger = Logger::file(Level::Info, &path).unwrap();
+        let logger = Logger::rotating_file(Level::Info, &path, 0, ROTATE_KEEP).unwrap();
         assert!(logger.enabled(Level::Warn));
         assert!(!logger.enabled(Level::Debug));
         logger.info(
@@ -354,7 +349,7 @@ mod tests {
             std::env::temp_dir().join(format!("multiem-norotate-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("server.log");
-        let logger = Logger::file(Level::Info, &path).unwrap();
+        let logger = Logger::rotating_file(Level::Info, &path, 0, ROTATE_KEEP).unwrap();
         for i in 0..50u64 {
             logger.info("event", &[("i", Value::UInt(i))]);
         }

@@ -35,8 +35,8 @@
 //! [`Telemetry`] bundles all of it and lives in the server state. The
 //! always-on part (request counters) is a relaxed `fetch_add` per request;
 //! everything with measurable cost — histograms, traces, the access log,
-//! the analytics layer — sits behind the `enabled` flag that
-//! `--no-telemetry` clears, which is the baseline the repository's
+//! the analytics layer — runs exactly when [`Telemetry::analytics`] is
+//! present, which `--no-telemetry` prevents: the baseline the repository's
 //! benchmark measures `serve.obs.overhead_pct` against.
 
 pub mod exemplar;
@@ -420,9 +420,14 @@ impl ServeMetrics {
         self.window_p99[endpoint.index()].set(p99_s);
     }
 
-    /// Count one request outcome (always on — one relaxed add).
-    pub fn count_request(&self, endpoint: Endpoint, status: u16) {
+    /// Count one answered request (always on — one relaxed add).
+    pub fn answered(&self, endpoint: Endpoint, status: u16) {
         self.requests[endpoint.index()][status_class(status)].inc();
+    }
+
+    /// Requests answered since startup, over every endpoint and status.
+    pub fn requests_total(&self) -> u64 {
+        self.requests.iter().flatten().map(|c| c.get()).sum()
     }
 
     /// Requests counted for `endpoint`, summed over status classes.
@@ -454,19 +459,10 @@ pub struct NetMetrics {
     pub closed: Arc<Counter>,
 }
 
-impl NetMetrics {
-    /// Detached counters (for tests or reactors without a registry).
-    pub fn detached() -> Self {
-        Self {
-            accepted: Arc::new(Counter::default()),
-            closed: Arc::new(Counter::default()),
-        }
-    }
-}
-
 /// The workload-analytics bundle: rolling windows, heavy-hitter sketches,
 /// and the slow-request exemplar ring — everything behind `/debug/*`.
-/// Present on [`Telemetry`] exactly when telemetry is on.
+/// Present on [`Telemetry`] exactly when telemetry is on; its presence is
+/// the one telemetry switch.
 #[derive(Debug)]
 pub struct Analytics {
     /// Rolling latency windows (per endpoint + WAL fsync).
@@ -486,9 +482,6 @@ pub struct Analytics {
 /// start instant behind `uptime_seconds`. See the [module docs](self).
 #[derive(Debug)]
 pub struct Telemetry {
-    /// Whether measurable-cost telemetry (histograms, traces, access log)
-    /// records; counters run regardless.
-    pub enabled: bool,
     /// The metric registry `GET /metrics` renders.
     pub registry: Registry,
     /// The structured logger (events, traces).
@@ -499,7 +492,8 @@ pub struct Telemetry {
     pub tracer: Tracer,
     /// All pre-registered metric handles.
     pub metrics: ServeMetrics,
-    /// Workload analytics (`None` when telemetry is off).
+    /// Workload analytics; `None` (`--no-telemetry`) also skips the
+    /// histograms, traces and access log — counters run regardless.
     pub analytics: Option<Analytics>,
     started: Instant,
 }
@@ -535,7 +529,6 @@ impl Telemetry {
             exemplars: ExemplarRing::new(EXEMPLAR_CAPACITY),
         });
         Ok(Self {
-            enabled: config.telemetry,
             registry,
             logger,
             access,
@@ -595,11 +588,8 @@ impl Telemetry {
         } else {
             self.metrics.batch_flush_window.inc();
         }
-        if !self.enabled {
-            return;
-        }
-        self.metrics.batch_size_match.record(size);
         if let Some(analytics) = &self.analytics {
+            self.metrics.batch_size_match.record(size);
             analytics.windows.record_batch(size);
         }
     }
@@ -607,11 +597,8 @@ impl Telemetry {
     /// Record one group-committed ingest batch's occupancy (records that
     /// shared a single WAL append + fsync decision).
     pub fn record_ingest_batch(&self, size: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.metrics.batch_size_ingest.record(size);
         if let Some(analytics) = &self.analytics {
+            self.metrics.batch_size_ingest.record(size);
             analytics.windows.record_batch(size);
         }
     }
@@ -660,31 +647,29 @@ impl Telemetry {
         total_ns: u64,
         trace: &mut Trace,
     ) {
-        self.metrics.count_request(endpoint, status);
-        if !self.enabled {
+        self.metrics.answered(endpoint, status);
+        let Some(analytics) = &self.analytics else {
             return;
-        }
+        };
         trace.finish(total_ns);
         self.metrics.duration(endpoint).record(total_ns);
         for (stage, ns) in trace.spans() {
             self.metrics.stage(stage).record(ns);
         }
-        if let Some(analytics) = &self.analytics {
-            analytics.windows.record_request(endpoint, total_ns);
-            let epoch = analytics.windows.window_epoch();
-            if analytics.exemplars.admits(epoch, total_ns) {
-                analytics.exemplars.offer(
-                    epoch,
-                    Exemplar {
-                        trace: trace.clone(),
-                        method: method.to_string(),
-                        path: path.to_string(),
-                        status,
-                        total_ns,
-                        ts_ms: exemplar::unix_ms(),
-                    },
-                );
-            }
+        analytics.windows.record_request(endpoint, total_ns);
+        let epoch = analytics.windows.window_epoch();
+        if analytics.exemplars.admits(epoch, total_ns) {
+            analytics.exemplars.offer(
+                epoch,
+                Exemplar {
+                    trace: trace.clone(),
+                    method: method.to_string(),
+                    path: path.to_string(),
+                    status,
+                    total_ns,
+                    ts_ms: log::unix_ms(),
+                },
+            );
         }
         if self.tracer.should_emit(trace, total_ns) {
             let slow = self.tracer.slow_ns() > 0 && total_ns >= self.tracer.slow_ns();

@@ -22,6 +22,7 @@
 //! entities — at the cost of one short mutex over a K-entry vector per
 //! hit.
 
+use super::window::Rotation;
 use std::sync::Mutex;
 
 /// One tracked heavy hitter.
@@ -38,7 +39,7 @@ pub struct HeavyHitter {
 }
 
 /// A fixed-capacity space-saving sketch. See the [module docs](self).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SpaceSaving {
     capacity: usize,
     entries: Vec<HeavyHitter>,
@@ -104,57 +105,25 @@ impl SpaceSaving {
 }
 
 /// A [`SpaceSaving`] pair scoped to the rolling analytics window: `current`
-/// rotates to `previous` when the window epoch advances.
+/// rotates to `previous` when the window epoch advances ([`Rotation`]).
 #[derive(Debug)]
 pub struct WindowedTopK {
-    capacity: usize,
-    inner: Mutex<TopKWindows>,
-}
-
-#[derive(Debug)]
-struct TopKWindows {
-    /// Window epoch of `current`, +1 (`0` = nothing recorded yet).
-    stamp: u64,
-    current: SpaceSaving,
-    previous: SpaceSaving,
-}
-
-impl TopKWindows {
-    /// Lazily rotate so `current` belongs to `window_epoch`: one epoch
-    /// forward keeps the old sketch as `previous`; a larger jump (idle
-    /// windows in between) empties both.
-    fn advance(&mut self, capacity: usize, window_epoch: u64) {
-        let stamp = window_epoch + 1;
-        if self.stamp == stamp {
-            return;
-        }
-        let old = std::mem::replace(&mut self.current, SpaceSaving::new(capacity));
-        self.previous = if self.stamp + 1 == stamp {
-            old
-        } else {
-            SpaceSaving::new(capacity)
-        };
-        self.stamp = stamp;
-    }
+    inner: Mutex<Rotation<SpaceSaving>>,
 }
 
 impl WindowedTopK {
     /// An empty windowed sketch of `capacity` keys.
     pub fn new(capacity: usize) -> Self {
         Self {
-            capacity,
-            inner: Mutex::new(TopKWindows {
-                stamp: 0,
-                current: SpaceSaving::new(capacity),
-                previous: SpaceSaving::new(capacity),
-            }),
+            inner: Mutex::new(Rotation::new(SpaceSaving::new(capacity))),
         }
     }
 
-    /// Count one occurrence of `key` in the window `window_epoch`.
+    /// Count one occurrence of `key` in the window `window_epoch` (or the
+    /// live one, when a later window already began).
     pub fn hit_at(&self, window_epoch: u64, key: &str) {
         let mut inner = crate::sync::lock_unpoisoned(&self.inner);
-        inner.advance(self.capacity, window_epoch);
+        inner.advance(window_epoch);
         inner.current.hit(key);
     }
 
@@ -162,7 +131,7 @@ impl WindowedTopK {
     /// first.
     pub fn top_at(&self, window_epoch: u64) -> (Vec<HeavyHitter>, Vec<HeavyHitter>) {
         let mut inner = crate::sync::lock_unpoisoned(&self.inner);
-        inner.advance(self.capacity, window_epoch);
+        inner.advance(window_epoch);
         (inner.current.top(), inner.previous.top())
     }
 }
@@ -275,5 +244,22 @@ mod tests {
         let (current, previous) = topk.top_at(5);
         assert!(current.is_empty());
         assert!(previous.is_empty());
+    }
+
+    #[test]
+    fn a_late_hit_counts_toward_the_live_window() {
+        // "c" is stamped with window 5 after window 6 began (a worker that
+        // read the clock before the boundary): it joins window 6 instead of
+        // rotating both sketches away.
+        let topk = WindowedTopK::new(4);
+        topk.hit_at(5, "a");
+        topk.hit_at(6, "b");
+        topk.hit_at(5, "c");
+        let (current, previous) = topk.top_at(6);
+        let keys = |hitters: &[HeavyHitter]| -> Vec<String> {
+            hitters.iter().map(|h| h.key.clone()).collect()
+        };
+        assert_eq!(keys(&current), ["b", "c"]);
+        assert_eq!(keys(&previous), ["a"]);
     }
 }

@@ -9,8 +9,8 @@
 //! end-to-end latency** (the same number the access log reports).
 //!
 //! The [`Tracer`] decides which traces leave the process: an every-Nth
-//! deterministic sampler driven by `--trace-sample-rate` (an atomic tick —
-//! no RNG on the hot path) plus a `--slow-request-ms` threshold that
+//! deterministic sampler driven by `--trace-sample-rate` (the request-id
+//! counter — no RNG on the hot path) plus a `--slow-request-ms` threshold that
 //! force-emits outliers regardless of sampling. Emitted traces are JSON
 //! lines on the structured logger (`"event":"trace"`), one object per
 //! request, spans keyed by stage name in nanoseconds.
@@ -167,8 +167,9 @@ pub struct Tracer {
     sample_every: u64,
     /// Force-emit any request at least this slow (0 = threshold off).
     slow_ns: u64,
+    /// Requests admitted so far: the last id handed out, and the sampler's
+    /// tick.
     seq: AtomicU64,
-    tick: AtomicU64,
 }
 
 impl Tracer {
@@ -187,18 +188,15 @@ impl Tracer {
             sample_every,
             slow_ns: slow_request_ms.saturating_mul(1_000_000),
             seq: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
         }
     }
 
-    /// Admit one request: assign the next id and roll the sampler.
+    /// Admit one request: assign the next id and roll the sampler (ids
+    /// `1, 1 + N, 1 + 2N, ...` are sampled).
     pub fn start(&self) -> Trace {
-        let id = self.seq.fetch_add(1, Ordering::Relaxed) + 1; // relaxed-ok: id/tick dispenser; only RMW uniqueness matters
-        let sampled = match self.sample_every {
-            0 => false,
-            n => self.tick.fetch_add(1, Ordering::Relaxed).is_multiple_of(n), // relaxed-ok: id/tick dispenser; only RMW uniqueness matters
-        };
-        Trace::new(id, sampled)
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed); // relaxed-ok: id dispenser; only RMW uniqueness matters
+        let sampled = self.sample_every != 0 && seq.is_multiple_of(self.sample_every);
+        Trace::new(seq + 1, sampled)
     }
 
     /// Whether a finished trace should be written out: sampled at admission,

@@ -7,8 +7,8 @@
 //! `window_secs / WINDOW_SLOTS` seconds each). Recording stays the same two
 //! relaxed atomic adds plus one epoch load; rotation is lazy — the first
 //! sample landing in a sub-window whose ring slot still holds an expired
-//! epoch recycles the slot (a CAS elects one winner, who clears the
-//! histogram). No timer thread, no rotation lock.
+//! epoch recycles the slot (the one caller that moves its stamp forward
+//! clears the histogram). No timer thread, no rotation lock.
 //!
 //! Queries merge every slot still inside the window — the current, partial
 //! sub-window included — so a windowed quantile covers the last
@@ -117,19 +117,17 @@ impl WindowedHistogram {
     }
 
     /// Record one sample into the sub-window of `epoch`, lazily recycling
-    /// the ring slot if it still holds an expired sub-window (one CAS
-    /// winner clears it; losers — and samples racing the clear — land in
-    /// whichever generation they land in).
+    /// the ring slot if it holds an expired sub-window (whoever moves its
+    /// stamp forward clears it). A slot never moves backwards: a sample
+    /// stamped older than the slot — a worker that read the clock just
+    /// before a boundary — counts toward the live sub-window.
     pub fn record_at(&self, epoch: u64, value: u64) {
         let slot = &self.slots[(epoch % self.slots.len() as u64) as usize];
         let stamp = epoch + 1;
-        let seen = slot.stamp.load(Ordering::Relaxed); // relaxed-ok: lazy slot recycling; racers land in either generation (see doc)
-        if seen != stamp
-            && slot
-                .stamp
-                .compare_exchange(seen, stamp, Ordering::Relaxed, Ordering::Relaxed) // relaxed-ok: lazy slot recycling; racers land in either generation (see doc)
-                .is_ok()
-        {
+        // relaxed-ok: lazy slot recycling; racers land in either generation (see doc)
+        let seen = slot.stamp.load(Ordering::Relaxed);
+        // relaxed-ok: lazy slot recycling; racers land in either generation (see doc)
+        if seen < stamp && slot.stamp.fetch_max(stamp, Ordering::Relaxed) < stamp {
             slot.hist.clear();
         }
         slot.hist.record(value);
@@ -154,6 +152,57 @@ impl WindowedHistogram {
             merged.merge(&slot.hist.snapshot());
         }
         merged
+    }
+}
+
+/// A value per analytics window, the live one and the one before it — the
+/// one rotation the heavy-hitter sketches ([`super::WindowedTopK`]) and the
+/// exemplar ring ([`super::ExemplarRing`]) share. Rotation is lazy: the
+/// first hit or query stamped with a later window moves `current` to
+/// `previous` (or empties both after an idle gap). Like
+/// [`WindowedHistogram::record_at`] it never moves backwards: a caller
+/// stamped with an older window lands in the live one.
+#[derive(Debug)]
+pub struct Rotation<T> {
+    /// Window epoch of `current`, +1 (`0` = nothing recorded yet).
+    stamp: u64,
+    /// What a window starts as.
+    empty: T,
+    /// The live window.
+    pub current: T,
+    /// The window before it (empty after an idle gap).
+    pub previous: T,
+}
+
+impl<T: Clone> Rotation<T> {
+    /// Both windows `empty`.
+    pub fn new(empty: T) -> Self {
+        Self {
+            stamp: 0,
+            current: empty.clone(),
+            previous: empty.clone(),
+            empty,
+        }
+    }
+
+    /// The window epoch `current` belongs to, +1 (`0` before any).
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    /// Rotate so `current` belongs to `window_epoch`, unless it already
+    /// belongs to that window or a later one. Whether it rotated.
+    pub fn advance(&mut self, window_epoch: u64) -> bool {
+        let stamp = window_epoch + 1;
+        if stamp <= self.stamp {
+            return false;
+        }
+        self.previous = std::mem::replace(&mut self.current, self.empty.clone());
+        if self.stamp + 1 != stamp {
+            self.previous.clone_from(&self.empty); // an idle gap
+        }
+        self.stamp = stamp;
+        true
     }
 }
 
@@ -314,6 +363,36 @@ mod tests {
 
         // Stale epochs older than every live slot contribute nothing.
         assert_eq!(ring.merged_at(epoch + WINDOW_SLOTS as u64).count(), 0);
+    }
+
+    #[test]
+    fn a_late_sample_counts_toward_the_live_subwindow() {
+        // Epochs 8 and 4 share a slot. A sample stamped 4 after the slot
+        // moved on to 8 (a worker that read the clock before the boundary)
+        // joins sub-window 8 instead of recycling the slot back to 4.
+        let ring = WindowedHistogram::new();
+        ring.record_at(8, 1_000);
+        ring.record_at(4, 2_000);
+        assert_eq!(ring.merged_at(8).count(), 2);
+    }
+
+    #[test]
+    fn rotation_never_moves_backwards() {
+        let mut rotation = Rotation::new(Vec::new());
+        assert!(rotation.advance(5));
+        rotation.current.push("a");
+        assert!(rotation.advance(6));
+        rotation.current.push("b");
+        assert!(!rotation.advance(5));
+        rotation.current.push("c");
+        assert_eq!(
+            (rotation.current.clone(), rotation.previous.clone()),
+            (vec!["b", "c"], vec!["a"])
+        );
+        // An idle gap empties both.
+        assert!(rotation.advance(9));
+        assert!(rotation.current.is_empty() && rotation.previous.is_empty());
+        assert_eq!(rotation.stamp(), 10);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The HTTP matching service.
 //!
 //! [`MatchServer`] glues the pieces together: a [`ShardedEntityStore`]
-//! behind per-shard `RwLock`s, a [`ShardWriter`] per shard (its ingest
-//! queue and, in durable mode, its WAL — `checkpoint.rs`), and the event-driven
+//! behind per-shard `RwLock`s, a writer per shard (its ingest queue and, in
+//! durable mode, its WAL — `ingest.rs`, `checkpoint.rs`), and the event-driven
 //! [`Reactor`] front end — an acceptor plus `io_threads` event loops
 //! multiplexing nonblocking keep-alive connections, with fully parsed
 //! requests executed on the fixed-size [`rayon::ThreadPool`] worker pool.
@@ -12,8 +12,8 @@
 //! The endpoints are the rows of the route table in `routes.rs`; the
 //! comment above each row documents the route.
 
-use crate::checkpoint::{open_wals, restore_or_create};
-use crate::config::{ServeConfig, ServeError, StorageBackend};
+use crate::checkpoint::{open_wals, restore_or_create, segments_dir};
+use crate::config::{ServeConfig, ServeError};
 use crate::http::Request;
 use crate::ingest::ShardWriter;
 use crate::matching::MatchBatcher;
@@ -22,7 +22,7 @@ use crate::obs::{elapsed_ns, Stage, Telemetry, BUILD_VERSION};
 use crate::routes::{lookup, obj, ApiError, Call, Handler, Route};
 use crate::shard::ShardedEntityStore;
 use multiem_embed::EmbeddingModel;
-use multiem_online::{DiskStorageConfig, StorageConfig};
+use multiem_online::StorageConfig;
 use multiem_table::Schema;
 use rayon::ThreadPool;
 use serde::Value;
@@ -43,16 +43,13 @@ pub(crate) struct ServerState<E: EmbeddingModel> {
     /// the only epoch that is ever loaded. Mutated only under all shard +
     /// WAL locks (the checkpoint).
     pub epoch: AtomicU64,
-    /// Records refused with `429 Too Many Requests` since startup.
-    pub rejected: AtomicU64,
-    /// The configuration the server was bound with (the storage backend
-    /// resolved into `online.storage`).
+    /// The configuration the server was bound with, `online.storage` as the
+    /// data dir resolved it (a populated directory owns its backend).
     pub config: ServeConfig,
     /// Match micro-batch coalescer, present when batching is enabled
     /// (`batch_window_us > 0 && batch_max > 1`). `None` keeps the direct
     /// one-request-one-fan-out path byte-for-byte.
     pub batcher: Option<MatchBatcher>,
-    pub requests: AtomicU64,
     /// Metrics registry + logger + tracer (`GET /metrics`, the access log,
     /// sampled traces). Recording is atomics; scraping takes only the
     /// registry's own mutex.
@@ -129,35 +126,22 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
         // path fails startup, not the first request).
         let telemetry = Telemetry::new(&config.obs)?;
 
-        // Resolve the storage backend into the per-shard store config (the
-        // sharded store gives each shard its own segment subdirectory).
+        // Disk segments live under the data dir (the sharded store gives
+        // each shard its own subdirectory); caller-tuned segment and cache
+        // sizes are kept, only the directory is overridden.
         let mut config = config;
-        match (config.storage, &config.data_dir) {
-            (StorageBackend::Memory, _) => {}
-            (StorageBackend::Disk, None) => {
+        if let StorageConfig::Disk(disk) = &mut config.online.storage {
+            let Some(dir) = &config.data_dir else {
                 return Err(ServeError::Config(
                     "disk storage needs --data-dir (segments live under it)".into(),
                 ));
-            }
-            (StorageBackend::Disk, Some(dir)) => {
-                // Segments live under the data dir; keep any caller-tuned
-                // segment/cache sizes, override only the directory.
-                let segments_dir = dir.join("segments").display().to_string();
-                config.online.storage = match config.online.storage {
-                    StorageConfig::Disk(mut disk) => {
-                        disk.dir = segments_dir;
-                        StorageConfig::Disk(disk)
-                    }
-                    StorageConfig::Memory => {
-                        StorageConfig::Disk(DiskStorageConfig::new(segments_dir))
-                    }
-                };
-            }
+            };
+            disk.dir = segments_dir(dir);
         }
 
         // The store has the shard count: it clamps the configured one, and
-        // a populated data dir pins its own.
-        let (store, epoch, writers) = match &config.data_dir {
+        // a populated data dir pins its own, and its backend.
+        let (store, epoch, writers) = match config.data_dir.clone() {
             None => {
                 let (online, shards) = (config.online.clone(), config.shards);
                 let store = ShardedEntityStore::new(online, schema, shards, encoder)?;
@@ -165,10 +149,10 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
                 (store, 0, writers.collect())
             }
             Some(dir) => {
-                std::fs::create_dir_all(dir)?;
+                std::fs::create_dir_all(&dir)?;
                 let (store, manifest) =
-                    restore_or_create(&config, schema, dir, encoder, &telemetry.logger)?;
-                let writers = open_wals(&store, &config, dir, &manifest, &telemetry)?;
+                    restore_or_create(&mut config, schema, &dir, encoder, &telemetry.logger)?;
+                let writers = open_wals(&store, &config, &dir, &manifest, &telemetry)?;
                 (store, manifest.epoch, writers)
             }
         };
@@ -180,13 +164,11 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
                 store,
                 writers,
                 epoch: AtomicU64::new(epoch),
-                rejected: AtomicU64::new(0),
                 batcher: MatchBatcher::new(
                     config.batch_window_us,
                     config.batch_max,
                     config.workers,
                 ),
-                requests: AtomicU64::new(0),
                 telemetry,
                 shutdown: Arc::new(AtomicBool::new(false)),
                 addr: bound,
@@ -297,9 +279,9 @@ impl<E: EmbeddingModel + 'static> ServerState<E> {
         match route.handler {
             Handler::Inline(handler) => {
                 let response = handler(self);
-                self.count_request();
-                let metrics = &self.telemetry.metrics;
-                metrics.count_request(route.endpoint, response.status);
+                self.telemetry
+                    .metrics
+                    .answered(route.endpoint, response.status);
                 Routed::Inline(response.render(request.close), request.close)
             }
             Handler::Worker(_) => {
@@ -322,7 +304,6 @@ impl<E: EmbeddingModel + 'static> ServerState<E> {
         dispatched: Instant,
     ) -> (Vec<u8>, bool) {
         let entered = Instant::now();
-        self.count_request();
         let mut trace = self.telemetry.tracer.start();
         trace.add(Stage::Parse, request.parse_ns);
         let queue_ns = entered.saturating_duration_since(dispatched).as_nanos();
@@ -345,11 +326,6 @@ impl<E: EmbeddingModel + 'static> ServerState<E> {
             &mut trace,
         );
         (bytes, request.close)
-    }
-
-    fn count_request(&self) {
-        // relaxed-ok: standalone request counter, no ordering with other state
-        self.requests.fetch_add(1, Ordering::Relaxed);
     }
 }
 

@@ -10,6 +10,7 @@
 //! takes only the registry's own mutex — so probes, scrapes and incident
 //! debugging stay green through checkpoints and write bursts.
 
+use crate::config::backend_name;
 use crate::obs::{Endpoint, HeavyHitter, WindowedTopK, BUILD_VERSION};
 use crate::routes::{obj, Response};
 use crate::server::ServerState;
@@ -35,9 +36,10 @@ pub(crate) struct ServerView {
     pub fsync_p99_ms: f64,
     /// Checkpoint epoch.
     pub epoch: u64,
-    /// Requests answered since startup.
+    /// Requests answered since startup (`multiem_requests_total`).
     pub requests: u64,
-    /// Records refused with a `429` since startup.
+    /// Records refused with a `429` since startup
+    /// (`multiem_rejected_records_total`).
     pub rejected: u64,
 }
 
@@ -72,10 +74,8 @@ impl ServerView {
                 .sum(),
             fsync_p99_ms: analytics.map_or(0.0, |a| a.windows.fsync_window().quantile_ms(0.99)),
             epoch: state.epoch.load(Ordering::SeqCst),
-            // relaxed-ok: monitoring read of a standalone counter
-            requests: state.requests.load(Ordering::Relaxed),
-            // relaxed-ok: monitoring read of a standalone counter
-            rejected: state.rejected.load(Ordering::Relaxed),
+            requests: state.telemetry.metrics.requests_total(),
+            rejected: state.telemetry.metrics.rejected_records.get(),
         }
     }
 }
@@ -92,11 +92,12 @@ fn entries(stats: &impl Serialize) -> Vec<(String, Value)> {
 pub(crate) fn healthz<E: EmbeddingModel>(state: &ServerState<E>) -> Response {
     let view = ServerView::probe(state);
     let uptime = state.telemetry.uptime_seconds();
+    let storage = backend_name(&state.config.online.storage);
     Response::ok(obj([
         ("status", Value::Str("ok".into())),
         ("shards", Value::UInt(state.store.num_shards() as u64)),
         ("durable", Value::Bool(state.config.data_dir.is_some())),
-        ("storage", Value::Str(state.config.storage.name().into())),
+        ("storage", Value::Str(storage.into())),
         ("uptime_seconds", Value::Float(uptime)),
         ("version", Value::Str(BUILD_VERSION.into())),
         ("checkpoint_epoch", Value::UInt(view.epoch)),

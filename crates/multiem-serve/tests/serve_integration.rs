@@ -6,7 +6,7 @@
 
 use multiem_embed::HashedLexicalEncoder;
 use multiem_serve::http::{read_response, HttpClient};
-use multiem_serve::{MatchServer, ServeConfig, ServerHandle, ShardedEntityStore, StorageBackend};
+use multiem_serve::{MatchServer, ServeConfig, ServerHandle, ShardedEntityStore};
 use multiem_table::{Record, Schema};
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -310,7 +310,6 @@ fn disk_config(dir: &std::path::Path, shards: usize) -> ServeConfig {
     let mut config = ServeConfig {
         data_dir: Some(dir.to_path_buf()),
         shards,
-        storage: StorageBackend::Disk,
         ..ServeConfig::default()
     };
     config.online.storage =
@@ -580,6 +579,113 @@ fn damaged_manifests_are_refused_not_reinterpreted() {
         let refused = bind().expect_err(damaged);
         assert!(refused.to_string().contains("MANIFEST.json"), "{refused}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `/healthz`'s `storage` and `/stats`' `storage.backend`: the backend the
+/// server runs, as each route reports it.
+fn backends(client: &mut HttpClient) -> (String, String) {
+    let healthz = get_json(client, "/healthz");
+    let stats = get_json(client, "/stats");
+    let backend = json_field(&stats, "storage").and_then(|s| json_field(s, "backend"));
+    let name = |v: Option<&serde::Value>| v.and_then(serde::Value::as_str).map(str::to_string);
+    (
+        name(json_field(&healthz, "storage")).expect("healthz names its storage"),
+        name(backend).expect("stats names its storage backend"),
+    )
+}
+
+#[test]
+fn a_data_dir_owns_its_storage_backend() {
+    let dir = temp_dir("owns-backend");
+    let log = dir.join("second-life.log");
+    let titles: Vec<String> = (0..11).map(|i| format!("source{i} item {i}")).collect();
+    {
+        let (handle, addr) = spawn_server(disk_config(&dir, 2));
+        let mut client = HttpClient::connect(&addr).unwrap();
+        post_records(&mut client, &titles[..8]);
+        snapshot(&mut client);
+        handle.shutdown();
+    }
+
+    // Restarted with the default (memory) configuration, the directory keeps
+    // its backend, both routes say so, and the override is logged.
+    let mut config = ServeConfig {
+        data_dir: Some(dir.clone()),
+        shards: 2,
+        ..ServeConfig::default()
+    };
+    config.obs.log_file = Some(log.clone());
+    let (handle, addr) = spawn_server(config);
+    let mut client = HttpClient::connect(&addr).unwrap();
+    assert_eq!(backends(&mut client), ("disk".into(), "disk".into()));
+    // A disk checkpoint seals every shard's tail (too few records here to
+    // fill one), so after it every record lives in a segment file.
+    post_records(&mut client, &titles[8..]);
+    snapshot(&mut client);
+    let stats = get_json(&mut client, "/stats");
+    let storage = json_field(&stats, "storage").expect("stats has storage");
+    let count = |name| json_field(storage, name).and_then(serde::Value::as_u64);
+    assert_eq!(count("records"), Some(11));
+    assert_eq!(count("spilled_records"), count("records"));
+    handle.shutdown();
+    let log = std::fs::read_to_string(&log).unwrap();
+    assert!(
+        log.contains("\"event\":\"checkpoint_storage_override\""),
+        "{log}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_memory_data_dir_stays_memory_under_a_disk_config() {
+    let dir = temp_dir("stays-memory");
+    let config = ServeConfig {
+        data_dir: Some(dir.clone()),
+        shards: 3,
+        ..ServeConfig::default()
+    };
+    {
+        let (handle, addr) = spawn_server(config);
+        let mut client = HttpClient::connect(&addr).unwrap();
+        // One leading token, one shard: the other two are never checkpointed.
+        post_records(&mut client, &["apple iphone 8", "apple iphone 8 plus"]);
+        snapshot(&mut client);
+        handle.shutdown();
+    }
+
+    let (handle, addr) = spawn_server(disk_config(&dir, 3));
+    let mut client = HttpClient::connect(&addr).unwrap();
+    assert_eq!(backends(&mut client), ("memory".into(), "memory".into()));
+    let storage = get_json(&mut client, "/debug/storage");
+    let shards = json_field(&storage, "shards").and_then(serde::Value::as_seq);
+    let shard_backends: Vec<&str> = shards
+        .expect("debug/storage lists shards")
+        .iter()
+        .filter_map(|shard| json_field(shard, "backend").and_then(serde::Value::as_str))
+        .collect();
+    assert_eq!(shard_backends, ["memory"; 3]);
+    post_records(&mut client, &["sony bravia tv"]);
+    snapshot(&mut client);
+    handle.shutdown();
+    assert!(!dir.join("segments").exists(), "nothing may spill");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_manifest_without_a_backend_opens_with_the_configured_one() {
+    // What a PR-24 build wrote at first boot: no `storage` key.
+    let dir = temp_dir("backendless-manifest");
+    let manifest = r#"{"shards":2,"epoch":0,"shard_epochs":[0,0],"attributes":["title"]}"#;
+    std::fs::write(dir.join("MANIFEST.json"), manifest).unwrap();
+    let (handle, addr) = spawn_server(disk_config(&dir, 2));
+    let mut client = HttpClient::connect(&addr).unwrap();
+    assert_eq!(backends(&mut client), ("disk".into(), "disk".into()));
+    post_records(&mut client, &["apple iphone 8"]);
+    snapshot(&mut client);
+    handle.shutdown();
+    let manifest = std::fs::read_to_string(dir.join("MANIFEST.json")).unwrap();
+    assert!(manifest.contains("\"storage\":\"disk\""), "{manifest}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -899,6 +1005,52 @@ fn batch_larger_than_queue_depth_gets_terminal_400() {
     assert_eq!(status, 200);
     let stats = get_stats(&mut client);
     assert_eq!(counter(&stats, "records"), 2);
+    handle.shutdown();
+}
+
+#[test]
+fn stats_counters_are_the_metric_registry() {
+    // `queue_depth: 0` refuses every write, so the ingests are the 429s.
+    let (handle, addr) = spawn_server(ServeConfig {
+        queue_depth: 0,
+        ..ServeConfig::default()
+    });
+    let mut client = HttpClient::connect(&addr).unwrap();
+    let (two, one) = (records_body(&["a b", "c d"]), records_body(&["e f"]));
+    let script = [
+        ("GET", "/healthz", None, 200),
+        ("GET", "/debug/top", None, 200),
+        (
+            "POST",
+            "/match",
+            Some("{\"record\":[\"apple iphone\"]}"),
+            200,
+        ),
+        ("POST", "/records", Some(two.as_str()), 429),
+        ("POST", "/records", Some(one.as_str()), 429),
+        ("DELETE", "/records/0-0-0", None, 404),
+        ("GET", "/nope", None, 404),
+        ("PUT", "/match", None, 405),
+    ];
+    for (method, path, body, status) in script {
+        let answer = client.request(method, path, body).unwrap();
+        assert_eq!(answer.0, status, "{method} {path}: {}", answer.1);
+    }
+    let stats = get_stats(&mut client);
+    let metrics = get_metrics(&mut client);
+    let answered: f64 = metrics
+        .lines()
+        .filter(|line| line.starts_with("multiem_requests_total{"))
+        .map(|line| line.rsplit(' ').next().unwrap().parse::<f64>().unwrap())
+        .sum();
+    // Every answered request, and the scrape counts the `/stats` before it.
+    assert_eq!(counter(&stats, "requests"), script.len() as u64);
+    assert_eq!(counter(&stats, "requests") as f64 + 1.0, answered);
+    assert_eq!(counter(&stats, "rejected"), 3);
+    assert_eq!(
+        counter(&stats, "rejected") as f64,
+        sample(&metrics, "multiem_rejected_records_total")
+    );
     handle.shutdown();
 }
 
