@@ -9,7 +9,7 @@
 //! search is a filtered one that accepts every row.
 
 use crate::metric::Metric;
-use crate::{for_each_group, DynamicVectorIndex, Neighbor, Rows, TopK, VectorIndex};
+use crate::{for_each_group, DynamicVectorIndex, Neighbor, Rows, StateField, TopK, VectorIndex};
 use serde::{Deserialize, Serialize};
 
 /// Exact nearest-neighbour index backed by a flat array of vectors.
@@ -26,6 +26,15 @@ pub struct BruteForceIndex {
 }
 
 impl BruteForceIndex {
+    /// The derived tree's fields, in order ([`crate::AnnIndex::state_fields`]).
+    pub(crate) fn state_fields(&self) -> Vec<(&'static str, StateField<'_>)> {
+        vec![
+            ("metric", StateField::Value(&self.metric)),
+            ("dim", StateField::Value(&self.dim)),
+            ("data", StateField::Floats(&self.data)),
+        ]
+    }
+
     /// Create an empty index.
     pub fn new(dim: usize, metric: Metric) -> Self {
         Self {

@@ -10,7 +10,7 @@
 //! the sensitivity experiments (Figure 6(b)) reproducible.
 
 use crate::metric::Metric;
-use crate::{for_each_group, DynamicVectorIndex, Neighbor, Rows, VectorIndex};
+use crate::{for_each_group, DynamicVectorIndex, Neighbor, Rows, StateField, VectorIndex};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -248,6 +248,19 @@ impl HnswIndex {
     /// The index configuration.
     pub fn config(&self) -> &HnswConfig {
         &self.config
+    }
+
+    /// [`HnswIndexState`]'s fields, in order ([`crate::AnnIndex::state_fields`]).
+    pub(crate) fn state_fields(&self) -> Vec<(&'static str, StateField<'_>)> {
+        vec![
+            ("config", StateField::Value(&self.config)),
+            ("metric", StateField::Value(&self.metric)),
+            ("dim", StateField::Value(&self.dim)),
+            ("data", StateField::Floats(&self.data)),
+            ("links", StateField::Value(&self.links)),
+            ("max_layer", StateField::Value(&self.max_layer)),
+            ("entry_point", StateField::Value(&self.entry_point)),
+        ]
     }
 
     /// The stored vectors and their norms, as the distance loops read them.

@@ -9,6 +9,15 @@ use crate::{
 };
 use serde::{Deserialize, Serialize};
 
+/// One field of an index's serialized state ([`AnnIndex::state_fields`]).
+pub enum StateField<'a> {
+    /// A field as its value tree gives it.
+    Value(&'a dyn Serialize),
+    /// The flat vector storage: a sequence of `f32`, which a writer can
+    /// stream instead of building its value tree (32 bytes a coordinate).
+    Floats(&'a [f32]),
+}
+
 /// A [`BruteForceIndex`] or an [`HnswIndex`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum AnnIndex {
@@ -40,6 +49,16 @@ impl AnnIndex {
     /// Whether this is the HNSW backend.
     pub fn is_hnsw(&self) -> bool {
         matches!(self, AnnIndex::Hnsw(_))
+    }
+
+    /// What [`Serialize::to_value`] gives, field by field: the variant's
+    /// name and its fields in tree order, the vectors as
+    /// [`StateField::Floats`].
+    pub fn state_fields(&self) -> (&'static str, Vec<(&'static str, StateField<'_>)>) {
+        match self {
+            AnnIndex::Brute(i) => ("Brute", i.state_fields()),
+            AnnIndex::Hnsw(i) => ("Hnsw", i.state_fields()),
+        }
     }
 
     fn backend(&self) -> &dyn VectorIndex {
@@ -112,6 +131,23 @@ mod tests {
             assert_eq!(index.insert(&[i as f32, 1.0]), i);
         }
         index
+    }
+
+    #[test]
+    fn state_fields_are_the_value_tree_field_by_field() {
+        for index in [filled(None), filled(Some(HnswConfig::small()))] {
+            let (variant, fields) = index.state_fields();
+            let fields = fields.into_iter().map(|(name, field)| {
+                let tree = match field {
+                    StateField::Value(value) => value.to_value(),
+                    StateField::Floats(xs) => xs.to_vec().to_value(),
+                };
+                (name.to_string(), tree)
+            });
+            let tree = serde::Value::Map(fields.collect());
+            let whole = serde::Value::Map(vec![(variant.to_string(), tree)]);
+            assert_eq!(whole, index.to_value(), "{variant}");
+        }
     }
 
     #[test]

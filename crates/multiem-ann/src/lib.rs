@@ -27,7 +27,7 @@ pub mod mutual;
 
 pub use bruteforce::BruteForceIndex;
 pub use hnsw::{HnswConfig, HnswIndex};
-pub use index::AnnIndex;
+pub use index::{AnnIndex, StateField};
 pub use metric::Metric;
 pub use mutual::{merge_ranked, mutual_top_k, MutualMatch};
 

@@ -29,7 +29,8 @@ pub const RULES: &[RuleSpec] = &[
         id: "no-locks-on-fast-path",
         summary: "functions marked `// lint:fast-path`, and every function of a file whose module \
                   doc starts a line with `//! lint:fast-path` (serve's views.rs: the routes its \
-                  route table answers inline on the I/O threads), must not take blocking locks",
+                  route table answers inline on a connection's reader thread), must not take \
+                  blocking locks",
     },
     RuleSpec {
         id: "relaxed-needs-justification",

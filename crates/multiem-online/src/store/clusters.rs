@@ -104,8 +104,19 @@ impl ClusterTable {
     /// ([`crate::wire::write_fields`]).
     pub(super) fn fields(&self) -> [(&'static str, Field<'_>); 3] {
         [
-            ("clusters", Field::Value(&self.clusters)),
-            ("index", Field::Value(&self.index)),
+            // One cluster's tree at a time: the whole map's would hold every
+            // cluster's `sum` at 32 bytes a coordinate.
+            (
+                "clusters",
+                Field::Pairs(
+                    self.clusters
+                        .iter()
+                        .map(|(id, c)| (id as _, c as _))
+                        .collect(),
+                ),
+            ),
+            // Likewise, the index's coordinates one at a time.
+            ("index", Field::Index(&self.index)),
             ("rebuilds", Field::Value(&self.rebuilds)),
         ]
     }

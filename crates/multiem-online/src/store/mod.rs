@@ -1160,6 +1160,10 @@ mod tests {
         let mut s = EntityStore::new(cfg, HashedLexicalEncoder::default());
         let index_entry = |s: &EntityStore<HashedLexicalEncoder>| {
             let snapshot = s.state.to_value();
+            // Streamed field by field, the bytes are still this tree's.
+            let whole = wire::value_to_bytes(&snapshot);
+            let bytes = s.snapshot_bytes().expect("snapshot");
+            assert_eq!(bytes, [wire::SNAPSHOT_MAGIC.as_slice(), &whole].concat());
             let clusters = serde::__get_field(&snapshot, "clusters").expect("cluster table");
             let index = serde::__get_field(clusters, "index").expect("index field");
             let (variant, payload) = index.as_single_entry_map().expect("variant entry");

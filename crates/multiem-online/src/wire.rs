@@ -14,7 +14,8 @@
 //!   frame (a process killed mid-append) reads back as [`Frame::Torn`] so
 //!   replay stops cleanly instead of erroring.
 
-use serde::Value;
+use multiem_ann::{AnnIndex, StateField};
+use serde::{Serialize, Value};
 use std::io::{self, Read, Write};
 
 /// Error while decoding the binary value format.
@@ -130,8 +131,7 @@ pub fn write_value(out: &mut Vec<u8>, value: &Value) {
             out.extend_from_slice(s.as_bytes());
         }
         Value::Seq(items) => {
-            out.push(TAG_SEQ);
-            write_varint(out, items.len() as u64);
+            write_seq_header(out, items.len());
             for item in items {
                 write_value(out, item);
             }
@@ -144,6 +144,11 @@ pub fn write_value(out: &mut Vec<u8>, value: &Value) {
             }
         }
     }
+}
+
+fn write_seq_header(out: &mut Vec<u8>, items: usize) {
+    out.push(TAG_SEQ);
+    write_varint(out, items as u64);
 }
 
 fn write_map_header(out: &mut Vec<u8>, entries: usize) {
@@ -162,13 +167,20 @@ pub(crate) enum Field<'a> {
     Value(&'a dyn serde::Serialize),
     /// A field that is itself a struct, written entry by entry.
     Struct(&'a [(&'a str, Field<'a>)]),
+    /// A map field, which serializes as a sequence of `[key, value]` pairs,
+    /// written one pair's tree at a time.
+    Pairs(Vec<(&'a dyn serde::Serialize, &'a dyn serde::Serialize)>),
+    /// An index as its value tree gives it, its vectors written one
+    /// coordinate at a time ([`AnnIndex::state_fields`]).
+    Index(&'a AnnIndex),
 }
 
 /// Append the binary encoding of the map `fields` serialize to — the bytes
 /// [`write_value`] gives for `Value::Map` of their value trees — building one
-/// field's tree at a time. A tree costs 32 bytes per number, eight times the
-/// `f32` it came from, so for a struct whose fields are large float arrays
-/// this caps the transient at the largest field instead of their sum.
+/// field's tree at a time (one pair's for [`Field::Pairs`], none for an
+/// index's vectors). A tree costs 32 bytes per number, eight times the `f32`
+/// it came from, so for a struct whose fields are large float arrays this
+/// caps the transient at the largest field instead of their sum.
 pub(crate) fn write_fields(out: &mut Vec<u8>, fields: &[(&str, Field<'_>)]) {
     write_map_header(out, fields.len());
     for (key, field) in fields {
@@ -176,6 +188,30 @@ pub(crate) fn write_fields(out: &mut Vec<u8>, fields: &[(&str, Field<'_>)]) {
         match field {
             Field::Value(value) => write_value(out, &value.to_value()),
             Field::Struct(inner) => write_fields(out, inner),
+            Field::Pairs(pairs) => {
+                write_seq_header(out, pairs.len());
+                for (key, value) in pairs {
+                    write_value(out, &Value::Seq(vec![key.to_value(), value.to_value()]));
+                }
+            }
+            Field::Index(index) => {
+                let (variant, fields) = index.state_fields();
+                write_map_header(out, 1);
+                write_key(out, variant);
+                write_map_header(out, fields.len());
+                for (key, field) in fields {
+                    write_key(out, key);
+                    match field {
+                        StateField::Value(value) => write_value(out, &value.to_value()),
+                        StateField::Floats(xs) => {
+                            write_seq_header(out, xs.len());
+                            for x in xs {
+                                write_value(out, &x.to_value());
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -12,12 +12,14 @@ use multiem_embed::HashedLexicalEncoder;
 use multiem_online::StorageConfig;
 use multiem_serve::obs::Level;
 use multiem_serve::{FsyncPolicy, MatchServer, ServeConfig};
+use serde::Value;
 use std::io::Write;
 use std::path::PathBuf;
 
 fn main() {
     let mut config = ServeConfig::default();
     let mut addr = "127.0.0.1:7878".to_string();
+    let mut io_threads_given = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -29,7 +31,11 @@ fn main() {
             "--addr" => addr = value("--addr"),
             "--shards" => config.shards = parse(&value("--shards"), "--shards"),
             "--workers" => config.workers = parse(&value("--workers"), "--workers"),
-            "--io-threads" => config.io_threads = parse(&value("--io-threads"), "--io-threads"),
+            // Accepted and ignored: every connection has its own reader.
+            "--io-threads" => {
+                parse::<usize>(&value("--io-threads"), "--io-threads");
+                io_threads_given = true;
+            }
             "--data-dir" => config.data_dir = Some(PathBuf::from(value("--data-dir"))),
             "--attrs" => {
                 config.attributes = value("--attrs")
@@ -96,8 +102,8 @@ fn main() {
                      \x20 --addr HOST:PORT   bind address (default 127.0.0.1:7878)\n\
                      \x20 --shards N         store shards (default 4)\n\
                      \x20 --workers N        request-execution worker threads (default 4)\n\
-                     \x20 --io-threads N     I/O event loops, each multiplexing many\n\
-                     \x20                    nonblocking connections (default 2)\n\
+                     \x20 --io-threads N     ignored (each connection has its own\n\
+                     \x20                    reader thread); logs a warning\n\
                      \x20 --data-dir PATH    enable WAL + checkpoints under PATH\n\
                      \x20 --attrs a,b,c      schema attribute names (default `title`)\n\
                      \x20 --m FLOAT          merge distance threshold (default 0.35)\n\
@@ -142,6 +148,18 @@ fn main() {
         Ok(server) => server,
         Err(e) => fail(&format!("startup failed: {e}")),
     };
+    if io_threads_given {
+        server.logger().warn(
+            "flag_ignored",
+            &[
+                ("flag", Value::Str("--io-threads".into())),
+                (
+                    "reason",
+                    Value::Str("each connection has its own reader thread".into()),
+                ),
+            ],
+        );
+    }
     // A supervisor may read the first line and close the pipe: what it no
     // longer reads must not panic the server, so stdout errors are ignored
     // here and at exit.

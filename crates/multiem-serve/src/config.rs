@@ -54,12 +54,9 @@ pub(crate) fn backend_name(storage: &StorageConfig) -> &'static str {
 pub struct ServeConfig {
     /// Number of hash-partitioned store shards.
     pub shards: usize,
-    /// Worker threads executing parsed requests (the compute pool — no
-    /// longer tied to connection count).
+    /// Worker threads executing parsed requests (the compute pool — not
+    /// tied to connection count: each connection has its own reader).
     pub workers: usize,
-    /// I/O event-loop threads, each multiplexing many nonblocking
-    /// connections (the reactor).
-    pub io_threads: usize,
     /// Attribute names of the served schema (positional).
     pub attributes: Vec<String>,
     /// Store configuration shared by every shard. The selection strategy
@@ -101,7 +98,6 @@ impl Default for ServeConfig {
         Self {
             shards: 4,
             workers: 4,
-            io_threads: 2,
             attributes: vec!["title".to_string()],
             online,
             data_dir: None,

@@ -6,13 +6,16 @@
 //! reverse proxy in any real deployment, exactly like the related VectorDB
 //! repo's thin request layer.
 //!
-//! The server side is built for the event-driven reactor in [`crate::net`]:
+//! The server side is built for the front end in [`crate::net`]:
 //! [`RequestParser`] consumes bytes **incrementally** — a header split
 //! across reads, a body trickling in one byte at a time, or several
-//! pipelined requests arriving in one read all parse correctly — so the
-//! I/O layer never blocks a thread waiting for the rest of a request. The
-//! blocking client side ([`HttpClient`], [`read_response`]) is what tests,
-//! the benchmark and the example client speak.
+//! pipelined requests arriving in one read all parse correctly — so a
+//! connection's reader thread parses whatever each `read` returns and takes
+//! out every complete request. The reader does block waiting for the rest
+//! of a request, but it is that connection's own thread: no worker and no
+//! other connection waits with it. The blocking client side
+//! ([`HttpClient`], [`read_response`]) is what tests, the benchmark and the
+//! example client speak.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -83,7 +86,7 @@ impl RequestParser {
     }
 
     /// Whether the parser holds the start of a not-yet-complete request
-    /// (used by the reactor's mid-request timeout).
+    /// (after [`RequestParser::try_next`] has taken every complete one).
     pub fn has_partial(&self) -> bool {
         !self.buf.is_empty()
     }
@@ -217,8 +220,8 @@ pub fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
-/// Serialize one JSON response to its on-wire bytes (the reactor's write
-/// path queues these on the connection's output buffer).
+/// Serialize one JSON response to its on-wire bytes (the front end queues
+/// these on the connection's output, in request order).
 pub fn render_response(
     status: u16,
     reason: &str,

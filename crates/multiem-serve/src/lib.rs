@@ -37,12 +37,13 @@
 //!   `GET /healthz`, `GET /readyz`, `GET /metrics` and the `GET /debug/*`
 //!   introspection surface (`window`, `top`, `slow`, `storage`) — the rows
 //!   of one route table ([`MatchServer::routes`] lists them) — fronted by
-//!   the event-driven [`Reactor`] in [`net`]: an acceptor plus a few I/O
-//!   event loops multiplex *many* nonblocking keep-alive connections
-//!   (incremental request parsing, buffered writeback), and only fully
-//!   parsed requests occupy the fixed-size worker thread pool — so
-//!   connection count and worker count scale independently, and graceful
-//!   shutdown drains in-flight requests and flushes WALs before exit;
+//!   the [`Reactor`] in [`net`]: an acceptor hands each keep-alive
+//!   connection to a reader thread blocked in `read`, so a request is parsed
+//!   as soon as its bytes arrive (incremental parsing, pipelining, responses
+//!   written by whichever thread completes them), and only fully parsed
+//!   requests occupy the fixed-size worker thread pool — so connection count
+//!   and worker count scale independently, and graceful shutdown drains
+//!   in-flight requests and flushes WALs before exit;
 //! * observability ([`obs`]) — a dependency-free metrics registry behind
 //!   `GET /metrics` (Prometheus text exposition; counters, gauges and
 //!   lock-free log-linear latency histograms), per-request span traces
@@ -57,7 +58,7 @@
 //!   heavy-hitter sketches over ingest sources / shards / matched entities,
 //!   and a ring of slowest-request exemplars, served lock-free from
 //!   `GET /debug/window`, `/debug/top`, `/debug/slow` and `/debug/storage`
-//!   on the I/O fast path (rendered live by the `obstop` terminal
+//!   inline on the connection's reader (rendered live by the `obstop` terminal
 //!   dashboard), with `GET /readyz` degrading to `503` on ingest backlog or
 //!   windowed fsync-latency thresholds.
 //!

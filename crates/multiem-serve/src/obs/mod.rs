@@ -225,9 +225,9 @@ pub struct ServeMetrics {
     pub batch_flush_full: Arc<Counter>,
     /// Match batches flushed because `--batch-window-us` expired first.
     pub batch_flush_window: Arc<Counter>,
-    /// Connections the acceptor handed to the event loops.
+    /// Connections the acceptor handed to a reader thread.
     pub connections_accepted: Arc<Counter>,
-    /// Connections the event loops closed.
+    /// Connections closed (each by its reader, on its way out).
     pub connections_closed: Arc<Counter>,
     /// End-to-end request latency histograms, one per endpoint.
     request_duration: Vec<Arc<Histogram>>,
@@ -449,13 +449,13 @@ impl ServeMetrics {
     }
 }
 
-/// The counter pair the reactor's I/O threads record into (cheap `Clone` of
+/// The counter pair the connection front end records into (cheap `Clone` of
 /// two `Arc`s, handed to [`crate::net::Reactor::start`]).
 #[derive(Debug, Clone)]
 pub struct NetMetrics {
-    /// Connections adopted by an event loop.
+    /// Connections handed to a reader thread.
     pub accepted: Arc<Counter>,
-    /// Connections closed by an event loop.
+    /// Connections closed.
     pub closed: Arc<Counter>,
 }
 
@@ -623,7 +623,7 @@ impl Telemetry {
         }
     }
 
-    /// The reactor's counter pair.
+    /// The connection front end's counter pair.
     pub fn net_metrics(&self) -> NetMetrics {
         NetMetrics {
             accepted: Arc::clone(&self.metrics.connections_accepted),

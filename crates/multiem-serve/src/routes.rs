@@ -3,10 +3,10 @@
 //! Each row of [`Route::TABLE`] declares a method, a path (exact or
 //! prefix), the [`Endpoint`] its metrics are labelled by, and a handler
 //! whose type is its class — [`Handler::Inline`] rows are answered on the
-//! reactor's I/O thread and see nothing but the server state (no body, no
+//! connection's reader thread and see nothing but the server state (no body, no
 //! trace, and by the `lint:fast-path` rule no lock), [`Handler::Worker`]
 //! rows run on the worker pool. [`lookup`] is the only dispatcher: the
-//! reactor front end, the worker, the metrics label and the 404/405
+//! connection front end, the worker, the metrics label and the 404/405
 //! fallback all read the row it returns, so the table is scanned once per
 //! request; the `serve` start-up banner prints the rows themselves.
 //!
@@ -160,7 +160,7 @@ impl PathPattern {
     }
 }
 
-/// Answers on the I/O thread from the server state alone.
+/// Answers on the connection's reader thread from the server state alone.
 pub(crate) type Inline<E> = fn(&ServerState<E>) -> Response;
 
 /// What a worker row's handler is called with.
@@ -177,7 +177,7 @@ pub(crate) type Worker<E> = fn(Call<'_, E>) -> Result<Value, ApiError>;
 
 /// A row's handler, typed by where it runs.
 pub(crate) enum Handler<E: EmbeddingModel> {
-    /// Inline on the reactor's I/O thread: probes, the scrape and the
+    /// Inline on the connection's reader thread: probes, the scrape and the
     /// `/debug/*` surface stay green while every worker is busy or a
     /// checkpoint holds the store. Counted in `multiem_requests_total`, not
     /// in the duration histograms (those cover exactly the worker path).
@@ -381,7 +381,7 @@ mod tests {
         }
     }
 
-    /// Answer one request the way the reactor would (a worker job runs on
+    /// Answer one request the way the front end would (a worker job runs on
     /// the calling thread): `(status, body)`.
     fn call(state: &Arc<ServerState<Enc>>, method: &str, path: &str, body: &str) -> (u16, String) {
         let bytes = match state.dispatch(request(method, path, body)) {

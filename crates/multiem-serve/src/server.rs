@@ -2,12 +2,12 @@
 //!
 //! [`MatchServer`] glues the pieces together: a [`ShardedEntityStore`]
 //! behind per-shard `RwLock`s, a writer per shard (its ingest queue and, in
-//! durable mode, its WAL — `ingest.rs`, `checkpoint.rs`), and the event-driven
-//! [`Reactor`] front end — an acceptor plus `io_threads` event loops
-//! multiplexing nonblocking keep-alive connections, with fully parsed
-//! requests executed on the fixed-size [`rayon::ThreadPool`] worker pool.
-//! Connection count and worker count scale independently: idle connections
-//! cost buffers, not threads.
+//! durable mode, its WAL — `ingest.rs`, `checkpoint.rs`), and the
+//! [`Reactor`] front end — an acceptor plus one blocking reader thread per
+//! keep-alive connection, with fully parsed requests executed on the
+//! fixed-size [`rayon::ThreadPool`] worker pool. Connection count and worker
+//! count scale independently: an idle connection costs its reader's stack
+//! and read buffer, and no worker and no CPU.
 //!
 //! The endpoints are the rows of the route table in `routes.rs`; the
 //! comment above each row documents the route.
@@ -18,7 +18,7 @@ use crate::http::Request;
 use crate::ingest::ShardWriter;
 use crate::matching::MatchBatcher;
 use crate::net::{Reactor, Routed};
-use crate::obs::{elapsed_ns, Stage, Telemetry, BUILD_VERSION};
+use crate::obs::{elapsed_ns, Logger, Stage, Telemetry, BUILD_VERSION};
 use crate::routes::{lookup, obj, ApiError, Call, Handler, Route};
 use crate::shard::ShardedEntityStore;
 use multiem_embed::EmbeddingModel;
@@ -54,7 +54,7 @@ pub(crate) struct ServerState<E: EmbeddingModel> {
     /// sampled traces). Recording is atomics; scraping takes only the
     /// registry's own mutex.
     pub telemetry: Telemetry,
-    /// Set to begin a graceful shutdown (shared with the reactor and the
+    /// Set to begin a graceful shutdown (shared with the front end and the
     /// `POST /admin/shutdown` route).
     pub shutdown: Arc<AtomicBool>,
     /// Bound address (the shutdown route self-connects to unblock the
@@ -62,8 +62,8 @@ pub(crate) struct ServerState<E: EmbeddingModel> {
     pub addr: SocketAddr,
 }
 
-/// The serving layer: a sharded store, a WAL, and an event-driven HTTP
-/// front end ([`crate::net`]).
+/// The serving layer: a sharded store, a WAL, and an HTTP front end with a
+/// reader thread per connection ([`crate::net`]).
 pub struct MatchServer<E: EmbeddingModel> {
     pub(crate) state: Arc<ServerState<E>>,
     listener: TcpListener,
@@ -95,8 +95,8 @@ impl ServerHandle {
 
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop (the event loops notice the flag at
-        // their next poll tick).
+        // Unblock the accept loop, which then shuts every connection's read
+        // half so the readers drain.
         let _ = TcpStream::connect(self.addr);
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
@@ -184,6 +184,11 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
         self.listener.local_addr()
     }
 
+    /// The structured logger (what `--log-file` / `--log-level` configured).
+    pub fn logger(&self) -> &Logger {
+        &self.state.telemetry.logger
+    }
+
     /// Every route the server answers, as `METHOD /path`: the route table's
     /// rows, so none can go missing.
     pub fn routes() -> Vec<String> {
@@ -192,7 +197,7 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
 
     /// The three lines `serve` prints at start-up: the bound address, the
     /// counts the server *runs* with — the store clamps a shard count and a
-    /// restored checkpoint pins its own, and both thread pools hold at least
+    /// restored checkpoint pins its own, and the worker pool holds at least
     /// one thread — and every route.
     pub fn banner(&self) -> String {
         let state = &self.state;
@@ -202,11 +207,11 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
         };
         format!(
             "multiem-serve listening on http://{}\n  \
-             {} shard(s), {} worker(s), {} I/O event loop(s), durability: {durability}\n  {}",
+             {} shard(s), {} worker(s), a reader thread per connection, \
+             durability: {durability}\n  {}",
             state.addr,
             state.store.num_shards(),
             state.config.workers.max(1),
-            state.config.io_threads.max(1),
             Self::routes().join("  ")
         )
     }
@@ -230,7 +235,6 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
         let front = Arc::clone(&state);
         let reactor = Reactor::start(
             self.listener,
-            state.config.io_threads,
             Arc::clone(&self.pool),
             Arc::new(move |request| front.dispatch(request)),
             Arc::clone(&state.shutdown),
@@ -270,10 +274,11 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
 }
 
 impl<E: EmbeddingModel + 'static> ServerState<E> {
-    /// The reactor's front end, called once per parsed request on its I/O
-    /// thread — the one route [`lookup`] of the request's life. An inline
-    /// row is answered here; a worker row (the 404/405 fallbacks included)
-    /// becomes a job that carries the row it matched.
+    /// The front end's handler, called once per parsed request on its
+    /// connection's reader thread — the one route [`lookup`] of the
+    /// request's life. An inline row is answered here; a worker row (the
+    /// 404/405 fallbacks included) becomes a job that carries the row it
+    /// matched.
     pub(crate) fn dispatch(self: &Arc<Self>, request: Request) -> Routed {
         let route = lookup::<E>(&request.method, &request.path);
         match route.handler {
@@ -295,7 +300,7 @@ impl<E: EmbeddingModel + 'static> ServerState<E> {
     }
 
     /// Answer `request` through `route` on the calling (worker) thread,
-    /// traced: `dispatched` is when the I/O loop handed it over, so the gap
+    /// traced: `dispatched` is when the reader handed it over, so the gap
     /// to now is the trace's `queue_wait` span.
     pub(crate) fn execute(
         &self,
@@ -329,7 +334,7 @@ impl<E: EmbeddingModel + 'static> ServerState<E> {
     }
 }
 
-/// `POST /admin/shutdown`: begin the graceful drain. The reactor stops
+/// `POST /admin/shutdown`: begin the graceful drain. The front end stops
 /// parsing new requests, finishes in-flight ones (this response included),
 /// then `run` flushes the WALs and returns cleanly. The self-connect
 /// unblocks the acceptor thread.

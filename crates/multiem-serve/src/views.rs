@@ -1,5 +1,5 @@
-//! lint:fast-path — every function in this file answers inline on the
-//! reactor's I/O threads and must stay lock-free.
+//! lint:fast-path — every function in this file answers inline on a
+//! connection's reader thread and must stay lock-free.
 //!
 //! The read-only surface: one [`ServerView`] gathered in a single
 //! nonblocking pass, and the routes that render it (or the analytics

@@ -1,8 +1,9 @@
 //! End-to-end tests of the serving layer: loopback HTTP, kill-and-restart
 //! WAL durability (memory and disk record storage), delta checkpoints,
-//! ingest backpressure, multi-threaded ingestion, and the event-driven
-//! multiplexer (slow clients, idle keep-alive fleets larger than the worker
-//! pool, malformed requests, graceful shutdown, segment GC).
+//! ingest backpressure, multi-threaded ingestion, and the connection front
+//! end (slow clients, idle keep-alive fleets larger than the worker pool,
+//! peers that stop reading, reader threads that end with their connections,
+//! malformed requests, graceful shutdown, segment GC).
 
 use multiem_embed::HashedLexicalEncoder;
 use multiem_serve::http::{read_response, HttpClient};
@@ -1414,9 +1415,9 @@ fn body_trickled_byte_by_byte_parses_fine() {
 #[test]
 fn slow_client_does_not_block_other_connections() {
     // One worker: under the old thread-per-connection front end, a client
-    // holding the worker mid-request starved everyone else. The reactor
-    // parses incrementally on an I/O thread, so the slow sender costs no
-    // worker until its request completes.
+    // holding the worker mid-request starved everyone else. Its own reader
+    // thread parses incrementally, so the slow sender costs no worker until
+    // its request completes.
     let (handle, addr) = spawn_server(ServeConfig {
         workers: 1,
         ..ServeConfig::default()
@@ -1463,11 +1464,10 @@ fn slow_client_does_not_block_other_connections() {
 fn idle_keepalive_connections_far_beyond_workers_all_serve() {
     // 2 workers, 32 keep-alive connections: the old front end pinned one
     // worker per connection, so connections 3..32 would starve forever.
-    // With the multiplexer, idle connections cost buffers only.
+    // Idle connections cost their reader threads, never a worker.
     const CONNECTIONS: usize = 32;
     let (handle, addr) = spawn_server(ServeConfig {
         workers: 2,
-        io_threads: 2,
         ..ServeConfig::default()
     });
 
@@ -2405,7 +2405,7 @@ fn pipelined_requests_trickled_across_buffers_answer_in_order() {
 fn pipelined_slow_and_fast_requests_return_in_request_order() {
     // Batching on: a /match parks in the coalescing queue for up to a full
     // window while /healthz answers on the fast path in microseconds. If the
-    // reactor wrote responses as they completed, the healthz bytes would
+    // front end wrote responses as they completed, the healthz bytes would
     // overtake the match bytes and corrupt the pipeline; per-connection
     // ordering must hold them back.
     let (handle, addr) = spawn_server(ServeConfig {
@@ -2563,4 +2563,189 @@ fn malformed_request_mid_pipeline_flushes_earlier_responses_then_closes() {
         "the request after the garbage must never execute"
     );
     handle.shutdown();
+}
+
+/// `POST /records/delete` requests answered so far, read from `/metrics`
+/// (an inline route, so it answers with every worker busy).
+fn deletes_answered(client: &mut HttpClient) -> f64 {
+    let prefix = "multiem_requests_total{endpoint=\"records_delete\",status=\"2xx\"}";
+    let metrics = get_metrics(client);
+    let found = metrics.lines().any(|line| line.starts_with(prefix));
+    if found {
+        sample(&metrics, prefix)
+    } else {
+        0.0
+    }
+}
+
+#[test]
+fn a_peer_that_stops_reading_stalls_no_worker_and_still_gets_every_response() {
+    // One worker, and connection A pipelines 32 deletes of 100,000 unknown
+    // ids each without reading: ~19 MB of responses, more than the loopback
+    // socket buffers hold. A completer that blocked writing to A would hold
+    // the only worker, and nobody else would be answered.
+    const REQUESTS: usize = 32;
+    const IDS: usize = 100_000;
+    let (handle, addr) = spawn_server(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    // Request i carries IDS + i ids, so its response says which it is.
+    let request = |i: usize| {
+        let ids: Vec<String> = (0..IDS + i).map(|row| format!("[0,7,{row}]")).collect();
+        let body = format!("{{\"ids\":[{}]}}", ids.join(","));
+        format!(
+            "POST /records/delete HTTP/1.1\r\nHost: a\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    };
+    let wire: Vec<String> = (0..REQUESTS).map(request).collect();
+
+    let a = TcpStream::connect(&addr).unwrap();
+    a.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut a_out = a.try_clone().unwrap();
+    let writer = std::thread::spawn(move || -> std::io::Result<()> {
+        for request in &wire {
+            a_out.write_all(request.as_bytes())?;
+        }
+        a_out.flush()
+    });
+
+    // A stalls: every delete is answered by the worker, but A reads none.
+    let mut b = HttpClient::connect(&addr).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while deletes_answered(&mut b) < REQUESTS as f64 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the worker stalled on a peer that does not read ({} of {REQUESTS} answered)",
+            deletes_answered(&mut b)
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let started = std::time::Instant::now();
+    match_title(&mut b, "golden heart river");
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "a second client waited {:?} behind a peer that does not read",
+        started.elapsed()
+    );
+
+    // A reads now: every response arrives, in request order.
+    let mut reader = BufReader::new(&a);
+    for i in 0..REQUESTS {
+        let (status, _, body) = read_response(&mut reader).unwrap();
+        assert_eq!(status, 200, "response {i}");
+        let head = format!("{{\"deleted\":0,\"missing\":{},", IDS + i);
+        assert!(body.starts_with(&head), "response {i} out of order");
+    }
+    writer
+        .join()
+        .expect("writer thread")
+        .expect("A's requests all sent");
+    handle.shutdown();
+}
+
+/// A child process killed (and reaped) when dropped, so a failing test
+/// leaves no server behind.
+struct Reaped(std::process::Child);
+
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// `Threads:` of process `pid`, from `/proc/<pid>/status`.
+fn thread_count(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).unwrap();
+    let line = status.lines().find(|l| l.starts_with("Threads:")).unwrap();
+    line["Threads:".len()..].trim().parse().unwrap()
+}
+
+#[test]
+fn no_reader_thread_outlives_its_connection() {
+    use std::io::{BufRead, Read};
+    use std::process::{Command, Stdio};
+
+    let mut child = Reaped(
+        Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(["--addr", "127.0.0.1:0", "--io-threads", "1"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("serve starts"),
+    );
+    let mut stdout = BufReader::new(child.0.stdout.take().expect("stdout was piped"));
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).unwrap();
+    let addr = banner
+        .trim()
+        .strip_prefix("multiem-serve listening on http://")
+        .unwrap_or_else(|| panic!("unexpected first banner line: {banner}"))
+        .to_string();
+    let pid = child.0.id();
+    // Served once, so the acceptor and the flusher are up; this connection
+    // stays open, and its reader is part of the baseline.
+    let mut client = HttpClient::connect(&addr).unwrap();
+    let (status, _) = client.request("GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200);
+    let before = thread_count(pid);
+
+    // 200 connections, all open at once, each served once: a third close
+    // with `Connection: close`, the rest by EOF, and one hits a 400
+    // mid-pipeline.
+    let mut open = Vec::new();
+    for i in 0..200 {
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let close = if i % 3 == 0 {
+            "Connection: close\r\n"
+        } else {
+            ""
+        };
+        let mut wire = format!("GET /healthz HTTP/1.1\r\nHost: t\r\n{close}\r\n");
+        if i == 100 {
+            wire.push_str("NOT-HTTP\r\n\r\n");
+        }
+        stream.write_all(wire.as_bytes()).unwrap();
+        let mut reader = BufReader::new(stream);
+        let (status, _, _) = read_response(&mut reader).unwrap();
+        assert_eq!(status, 200, "connection {i}");
+        if i == 100 {
+            let (status, _, _) = read_response(&mut reader).unwrap();
+            assert_eq!(status, 400, "the garbage earns a 400");
+        }
+        if i % 3 == 0 || i == 100 {
+            let mut rest = Vec::new();
+            reader.read_to_end(&mut rest).unwrap();
+            assert!(
+                rest.is_empty(),
+                "connection {i} must be closed by the server"
+            );
+        }
+        open.push(reader);
+    }
+    assert!(
+        thread_count(pid) > before,
+        "the open connections have reader threads"
+    );
+    drop(open);
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while thread_count(pid) > before {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{} threads outlive their connections ({before} before any)",
+            thread_count(pid) - before
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let (status, body) = client.request("POST", "/admin/shutdown", None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let exit = child.0.wait().unwrap();
+    assert_eq!(exit.code(), Some(0), "serve must exit cleanly: {exit:?}");
 }
