@@ -6,10 +6,14 @@
 //! `node` — and derives the reverse maps from them: `cluster_of` (record →
 //! cluster, the look-up behind every read) and `node_root` (index node →
 //! cluster, the liveness map every search filters by), with `stale_nodes`
-//! counting the dead slots of the latter. Only the operations of this file
-//! write any of them, each keeping all of them in step; a snapshot carries
-//! the clusters and the index, and [`ClusterTable::reindex`] derives the
-//! rest on restore.
+//! counting the dead slots of the latter. One more piece of derived state
+//! rides on the index: `reverse`, the memo of the mutual check's reverse
+//! look-up per index node, valid for one version of the index and its
+//! liveness map (see [`ClusterTable::mutual`]). Only the operations of this
+//! file write any of them, each keeping all of them in step; a snapshot
+//! carries the clusters and the index, [`ClusterTable::reindex`] derives the
+//! maps on restore, and a restored or cloned table starts with an empty
+//! memo.
 //!
 //! A cluster id is one past the largest live id when the cluster is made. An
 //! id can therefore come back after its cluster is gone, which is sound
@@ -25,6 +29,7 @@ use multiem_ann::{AnnIndex, DynamicVectorIndex, VectorIndex};
 use multiem_embed::l2_normalize;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One cluster of the partition.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -64,6 +69,93 @@ fn add_into(sum: &mut [f32], x: &[f32]) {
     }
 }
 
+/// The memo of the mutual check's reverse look-up: per index node, the
+/// distances of its `k` nearest other live nodes, each row valid for the
+/// version of the index it was looked up in. Readers fill it under `&self`,
+/// hence the lock; a write to the index bumps the version, so invalidating
+/// every row is one increment and nothing is reallocated.
+#[derive(Debug)]
+struct ReverseMemo(Mutex<ReverseRows>);
+
+#[derive(Debug)]
+struct ReverseRows {
+    /// Version of the index and its liveness map; starts at 1.
+    version: u64,
+    /// Row width: the `k` the rows were looked up with.
+    k: usize,
+    /// `k` distances per node, `+∞`-padded.
+    dists: Vec<f32>,
+    /// The version each node's row was looked up in (0: never).
+    stamps: Vec<u64>,
+}
+
+impl Default for ReverseMemo {
+    fn default() -> Self {
+        Self(Mutex::new(ReverseRows {
+            version: 1,
+            k: 0,
+            dists: Vec::new(),
+            stamps: Vec::new(),
+        }))
+    }
+}
+
+/// A copy starts empty: its rows would be those of another table's index.
+impl Clone for ReverseMemo {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl ReverseMemo {
+    /// The rows. Every step of [`ReverseMemo::fill`] leaves `dists` covering
+    /// `stamps` and writes a row before its stamp, so a lock poisoned by a
+    /// holder's panic guards valid rows and is sound to keep using.
+    fn rows(&self) -> MutexGuard<'_, ReverseRows> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Every row is out of date: the index or its liveness map changed.
+    fn invalidate(&mut self) {
+        self.0
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .version += 1;
+    }
+
+    /// `f` of `node`'s row, if one was looked up for `k` in this version.
+    fn read<R>(&self, node: usize, k: usize, f: impl FnOnce(&[f32]) -> R) -> Option<R> {
+        let rows = self.rows();
+        (rows.k == k && rows.stamps.get(node) == Some(&rows.version))
+            .then(|| f(&rows.dists[node * k..(node + 1) * k]))
+    }
+
+    /// Keep `row`, looked up in this version, as `node`'s.
+    fn fill(&self, node: usize, row: &[f32]) {
+        let k = row.len();
+        let mut guard = self.rows();
+        let rows = &mut *guard;
+        if rows.k != k {
+            rows.k = k;
+            rows.stamps.clear();
+            rows.dists.clear();
+        }
+        if node >= rows.stamps.len() {
+            rows.dists.resize((node + 1) * k, f32::INFINITY);
+            rows.stamps.resize(node + 1, 0);
+        }
+        rows.dists[node * k..(node + 1) * k].copy_from_slice(row);
+        rows.stamps[node] = rows.version;
+    }
+
+    /// Heap bytes held.
+    fn bytes(&self) -> usize {
+        let rows = self.rows();
+        rows.dists.capacity() * std::mem::size_of::<f32>()
+            + rows.stamps.capacity() * std::mem::size_of::<u64>()
+    }
+}
+
 /// The partition of the store's records into clusters, and the index of the
 /// clusters' representatives. See the [module docs](self).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -84,6 +176,9 @@ pub(super) struct ClusterTable {
     /// Tombstones in `node_root`: what `rebuild_staleness` bounds.
     #[serde(skip)]
     stale_nodes: usize,
+    /// The mutual check's reverse look-ups in the current index version.
+    #[serde(skip)]
+    reverse: ReverseMemo,
 }
 
 impl ClusterTable {
@@ -96,6 +191,7 @@ impl ClusterTable {
             cluster_of: Vec::new(),
             node_root: Vec::new(),
             stale_nodes: 0,
+            reverse: ReverseMemo::default(),
         }
     }
 
@@ -156,6 +252,7 @@ impl ClusterTable {
         self.stale_nodes = node_root.iter().filter(|root| root.is_none()).count();
         self.cluster_of = cluster_of;
         self.node_root = node_root;
+        self.reverse.invalidate();
         Ok(())
     }
 
@@ -198,9 +295,10 @@ impl ClusterTable {
         }
     }
 
-    /// Approximate heap footprint of the representative index.
+    /// Approximate heap footprint of the representative index and the memo
+    /// of its reverse look-ups.
     pub(super) fn index_bytes(&self) -> usize {
-        self.index.approx_bytes()
+        self.index.approx_bytes() + self.reverse.bytes()
     }
 
     /// Search the representative index for every query at once, returning
@@ -235,18 +333,40 @@ impl ClusterTable {
     /// within the candidate's top-K? True when fewer than `k` other live
     /// representatives are closer to the candidate than the record is — the
     /// reverse direction of Eq. 1.
+    ///
+    /// The look-up behind it depends on the index and its liveness map
+    /// only, not on the record, so it runs once per candidate per index
+    /// version: its row of distances is kept in `reverse` until the next
+    /// write, and every check in between counts over the kept row. A kept
+    /// row is the one a fresh look-up would return, bit for bit, on either
+    /// backend.
     pub(super) fn mutual(&self, candidate: usize, dist: f32, k: usize) -> bool {
-        let cluster = &self.clusters[&candidate];
-        let Some(own_node) = cluster.node else {
+        let Some(node) = self.clusters[&candidate].node else {
             return false;
         };
-        let closer = self
-            .search_live(&[&cluster.centroid()], k, Some(own_node))
+        let closer = |row: &[f32]| row.iter().filter(|&&d| d < dist).count();
+        let count = self.reverse.read(node, k, closer).unwrap_or_else(|| {
+            let row = self.reverse_row(node, k);
+            self.reverse.fill(node, &row);
+            closer(&row)
+        });
+        count < k
+    }
+
+    /// The distances from `node` to its `k` nearest other live nodes,
+    /// closest first and padded with `+∞` to `k` (a padded slot is never
+    /// closer than anything). The query is the node's indexed row, which is
+    /// its cluster's centroid bit for bit ([`ClusterTable::check`] asserts
+    /// it).
+    fn reverse_row(&self, node: usize, k: usize) -> Vec<f32> {
+        let mut row: Vec<f32> = self
+            .search_live(&[self.index.vector(node)], k, Some(node))
             .into_iter()
             .flatten()
-            .filter(|&(_, d)| d < dist)
-            .count();
-        closer < k
+            .map(|(_, d)| d)
+            .collect();
+        row.resize(k, f32::INFINITY);
+        row
     }
 
     // --- writes -------------------------------------------------------------
@@ -256,6 +376,7 @@ impl ClusterTable {
     /// embedding — empty serialized text — never matches anything, like the
     /// batch merger skips it).
     fn register(&mut self, members: Vec<usize>, sum: Vec<f32>, dirty: bool) {
+        self.reverse.invalidate();
         let id = self.clusters.keys().next_back().map_or(0, |&id| id + 1);
         for &record in &members {
             if record >= self.cluster_of.len() {
@@ -281,6 +402,7 @@ impl ClusterTable {
     /// Remove a cluster this table named, tombstoning its node. The caller
     /// re-homes the members.
     fn take(&mut self, id: usize) -> Cluster {
+        self.reverse.invalidate();
         let cluster = self
             .clusters
             .remove(&id)
@@ -393,6 +515,7 @@ impl ClusterTable {
         self.node_root = node_root;
         self.stale_nodes = 0;
         self.rebuilds += 1;
+        self.reverse.invalidate();
     }
 }
 
@@ -420,8 +543,10 @@ impl ClusterTable {
     /// derived maps are exactly what [`ClusterTable::reindex`] derives from
     /// the clusters — each live record in one member list and `cluster_of`
     /// naming it, each indexed cluster's node mapping back to it, the
-    /// tombstone count equal to the dead `node_root` slots — and the index
-    /// holds one vector per `node_root` slot.
+    /// tombstone count equal to the dead `node_root` slots — the index
+    /// holds one vector per `node_root` slot, and an indexed cluster's
+    /// vector is its centroid, bit for bit (the mutual check's look-up
+    /// queries with the former in place of the latter).
     pub(super) fn check(&self, records: usize) {
         let mut derived = self.clone();
         derived
@@ -431,7 +556,71 @@ impl ClusterTable {
         assert_eq!(self.node_root, derived.node_root);
         assert_eq!(self.stale_nodes, derived.stale_nodes);
         assert_eq!(self.index.len(), self.node_root.len());
+        for (id, cluster) in self.iter() {
+            if let Some(node) = cluster.node {
+                assert_eq!(
+                    bits(self.index.vector(node)),
+                    bits(&cluster.centroid()),
+                    "cluster {id}'s index row is not its centroid"
+                );
+            }
+        }
     }
+
+    /// The mutual check's reverse look-up without the memo, as it ran before
+    /// there was one: from the candidate's centroid, afresh, `+∞`-padded to
+    /// `k`.
+    fn fresh_reverse_row(&self, cluster: &Cluster, k: usize) -> Option<Vec<f32>> {
+        let node = cluster.node?;
+        let mut row: Vec<f32> = self
+            .search_live(&[&cluster.centroid()], k, Some(node))
+            .into_iter()
+            .flatten()
+            .map(|(_, d)| d)
+            .collect();
+        row.resize(k, f32::INFINITY);
+        Some(row)
+    }
+
+    /// Assert that [`ClusterTable::mutual`] answers for every cluster as the
+    /// unmemoized check would, at `0`, `m`, `+∞`, NaN, and every distance
+    /// the memo held before the call or a fresh look-up returns, each with
+    /// its neighbours `next_up` / `next_down`. Leaves every indexed
+    /// cluster's row in the memo, equal to the fresh row bit for bit.
+    pub(super) fn check_mutual(&self, k: usize, m: f32) {
+        for (id, cluster) in self.iter() {
+            let Some(fresh) = self.fresh_reverse_row(cluster, k) else {
+                assert!(!self.mutual(id, 0.0, k), "an unindexed cluster");
+                continue;
+            };
+            let node = cluster.node.expect("an indexed cluster");
+            let kept = self.reverse.read(node, k, <[f32]>::to_vec);
+            let mut probes = vec![0.0, m, f32::INFINITY, f32::NAN];
+            for &d in kept.iter().flatten().chain(&fresh) {
+                probes.extend([d, d.next_up(), d.next_down()]);
+            }
+            for dist in probes {
+                let reference = fresh.iter().filter(|&&d| d < dist).count() < k;
+                assert_eq!(
+                    self.mutual(id, dist, k),
+                    reference,
+                    "cluster {id} at {dist}"
+                );
+            }
+            let kept = self.reverse.read(node, k, <[f32]>::to_vec);
+            assert_eq!(
+                kept.as_deref().map(bits),
+                Some(bits(&fresh)),
+                "cluster {id}"
+            );
+        }
+    }
+}
+
+/// The bit patterns of `xs`: equal exactly when `xs` are the same floats.
+#[cfg(test)]
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
 }
 
 #[cfg(test)]
@@ -653,6 +842,50 @@ mod tests {
         // ...unless 1 is gone: tombstones do not count.
         t.remove_member(1, &at(10.0));
         assert!(t.mutual(zero, d10 * 1.5, 1));
+    }
+
+    #[test]
+    fn the_memo_lives_for_one_index_version_and_one_table() {
+        let mut t = singletons(4);
+        let node = t.clusters[&t.cluster_of(0).unwrap()].node.unwrap();
+        let row = |t: &ClusterTable, k| t.reverse.read(node, k, <[f32]>::to_vec);
+        let bare = t.index_bytes();
+        assert_eq!(row(&t, 2), None);
+        t.check_mutual(2, 0.35);
+        // Records 1 and 2, at 10 and 20 degrees, are the closest others.
+        let hits = &t.search_live(&[&at(0.0)], 3, None)[0];
+        assert_eq!(row(&t, 2), Some(vec![hits[1].1, hits[2].1]));
+        assert!(t.index_bytes() > bare, "the memo's bytes count");
+        assert_eq!(
+            row(&t, 1),
+            None,
+            "a row is kept for the k it was looked up with"
+        );
+        assert_eq!(row(&t.clone(), 2), None, "a copy starts empty");
+
+        // A write to the index drops every row, however little it moves.
+        t.fuse(4, &at(180.0), &[]);
+        assert_eq!(row(&t, 2), None);
+        t.check_mutual(2, 0.35);
+        t.maybe_rebuild(&OnlineConfig {
+            rebuild_staleness: 0.0,
+            ..config()
+        });
+        assert_eq!(
+            t.stats().rebuilds,
+            0,
+            "no tombstones, no rebuild: the rows stand"
+        );
+        assert!(row(&t, 2).is_some());
+        t.remove_member(4, &at(180.0));
+        assert_eq!(row(&t, 2), None);
+        t.check_mutual(2, 0.35);
+        t.maybe_rebuild(&OnlineConfig {
+            rebuild_staleness: 0.0,
+            ..config()
+        });
+        assert_eq!(t.stats().rebuilds, 1);
+        assert_eq!(row(&t, 2), None, "a rebuild renumbers the nodes");
     }
 
     #[test]

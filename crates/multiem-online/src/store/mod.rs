@@ -38,6 +38,18 @@
 //! it on HNSW; the tombstone count decides when to rebuild, not how much to
 //! fetch.
 //!
+//! The mutual check's reverse look-up is memoized per index version. Its
+//! answer — the distances from a candidate's representative to the `k`
+//! nearest other live ones — depends on the index and the liveness map
+//! alone, not on the record being matched, and the helper is a pure function
+//! of those, the query, `k` and the excluded node. So the table keeps each
+//! candidate's row until the next write to either (every such write bumps
+//! one version number), and a kept row is the row a fresh look-up would
+//! return, bit for bit, on both backends: no match or insert decision
+//! changes. Between writes, a match whose candidates were checked before
+//! costs one search of the index instead of one plus one per candidate; a
+//! write drops every kept row.
+//!
 //! Density-based pruning (Algorithm 4) runs over clusters that changed since
 //! the last pass ("dirty" clusters) every `prune_interval` accepted records:
 //! outliers are split off into singleton clusters, mirroring what the batch
@@ -2022,6 +2034,103 @@ mod tests {
                 assert!(stats.rebuilds >= 2, "an upgrade and a staleness rebuild");
             }
             std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn the_memoized_mutual_check_answers_as_a_fresh_look_up_after_every_op() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        let ds = music_dataset(43);
+        let pool: Vec<Record> = ds
+            .tables()
+            .iter()
+            .flat_map(Table::records)
+            .cloned()
+            .collect();
+        let runs = [(false, 1), (false, 3), (true, 1), (true, 3)];
+        for (seed, (hnsw, k)) in (1u64..).zip(runs) {
+            let mut cfg = config();
+            cfg.base.k = k;
+            cfg.base.m = 0.5;
+            // Tight enough that pruning splits clusters.
+            cfg.base.epsilon = 0.4;
+            cfg.prune_interval = Some(8);
+            cfg.match_within_source = true;
+            if hnsw {
+                // Low enough that the run upgrades the backend part-way.
+                cfg.base.hnsw_threshold = 24;
+            } else {
+                cfg.base.index_backend = multiem_core::IndexBackend::BruteForce;
+            }
+            let encoder = || HashedLexicalEncoder::with_dim(64);
+            let mut s = EntityStore::new(cfg, encoder());
+            s.init_schema(ds.schema().clone()).unwrap();
+
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut ids: Vec<EntityId> = Vec::new();
+            let mut counts = [0usize; 6];
+            let mut was_brute = false;
+            for step in 0..160 {
+                let op = match rng.gen_range(0..100) {
+                    0..=49 => 0,
+                    50..=62 => 1,
+                    63..=77 => 2,
+                    78..=85 => 3,
+                    86..=93 => 4,
+                    _ => 5,
+                };
+                counts[op] += 1;
+                was_brute |= !s.state.clusters.is_hnsw();
+                match op {
+                    0 => ids.push(
+                        s.insert(pool[rng.gen_range(0..pool.len())].clone())
+                            .unwrap(),
+                    ),
+                    1 => {
+                        if !ids.is_empty() {
+                            s.delete_record(ids[rng.gen_range(0..ids.len())]).unwrap();
+                        }
+                    }
+                    2 => {
+                        // A burst of matches reads through the memo and
+                        // leaves nothing a snapshot carries behind.
+                        let before = s.snapshot_bytes().unwrap();
+                        let probes: Vec<Record> = (0..8)
+                            .map(|_| pool[rng.gen_range(0..pool.len())].clone())
+                            .collect();
+                        s.match_batch(&probes);
+                        assert_eq!(s.snapshot_bytes().unwrap(), before, "step {step}");
+                    }
+                    // Pruning, which splits clusters, then a rebuild if due.
+                    3 => s.refresh(),
+                    4 => {
+                        // A staleness rebuild with no write right before it.
+                        let mut eager = s.config().clone();
+                        eager.rebuild_staleness = 0.0;
+                        s.state.clusters.maybe_rebuild(&eager);
+                    }
+                    _ => {
+                        let bytes = s.snapshot_bytes().unwrap();
+                        s = EntityStore::restore_bytes(&bytes, encoder()).unwrap();
+                    }
+                }
+                // Also leaves every row in the memo, for the next op's
+                // writes to invalidate.
+                let table = &s.state.clusters;
+                table.check(s.state.records.len());
+                table.check_mutual(k, s.config().base.m);
+            }
+
+            assert!(counts.iter().all(|&c| c >= 5), "every op ran: {counts:?}");
+            let stats = s.stats();
+            assert!(stats.tuples > 5, "vacuous: {stats:?}");
+            assert!(
+                stats.pruned_outliers > 0 && stats.rebuilds >= 2,
+                "{stats:?}"
+            );
+            assert!(was_brute && s.state.clusters.is_hnsw() == hnsw);
         }
     }
 }
