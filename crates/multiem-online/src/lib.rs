@@ -20,9 +20,9 @@
 //!   record refer to?" queries without mutating the store;
 //! * density-based pruning (Algorithm 4) re-runs periodically over *dirty*
 //!   clusters only, splitting outliers off into singletons;
-//! * the partition has one owner, the store's cluster table: member lists,
-//!   centroid sums and index nodes are stated once, and the record → cluster
-//!   look-up every read uses is derived from them;
+//! * the partition has one owner, the store's cluster table: member lists
+//!   and index nodes are stated once, and the representatives and the
+//!   record → cluster look-up every read uses are derived from them;
 //! * [`EntityStore::snapshot_bytes`] / [`EntityStore::restore_bytes`] persist
 //!   and resurrect the full store state (embeddings, ANN index, cluster
 //!   partition) so a service can restart without re-ingesting, in the
@@ -36,8 +36,8 @@
 //!   resident memory stops growing linearly with ingest and snapshots carry
 //!   only the segment index (the delta) instead of every record;
 //! * [`EntityStore::delete_record`] erases a record end to end: it is
-//!   detached from its cluster (the representative is rebuilt from the
-//!   survivors), its payload is tombstoned in storage, and — for a store
+//!   detached from its cluster (whose survivors are pruned again), its
+//!   payload is tombstoned in storage, and — for a store
 //!   that spills — [`EntityStore::compact_storage`] rewrites segment files
 //!   whose live fraction fell below
 //!   [`DiskStorageConfig::compact_live_ratio`], so deleted records stop

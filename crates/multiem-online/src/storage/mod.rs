@@ -1,10 +1,10 @@
 //! Record/embedding storage for the online entity store.
 //!
 //! [`crate::EntityStore`] keeps the matching state (the cluster table:
-//! member lists, centroid sums, the representative ANN index) and hands
-//! every ingested record and its embedding to one [`RecordStorage`], which
-//! also owns the map between a record's `EntityId` and its place in the
-//! append order — the number the cluster table knows it by.
+//! member lists, the representative ANN index) and hands every ingested
+//! record and its embedding — the one copy the index rows derive from — to
+//! one [`RecordStorage`], which also owns the map between a record's
+//! `EntityId` and its place in the append order.
 //!
 //! There is one store. By default ([`crate::StorageConfig::Memory`]) it is a
 //! resident tail of `(record, embedding)` entries in append order,

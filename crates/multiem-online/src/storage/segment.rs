@@ -740,6 +740,20 @@ impl RecordStorage {
         self.read(id, |(_, embedding)| embedding.clone())
     }
 
+    /// The embeddings of the live records appended as `seqs`, in that order
+    /// and back to back, each copied from where it lies.
+    ///
+    /// # Panics
+    /// Panics when a sequence is deleted or was never appended.
+    pub(crate) fn embeddings(&self, seqs: &[usize]) -> Vec<f32> {
+        let mut out = Vec::with_capacity(seqs.len() * self.dim);
+        for &seq in seqs {
+            self.read(self.id_at(seq), |(_, x)| out.extend_from_slice(x))
+                .expect("a live sequence");
+        }
+        out
+    }
+
     /// Tombstone the record under `id`: `get` / `embedding` return `None`
     /// from now on, and the payload is freed (a tail entry) or marked dead
     /// pending [`RecordStorage::compact`] (a sealed frame). Row numbering

@@ -1,19 +1,20 @@
 //! The cluster table: the one owner of the store's partition.
 //!
 //! Every live record belongs to exactly one cluster, and every cluster with
-//! a non-zero embedding has one live node in the representative index. The
-//! table states each of those facts once — a cluster's member list and its
-//! `node` — and derives the reverse maps from them: `cluster_of` (record →
-//! cluster, the look-up behind every read) and `node_root` (index node →
-//! cluster, the liveness map every search filters by), with `stale_nodes`
-//! counting the dead slots of the latter. One more piece of derived state
-//! rides on the index: `reverse`, the memo of the mutual check's reverse
-//! look-up per index node, valid for one version of the index and its
-//! liveness map (see [`ClusterTable::mutual`]). Only the operations of this
-//! file write any of them, each keeping all of them in step; a snapshot
-//! carries the clusters and the index, [`ClusterTable::reindex`] derives the
-//! maps on restore, and a restored or cloned table starts with an empty
-//! memo.
+//! a non-zero representative has one live node in the representative index.
+//! A cluster is its members: the table states each of those facts once — a
+//! cluster's ascending member list and its `node` — and derives the rest
+//! from them: each node's row, the [`representative`] of the members'
+//! stored embeddings; `cluster_of` (record → cluster, the look-up behind
+//! every read); and `node_root` (index node → cluster, the liveness map
+//! every search filters by), with `stale_nodes` counting the dead slots of
+//! the latter. One more piece of derived state rides on the index:
+//! `reverse`, the memo of the mutual check's reverse look-up per index node,
+//! valid for one version of the index and its liveness map (see
+//! [`ClusterTable::mutual`]). Only the operations of this file write any of
+//! them, each keeping all of them in step; a snapshot carries the clusters
+//! and the index, [`ClusterTable::reindex`] derives the maps on restore, and
+//! a restored or cloned table starts with an empty memo.
 //!
 //! A cluster id is one past the largest live id when the cluster is made. An
 //! id can therefore come back after its cluster is gone, which is sound
@@ -24,8 +25,10 @@
 
 use super::StoreStats;
 use crate::config::OnlineConfig;
+use crate::storage::RecordStorage;
 use crate::wire::Field;
 use multiem_ann::{AnnIndex, DynamicVectorIndex, VectorIndex};
+use multiem_core::{prune_points, MultiEmConfig};
 use multiem_embed::l2_normalize;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -34,10 +37,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// One cluster of the partition.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(super) struct Cluster {
-    /// Dense record ids of the members.
+    /// Dense record ids of the members, ascending.
     members: Vec<usize>,
-    /// Running (unnormalised) sum of member embeddings.
-    sum: Vec<f32>,
     /// Live node in the representative index, if the cluster is indexed.
     node: Option<usize>,
     /// Whether the cluster changed since the last pruning pass.
@@ -45,28 +46,31 @@ pub(super) struct Cluster {
 }
 
 impl Cluster {
-    /// Dense record ids of the members.
+    /// Dense record ids of the members, ascending.
     pub(super) fn members(&self) -> &[usize] {
         &self.members
     }
-
-    /// The representative: the normalised mean of the member embeddings,
-    /// exactly the item embedding the batch merger maintains.
-    pub(super) fn centroid(&self) -> Vec<f32> {
-        let mut c = self.sum.clone();
-        let inv = 1.0 / self.members.len().max(1) as f32;
-        for x in c.iter_mut() {
-            *x *= inv;
-        }
-        l2_normalize(&mut c);
-        c
-    }
 }
 
-fn add_into(sum: &mut [f32], x: &[f32]) {
-    for (a, x) in sum.iter_mut().zip(x) {
-        *a += *x;
+/// The representative of a cluster whose members' stored embeddings are
+/// `points`, in ascending sequence order: their normalised mean, as the
+/// batch merger's item embedding. Summed in that order, it is a function of
+/// the member set alone.
+pub(super) fn representative(dim: usize, points: &[&[f32]]) -> Vec<f32> {
+    let mut sum = vec![0.0f32; dim];
+    for &point in points {
+        for (a, x) in sum.iter_mut().zip(point) {
+            *a += *x;
+        }
     }
+    l2_normalize(&mut sum);
+    sum
+}
+
+/// The `n` equal-width points `flat` holds back to back.
+fn as_points(flat: &[f32], n: usize) -> Vec<&[f32]> {
+    let dim = flat.len().checked_div(n).unwrap_or(0);
+    (0..n).map(|i| &flat[i * dim..(i + 1) * dim]).collect()
 }
 
 /// The memo of the mutual check's reverse look-up: per index node, the
@@ -200,18 +204,8 @@ impl ClusterTable {
     /// ([`crate::wire::write_fields`]).
     pub(super) fn fields(&self) -> [(&'static str, Field<'_>); 3] {
         [
-            // One cluster's tree at a time: the whole map's would hold every
-            // cluster's `sum` at 32 bytes a coordinate.
-            (
-                "clusters",
-                Field::Pairs(
-                    self.clusters
-                        .iter()
-                        .map(|(id, c)| (id as _, c as _))
-                        .collect(),
-                ),
-            ),
-            // Likewise, the index's coordinates one at a time.
+            ("clusters", Field::Value(&self.clusters)),
+            // The index's coordinates one at a time.
             ("index", Field::Index(&self.index)),
             ("rebuilds", Field::Value(&self.rebuilds)),
         ]
@@ -229,8 +223,8 @@ impl ClusterTable {
         let mut cluster_of = vec![None; records];
         let mut node_root = vec![None; self.index.len()];
         for (&id, cluster) in &self.clusters {
-            if cluster.members.is_empty() || cluster.sum.len() != self.index.dim() {
-                return Err(format!("cluster {id} is empty or of the wrong width"));
+            if cluster.members.is_empty() {
+                return Err(format!("cluster {id} is empty"));
             }
             for &record in &cluster.members {
                 match cluster_of.get_mut(record) {
@@ -241,6 +235,9 @@ impl ClusterTable {
                     Some(Some(_)) => return Err(format!("record {record} is in two clusters")),
                     None => return Err(format!("cluster {id} names unknown record {record}")),
                 }
+            }
+            if !cluster.members.is_sorted() {
+                return Err(format!("cluster {id} lists its members out of order"));
             }
             if let Some(node) = cluster.node {
                 match node_root.get_mut(node) {
@@ -355,9 +352,9 @@ impl ClusterTable {
 
     /// The distances from `node` to its `k` nearest other live nodes,
     /// closest first and padded with `+∞` to `k` (a padded slot is never
-    /// closer than anything). The query is the node's indexed row, which is
-    /// its cluster's centroid bit for bit ([`ClusterTable::check`] asserts
-    /// it).
+    /// closer than anything). The query is the node's indexed row: its
+    /// cluster's representative, bit for bit ([`ClusterTable::check`]
+    /// asserts it).
     fn reverse_row(&self, node: usize, k: usize) -> Vec<f32> {
         let mut row: Vec<f32> = self
             .search_live(&[self.index.vector(node)], k, Some(node))
@@ -371,11 +368,13 @@ impl ClusterTable {
 
     // --- writes -------------------------------------------------------------
 
-    /// The one place a cluster is made: `members` move in, and the
-    /// representative is indexed when the embedding is non-zero (a zero
-    /// embedding — empty serialized text — never matches anything, like the
-    /// batch merger skips it).
-    fn register(&mut self, members: Vec<usize>, sum: Vec<f32>, dirty: bool) {
+    /// The one place a cluster is made: `members` (ascending) move in, whose
+    /// stored embeddings are `points` in the same order, and their
+    /// [`representative`] is indexed when it is non-zero (a zero embedding
+    /// — empty serialized text — never matches anything, like the batch
+    /// merger skips it).
+    pub(super) fn register(&mut self, members: Vec<usize>, points: &[&[f32]], dirty: bool) {
+        debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
         self.reverse.invalidate();
         let id = self.clusters.keys().next_back().map_or(0, |&id| id + 1);
         for &record in &members {
@@ -384,18 +383,18 @@ impl ClusterTable {
             }
             self.cluster_of[record] = Some(id);
         }
-        let mut cluster = Cluster {
-            members,
-            sum,
-            node: None,
-            dirty,
-        };
-        if cluster.sum.iter().any(|&x| x != 0.0) {
-            let node = self.index.insert(&cluster.centroid());
+        let row = representative(self.index.dim(), points);
+        let node = row.iter().any(|&x| x != 0.0).then(|| {
+            let node = self.index.insert(&row);
             debug_assert_eq!(node, self.node_root.len());
             self.node_root.push(Some(id));
-            cluster.node = Some(node);
-        }
+            node
+        });
+        let cluster = Cluster {
+            members,
+            node,
+            dirty,
+        };
         self.clusters.insert(id, cluster);
     }
 
@@ -414,74 +413,81 @@ impl ClusterTable {
         cluster
     }
 
-    /// Add a clean cluster of `members` whose stored embeddings are
-    /// `points`, in the same order.
-    pub(super) fn add<'a>(
+    /// Fuse the new `record` — the newest sequence, embedding `embedding` —
+    /// with every cluster it matched (transitively: they all become one
+    /// cluster, due for pruning); with no match it starts a clean
+    /// singleton. The fused representative reads the stored embeddings of
+    /// the matched clusters' members.
+    pub(super) fn fuse(
         &mut self,
-        members: Vec<usize>,
-        points: impl IntoIterator<Item = &'a [f32]>,
+        record: usize,
+        embedding: &[f32],
+        matched: &[usize],
+        stored: &RecordStorage,
     ) {
-        let mut sum = vec![0.0f32; self.index.dim()];
-        for point in points {
-            add_into(&mut sum, point);
-        }
-        self.register(members, sum, false);
-    }
-
-    /// Fuse the new `record` with every cluster it matched (transitively:
-    /// they all become one cluster, due for pruning); with no match it
-    /// starts a clean singleton.
-    pub(super) fn fuse(&mut self, record: usize, embedding: &[f32], matched: &[usize]) {
-        let mut members = vec![record];
-        let mut sum = embedding.to_vec();
+        let mut members = Vec::new();
         for &id in matched {
-            let old = self.take(id);
-            members.extend_from_slice(&old.members);
-            add_into(&mut sum, &old.sum);
+            members.extend(self.take(id).members);
         }
-        self.register(members, sum, !matched.is_empty());
+        members.sort_unstable();
+        let flat = stored.embeddings(&members);
+        let mut points = as_points(&flat, members.len());
+        members.push(record);
+        points.push(embedding);
+        self.register(members, &points, !matched.is_empty());
     }
 
-    /// Split the members at the (ascending) positions `outliers` off a
-    /// cluster into singletons of their own; `points[i]` is the stored
-    /// embedding of member `i`. The rest stay together, their sum taken
-    /// afresh from `points`, and every cluster involved is clean.
-    pub(super) fn split(&mut self, id: usize, outliers: &[usize], points: &[Vec<f32>]) {
-        if outliers.is_empty() {
+    /// Density-based pruning (Algorithm 4) of a cluster this table named,
+    /// by its members' stored embeddings, leaving `without` (a member being
+    /// deleted) out: outliers split off into singletons and the rest stay
+    /// together, all clean; a cluster that loses no member is only marked
+    /// clean. With `base.pruning` off nothing is split, and a delete's
+    /// survivors stay as dirty as they were. Returns the number of outliers.
+    pub(super) fn prune(
+        &mut self,
+        id: usize,
+        without: Option<usize>,
+        stored: &RecordStorage,
+        base: &MultiEmConfig,
+    ) -> usize {
+        let mut members = self.clusters[&id].members.clone();
+        members.retain(|&record| Some(record) != without);
+        let flat = stored.embeddings(&members);
+        let points = as_points(&flat, members.len());
+        let (kept, outliers) = match base.pruning {
+            true => prune_points(&points, base),
+            false => ((0..members.len()).collect(), Vec::new()),
+        };
+        if outliers.is_empty() && without.is_none() {
             if let Some(cluster) = self.clusters.get_mut(&id) {
                 cluster.dirty = false;
             }
-            return;
+            return 0;
         }
-        let old = self.take(id);
-        let mut kept = Vec::with_capacity(old.members.len() - outliers.len());
-        for (i, &record) in old.members.iter().enumerate() {
-            if outliers.binary_search(&i).is_ok() {
-                self.add(vec![record], [points[i].as_slice()]);
-            } else {
-                kept.push(i);
-            }
+        let dirty = self.take(id).dirty && !base.pruning;
+        for &i in &outliers {
+            self.register(vec![members[i]], &[points[i]], false);
         }
         if !kept.is_empty() {
-            let members = kept.iter().map(|&i| old.members[i]).collect();
-            self.add(members, kept.iter().map(|&i| points[i].as_slice()));
+            let rest: Vec<&[f32]> = kept.iter().map(|&i| points[i]).collect();
+            self.register(kept.iter().map(|&i| members[i]).collect(), &rest, dirty);
         }
+        outliers.len()
     }
 
-    /// Take the deleted `record` (stored embedding `embedding`) out of its
-    /// cluster. The survivors keep matching under a representative
-    /// recomputed without it; a cluster left empty is gone.
-    pub(super) fn remove_member(&mut self, record: usize, embedding: &[f32]) {
-        let Some(id) = self.cluster_of.get_mut(record).and_then(Option::take) else {
-            return;
-        };
-        let mut old = self.take(id);
-        old.members.retain(|&r| r != record);
-        if !old.members.is_empty() {
-            for (a, x) in old.sum.iter_mut().zip(embedding) {
-                *a -= *x;
-            }
-            self.register(old.members, old.sum, old.dirty);
+    /// Take the deleted `record` out of its cluster and prune the survivors
+    /// now ([`ClusterTable::prune`]): pruning passes visit dirty clusters
+    /// only, and this one may be clean. A cluster left empty is gone.
+    /// Returns the number of outliers.
+    pub(super) fn remove_member(
+        &mut self,
+        record: usize,
+        stored: &RecordStorage,
+        base: &MultiEmConfig,
+    ) -> usize {
+        match self.cluster_of.get_mut(record).and_then(Option::take) {
+            Some(id) => self.prune(id, Some(record), stored, base),
+            None => 0,
         }
     }
 
@@ -489,7 +495,8 @@ impl ClusterTable {
     /// tombstones exceed `rebuild_staleness` of it, or when the live
     /// clusters have outgrown the brute-force backend
     /// ([`multiem_core::MultiEmConfig::wants_hnsw`]) — the backend policy the
-    /// batch merger applies per table.
+    /// batch merger applies per table. A cluster's row moves over as it is:
+    /// it already is the cluster's representative.
     pub(super) fn maybe_rebuild(&mut self, config: &OnlineConfig) {
         let total = self.node_root.len();
         if total == 0 {
@@ -504,8 +511,8 @@ impl ClusterTable {
         let mut index = config.base.index_for(live, self.index.dim());
         let mut node_root = Vec::with_capacity(live);
         for (&id, cluster) in self.clusters.iter_mut() {
-            if cluster.node.is_some() {
-                let node = index.insert(&cluster.centroid());
+            if let Some(old) = cluster.node {
+                let node = index.insert(self.index.vector(old));
                 debug_assert_eq!(node, node_root.len());
                 node_root.push(Some(id));
                 cluster.node = Some(node);
@@ -519,13 +526,15 @@ impl ClusterTable {
     }
 }
 
+/// The [`representative`] of `members` (ascending), read from storage.
+#[cfg(test)]
+pub(super) fn stored_representative(stored: &RecordStorage, members: &[usize]) -> Vec<f32> {
+    let flat = stored.embeddings(members);
+    representative(stored.dim(), &as_points(&flat, members.len()))
+}
+
 #[cfg(test)]
 impl Cluster {
-    /// Running (unnormalised) sum of member embeddings.
-    pub(super) fn sum(&self) -> &[f32] {
-        &self.sum
-    }
-
     /// Whether the cluster has a node in the representative index.
     pub(super) fn is_indexed(&self) -> bool {
         self.node.is_some()
@@ -539,61 +548,54 @@ impl ClusterTable {
         self.index.is_hnsw()
     }
 
-    /// Assert the table's invariants over a store of `records` records: the
+    /// Assert the table's invariants over the records `stored` holds: the
     /// derived maps are exactly what [`ClusterTable::reindex`] derives from
-    /// the clusters — each live record in one member list and `cluster_of`
-    /// naming it, each indexed cluster's node mapping back to it, the
-    /// tombstone count equal to the dead `node_root` slots — the index
-    /// holds one vector per `node_root` slot, and an indexed cluster's
-    /// vector is its centroid, bit for bit (the mutual check's look-up
-    /// queries with the former in place of the latter).
-    pub(super) fn check(&self, records: usize) {
+    /// the clusters — each live record in one member list, ascending, and
+    /// `cluster_of` naming it, each indexed cluster's node mapping back to
+    /// it, the tombstone count equal to the dead `node_root` slots — the
+    /// index holds one vector per `node_root` slot, and a cluster is indexed
+    /// exactly when the [`representative`] of its members' stored
+    /// embeddings is non-zero, under that representative, bit for bit (the
+    /// mutual check's look-up queries with the row).
+    pub(super) fn check(&self, stored: &RecordStorage) {
         let mut derived = self.clone();
         derived
-            .reindex(records, |record| self.cluster_of(record).is_some())
+            .reindex(stored.len(), |seq| stored.is_live(seq))
             .expect("a table the operations built");
         assert_eq!(self.cluster_of, derived.cluster_of);
         assert_eq!(self.node_root, derived.node_root);
         assert_eq!(self.stale_nodes, derived.stale_nodes);
         assert_eq!(self.index.len(), self.node_root.len());
         for (id, cluster) in self.iter() {
+            let want = stored_representative(stored, &cluster.members);
+            assert_eq!(
+                cluster.node.is_some(),
+                want.iter().any(|&x| x != 0.0),
+                "cluster {id}"
+            );
             if let Some(node) = cluster.node {
                 assert_eq!(
                     bits(self.index.vector(node)),
-                    bits(&cluster.centroid()),
-                    "cluster {id}'s index row is not its centroid"
+                    bits(&want),
+                    "cluster {id}'s index row is not its members' representative"
                 );
             }
         }
     }
 
-    /// The mutual check's reverse look-up without the memo, as it ran before
-    /// there was one: from the candidate's centroid, afresh, `+∞`-padded to
-    /// `k`.
-    fn fresh_reverse_row(&self, cluster: &Cluster, k: usize) -> Option<Vec<f32>> {
-        let node = cluster.node?;
-        let mut row: Vec<f32> = self
-            .search_live(&[&cluster.centroid()], k, Some(node))
-            .into_iter()
-            .flatten()
-            .map(|(_, d)| d)
-            .collect();
-        row.resize(k, f32::INFINITY);
-        Some(row)
-    }
-
     /// Assert that [`ClusterTable::mutual`] answers for every cluster as the
-    /// unmemoized check would, at `0`, `m`, `+∞`, NaN, and every distance
-    /// the memo held before the call or a fresh look-up returns, each with
-    /// its neighbours `next_up` / `next_down`. Leaves every indexed
-    /// cluster's row in the memo, equal to the fresh row bit for bit.
+    /// unmemoized check would — a fresh look-up from the cluster's row — at
+    /// `0`, `m`, `+∞`, NaN, and every distance the memo held before the call
+    /// or the fresh look-up returns, each with its neighbours `next_up` /
+    /// `next_down`. Leaves every indexed cluster's row in the memo, equal to
+    /// the fresh row bit for bit.
     pub(super) fn check_mutual(&self, k: usize, m: f32) {
         for (id, cluster) in self.iter() {
-            let Some(fresh) = self.fresh_reverse_row(cluster, k) else {
+            let Some(node) = cluster.node else {
                 assert!(!self.mutual(id, 0.0, k), "an unindexed cluster");
                 continue;
             };
-            let node = cluster.node.expect("an indexed cluster");
+            let fresh = self.reverse_row(node, k);
             let kept = self.reverse.read(node, k, <[f32]>::to_vec);
             let mut probes = vec![0.0, m, f32::INFINITY, f32::NAN];
             for &d in kept.iter().flatten().chain(&fresh) {
@@ -626,7 +628,9 @@ fn bits(xs: &[f32]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use multiem_core::MultiEmConfig;
+    use crate::config::StorageConfig;
+    use multiem_table::Record;
+    use std::ops::{Deref, DerefMut};
 
     /// Unit vector at `degrees` in the plane.
     fn at(degrees: f32) -> Vec<f32> {
@@ -638,12 +642,81 @@ mod tests {
         OnlineConfig::new(MultiEmConfig::default())
     }
 
-    fn table() -> ClusterTable {
-        ClusterTable::new(config().base.index_for(0, 2))
+    /// A table with the storage its members' embeddings live in, as the
+    /// store keeps them side by side: a record is appended to storage as
+    /// it is fused, and leaves storage after it leaves its cluster.
+    #[derive(Clone)]
+    struct Stored {
+        table: ClusterTable,
+        stored: RecordStorage,
+    }
+
+    impl Deref for Stored {
+        type Target = ClusterTable;
+        fn deref(&self) -> &ClusterTable {
+            &self.table
+        }
+    }
+
+    impl DerefMut for Stored {
+        fn deref_mut(&mut self) -> &mut ClusterTable {
+            &mut self.table
+        }
+    }
+
+    impl Stored {
+        /// Store the new `record` (the next sequence) and fuse it.
+        fn fuse(&mut self, record: usize, embedding: &[f32], matched: &[usize]) {
+            let id = self.stored.append(0, &Record::new(Vec::new()), embedding);
+            assert_eq!(self.stored.seq_of(id.unwrap()), Some(record));
+            self.table.fuse(record, embedding, matched, &self.stored);
+        }
+
+        /// Delete `record`, stored as `embedding`, if it is live; returns
+        /// the outliers its survivors lost.
+        fn remove_member(&mut self, record: usize, embedding: &[f32]) -> usize {
+            let live = record < self.stored.len() && self.stored.is_live(record);
+            if live {
+                let kept = self.stored.embedding(self.stored.id_at(record));
+                assert_eq!(kept.as_deref(), Some(embedding));
+            }
+            let pruned = self
+                .table
+                .remove_member(record, &self.stored, &config().base);
+            if live {
+                assert!(self.stored.delete(self.stored.id_at(record)).unwrap());
+            }
+            pruned
+        }
+
+        /// Algorithm 4 over cluster `id`.
+        fn prune(&mut self, id: usize) -> usize {
+            self.table.prune(id, None, &self.stored, &config().base)
+        }
+
+        /// [`ClusterTable::check`], after `records` appends.
+        fn check(&self, records: usize) {
+            assert_eq!(self.stored.len(), records);
+            self.table.check(&self.stored);
+        }
+
+        /// The index row of cluster `id`.
+        fn row(&self, id: usize) -> &[f32] {
+            self.index.vector(self.clusters[&id].node.unwrap())
+        }
+    }
+
+    fn table() -> Stored {
+        let mut stored = RecordStorage::new(&StorageConfig::Memory, 2).unwrap();
+        stored.open_source("points");
+        Stored {
+            table: ClusterTable::new(config().base.index_for(0, 2)),
+            stored,
+        }
     }
 
     /// Singletons `0..n`, record `i` at `10 * i` degrees.
-    fn singletons(n: usize) -> ClusterTable {
+    fn singletons(n: usize) -> Stored {
         let mut t = table();
         for record in 0..n {
             t.fuse(record, &at(10.0 * record as f32), &[]);
@@ -712,14 +785,16 @@ mod tests {
     }
 
     #[test]
-    fn sum_and_representative_follow_the_members() {
+    fn the_representative_is_the_mean_of_the_members() {
         let mut t = singletons(2);
         t.fuse(2, &at(40.0), &[t.cluster_of(0).unwrap()]);
-        let (_, fused) = t.iter().find(|(_, c)| c.members().len() == 2).unwrap();
-        assert_eq!(fused.sum(), [at(40.0)[0] + 1.0, at(40.0)[1]]);
-        // The representative is the unit vector half-way between the two.
-        let c = fused.centroid();
+        let id = t.cluster_of(2).unwrap();
+        assert_eq!(t.members(id), [0, 2], "members stay ascending");
+        // The representative is the unit vector half-way between the two,
+        // and it is the fused cluster's row.
+        let c = representative(2, &[at(0.0).as_slice(), &at(40.0)]);
         assert!((c[0] - at(20.0)[0]).abs() < 1e-6 && (c[1] - at(20.0)[1]).abs() < 1e-6);
+        assert_eq!(t.row(id), c);
         // It is what the index answers with, and the superseded singleton
         // of record 0 is passed over.
         let hits = &t.search_live(&[&at(20.0)], 3, None)[0];
@@ -730,48 +805,55 @@ mod tests {
     }
 
     #[test]
-    fn split_keeps_the_rest_together_when_the_first_member_goes() {
-        let mut t = singletons(1);
+    fn pruning_keeps_the_rest_together_when_the_first_member_goes() {
+        // ε = 1 is a chord of 60 degrees. Record 0, at 90, is more than that
+        // from 1 and 2 (10 and 20 degrees), which are within it of each other.
+        let mut t = table();
+        t.fuse(0, &at(90.0), &[]);
         t.fuse(1, &at(10.0), &[t.cluster_of(0).unwrap()]);
         t.fuse(2, &at(20.0), &[t.cluster_of(0).unwrap()]);
-        t.fuse(3, &at(90.0), &[]);
+        t.fuse(3, &at(-60.0), &[]);
         let id = t.cluster_of(0).unwrap();
-        // Members are in fuse order, newest first: [2, 1, 0].
-        assert_eq!(t.members(id), [2, 1, 0]);
-        let points = [at(20.0), at(10.0), at(0.0)];
-
-        // Nothing to split: the cluster is only marked clean.
-        t.split(id, &[], &points);
-        assert!(t.dirty().is_empty());
-        assert_eq!(t.cluster_of(0), Some(id));
-
-        t.split(id, &[0], &points);
-        t.check(4);
-        assert_eq!(groups(&t), [vec![0, 1], vec![2], vec![3]]);
-        assert!(together(&t, 0, 1) && !together(&t, 2, 1));
-        assert!(t.dirty().is_empty());
-        let (_, rest) = t.iter().find(|(_, c)| c.members().len() == 2).unwrap();
         assert_eq!(
-            rest.sum(),
-            [at(10.0)[0] + at(0.0)[0], at(10.0)[1] + at(0.0)[1]]
+            t.members(id),
+            [0, 1, 2],
+            "ascending, whatever the fuse order"
+        );
+        assert_eq!(t.dirty(), [id]);
+
+        assert_eq!(t.prune(id), 1);
+        t.check(4);
+        assert_eq!(groups(&t), [vec![0], vec![1, 2], vec![3]]);
+        assert!(together(&t, 1, 2) && !together(&t, 0, 1));
+        assert!(t.dirty().is_empty());
+        let rest = t.cluster_of(1).unwrap();
+        assert_eq!(
+            t.row(rest),
+            representative(2, &[at(10.0).as_slice(), &at(20.0)])
         );
 
-        // A record split off can join clusters again.
+        // Nothing to split: the cluster is only marked clean, its node kept.
+        t.fuse(4, &at(15.0), &[rest]);
+        let id = t.cluster_of(4).unwrap();
+        let node = t.clusters[&id].node;
+        assert_eq!(t.dirty(), [id]);
+        assert_eq!(t.prune(id), 0);
+        assert!(t.dirty().is_empty());
+        assert_eq!(t.clusters[&id].node, node);
+
+        // A record split off can join clusters again, and splitting every
+        // member off leaves singletons only: 90, -60 and 170 degrees are
+        // pairwise more than 60 apart.
         t.fuse(
-            4,
-            &at(25.0),
-            &[t.cluster_of(2).unwrap(), t.cluster_of(3).unwrap()],
+            5,
+            &at(170.0),
+            &[t.cluster_of(0).unwrap(), t.cluster_of(3).unwrap()],
         );
-        t.check(5);
-        assert_eq!(groups(&t), [vec![0, 1], vec![2, 3, 4]]);
-
-        // Splitting every member off leaves singletons only.
-        let id = t.cluster_of(0).unwrap();
-        let points = [at(10.0), at(0.0)];
-        assert_eq!(t.members(id), [1, 0]);
-        t.split(id, &[0, 1], &points);
-        t.check(5);
-        assert_eq!(groups(&t), [vec![0], vec![1], vec![2, 3, 4]]);
+        t.check(6);
+        assert_eq!(groups(&t), [vec![0, 3, 5], vec![1, 2, 4]]);
+        assert_eq!(t.prune(t.cluster_of(5).unwrap()), 3);
+        t.check(6);
+        assert_eq!(groups(&t), [vec![0], vec![1, 2, 4], vec![3], vec![5]]);
     }
 
     #[test]
@@ -782,22 +864,20 @@ mod tests {
             &at(20.0),
             &[t.cluster_of(0).unwrap(), t.cluster_of(1).unwrap()],
         );
-        assert_eq!(t.members(t.cluster_of(2).unwrap()), [2, 0, 1]);
-        // The first member goes; the other two stay one (still dirty) cluster
-        // whose sum no longer counts it.
-        t.remove_member(2, &at(20.0));
+        assert_eq!(t.members(t.cluster_of(2).unwrap()), [0, 1, 2]);
+        // The last member goes; the other two, 10 degrees apart, stay one
+        // cluster, pruned on the spot and so clean, under the representative
+        // of the two alone.
+        assert_eq!(t.remove_member(2, &at(20.0)), 0);
         t.check(3);
         assert_eq!(t.cluster_of(2), None);
         assert_eq!(groups(&t), [vec![0, 1]]);
-        assert_eq!(t.dirty().len(), 1);
-        let (_, rest) = t.iter().next().unwrap();
-        for (got, want) in rest
-            .sum()
-            .iter()
-            .zip([at(0.0)[0] + at(10.0)[0], at(10.0)[1]])
-        {
-            assert!((got - want).abs() < 1e-6);
-        }
+        assert!(t.dirty().is_empty());
+        let rest = t.cluster_of(0).unwrap();
+        assert_eq!(
+            t.row(rest),
+            representative(2, &[at(0.0).as_slice(), &at(10.0)])
+        );
         // Removing it again changes nothing; removing the last member of a
         // cluster removes the cluster.
         let before = t.stats();
@@ -810,6 +890,28 @@ mod tests {
         assert!(groups(&t).is_empty());
         assert_eq!(t.stats().stale_nodes, t.stats().index_nodes);
         assert_eq!(t.search_live(&[&at(0.0)], 3, None), [vec![]]);
+    }
+
+    #[test]
+    fn remove_member_splits_off_survivors_joined_only_through_it() {
+        // 0 and 80 degrees are farther apart than ε; 40 is within it of both.
+        let mut t = singletons(1);
+        t.fuse(1, &at(40.0), &[t.cluster_of(0).unwrap()]);
+        t.fuse(2, &at(80.0), &[t.cluster_of(0).unwrap()]);
+        assert_eq!(t.prune(t.cluster_of(0).unwrap()), 0, "connected through 1");
+        assert_eq!(t.remove_member(1, &at(40.0)), 2);
+        t.check(3);
+        assert_eq!(groups(&t), [vec![0], vec![2]]);
+
+        // Without pruning the survivors stay together, as dirty as they were.
+        let mut t = singletons(1);
+        t.fuse(1, &at(40.0), &[t.cluster_of(0).unwrap()]);
+        t.fuse(2, &at(80.0), &[t.cluster_of(0).unwrap()]);
+        let mut base = config().base;
+        base.pruning = false;
+        assert_eq!(t.table.remove_member(1, &t.stored, &base), 0);
+        assert_eq!(groups(&t), [vec![0, 2]]);
+        assert_eq!(t.dirty(), [t.cluster_of(0).unwrap()]);
     }
 
     #[test]
@@ -984,8 +1086,8 @@ mod tests {
         })
         .is_err());
         assert!(broken(&|r| {
-            let id = first(r);
-            r.clusters.get_mut(&id).unwrap().sum.push(0.0);
+            let fused = r.clusters.values_mut().find(|c| c.members.len() == 2);
+            fused.unwrap().members.reverse();
         })
         .is_err());
         assert!(broken(&|r| {

@@ -18,10 +18,10 @@
 //!    superseded representatives are tombstoned.
 //!
 //! The partition lives in one place, the cluster table (`clusters.rs`):
-//! member lists, running sums, the representative index and its liveness
-//! map, and the record → cluster look-up derived from them. This file never
-//! touches those; it asks the table to add, fuse, split or remove, and the
-//! table keeps them in step.
+//! member lists, the representative index and its liveness map, and the
+//! record → cluster look-up derived from them. This file never touches
+//! those; it asks the table to add, fuse, prune or remove, and the table
+//! keeps them in step.
 //!
 //! Tombstones accumulate as clusters merge; once their fraction exceeds
 //! `rebuild_staleness`, the representative index is rebuilt from live
@@ -51,9 +51,10 @@
 //! write drops every kept row.
 //!
 //! Density-based pruning (Algorithm 4) runs over clusters that changed since
-//! the last pass ("dirty" clusters) every `prune_interval` accepted records:
-//! outliers are split off into singleton clusters, mirroring what the batch
-//! pipeline does once at the end.
+//! the last pass ("dirty" clusters) every `prune_interval` accepted records,
+//! and over the survivors of every delete: outliers are split off into
+//! singleton clusters, mirroring what the batch pipeline does once at the
+//! end.
 //!
 //! Record and embedding payloads, and the map between a record's
 //! [`EntityId`] and its place in the append order (the *sequence* the cluster
@@ -71,7 +72,7 @@ use crate::storage::{CompactionReport, RecordStorage, SegmentStats, StorageStats
 use crate::Result;
 use clusters::ClusterTable;
 use multiem_core::representation::{select_attributes, AttributeSelection, EmbeddingStore};
-use multiem_core::{hierarchical_merge, prune_merged_table, prune_points, MergedTable};
+use multiem_core::{hierarchical_merge, prune_merged_table, MergedTable};
 use multiem_embed::EmbeddingModel;
 use multiem_table::{
     serialize_record_projected, AttrId, Dataset, EntityId, MatchTuple, Record, Schema, Table,
@@ -277,29 +278,26 @@ impl<E: EmbeddingModel> EntityStore<E> {
         self.state.records.compact()
     }
 
-    /// Delete one record: detach it from its cluster (the survivors keep
-    /// matching; the cluster representative is recomputed without the
-    /// deleted member), tombstone the stored record and embedding, and
-    /// forget the id — [`EntityStore::record`] returns `None` and
-    /// [`EntityStore::match_record`] can never surface it again. Returns
-    /// whether a live record was deleted (`false` for unknown or
-    /// already-deleted ids — deletion is idempotent).
+    /// Delete one record: detach it from its cluster, tombstone the stored
+    /// record and embedding, and forget the id — [`EntityStore::record`]
+    /// returns `None` and [`EntityStore::match_record`] can never surface it
+    /// again. Returns whether a live record was deleted (`false` for unknown
+    /// or already-deleted ids — deletion is idempotent).
     ///
-    /// Deletion does **not** re-match the surviving members of the cluster:
-    /// records that only co-referred transitively through the deleted one
-    /// stay fused until a pruning pass separates them.
+    /// The survivors are pruned on the spot (Algorithm 4, unless `pruning` is
+    /// off): records that co-referred only through the deleted one are split
+    /// off, counted in [`StoreStats::pruned_outliers`]. What stays together
+    /// matches under its own members' representative, with no trace of the
+    /// deleted embedding.
     pub fn delete_record(&mut self, id: EntityId) -> Result<bool> {
-        // Only a live record has a sequence and a stored embedding — the
-        // amount to subtract from the cluster's running sum.
-        let (Some(seq), Some(embedding)) = (
-            self.state.records.seq_of(id),
-            self.state.records.embedding(id),
-        ) else {
+        let Some(seq) = self.state.records.seq_of(id) else {
             return Ok(false);
         };
-        self.state.clusters.remove_member(seq, &embedding);
-        self.state.records.delete(id)?;
-        self.state.clusters.maybe_rebuild(&self.state.config);
+        let state = &mut self.state;
+        let base = &state.config.base;
+        state.pruned_outliers += state.clusters.remove_member(seq, &state.records, base);
+        state.records.delete(id)?;
+        state.clusters.maybe_rebuild(&state.config);
         Ok(true)
     }
 
@@ -393,21 +391,22 @@ impl<E: EmbeddingModel> EntityStore<E> {
         // Every surviving tuple is a cluster, every other record a singleton.
         let records = self.num_records();
         let mut in_tuple = vec![false; records];
+        // A tuple lists its members in id order, which is append order here.
         for tuple in &tuples {
-            let members: Vec<usize> = tuple
-                .members()
+            let ids = tuple.members();
+            let members: Vec<usize> = ids
                 .iter()
                 .filter_map(|&id| self.state.records.seq_of(id))
                 .collect();
             for &seq in &members {
                 in_tuple[seq] = true;
             }
-            let points = tuple.members().iter().map(|&id| embeddings.embedding(id));
-            self.state.clusters.add(members, points);
+            let points: Vec<_> = ids.iter().map(|&id| embeddings.embedding(id)).collect();
+            self.state.clusters.register(members, &points, false);
         }
         for seq in (0..records).filter(|&seq| !in_tuple[seq]) {
             let point = embeddings.embedding(self.state.records.id_at(seq));
-            self.state.clusters.add(vec![seq], [point]);
+            self.state.clusters.register(vec![seq], &[point], false);
         }
 
         let merged = in_tuple.iter().filter(|&&t| t).count();
@@ -679,7 +678,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
         // Zero embeddings (empty serialized text) never match anything; the
         // table keeps them as unindexed singletons.
         if emb.iter().all(|&x| x == 0.0) {
-            self.state.clusters.fuse(seq, emb, &[]);
+            self.state.clusters.fuse(seq, emb, &[], &self.state.records);
             return Ok((id, false));
         }
 
@@ -696,7 +695,9 @@ impl<E: EmbeddingModel> EntityStore<E> {
             })
             .map(|(cluster, _)| cluster)
             .collect();
-        self.state.clusters.fuse(seq, emb, &matches);
+        self.state
+            .clusters
+            .fuse(seq, emb, &matches, &self.state.records);
 
         self.state.accepted_since_prune += 1;
         if let Some(interval) = self.state.config.prune_interval {
@@ -711,28 +712,14 @@ impl<E: EmbeddingModel> EntityStore<E> {
     /// Density-based pruning (Algorithm 4) over dirty clusters: outliers are
     /// split off into fresh singleton clusters.
     fn prune_dirty(&mut self) {
-        self.state.accepted_since_prune = 0;
-        if !self.state.config.base.pruning {
+        let state = &mut self.state;
+        state.accepted_since_prune = 0;
+        if !state.config.base.pruning {
             return;
         }
-        for cluster in self.state.clusters.dirty() {
-            // Fetch member embeddings through the storage backend (resident
-            // for the memory backend; tail/cache hits or segment reads for
-            // disk) and prune the raw points; the table re-sums whatever
-            // stays together from the same points, so each is fetched once.
-            let points: Vec<Vec<f32>> = self
-                .entities(self.state.clusters.members(cluster))
-                .map(|id| {
-                    self.state
-                        .records
-                        .embedding(id)
-                        .expect("every clustered record has a stored embedding")
-                })
-                .collect();
-            let point_refs: Vec<&[f32]> = points.iter().map(Vec::as_slice).collect();
-            let (_, outliers) = prune_points(&point_refs, &self.state.config.base);
-            self.state.pruned_outliers += outliers.len();
-            self.state.clusters.split(cluster, &outliers, &points);
+        for cluster in state.clusters.dirty() {
+            let base = &state.config.base;
+            state.pruned_outliers += state.clusters.prune(cluster, None, &state.records, base);
         }
     }
 }
@@ -1136,7 +1123,7 @@ mod tests {
                 .iter()
                 .filter(|(_, cluster)| cluster.is_indexed())
                 .map(|(id, cluster)| {
-                    let c = cluster.centroid();
+                    let c = clusters::stored_representative(&s.state.records, cluster.members());
                     let cnorm = multiem_ann::Metric::squared_norm(&c);
                     let d = metric.distance_prenormed(&emb, &c, qnorm, cnorm);
                     (d.to_bits(), s.canonical_id(id))
@@ -1494,6 +1481,113 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Reads a record's text as an angle in degrees: the unit vector at that
+    /// angle in the plane.
+    #[derive(Debug, Clone)]
+    struct Angle;
+
+    impl EmbeddingModel for Angle {
+        fn dim(&self) -> usize {
+            2
+        }
+
+        fn encode(&self, text: &str) -> Vec<f32> {
+            let r = text.parse::<f32>().expect("degrees").to_radians();
+            vec![r.cos(), r.sin()]
+        }
+    }
+
+    #[test]
+    fn a_delete_splits_off_records_joined_only_through_the_deleted_one() {
+        // `a` and `c`, 80 degrees apart, are farther apart than ε = 1 (a
+        // chord of 60 degrees); `b` is within ε of both, and each record is
+        // within m of the cluster it joins.
+        for pruning in [true, false] {
+            let mut cfg = config();
+            cfg.base.m = 0.6;
+            cfg.base.pruning = pruning;
+            cfg.match_within_source = true;
+            cfg.prune_interval = None;
+            let mut s = EntityStore::new(cfg, Angle);
+            s.init_schema(title_schema()).unwrap();
+            let [a, b, c] = ["0", "40", "80"].map(|t| s.insert(Record::from_texts([t])).unwrap());
+            assert_eq!(s.cluster_members(a).unwrap(), [a, b, c]);
+            s.refresh();
+            assert_eq!(s.cluster_members(a).unwrap(), [a, b, c], "b joins them");
+
+            // No refresh: the delete itself re-runs Algorithm 4.
+            assert!(s.delete_record(b).unwrap());
+            check_invariants(&s);
+            if pruning {
+                assert_eq!(s.cluster_members(a).unwrap(), [a]);
+                assert_eq!(s.cluster_members(c).unwrap(), [c]);
+                assert_eq!(s.stats().pruned_outliers, 2);
+            } else {
+                assert_eq!(s.cluster_members(a).unwrap(), [a, c]);
+                assert_eq!(s.stats().pruned_outliers, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_delete_leaves_no_trace_in_the_representative() {
+        let titles = [
+            "golden heart river",
+            "golden heart river live",
+            "golden heart river remastered",
+        ];
+        let probes = [
+            "golden heart river",
+            "golden heart river live remastered",
+            "heart river deluxe",
+            "makita drill 18v",
+        ];
+        for disk in [false, true] {
+            let mut dirs = Vec::new();
+            let mut store = |tag: &str| {
+                let mut cfg = if disk {
+                    let (cfg, dir) = disk_config(tag);
+                    dirs.push(dir);
+                    cfg
+                } else {
+                    config()
+                };
+                cfg.match_within_source = true;
+                let mut s = EntityStore::new(cfg, HashedLexicalEncoder::default());
+                s.init_schema(title_schema()).unwrap();
+                s
+            };
+            // One store inserts all three, which fuse, then deletes the
+            // middle one; the other only ever saw the outer two.
+            let (mut deleted, mut never) = (store("trace-a"), store("trace-b"));
+            let ids = titles.map(|t| deleted.insert(Record::from_texts([t])).unwrap());
+            assert_eq!(deleted.cluster_members(ids[0]).unwrap(), ids);
+            assert!(deleted.delete_record(ids[1]).unwrap());
+            for title in [titles[0], titles[2]] {
+                never.insert(Record::from_texts([title])).unwrap();
+            }
+            for s in [&deleted, &never] {
+                let tuples = s.tuples();
+                assert!(tuples.len() == 1 && tuples[0].len() == 2, "{tuples:?}");
+            }
+
+            let mut hits = 0;
+            for probe in probes {
+                let probe = Record::from_texts([probe]);
+                let bits = |s: &EntityStore<HashedLexicalEncoder>| -> Vec<(EntityId, u32)> {
+                    let hits = s.match_record(&probe);
+                    hits.into_iter().map(|(id, d)| (id, d.to_bits())).collect()
+                };
+                assert_eq!(bits(&deleted), bits(&never), "{probe:?}");
+                hits += bits(&never).len();
+            }
+            assert!(hits >= 2, "vacuous: {hits} hits");
+            for dir in dirs {
+                std::fs::remove_dir_all(dir).ok();
+            }
+        }
+    }
+
     #[test]
     fn snapshot_after_delete_and_compaction_continues_identically() {
         let ds = music_dataset(31);
@@ -1761,22 +1855,26 @@ mod tests {
         };
         assert_eq!(restore(&good).unwrap(), s.stats());
 
-        // What the parent build wrote: its magic, then a map this build's
-        // decoder would stumble over field by field. It is refused by name.
-        let mut parent = b"MEB1".to_vec();
+        // What an older build wrote: its magic, then a map this build's
+        // decoder would stumble over field by field. It is refused by name,
+        // and so is the previous layout's magic in front of a payload this
+        // build could decode.
+        let mut older = b"MEB1".to_vec();
         wire::write_value(
-            &mut parent,
+            &mut older,
             &serde::Value::Map(vec![("uf".into(), serde::Value::Null)]),
         );
+        let previous = [b"MEB3".as_slice(), &good[4..]].concat();
         for foreign in [
-            &parent[..],
+            &older[..],
             &b"MEB2"[..],
+            &previous[..],
             &b"MEB9 whatever"[..],
             &b"MEB"[..],
         ] {
             match restore(foreign) {
                 Err(OnlineError::Snapshot(msg)) => {
-                    assert!(msg.contains("MEB3"), "{msg}");
+                    assert!(msg.contains("MEB4"), "{msg}");
                     assert!(
                         foreign.len() < 4 || msg.contains(&format!("MEB{}", foreign[3] as char))
                     );
@@ -1803,9 +1901,12 @@ mod tests {
         // A field added, dropped, renamed or moved below changes what
         // `restore_bytes` reads: bump the version byte of `SNAPSHOT_MAGIC`
         // in the same change as these lists.
-        assert_eq!(wire::SNAPSHOT_MAGIC, b"MEB3");
+        assert_eq!(wire::SNAPSHOT_MAGIC, b"MEB4");
         let (cfg, dir) = disk_config("layout");
-        let s = EntityStore::new(cfg, HashedLexicalEncoder::default());
+        let mut s = EntityStore::new(cfg, HashedLexicalEncoder::default());
+        s.init_schema(title_schema()).unwrap();
+        s.insert(Record::from_texts(["golden heart river"]))
+            .unwrap();
         let mut value = wire::value_from_bytes(&s.snapshot_bytes().unwrap()[4..]).unwrap();
         let mut keys = |path: &[&str]| -> String {
             let fields = at(&mut value, path).as_map().expect("a struct");
@@ -1825,6 +1926,11 @@ mod tests {
             "config segments next_seg compactions reclaimed gc_deleted"
         );
         assert_eq!(keys(&["clusters"]), "clusters index rebuilds");
+        // A cluster is its members: it carries no embedding of its own.
+        assert_eq!(
+            keys(&["clusters", "clusters", "0", "1"]),
+            "members node dirty"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1881,10 +1987,13 @@ mod tests {
     // --- the table's invariants under a seeded op sequence -------------------
 
     /// What every operation must leave true, whatever came before it.
-    fn check_invariants(s: &EntityStore<HashedLexicalEncoder>) {
+    fn check_invariants<E: EmbeddingModel>(s: &EntityStore<E>) {
         let records = s.state.records.len();
         let table = &s.state.clusters;
-        table.check(records);
+        // Also: a cluster is indexed exactly when the representative of its
+        // members' stored embeddings is non-zero, under that representative
+        // bit for bit.
+        table.check(&s.state.records);
 
         // A record is in a cluster exactly while storage holds it.
         let mut live = 0;
@@ -1897,23 +2006,9 @@ mod tests {
             live += usize::from(stored);
         }
 
-        // A cluster's sum is the sum of its members' stored embeddings, and
-        // it is indexed exactly when that sum is non-zero.
         let (mut clustered, mut indexed, mut tuples) = (0, 0, 0);
         for (id, cluster) in table.iter() {
             assert_eq!(table.members(id), cluster.members());
-            let mut sum = vec![0.0f32; s.encoder.dim()];
-            for entity in s.entities(cluster.members()) {
-                let embedding = s.state.records.embedding(entity).unwrap();
-                sum.iter_mut().zip(&embedding).for_each(|(a, x)| *a += x);
-            }
-            for (got, want) in cluster.sum().iter().zip(&sum) {
-                assert!((got - want).abs() < 1e-4, "cluster {id}: {got} vs {want}");
-            }
-            assert_eq!(
-                cluster.is_indexed(),
-                cluster.sum().iter().any(|&x| x != 0.0)
-            );
             clustered += cluster.members().len();
             indexed += usize::from(cluster.is_indexed());
             tuples += usize::from(cluster.members().len() >= 2);
@@ -2119,7 +2214,7 @@ mod tests {
                 // Also leaves every row in the memo, for the next op's
                 // writes to invalidate.
                 let table = &s.state.clusters;
-                table.check(s.state.records.len());
+                table.check(&s.state.records);
                 table.check_mutual(k, s.config().base.m);
             }
 

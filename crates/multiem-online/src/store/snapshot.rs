@@ -25,10 +25,8 @@ impl<E: EmbeddingModel> EntityStore<E> {
     pub fn snapshot_bytes(&self) -> Result<Vec<u8>> {
         let state = &self.state;
         // The entries of the map the derived `Serialize` produces, in its
-        // order, written one tree at a time: the value tree of the index
-        // and that of the cluster sums are each tens of megabytes on a
-        // store of a few thousand records, and a checkpoint's peak memory
-        // is whichever trees are alive together.
+        // order, written one tree at a time: the index's value tree would be
+        // tens of megabytes on a store of a few thousand records.
         let clusters = state.clusters.fields();
         let fields = [
             ("config", Field::Value(&state.config)),

@@ -33,7 +33,7 @@ impl std::error::Error for WireError {}
 /// Magic prefix of snapshots. The last byte is the layout version: a
 /// snapshot under `MEB` and any other version is refused by name, not
 /// misread.
-pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MEB3";
+pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MEB4";
 
 /// Magic prefix of segment files written by the record store when it spills
 /// (`crate::storage::RecordStorage`).
@@ -167,9 +167,6 @@ pub(crate) enum Field<'a> {
     Value(&'a dyn serde::Serialize),
     /// A field that is itself a struct, written entry by entry.
     Struct(&'a [(&'a str, Field<'a>)]),
-    /// A map field, which serializes as a sequence of `[key, value]` pairs,
-    /// written one pair's tree at a time.
-    Pairs(Vec<(&'a dyn serde::Serialize, &'a dyn serde::Serialize)>),
     /// An index as its value tree gives it, its vectors written one
     /// coordinate at a time ([`AnnIndex::state_fields`]).
     Index(&'a AnnIndex),
@@ -177,10 +174,10 @@ pub(crate) enum Field<'a> {
 
 /// Append the binary encoding of the map `fields` serialize to — the bytes
 /// [`write_value`] gives for `Value::Map` of their value trees — building one
-/// field's tree at a time (one pair's for [`Field::Pairs`], none for an
-/// index's vectors). A tree costs 32 bytes per number, eight times the `f32`
-/// it came from, so for a struct whose fields are large float arrays this
-/// caps the transient at the largest field instead of their sum.
+/// field's tree at a time (none for an index's vectors). A tree costs 32
+/// bytes per number, eight times the `f32` it came from, so for a struct
+/// whose fields are large float arrays this caps the transient at the
+/// largest field instead of their sum.
 pub(crate) fn write_fields(out: &mut Vec<u8>, fields: &[(&str, Field<'_>)]) {
     write_map_header(out, fields.len());
     for (key, field) in fields {
@@ -188,12 +185,6 @@ pub(crate) fn write_fields(out: &mut Vec<u8>, fields: &[(&str, Field<'_>)]) {
         match field {
             Field::Value(value) => write_value(out, &value.to_value()),
             Field::Struct(inner) => write_fields(out, inner),
-            Field::Pairs(pairs) => {
-                write_seq_header(out, pairs.len());
-                for (key, value) in pairs {
-                    write_value(out, &Value::Seq(vec![key.to_value(), value.to_value()]));
-                }
-            }
             Field::Index(index) => {
                 let (variant, fields) = index.state_fields();
                 write_map_header(out, 1);
