@@ -504,8 +504,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
     /// Batched [`EntityStore::match_record`]: every query of `records` goes
     /// to the representative index in **one** `search_batch_filtered` call, which the
     /// brute-force backend answers by streaming its vector array through the
-    /// cache hierarchy once per batch instead of once per query (the win of
-    /// the serving layer's match micro-batching on a memory-bound scan).
+    /// cache hierarchy once per batch instead of once per query.
     /// `match_record` is a batch of one through here, so the two can never
     /// drift in semantics.
     pub fn match_batch(&self, records: &[Record]) -> Vec<Vec<(EntityId, f32)>> {

@@ -59,12 +59,6 @@ fn main() {
             "--queue-depth" => {
                 config.queue_depth = parse(&value("--queue-depth"), "--queue-depth");
             }
-            "--batch-window-us" => {
-                config.batch_window_us = parse(&value("--batch-window-us"), "--batch-window-us");
-            }
-            "--batch-max" => {
-                config.batch_max = parse(&value("--batch-max"), "--batch-max");
-            }
             "--log-level" => {
                 config.obs.log_level =
                     Level::parse(&value("--log-level")).unwrap_or_else(|e| fail(&e));
@@ -113,11 +107,6 @@ fn main() {
                      \x20                    (default interval)\n\
                      \x20 --queue-depth N    per-shard ingest queue bound; full shards\n\
                      \x20                    answer 429 + Retry-After (default 4096)\n\
-                     \x20 --batch-window-us N  coalesce concurrent /match requests for\n\
-                     \x20                    up to N microseconds into one shard\n\
-                     \x20                    fan-out (default 0 = no coalescing)\n\
-                     \x20 --batch-max N      flush a match micro-batch immediately\n\
-                     \x20                    once it holds N requests (default 64)\n\
                      \x20 --log-level LVL    structured-log level: error, warn, info\n\
                      \x20                    or debug (default info)\n\
                      \x20 --log-file PATH    write structured JSON logs to PATH\n\

@@ -74,15 +74,6 @@ pub struct ServeConfig {
     /// /records` answers `429` with `Retry-After` when a target shard is
     /// full. `0` rejects every write (useful for drain/maintenance).
     pub queue_depth: u64,
-    /// Match micro-batching: how long the first request of a batch waits
-    /// for company, in microseconds (`--batch-window-us`). `0` disables
-    /// coalescing — every match runs its own fan-out, exactly the pre-batch
-    /// behavior.
-    pub batch_window_us: u64,
-    /// Upper bound on concurrent match requests coalesced into one fan-out
-    /// (`--batch-max`); a batch that fills flushes immediately without
-    /// waiting out the window. `<= 1` disables coalescing.
-    pub batch_max: usize,
     /// Observability: metrics, tracing and structured logging (see
     /// [`ObsConfig`]).
     pub obs: ObsConfig,
@@ -103,8 +94,6 @@ impl Default for ServeConfig {
             data_dir: None,
             fsync: FsyncPolicy::default(),
             queue_depth: 4096,
-            batch_window_us: 0,
-            batch_max: 64,
             obs: ObsConfig::default(),
         }
     }

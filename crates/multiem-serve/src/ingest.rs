@@ -168,9 +168,6 @@ impl ShardWriter {
             self.drained.fetch_add(inserted, Ordering::Relaxed);
             metrics.ingested_records.add(inserted);
             metrics.deleted_records.add(deleted);
-            if inserted > 0 {
-                telemetry.record_ingest_batch(inserted);
-            }
         }
         outcome?;
         Ok(applied)

@@ -462,18 +462,33 @@ mod tests {
         assert!(error_body("a\"b\\c").contains("a\\\"b\\\\c"));
     }
 
+    /// A `200` naming the request's path, so a test can tell responses
+    /// apart.
+    fn echo(request: &Request) -> (Vec<u8>, bool) {
+        let body = format!("{{\"path\":\"{}\"}}", request.path);
+        let bytes = render_response(200, "OK", &body, request.close, &[]);
+        (bytes, request.close)
+    }
+
     /// A front end on an ephemeral port with a one-worker pool. Its handler
-    /// panics on `/inline-boom`, its job panics on `/boom`, and everything
-    /// else answers `200`.
-    fn panicking_front() -> (Reactor, Arc<AtomicBool>, String) {
+    /// panics on `/inline-boom` and answers other `/inline*` paths itself;
+    /// every other path is a job, which panics on `/boom`, sleeps 50 ms on
+    /// `/slow`, and otherwise answers [`echo`].
+    fn test_front() -> (Reactor, Arc<AtomicBool>, String) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
         let handler: Arc<Handler> = Arc::new(|request: Request| {
             assert_ne!(request.path, "/inline-boom", "the handler panics");
+            if request.path.starts_with("/inline") {
+                let (bytes, close) = echo(&request);
+                return Routed::Inline(bytes, close);
+            }
             Routed::Worker(Box::new(move || {
                 assert_ne!(request.path, "/boom", "the job panics");
-                let bytes = render_response(200, "OK", "{}", request.close, &[]);
-                (bytes, request.close)
+                if request.path == "/slow" {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                echo(&request)
             }))
         });
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -487,9 +502,16 @@ mod tests {
         (reactor, shutdown, addr)
     }
 
+    /// Begin the drain and wait for it.
+    fn stop(reactor: Reactor, shutdown: &AtomicBool, addr: &str) {
+        shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
+        reactor.join();
+    }
+
     #[test]
     fn a_panicking_job_answers_500_and_keeps_its_worker() {
-        let (reactor, shutdown, addr) = panicking_front();
+        let (reactor, shutdown, addr) = test_front();
 
         for path in ["/boom", "/inline-boom"] {
             let stream = TcpStream::connect(&addr).expect("connect");
@@ -517,8 +539,28 @@ mod tests {
         let (status, _) = client.request("GET", "/fine", None).expect("served");
         assert_eq!(status, 200);
 
-        shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(&addr);
-        reactor.join();
+        stop(reactor, &shutdown, &addr);
+    }
+
+    #[test]
+    fn pipelined_responses_keep_request_order_behind_a_slow_job() {
+        // The two inline answers are ready ~50 ms before the slow job's;
+        // written as they completed, they would overtake it on the wire.
+        let (reactor, shutdown, addr) = test_front();
+        let stream = TcpStream::connect(&addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let paths = ["/slow", "/inline-a", "/inline-b"];
+        let wire = paths.map(|path| format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n"));
+        (&stream).write_all(wire.concat().as_bytes()).expect("send");
+        let mut reader = BufReader::new(&stream);
+        for path in paths {
+            let (status, _, body) = read_response(&mut reader).expect("answered");
+            assert_eq!(status, 200, "{body}");
+            assert_eq!(body, format!("{{\"path\":\"{path}\"}}"));
+        }
+
+        stop(reactor, &shutdown, &addr);
     }
 }

@@ -215,16 +215,6 @@ pub struct ServeMetrics {
     pub wal_fsyncs: Arc<Counter>,
     /// Checkpoints committed.
     pub checkpoints: Arc<Counter>,
-    /// Match micro-batch occupancy (requests per executed batch; raw
-    /// values, not nanoseconds).
-    pub batch_size_match: Arc<Histogram>,
-    /// Group-committed ingest batch occupancy (records per WAL batch
-    /// append; raw values, not nanoseconds).
-    pub batch_size_ingest: Arc<Histogram>,
-    /// Match batches flushed because they filled to `--batch-max`.
-    pub batch_flush_full: Arc<Counter>,
-    /// Match batches flushed because `--batch-window-us` expired first.
-    pub batch_flush_window: Arc<Counter>,
     /// Connections the acceptor handed to a reader thread.
     pub connections_accepted: Arc<Counter>,
     /// Connections closed (each by its reader, on its way out).
@@ -334,26 +324,6 @@ impl ServeMetrics {
                 "multiem_checkpoints_total",
                 "Checkpoints committed.",
                 "",
-            ),
-            batch_size_match: registry.histogram_raw(
-                "multiem_batch_size",
-                "Executed-batch occupancy (requests or records per batch).",
-                "kind=\"match\"",
-            ),
-            batch_size_ingest: registry.histogram_raw(
-                "multiem_batch_size",
-                "Executed-batch occupancy (requests or records per batch).",
-                "kind=\"ingest\"",
-            ),
-            batch_flush_full: registry.counter(
-                "multiem_batch_flush_total",
-                "Match micro-batches flushed, by reason (full = hit --batch-max, window = --batch-window-us expired).",
-                "reason=\"full\"",
-            ),
-            batch_flush_window: registry.counter(
-                "multiem_batch_flush_total",
-                "Match micro-batches flushed, by reason (full = hit --batch-max, window = --batch-window-us expired).",
-                "reason=\"window\"",
             ),
             connections_accepted: registry.counter(
                 "multiem_connections_accepted_total",
@@ -578,31 +548,6 @@ impl Telemetry {
         }
     }
 
-    /// Record one executed match micro-batch: its occupancy and why it
-    /// flushed (`full` = it filled to `--batch-max` before the window
-    /// expired). The flush-reason counters are always on; the occupancy
-    /// histogram and rolling window follow the telemetry switch.
-    pub fn record_match_batch(&self, size: u64, full: bool) {
-        if full {
-            self.metrics.batch_flush_full.inc();
-        } else {
-            self.metrics.batch_flush_window.inc();
-        }
-        if let Some(analytics) = &self.analytics {
-            self.metrics.batch_size_match.record(size);
-            analytics.windows.record_batch(size);
-        }
-    }
-
-    /// Record one group-committed ingest batch's occupancy (records that
-    /// shared a single WAL append + fsync decision).
-    pub fn record_ingest_batch(&self, size: u64) {
-        if let Some(analytics) = &self.analytics {
-            self.metrics.batch_size_ingest.record(size);
-            analytics.windows.record_batch(size);
-        }
-    }
-
     /// Refresh the per-endpoint windowed gauge families
     /// (`multiem_request_rate`, `multiem_request_window_p{50,99}_seconds`)
     /// from the rolling windows. Called
@@ -777,39 +722,6 @@ mod tests {
         assert!(text.contains(&format!(
             "multiem_build_info{{version=\"{BUILD_VERSION}\"}} 1"
         )));
-    }
-
-    #[test]
-    fn batch_metrics_record_and_render() {
-        let on = Telemetry::new(&ObsConfig::default()).unwrap();
-        on.record_match_batch(4, true);
-        on.record_match_batch(1, false);
-        on.record_ingest_batch(16);
-        assert_eq!(on.metrics.batch_flush_full.get(), 1);
-        assert_eq!(on.metrics.batch_flush_window.get(), 1);
-        assert_eq!(on.metrics.batch_size_match.count(), 2);
-        assert_eq!(on.metrics.batch_size_ingest.count(), 1);
-        let analytics = on.analytics.as_ref().expect("analytics on by default");
-        assert_eq!(analytics.windows.batch_window().count(), 3);
-        let text = on.registry.render();
-        assert!(text.contains("multiem_batch_flush_total{reason=\"full\"} 1"));
-        assert!(text.contains("multiem_batch_flush_total{reason=\"window\"} 1"));
-        assert!(text.contains("multiem_batch_size_count{kind=\"match\"} 2"));
-        // Raw-value rendering: the ingest batch sum is 16 records, not
-        // 16 ns scaled to seconds.
-        assert!(text.contains("multiem_batch_size_sum{kind=\"ingest\"} 16"));
-
-        // Kill switch: flush-reason counters stay on, occupancy stops.
-        let off = Telemetry::new(&ObsConfig {
-            telemetry: false,
-            ..ObsConfig::default()
-        })
-        .unwrap();
-        off.record_match_batch(4, true);
-        off.record_ingest_batch(2);
-        assert_eq!(off.metrics.batch_flush_full.get(), 1);
-        assert_eq!(off.metrics.batch_size_match.count(), 0);
-        assert_eq!(off.metrics.batch_size_ingest.count(), 0);
     }
 
     #[test]

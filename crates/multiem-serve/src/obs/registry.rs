@@ -67,9 +67,6 @@ enum Child {
     Counter(String, Arc<Counter>),
     Gauge(String, Arc<Gauge>),
     Histogram(String, Arc<Histogram>),
-    /// A histogram over dimensionless values (batch sizes, counts): bucket
-    /// bounds and the sum render as the raw recorded numbers, not ns→s.
-    HistogramRaw(String, Arc<Histogram>),
 }
 
 /// A named family: HELP/TYPE header plus its children, render-ordered.
@@ -150,20 +147,6 @@ impl Registry {
         histogram
     }
 
-    /// Register (or extend) a histogram family over dimensionless values
-    /// (batch occupancies, counts): unlike [`Registry::histogram`], samples
-    /// render as the raw recorded numbers instead of being scaled ns→s.
-    pub fn histogram_raw(&self, name: &str, help: &str, labels: &str) -> Arc<Histogram> {
-        let histogram = Arc::new(Histogram::new());
-        self.register(
-            name,
-            help,
-            "histogram",
-            Child::HistogramRaw(labels.to_string(), Arc::clone(&histogram)),
-        );
-        histogram
-    }
-
     /// Render the whole registry in Prometheus text exposition format.
     pub fn render(&self) -> String {
         use std::fmt::Write;
@@ -182,10 +165,7 @@ impl Registry {
                         let _ = writeln!(out, "{}{} {}", family.name, braced(labels), gauge.get());
                     }
                     Child::Histogram(labels, histogram) => {
-                        render_histogram(&mut out, &family.name, labels, histogram, seconds);
-                    }
-                    Child::HistogramRaw(labels, histogram) => {
-                        render_histogram(&mut out, &family.name, labels, histogram, raw);
+                        render_histogram(&mut out, &family.name, labels, histogram);
                     }
                 }
             }
@@ -217,24 +197,13 @@ fn seconds(ns: u64) -> String {
     format!("{}", ns as f64 / 1.0e9)
 }
 
-/// A dimensionless sample rendered as-is (raw-value histograms).
-fn raw(value: u64) -> String {
-    format!("{value}")
-}
-
-fn render_histogram(
-    out: &mut String,
-    name: &str,
-    labels: &str,
-    histogram: &Histogram,
-    scale: fn(u64) -> String,
-) {
+fn render_histogram(out: &mut String, name: &str, labels: &str, histogram: &Histogram) {
     use std::fmt::Write;
     let snapshot = histogram.snapshot();
     let mut cumulative = 0u64;
     for (bound, count) in snapshot.buckets() {
         cumulative += count;
-        let le = with_label(labels, &format!("le=\"{}\"", scale(bound)));
+        let le = with_label(labels, &format!("le=\"{}\"", seconds(bound)));
         let _ = writeln!(out, "{name}_bucket{le} {cumulative}");
     }
     let inf = with_label(labels, "le=\"+Inf\"");
@@ -243,7 +212,7 @@ fn render_histogram(
         out,
         "{name}_sum{} {}",
         braced(labels),
-        scale(snapshot.sum())
+        seconds(snapshot.sum())
     );
     let _ = writeln!(out, "{name}_count{} {}", braced(labels), snapshot.count());
 }
@@ -315,21 +284,6 @@ multiem_request_duration_seconds_sum{endpoint=\"match\"} 0.00010002
 multiem_request_duration_seconds_count{endpoint=\"match\"} 3
 ";
         assert_eq!(registry.render(), expected);
-    }
-
-    #[test]
-    fn raw_histograms_render_unscaled_bounds() {
-        let registry = Registry::new();
-        let sizes = registry.histogram_raw("batch_size", "Batch occupancy.", "kind=\"match\"");
-        sizes.record(1);
-        sizes.record(1);
-        sizes.record(7);
-        let rendered = registry.render();
-        // Bounds and sum stay dimensionless: no ns→seconds scaling.
-        assert!(rendered.contains("batch_size_bucket{kind=\"match\",le=\"1\"} 2\n"));
-        assert!(rendered.contains("batch_size_bucket{kind=\"match\",le=\"+Inf\"} 3\n"));
-        assert!(rendered.contains("batch_size_sum{kind=\"match\"} 9\n"));
-        assert!(rendered.contains("batch_size_count{kind=\"match\"} 3\n"));
     }
 
     #[test]

@@ -213,9 +213,6 @@ pub struct WorkloadWindows {
     clock: WindowClock,
     endpoints: Vec<WindowedHistogram>,
     fsync: WindowedHistogram,
-    /// Executed-batch occupancy (requests per match micro-batch, records
-    /// per group-committed ingest batch) — dimensionless, not nanoseconds.
-    batch: WindowedHistogram,
 }
 
 impl WorkloadWindows {
@@ -229,7 +226,6 @@ impl WorkloadWindows {
                 .map(|_| WindowedHistogram::new())
                 .collect(),
             fsync: WindowedHistogram::new(),
-            batch: WindowedHistogram::new(),
         }
     }
 
@@ -271,19 +267,6 @@ impl WorkloadWindows {
         self.fsync.merged_at(self.clock.epoch())
     }
 
-    /// Record one executed batch's occupancy (a dimensionless size, not a
-    /// latency).
-    pub fn record_batch(&self, size: u64) {
-        self.batch.record_at(self.clock.epoch(), size);
-    }
-
-    /// Merged batch-occupancy snapshot over the rolling window. Quantiles
-    /// are sizes, so read them through [`HistogramSnapshot::quantile`], not
-    /// the `_ms` helpers.
-    pub fn batch_window(&self) -> HistogramSnapshot {
-        self.batch.merged_at(self.clock.epoch())
-    }
-
     /// Requests/second `count` samples amount to over the covered window.
     pub fn rate(&self, count: u64) -> f64 {
         count as f64 / self.covered_secs().max(1e-9)
@@ -306,20 +289,7 @@ mod tests {
         let windows = WorkloadWindows::new(60);
         assert_eq!(windows.endpoint_window(Endpoint::Match).count(), 0);
         assert_eq!(windows.fsync_window().count(), 0);
-        assert_eq!(windows.batch_window().count(), 0);
         assert_eq!(windows.rate(0), 0.0);
-    }
-
-    #[test]
-    fn batch_occupancy_window_records_sizes() {
-        let windows = WorkloadWindows::new(60);
-        for size in [1, 4, 4, 8] {
-            windows.record_batch(size);
-        }
-        let snap = windows.batch_window();
-        assert_eq!(snap.count(), 4);
-        assert_eq!(snap.quantile(0.5), Some(4));
-        assert!(snap.quantile(1.0).unwrap() >= 8);
     }
 
     #[test]

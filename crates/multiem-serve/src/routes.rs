@@ -219,7 +219,7 @@ impl<E: EmbeddingModel> Route<E> {
             // quantile gauges.
             Route { method: "GET", path: Exact("/metrics"), endpoint: Endpoint::Metrics, handler: Inline(views::metrics) },
             // Per-endpoint rates and p50/p99 over the rolling 60 s window,
-            // plus windowed fsync latency and batch occupancy.
+            // plus windowed fsync latency.
             Route { method: "GET", path: Exact("/debug/window"), endpoint: Endpoint::Debug, handler: Inline(views::debug_window) },
             // Heavy hitters of the current + previous window: ingest sources,
             // routed shards, match-result entities.

@@ -16,7 +16,6 @@ use crate::checkpoint::{open_wals, restore_or_create, segments_dir};
 use crate::config::{ServeConfig, ServeError};
 use crate::http::Request;
 use crate::ingest::ShardWriter;
-use crate::matching::MatchBatcher;
 use crate::net::{Reactor, Routed};
 use crate::obs::{elapsed_ns, Logger, Stage, Telemetry, BUILD_VERSION};
 use crate::routes::{lookup, obj, ApiError, Call, Handler, Route};
@@ -46,10 +45,6 @@ pub(crate) struct ServerState<E: EmbeddingModel> {
     /// The configuration the server was bound with, `online.storage` as the
     /// data dir resolved it (a populated directory owns its backend).
     pub config: ServeConfig,
-    /// Match micro-batch coalescer, present when batching is enabled
-    /// (`batch_window_us > 0 && batch_max > 1`). `None` keeps the direct
-    /// one-request-one-fan-out path byte-for-byte.
-    pub batcher: Option<MatchBatcher>,
     /// Metrics registry + logger + tracer (`GET /metrics`, the access log,
     /// sampled traces). Recording is atomics; scraping takes only the
     /// registry's own mutex.
@@ -164,11 +159,6 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
                 store,
                 writers,
                 epoch: AtomicU64::new(epoch),
-                batcher: MatchBatcher::new(
-                    config.batch_window_us,
-                    config.batch_max,
-                    config.workers,
-                ),
                 telemetry,
                 shutdown: Arc::new(AtomicBool::new(false)),
                 addr: bound,

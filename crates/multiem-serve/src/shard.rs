@@ -40,13 +40,9 @@ use serde::{Deserialize, Serialize, Value};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// One shard's answer to a match batch: per-query ranked hits plus the
-/// shard's scan time in nanoseconds.
-type ShardBatchHits = (Vec<Vec<(EntityId, f32)>>, u64);
-
 /// Where the wall time of one [`ShardedEntityStore::match_record_timed`]
-/// fan-out went, in nanoseconds (feeds the request trace's `fan_out` /
-/// `ann_search` / `rank_merge` spans).
+/// fan-out went, in nanoseconds. It feeds the request trace's `fan_out`,
+/// `ann_search` and `rank_merge` spans, and the benchmark's replay.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MatchTiming {
     /// Wall time of the whole fan-out + merge section.
@@ -396,86 +392,39 @@ impl<E: EmbeddingModel> ShardedEntityStore<E> {
     }
 
     /// [`ShardedEntityStore::match_record`] plus a [`MatchTiming`] breakdown
-    /// of where the fan-out's wall time went (each shard times its own
-    /// search, so the critical path — the slowest shard — is separable from
-    /// scatter/gather overhead and the final merge). A batch of one through
-    /// [`ShardedEntityStore::match_batch_timed`], so single and batched
-    /// matches can never drift in semantics.
+    /// of where the fan-out's wall time went. Each shard is read-locked once
+    /// and times its own search, so the critical path (the slowest shard)
+    /// is separable from scatter/gather overhead and the final merge.
     pub fn match_record_timed(&self, record: &Record) -> (Vec<(GlobalEntityId, f32)>, MatchTiming) {
-        // A one-record batch yields exactly one result; the empty-result
-        // default is unreachable but keeps this panic-free.
-        self.match_batch_timed(std::slice::from_ref(record))
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Micro-batched fan-out: answer every query of `records` with **one**
-    /// pass over the shards. Each shard is read-locked *once* and serves
-    /// all N queries under that single guard, so a batch amortizes lock
-    /// acquisition and scatter/gather coordination across requests; the
-    /// per-request rank-merge then reuses one set of per-shard candidate
-    /// buffers for the whole batch instead of allocating fresh `Vec`s per
-    /// request. Results are returned in query order, each with its own
-    /// [`MatchTiming`] (the fan-out section is shared, so `wall_ns` =
-    /// shared fan-out + that request's own merge; `ann_max_ns` is the
-    /// slowest shard's time over the whole batch).
-    pub fn match_batch_timed(
-        &self,
-        records: &[Record],
-    ) -> Vec<(Vec<(GlobalEntityId, f32)>, MatchTiming)> {
-        if records.is_empty() {
-            return Vec::new();
-        }
         let section = Instant::now();
-        let per_shard: Vec<ShardBatchHits> = self
+        let per_shard: Vec<(Vec<(EntityId, f32)>, u64)> = self
             .shards
             .par_iter()
             .map(|shard| {
                 let started = Instant::now();
-                let guard = shard.store.read();
-                // One `search_batch_filtered` call on the representative index
-                // answers the whole batch (see `EntityStore::match_batch`),
-                // on top of the one lock acquisition amortized here.
-                let hits = guard.match_batch(records);
+                let hits = shard.store.read().match_record(record);
                 (hits, elapsed_ns(started))
             })
             .collect();
         let fan_ns = elapsed_ns(section);
-        let ann_max = per_shard.iter().map(|(_, ns)| *ns).max().unwrap_or(0);
-        let fan_out = self.shards.len() as u64;
-
-        // Per-request global rank-merge over one reused set of buffers.
-        let mut buffers: Vec<Vec<(GlobalEntityId, f32)>> =
-            self.shards.iter().map(|_| Vec::new()).collect();
-        let mut out = Vec::with_capacity(records.len());
-        for query in 0..records.len() {
-            let merge_started = Instant::now();
-            for (shard, (hits, _)) in per_shard.iter().enumerate() {
-                let buffer = &mut buffers[shard];
-                buffer.clear();
-                buffer.extend(hits[query].iter().map(|&(entity, distance)| {
-                    (
-                        GlobalEntityId {
-                            shard: shard as u32,
-                            entity,
-                        },
-                        distance,
-                    )
-                }));
-            }
-            let ranked = merge_ranked(&buffers, self.k);
-            let merge_ns = elapsed_ns(merge_started);
-            out.push((
-                ranked,
-                MatchTiming {
-                    wall_ns: fan_ns + merge_ns,
-                    ann_max_ns: ann_max,
-                    merge_ns,
-                    fan_out,
-                },
-            ));
-        }
-        out
+        let ann_max_ns = per_shard.iter().map(|(_, ns)| *ns).max().unwrap_or(0);
+        let merge_started = Instant::now();
+        let candidates: Vec<Vec<(GlobalEntityId, f32)>> = (0u32..)
+            .zip(per_shard)
+            .map(|(shard, (hits, _))| {
+                let global = |(entity, distance)| (GlobalEntityId { shard, entity }, distance);
+                hits.into_iter().map(global).collect()
+            })
+            .collect();
+        let ranked = merge_ranked(&candidates, self.k);
+        let merge_ns = elapsed_ns(merge_started);
+        let timing = MatchTiming {
+            wall_ns: fan_ns + merge_ns,
+            ann_max_ns,
+            merge_ns,
+            fan_out: self.shards.len() as u64,
+        };
+        (ranked, timing)
     }
 
     /// Members of the cluster containing `id`, or `None` for unknown ids.
@@ -707,38 +656,6 @@ mod tests {
             .record(top[0].entity)
             .unwrap();
         assert!(top_record.values()[0].render().contains("river"));
-    }
-
-    #[test]
-    fn batched_matches_agree_with_single_matches() {
-        let store = sharded(4);
-        let titles = [
-            "golden heart river",
-            "golden heart river live",
-            "makita drill 18v",
-            "makita drill 18 v",
-            "sony bravia tv",
-            "dyson v11 vacuum",
-        ];
-        for t in titles {
-            store.insert(Record::from_texts([t])).unwrap();
-        }
-        let probes = vec![
-            Record::from_texts(["golden heart river acoustic"]),
-            Record::from_texts(["makita drill"]),
-            Record::from_texts(["sony bravia tv 55"]),
-        ];
-        let batched = store.match_batch_timed(&probes);
-        assert_eq!(batched.len(), probes.len());
-        for (probe, (ranked, timing)) in probes.iter().zip(&batched) {
-            assert_eq!(
-                *ranked,
-                store.match_record(probe),
-                "batched ranking must equal the single-query ranking"
-            );
-            assert_eq!(timing.fan_out, 4);
-        }
-        assert!(store.match_batch_timed(&[]).is_empty());
     }
 
     #[test]

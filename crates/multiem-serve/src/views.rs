@@ -270,21 +270,12 @@ pub(crate) fn debug_window<E: EmbeddingModel>(state: &ServerState<E>) -> Respons
         ("p50_ms", Value::Float(fsync.quantile_ms(0.5))),
         ("p99_ms", Value::Float(fsync.quantile_ms(0.99))),
     ]);
-    // Batch occupancy is dimensionless (requests or records per executed
-    // batch), so its quantiles are plain sizes, not latencies.
-    let batch = windows.batch_window();
-    let batch = obj([
-        ("count", Value::UInt(batch.count())),
-        ("p50", Value::UInt(batch.quantile(0.5).unwrap_or(0))),
-        ("max", Value::UInt(batch.quantile(1.0).unwrap_or(0))),
-    ]);
     Response::ok(obj([
         ("enabled", Value::Bool(true)),
         ("window_secs", Value::UInt(windows.window_secs())),
         ("covered_secs", Value::Float(windows.covered_secs())),
         ("endpoints", Value::Seq(endpoints)),
         ("fsync", fsync),
-        ("batch", batch),
     ]))
 }
 

@@ -2402,122 +2402,6 @@ fn pipelined_requests_trickled_across_buffers_answer_in_order() {
 }
 
 #[test]
-fn pipelined_slow_and_fast_requests_return_in_request_order() {
-    // Batching on: a /match parks in the coalescing queue for up to a full
-    // window while /healthz answers on the fast path in microseconds. If the
-    // front end wrote responses as they completed, the healthz bytes would
-    // overtake the match bytes and corrupt the pipeline; per-connection
-    // ordering must hold them back.
-    let (handle, addr) = spawn_server(ServeConfig {
-        workers: 4,
-        batch_window_us: 20_000,
-        batch_max: 4,
-        ..ServeConfig::default()
-    });
-    let mut setup = HttpClient::connect(&addr).unwrap();
-    post_records(&mut setup, &["golden heart river", "makita drill 18v"]);
-
-    let mut wire = Vec::new();
-    let slow = b"{\"record\":[\"golden heart river live\"]}";
-    wire.extend_from_slice(
-        format!(
-            "POST /match HTTP/1.1\r\nHost: p\r\nContent-Length: {}\r\n\r\n",
-            slow.len()
-        )
-        .as_bytes(),
-    );
-    wire.extend_from_slice(slow);
-    wire.extend_from_slice(b"GET /healthz HTTP/1.1\r\nHost: p\r\n\r\n");
-    wire.extend_from_slice(b"GET /stats HTTP/1.1\r\nHost: p\r\n\r\n");
-
-    let mut stream = TcpStream::connect(&addr).unwrap();
-    stream.set_nodelay(true).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(&wire).unwrap();
-    stream.flush().unwrap();
-
-    let mut reader = BufReader::new(stream);
-    let (status, _, body) = read_response(&mut reader).unwrap();
-    assert_eq!(status, 200, "{body}");
-    assert!(
-        body.contains("\"matches\""),
-        "slow match must answer first despite the batch window: {body}"
-    );
-    assert!(
-        body.contains("\"distance\""),
-        "the river must match: {body}"
-    );
-    let (status, _, body) = read_response(&mut reader).unwrap();
-    assert_eq!(status, 200, "{body}");
-    assert!(body.contains("\"status\":\"ok\""), "then healthz: {body}");
-    let (status, _, body) = read_response(&mut reader).unwrap();
-    assert_eq!(status, 200, "{body}");
-    assert!(body.contains("\"records\":2"), "then stats: {body}");
-    handle.shutdown();
-}
-
-#[test]
-fn four_concurrent_matches_ride_one_full_batch_and_answer_as_direct_dispatch_does() {
-    const CORPUS: [&str; 6] = [
-        "golden heart river",
-        "makita drill 18v",
-        "apple iphone 8 silver",
-        "bosch hammer drill 800w",
-        "golden heart river live",
-        "samsung galaxy s9 black",
-    ];
-    const QUERIES: [&str; 4] = [
-        "golden heart river remastered",
-        "makita drill 18v cordless",
-        "apple iphone 8 silver 64gb",
-        "an unrelated garden hose",
-    ];
-    let serve = |batch_window_us: u64| {
-        let (handle, addr) = spawn_server(ServeConfig {
-            workers: 4,
-            batch_window_us,
-            batch_max: 4,
-            ..ServeConfig::default()
-        });
-        post_records(&mut HttpClient::connect(&addr).unwrap(), &CORPUS);
-        (handle, addr)
-    };
-
-    let (direct, direct_addr) = serve(0);
-    let mut client = HttpClient::connect(&direct_addr).unwrap();
-    let expected = QUERIES.map(|query| match_title(&mut client, query));
-    direct.shutdown();
-
-    // A window far longer than the test: the leader can only flush because
-    // the fourth request filled the batch, never because time ran out.
-    let (batched, addr) = serve(60_000_000);
-    let bodies = std::thread::scope(|scope| {
-        let parked = QUERIES.map(|query| {
-            let addr = &addr;
-            scope.spawn(move || match_title(&mut HttpClient::connect(addr).unwrap(), query))
-        });
-        parked.map(|thread| thread.join().expect("match thread"))
-    });
-    assert_eq!(
-        bodies, expected,
-        "a coalesced match must answer as a direct one"
-    );
-
-    let metrics = get_metrics(&mut HttpClient::connect(&addr).unwrap());
-    for (series, value) in [
-        ("multiem_batch_flush_total{reason=\"full\"}", 1.0),
-        ("multiem_batch_flush_total{reason=\"window\"}", 0.0),
-        ("multiem_batch_size_count{kind=\"match\"}", 1.0),
-        ("multiem_batch_size_sum{kind=\"match\"}", 4.0),
-    ] {
-        assert_eq!(sample(&metrics, series), value, "{series}");
-    }
-    batched.shutdown();
-}
-
-#[test]
 fn malformed_request_mid_pipeline_flushes_earlier_responses_then_closes() {
     let (handle, addr) = spawn_server(ServeConfig::default());
     let mut client = HttpClient::connect(&addr).unwrap();
@@ -2748,4 +2632,54 @@ fn no_reader_thread_outlives_its_connection() {
     assert_eq!(status, 200, "{body}");
     let exit = child.0.wait().unwrap();
     assert_eq!(exit.code(), Some(0), "serve must exit cleanly: {exit:?}");
+}
+
+#[test]
+fn every_flag_serve_help_prints_is_one_its_parser_knows() {
+    use std::process::{Command, Output};
+
+    // A port that is not a number fails before any resolver runs, so a run
+    // that gets as far as binding exits 2 without touching the network.
+    const UNBINDABLE: &str = "127.0.0.1:no-port";
+    let serve = |args: &[&str]| -> Output {
+        Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(args)
+            .output()
+            .expect("serve runs")
+    };
+    let help = serve(&["--help"]);
+    assert!(help.status.success(), "{help:?}");
+    let help = String::from_utf8(help.stdout).unwrap();
+    let mut flags: Vec<&str> = help
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|word| word.starts_with("--") && *word != "--help")
+        .collect();
+    flags.sort_unstable();
+    flags.dedup();
+    assert!(
+        flags.contains(&"--addr") && flags.contains(&"--no-telemetry"),
+        "{flags:?}"
+    );
+
+    for flag in flags {
+        let run = serve(&["--addr", UNBINDABLE, flag]);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(!stderr.contains("unknown flag"), "{flag}: {stderr}");
+        assert_eq!(run.status.code(), Some(2), "{flag}: {stderr}");
+        // A value flag given no value says so; the one switch gets as far
+        // as binding.
+        let expected = match flag {
+            "--no-telemetry" => "startup failed".to_string(),
+            _ => format!("{flag} needs a value"),
+        };
+        assert!(stderr.contains(&expected), "{flag}: {stderr}");
+    }
+
+    for removed in ["--batch-window-us", "--batch-max"] {
+        assert!(!help.contains(removed), "{removed} is still documented");
+        let run = serve(&["--addr", UNBINDABLE, removed, "1"]);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{removed}: {stderr}");
+        assert!(stderr.contains("unknown flag"), "{removed}: {stderr}");
+    }
 }
