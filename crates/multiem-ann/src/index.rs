@@ -1,8 +1,9 @@
 //! Either index backend behind one type.
 //!
-//! The batch merger picks a backend per table and the online store per
-//! rebuild, both from the collection size, so both hold "a brute-force or an
-//! HNSW index" — this enum, which serializes as part of the store's snapshot.
+//! The batch merger picks a backend per merge (from its smaller table) and
+//! the online store per rebuild (from its live clusters), so both hold "a
+//! brute-force or an HNSW index" — this enum, which serializes as part of
+//! the store's snapshot.
 
 use crate::{
     BruteForceIndex, DynamicVectorIndex, HnswConfig, HnswIndex, Metric, Neighbor, VectorIndex,

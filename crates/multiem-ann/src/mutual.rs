@@ -3,7 +3,9 @@
 //! The two-table merging strategy of MultiEM declares a pair `(e, e')` matched
 //! when `e' ∈ topK(e)`, `e ∈ topK(e')`, **and** `dist(e, e') ≤ m`. This module
 //! implements that join generically over any [`VectorIndex`] so it can run on
-//! the exact brute-force index (small tables) or the HNSW index (large tables).
+//! the exact brute-force index or the HNSW index. The batch merger picks one
+//! backend per merge from its smaller table, so from there both sides are
+//! exact or both are HNSW; a mixed join still answers, by searches.
 //!
 //! Both directions' top-K come from searches when a side is approximate
 //! (`top_k_tiled`), and from one pass over the distance matrix when both
@@ -106,9 +108,10 @@ const TILE: usize = 32;
 /// full tile is cut into narrower ones (300 queries on 16 threads: 19 wide,
 /// not 10 tiles of 32 with six threads idle). Results do not depend on the
 /// width. Since the exact join left this path only joins with an HNSW side
-/// come here, i.e. sides of thousands of queries, which get full tiles on
-/// any machine the pipeline has run on; the narrow case is covered by tests,
-/// not by a measurement.
+/// come here, and from the batch merger only joins of two HNSW sides (it
+/// picks one backend per merge), i.e. sides of thousands of queries, which
+/// get full tiles on any machine the pipeline has run on; the narrow case is
+/// covered by tests, not by a measurement.
 fn tile_width(queries: usize, threads: usize) -> usize {
     TILE.min(queries.div_ceil(threads)).max(1)
 }

@@ -12,8 +12,10 @@ pub enum IndexBackend {
     /// Always use the HNSW graph index.
     Hnsw,
     /// Use brute force below [`MultiEmConfig::hnsw_threshold`] items and HNSW
-    /// above it (default — mirrors how the reference implementation behaves on
-    /// small vs. large tables).
+    /// at or above it (default). A merge counts its *smaller* table and builds
+    /// both of its indexes on the one backend that selects, so it uses HNSW
+    /// only when both tables are past the threshold; the online store counts
+    /// its live representatives.
     #[default]
     Auto,
 }
@@ -45,7 +47,10 @@ pub struct MultiEmConfig {
     pub merge_metric: Metric,
     /// Index backend selection.
     pub index_backend: IndexBackend,
-    /// Table size above which [`IndexBackend::Auto`] switches to HNSW.
+    /// Index size at which [`IndexBackend::Auto`] switches to HNSW. For a
+    /// two-table merge the size is that of the smaller table: with one exact
+    /// side, the join scores all |A|×|B| pairs anyway, and the one-pass
+    /// exact join does it without a graph.
     ///
     /// The default (2,000) is the measured break-even of the two backends in
     /// a merge, where every item is inserted once into its own table's index
@@ -135,9 +140,11 @@ impl MultiEmConfig {
         self
     }
 
-    /// Whether an index that holds `len` vectors is an HNSW graph rather than
-    /// the exact index — the one place [`MultiEmConfig::index_backend`] and
-    /// [`MultiEmConfig::hnsw_threshold`] are read.
+    /// Whether an index sized by `len` is an HNSW graph rather than the exact
+    /// index — the one place [`MultiEmConfig::index_backend`] and
+    /// [`MultiEmConfig::hnsw_threshold`] are read. The merger passes the
+    /// length of a merge's smaller table, for both of its indexes; the online
+    /// store passes its count of live representatives.
     pub fn wants_hnsw(&self, len: usize) -> bool {
         match self.index_backend {
             IndexBackend::BruteForce => false,
@@ -146,8 +153,9 @@ impl MultiEmConfig {
         }
     }
 
-    /// An empty merge-phase index of dimensionality `dim`, on the backend
-    /// chosen for holding `len` vectors.
+    /// An empty index of dimensionality `dim`, on the backend
+    /// [`MultiEmConfig::wants_hnsw`] selects for `len` (same callers, same
+    /// lengths).
     pub fn index_for(&self, len: usize, dim: usize) -> AnnIndex {
         let hnsw = self.wants_hnsw(len).then(|| self.hnsw.clone());
         AnnIndex::new(dim, self.merge_metric, hnsw)

@@ -4,7 +4,10 @@
 //! entities or tuples produced by earlier merges. One two-table merge step
 //! (Algorithm 3):
 //!
-//! 1. builds an ANN index over each table's item embeddings,
+//! 1. builds an ANN index over each table's item embeddings, both on the
+//!    backend the *smaller* table's size selects: a merge is approximate only
+//!    when both tables are past `hnsw_threshold`, because a join with an
+//!    exact side scores every pair of the two tables anyway,
 //! 2. finds all **mutual top-K** item pairs with distance ≤ `m` (Eq. 1),
 //! 3. fuses matched items through transitivity (union-find) into new items,
 //!    carrying every unmatched item into the output table unchanged.
@@ -117,9 +120,19 @@ impl MergedTable {
     }
 }
 
-/// Index one table's item embeddings, on the backend its size selects.
-fn index_items(items: &[MergeItem], config: &MultiEmConfig, dim: usize) -> AnnIndex {
-    let mut index = config.index_for(items.len(), dim);
+/// Index one table's item embeddings, on the backend `config` selects for a
+/// merge whose smaller table holds `smaller` items. Both sides of a merge are
+/// built with the same `smaller`: with one exact side, `mutual_top_k` scans
+/// it once per row of the other, which scores all |A|×|B| pairs — exactly the
+/// distances its one-pass exact join needs for both directions — so an HNSW
+/// graph on the other side would be built for nothing.
+fn index_items(
+    items: &[MergeItem],
+    smaller: usize,
+    config: &MultiEmConfig,
+    dim: usize,
+) -> AnnIndex {
+    let mut index = config.index_for(smaller, dim);
     index.reserve(items.len());
     for item in items {
         index.insert(&item.embedding);
@@ -170,8 +183,9 @@ pub fn two_table_merge_with_stats(
         return (left.clone(), MergeStats::default());
     }
 
-    let left_index = index_items(&left.items, config, dim);
-    let right_index = index_items(&right.items, config, dim);
+    let smaller = left.len().min(right.len());
+    let left_index = index_items(&left.items, smaller, config, dim);
+    let right_index = index_items(&right.items, smaller, config, dim);
     let left_vecs: Vec<&[f32]> = left.items.iter().map(|i| i.embedding.as_slice()).collect();
     let right_vecs: Vec<&[f32]> = right.items.iter().map(|i| i.embedding.as_slice()).collect();
 
@@ -524,6 +538,68 @@ mod tests {
         let table = MergedTable::from_source(&ds, 0, &store);
         assert_eq!(table.len(), 1, "null-text entity must be skipped");
         assert!(table.approx_bytes() > 0);
+    }
+
+    #[test]
+    fn a_merge_with_a_side_below_the_threshold_builds_no_graph_and_answers_as_the_exact_merge() {
+        use rand::Rng;
+        let dim = 16;
+        let mut rng = ChaCha8Rng::seed_from_u64(33);
+        let centres: Vec<Vec<f32>> = (0..8)
+            .map(|_| (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+            .collect();
+        // Row `i` of a table lies near centre `i % 8`.
+        let mut table = |source: u32, n: usize| MergedTable {
+            items: (0..n)
+                .map(|row| {
+                    let centre = &centres[row % centres.len()];
+                    let noisy = centre
+                        .iter()
+                        .map(|x| x + rng.gen_range(-0.05f32..0.05))
+                        .collect();
+                    item((source, row as u32), noisy)
+                })
+                .collect(),
+        };
+        let (small, large, other) = (table(0, 6), table(1, 30), table(2, 30));
+        let auto = MultiEmConfig {
+            hnsw_threshold: 10,
+            ..config()
+        };
+        let brute = MultiEmConfig {
+            index_backend: IndexBackend::BruteForce,
+            ..auto.clone()
+        };
+        let brute_bytes = |t: &MergedTable| {
+            let mut index = AnnIndex::new(dim, auto.merge_metric, None);
+            index.reserve(t.len());
+            for item in &t.items {
+                index.insert(&item.embedding);
+            }
+            index.approx_bytes()
+        };
+        let bits =
+            |i: &MergeItem| -> Vec<u32> { i.embedding.iter().map(|x| x.to_bits()).collect() };
+
+        for (left, right) in [(&small, &large), (&large, &small)] {
+            let (merged, stats) = two_table_merge_with_stats(left, right, &auto, dim);
+            assert_eq!(
+                stats.index_bytes,
+                brute_bytes(left) + brute_bytes(right),
+                "6 rows against 30 must index both sides exactly"
+            );
+            let exact = two_table_merge(left, right, &brute, dim);
+            assert!(!exact.tuples().is_empty());
+            assert_eq!(merged.len(), exact.len());
+            for (a, b) in merged.items.iter().zip(&exact.items) {
+                assert_eq!(a.members, b.members);
+                assert_eq!(bits(a), bits(b));
+            }
+        }
+
+        // Both sides past the threshold: graphs are still built.
+        let (_, stats) = two_table_merge_with_stats(&large, &other, &auto, dim);
+        assert!(stats.index_bytes > brute_bytes(&large) + brute_bytes(&other));
     }
 
     #[test]

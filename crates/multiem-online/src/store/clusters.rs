@@ -495,8 +495,8 @@ impl ClusterTable {
     /// tombstones exceed `rebuild_staleness` of it, or when the live
     /// clusters have outgrown the brute-force backend
     /// ([`multiem_core::MultiEmConfig::wants_hnsw`]) — the backend policy the
-    /// batch merger applies per table. A cluster's row moves over as it is:
-    /// it already is the cluster's representative.
+    /// batch merger applies per merge, to its smaller table. A cluster's row
+    /// moves over as it is: it already is the cluster's representative.
     pub(super) fn maybe_rebuild(&mut self, config: &OnlineConfig) {
         let total = self.node_root.len();
         if total == 0 {

@@ -26,7 +26,8 @@
 //! Tombstones accumulate as clusters merge; once their fraction exceeds
 //! `rebuild_staleness`, the representative index is rebuilt from live
 //! clusters, on the backend [`multiem_core::MultiEmConfig::index_for`] picks for
-//! their number — the policy the batch merger applies per table.
+//! their number — the policy the batch merger applies per merge, to the
+//! smaller table's size.
 //!
 //! Every search of the representative index — an insert's candidates, the
 //! mutual check's reverse look-up, a batch of `/match` queries — goes through
