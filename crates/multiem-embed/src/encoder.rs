@@ -1,6 +1,6 @@
 //! The embedding model trait and the hashed lexical encoder.
 
-use crate::hashing::{accumulate_token, fnv1a64};
+use crate::hashing::{accumulate_token, fnv1a64, fnv1a64_extend};
 use crate::idf::IdfStatistics;
 use crate::tokenizer::{TokenKind, Tokenizer, TokenizerConfig};
 use crate::vector::{l2_normalize, Matrix};
@@ -121,6 +121,10 @@ impl EncoderConfig {
     }
 }
 
+/// FNV-1a state after an n-gram key's `#` prefix, which keeps the n-gram and
+/// word hash spaces apart: an n-gram hashes as `fnv1a64("#" ++ gram)`.
+const NGRAM_KEY_PREFIX: u64 = fnv1a64(b"#");
+
 /// Deterministic hashed lexical encoder — the Sentence-BERT stand-in.
 ///
 /// See the crate-level documentation for the design rationale. The encoder is
@@ -228,12 +232,9 @@ impl EmbeddingModel for HashedLexicalEncoder {
                 let grams = self.tokenizer.char_ngrams(&tok.text);
                 if !grams.is_empty() {
                     let per = base * self.config.ngram_weight / grams.len() as f32;
-                    for g in &grams {
-                        // Prefix to keep n-gram and word hash spaces separate.
-                        let mut key = Vec::with_capacity(g.len() + 1);
-                        key.push(b'#');
-                        key.extend_from_slice(g.as_bytes());
-                        accumulate_token(&mut acc, fnv1a64(&key), per);
+                    for g in grams {
+                        let hash = fnv1a64_extend(NGRAM_KEY_PREFIX, g.as_bytes());
+                        accumulate_token(&mut acc, hash, per);
                     }
                 }
             }
@@ -377,5 +378,38 @@ mod tests {
         let v = e.encode("apple iphone");
         let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
         assert!((norm - 1.0).abs() < 1e-4);
+    }
+
+    #[test]
+    fn encoder_output_bits_are_pinned() {
+        // Figure 1 and Example 1 of the paper, multi-byte text, and two
+        // inputs without a token, through a plain and an IDF-fitted encoder
+        // at three dimensions. The digest is of every output bit, so a
+        // tokenizer, hashing or pooling change that moves one bit of one
+        // embedding fails here.
+        let corpus = [
+            "apple iphone 8 plus 64gb silver",
+            "apple iphone 8 plus 5.5 64gb 4g unlocked sim free silver",
+            "wom14513028 megna's tim o'brien chameleon",
+            "wom94369364 megna's tim o'brien chameleon",
+            "wom14513028 megna's tim o'brien the hitmen",
+            "café naïve 東京都庁 straße",
+            "",
+            "--- ,,,",
+        ];
+        let mut bytes = Vec::new();
+        for dim in [64, 100, 384] {
+            let plain = HashedLexicalEncoder::with_dim(dim);
+            let mut fitted = HashedLexicalEncoder::with_dim(dim);
+            fitted.fit_idf(corpus);
+            for encoder in [&plain, &fitted] {
+                for text in corpus {
+                    for x in encoder.encode(text) {
+                        bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+                    }
+                }
+            }
+        }
+        assert_eq!(crate::hashing::fnv1a64(&bytes), 0x786e_a9d8_d47c_d722);
     }
 }

@@ -112,20 +112,25 @@ impl Tokenizer {
             .collect()
     }
 
-    /// Character n-grams of a single token according to the configuration.
-    pub fn char_ngrams(&self, token: &str) -> Vec<String> {
+    /// Character n-grams of a single token according to the configuration:
+    /// for each `n` in `ngram_min..=ngram_max`, every run of `n` consecutive
+    /// chars, in order, as a slice of `token` cut at `char_indices`
+    /// boundaries (so multi-byte chars stay whole). Nothing is copied; a
+    /// token shorter than `ngram_token_min_len` chars has no n-grams.
+    pub fn char_ngrams<'t>(&self, token: &'t str) -> Vec<&'t str> {
         let mut out = Vec::new();
         if self.config.ngram_max == 0 || token.chars().count() < self.config.ngram_token_min_len {
             return out;
         }
-        let chars: Vec<char> = token.chars().collect();
+        let starts = || token.char_indices().map(|(i, _)| i);
         for n in self.config.ngram_min..=self.config.ngram_max {
-            if n == 0 || chars.len() < n {
+            if n == 0 {
                 continue;
             }
-            for window in chars.windows(n) {
-                out.push(window.iter().collect());
-            }
+            // Gram `k` runs from char `k` to char `k + n`; zipping stops at
+            // the last gram that fits (none when the token is too short).
+            let ends = starts().chain(std::iter::once(token.len())).skip(n);
+            out.extend(starts().zip(ends).map(|(start, end)| &token[start..end]));
         }
         out
     }
@@ -191,9 +196,38 @@ mod tests {
         };
         let t = Tokenizer::new(cfg);
         let grams = t.char_ngrams("abcd");
-        assert!(grams.contains(&"ab".to_string()));
-        assert!(grams.contains(&"bcd".to_string()));
+        assert!(grams.contains(&"ab"));
+        assert!(grams.contains(&"bcd"));
         assert_eq!(grams.len(), 3 + 2);
+    }
+
+    #[test]
+    fn char_ngrams_are_the_char_windows_of_multi_byte_tokens() {
+        let by_windows = |token: &str, n: usize| -> Vec<String> {
+            let chars: Vec<char> = token.chars().collect();
+            chars.windows(n).map(|w| w.iter().collect()).collect()
+        };
+        let default = Tokenizer::default();
+        let range = Tokenizer::new(TokenizerConfig {
+            ngram_min: 1,
+            ngram_max: 4,
+            ngram_token_min_len: 3,
+            ..TokenizerConfig::default()
+        });
+        // "café" is exactly the default `ngram_token_min_len` (4) chars long.
+        for token in ["naïve", "東京都庁", "café", "iphone"] {
+            for t in [&default, &range] {
+                let cfg = t.config();
+                let expected: Vec<String> = (cfg.ngram_min..=cfg.ngram_max)
+                    .flat_map(|n| by_windows(token, n))
+                    .collect();
+                assert_eq!(t.char_ngrams(token), expected, "{token}");
+            }
+        }
+        assert_eq!(default.char_ngrams("naïve"), vec!["naï", "aïv", "ïve"]);
+        assert_eq!(default.char_ngrams("東京都庁"), vec!["東京都", "京都庁"]);
+        assert_eq!(default.char_ngrams("café"), vec!["caf", "afé"]);
+        assert!(default.char_ngrams("東京都").is_empty());
     }
 
     #[test]
