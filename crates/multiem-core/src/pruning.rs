@@ -281,6 +281,79 @@ mod tests {
         assert!(summary.outliers_removed >= 2);
     }
 
+    /// Two unit vectors at cosine distance `d` (up to rounding), drawn from
+    /// `seed`: `a` at random, `b` rotated off it towards a random direction
+    /// orthogonal to `a`.
+    fn unit_pair(seed: u64, d: f32) -> (Vec<f32>, Vec<f32>) {
+        use multiem_embed::hashing::splitmix64;
+        use multiem_embed::l2_normalize;
+        let mut state = seed;
+        let mut draw = || -> Vec<f32> {
+            (0..64)
+                .map(|_| (splitmix64(&mut state) >> 40) as f32 / (1u32 << 24) as f32 - 0.5)
+                .collect()
+        };
+        let mut a = draw();
+        l2_normalize(&mut a);
+        let mut u = draw();
+        let along: f32 = a.iter().zip(&u).map(|(x, y)| x * y).sum();
+        u.iter_mut().zip(&a).for_each(|(y, x)| *y -= along * x);
+        l2_normalize(&mut u);
+        let (cos, sin) = (1.0 - d, (1.0 - (1.0 - d) * (1.0 - d)).sqrt());
+        let b = a.iter().zip(&u).map(|(x, y)| cos * x + sin * y).collect();
+        (a, b)
+    }
+
+    /// Between unit vectors `‖a − b‖ = √(2·d_cos)`. So a two-member item
+    /// whose members the merger joined at cosine distance `≤ m` keeps both
+    /// whenever `ε > √(2m)` and `MinPts = 2`: each member has the other
+    /// within `ε`, so both are core points. On the paper's grid the bound
+    /// holds in three of six (`m`, `ε`) cells; where it fails, a pair at
+    /// distance `m` is dropped.
+    #[test]
+    fn a_mutual_pair_within_m_survives_pruning_whenever_epsilon_exceeds_sqrt_2m() {
+        let (mut held, mut checked) = (Vec::new(), 0);
+        for m in [0.2f32, 0.35, 0.5] {
+            for epsilon in [0.8f32, 1.0] {
+                if epsilon <= (2.0 * m).sqrt() {
+                    continue;
+                }
+                held.push((m, epsilon));
+                let config = MultiEmConfig {
+                    epsilon,
+                    min_pts: 2,
+                    ..MultiEmConfig::default()
+                };
+                for seed in 0..200u64 {
+                    // Distances spread over [0, m], the last one m itself.
+                    let d = m * (seed % 100 + 1) as f32 / 100.0;
+                    let (a, b) = unit_pair(seed, d);
+                    if multiem_embed::cosine_distance(&a, &b) > m {
+                        continue; // rounded past m: not the claim's case
+                    }
+                    let (kept, removed) = prune_points(&[&a, &b], &config);
+                    assert_eq!(
+                        (kept, removed),
+                        (vec![0, 1], vec![]),
+                        "m {m} ε {epsilon} d {d}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(held, [(0.2, 0.8), (0.2, 1.0), (0.35, 1.0)]);
+        assert!(checked > 590, "only {checked} of 600 pairs fell within m");
+
+        // m 0.35, ε 0.8: √0.7 ≈ 0.837 > ε, so a pair at distance m splits.
+        let (a, b) = unit_pair(7, 0.35);
+        let config = MultiEmConfig {
+            epsilon: 0.8,
+            min_pts: 2,
+            ..MultiEmConfig::default()
+        };
+        assert_eq!(prune_points(&[&a, &b], &config), (vec![], vec![0, 1]));
+    }
+
     #[test]
     fn parallel_and_sequential_pruning_agree() {
         let (_ds, store) = dataset_with_titles(&[
