@@ -354,6 +354,58 @@ mod tests {
         assert_eq!(prune_points(&[&a, &b], &config), (vec![], vec![0, 1]));
     }
 
+    /// Algorithm 4 is idempotent: pruning what it kept keeps all of it. An
+    /// outlier lies within `ε` of no core point, so removing it leaves every
+    /// core point its whole neighbourhood and every reachable point its core
+    /// neighbour. The online store's `refresh` prunes every cluster, the
+    /// ones it pruned before included, on the strength of this.
+    #[test]
+    fn pruning_what_pruning_kept_keeps_every_point() {
+        use multiem_embed::hashing::splitmix64;
+        use multiem_embed::l2_normalize;
+        let mut split = 0;
+        for epsilon in [0.4f32, 0.8, 1.0] {
+            for min_pts in [2, 3] {
+                let config = MultiEmConfig {
+                    epsilon,
+                    min_pts,
+                    ..MultiEmConfig::default()
+                };
+                for seed in 0..200u64 {
+                    let mut state = seed;
+                    let mut draw =
+                        || (splitmix64(&mut state) >> 40) as f32 / (1u32 << 24) as f32 - 0.5;
+                    // 2 to 12 unit vectors scattered round one centre, some
+                    // tightly, some hardly at all.
+                    let n = 2 + (seed % 11) as usize;
+                    let spread = 0.1 + 2.0 * (draw() + 0.5);
+                    let centre: Vec<f32> = (0..8).map(|_| draw()).collect();
+                    let points: Vec<Vec<f32>> = (0..n)
+                        .map(|_| {
+                            let mut p: Vec<f32> =
+                                centre.iter().map(|c| c + spread * draw()).collect();
+                            l2_normalize(&mut p);
+                            p
+                        })
+                        .collect();
+                    let points: Vec<&[f32]> = points.iter().map(Vec::as_slice).collect();
+                    let (kept, removed) = prune_points(&points, &config);
+                    let rest: Vec<&[f32]> = kept.iter().map(|&i| points[i]).collect();
+                    assert_eq!(
+                        prune_points(&rest, &config),
+                        ((0..rest.len()).collect(), vec![]),
+                        "ε {epsilon} MinPts {min_pts} seed {seed}"
+                    );
+                    split += usize::from(!kept.is_empty() && !removed.is_empty());
+                }
+            }
+        }
+        assert!(
+            split > 200,
+            "vacuous: {split} of 1200 sets lost some points"
+        );
+    }
+
     #[test]
     fn parallel_and_sequential_pruning_agree() {
         let (_ds, store) = dataset_with_titles(&[

@@ -33,24 +33,16 @@ pub struct DiskStorageConfig {
     /// Capacity (in records) of the in-memory LRU over sealed records. `0`
     /// disables the cache (every sealed read hits disk).
     pub cache_records: usize,
-    /// Compaction threshold: a sealed segment whose *live* fraction
-    /// (non-deleted records / records in the file) is at or below this
-    /// value is rewritten by the next compaction pass
-    /// ([`crate::storage::RecordStorage::compact`]), reclaiming the bytes its
-    /// tombstoned records pin. `0.0` compacts only fully-dead segments;
-    /// `1.0` rewrites any segment with at least one deletion.
-    pub compact_live_ratio: f64,
 }
 
 impl DiskStorageConfig {
-    /// Disk storage under `dir` with the default segment size (512 records),
-    /// hot cache (1024 records) and compaction threshold (0.6).
+    /// Disk storage under `dir` with the default segment size (512 records)
+    /// and hot cache (1024 records).
     pub fn new(dir: impl Into<String>) -> Self {
         Self {
             dir: dir.into(),
             segment_records: 512,
             cache_records: 1024,
-            compact_live_ratio: 0.6,
         }
     }
 }
@@ -73,15 +65,12 @@ pub enum StorageConfig {
 pub struct OnlineConfig {
     /// The batch pipeline hyper-parameters reused by the incremental path:
     /// `k` / `m` / `merge_metric` drive the mutual top-K rule, `epsilon` /
-    /// `min_pts` / `prune_metric` drive re-pruning, `index_backend` /
+    /// `min_pts` / `prune_metric` drive re-pruning (on a delete's survivors
+    /// and on [`crate::EntityStore::refresh`]), `index_backend` /
     /// `hnsw_threshold` / `hnsw` select the representative index.
     pub base: MultiEmConfig,
     /// Attribute-selection strategy.
     pub selection: SelectionStrategy,
-    /// Re-run density-based pruning over dirty clusters every this many
-    /// accepted records (`None` = only when [`crate::EntityStore::refresh`]
-    /// is called explicitly).
-    pub prune_interval: Option<usize>,
     /// Rebuild the representative index once the fraction of tombstoned
     /// (stale) nodes exceeds this threshold. Cluster merges tombstone the
     /// merged representatives, so without rebuilds searches degrade.
@@ -110,7 +99,6 @@ impl OnlineConfig {
         Self {
             base,
             selection,
-            prune_interval: Some(256),
             rebuild_staleness: 0.5,
             match_within_source: false,
             storage: StorageConfig::Memory,
@@ -142,9 +130,6 @@ impl OnlineConfig {
         if !(0.0..=1.0).contains(&self.rebuild_staleness) {
             return Err("rebuild_staleness must be in [0, 1]".into());
         }
-        if self.prune_interval == Some(0) {
-            return Err("prune_interval must be at least 1".into());
-        }
         if let SelectionStrategy::Fixed(attrs) = &self.selection {
             if attrs.is_empty() {
                 return Err("fixed attribute selection must not be empty".into());
@@ -156,9 +141,6 @@ impl OnlineConfig {
             }
             if disk.segment_records == 0 {
                 return Err("disk storage segment_records must be at least 1".into());
-            }
-            if !(0.0..=1.0).contains(&disk.compact_live_ratio) {
-                return Err("disk storage compact_live_ratio must be in [0, 1]".into());
             }
         }
         Ok(())
@@ -203,11 +185,6 @@ mod tests {
             ..OnlineConfig::default()
         };
         assert!(c.validate().is_err());
-        let c = OnlineConfig {
-            prune_interval: Some(0),
-            ..OnlineConfig::default()
-        };
-        assert!(c.validate().is_err());
         let c = OnlineConfig::default().with_fixed_attributes(vec![]);
         assert!(c.validate().is_err());
         let c = OnlineConfig::new(MultiEmConfig {
@@ -226,11 +203,6 @@ mod tests {
         let mut c = OnlineConfig::default().with_disk_storage("/tmp/multiem-x");
         if let StorageConfig::Disk(d) = &mut c.storage {
             d.segment_records = 0;
-        }
-        assert!(c.validate().is_err());
-        let mut c = OnlineConfig::default().with_disk_storage("/tmp/multiem-x");
-        if let StorageConfig::Disk(d) = &mut c.storage {
-            d.compact_live_ratio = 1.5;
         }
         assert!(c.validate().is_err());
         // The default stays fully resident.

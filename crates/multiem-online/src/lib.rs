@@ -18,8 +18,9 @@
 //!   index (`O(log N)` HNSW insertion, [`multiem_ann::DynamicVectorIndex`]);
 //! * [`EntityStore::match_record`] answers read-only "which entities does this
 //!   record refer to?" queries without mutating the store;
-//! * density-based pruning (Algorithm 4) re-runs periodically over *dirty*
-//!   clusters only, splitting outliers off into singletons;
+//! * density-based pruning (Algorithm 4) re-runs over a delete's survivors
+//!   and, on [`EntityStore::refresh`], over every multi-member cluster,
+//!   splitting outliers off into singletons;
 //! * the partition has one owner, the store's cluster table: member lists
 //!   and index nodes are stated once, and the representatives and the
 //!   record → cluster look-up every read uses are derived from them;
@@ -39,8 +40,7 @@
 //!   detached from its cluster (whose survivors are pruned again), its
 //!   payload is tombstoned in storage, and — for a store
 //!   that spills — [`EntityStore::compact_storage`] rewrites segment files
-//!   whose live fraction fell below
-//!   [`DiskStorageConfig::compact_live_ratio`], so deleted records stop
+//!   whose live fraction fell to or below 0.6, so deleted records stop
 //!   pinning whole files.
 //!
 //! ```

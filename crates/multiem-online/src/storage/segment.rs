@@ -27,8 +27,8 @@
 //! the per-source sequence map at a sentinel. A tail entry is emptied in
 //! place; a sealed frame stays in its immutable segment file, and the
 //! segment's `dead` counter tracks how many of its frames are pinned
-//! garbage. Once a segment's live fraction drops to the configured
-//! `compact_live_ratio`, [`RecordStorage::compact`] rewrites it:
+//! garbage. Once a segment's live fraction drops to
+//! `COMPACT_LIVE_RATIO`, [`RecordStorage::compact`] rewrites it:
 //! consecutive runs of compactable segments are merged into fresh sealed
 //! files holding only live frames (fully-dead segments vanish without a
 //! successor). A rewritten segment is *sparse* — it records the global
@@ -67,6 +67,12 @@ use std::sync::{Mutex, MutexGuard};
 /// would need 2^32 - 1 appends for a real sequence to collide with it; the
 /// append path guards against that overflow.)
 const TOMBSTONE_SEQ: u32 = u32::MAX;
+
+/// Compaction threshold: a sealed segment whose *live* fraction
+/// (non-deleted records / records in the file) is at or below this value is
+/// rewritten by the next [`RecordStorage::compact`], reclaiming the bytes its
+/// tombstoned records pin.
+const COMPACT_LIVE_RATIO: f64 = 0.6;
 
 /// Index entry of one sealed, immutable segment file.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -918,23 +924,21 @@ impl RecordStorage {
     }
 
     /// Rewrite sealed segment files whose live fraction fell to or below
-    /// the configured threshold
-    /// ([`DiskStorageConfig::compact_live_ratio`](crate::DiskStorageConfig))
-    /// into fresh sealed files holding only live records, dropping
-    /// fully-dead files outright. The in-memory index switches atomically;
-    /// superseded files stay on disk until [`RecordStorage::gc`] sweeps
-    /// them, so callers persisting snapshots must commit the
-    /// post-compaction index before sweeping. No-op without a spill part.
+    /// 0.6 (`COMPACT_LIVE_RATIO`) into fresh sealed files holding only live
+    /// records, dropping fully-dead files outright. The in-memory index
+    /// switches atomically; superseded files stay on disk until
+    /// [`RecordStorage::gc`] sweeps them, so callers persisting snapshots
+    /// must commit the post-compaction index before sweeping. No-op without
+    /// a spill part.
     pub fn compact(&mut self) -> Result<CompactionReport> {
         let mut report = CompactionReport::default();
         let Some(spill) = &self.spill else {
             return Ok(report);
         };
-        let threshold = spill.config.compact_live_ratio;
         let compactable: Vec<bool> = spill
             .segments
             .iter()
-            .map(|meta| meta.dead > 0 && meta.stats().live_ratio() <= threshold)
+            .map(|meta| meta.dead > 0 && meta.stats().live_ratio() <= COMPACT_LIVE_RATIO)
             .collect();
         if !compactable.iter().any(|&c| c) {
             return Ok(report);

@@ -41,8 +41,6 @@ pub(super) struct Cluster {
     members: Vec<usize>,
     /// Live node in the representative index, if the cluster is indexed.
     node: Option<usize>,
-    /// Whether the cluster changed since the last pruning pass.
-    dirty: bool,
 }
 
 impl Cluster {
@@ -270,15 +268,6 @@ impl ClusterTable {
         &self.clusters[&id].members
     }
 
-    /// Ids of the multi-member clusters that changed since they were last
-    /// pruned.
-    pub(super) fn dirty(&self) -> Vec<usize> {
-        self.iter()
-            .filter(|(_, c)| c.dirty && c.members.len() >= 2)
-            .map(|(id, _)| id)
-            .collect()
-    }
-
     /// The cluster and index counters of [`StoreStats`]; the record counters
     /// are the store's to fill in.
     pub(super) fn stats(&self) -> StoreStats {
@@ -373,7 +362,7 @@ impl ClusterTable {
     /// [`representative`] is indexed when it is non-zero (a zero embedding
     /// — empty serialized text — never matches anything, like the batch
     /// merger skips it).
-    pub(super) fn register(&mut self, members: Vec<usize>, points: &[&[f32]], dirty: bool) {
+    pub(super) fn register(&mut self, members: Vec<usize>, points: &[&[f32]]) {
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
         self.reverse.invalidate();
         let id = self.clusters.keys().next_back().map_or(0, |&id| id + 1);
@@ -390,12 +379,7 @@ impl ClusterTable {
             self.node_root.push(Some(id));
             node
         });
-        let cluster = Cluster {
-            members,
-            node,
-            dirty,
-        };
-        self.clusters.insert(id, cluster);
+        self.clusters.insert(id, Cluster { members, node });
     }
 
     /// Remove a cluster this table named, tombstoning its node. The caller
@@ -415,9 +399,9 @@ impl ClusterTable {
 
     /// Fuse the new `record` — the newest sequence, embedding `embedding` —
     /// with every cluster it matched (transitively: they all become one
-    /// cluster, due for pruning); with no match it starts a clean
-    /// singleton. The fused representative reads the stored embeddings of
-    /// the matched clusters' members.
+    /// cluster); with no match it starts a singleton. The fused
+    /// representative reads the stored embeddings of the matched clusters'
+    /// members.
     pub(super) fn fuse(
         &mut self,
         record: usize,
@@ -434,15 +418,15 @@ impl ClusterTable {
         let mut points = as_points(&flat, members.len());
         members.push(record);
         points.push(embedding);
-        self.register(members, &points, !matched.is_empty());
+        self.register(members, &points);
     }
 
     /// Density-based pruning (Algorithm 4) of a cluster this table named,
     /// by its members' stored embeddings, leaving `without` (a member being
     /// deleted) out: outliers split off into singletons and the rest stay
-    /// together, all clean; a cluster that loses no member is only marked
-    /// clean. With `base.pruning` off nothing is split, and a delete's
-    /// survivors stay as dirty as they were. Returns the number of outliers.
+    /// together; a cluster that loses no member is left as it is, node and
+    /// all. With `base.pruning` off nothing is split. Returns the number of
+    /// outliers.
     pub(super) fn prune(
         &mut self,
         id: usize,
@@ -459,26 +443,22 @@ impl ClusterTable {
             false => ((0..members.len()).collect(), Vec::new()),
         };
         if outliers.is_empty() && without.is_none() {
-            if let Some(cluster) = self.clusters.get_mut(&id) {
-                cluster.dirty = false;
-            }
             return 0;
         }
-        let dirty = self.take(id).dirty && !base.pruning;
+        self.take(id);
         for &i in &outliers {
-            self.register(vec![members[i]], &[points[i]], false);
+            self.register(vec![members[i]], &[points[i]]);
         }
         if !kept.is_empty() {
             let rest: Vec<&[f32]> = kept.iter().map(|&i| points[i]).collect();
-            self.register(kept.iter().map(|&i| members[i]).collect(), &rest, dirty);
+            self.register(kept.iter().map(|&i| members[i]).collect(), &rest);
         }
         outliers.len()
     }
 
     /// Take the deleted `record` out of its cluster and prune the survivors
-    /// now ([`ClusterTable::prune`]): pruning passes visit dirty clusters
-    /// only, and this one may be clean. A cluster left empty is gone.
-    /// Returns the number of outliers.
+    /// now ([`ClusterTable::prune`]). A cluster left empty is gone. Returns
+    /// the number of outliers.
     pub(super) fn remove_member(
         &mut self,
         record: usize,
@@ -746,7 +726,7 @@ mod tests {
     fn empty_table() {
         let mut t = table();
         t.check(0);
-        assert!(groups(&t).is_empty() && t.dirty().is_empty());
+        assert!(groups(&t).is_empty());
         assert_eq!(t.stats(), StoreStats::default());
         assert_eq!(t.cluster_of(0), None);
         assert_eq!(t.search_live(&[&at(0.0)], 3, None), [vec![]]);
@@ -767,7 +747,6 @@ mod tests {
         t.check(4);
         assert_eq!(groups(&t), [vec![0, 2, 3], vec![1]]);
         assert!(together(&t, 0, 3) && together(&t, 2, 3) && !together(&t, 1, 3));
-        assert_eq!(t.dirty(), [t.cluster_of(3).unwrap()], "only the fused one");
         let stats = t.stats();
         assert_eq!((stats.clusters, stats.tuples), (2, 1));
         assert_eq!((stats.index_nodes, stats.stale_nodes), (4, 2));
@@ -819,26 +798,25 @@ mod tests {
             [0, 1, 2],
             "ascending, whatever the fuse order"
         );
-        assert_eq!(t.dirty(), [id]);
 
         assert_eq!(t.prune(id), 1);
         t.check(4);
         assert_eq!(groups(&t), [vec![0], vec![1, 2], vec![3]]);
         assert!(together(&t, 1, 2) && !together(&t, 0, 1));
-        assert!(t.dirty().is_empty());
         let rest = t.cluster_of(1).unwrap();
         assert_eq!(
             t.row(rest),
             representative(2, &[at(10.0).as_slice(), &at(20.0)])
         );
 
-        // Nothing to split: the cluster is only marked clean, its node kept.
+        // Nothing to split, as on any cluster pruned before: the cluster is
+        // left as it is, its node kept.
+        assert_eq!(t.prune(rest), 0);
+        assert_eq!(t.cluster_of(1), Some(rest));
         t.fuse(4, &at(15.0), &[rest]);
         let id = t.cluster_of(4).unwrap();
         let node = t.clusters[&id].node;
-        assert_eq!(t.dirty(), [id]);
         assert_eq!(t.prune(id), 0);
-        assert!(t.dirty().is_empty());
         assert_eq!(t.clusters[&id].node, node);
 
         // A record split off can join clusters again, and splitting every
@@ -866,13 +844,12 @@ mod tests {
         );
         assert_eq!(t.members(t.cluster_of(2).unwrap()), [0, 1, 2]);
         // The last member goes; the other two, 10 degrees apart, stay one
-        // cluster, pruned on the spot and so clean, under the representative
-        // of the two alone.
+        // cluster, pruned on the spot, under the representative of the two
+        // alone.
         assert_eq!(t.remove_member(2, &at(20.0)), 0);
         t.check(3);
         assert_eq!(t.cluster_of(2), None);
         assert_eq!(groups(&t), [vec![0, 1]]);
-        assert!(t.dirty().is_empty());
         let rest = t.cluster_of(0).unwrap();
         assert_eq!(
             t.row(rest),
@@ -903,7 +880,7 @@ mod tests {
         t.check(3);
         assert_eq!(groups(&t), [vec![0], vec![2]]);
 
-        // Without pruning the survivors stay together, as dirty as they were.
+        // Without pruning the survivors stay together.
         let mut t = singletons(1);
         t.fuse(1, &at(40.0), &[t.cluster_of(0).unwrap()]);
         t.fuse(2, &at(80.0), &[t.cluster_of(0).unwrap()]);
@@ -911,7 +888,6 @@ mod tests {
         base.pruning = false;
         assert_eq!(t.table.remove_member(1, &t.stored, &base), 0);
         assert_eq!(groups(&t), [vec![0, 2]]);
-        assert_eq!(t.dirty(), [t.cluster_of(0).unwrap()]);
     }
 
     #[test]

@@ -51,11 +51,13 @@
 //! costs one search of the index instead of one plus one per candidate; a
 //! write drops every kept row.
 //!
-//! Density-based pruning (Algorithm 4) runs over clusters that changed since
-//! the last pass ("dirty" clusters) every `prune_interval` accepted records,
-//! and over the survivors of every delete: outliers are split off into
-//! singleton clusters, mirroring what the batch pipeline does once at the
-//! end.
+//! Density-based pruning (Algorithm 4) runs over the survivors of every
+//! delete and, on [`EntityStore::refresh`], over every multi-member cluster:
+//! outliers are split off into singleton clusters, mirroring what the batch
+//! pipeline does once at the end. Inserts never prune. Algorithm 4 is
+//! idempotent — an outlier lies within `ε` of no core point, so removing it
+//! changes no kept point's class — so a refresh splits only clusters that
+//! fused since they were last pruned.
 //!
 //! Record and embedding payloads, and the map between a record's
 //! [`EntityId`] and its place in the append order (the *sequence* the cluster
@@ -142,7 +144,6 @@ struct StoreState {
     stream_source: Option<u32>,
     /// The partition of the append sequences and the representative index.
     clusters: ClusterTable,
-    accepted_since_prune: usize,
     pruned_outliers: usize,
 }
 
@@ -182,7 +183,6 @@ impl<E: EmbeddingModel> EntityStore<E> {
                 records,
                 stream_source: None,
                 clusters,
-                accepted_since_prune: 0,
                 pruned_outliers: 0,
             },
         })
@@ -268,13 +268,11 @@ impl<E: EmbeddingModel> EntityStore<E> {
     }
 
     /// Compact the storage backend: sealed segment files whose live
-    /// fraction fell to or below the configured
-    /// [`compact_live_ratio`](crate::DiskStorageConfig::compact_live_ratio)
-    /// are rewritten into fresh files holding only live records (fully-dead
-    /// files are dropped outright). Superseded files stay on disk until
-    /// [`EntityStore::gc_storage`] sweeps them, so callers persisting
-    /// snapshots should commit the post-compaction state before sweeping.
-    /// No-op for the memory backend.
+    /// fraction fell to or below 0.6 are rewritten into fresh files holding
+    /// only live records (fully-dead files are dropped outright).
+    /// Superseded files stay on disk until [`EntityStore::gc_storage`]
+    /// sweeps them, so callers persisting snapshots should commit the
+    /// post-compaction state before sweeping. No-op for the memory backend.
     pub fn compact_storage(&mut self) -> Result<CompactionReport> {
         self.state.records.compact()
     }
@@ -403,11 +401,11 @@ impl<E: EmbeddingModel> EntityStore<E> {
                 in_tuple[seq] = true;
             }
             let points: Vec<_> = ids.iter().map(|&id| embeddings.embedding(id)).collect();
-            self.state.clusters.register(members, &points, false);
+            self.state.clusters.register(members, &points);
         }
         for seq in (0..records).filter(|&seq| !in_tuple[seq]) {
             let point = embeddings.embedding(self.state.records.id_at(seq));
-            self.state.clusters.register(vec![seq], &[point], false);
+            self.state.clusters.register(vec![seq], &[point]);
         }
 
         let merged = in_tuple.iter().filter(|&&t| t).count();
@@ -461,9 +459,9 @@ impl<E: EmbeddingModel> EntityStore<E> {
 
     /// [`EntityStore::insert`], also returning whether the record *matched*:
     /// fused with at least one existing cluster at insert time — what
-    /// [`IngestReport::merged`] counts. A pruning pass, even the one this
-    /// very insert triggers, may split the record off again; that does not
-    /// change what the merge rule decided here.
+    /// [`IngestReport::merged`] counts. A later [`EntityStore::refresh`], or
+    /// the pruning of a delete's survivors, may split the record off again;
+    /// that does not change what the merge rule decided here.
     pub fn insert_matched(&mut self, record: Record) -> Result<(EntityId, bool)> {
         let adopted = self.state.schema.as_ref().ok_or_else(|| {
             OnlineError::SchemaMismatch(
@@ -541,12 +539,26 @@ impl<E: EmbeddingModel> EntityStore<E> {
         out
     }
 
-    /// Run density-based pruning over all dirty clusters now (the same pass
-    /// that runs automatically every `prune_interval` accepted records), then
-    /// rebuild the representative index if it got too stale.
+    /// Run density-based pruning (Algorithm 4, unless `pruning` is off) over
+    /// every multi-member cluster now, then rebuild the representative index
+    /// if it got too stale. Inserts never prune, so this is where a cluster
+    /// the merge rule grew past `ε` splits; a cluster pruned before and
+    /// unchanged since loses nothing.
     pub fn refresh(&mut self) {
-        self.prune_dirty();
-        self.state.clusters.maybe_rebuild(&self.state.config);
+        let state = &mut self.state;
+        if state.config.base.pruning {
+            let tuples: Vec<usize> = state
+                .clusters
+                .iter()
+                .filter(|(_, c)| c.members().len() >= 2)
+                .map(|(id, _)| id)
+                .collect();
+            for id in tuples {
+                let base = &state.config.base;
+                state.pruned_outliers += state.clusters.prune(id, None, &state.records, base);
+            }
+        }
+        state.clusters.maybe_rebuild(&state.config);
     }
 
     /// Prepare an empty store to accept single-record
@@ -698,29 +710,8 @@ impl<E: EmbeddingModel> EntityStore<E> {
         self.state
             .clusters
             .fuse(seq, emb, &matches, &self.state.records);
-
-        self.state.accepted_since_prune += 1;
-        if let Some(interval) = self.state.config.prune_interval {
-            if self.state.accepted_since_prune >= interval {
-                self.prune_dirty();
-            }
-        }
         self.state.clusters.maybe_rebuild(&self.state.config);
         Ok((id, !matches.is_empty()))
-    }
-
-    /// Density-based pruning (Algorithm 4) over dirty clusters: outliers are
-    /// split off into fresh singleton clusters.
-    fn prune_dirty(&mut self) {
-        let state = &mut self.state;
-        state.accepted_since_prune = 0;
-        if !state.config.base.pruning {
-            return;
-        }
-        for cluster in state.clusters.dirty() {
-            let base = &state.config.base;
-            state.pruned_outliers += state.clusters.prune(cluster, None, &state.records, base);
-        }
     }
 }
 
@@ -968,41 +959,36 @@ mod tests {
     }
 
     #[test]
-    fn refresh_prunes_outlier_from_dirty_cluster() {
-        let schema = title_schema();
+    fn refresh_splits_the_outlier_and_a_second_refresh_changes_nothing() {
+        // A loose merge threshold lets `c` in with `a` and `b`; ε = 1 (a
+        // chord of 60 degrees) takes it out again, 80 or more degrees from
+        // both.
         let mut cfg = config();
-        // Loose merge threshold lets an outlier sneak in; strict epsilon
-        // prunes it again.
         cfg.base.m = 1.1;
-        cfg.base.epsilon = 0.8;
-        cfg.prune_interval = None; // only explicit refresh
-        let mut s = EntityStore::new(cfg, HashedLexicalEncoder::default());
-        s.ingest_batch(&table("a", &schema, &["apple iphone 8 plus 64gb silver"]))
-            .unwrap();
-        s.ingest_batch(&table(
-            "b",
-            &schema,
-            &["apple iphone 8 plus 64gb silver unlocked"],
-        ))
-        .unwrap();
-        s.ingest_batch(&table(
-            "c",
-            &schema,
-            &["apple iphone plus silver deluxe kit box"],
-        ))
-        .unwrap();
-        let before = s.tuples();
-        assert_eq!(before.len(), 1);
-        let size_before = before[0].len();
+        cfg.match_within_source = true;
+        let mut s = EntityStore::new(cfg, Angle);
+        s.init_schema(title_schema()).unwrap();
+        let [a, b, c] = ["0", "10", "90"].map(|t| s.insert(Record::from_texts([t])).unwrap());
+        assert_eq!(
+            s.cluster_members(a).unwrap(),
+            [a, b, c],
+            "inserts never prune"
+        );
+        assert_eq!(s.stats().pruned_outliers, 0);
+
         s.refresh();
-        let after = s.tuples();
-        let stats = s.stats();
-        if stats.pruned_outliers > 0 {
-            assert!(after.is_empty() || after[0].len() < size_before);
-        }
-        // Pruned members remain known records with singleton clusters.
-        let total: usize = s.num_records();
-        assert_eq!(total, 3);
+        check_invariants(&s);
+        assert_eq!(s.cluster_members(a).unwrap(), [a, b]);
+        assert_eq!(s.cluster_members(c).unwrap(), [c]);
+        assert_eq!(s.stats().pruned_outliers, 1);
+        assert_eq!(s.num_records(), 3, "an outlier stays a known record");
+
+        // Algorithm 4 over what it kept keeps it all.
+        let pruned = s.snapshot_bytes().unwrap();
+        s.refresh();
+        check_invariants(&s);
+        assert_eq!(s.stats().pruned_outliers, 1);
+        assert_eq!(s.snapshot_bytes().unwrap(), pruned);
     }
 
     #[test]
@@ -1069,7 +1055,6 @@ mod tests {
         let ds = music_dataset(13);
         let mut cfg = config();
         cfg.rebuild_staleness = 1.0; // never rebuild: tombstones pile up
-        cfg.prune_interval = None;
         let mut s = EntityStore::new(cfg, HashedLexicalEncoder::default());
         let (probes, ingested) = ds.tables().split_last().unwrap();
         for table in ingested {
@@ -1507,7 +1492,6 @@ mod tests {
             cfg.base.m = 0.6;
             cfg.base.pruning = pruning;
             cfg.match_within_source = true;
-            cfg.prune_interval = None;
             let mut s = EntityStore::new(cfg, Angle);
             s.init_schema(title_schema()).unwrap();
             let [a, b, c] = ["0", "40", "80"].map(|t| s.insert(Record::from_texts([t])).unwrap());
@@ -1857,24 +1841,26 @@ mod tests {
 
         // What an older build wrote: its magic, then a map this build's
         // decoder would stumble over field by field. It is refused by name,
-        // and so is the previous layout's magic in front of a payload this
+        // and so are the previous layouts' magics in front of a payload this
         // build could decode.
         let mut older = b"MEB1".to_vec();
         wire::write_value(
             &mut older,
             &serde::Value::Map(vec![("uf".into(), serde::Value::Null)]),
         );
-        let previous = [b"MEB3".as_slice(), &good[4..]].concat();
+        let meb3 = [b"MEB3".as_slice(), &good[4..]].concat();
+        let meb4 = [b"MEB4".as_slice(), &good[4..]].concat();
         for foreign in [
             &older[..],
             &b"MEB2"[..],
-            &previous[..],
+            &meb3[..],
+            &meb4[..],
             &b"MEB9 whatever"[..],
             &b"MEB"[..],
         ] {
             match restore(foreign) {
                 Err(OnlineError::Snapshot(msg)) => {
-                    assert!(msg.contains("MEB4"), "{msg}");
+                    assert!(msg.contains("MEB5"), "{msg}");
                     assert!(
                         foreign.len() < 4 || msg.contains(&format!("MEB{}", foreign[3] as char))
                     );
@@ -1901,13 +1887,21 @@ mod tests {
         // A field added, dropped, renamed or moved below changes what
         // `restore_bytes` reads: bump the version byte of `SNAPSHOT_MAGIC`
         // in the same change as these lists.
-        assert_eq!(wire::SNAPSHOT_MAGIC, b"MEB4");
+        assert_eq!(wire::SNAPSHOT_MAGIC, b"MEB5");
         let (cfg, dir) = disk_config("layout");
         let mut s = EntityStore::new(cfg, HashedLexicalEncoder::default());
         s.init_schema(title_schema()).unwrap();
         s.insert(Record::from_texts(["golden heart river"]))
             .unwrap();
-        let mut value = wire::value_from_bytes(&s.snapshot_bytes().unwrap()[4..]).unwrap();
+        let bytes = s.snapshot_bytes().unwrap();
+        // The layout before this one, `MEB4`, still carried a prune counter
+        // and a dirty bit per cluster: its magic is refused by name.
+        let meb4 = [b"MEB4".as_slice(), &bytes[4..]].concat();
+        match EntityStore::restore_bytes(&meb4, HashedLexicalEncoder::default()) {
+            Err(OnlineError::Snapshot(msg)) => assert!(msg.contains("`MEB4`"), "{msg}"),
+            other => panic!("expected a snapshot error, got {other:?}"),
+        }
+        let mut value = wire::value_from_bytes(&bytes[4..]).unwrap();
         let mut keys = |path: &[&str]| -> String {
             let fields = at(&mut value, path).as_map().expect("a struct");
             let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
@@ -1915,7 +1909,11 @@ mod tests {
         };
         assert_eq!(
             keys(&[]),
-            "config schema records stream_source clusters accepted_since_prune pruned_outliers"
+            "config schema records stream_source clusters pruned_outliers"
+        );
+        assert_eq!(
+            keys(&["config"]),
+            "base selection rebuild_staleness match_within_source storage"
         );
         assert_eq!(
             keys(&["records"]),
@@ -1925,12 +1923,13 @@ mod tests {
             keys(&["records", "spill"]),
             "config segments next_seg compactions reclaimed gc_deleted"
         );
+        assert_eq!(
+            keys(&["records", "spill", "config"]),
+            "dir segment_records cache_records"
+        );
         assert_eq!(keys(&["clusters"]), "clusters index rebuilds");
         // A cluster is its members: it carries no embedding of its own.
-        assert_eq!(
-            keys(&["clusters", "clusters", "0", "1"]),
-            "members node dirty"
-        );
+        assert_eq!(keys(&["clusters", "clusters", "0", "1"]), "members node");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2040,7 +2039,6 @@ mod tests {
             .collect();
         for (seed, hnsw) in [(1u64, false), (2, true)] {
             let (mut disk_cfg, dir) = disk_config(&format!("ops-{seed}"));
-            disk_cfg.prune_interval = Some(16);
             disk_cfg.match_within_source = true;
             disk_cfg.base.m = 0.5;
             if hnsw {
@@ -2151,7 +2149,6 @@ mod tests {
             cfg.base.m = 0.5;
             // Tight enough that pruning splits clusters.
             cfg.base.epsilon = 0.4;
-            cfg.prune_interval = Some(8);
             cfg.match_within_source = true;
             if hnsw {
                 // Low enough that the run upgrades the backend part-way.

@@ -34,10 +34,6 @@ impl<E: EmbeddingModel> EntityStore<E> {
             ("records", Field::Value(&state.records)),
             ("stream_source", Field::Value(&state.stream_source)),
             ("clusters", Field::Struct(&clusters)),
-            (
-                "accepted_since_prune",
-                Field::Value(&state.accepted_since_prune),
-            ),
             ("pruned_outliers", Field::Value(&state.pruned_outliers)),
         ];
         let mut out = Vec::from(*wire::SNAPSHOT_MAGIC);

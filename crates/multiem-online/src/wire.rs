@@ -33,7 +33,7 @@ impl std::error::Error for WireError {}
 /// Magic prefix of snapshots. The last byte is the layout version: a
 /// snapshot under `MEB` and any other version is refused by name, not
 /// misread.
-pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MEB4";
+pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MEB5";
 
 /// Magic prefix of segment files written by the record store when it spills
 /// (`crate::storage::RecordStorage`).
@@ -357,6 +357,11 @@ pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> io::Result<()> {
     writer.write_all(payload)
 }
 
+/// Bytes a frame's payload buffer reserves before any of it is read. The
+/// length in the header is unchecked — a torn or corrupt one can claim up to
+/// 4 GiB — so the buffer grows only with the bytes that actually arrive.
+const FRAME_RESERVE_BYTES: usize = 64 << 10;
+
 /// Read one frame. Returns [`Frame::Eof`] on a clean end, [`Frame::Torn`] on
 /// a truncated or checksum-failing tail.
 pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<Frame> {
@@ -368,8 +373,8 @@ pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<Frame> {
     }
     let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
     let expected_crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    let mut payload = vec![0u8; len];
-    if read_full(reader, &mut payload)? < len {
+    let mut payload = Vec::with_capacity(len.min(FRAME_RESERVE_BYTES));
+    if reader.take(len as u64).read_to_end(&mut payload)? < len {
         return Ok(Frame::Torn);
     }
     if crc32(&payload) != expected_crc {
@@ -486,6 +491,64 @@ mod tests {
             Frame::Payload(b"first".to_vec())
         );
         assert_eq!(read_frame(&mut reader).unwrap(), Frame::Torn);
+    }
+
+    /// A source that counts the reads asked of it and the widest buffer
+    /// handed to one.
+    struct Counting<'a> {
+        bytes: &'a [u8],
+        reads: usize,
+        widest: usize,
+    }
+
+    impl<'a> Counting<'a> {
+        fn new(bytes: &'a [u8]) -> Self {
+            Self {
+                bytes,
+                reads: 0,
+                widest: 0,
+            }
+        }
+    }
+
+    impl Read for Counting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            self.widest = self.widest.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_header_claiming_more_than_follows_reads_as_torn() {
+        // A corrupt length prefix asks for 4 GiB and gets a few bytes: the
+        // buffer they are read into is never sized by the claim.
+        let mut log = Vec::new();
+        write_frame(&mut log, b"first").unwrap();
+        log.extend_from_slice(&u32::MAX.to_le_bytes());
+        log.extend_from_slice(&crc32(b"tail").to_le_bytes());
+        log.extend_from_slice(b"tail");
+        let mut reader = Counting::new(&log);
+        assert_eq!(
+            read_frame(&mut reader).unwrap(),
+            Frame::Payload(b"first".to_vec())
+        );
+        assert_eq!(read_frame(&mut reader).unwrap(), Frame::Torn);
+        assert!(reader.bytes.is_empty(), "the claimed bytes were all read");
+        assert!(reader.widest <= FRAME_RESERVE_BYTES, "{}", reader.widest);
+    }
+
+    #[test]
+    fn a_frame_is_two_reads_of_its_source() {
+        // A segment's point read goes straight to the file: one read for the
+        // header and one for a record's payload (a 384-dim embedding and its
+        // text), as when the payload buffer was allocated whole.
+        let payload = vec![7u8; 384 * 4 + 200];
+        let mut log = Vec::new();
+        write_frame(&mut log, &payload).unwrap();
+        let mut file = Counting::new(&log);
+        assert_eq!(read_frame(&mut file).unwrap(), Frame::Payload(payload));
+        assert_eq!(file.reads, 2);
     }
 
     #[test]

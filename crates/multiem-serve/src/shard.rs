@@ -341,10 +341,11 @@ impl<E: EmbeddingModel> ShardedEntityStore<E> {
         (record_route_hash(record) % self.shards.len() as u64) as usize
     }
 
-    /// Write-lock one shard (ingestion, refresh). Callers that also append
-    /// to a WAL must take this lock *before* the WAL lock — the serving
-    /// layer's lock order is `shard → wal` everywhere. The guard is
-    /// order-checked by the debug-build sanitizer in [`crate::sync`].
+    /// Write-lock one shard (ingestion, deletion, a disk checkpoint).
+    /// Callers that also append to a WAL must take this lock *before* the
+    /// WAL lock — the serving layer's lock order is `shard → wal`
+    /// everywhere. The guard is order-checked by the debug-build sanitizer
+    /// in [`crate::sync`].
     pub fn write_shard(&self, shard: usize) -> OrderedWriteGuard<'_, EntityStore<E>> {
         self.shards[shard].store.write()
     }
@@ -461,14 +462,6 @@ impl<E: EmbeddingModel> ShardedEntityStore<E> {
     /// totalled.
     pub fn stats(&self) -> ShardedStats {
         ShardedStats::of(&self.shard_stats())
-    }
-
-    /// Run density-based pruning + index maintenance on every shard
-    /// (write-locks shards one at a time).
-    pub fn refresh(&self) {
-        for shard in 0..self.shards.len() {
-            self.write_shard(shard).refresh();
-        }
     }
 
     /// Serialize one shard as a binary snapshot (read-locks it).
@@ -826,11 +819,10 @@ mod tests {
 
     #[test]
     fn matched_is_what_the_merge_rule_decided_even_if_pruning_splits_it_off() {
-        // With `epsilon` this tight, the pruning pass every insert triggers
-        // (`prune_interval` 1) takes each near-duplicate pair apart again.
+        // With `epsilon` this tight, a refresh takes each near-duplicate
+        // pair apart again.
         let mut config = config();
         config.base.epsilon = 0.1;
-        config.prune_interval = Some(1);
         config.match_within_source = true;
         let schema = Schema::new(["title"]).shared();
         let titles = ["golden heart river", "golden heart river live"];
@@ -840,10 +832,12 @@ mod tests {
         let [(_, first), (b, second)] =
             titles.map(|t| apply_insert(&mut store, 0, Record::from_texts([t])).unwrap());
         assert!(!first && second, "the second record fused with the first");
+        assert_eq!(store.cluster_members(b.entity).unwrap().len(), 2);
+        store.refresh();
         assert_eq!(
             store.cluster_members(b.entity),
             Some(vec![b.entity]),
-            "and the pass that insert triggered split it off"
+            "and the refresh split it off"
         );
         assert_eq!(
             store.stats().pruned_outliers,
@@ -859,6 +853,7 @@ mod tests {
             batched.ingest_batch(&table.unwrap()).unwrap()
         });
         assert_eq!((reports[0].merged, reports[1].merged), (0, 1));
+        batched.refresh();
         assert_eq!(
             (batched.stats().tuples, batched.stats().pruned_outliers),
             (0, 2)

@@ -334,6 +334,31 @@ mod tests {
     }
 
     #[test]
+    fn a_tail_header_claiming_4_gib_is_truncated_not_allocated() {
+        let path = temp_wal_path("huge-header");
+        {
+            let (mut wal, _) = Wal::open(&path).unwrap();
+            wal.append(&op("kept one")).unwrap();
+            wal.append(&op("kept two")).unwrap();
+        }
+        let clean = std::fs::read(&path).unwrap();
+        // A corrupt header claiming `u32::MAX` payload bytes, and a few.
+        let mut log = clean.clone();
+        log.extend_from_slice(&u32::MAX.to_le_bytes());
+        log.extend_from_slice(&[0xAB; 4]);
+        log.extend_from_slice(b"short");
+        std::fs::write(&path, &log).unwrap();
+
+        let (wal, recovery) = Wal::open(&path).unwrap();
+        assert!(recovery.torn_tail);
+        assert_eq!(recovery.ops, vec![op("kept one"), op("kept two")]);
+        assert_eq!(wal.bytes(), clean.len() as u64);
+        drop(wal);
+        assert_eq!(std::fs::read(&path).unwrap(), clean, "truncated to the ops");
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
     fn fsync_always_survives_a_simulated_torn_tail() {
         let path = temp_wal_path("fsync-always");
         {
