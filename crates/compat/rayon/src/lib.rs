@@ -125,24 +125,33 @@ fn default_num_threads() -> usize {
 const BLOCKS_PER_THREAD: usize = 16;
 
 thread_local! {
-    /// Whether this thread is working a parallel map's blocks.
-    static IN_MAP: Cell<bool> = const { Cell::new(false) };
+    /// This thread's index among the threads working a parallel map's
+    /// blocks (the caller is 0), while it works them.
+    static IN_MAP: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// Marks the current thread as a map worker until dropped (also when `f`
-/// panics, so a caller that survives the panic can fan out again).
+/// The index of the current thread among those mapping a parallel map's
+/// blocks, or `None` outside a map — as rayon's, which is `Some` on its pool's
+/// workers. A caller that sees `Some` is inside a map, where a nested one
+/// runs on it alone.
+pub fn current_thread_index() -> Option<usize> {
+    IN_MAP.get()
+}
+
+/// Marks the current thread as map worker `index` until dropped (also when
+/// `f` panics, so a caller that survives the panic can fan out again).
 struct InMap;
 
 impl InMap {
-    fn enter() -> Self {
-        IN_MAP.set(true);
+    fn enter(index: usize) -> Self {
+        IN_MAP.set(Some(index));
         Self
     }
 }
 
 impl Drop for InMap {
     fn drop(&mut self) {
-        IN_MAP.set(false);
+        IN_MAP.set(None);
     }
 }
 
@@ -163,7 +172,7 @@ where
     R: Send,
     F: Fn(&'a T) -> R + Sync,
 {
-    let width = if IN_MAP.get() {
+    let width = if IN_MAP.get().is_some() {
         1
     } else {
         current_num_threads().min(items.len())
@@ -173,8 +182,8 @@ where
     }
     let block = items.len().div_ceil(width * BLOCKS_PER_THREAD);
     let next = AtomicUsize::new(0);
-    let work = || {
-        let _in_map = InMap::enter();
+    let work = |index| {
+        let _in_map = InMap::enter(index);
         let mut mine = Vec::new();
         loop {
             // relaxed-ok: block-ticket dispenser; the RMW uniqueness is all that matters
@@ -189,8 +198,9 @@ where
     // otherwise, so `width - 1` scoped threads are spawned and the caller
     // works the same counter beside them.
     let mut blocks: Vec<(usize, Vec<R>)> = thread::scope(|scope| {
-        let handles: Vec<_> = (1..width).map(|_| scope.spawn(work)).collect();
-        let mut blocks = work();
+        let work = &work;
+        let handles: Vec<_> = (1..width).map(|i| scope.spawn(move || work(i))).collect();
+        let mut blocks = work(0);
         for handle in handles {
             blocks.extend(handle.join().expect("parallel map worker panicked"));
         }
@@ -296,6 +306,7 @@ mod tests {
         let runs: Vec<(thread::ThreadId, Vec<thread::ThreadId>)> = outer
             .par_iter()
             .map(|_| {
+                assert!(current_thread_index().is_some_and(|i| i < current_num_threads()));
                 let threads = inner.par_iter().map(|_| thread::current().id()).collect();
                 (thread::current().id(), threads)
             })
@@ -304,7 +315,7 @@ mod tests {
             assert!(threads.iter().all(|&t| t == caller));
         }
         // Outside any map, the caller is free to fan out again.
-        assert!(!IN_MAP.get());
+        assert_eq!(current_thread_index(), None);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Approximate nearest-neighbour search substrate for MultiEM.
 //!
-//! The merging phase of MultiEM builds an ANN index over the embeddings of each
-//! table and queries *mutual top-K* neighbours with a distance threshold `m`
-//! (Eq. 1 of the paper). The paper uses hnswlib; this crate provides:
+//! The merging phase of MultiEM finds the *mutual top-K* neighbours of two
+//! tables' embeddings under a distance threshold `m` (Eq. 1 of the paper),
+//! exactly or through an ANN index over each table. The paper uses hnswlib;
+//! this crate provides:
 //!
 //! * [`Metric`] — cosine / Euclidean / inner-product distances;
 //! * [`BruteForceIndex`] — exact k-NN, used for small inputs and as the
@@ -14,7 +15,8 @@
 //! * [`AnnIndex`] — either of the two behind one serializable type, for
 //!   callers that pick the backend from the collection size;
 //! * [`mutual_top_k`] — the mutual top-K join used by the two-table merging
-//!   strategy (Algorithm 3).
+//!   strategy (Algorithm 3), and [`mutual_top_k_exact`], the same join of
+//!   two exact sides over borrowed rows ([`RowRefs`]), with no index built.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +31,7 @@ pub use bruteforce::BruteForceIndex;
 pub use hnsw::{HnswConfig, HnswIndex};
 pub use index::{AnnIndex, StateField};
 pub use metric::Metric;
-pub use mutual::{merge_ranked, mutual_top_k, MutualMatch};
+pub use mutual::{merge_ranked, mutual_top_k, mutual_top_k_exact, MutualMatch, RowRefs};
 
 use serde::{Deserialize, Serialize};
 
@@ -81,6 +83,13 @@ impl TopK {
             slots: vec![Neighbor::new(0, 0.0); rows * cap],
             bound: vec![f32::INFINITY; rows],
         }
+    }
+
+    /// Heap bytes of a table of `rows` rows of `cap` entries.
+    pub(crate) fn bytes(rows: usize, cap: usize) -> usize {
+        rows * (cap * std::mem::size_of::<Neighbor>()
+            + std::mem::size_of::<usize>()
+            + std::mem::size_of::<f32>())
     }
 
     /// The entries of `row`, in heap order.
@@ -176,8 +185,8 @@ pub(crate) fn for_each_group(nodes: impl Iterator<Item = usize>, mut f: impl FnM
 
 /// What both indexes store — a flat row-major array of `dim`-float vectors
 /// and one cached squared norm per row — as every loop that scores stored
-/// vectors reads it: the brute-force scan, the exact join and the HNSW
-/// neighbour expansion.
+/// vectors reads it: the brute-force scan and the HNSW neighbour expansion
+/// (the exact join of two indexes borrows it as [`RowRefs`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Rows<'a> {
     pub(crate) metric: Metric,

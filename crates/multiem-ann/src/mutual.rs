@@ -3,16 +3,18 @@
 //! The two-table merging strategy of MultiEM declares a pair `(e, e')` matched
 //! when `e' ∈ topK(e)`, `e ∈ topK(e')`, **and** `dist(e, e') ≤ m`. This module
 //! implements that join generically over any [`VectorIndex`] so it can run on
-//! the exact brute-force index or the HNSW index. The batch merger picks one
-//! backend per merge from its smaller table, so from there both sides are
-//! exact or both are HNSW; a mixed join still answers, by searches.
+//! the exact brute-force index or the HNSW index, and over borrowed rows
+//! ([`mutual_top_k_exact`]) where no index is built at all. The batch merger
+//! picks one backend per merge from its smaller table: an exact merge joins
+//! its rows where they lie, an approximate one searches two graphs; a mixed
+//! join still answers, by searches.
 //!
 //! Both directions' top-K come from searches when a side is approximate
 //! (`top_k_tiled`), and from one pass over the distance matrix when both
 //! sides are exact (`exact_join`); reciprocity, the threshold and the order
 //! of the result are decided once, after either.
 
-use crate::{Neighbor, Rows, TopK, VectorIndex};
+use crate::{Metric, Neighbor, Rows, TopK, VectorIndex};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -30,15 +32,83 @@ pub struct MutualMatch {
     pub distance: f32,
 }
 
+/// One side of an exact join ([`mutual_top_k_exact`]): rows borrowed from
+/// wherever they live, each beside its squared norm, so the join copies no
+/// row. The norm must be [`Metric::squared_norm`] of the row — the norm an
+/// index caches — for the join to give an index's bits.
+#[derive(Debug, Clone, Default)]
+pub struct RowRefs<'a> {
+    rows: Vec<&'a [f32]>,
+    norms: Vec<f32>,
+}
+
+impl<'a> RowRefs<'a> {
+    /// An empty side with room for `rows` rows.
+    pub fn with_capacity(rows: usize) -> Self {
+        Self {
+            rows: Vec::with_capacity(rows),
+            norms: Vec::with_capacity(rows),
+        }
+    }
+
+    /// Append `row`, whose squared norm is `norm`.
+    pub fn push(&mut self, row: &'a [f32], norm: f32) {
+        self.rows.push(row);
+        self.norms.push(norm);
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The rows, in order.
+    pub fn rows(&self) -> &[&'a [f32]] {
+        &self.rows
+    }
+
+    /// Heap bytes of the references and norms (the rows are borrowed).
+    pub fn approx_bytes(&self) -> usize {
+        self.rows.capacity() * std::mem::size_of::<&[f32]>()
+            + self.norms.capacity() * std::mem::size_of::<f32>()
+    }
+
+    /// Every row of an index, beside the norm it caches.
+    fn of(rows: Rows<'a>) -> Self {
+        Self {
+            rows: (0..rows.len()).map(|i| rows.row(i)).collect(),
+            norms: rows.norms.to_vec(),
+        }
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &'a [f32] {
+        self.rows[i]
+    }
+}
+
+impl<'a> FromIterator<&'a [f32]> for RowRefs<'a> {
+    /// Borrow every row, computing its squared norm.
+    fn from_iter<I: IntoIterator<Item = &'a [f32]>>(rows: I) -> Self {
+        let rows: Vec<&'a [f32]> = rows.into_iter().collect();
+        let norms = rows.iter().map(|row| Metric::squared_norm(row)).collect();
+        Self { rows, norms }
+    }
+}
+
 /// Compute the mutual top-K matches between `left_vectors` and `right_vectors`.
 ///
 /// * `left_index` must index exactly `left_vectors` (same order); likewise for
 ///   the right side. Callers can pass HNSW or brute-force indexes: an
 ///   approximate side is searched once per vector of the other side; two
 ///   exact sides ([`VectorIndex::as_exact`]) with one metric and
-///   dimensionality are joined in a single pass over their distance matrix,
-///   which feeds both directions' top-K — same result, bit for bit, for
-///   half the distances.
+///   dimensionality are joined by [`mutual_top_k_exact`] over their stored
+///   rows — same result, bit for bit, for half the distances.
 /// * `k` is the top-K bound of Eq. 1 (the paper uses `k = 1`).
 /// * `max_distance` is the threshold `m`: a pair is kept only when its
 ///   distance is `<= m`, so a NaN distance never matches.
@@ -59,25 +129,71 @@ where
     if k == 0 || left_vectors.is_empty() || right_vectors.is_empty() {
         return Vec::new();
     }
-
-    let (left_to_right, right_to_left) = match (left_index.as_exact(), right_index.as_exact()) {
+    match (left_index.as_exact(), right_index.as_exact()) {
         (Some(left), Some(right))
             if left.metric() == right.metric() && left.dim() == right.dim() =>
         {
             debug_assert_eq!(left.len(), left_vectors.len());
             debug_assert_eq!(right.len(), right_vectors.len());
-            // Whole tiles per range: only the last one has leftover rows.
-            let rows_per_range = RANGE_ROWS
-                .max(MIN_RANGE_PAIRS.div_ceil(right.len()))
-                .next_multiple_of(TILE_ROWS);
-            exact_join(left.rows(), right.rows(), k, rows_per_range)
+            let (left, right) = (RowRefs::of(left.rows()), RowRefs::of(right.rows()));
+            mutual_top_k_exact(left_index.metric(), &left, &right, k, max_distance).0
         }
-        _ => (
-            top_k_tiled(right_index, left_vectors, k),
-            top_k_tiled(left_index, right_vectors, k),
+        _ => reciprocal(
+            &top_k_tiled(right_index, left_vectors, k),
+            &top_k_tiled(left_index, right_vectors, k),
+            max_distance,
         ),
-    };
+    }
+}
 
+/// [`mutual_top_k`] of two exact sides given as borrowed rows: both
+/// directions' top-`k` from one pass over the `|A| × |B|` distances, with no
+/// index built. This is what the batch merger runs for a merge on the exact
+/// backend, over rows it keeps once per run.
+///
+/// Returns the matches, sorted by `(left, right)`, and the bytes of the
+/// top-K tables the join held: a table row per left row, and one table of
+/// the right side per range in flight (at most one per thread).
+///
+/// # Panics
+/// Panics if the rows are not all of one length.
+pub fn mutual_top_k_exact(
+    metric: Metric,
+    left: &RowRefs<'_>,
+    right: &RowRefs<'_>,
+    k: usize,
+    max_distance: f32,
+) -> (Vec<MutualMatch>, usize) {
+    if k == 0 || left.is_empty() || right.is_empty() {
+        return (Vec::new(), 0);
+    }
+    let dim = left.rows[0].len();
+    assert!(
+        left.rows
+            .iter()
+            .chain(&right.rows)
+            .all(|row| row.len() == dim),
+        "rows of an exact join must have one length"
+    );
+    // Whole tiles per range: only the last one has leftover rows.
+    let rows_per_range = RANGE_ROWS
+        .max(MIN_RANGE_PAIRS.div_ceil(right.len()))
+        .next_multiple_of(TILE_ROWS);
+    let (left_to_right, right_to_left, bytes) = exact_join(metric, left, right, k, rows_per_range);
+    (
+        reciprocal(&left_to_right, &right_to_left, max_distance),
+        bytes,
+    )
+}
+
+/// Eq. 1 over both directions' top-K: `(l, r)` is kept when `r` is among
+/// `l`'s, `l` among `r`'s and their distance is at most `max_distance`;
+/// sorted by `(left, right)`.
+fn reciprocal(
+    left_to_right: &[Vec<Neighbor>],
+    right_to_left: &[Vec<Neighbor>],
+    max_distance: f32,
+) -> Vec<MutualMatch> {
     let mut matches: Vec<MutualMatch> = Vec::new();
     for (l, neighbors) in left_to_right.iter().enumerate() {
         for n in neighbors {
@@ -160,8 +276,9 @@ const MIN_RANGE_PAIRS: usize = 1 << 15;
 
 /// One range of left rows of an exact join against the whole right side.
 struct RangeJoin<'a> {
-    a: Rows<'a>,
-    b: Rows<'a>,
+    metric: Metric,
+    a: &'a RowRefs<'a>,
+    b: &'a RowRefs<'a>,
     /// First left row of the range: `left` is indexed from it.
     first: usize,
     /// Top-K right rows of every left row of the range.
@@ -178,7 +295,7 @@ impl RangeJoin<'_> {
     fn tile<const R: usize, const C: usize>(&mut self, l: usize, r: usize) {
         let ls: [usize; R] = std::array::from_fn(|i| l + i);
         let rs: [usize; C] = std::array::from_fn(|i| r + i);
-        let distances = self.a.metric.distance_tile(
+        let distances = self.metric.distance_tile(
             ls.map(|l| self.a.row(l)),
             rs.map(|r| self.b.row(r)),
             ls.map(|l| self.a.norms[l]),
@@ -235,31 +352,36 @@ impl RangeJoin<'_> {
 /// — there are as many tables as ranges in flight, so working memory is
 /// `threads × |B| × k` neighbours however many ranges there are — and the
 /// tables are merged afterwards under the same rank, so ties still break by
-/// index whichever ranges met in a table.
+/// index whichever ranges met in a table. The third value is the bytes of
+/// those tables: every range's own, and one right table per range that can
+/// be in flight.
 fn exact_join(
-    a: Rows<'_>,
-    b: Rows<'_>,
+    metric: Metric,
+    a: &RowRefs<'_>,
+    b: &RowRefs<'_>,
     k: usize,
     rows_per_range: usize,
-) -> (Vec<Vec<Neighbor>>, Vec<Vec<Neighbor>>) {
+) -> (Vec<Vec<Neighbor>>, Vec<Vec<Neighbor>>, usize) {
     let rows_per_range = rows_per_range.max(1);
     let ranges: Vec<Range<usize>> = (0..a.len())
         .step_by(rows_per_range)
         .map(|start| start..(start + rows_per_range).min(a.len()))
         .collect();
+    let (left_cap, right_cap) = (k.min(b.len()), k.min(a.len()));
     let spare_tables: Mutex<Vec<TopK>> = Mutex::new(Vec::new());
     let take_table = || {
         let spare = spare_tables.lock().expect("a range panicked").pop();
-        spare.unwrap_or_else(|| TopK::new(b.len(), k.min(a.len())))
+        spare.unwrap_or_else(|| TopK::new(b.len(), right_cap))
     };
     let left: Vec<TopK> = ranges
         .par_iter()
         .map(|range| {
             let mut join = RangeJoin {
+                metric,
                 a,
                 b,
                 first: range.start,
-                left: TopK::new(range.len(), k.min(b.len())),
+                left: TopK::new(range.len(), left_cap),
                 right: take_table(),
             };
             join.run(range.clone());
@@ -277,9 +399,12 @@ fn exact_join(
             }
         }
     }
+    let in_flight = ranges.len().min(rayon::current_num_threads()).max(1);
+    let bytes = TopK::bytes(a.len(), left_cap) + in_flight * TopK::bytes(b.len(), right_cap);
     (
         left.iter().flat_map(TopK::rows).collect(),
         right.rows().collect(),
+        bytes,
     )
 }
 
@@ -512,7 +637,13 @@ mod tests {
                             right.iter().map(|v| bits(&li.search(v, k))).collect();
                         // One range, two, five, and one per tile row and less.
                         for rows in [nl.max(1), nl.div_ceil(2), nl.div_ceil(5), 3, 2, 1] {
-                            let (l2r, r2l) = exact_join(li.rows(), ri.rows(), k, rows);
+                            let (l2r, r2l, _) = exact_join(
+                                metric,
+                                &left.iter().copied().collect(),
+                                &right.iter().copied().collect(),
+                                k,
+                                rows,
+                            );
                             let what =
                                 format!("{metric:?} {nl} x {nr}, k {k}, {rows} rows a range");
                             let l2r: Vec<_> = l2r.iter().map(|hits| bits(hits)).collect();
@@ -526,6 +657,51 @@ mod tests {
             }
         }
         assert!(compared > 100_000, "only {compared} rows compared");
+    }
+
+    /// The exact entry over borrowed rows is the join of two exact indexes
+    /// over the same rows, bit for bit, and the top-K tables it reports do
+    /// not grow with the rows' length.
+    #[test]
+    fn the_exact_entry_over_borrowed_rows_is_the_join_of_two_indexes() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xE1AC);
+        let mut vectors = |n: usize, dim: usize| -> Vec<Vec<f32>> {
+            (0..n)
+                .map(|_| (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+                .collect()
+        };
+        let (left, right) = (vectors(150, 9), vectors(70, 9));
+        let (lrefs, rrefs) = (slices(&left), slices(&right));
+        let li = BruteForceIndex::from_vectors(9, Metric::Cosine, lrefs.iter().copied());
+        let ri = BruteForceIndex::from_vectors(9, Metric::Cosine, rrefs.iter().copied());
+        let bits = |m: &[MutualMatch]| -> Vec<(usize, usize, u32)> {
+            m.iter()
+                .map(|m| (m.left, m.right, m.distance.to_bits()))
+                .collect()
+        };
+        let left_rows: RowRefs = lrefs.iter().copied().collect();
+        let right_rows: RowRefs = rrefs.iter().copied().collect();
+        for k in [1, 3] {
+            let (found, bytes) =
+                mutual_top_k_exact(Metric::Cosine, &left_rows, &right_rows, k, 0.5);
+            let indexed = mutual_top_k(&li, &ri, &lrefs, &rrefs, k, 0.5);
+            assert!(!indexed.is_empty());
+            assert_eq!(bits(&found), bits(&indexed), "k {k}");
+            let (wide_left, wide_right) = (vectors(150, 90), vectors(70, 90));
+            let wide_left: RowRefs = wide_left.iter().map(Vec::as_slice).collect();
+            let wide_right: RowRefs = wide_right.iter().map(Vec::as_slice).collect();
+            let (_, wide) = mutual_top_k_exact(Metric::Cosine, &wide_left, &wide_right, k, 0.5);
+            assert_eq!((bytes > 0, bytes), (true, wide), "k {k}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one length")]
+    fn an_exact_join_of_rows_of_two_lengths_panics() {
+        let (short, long) = ([0.5f32, 0.5], [0.5f32, 0.5, 0.5]);
+        let left: RowRefs = [&short[..]].into_iter().collect();
+        let right: RowRefs = [&short[..], &long[..]].into_iter().collect();
+        mutual_top_k_exact(Metric::Cosine, &left, &right, 1, 1.0);
     }
 
     /// A vector with a NaN component matches nothing, on either path of the

@@ -19,17 +19,21 @@
 //! `ann.brute.search_us`, `ann.hnsw.search_us` and `ann.hnsw.insert_us` rows
 //! is one of these.
 //! `ann/join` is the mutual top-1 join (the benchmark's `ann.mutual.join_s`
-//! row, and most of `core.merge_s`): two exact sides at the per-side sizes of
-//! `batch_many`'s (1,150) and `batch_wide`'s (2,300) largest exact merges,
-//! which run the one-pass join; `bruteforce/1800x2300`, `batch_wide`'s last
-//! merge as the pipeline runs it (a merge takes its backend from its smaller
-//! table, so both sides are exact); and `mixed`, the same vectors with an
-//! HNSW 2,300-row side — that merge as the pipeline used to run it, searching
-//! each index once per row of the other side, graph build excluded. Its
-//! `elem/s` is rows per second over both sides.
+//! row, and most of `core.merge_s`): `bruteforce/*` is the entry the merger
+//! calls for an exact merge, `mutual_top_k_exact` over borrowed rows with no
+//! index built, at the per-side sizes of `batch_many`'s (1,150) and
+//! `batch_wide`'s (2,300) largest exact merges, and `bruteforce/1800x2300`,
+//! `batch_wide`'s last merge as the pipeline runs it (a merge takes its
+//! backend from its smaller table, so both sides are exact); `mixed` is the
+//! same vectors with an HNSW 2,300-row side — that merge as the pipeline used
+//! to run it, searching each index once per row of the other side, graph
+//! build excluded. Its `elem/s` is rows per second over both sides.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use multiem_ann::{mutual_top_k, BruteForceIndex, HnswConfig, HnswIndex, Metric, VectorIndex};
+use multiem_ann::{
+    mutual_top_k, mutual_top_k_exact, BruteForceIndex, HnswConfig, HnswIndex, Metric, RowRefs,
+    VectorIndex,
+};
 use multiem_core::{AttributeSelection, EmbeddingStore, MergedTable, MultiEmConfig};
 use multiem_datagen::benchmark_specs;
 use multiem_embed::{EmbeddingModel, HashedLexicalEncoder};
@@ -238,33 +242,31 @@ fn bench_kernel(c: &mut Criterion) {
 
 fn bench_join(c: &mut Criterion) {
     let (vectors, dim) = music_embeddings();
-    let exact =
-        |v: &[&[f32]]| BruteForceIndex::from_vectors(dim, Metric::Cosine, v.iter().copied());
+    let rows =
+        |v: &'static [Vec<f32>]| -> RowRefs<'static> { v.iter().map(Vec::as_slice).collect() };
     let mut group = c.benchmark_group("ann/join");
     for &n in &[1_150usize, 2_300] {
         let (left, rest) = vectors.split_at(n);
-        let left: Vec<&[f32]> = left.iter().map(|v| v.as_slice()).collect();
-        let right: Vec<&[f32]> = rest[..n].iter().map(|v| v.as_slice()).collect();
-        let (left_index, right_index) = (exact(&left), exact(&right));
+        let (left, right) = (rows(left), rows(&rest[..n]));
         group.throughput(Throughput::Elements(2 * n as u64));
         group.bench_function(BenchmarkId::new("bruteforce", n), |b| {
-            b.iter(|| mutual_top_k(&left_index, &right_index, &left, &right, 1, 0.35))
+            b.iter(|| mutual_top_k_exact(Metric::Cosine, &left, &right, 1, 0.35))
         });
     }
 
     let (left, rest) = vectors.split_at(1_800);
     let right = &rest[..2_300];
     let right_hnsw = hnsw(dim, right);
-    let left: Vec<&[f32]> = left.iter().map(|v| v.as_slice()).collect();
-    let right: Vec<&[f32]> = right.iter().map(|v| v.as_slice()).collect();
-    let (left_index, right_index) = (exact(&left), exact(&right));
+    let (left, right) = (rows(left), rows(right));
     group.throughput(Throughput::Elements((left.len() + right.len()) as u64));
     group.bench_function("bruteforce/1800x2300", |b| {
-        b.iter(|| mutual_top_k(&left_index, &right_index, &left, &right, 1, 0.35))
+        b.iter(|| mutual_top_k_exact(Metric::Cosine, &left, &right, 1, 0.35))
     });
     // The merge the pipeline no longer runs: an exact side against a graph.
+    let left_index =
+        BruteForceIndex::from_vectors(dim, Metric::Cosine, left.rows().iter().copied());
     group.bench_function("mixed/1800x2300", |b| {
-        b.iter(|| mutual_top_k(&left_index, &right_hnsw, &left, &right, 1, 0.35))
+        b.iter(|| mutual_top_k(&left_index, &right_hnsw, left.rows(), right.rows(), 1, 0.35))
     });
     group.finish();
 }

@@ -12,10 +12,11 @@ pub enum IndexBackend {
     /// Always use the HNSW graph index.
     Hnsw,
     /// Use brute force below [`MultiEmConfig::hnsw_threshold`] items and HNSW
-    /// at or above it (default). A merge counts its *smaller* table and builds
-    /// both of its indexes on the one backend that selects, so it uses HNSW
-    /// only when both tables are past the threshold; the online store counts
-    /// its live representatives.
+    /// at or above it (default). A merge counts its *smaller* table and runs
+    /// both of its sides on the one backend that selects, so it builds HNSW
+    /// graphs only when both tables are past the threshold (an exact merge
+    /// builds no index at all); the online store counts its live
+    /// representatives.
     #[default]
     Auto,
 }
@@ -143,8 +144,9 @@ impl MultiEmConfig {
     /// Whether an index sized by `len` is an HNSW graph rather than the exact
     /// index — the one place [`MultiEmConfig::index_backend`] and
     /// [`MultiEmConfig::hnsw_threshold`] are read. The merger passes the
-    /// length of a merge's smaller table, for both of its indexes; the online
-    /// store passes its count of live representatives.
+    /// length of a merge's smaller table, for both of its sides (no: the
+    /// exact join over its rows; yes: a graph over each); the online store
+    /// passes its count of live representatives.
     pub fn wants_hnsw(&self, len: usize) -> bool {
         match self.index_backend {
             IndexBackend::BruteForce => false,

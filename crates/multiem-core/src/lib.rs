@@ -49,9 +49,12 @@ pub mod representation;
 
 pub use config::{IndexBackend, MultiEmConfig};
 pub use error::MultiEmError;
-pub use merging::{hierarchical_merge, two_table_merge, MergeItem, MergedTable};
+pub use merging::{
+    hierarchical_merge, hierarchical_merge_store, two_table_merge, MergeItem, MergedTable,
+    StoreMergeOutput,
+};
 pub use pipeline::{MultiEm, MultiEmOutput, PhaseBreakdown};
-pub use pruning::{prune_item, prune_merged_table, prune_points, PruneOutcome};
+pub use pruning::{prune_item, prune_members, prune_merged_table, prune_points, PruneOutcome};
 pub use representation::{
     select_attributes, AttributeSelection, AttributeSignificance, EmbeddingStore,
 };

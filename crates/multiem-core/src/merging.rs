@@ -4,10 +4,12 @@
 //! entities or tuples produced by earlier merges. One two-table merge step
 //! (Algorithm 3):
 //!
-//! 1. builds an ANN index over each table's item embeddings, both on the
-//!    backend the *smaller* table's size selects: a merge is approximate only
-//!    when both tables are past `hnsw_threshold`, because a join with an
-//!    exact side scores every pair of the two tables anyway,
+//! 1. scores the two tables' item rows on the backend the *smaller* table's
+//!    size selects: a merge with a side below `hnsw_threshold` runs the exact
+//!    one-pass join over the rows where they lie, with no index built,
+//!    because a join with an exact side scores every pair of the two tables
+//!    anyway; only a merge with both sides past the threshold builds an HNSW
+//!    graph over each,
 //! 2. finds all **mutual top-K** item pairs with distance ≤ `m` (Eq. 1),
 //! 3. fuses matched items through transitivity (union-find) into new items,
 //!    carrying every unmatched item into the output table unchanged.
@@ -16,9 +18,18 @@
 //! (in a seeded random order) and merges each pair — in parallel when
 //! requested — until a single integrated table remains. Matched tuples are the
 //! multi-member items of that final table.
+//!
+//! Every vector is held once. A run's items carry their members and the id
+//! of a row in one arena: an entity's own row is borrowed from where the
+//! caller keeps it (the [`EmbeddingStore`] for [`hierarchical_merge_store`],
+//! the input items for [`hierarchical_merge`]), a fused item's
+//! representative is appended once with its squared norm, and a carried item
+//! moves into the next table by its member list.
 
 use crate::config::MultiEmConfig;
-use multiem_ann::{mutual_top_k, AnnIndex, DynamicVectorIndex, VectorIndex};
+use multiem_ann::{
+    mutual_top_k, mutual_top_k_exact, DynamicVectorIndex, Metric, MutualMatch, RowRefs, VectorIndex,
+};
 use multiem_cluster::UnionFind;
 use multiem_embed::l2_normalize;
 use multiem_table::{Dataset, EntityId, MatchTuple};
@@ -31,6 +42,10 @@ use crate::representation::EmbeddingStore;
 
 /// One item of a merged table: a set of entities believed to co-refer, plus a
 /// representative embedding (the normalised centroid of its members).
+///
+/// This is the merger's public form, which [`hierarchical_merge`] takes and
+/// gives back. Inside a run an item is its members and a row id; the
+/// embedding is copied out only for the final table.
 #[derive(Debug, Clone)]
 pub struct MergeItem {
     /// The entities merged into this item so far.
@@ -64,7 +79,9 @@ impl MergeItem {
     }
 }
 
-/// A table in the hierarchical-merging lattice.
+/// A table in the hierarchical-merging lattice, with an owned embedding per
+/// item: the input and output of [`hierarchical_merge`].
+/// [`hierarchical_merge_store`] never builds one.
 #[derive(Debug, Clone, Default)]
 pub struct MergedTable {
     /// The items of the table.
@@ -74,18 +91,12 @@ pub struct MergedTable {
 impl MergedTable {
     /// Build the level-0 merged table for one source table: one singleton item
     /// per entity, skipping entities whose serialized text was empty (zero
-    /// embeddings would otherwise produce spurious mutual matches).
+    /// embeddings would otherwise produce spurious mutual matches). Each item
+    /// holds a copy of its store row.
     pub fn from_source(dataset: &Dataset, source: u32, store: &EmbeddingStore) -> Self {
-        let table = &dataset.tables()[source as usize];
-        let mut items = Vec::with_capacity(table.len());
-        for (row, _) in table.iter() {
-            let id = EntityId::new(source, row);
-            let emb = store.embedding(id);
-            if emb.iter().all(|&x| x == 0.0) {
-                continue;
-            }
-            items.push(MergeItem::singleton(id, emb.to_vec()));
-        }
+        let items = source_rows(dataset, source, store)
+            .map(|(id, emb)| MergeItem::singleton(id, emb.to_vec()))
+            .collect();
         Self { items }
     }
 
@@ -120,33 +131,90 @@ impl MergedTable {
     }
 }
 
-/// Index one table's item embeddings, on the backend `config` selects for a
-/// merge whose smaller table holds `smaller` items. Both sides of a merge are
-/// built with the same `smaller`: with one exact side, `mutual_top_k` scans
-/// it once per row of the other, which scores all |A|×|B| pairs — exactly the
-/// distances its one-pass exact join needs for both directions — so an HNSW
-/// graph on the other side would be built for nothing.
-fn index_items(
-    items: &[MergeItem],
-    smaller: usize,
-    config: &MultiEmConfig,
-    dim: usize,
-) -> AnnIndex {
-    let mut index = config.index_for(smaller, dim);
-    index.reserve(items.len());
-    for item in items {
-        index.insert(&item.embedding);
-    }
-    index
+/// The entities of one source table and their store rows, in row order,
+/// without the entities whose row is all zeros (their serialized text was
+/// empty).
+fn source_rows<'s>(
+    dataset: &Dataset,
+    source: u32,
+    store: &'s EmbeddingStore,
+) -> impl Iterator<Item = (EntityId, &'s [f32])> {
+    let rows = dataset.tables()[source as usize].len();
+    (0..rows as u32).filter_map(move |row| {
+        let id = EntityId::new(source, row);
+        let emb = store.embedding(id);
+        (!emb.iter().all(|&x| x == 0.0)).then_some((id, emb))
+    })
 }
 
-fn centroid(members: &[&MergeItem], dim: usize) -> Vec<f32> {
-    let mut acc = vec![0.0f32; dim];
+/// One item inside a run: its members and the id of its row in the
+/// run's [`Arena`].
+#[derive(Debug, Default)]
+struct Item {
+    members: Vec<EntityId>,
+    row: usize,
+}
+
+/// Every row a run's items point at, each beside its squared norm
+/// ([`Metric::squared_norm`], the norm an index caches): the base rows,
+/// borrowed, then the representative of every fused item, appended once.
+struct Arena<'a> {
+    dim: usize,
+    base: Vec<&'a [f32]>,
+    fused: Vec<f32>,
+    norms: Vec<f32>,
+}
+
+impl<'a> Arena<'a> {
+    fn new(dim: usize, base: Vec<&'a [f32]>) -> Self {
+        let norms = base.iter().map(|row| Metric::squared_norm(row)).collect();
+        Self {
+            dim,
+            base,
+            fused: Vec::new(),
+            norms,
+        }
+    }
+
+    /// Number of rows.
+    fn len(&self) -> usize {
+        self.norms.len()
+    }
+
+    fn row(&self, id: usize) -> &[f32] {
+        match id.checked_sub(self.base.len()) {
+            None => self.base[id],
+            Some(fused) => &self.fused[fused * self.dim..][..self.dim],
+        }
+    }
+
+    /// The rows of `items`, in item order, as one side of a join.
+    fn side(&self, items: &[Item]) -> RowRefs<'_> {
+        let mut side = RowRefs::with_capacity(items.len());
+        for item in items {
+            side.push(self.row(item.row), self.norms[item.row]);
+        }
+        side
+    }
+
+    /// Heap bytes: the base references, the fused rows and every norm.
+    fn approx_bytes(&self) -> usize {
+        self.base.capacity() * std::mem::size_of::<&[f32]>()
+            + (self.fused.capacity() + self.norms.capacity()) * std::mem::size_of::<f32>()
+    }
+}
+
+/// The member-count-weighted mean of `items`' rows, normalised: the
+/// representative of a fused item.
+fn centroid(arena: &Arena<'_>, items: &[&Item], out: &mut Vec<f32>) {
+    let start = out.len();
+    out.resize(start + arena.dim, 0.0);
+    let acc = &mut out[start..];
     let mut total = 0usize;
-    for item in members {
+    for item in items {
         let w = item.members.len();
         total += w;
-        for (a, x) in acc.iter_mut().zip(&item.embedding) {
+        for (a, x) in acc.iter_mut().zip(arena.row(item.row)) {
             *a += *x * w as f32;
         }
     }
@@ -156,8 +224,7 @@ fn centroid(members: &[&MergeItem], dim: usize) -> Vec<f32> {
             *a *= inv;
         }
     }
-    l2_normalize(&mut acc);
-    acc
+    l2_normalize(acc);
 }
 
 /// Statistics of one two-table merge (used for diagnostics and memory accounting).
@@ -165,8 +232,217 @@ fn centroid(members: &[&MergeItem], dim: usize) -> Vec<f32> {
 pub struct MergeStats {
     /// Number of mutual matched pairs found (|P_m| in Algorithm 3).
     pub matched_pairs: usize,
-    /// Bytes used by the two ANN indexes.
+    /// Peak search memory of the merge: for an exact merge the two sides'
+    /// row references and norms plus the join's top-K tables (no row is
+    /// copied); for an HNSW merge the two graphs, rows included.
     pub index_bytes: usize,
+}
+
+/// The mutual matches of two tables' items, and the merge's search memory.
+fn join(
+    arena: &Arena<'_>,
+    left: &[Item],
+    right: &[Item],
+    config: &MultiEmConfig,
+) -> (Vec<MutualMatch>, usize) {
+    let (left, right) = (arena.side(left), arena.side(right));
+    let sides = left.approx_bytes() + right.approx_bytes();
+    // One backend for the merge, from its smaller table: with one exact
+    // side the join scores every pair anyway, so a graph on the other
+    // would be built for nothing.
+    let smaller = left.len().min(right.len());
+    if !config.wants_hnsw(smaller) {
+        let (matches, tables) =
+            mutual_top_k_exact(config.merge_metric, &left, &right, config.k, config.m);
+        return (matches, sides + tables);
+    }
+    let graph = |side: &RowRefs<'_>| {
+        let mut index = config.index_for(smaller, arena.dim);
+        index.reserve(side.len());
+        for row in side.rows() {
+            index.insert(row);
+        }
+        index
+    };
+    let (left_index, right_index) = (graph(&left), graph(&right));
+    let matches = mutual_top_k(
+        &left_index,
+        &right_index,
+        left.rows(),
+        right.rows(),
+        config.k,
+        config.m,
+    );
+    (
+        matches,
+        left_index.approx_bytes() + right_index.approx_bytes(),
+    )
+}
+
+/// What one merge decided, before its output table is assembled: the item
+/// groups (indexes into the left items, then the right ones), the rows of
+/// its fused groups in group order, and its statistics.
+struct Fusion {
+    groups: Vec<Vec<usize>>,
+    rows: Vec<f32>,
+    norms: Vec<f32>,
+    stats: MergeStats,
+}
+
+/// Algorithm 3 on two tables, reading the arena: match, union, and compute
+/// every fused group's representative.
+fn fuse(arena: &Arena<'_>, left: &[Item], right: &[Item], config: &MultiEmConfig) -> Fusion {
+    let (matches, index_bytes) = if left.is_empty() || right.is_empty() {
+        (Vec::new(), 0)
+    } else {
+        join(arena, left, right, config)
+    };
+    // Transitivity: union matched items (right items are offset by left.len()).
+    let mut uf = UnionFind::new(left.len() + right.len());
+    for m in &matches {
+        uf.union(m.left, left.len() + m.right);
+    }
+    let groups = uf.groups();
+    let item = |i: usize| match i.checked_sub(left.len()) {
+        None => &left[i],
+        Some(r) => &right[r],
+    };
+    let (mut rows, mut norms) = (Vec::new(), Vec::new());
+    for group in groups.iter().filter(|g| g.len() > 1) {
+        let items: Vec<&Item> = group.iter().map(|&i| item(i)).collect();
+        centroid(arena, &items, &mut rows);
+        norms.push(Metric::squared_norm(&rows[rows.len() - arena.dim..]));
+    }
+    Fusion {
+        groups,
+        rows,
+        norms,
+        stats: MergeStats {
+            matched_pairs: matches.len(),
+            index_bytes,
+        },
+    }
+}
+
+/// The output table of a merge: a carried item moves over by its member
+/// list, a fused one gets the next row of the arena, which the merge's
+/// fused rows are appended to.
+fn assemble(arena: &mut Arena<'_>, left: Vec<Item>, right: Vec<Item>, fusion: Fusion) -> Vec<Item> {
+    let mut all: Vec<Item> = left.into_iter().chain(right).collect();
+    let mut next_row = arena.len();
+    let items = fusion
+        .groups
+        .iter()
+        .map(|group| {
+            if let [only] = group[..] {
+                return std::mem::take(&mut all[only]);
+            }
+            let mut members: Vec<EntityId> = group
+                .iter()
+                .flat_map(|&i| all[i].members.iter().copied())
+                .collect();
+            members.sort_unstable();
+            members.dedup();
+            next_row += 1;
+            Item {
+                members,
+                row: next_row - 1,
+            }
+        })
+        .collect();
+    arena.fused.extend_from_slice(&fusion.rows);
+    arena.norms.extend_from_slice(&fusion.norms);
+    items
+}
+
+/// Outcome of a run of the merging engine.
+struct Run {
+    items: Vec<Item>,
+    levels: usize,
+    peak_index_bytes: usize,
+    total_matched_pairs: usize,
+}
+
+/// Algorithm 2 over tables of items whose rows are in `arena`.
+fn run(mut tables: Vec<Vec<Item>>, arena: &mut Arena<'_>, config: &MultiEmConfig) -> Run {
+    let mut rng = ChaCha8Rng::seed_from_u64(config.merge_seed);
+    let (mut levels, mut peak_index_bytes, mut total_matched_pairs) = (0, 0, 0);
+
+    while tables.len() > 1 {
+        levels += 1;
+        // Random pairing order (Figure 6(b) shows the result is insensitive to it).
+        tables.shuffle(&mut rng);
+        let carry = (tables.len() % 2 == 1).then(|| tables.pop()).flatten();
+        let mut pairs: Vec<(Vec<Item>, Vec<Item>)> = Vec::with_capacity(tables.len() / 2);
+        let mut iter = tables.into_iter();
+        while let (Some(a), Some(b)) = (iter.next(), iter.next()) {
+            pairs.push((a, b));
+        }
+
+        // A level's merges read the arena; their fused rows are appended
+        // after, in pair order.
+        let merge_one = |(a, b): &(Vec<Item>, Vec<Item>)| fuse(arena, a, b, config);
+        let fusions: Vec<Fusion> = if config.parallel {
+            pairs.par_iter().map(merge_one).collect()
+        } else {
+            pairs.iter().map(merge_one).collect()
+        };
+
+        tables = Vec::with_capacity(pairs.len() + 1);
+        let fused: usize = fusions.iter().map(|f| f.rows.len()).sum();
+        arena.fused.reserve_exact(fused);
+        for ((a, b), fusion) in pairs.into_iter().zip(fusions) {
+            peak_index_bytes = peak_index_bytes.max(fusion.stats.index_bytes);
+            total_matched_pairs += fusion.stats.matched_pairs;
+            tables.push(assemble(arena, a, b, fusion));
+        }
+        tables.extend(carry);
+    }
+
+    Run {
+        items: tables.pop().unwrap_or_default(),
+        levels,
+        peak_index_bytes,
+        total_matched_pairs,
+    }
+}
+
+/// Base rows and item tables for the engine, from tables with owned rows:
+/// every input item's embedding is borrowed as its row.
+fn borrow_tables<'t>(
+    tables: impl IntoIterator<Item = &'t MergedTable>,
+    dim: usize,
+) -> (Vec<Vec<Item>>, Arena<'t>) {
+    let mut base = Vec::new();
+    let items = tables
+        .into_iter()
+        .map(|table| {
+            table
+                .items
+                .iter()
+                .map(|item| {
+                    base.push(item.embedding.as_slice());
+                    Item {
+                        members: item.members.clone(),
+                        row: base.len() - 1,
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    (items, Arena::new(dim, base))
+}
+
+/// Items with owned embeddings, each row copied out of the arena.
+fn copy_out(items: Vec<Item>, arena: &Arena<'_>) -> MergedTable {
+    let items = items
+        .into_iter()
+        .map(|item| MergeItem {
+            embedding: arena.row(item.row).to_vec(),
+            members: item.members,
+        })
+        .collect();
+    MergedTable { items }
 }
 
 /// Merge two tables (Algorithm 3). Returns the merged table and statistics.
@@ -176,62 +452,12 @@ pub fn two_table_merge_with_stats(
     config: &MultiEmConfig,
     dim: usize,
 ) -> (MergedTable, MergeStats) {
-    if left.is_empty() {
-        return (right.clone(), MergeStats::default());
-    }
-    if right.is_empty() {
-        return (left.clone(), MergeStats::default());
-    }
-
-    let smaller = left.len().min(right.len());
-    let left_index = index_items(&left.items, smaller, config, dim);
-    let right_index = index_items(&right.items, smaller, config, dim);
-    let left_vecs: Vec<&[f32]> = left.items.iter().map(|i| i.embedding.as_slice()).collect();
-    let right_vecs: Vec<&[f32]> = right.items.iter().map(|i| i.embedding.as_slice()).collect();
-
-    let matches = mutual_top_k(
-        &left_index,
-        &right_index,
-        &left_vecs,
-        &right_vecs,
-        config.k,
-        config.m,
-    );
-    let stats = MergeStats {
-        matched_pairs: matches.len(),
-        index_bytes: left_index.approx_bytes() + right_index.approx_bytes(),
-    };
-
-    // Transitivity: union matched items (right items are offset by left.len()).
-    let n_left = left.len();
-    let mut uf = UnionFind::new(n_left + right.len());
-    for m in &matches {
-        uf.union(m.left, n_left + m.right);
-    }
-
-    let all_items: Vec<&MergeItem> = left.items.iter().chain(right.items.iter()).collect();
-    let mut merged_items = Vec::with_capacity(all_items.len());
-    for group in uf.groups() {
-        if group.len() == 1 {
-            merged_items.push(all_items[group[0]].clone());
-        } else {
-            let members_items: Vec<&MergeItem> = group.iter().map(|&i| all_items[i]).collect();
-            let mut members: Vec<EntityId> = members_items
-                .iter()
-                .flat_map(|i| i.members.iter().copied())
-                .collect();
-            members.sort_unstable();
-            members.dedup();
-            let embedding = centroid(&members_items, dim);
-            merged_items.push(MergeItem { members, embedding });
-        }
-    }
-    (
-        MergedTable {
-            items: merged_items,
-        },
-        stats,
-    )
+    let (tables, mut arena) = borrow_tables([left, right], dim);
+    let [left, right]: [Vec<Item>; 2] = tables.try_into().expect("two tables");
+    let fusion = fuse(&arena, &left, &right, config);
+    let stats = fusion.stats;
+    let items = assemble(&mut arena, left, right, fusion);
+    (copy_out(items, &arena), stats)
 }
 
 /// Merge two tables (Algorithm 3).
@@ -251,7 +477,8 @@ pub struct HierarchicalMergeOutput {
     pub integrated: MergedTable,
     /// Number of hierarchy levels executed (`⌈log2 S⌉` for S source tables).
     pub levels: usize,
-    /// Peak index bytes observed across all two-table merges.
+    /// Peak search memory across all two-table merges
+    /// ([`MergeStats::index_bytes`]).
     pub peak_index_bytes: usize,
     /// Total mutual matched pairs across all merges.
     pub total_matched_pairs: usize,
@@ -260,67 +487,99 @@ pub struct HierarchicalMergeOutput {
 /// Table-wise hierarchical merging (Algorithm 2).
 ///
 /// Tables are paired in a seeded random order at every level; each pair is
-/// merged with [`two_table_merge`], sequentially or in parallel according to
-/// `config.parallel`, until one table remains.
+/// merged as [`two_table_merge`] merges it, sequentially or in parallel
+/// according to `config.parallel`, until one table remains. The input items'
+/// embeddings are the run's base rows; only the integrated table's rows are
+/// copied, into its items.
 pub fn hierarchical_merge(
-    mut tables: Vec<MergedTable>,
+    tables: Vec<MergedTable>,
     config: &MultiEmConfig,
     dim: usize,
 ) -> HierarchicalMergeOutput {
-    let mut rng = ChaCha8Rng::seed_from_u64(config.merge_seed);
-    let mut levels = 0usize;
-    let mut peak_index_bytes = 0usize;
-    let mut total_matched_pairs = 0usize;
+    let (items, mut arena) = borrow_tables(&tables, dim);
+    let run = run(items, &mut arena, config);
+    HierarchicalMergeOutput {
+        integrated: copy_out(run.items, &arena),
+        levels: run.levels,
+        peak_index_bytes: run.peak_index_bytes,
+        total_matched_pairs: run.total_matched_pairs,
+    }
+}
 
-    while tables.len() > 1 {
-        levels += 1;
-        // Random pairing order (Figure 6(b) shows the result is insensitive to it).
-        tables.shuffle(&mut rng);
+/// Outcome of [`hierarchical_merge_store`]: the integrated table as member
+/// lists. Its rows were the store's and the run's arena, which is gone.
+#[derive(Debug, Clone)]
+pub struct StoreMergeOutput {
+    /// The members of every item of the integrated table.
+    pub members: Vec<Vec<EntityId>>,
+    /// Number of hierarchy levels executed (`⌈log2 S⌉` for S source tables).
+    pub levels: usize,
+    /// Peak search memory across all two-table merges
+    /// ([`MergeStats::index_bytes`]).
+    pub peak_index_bytes: usize,
+    /// Total mutual matched pairs across all merges.
+    pub total_matched_pairs: usize,
+    /// Heap bytes of the run's arena at its end: the fused rows, every
+    /// row's norm and the references to the store's rows.
+    pub arena_bytes: usize,
+}
 
-        let mut pairs: Vec<(MergedTable, MergedTable)> = Vec::with_capacity(tables.len() / 2);
-        let mut carry: Option<MergedTable> = None;
-        let mut iter = tables.into_iter();
-        loop {
-            match (iter.next(), iter.next()) {
-                (Some(a), Some(b)) => pairs.push((a, b)),
-                (Some(a), None) => {
-                    carry = Some(a);
-                    break;
-                }
-                _ => break,
-            }
-        }
-
-        let merge_one =
-            |(a, b): &(MergedTable, MergedTable)| two_table_merge_with_stats(a, b, config, dim);
-        let results: Vec<(MergedTable, MergeStats)> = if config.parallel {
-            pairs.par_iter().map(merge_one).collect()
-        } else {
-            pairs.iter().map(merge_one).collect()
-        };
-
-        let mut next_level: Vec<MergedTable> = Vec::with_capacity(results.len() + 1);
-        for (table, stats) in results {
-            peak_index_bytes = peak_index_bytes.max(stats.index_bytes);
-            total_matched_pairs += stats.matched_pairs;
-            next_level.push(table);
-        }
-        if let Some(c) = carry {
-            next_level.push(c);
-        }
-        tables = next_level;
+impl StoreMergeOutput {
+    /// Items with at least two members, as match tuples.
+    pub fn tuples(&self) -> Vec<MatchTuple> {
+        self.members
+            .iter()
+            .filter(|m| m.len() >= 2)
+            .map(|m| MatchTuple::new(m.iter().copied()))
+            .collect()
     }
 
-    HierarchicalMergeOutput {
-        integrated: tables.pop().unwrap_or_default(),
-        levels,
-        peak_index_bytes,
-        total_matched_pairs,
+    /// Bytes of the integrated table: its member lists and the arena.
+    pub fn approx_bytes(&self) -> usize {
+        self.members
+            .iter()
+            .map(|m| m.capacity() * std::mem::size_of::<EntityId>())
+            .sum::<usize>()
+            + self.arena_bytes
+    }
+}
+
+/// [`hierarchical_merge`] of `dataset`'s source tables, each entity's row
+/// borrowed from `store` rather than copied: the same tables as
+/// [`MergedTable::from_source`] gives, the same merges, the same tuples.
+/// This is the merging phase of `MultiEm::run`.
+pub fn hierarchical_merge_store(
+    dataset: &Dataset,
+    store: &EmbeddingStore,
+    config: &MultiEmConfig,
+) -> StoreMergeOutput {
+    let mut base = Vec::new();
+    let tables = (0..dataset.num_sources() as u32)
+        .map(|source| {
+            source_rows(dataset, source, store)
+                .map(|(id, emb)| {
+                    base.push(emb);
+                    Item {
+                        members: vec![id],
+                        row: base.len() - 1,
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let mut arena = Arena::new(store.dim(), base);
+    let run = run(tables, &mut arena, config);
+    StoreMergeOutput {
+        members: run.items.into_iter().map(|item| item.members).collect(),
+        levels: run.levels,
+        peak_index_bytes: run.peak_index_bytes,
+        total_matched_pairs: run.total_matched_pairs,
+        arena_bytes: arena.approx_bytes(),
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::IndexBackend;
     use crate::representation::EmbeddingStore;
@@ -570,24 +829,31 @@ mod tests {
             index_backend: IndexBackend::BruteForce,
             ..auto.clone()
         };
-        let brute_bytes = |t: &MergedTable| {
-            let mut index = AnnIndex::new(dim, auto.merge_metric, None);
-            index.reserve(t.len());
-            for item in &t.items {
-                index.insert(&item.embedding);
-            }
-            index.approx_bytes()
+        // What the two sides' rows take as floats.
+        let row_bytes = |t: &MergedTable| t.len() * dim * std::mem::size_of::<f32>();
+        // The same rows with zeros appended: the same norms and distances,
+        // four times the floats.
+        let padded = |t: &MergedTable| MergedTable {
+            items: t
+                .items
+                .iter()
+                .map(|i| MergeItem {
+                    members: i.members.clone(),
+                    embedding: [i.embedding.as_slice(), &[0.0; 48]].concat(),
+                })
+                .collect(),
         };
         let bits =
             |i: &MergeItem| -> Vec<u32> { i.embedding.iter().map(|x| x.to_bits()).collect() };
 
         for (left, right) in [(&small, &large), (&large, &small)] {
             let (merged, stats) = two_table_merge_with_stats(left, right, &auto, dim);
-            assert_eq!(
-                stats.index_bytes,
-                brute_bytes(left) + brute_bytes(right),
-                "6 rows against 30 must index both sides exactly"
-            );
+            // 6 rows against 30 join exactly, over the rows where they lie:
+            // the search memory is norms, row references and top-K tables,
+            // and does not grow with the rows.
+            let (_, wide) = two_table_merge_with_stats(&padded(left), &padded(right), &auto, 64);
+            assert_eq!(stats.index_bytes, wide.index_bytes, "a row was copied");
+            assert!(stats.index_bytes > 0);
             let exact = two_table_merge(left, right, &brute, dim);
             assert!(!exact.tuples().is_empty());
             assert_eq!(merged.len(), exact.len());
@@ -599,7 +865,7 @@ mod tests {
 
         // Both sides past the threshold: graphs are still built.
         let (_, stats) = two_table_merge_with_stats(&large, &other, &auto, dim);
-        assert!(stats.index_bytes > brute_bytes(&large) + brute_bytes(&other));
+        assert!(stats.index_bytes > row_bytes(&large) + row_bytes(&other));
     }
 
     #[test]
@@ -638,5 +904,110 @@ mod tests {
             "overlap {overlap} of {}",
             bt.len()
         );
+    }
+
+    /// The merge inputs the pinned digests are taken over: `small_test`
+    /// music with `parallel` off and on, `small_test` geo on HNSW, and
+    /// `music-20` at 0.05 with `hnsw_threshold` lowered so that every merge
+    /// has both sides past it. Each case names its dataset, its config and
+    /// the attributes its embedding store is built from.
+    pub(crate) fn pinned_cases() -> Vec<(&'static str, Dataset, MultiEmConfig, Vec<usize>)> {
+        let small = |domain: Domain, name: &str| {
+            let factory = domain.factory();
+            let corruptor = Corruptor::new(CorruptionConfig::light());
+            MultiSourceGenerator::new(GeneratorConfig::small_test(name, 4))
+                .generate(factory.as_ref(), &corruptor)
+        };
+        let music = small(Domain::Music, "merge-par");
+        let geo = small(Domain::Geo, "geo-backend");
+        let preset = multiem_datagen::benchmark_dataset("music-20", 0.05)
+            .unwrap()
+            .dataset;
+        let base = MultiEmConfig {
+            m: 0.4,
+            ..MultiEmConfig::default()
+        };
+        vec![
+            (
+                "music sequential",
+                music.clone(),
+                base.clone(),
+                vec![2, 4, 5],
+            ),
+            (
+                "music parallel",
+                music,
+                MultiEmConfig {
+                    parallel: true,
+                    ..base.clone()
+                },
+                vec![2, 4, 5],
+            ),
+            (
+                "geo hnsw",
+                geo,
+                MultiEmConfig {
+                    index_backend: IndexBackend::Hnsw,
+                    ..base.clone()
+                },
+                vec![0],
+            ),
+            (
+                "music-20 0.05, every merge past the threshold",
+                preset,
+                MultiEmConfig {
+                    hnsw_threshold: 100,
+                    ..MultiEmConfig::default()
+                },
+                vec![2, 4, 5],
+            ),
+        ]
+    }
+
+    /// FNV-1a over every item of an integrated table, sorted by members:
+    /// each member's source and row, then each embedding bit.
+    fn digest(items: &[MergeItem]) -> u64 {
+        let mut sorted: Vec<&MergeItem> = items.iter().collect();
+        sorted.sort_by(|a, b| a.members.cmp(&b.members));
+        let mut bytes = Vec::new();
+        for item in sorted {
+            bytes.extend_from_slice(&(item.members.len() as u32).to_le_bytes());
+            for id in &item.members {
+                bytes.extend_from_slice(&id.source.to_le_bytes());
+                bytes.extend_from_slice(&id.row.to_le_bytes());
+            }
+            for x in &item.embedding {
+                bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+        }
+        multiem_embed::hashing::fnv1a64(&bytes)
+    }
+
+    /// Every member and every embedding bit of `hierarchical_merge`'s
+    /// integrated table, on each pinned case, as the merger computed them
+    /// before it kept its rows in an arena.
+    #[test]
+    fn merge_output_is_pinned() {
+        let encoder = HashedLexicalEncoder::default();
+        let mut found = Vec::new();
+        for (name, ds, config, selected) in pinned_cases() {
+            let store = EmbeddingStore::build(&ds, &encoder, &selected, &config);
+            let tables: Vec<MergedTable> = (0..ds.num_sources() as u32)
+                .map(|s| MergedTable::from_source(&ds, s, &store))
+                .collect();
+            let out = hierarchical_merge(tables, &config, encoder.dim());
+            found.push((name, digest(&out.integrated.items), out.total_matched_pairs));
+        }
+        let expected = [
+            ("music sequential", 0xc131_4ff8_276f_2ce3, 60),
+            ("music parallel", 0xc131_4ff8_276f_2ce3, 60),
+            ("geo hnsw", 0xf73d_6a54_4db9_82c2, 59),
+            (
+                "music-20 0.05, every merge past the threshold",
+                0xa27f_17ca_0460_3146,
+                457,
+            ),
+        ];
+        assert_eq!(found, expected);
     }
 }

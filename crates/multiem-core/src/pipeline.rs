@@ -6,8 +6,8 @@
 
 use crate::config::MultiEmConfig;
 use crate::error::MultiEmError;
-use crate::merging::{hierarchical_merge, MergedTable};
-use crate::pruning::prune_merged_table;
+use crate::merging::hierarchical_merge_store;
+use crate::pruning::prune_members;
 use crate::representation::{select_attributes, AttributeSelection, EmbeddingStore};
 use crate::Result;
 use multiem_embed::EmbeddingModel;
@@ -57,8 +57,11 @@ pub struct MultiEmOutput {
     pub phases: PhaseBreakdown,
     /// Total wall-clock runtime.
     pub total_time: Duration,
-    /// Byte-accounted memory per component (embeddings, ANN indexes, merged
-    /// tables).
+    /// Byte-accounted memory per component: `embeddings` (the store),
+    /// `ann-indexes` (the peak search memory of one merge: norms, row
+    /// references and top-K tables for an exact merge, both graphs for an
+    /// HNSW one) and `merged-table` (the integrated member lists and the
+    /// fused-row arena).
     pub memory_bytes: BTreeMap<String, usize>,
     /// Number of hierarchy levels executed by the merging phase.
     pub merge_levels: usize,
@@ -132,28 +135,23 @@ impl<E: EmbeddingModel> MultiEm<E> {
 
         // Phase M: table-wise hierarchical merging.
         let t = Instant::now();
-        let tables: Vec<MergedTable> = (0..dataset.num_sources() as u32)
-            .map(|s| MergedTable::from_source(dataset, s, &store))
-            .collect();
-        let merge_out = hierarchical_merge(tables, &self.config, self.encoder.dim());
+        let merge_out = hierarchical_merge_store(dataset, &store, &self.config);
         phases.merging = t.elapsed();
         memory.insert("ann-indexes".to_string(), merge_out.peak_index_bytes);
-        memory.insert(
-            "merged-table".to_string(),
-            merge_out.integrated.approx_bytes(),
-        );
+        memory.insert("merged-table".to_string(), merge_out.approx_bytes());
 
         // Phase P: density-based pruning.
         let t = Instant::now();
         let (tuples, outliers_removed, tuples_dropped) = if self.config.pruning {
-            let summary = prune_merged_table(&merge_out.integrated, &store, &self.config);
+            let lists = merge_out.members.iter().map(Vec::as_slice);
+            let summary = prune_members(lists, &store, &self.config);
             (
                 summary.tuples,
                 summary.outliers_removed,
                 summary.tuples_dropped,
             )
         } else {
-            (merge_out.integrated.tuples(), 0, 0)
+            (merge_out.tuples(), 0, 0)
         };
         phases.pruning = t.elapsed();
 
@@ -362,5 +360,80 @@ mod tests {
         let labels: Vec<&str> = pairs.iter().map(|(l, _)| *l).collect();
         assert_eq!(labels, vec!["S", "R", "M", "P"]);
         assert!(out.phases.total() <= out.total_time + Duration::from_millis(50));
+    }
+
+    /// An all-exact run joins every merge over the rows where they lie: its
+    /// `ann-indexes` (the largest merge's search memory) stays below the
+    /// bytes of the smaller side's rows of any merge, which hold at least as
+    /// many items as the smallest source table has embedded rows.
+    #[test]
+    fn an_exact_run_accounts_no_row_copy_to_its_merges() {
+        let ds = music_dataset(3);
+        let config = MultiEmConfig {
+            m: 0.35,
+            ..MultiEmConfig::default()
+        };
+        let encoder = HashedLexicalEncoder::default();
+        let out = MultiEm::new(config.clone(), encoder.clone())
+            .run(&ds)
+            .unwrap();
+        let store = EmbeddingStore::build(&ds, &encoder, &out.selection.selected, &config);
+        let smallest = (0..ds.num_sources() as u32)
+            .map(|s| {
+                (0..store.source_len(s) as u32)
+                    .filter(|&row| {
+                        let id = multiem_table::EntityId::new(s, row);
+                        store.embedding(id).iter().any(|&x| x != 0.0)
+                    })
+                    .count()
+            })
+            .min()
+            .unwrap();
+        assert!(
+            !config.wants_hnsw(ds.total_entities()),
+            "the run must be all exact"
+        );
+        let row_bytes = smallest * encoder.dim() * std::mem::size_of::<f32>();
+        let ann = out.memory_bytes["ann-indexes"];
+        assert!(
+            ann > 0 && ann < row_bytes,
+            "ann-indexes {ann} vs rows {row_bytes}"
+        );
+    }
+
+    /// `MultiEm::run`'s sorted tuples on each of the merger's pinned cases,
+    /// as computed before the merger kept its rows in an arena.
+    #[test]
+    fn run_tuples_are_pinned() {
+        let mut found = Vec::new();
+        for (name, ds, config, _) in crate::merging::tests::pinned_cases() {
+            let out = MultiEm::new(config, HashedLexicalEncoder::default())
+                .run(&ds)
+                .unwrap();
+            let mut bytes = Vec::new();
+            for tuple in sorted_tuples(out.tuples) {
+                bytes.extend_from_slice(&(tuple.len() as u32).to_le_bytes());
+                for id in tuple.members() {
+                    bytes.extend_from_slice(&id.source.to_le_bytes());
+                    bytes.extend_from_slice(&id.row.to_le_bytes());
+                }
+            }
+            found.push((name, multiem_embed::hashing::fnv1a64(&bytes)));
+        }
+        let expected = [
+            ("music sequential", 0x702d_5ced_2408_4ea6),
+            ("music parallel", 0x702d_5ced_2408_4ea6),
+            ("geo hnsw", 0xe6e3_0278_3dda_14a6),
+            (
+                "music-20 0.05, every merge past the threshold",
+                0xe2ed_30e5_192e_3907,
+            ),
+        ];
+        assert_eq!(found, expected);
+    }
+
+    fn sorted_tuples(mut tuples: Vec<MatchTuple>) -> Vec<MatchTuple> {
+        tuples.sort();
+        tuples
     }
 }

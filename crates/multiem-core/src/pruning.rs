@@ -102,18 +102,35 @@ pub fn prune_merged_table(
     store: &EmbeddingStore,
     config: &MultiEmConfig,
 ) -> PruneSummary {
-    let candidates: Vec<&crate::merging::MergeItem> =
-        table.items.iter().filter(|i| i.len() >= 2).collect();
+    prune_members(
+        table.items.iter().map(|item| item.members.as_slice()),
+        store,
+        config,
+    )
+}
+
+/// Prune every member list of at least two entities (Algorithm 4 per list);
+/// the shorter ones are not tuples and are skipped. This is the pruning
+/// phase over an integrated table given as member lists, which is how
+/// `MultiEm::run` holds it.
+///
+/// Runs in parallel over lists when `config.parallel` is set.
+pub fn prune_members<'a>(
+    lists: impl IntoIterator<Item = &'a [EntityId]>,
+    store: &EmbeddingStore,
+    config: &MultiEmConfig,
+) -> PruneSummary {
+    let candidates: Vec<&[EntityId]> = lists.into_iter().filter(|m| m.len() >= 2).collect();
 
     let outcomes: Vec<PruneOutcome> = if config.parallel {
         candidates
             .par_iter()
-            .map(|item| prune_item(&item.members, store, config))
+            .map(|members| prune_item(members, store, config))
             .collect()
     } else {
         candidates
             .iter()
-            .map(|item| prune_item(&item.members, store, config))
+            .map(|members| prune_item(members, store, config))
             .collect()
     };
 

@@ -16,7 +16,10 @@ use crate::config::MultiEmConfig;
 use crate::error::MultiEmError;
 use crate::Result;
 use multiem_embed::{cosine_similarity, EmbeddingModel, Matrix};
-use multiem_table::{serialize_record_projected, AttrId, Dataset, EntityId, Record};
+use multiem_table::{
+    serialize_record_projected, serialize_record_substituted, AttrId, Dataset, EntityId, Record,
+    Value,
+};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -114,28 +117,25 @@ pub fn select_attributes(
     let all_attrs: Vec<AttrId> = (0..schema.len()).collect();
     // Original embeddings of the sample (all attributes).
     let original_texts: Vec<String> = sample
-        .iter()
+        .par_iter()
         .map(|r| serialize_record_projected(r, &all_attrs, &config.serialize))
         .collect();
     let original = encoder.encode_batch(&original_texts);
 
     let mut scores = Vec::with_capacity(schema.len());
     for attr in 0..schema.len() {
-        // Shuffle this attribute's values across the sample.
-        let mut values: Vec<&multiem_table::Value> = sample
+        // Shuffle this attribute's values across the sample (attribute by
+        // attribute, so the draws do not depend on how the texts are built).
+        let mut values: Vec<&Value> = sample
             .iter()
             .map(|r| r.value(attr).expect("attr within schema"))
             .collect();
         values.shuffle(&mut rng);
 
-        let shuffled_texts: Vec<String> = sample
-            .iter()
-            .zip(&values)
-            .map(|(r, v)| {
-                let mut clone = (*r).clone();
-                clone.set_value(attr, (*v).clone());
-                serialize_record_projected(&clone, &all_attrs, &config.serialize)
-            })
+        let pairs: Vec<(&Record, &Value)> = sample.iter().copied().zip(values).collect();
+        let shuffled_texts: Vec<String> = pairs
+            .par_iter()
+            .map(|&(r, v)| serialize_record_substituted(r, attr, v, &all_attrs, &config.serialize))
             .collect();
         let shuffled = encoder.encode_batch(&shuffled_texts);
 
@@ -367,5 +367,49 @@ mod tests {
         let encoder = HashedLexicalEncoder::default();
         let err = select_attributes(&ds, &encoder, &MultiEmConfig::default());
         assert!(err.is_err());
+    }
+
+    /// Every attribute's `mean_similarity`, as bits, on the music fixture
+    /// and on `music-20` at 0.05, as Algorithm 1 computed them when it
+    /// cloned a record per shuffled value and built the texts on one thread.
+    #[test]
+    fn mean_similarities_are_pinned() {
+        let encoder = HashedLexicalEncoder::default();
+        let config = MultiEmConfig::default();
+        let preset = benchmark_dataset("music-20", 0.05).unwrap().dataset;
+        let found: Vec<Vec<u64>> = [music_dataset(), preset]
+            .iter()
+            .map(|ds| {
+                let selection = select_attributes(ds, &encoder, &config).unwrap();
+                selection
+                    .scores
+                    .iter()
+                    .map(|s| s.mean_similarity.to_bits())
+                    .collect()
+            })
+            .collect();
+        let expected: [&[u64]; 2] = [
+            &[
+                0x3fef_9b7b_9a76_2762,
+                0x3fee_7868_9762_7627,
+                0x3fe6_7ef3_14ec_4ec5,
+                0x3fee_797d_bbb1_3b14,
+                0x3fe9_b23c_2e27_6276,
+                0x3fe9_8a94_76c4_ec4f,
+                0x3fee_8880_b589_d89e,
+                0x3fee_b978_5000_0000,
+            ],
+            &[
+                0x3fef_9815_7f28_6bca,
+                0x3fee_707b_77ea_712e,
+                0x3fe6_9a94_1af2_86bd,
+                0x3fee_5f50_d563_b48c,
+                0x3fe9_92a3_ca71_2dcf,
+                0x3fe9_96e5_6769_1841,
+                0x3fee_0936_1dcf_7ea7,
+                0x3fee_8956_886b_ca1b,
+            ],
+        ];
+        assert_eq!(found, expected);
     }
 }

@@ -20,12 +20,35 @@ pub trait EmbeddingModel: Send + Sync {
     fn encode(&self, text: &str) -> Vec<f32>;
 
     /// Encode a batch of serialized entities. The default implementation
-    /// parallelises over rayon; backends with real batching can override it.
+    /// encodes contiguous blocks of the batch in parallel, each row straight
+    /// into its block's matrix, and appends the blocks in order; a batch
+    /// encoded inside another parallel map (one table of
+    /// `EmbeddingStore::build`) is one block, returned as it is. Backends
+    /// with real batching can override it.
     fn encode_batch(&self, texts: &[String]) -> Matrix {
-        let rows: Vec<Vec<f32>> = texts.par_iter().map(|t| self.encode(t)).collect();
-        let mut m = Matrix::with_capacity(self.dim(), rows.len());
-        for r in &rows {
-            m.push_row(r);
+        let threads = rayon::current_num_threads();
+        let blocks = if threads == 1 || rayon::current_thread_index().is_some() {
+            1
+        } else {
+            threads * BLOCKS_PER_THREAD
+        };
+        let chunks: Vec<&[String]> = texts.chunks(texts.len().div_ceil(blocks).max(1)).collect();
+        let mut encoded: Vec<Matrix> = chunks
+            .par_iter()
+            .map(|chunk| {
+                let mut block = Matrix::with_capacity(self.dim(), chunk.len());
+                for text in chunk.iter() {
+                    block.push_row(&self.encode(text));
+                }
+                block
+            })
+            .collect();
+        if encoded.len() <= 1 {
+            return encoded.pop().unwrap_or_else(|| Matrix::new(self.dim()));
+        }
+        let mut m = Matrix::with_capacity(self.dim(), texts.len());
+        for block in &encoded {
+            m.append(block);
         }
         m
     }
@@ -35,6 +58,11 @@ pub trait EmbeddingModel: Send + Sync {
         "embedding-model"
     }
 }
+
+/// Blocks per thread of a default [`EmbeddingModel::encode_batch`]: a few,
+/// so a thread that loses its core for a while holds back a fraction of its
+/// share, not all of it.
+const BLOCKS_PER_THREAD: usize = 4;
 
 /// Configuration of the [`HashedLexicalEncoder`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -334,6 +362,21 @@ mod tests {
         assert_eq!(m.len(), 3);
         assert_eq!(m.row(0), e.encode("apple iphone").as_slice());
         assert_eq!(m.row(2), vec![0.0f32; e.dim()].as_slice());
+
+        // Empty, shorter than the block count, ragged blocks, and the same
+        // batch as one block inside a parallel map.
+        for n in [0, 1, 5, 67, 500] {
+            let texts: Vec<String> = (0..n).map(|i| format!("item {i} of {n}")).collect();
+            let rows: Vec<Vec<f32>> = texts.iter().map(|t| e.encode(t)).collect();
+            let nested: Vec<Matrix> = [&texts, &texts]
+                .par_iter()
+                .map(|t| e.encode_batch(t))
+                .collect();
+            for m in [e.encode_batch(&texts)].into_iter().chain(nested) {
+                assert_eq!((m.len(), m.dim()), (n, e.dim()));
+                assert!(m.rows().eq(rows.iter().map(Vec::as_slice)), "{n} texts");
+            }
+        }
     }
 
     #[test]

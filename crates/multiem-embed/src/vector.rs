@@ -137,6 +137,15 @@ impl Matrix {
         self.data.extend_from_slice(row);
     }
 
+    /// Append every row of `other`.
+    ///
+    /// # Panics
+    /// Panics if `other.dim() != self.dim()`.
+    pub fn append(&mut self, other: &Matrix) {
+        assert_eq!(other.dim, self.dim, "row length must equal matrix dim");
+        self.data.extend_from_slice(&other.data);
+    }
+
     /// Borrow row `i`.
     pub fn row(&self, i: usize) -> &[f32] {
         let start = i * self.dim;

@@ -75,7 +75,7 @@ use crate::storage::{CompactionReport, RecordStorage, SegmentStats, StorageStats
 use crate::Result;
 use clusters::ClusterTable;
 use multiem_core::representation::{select_attributes, AttributeSelection, EmbeddingStore};
-use multiem_core::{hierarchical_merge, prune_merged_table, MergedTable};
+use multiem_core::{hierarchical_merge_store, prune_members};
 use multiem_embed::EmbeddingModel;
 use multiem_table::{
     serialize_record_projected, AttrId, Dataset, EntityId, MatchTuple, Record, Schema, Table,
@@ -375,16 +375,14 @@ impl<E: EmbeddingModel> EntityStore<E> {
         // Phases M and P, as `MultiEm::run` spells them: table-wise
         // hierarchical merging, then density-based pruning of every
         // multi-member item.
-        let tables: Vec<MergedTable> = (0..dataset.num_sources() as u32)
-            .map(|s| MergedTable::from_source(dataset, s, &embeddings))
-            .collect();
-        let merge_out = hierarchical_merge(tables, &base, self.encoder.dim());
+        let merge_out = hierarchical_merge_store(dataset, &embeddings, &base);
         let tuples = if base.pruning {
-            let summary = prune_merged_table(&merge_out.integrated, &embeddings, &base);
+            let lists = merge_out.members.iter().map(Vec::as_slice);
+            let summary = prune_members(lists, &embeddings, &base);
             self.state.pruned_outliers += summary.outliers_removed;
             summary.tuples
         } else {
-            merge_out.integrated.tuples()
+            merge_out.tuples()
         };
 
         // Every surviving tuple is a cluster, every other record a singleton.

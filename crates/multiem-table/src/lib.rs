@@ -40,7 +40,9 @@ pub use error::TableError;
 pub use ids::{EntityId, EntityRef, SourceId};
 pub use record::{Record, Value};
 pub use schema::{AttrId, Attribute, Schema};
-pub use serialize::{serialize_record, serialize_record_projected, SerializeOptions};
+pub use serialize::{
+    serialize_record, serialize_record_projected, serialize_record_substituted, SerializeOptions,
+};
 pub use table::Table;
 
 /// Crate-wide result type.

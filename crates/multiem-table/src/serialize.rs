@@ -12,7 +12,7 @@
 //! a *selected subset* of attributes; [`serialize_record_projected`] supports
 //! that projection.
 
-use crate::record::Record;
+use crate::record::{Record, Value};
 use crate::schema::AttrId;
 use serde::{Deserialize, Serialize};
 
@@ -108,9 +108,37 @@ pub fn serialize_record_projected(
     attrs: &[AttrId],
     opts: &SerializeOptions,
 ) -> String {
+    serialize_values(|a| record.value(a), attrs, opts)
+}
+
+/// [`serialize_record_projected`] of `record` with `value` in place of its
+/// value of attribute `attr`, without copying the record. Algorithm 1
+/// serializes every sampled entity this way once per attribute, with that
+/// attribute's values shuffled.
+pub fn serialize_record_substituted(
+    record: &Record,
+    attr: AttrId,
+    value: &Value,
+    attrs: &[AttrId],
+    opts: &SerializeOptions,
+) -> String {
+    let value_of = |a| {
+        record
+            .value(a)
+            .map(|own| if a == attr { value } else { own })
+    };
+    serialize_values(value_of, attrs, opts)
+}
+
+/// The values `value_of` gives for `attrs`, in order, serialized.
+fn serialize_values<'v>(
+    value_of: impl Fn(AttrId) -> Option<&'v Value>,
+    attrs: &[AttrId],
+    opts: &SerializeOptions,
+) -> String {
     let mut text = String::new();
     for &a in attrs {
-        let Some(v) = record.value(a) else { continue };
+        let Some(v) = value_of(a) else { continue };
         let rendered = v.render();
         if rendered.trim().is_empty() {
             continue;
@@ -134,6 +162,35 @@ mod tests {
         let r = Record::from_texts(["Apple iPhone 8 plus 64GB", "Silver"]);
         let s = serialize_record(&r, &SerializeOptions::default());
         assert_eq!(s, "apple iphone 8 plus 64gb silver");
+    }
+
+    #[test]
+    fn substituting_a_value_serializes_as_the_edited_record() {
+        let r = Record::new(vec![
+            Value::Text("Golden Heart".into()),
+            Value::Null,
+            Value::Number(1998.0),
+        ]);
+        let values = [
+            Value::Text("  ".into()),
+            Value::Text("River".into()),
+            Value::Null,
+        ];
+        let attrs: [&[AttrId]; 3] = [&[0, 1, 2], &[2, 0], &[1]];
+        for attrs in attrs {
+            for attr in 0..4 {
+                for value in &values {
+                    let mut edited = r.clone();
+                    edited.set_value(attr, value.clone());
+                    let opts = SerializeOptions::default();
+                    assert_eq!(
+                        serialize_record_substituted(&r, attr, value, attrs, &opts),
+                        serialize_record_projected(&edited, attrs, &opts),
+                        "attr {attr}, {value:?}, {attrs:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
