@@ -4,23 +4,6 @@ use multiem_ann::{AnnIndex, HnswConfig, Metric};
 use multiem_table::SerializeOptions;
 use serde::{Deserialize, Serialize};
 
-/// Which vector index backs the mutual top-K searches of the merging phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum IndexBackend {
-    /// Always use the exact brute-force index.
-    BruteForce,
-    /// Always use the HNSW graph index.
-    Hnsw,
-    /// Use brute force below [`MultiEmConfig::hnsw_threshold`] items and HNSW
-    /// at or above it (default). A merge counts its *smaller* table and runs
-    /// both of its sides on the one backend that selects, so it builds HNSW
-    /// graphs only when both tables are past the threshold (an exact merge
-    /// builds no index at all); the online store counts its live
-    /// representatives.
-    #[default]
-    Auto,
-}
-
 /// Hyper-parameters of MultiEM (Section IV-A, "Implementation details").
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MultiEmConfig {
@@ -46,12 +29,15 @@ pub struct MultiEmConfig {
     pub m: f32,
     /// Metric used in the merging phase (cosine in the paper).
     pub merge_metric: Metric,
-    /// Index backend selection.
-    pub index_backend: IndexBackend,
-    /// Index size at which [`IndexBackend::Auto`] switches to HNSW. For a
-    /// two-table merge the size is that of the smaller table: with one exact
+    /// Index size at which the vector index switches from the exact
+    /// brute-force backend to HNSW: below it, exact; at or above it, a graph.
+    /// `0` always builds HNSW and `usize::MAX` never does. A merge counts its
+    /// *smaller* table and runs both of its sides on the one backend that
+    /// selects, so it builds HNSW graphs only when both tables are past the
+    /// threshold (an exact merge builds no index at all): with one exact
     /// side, the join scores all |A|×|B| pairs anyway, and the one-pass
-    /// exact join does it without a graph.
+    /// exact join does it without a graph. The online store counts its live
+    /// representatives.
     ///
     /// The default (2,000) is the measured break-even of the two backends in
     /// a merge, where every item is inserted once into its own table's index
@@ -84,12 +70,10 @@ pub struct MultiEmConfig {
     // --- Density-based Pruning ---------------------------------------------
     /// Whether to run the pruning phase (the `w/o DP` ablation disables it).
     pub pruning: bool,
-    /// Neighbourhood radius `ε` (grid `{0.8, 1.0}` in the paper).
+    /// Neighbourhood radius `ε` (grid `{0.8, 1.0}` in the paper). `MinPts`
+    /// and the metric are the paper's constants (2 and Euclidean), from
+    /// [`multiem_cluster::DbscanConfig::default`].
     pub epsilon: f32,
-    /// `MinPts` (2 in the paper).
-    pub min_pts: usize,
-    /// Metric used in the pruning phase (Euclidean in the paper).
-    pub prune_metric: Metric,
 
     // --- Execution ----------------------------------------------------------
     /// Run merging and pruning with rayon data parallelism
@@ -107,14 +91,11 @@ impl Default for MultiEmConfig {
             k: 1,
             m: 0.35,
             merge_metric: Metric::Cosine,
-            index_backend: IndexBackend::Auto,
             hnsw_threshold: 2_000,
             hnsw: HnswConfig::default(),
             merge_seed: 0,
             pruning: true,
             epsilon: 1.0,
-            min_pts: 2,
-            prune_metric: Metric::Euclidean,
             parallel: false,
         }
     }
@@ -142,17 +123,12 @@ impl MultiEmConfig {
     }
 
     /// Whether an index sized by `len` is an HNSW graph rather than the exact
-    /// index — the one place [`MultiEmConfig::index_backend`] and
-    /// [`MultiEmConfig::hnsw_threshold`] are read. The merger passes the
-    /// length of a merge's smaller table, for both of its sides (no: the
-    /// exact join over its rows; yes: a graph over each); the online store
-    /// passes its count of live representatives.
+    /// index — the one place [`MultiEmConfig::hnsw_threshold`] is read. The
+    /// merger passes the length of a merge's smaller table, for both of its
+    /// sides (no: the exact join over its rows; yes: a graph over each); the
+    /// online store passes its count of live representatives.
     pub fn wants_hnsw(&self, len: usize) -> bool {
-        match self.index_backend {
-            IndexBackend::BruteForce => false,
-            IndexBackend::Hnsw => true,
-            IndexBackend::Auto => len >= self.hnsw_threshold,
-        }
+        len >= self.hnsw_threshold
     }
 
     /// An empty index of dimensionality `dim`, on the backend
@@ -182,9 +158,6 @@ impl MultiEmConfig {
         if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
             return Err("epsilon must be finite and positive".into());
         }
-        if self.min_pts == 0 {
-            return Err("min_pts must be at least 1".into());
-        }
         Ok(())
     }
 }
@@ -197,9 +170,10 @@ mod tests {
     fn default_matches_paper_settings() {
         let c = MultiEmConfig::default();
         assert_eq!(c.k, 1);
-        assert_eq!(c.min_pts, 2);
         assert_eq!(c.merge_metric, Metric::Cosine);
-        assert_eq!(c.prune_metric, Metric::Euclidean);
+        // Pruning's `MinPts` and metric are constants, not settings.
+        let dbscan = multiem_cluster::DbscanConfig::default();
+        assert_eq!((dbscan.min_pts, dbscan.metric), (2, Metric::Euclidean));
         assert!(c.attribute_selection);
         assert!(c.pruning);
         assert!(!c.parallel);
@@ -219,22 +193,19 @@ mod tests {
     }
 
     #[test]
-    fn backend_policy_follows_backend_and_threshold() {
-        let auto = MultiEmConfig {
-            hnsw_threshold: 10,
+    fn backend_policy_follows_the_threshold() {
+        let at = |hnsw_threshold| MultiEmConfig {
+            hnsw_threshold,
             ..MultiEmConfig::default()
         };
-        assert!(!auto.wants_hnsw(9) && auto.wants_hnsw(10));
-        assert!(!auto.index_for(9, 4).is_hnsw() && auto.index_for(10, 4).is_hnsw());
-        let brute = MultiEmConfig {
-            index_backend: IndexBackend::BruteForce,
-            ..auto.clone()
-        };
-        let hnsw = MultiEmConfig {
-            index_backend: IndexBackend::Hnsw,
-            ..auto
-        };
-        assert!(!brute.wants_hnsw(1_000_000) && hnsw.wants_hnsw(0));
+        let ten = at(10);
+        assert!(!ten.wants_hnsw(9) && ten.wants_hnsw(10));
+        assert!(!ten.index_for(9, 4).is_hnsw() && ten.index_for(10, 4).is_hnsw());
+        // `0`: HNSW even for an empty index; `usize::MAX`: never HNSW.
+        assert!(at(0).wants_hnsw(0) && at(0).index_for(0, 4).is_hnsw());
+        let never = at(usize::MAX);
+        assert!(!never.wants_hnsw(1_000_000) && !never.wants_hnsw(usize::MAX - 1));
+        assert!(!never.index_for(1_000_000, 4).is_hnsw());
     }
 
     #[test]
@@ -258,10 +229,6 @@ mod tests {
             },
             MultiEmConfig {
                 epsilon: 0.0,
-                ..MultiEmConfig::default()
-            },
-            MultiEmConfig {
-                min_pts: 0,
                 ..MultiEmConfig::default()
             },
         ];

@@ -47,7 +47,7 @@ pub mod pipeline;
 pub mod pruning;
 pub mod representation;
 
-pub use config::{IndexBackend, MultiEmConfig};
+pub use config::MultiEmConfig;
 pub use error::MultiEmError;
 pub use merging::{
     hierarchical_merge, hierarchical_merge_store, two_table_merge, MergeItem, MergedTable,

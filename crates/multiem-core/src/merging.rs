@@ -581,7 +581,6 @@ pub fn hierarchical_merge_store(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::config::IndexBackend;
     use crate::representation::EmbeddingStore;
     use multiem_datagen::{
         CorruptionConfig, Corruptor, Domain, GeneratorConfig, MultiSourceGenerator,
@@ -826,7 +825,7 @@ pub(crate) mod tests {
             ..config()
         };
         let brute = MultiEmConfig {
-            index_backend: IndexBackend::BruteForce,
+            hnsw_threshold: usize::MAX,
             ..auto.clone()
         };
         // What the two sides' rows take as floats.
@@ -877,12 +876,12 @@ pub(crate) mod tests {
         let encoder = HashedLexicalEncoder::default();
         let selected = vec![0];
         let brute_cfg = MultiEmConfig {
-            index_backend: IndexBackend::BruteForce,
+            hnsw_threshold: usize::MAX,
             m: 0.4,
             ..MultiEmConfig::default()
         };
         let hnsw_cfg = MultiEmConfig {
-            index_backend: IndexBackend::Hnsw,
+            hnsw_threshold: 0,
             m: 0.4,
             ..MultiEmConfig::default()
         };
@@ -947,7 +946,7 @@ pub(crate) mod tests {
                 "geo hnsw",
                 geo,
                 MultiEmConfig {
-                    index_backend: IndexBackend::Hnsw,
+                    hnsw_threshold: 0,
                     ..base.clone()
                 },
                 vec![0],

@@ -62,14 +62,16 @@ pub fn prune_item(
 /// do not keep a resident [`EmbeddingStore`] (the online store's
 /// spill-to-disk backend) fetch member embeddings themselves and prune the
 /// points directly.
+///
+/// `ε` is [`MultiEmConfig::epsilon`]; `MinPts = 2` and the Euclidean metric
+/// are the paper's constants, the defaults of [`DbscanConfig`].
 pub fn prune_points(points: &[&[f32]], config: &MultiEmConfig) -> (Vec<usize>, Vec<usize>) {
     if points.len() < 2 {
         return ((0..points.len()).collect(), Vec::new());
     }
     let dbscan = DbscanConfig {
         eps: config.epsilon,
-        min_pts: config.min_pts,
-        metric: config.prune_metric,
+        ..DbscanConfig::default()
     };
     let classes = classify_points(points, &dbscan);
     let mut kept = Vec::with_capacity(points.len());
@@ -185,7 +187,6 @@ mod tests {
         let members = vec![id(0, 0), id(1, 0), id(2, 0), id(3, 0)];
         let config = MultiEmConfig {
             epsilon: 0.8,
-            min_pts: 2,
             ..MultiEmConfig::default()
         };
         let outcome = prune_item(&members, &store, &config);
@@ -205,7 +206,6 @@ mod tests {
         let members = vec![id(0, 0), id(1, 0), id(2, 0)];
         let config = MultiEmConfig {
             epsilon: 1.0,
-            min_pts: 2,
             ..MultiEmConfig::default()
         };
         let outcome = prune_item(&members, &store, &config);
@@ -222,7 +222,6 @@ mod tests {
         let members = vec![id(0, 0), id(1, 0)];
         let config = MultiEmConfig {
             epsilon: 0.5,
-            min_pts: 2,
             ..MultiEmConfig::default()
         };
         let outcome = prune_item(&members, &store, &config);
@@ -250,12 +249,10 @@ mod tests {
         let members = vec![id(0, 0), id(1, 0)];
         let strict = MultiEmConfig {
             epsilon: 0.1,
-            min_pts: 2,
             ..MultiEmConfig::default()
         };
         let loose = MultiEmConfig {
             epsilon: 1.2,
-            min_pts: 2,
             ..MultiEmConfig::default()
         };
         assert!(!prune_item(&members, &store, &strict).is_tuple());
@@ -272,7 +269,6 @@ mod tests {
         let encoder = HashedLexicalEncoder::default();
         let config = MultiEmConfig {
             epsilon: 0.8,
-            min_pts: 2,
             ..MultiEmConfig::default()
         };
         let good = MergeItem {
@@ -338,7 +334,6 @@ mod tests {
                 held.push((m, epsilon));
                 let config = MultiEmConfig {
                     epsilon,
-                    min_pts: 2,
                     ..MultiEmConfig::default()
                 };
                 for seed in 0..200u64 {
@@ -365,7 +360,6 @@ mod tests {
         let (a, b) = unit_pair(7, 0.35);
         let config = MultiEmConfig {
             epsilon: 0.8,
-            min_pts: 2,
             ..MultiEmConfig::default()
         };
         assert_eq!(prune_points(&[&a, &b], &config), (vec![], vec![0, 1]));
@@ -382,39 +376,34 @@ mod tests {
         use multiem_embed::l2_normalize;
         let mut split = 0;
         for epsilon in [0.4f32, 0.8, 1.0] {
-            for min_pts in [2, 3] {
-                let config = MultiEmConfig {
-                    epsilon,
-                    min_pts,
-                    ..MultiEmConfig::default()
-                };
-                for seed in 0..200u64 {
-                    let mut state = seed;
-                    let mut draw =
-                        || (splitmix64(&mut state) >> 40) as f32 / (1u32 << 24) as f32 - 0.5;
-                    // 2 to 12 unit vectors scattered round one centre, some
-                    // tightly, some hardly at all.
-                    let n = 2 + (seed % 11) as usize;
-                    let spread = 0.1 + 2.0 * (draw() + 0.5);
-                    let centre: Vec<f32> = (0..8).map(|_| draw()).collect();
-                    let points: Vec<Vec<f32>> = (0..n)
-                        .map(|_| {
-                            let mut p: Vec<f32> =
-                                centre.iter().map(|c| c + spread * draw()).collect();
-                            l2_normalize(&mut p);
-                            p
-                        })
-                        .collect();
-                    let points: Vec<&[f32]> = points.iter().map(Vec::as_slice).collect();
-                    let (kept, removed) = prune_points(&points, &config);
-                    let rest: Vec<&[f32]> = kept.iter().map(|&i| points[i]).collect();
-                    assert_eq!(
-                        prune_points(&rest, &config),
-                        ((0..rest.len()).collect(), vec![]),
-                        "ε {epsilon} MinPts {min_pts} seed {seed}"
-                    );
-                    split += usize::from(!kept.is_empty() && !removed.is_empty());
-                }
+            let config = MultiEmConfig {
+                epsilon,
+                ..MultiEmConfig::default()
+            };
+            for seed in 0..400u64 {
+                let mut state = seed;
+                let mut draw = || (splitmix64(&mut state) >> 40) as f32 / (1u32 << 24) as f32 - 0.5;
+                // 2 to 12 unit vectors scattered round one centre, some
+                // tightly, some hardly at all.
+                let n = 2 + (seed % 11) as usize;
+                let spread = 0.1 + 2.0 * (draw() + 0.5);
+                let centre: Vec<f32> = (0..8).map(|_| draw()).collect();
+                let points: Vec<Vec<f32>> = (0..n)
+                    .map(|_| {
+                        let mut p: Vec<f32> = centre.iter().map(|c| c + spread * draw()).collect();
+                        l2_normalize(&mut p);
+                        p
+                    })
+                    .collect();
+                let points: Vec<&[f32]> = points.iter().map(Vec::as_slice).collect();
+                let (kept, removed) = prune_points(&points, &config);
+                let rest: Vec<&[f32]> = kept.iter().map(|&i| points[i]).collect();
+                assert_eq!(
+                    prune_points(&rest, &config),
+                    ((0..rest.len()).collect(), vec![]),
+                    "ε {epsilon} seed {seed}"
+                );
+                split += usize::from(!kept.is_empty() && !removed.is_empty());
             }
         }
         assert!(

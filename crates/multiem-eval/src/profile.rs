@@ -1,120 +1,11 @@
-//! Wall-clock and memory profiling used by the efficiency experiments.
+//! Formatting of the efficiency experiments' measurements.
 //!
 //! The paper reports per-method running time (Table V), per-method memory
-//! usage (Table VI) and per-module running time (Figure 5). Wall-clock time is
-//! measured directly; memory is tracked through a **byte-accounting model**:
-//! every method reports the sizes of the large structures it materialises
-//! (embeddings, ANN indexes, similarity graphs, pair lists). This is an
-//! explicit substitution for the RSS measurements of the paper — absolute
-//! numbers differ, but the relative ordering of methods is preserved because
-//! the accounted structures dominate the real footprint as well.
+//! usage (Table VI) and per-module running time (Figure 5). The measurements
+//! themselves come from the methods (`MultiEm::run` keeps its own phase
+//! breakdown); this module renders them the way the paper's tables do.
 
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
-
-/// Records named phase durations (Figure 5: S, R, M, P, ...).
-#[derive(Debug, Clone, Default)]
-pub struct PhaseTimer {
-    phases: Vec<(String, Duration)>,
-}
-
-impl PhaseTimer {
-    /// Create an empty timer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Time a closure and record its duration under `name`.
-    pub fn time<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.record(name, start.elapsed());
-        out
-    }
-
-    /// Record an externally measured duration.
-    pub fn record(&mut self, name: &str, duration: Duration) {
-        self.phases.push((name.to_string(), duration));
-    }
-
-    /// All recorded phases in insertion order.
-    pub fn phases(&self) -> &[(String, Duration)] {
-        &self.phases
-    }
-
-    /// Total time across phases.
-    pub fn total(&self) -> Duration {
-        self.phases.iter().map(|(_, d)| *d).sum()
-    }
-
-    /// Duration of the phase with the given name (summed if recorded twice).
-    pub fn phase(&self, name: &str) -> Duration {
-        self.phases
-            .iter()
-            .filter(|(n, _)| n == name)
-            .map(|(_, d)| *d)
-            .sum()
-    }
-}
-
-/// Byte-accounting of the large structures a method materialises.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct MemoryAccount {
-    components: BTreeMap<String, usize>,
-}
-
-impl MemoryAccount {
-    /// Create an empty account.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `bytes` under `component` (accumulates across calls).
-    pub fn add(&mut self, component: &str, bytes: usize) {
-        *self.components.entry(component.to_string()).or_insert(0) += bytes;
-    }
-
-    /// Record the maximum of the current and new value for `component` (useful
-    /// for structures that are rebuilt every hierarchy level — peak matters).
-    pub fn add_peak(&mut self, component: &str, bytes: usize) {
-        let entry = self.components.entry(component.to_string()).or_insert(0);
-        *entry = (*entry).max(bytes);
-    }
-
-    /// Total accounted bytes.
-    pub fn total(&self) -> usize {
-        self.components.values().sum()
-    }
-
-    /// Per-component breakdown.
-    pub fn components(&self) -> &BTreeMap<String, usize> {
-        &self.components
-    }
-}
-
-/// The profile of one method run: total wall-clock time, per-phase times and
-/// accounted memory.
-#[derive(Debug, Clone, Default)]
-pub struct RunProfile {
-    /// Total wall-clock runtime.
-    pub runtime: Duration,
-    /// Per-phase durations (may be empty for baselines).
-    pub phase_times: Vec<(String, Duration)>,
-    /// Accounted memory.
-    pub memory: MemoryAccount,
-}
-
-impl RunProfile {
-    /// Build a profile from a timer and a memory account.
-    pub fn new(timer: PhaseTimer, memory: MemoryAccount) -> Self {
-        Self {
-            runtime: timer.total(),
-            phase_times: timer.phases().to_vec(),
-            memory,
-        }
-    }
-}
+use std::time::Duration;
 
 /// Format a duration the way the paper's tables do (`6.1s`, `4.2m`, `1.3h`),
 /// with a millisecond form for the sub-second runtimes that small-scale
@@ -152,31 +43,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn timer_records_phases_in_order() {
-        let mut t = PhaseTimer::new();
-        let out = t.time("representation", || 21 * 2);
-        assert_eq!(out, 42);
-        t.record("merging", Duration::from_millis(5));
-        t.record("merging", Duration::from_millis(7));
-        assert_eq!(t.phases().len(), 3);
-        assert_eq!(t.phase("merging"), Duration::from_millis(12));
-        assert!(t.total() >= Duration::from_millis(12));
-        assert_eq!(t.phase("missing"), Duration::ZERO);
-    }
-
-    #[test]
-    fn memory_account_accumulates_and_peaks() {
-        let mut m = MemoryAccount::new();
-        m.add("embeddings", 1000);
-        m.add("embeddings", 500);
-        m.add_peak("index", 2000);
-        m.add_peak("index", 1500);
-        assert_eq!(m.total(), 1500 + 2000);
-        assert_eq!(m.components()["embeddings"], 1500);
-        assert_eq!(m.components()["index"], 2000);
-    }
-
-    #[test]
     fn duration_formatting_matches_paper_style() {
         assert_eq!(format_duration(Duration::from_millis(47)), "47ms");
         assert_eq!(format_duration(Duration::from_secs_f64(6.13)), "6.1s");
@@ -190,17 +56,5 @@ mod tests {
         assert_eq!(format_bytes(2048), "2.0K");
         assert_eq!(format_bytes(3 * 1024 * 1024), "3.0M");
         assert_eq!(format_bytes(175 * 1024 * 1024 * 1024 / 10), "17.5G");
-    }
-
-    #[test]
-    fn run_profile_combines_timer_and_memory() {
-        let mut t = PhaseTimer::new();
-        t.record("merging", Duration::from_millis(3));
-        let mut m = MemoryAccount::new();
-        m.add("index", 100);
-        let p = RunProfile::new(t, m);
-        assert_eq!(p.phase_times.len(), 1);
-        assert_eq!(p.memory.total(), 100);
-        assert_eq!(p.runtime, Duration::from_millis(3));
     }
 }

@@ -1,22 +1,7 @@
 //! Configuration of the online entity store.
 
 use multiem_core::MultiEmConfig;
-use multiem_table::AttrId;
 use serde::{Deserialize, Serialize};
-
-/// How the store decides which attributes to embed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SelectionStrategy {
-    /// Run the paper's automated attribute selection (Algorithm 1) over the
-    /// bootstrap dataset or, lacking one, over the first ingested batch.
-    /// Later records reuse that selection — re-running Algorithm 1 on every
-    /// batch would silently re-embed the whole store.
-    AutoOnFirstData,
-    /// Embed every attribute (the `w/o EER` ablation).
-    AllAttributes,
-    /// Use a fixed, caller-provided attribute projection.
-    Fixed(Vec<AttrId>),
-}
 
 /// Tuning of the spill part of the record store
 /// ([`crate::storage::RecordStorage`]).
@@ -64,13 +49,16 @@ pub enum StorageConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OnlineConfig {
     /// The batch pipeline hyper-parameters reused by the incremental path:
-    /// `k` / `m` / `merge_metric` drive the mutual top-K rule, `epsilon` /
-    /// `min_pts` / `prune_metric` drive re-pruning (on a delete's survivors
-    /// and on [`crate::EntityStore::refresh`]), `index_backend` /
-    /// `hnsw_threshold` / `hnsw` select the representative index.
+    /// `k` / `m` / `merge_metric` drive the mutual top-K rule, `epsilon`
+    /// drives re-pruning (on a delete's survivors and on
+    /// [`crate::EntityStore::refresh`]), `hnsw_threshold` / `hnsw` select the
+    /// representative index, and `attribute_selection` picks the projection:
+    /// when set, the paper's Algorithm 1 runs once over the bootstrap dataset
+    /// or, lacking one, over the first ingested batch, and later records
+    /// reuse that selection (re-running it on every batch would silently
+    /// re-embed the whole store); when clear, every attribute is embedded
+    /// (the `w/o EER` ablation).
     pub base: MultiEmConfig,
-    /// Attribute-selection strategy.
-    pub selection: SelectionStrategy,
     /// Rebuild the representative index once the fraction of tombstoned
     /// (stale) nodes exceeds this threshold. Cluster merges tombstone the
     /// merged representatives, so without rebuilds searches degrade.
@@ -87,33 +75,19 @@ pub struct OnlineConfig {
 
 impl OnlineConfig {
     /// Configuration with the given batch hyper-parameters and the default
-    /// online policies. `base.attribute_selection` carries over: when the
-    /// batch config disables Algorithm 1 (the `w/o EER` ablation), the store
-    /// embeds every attribute instead of auto-selecting on first data.
+    /// online policies.
     pub fn new(base: MultiEmConfig) -> Self {
-        let selection = if base.attribute_selection {
-            SelectionStrategy::AutoOnFirstData
-        } else {
-            SelectionStrategy::AllAttributes
-        };
         Self {
             base,
-            selection,
             rebuild_staleness: 0.5,
             match_within_source: false,
             storage: StorageConfig::Memory,
         }
     }
 
-    /// Use a fixed attribute projection.
-    pub fn with_fixed_attributes(mut self, attrs: Vec<AttrId>) -> Self {
-        self.selection = SelectionStrategy::Fixed(attrs);
-        self
-    }
-
-    /// Embed every attribute.
+    /// Embed every attribute: clears `base.attribute_selection`.
     pub fn with_all_attributes(mut self) -> Self {
-        self.selection = SelectionStrategy::AllAttributes;
+        self.base.attribute_selection = false;
         self
     }
 
@@ -129,11 +103,6 @@ impl OnlineConfig {
         self.base.validate()?;
         if !(0.0..=1.0).contains(&self.rebuild_staleness) {
             return Err("rebuild_staleness must be in [0, 1]".into());
-        }
-        if let SelectionStrategy::Fixed(attrs) = &self.selection {
-            if attrs.is_empty() {
-                return Err("fixed attribute selection must not be empty".into());
-            }
         }
         if let StorageConfig::Disk(disk) = &self.storage {
             if disk.dir.trim().is_empty() {
@@ -163,19 +132,11 @@ mod tests {
     }
 
     #[test]
-    fn new_respects_disabled_attribute_selection() {
-        let c = OnlineConfig::new(MultiEmConfig::default().without_attribute_selection());
-        assert_eq!(c.selection, SelectionStrategy::AllAttributes);
-        let c = OnlineConfig::new(MultiEmConfig::default());
-        assert_eq!(c.selection, SelectionStrategy::AutoOnFirstData);
-    }
-
-    #[test]
-    fn builders_set_strategy() {
+    fn with_all_attributes_clears_attribute_selection() {
+        assert!(OnlineConfig::default().base.attribute_selection);
         let c = OnlineConfig::default().with_all_attributes();
-        assert_eq!(c.selection, SelectionStrategy::AllAttributes);
-        let c = OnlineConfig::default().with_fixed_attributes(vec![0, 2]);
-        assert_eq!(c.selection, SelectionStrategy::Fixed(vec![0, 2]));
+        assert!(!c.base.attribute_selection);
+        assert!(c.validate().is_ok());
     }
 
     #[test]
@@ -184,8 +145,6 @@ mod tests {
             rebuild_staleness: 1.5,
             ..OnlineConfig::default()
         };
-        assert!(c.validate().is_err());
-        let c = OnlineConfig::default().with_fixed_attributes(vec![]);
         assert!(c.validate().is_err());
         let c = OnlineConfig::new(MultiEmConfig {
             k: 0,

@@ -67,7 +67,7 @@ pub mod storage;
 pub mod store;
 pub mod wire;
 
-pub use config::{DiskStorageConfig, OnlineConfig, SelectionStrategy, StorageConfig};
+pub use config::{DiskStorageConfig, OnlineConfig, StorageConfig};
 pub use error::OnlineError;
 pub use storage::{CompactionReport, RecordStorage, SegmentStats, StorageStats};
 pub use store::{EntityStore, IngestReport, StoreStats};

@@ -69,7 +69,7 @@
 mod clusters;
 mod snapshot;
 
-use crate::config::{OnlineConfig, SelectionStrategy};
+use crate::config::OnlineConfig;
 use crate::error::OnlineError;
 use crate::storage::{CompactionReport, RecordStorage, SegmentStats, StorageStats};
 use crate::Result;
@@ -126,9 +126,9 @@ pub struct StoreStats {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct AdoptedSchema {
     schema: Arc<Schema>,
-    /// Attribute projection in effect (resolved from the selection strategy).
+    /// Attribute projection in effect.
     selected: Vec<AttrId>,
-    /// Full Algorithm 1 outcome when the strategy ran it.
+    /// Full Algorithm 1 outcome when `base.attribute_selection` ran it.
     selection: Option<AttributeSelection>,
 }
 
@@ -203,7 +203,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
         Some(&self.state.schema.as_ref()?.selected)
     }
 
-    /// The Algorithm 1 outcome, when the selection strategy ran it.
+    /// The Algorithm 1 outcome, when `base.attribute_selection` ran it.
     pub fn attribute_selection(&self) -> Option<&AttributeSelection> {
         self.state.schema.as_ref()?.selection.as_ref()
     }
@@ -565,10 +565,11 @@ impl<E: EmbeddingModel> EntityStore<E> {
     /// Serving-layer shards use this so every shard agrees on the projection
     /// before any data arrives.
     ///
-    /// Fails when `schema` conflicts with one already in place, or when the
-    /// selection strategy is [`SelectionStrategy::AutoOnFirstData`] — Algorithm
-    /// 1 needs records to score, so data-free initialisation requires `Fixed`
-    /// or `AllAttributes`. A failed call leaves the store as it was.
+    /// Fails when `schema` conflicts with one already in place, or when
+    /// `base.attribute_selection` is set — Algorithm 1 needs records to
+    /// score, so data-free initialisation requires
+    /// [`OnlineConfig::with_all_attributes`]. A failed call leaves the store
+    /// as it was.
     pub fn init_schema(&mut self, schema: Arc<Schema>) -> Result<()> {
         self.adopt_schema(&schema, None).map(|_| ())
     }
@@ -576,10 +577,11 @@ impl<E: EmbeddingModel> EntityStore<E> {
     // --- internals ----------------------------------------------------------
 
     /// The one place the store takes on a schema: check `schema` against the
-    /// one in place, or — on a store that has none — resolve the selection
-    /// strategy against it (scoring `data` when the strategy is Algorithm 1)
-    /// and commit schema and projection together. Returns the projection in
-    /// effect; on `Err` nothing was committed.
+    /// one in place, or — on a store that has none — resolve the projection
+    /// against it (scoring `data` with Algorithm 1 when
+    /// `base.attribute_selection` is set) and commit schema and projection
+    /// together. Returns the projection in effect; on `Err` nothing was
+    /// committed.
     fn adopt_schema(
         &mut self,
         schema: &Arc<Schema>,
@@ -607,25 +609,17 @@ impl<E: EmbeddingModel> EntityStore<E> {
             };
             return Err(OnlineError::SchemaMismatch(detail));
         }
-        let schema_len = schema.len();
-        let (selected, selection) = match (&self.state.config.selection, data) {
-            (SelectionStrategy::Fixed(attrs), _) => {
-                if attrs.iter().any(|&a| a >= schema_len) {
-                    return Err(OnlineError::InvalidConfig(format!(
-                        "fixed attribute selection references attribute >= {schema_len}"
-                    )));
-                }
-                (attrs.clone(), None)
-            }
-            (SelectionStrategy::AllAttributes, _) => ((0..schema_len).collect(), None),
-            (SelectionStrategy::AutoOnFirstData, Some(dataset)) => {
-                let sel = select_attributes(dataset, &self.encoder, &self.state.config.base)?;
+        let base = &self.state.config.base;
+        let (selected, selection) = match (base.attribute_selection, data) {
+            (false, _) => ((0..schema.len()).collect(), None),
+            (true, Some(dataset)) => {
+                let sel = select_attributes(dataset, &self.encoder, base)?;
                 (sel.selected.clone(), Some(sel))
             }
-            (SelectionStrategy::AutoOnFirstData, None) => {
+            (true, None) => {
                 return Err(OnlineError::InvalidConfig(
-                    "AutoOnFirstData cannot resolve an attribute projection without data; \
-                     bootstrap or ingest a batch first, or configure Fixed / AllAttributes"
+                    "attribute selection cannot resolve a projection without data; \
+                     bootstrap or ingest a batch first, or embed all attributes"
                         .into(),
                 ))
             }
@@ -1230,7 +1224,7 @@ mod tests {
     #[test]
     fn init_schema_enables_data_free_inserts() {
         let schema = title_schema();
-        let mut s = store(); // AllAttributes strategy
+        let mut s = store(); // embeds every attribute
         s.init_schema(schema.clone()).unwrap();
         let a = s
             .insert(Record::from_texts(["golden heart river"]))
@@ -1631,6 +1625,44 @@ mod tests {
         assert!(matches!(err, Err(OnlineError::Snapshot(_))));
     }
 
+    #[test]
+    fn restore_refuses_a_config_try_new_would_refuse() {
+        let schema = title_schema();
+        let mut s = store();
+        s.ingest_batch(&table("a", &schema, &["golden heart river", "sony tv"]))
+            .unwrap();
+        let good = s.snapshot_bytes().unwrap();
+        let restore_with = |path: &[&str], field: serde::Value| {
+            let mut value = wire::value_from_bytes(&good[4..]).unwrap();
+            *at(&mut value, path) = field;
+            let bytes = [
+                wire::SNAPSHOT_MAGIC.as_slice(),
+                &wire::value_to_bytes(&value),
+            ]
+            .concat();
+            EntityStore::restore_bytes(&bytes, HashedLexicalEncoder::default())
+        };
+        assert!(restore_with(&["config", "base", "k"], serde::Value::Int(1)).is_ok());
+        for (path, field, names) in [
+            (&["config", "base", "k"][..], serde::Value::Int(0), "k must"),
+            (
+                &["config", "base", "m"][..],
+                serde::Value::Float(f64::NAN),
+                "m must",
+            ),
+            (
+                &["config", "rebuild_staleness"][..],
+                serde::Value::Float(7.0),
+                "rebuild_staleness must",
+            ),
+        ] {
+            match restore_with(path, field).map(|s| s.stats()) {
+                Err(OnlineError::InvalidConfig(msg)) => assert!(msg.contains(names), "{msg}"),
+                other => panic!("{path:?}: expected an invalid config, got {other:?}"),
+            }
+        }
+    }
+
     // --- one owner per fact: faults that used to leave two owners apart -----
 
     /// Distinct titles: no two of them match, so each is its own cluster.
@@ -1763,17 +1795,23 @@ mod tests {
 
     #[test]
     fn a_selection_that_fails_to_resolve_leaves_the_store_schema_less() {
+        // Algorithm 1 has nothing to score without data (`init_schema`) or
+        // in an empty first batch.
         let two = Schema::new(["name", "city"]).shared();
         let rows = vec![Record::from_texts(["golden heart river", "oslo"])];
-        let table = Table::with_records("a", two.clone(), rows.clone()).unwrap();
-        let mut s = EntityStore::new(
-            config().with_fixed_attributes(vec![5]),
-            HashedLexicalEncoder::default(),
-        );
+        let empty = Table::with_records("a", two.clone(), Vec::new()).unwrap();
+        let cfg = OnlineConfig::new(MultiEmConfig {
+            m: 0.35,
+            ..MultiEmConfig::default()
+        });
+        assert!(cfg.base.attribute_selection);
+        let mut s = EntityStore::new(cfg, HashedLexicalEncoder::default());
         for _ in 0..2 {
             assert!(matches!(
-                s.ingest_batch(&table),
-                Err(OnlineError::InvalidConfig(_))
+                s.ingest_batch(&empty),
+                Err(OnlineError::Pipeline(
+                    multiem_core::MultiEmError::EmptyDataset
+                ))
             ));
             assert!(matches!(
                 s.init_schema(two.clone()),
@@ -1789,13 +1827,13 @@ mod tests {
             ));
             assert!(s.match_record(&rows[0]).is_empty());
         }
-        // The store is still usable: a schema the projection fits is adopted.
-        let six = Schema::new(["a", "b", "c", "d", "e", "f"]).shared();
-        let wide = Record::from_texts(["1", "2", "3", "4", "5", "golden heart river"]);
-        let table = Table::with_records("wide", six, vec![wide.clone()]).unwrap();
+        // The store is still usable: a first batch with records is scored
+        // and its selection adopted.
+        let table = Table::with_records("a", two, rows.clone()).unwrap();
         assert_eq!(s.ingest_batch(&table).unwrap().records, 1);
-        assert_eq!(s.selected_attributes(), Some(&[5][..]));
-        assert_eq!(s.match_record(&wide).len(), 1);
+        let scored = s.attribute_selection().expect("Algorithm 1 ran");
+        assert_eq!(s.selected_attributes(), Some(&scored.selected[..]));
+        assert_eq!(s.match_record(&rows[0]).len(), 1);
     }
 
     #[test]
@@ -1848,17 +1886,19 @@ mod tests {
         );
         let meb3 = [b"MEB3".as_slice(), &good[4..]].concat();
         let meb4 = [b"MEB4".as_slice(), &good[4..]].concat();
+        let meb5 = [b"MEB5".as_slice(), &good[4..]].concat();
         for foreign in [
             &older[..],
             &b"MEB2"[..],
             &meb3[..],
             &meb4[..],
+            &meb5[..],
             &b"MEB9 whatever"[..],
             &b"MEB"[..],
         ] {
             match restore(foreign) {
                 Err(OnlineError::Snapshot(msg)) => {
-                    assert!(msg.contains("MEB5"), "{msg}");
+                    assert!(msg.contains("MEB6"), "{msg}");
                     assert!(
                         foreign.len() < 4 || msg.contains(&format!("MEB{}", foreign[3] as char))
                     );
@@ -1885,19 +1925,23 @@ mod tests {
         // A field added, dropped, renamed or moved below changes what
         // `restore_bytes` reads: bump the version byte of `SNAPSHOT_MAGIC`
         // in the same change as these lists.
-        assert_eq!(wire::SNAPSHOT_MAGIC, b"MEB5");
+        assert_eq!(wire::SNAPSHOT_MAGIC, b"MEB6");
         let (cfg, dir) = disk_config("layout");
         let mut s = EntityStore::new(cfg, HashedLexicalEncoder::default());
         s.init_schema(title_schema()).unwrap();
         s.insert(Record::from_texts(["golden heart river"]))
             .unwrap();
         let bytes = s.snapshot_bytes().unwrap();
-        // The layout before this one, `MEB4`, still carried a prune counter
-        // and a dirty bit per cluster: its magic is refused by name.
-        let meb4 = [b"MEB4".as_slice(), &bytes[4..]].concat();
-        match EntityStore::restore_bytes(&meb4, HashedLexicalEncoder::default()) {
-            Err(OnlineError::Snapshot(msg)) => assert!(msg.contains("`MEB4`"), "{msg}"),
-            other => panic!("expected a snapshot error, got {other:?}"),
+        // The layouts before this one are refused by name: `MEB5` still
+        // carried a selection strategy in `config` and `index_backend`,
+        // `min_pts` and `prune_metric` in `config.base`; `MEB4` a prune
+        // counter and a dirty bit per cluster.
+        for old in ["MEB5", "MEB4"] {
+            let stale = [old.as_bytes(), &bytes[4..]].concat();
+            match EntityStore::restore_bytes(&stale, HashedLexicalEncoder::default()) {
+                Err(OnlineError::Snapshot(msg)) => assert!(msg.contains(&format!("`{old}`"))),
+                other => panic!("expected a snapshot error, got {other:?}"),
+            }
         }
         let mut value = wire::value_from_bytes(&bytes[4..]).unwrap();
         let mut keys = |path: &[&str]| -> String {
@@ -1911,7 +1955,12 @@ mod tests {
         );
         assert_eq!(
             keys(&["config"]),
-            "base selection rebuild_staleness match_within_source storage"
+            "base rebuild_staleness match_within_source storage"
+        );
+        assert_eq!(
+            keys(&["config", "base"]),
+            "attribute_selection sample_ratio gamma serialize k m merge_metric \
+             hnsw_threshold hnsw merge_seed pruning epsilon parallel"
         );
         assert_eq!(
             keys(&["records"]),
@@ -2045,7 +2094,7 @@ mod tests {
                 disk_cfg.base.hnsw_threshold = 24;
                 disk_cfg.rebuild_staleness = 0.2;
             } else {
-                disk_cfg.base.index_backend = multiem_core::IndexBackend::BruteForce;
+                disk_cfg.base.hnsw_threshold = usize::MAX;
             }
             let mut mem_cfg = disk_cfg.clone();
             mem_cfg.storage = crate::config::StorageConfig::Memory;
@@ -2152,7 +2201,7 @@ mod tests {
                 // Low enough that the run upgrades the backend part-way.
                 cfg.base.hnsw_threshold = 24;
             } else {
-                cfg.base.index_backend = multiem_core::IndexBackend::BruteForce;
+                cfg.base.hnsw_threshold = usize::MAX;
             }
             let encoder = || HashedLexicalEncoder::with_dim(64);
             let mut s = EntityStore::new(cfg, encoder());

@@ -61,6 +61,12 @@ impl<E: EmbeddingModel> EntityStore<E> {
         };
         let value = wire::value_from_bytes(payload).map_err(failed)?;
         let mut state = StoreState::from_value(&value).map_err(failed)?;
+        // What `try_new` refuses, a restore refuses too: a snapshot is not
+        // trusted to carry a configuration this build would not accept.
+        state
+            .config
+            .validate()
+            .map_err(OnlineError::InvalidConfig)?;
         if state.records.dim() != encoder.dim() {
             return Err(OnlineError::Snapshot(format!(
                 "snapshot embeddings have dim {}, encoder produces dim {}",

@@ -59,11 +59,11 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Attribute names of the served schema (positional).
     pub attributes: Vec<String>,
-    /// Store configuration shared by every shard. The selection strategy
-    /// must be data-free (`Fixed` / `AllAttributes`). Its `storage` is where
-    /// ingested records live (`--storage`): a disk backend needs `data_dir`
-    /// and is rooted at `<data_dir>/segments`, and a populated data dir
-    /// keeps the backend it was created with.
+    /// Store configuration shared by every shard, data-free: attribute
+    /// selection off ([`OnlineConfig::with_all_attributes`]). Its `storage`
+    /// is where ingested records live (`--storage`): a disk backend needs
+    /// `data_dir` and is rooted at `<data_dir>/segments`, and a populated
+    /// data dir keeps the backend it was created with.
     pub online: OnlineConfig,
     /// Durability directory (WAL + checkpoints). `None` serves from memory
     /// only.

@@ -247,9 +247,8 @@ pub struct ShardedEntityStore<E: EmbeddingModel> {
 
 impl<E: EmbeddingModel + Clone> ShardedEntityStore<E> {
     /// Create an empty sharded store. Every shard gets an identically
-    /// configured [`EntityStore`] initialised with `schema` (so the
-    /// attribute-selection strategy must be data-free: `Fixed` or
-    /// `AllAttributes`).
+    /// configured [`EntityStore`] initialised with `schema`, so attribute
+    /// selection must be off ([`OnlineConfig::with_all_attributes`]).
     ///
     /// `match_within_source` is forced on: every streamed insert of a shard
     /// shares one stream source, so the batch pipeline's same-source

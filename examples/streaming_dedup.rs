@@ -28,14 +28,15 @@ fn main() {
     );
 
     // The store reuses the batch hyper-parameters; attribute selection is
-    // fixed here so the demo is self-contained (AutoOnFirstData would run
-    // Algorithm 1 over the bootstrap corpus instead).
+    // off here so every attribute is embedded and the demo is self-contained
+    // (with it on, the store would run Algorithm 1 over the bootstrap corpus
+    // instead).
     let base = MultiEmConfig {
         m: 0.35,
         attribute_selection: false,
         ..MultiEmConfig::default()
     };
-    let config = OnlineConfig::new(base.clone()).with_all_attributes();
+    let config = OnlineConfig::new(base.clone());
     let mut store = EntityStore::new(config, HashedLexicalEncoder::default());
 
     // 1. Bootstrap from the first three sources using the batch pipeline.

@@ -1,6 +1,6 @@
 //! Integration tests spanning datagen → core pipeline → eval.
 
-use multiem::core::{IndexBackend, MultiEmError};
+use multiem::core::MultiEmError;
 use multiem::prelude::*;
 
 fn run(dataset: &Dataset, config: MultiEmConfig) -> (MultiEmOutput, EvaluationReport) {
@@ -95,12 +95,12 @@ fn hnsw_backend_is_close_to_bruteforce_quality() {
     let data = multiem::datagen::benchmark_dataset("music-20", 0.02).expect("preset exists");
     let brute = MultiEmConfig {
         m: 0.35,
-        index_backend: IndexBackend::BruteForce,
+        hnsw_threshold: usize::MAX,
         ..MultiEmConfig::default()
     };
     let hnsw = MultiEmConfig {
         m: 0.35,
-        index_backend: IndexBackend::Hnsw,
+        hnsw_threshold: 0,
         ..MultiEmConfig::default()
     };
     let (_, exact) = run(&data.dataset, brute);
