@@ -11,7 +11,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use multiem_datagen::benchmark_dataset;
 use multiem_embed::hashing::{accumulate_token, fnv1a64};
-use multiem_embed::{EmbeddingModel, EncoderConfig, HashedLexicalEncoder};
+use multiem_embed::{EmbeddingModel, HashedLexicalEncoder};
 use multiem_table::{serialize_record, SerializeOptions};
 
 /// Serialized `music-20` rows, every attribute, as the pipeline serializes
@@ -46,10 +46,7 @@ fn bench_dimensions(c: &mut Criterion) {
     let mut group = c.benchmark_group("embedding/dimension");
     for &dim in &[96usize, 384, 768] {
         group.bench_with_input(BenchmarkId::from_parameter(dim), &dim, |b, &dim| {
-            let encoder = HashedLexicalEncoder::new(EncoderConfig {
-                dim,
-                ..EncoderConfig::default()
-            });
+            let encoder = HashedLexicalEncoder::with_dim(dim);
             b.iter(|| encoder.encode(text));
         });
     }

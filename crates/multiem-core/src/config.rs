@@ -76,8 +76,11 @@ pub struct MultiEmConfig {
     pub epsilon: f32,
 
     // --- Execution ----------------------------------------------------------
-    /// Run merging and pruning with rayon data parallelism
-    /// (the `MultiEM (parallel)` variant of Tables V/VI).
+    /// Run the merges of one level in parallel and prune tuples in parallel
+    /// (the `MultiEM (parallel)` variant of Tables V/VI). That is all it
+    /// gates: attribute selection, encoding and each merge's mutual top-K
+    /// join use the rayon pool whatever its value, so `false` is not a
+    /// single-threaded run.
     pub parallel: bool,
 }
 

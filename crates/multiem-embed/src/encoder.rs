@@ -1,11 +1,9 @@
 //! The embedding model trait and the hashed lexical encoder.
 
 use crate::hashing::{accumulate_token, fnv1a64, fnv1a64_extend};
-use crate::idf::IdfStatistics;
-use crate::tokenizer::{TokenKind, Tokenizer, TokenizerConfig};
+use crate::tokenizer::{char_ngrams, tokenize, TokenKind};
 use crate::vector::{l2_normalize, Matrix};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// A sentence/entity embedding model.
 ///
@@ -64,88 +62,46 @@ pub trait EmbeddingModel: Send + Sync {
 /// share, not all of it.
 const BLOCKS_PER_THREAD: usize = 4;
 
-/// Configuration of the [`HashedLexicalEncoder`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EncoderConfig {
-    /// Output dimensionality (the paper's SBERT uses 384).
-    pub dim: usize,
-    /// Tokenizer configuration.
-    pub tokenizer: TokenizerConfig,
-    /// Relative weight of whole-word vectors.
-    pub word_weight: f32,
-    /// Relative weight of character-n-gram vectors (gives typo robustness).
-    pub ngram_weight: f32,
-    /// Pooling weight of alphabetic word tokens.
-    pub kind_weight_word: f32,
-    /// Pooling weight of short (< 3 chars) alphabetic tokens.
-    pub kind_weight_short: f32,
-    /// Pooling weight of compact numeric tokens (at most
-    /// [`EncoderConfig::long_token_len`] characters), e.g. years, postcodes,
-    /// model numbers. These are single meaningful tokens for a transformer.
-    pub kind_weight_number: f32,
-    /// Pooling weight of long numeric tokens (e.g. raw coordinates,
-    /// timestamps), which a transformer fragments into many low-salience
-    /// sub-word pieces.
-    pub kind_weight_long_number: f32,
-    /// Pooling weight of compact identifier-like mixed tokens ("64gb", "s21").
-    pub kind_weight_mixed: f32,
-    /// Pooling weight of long identifier-like mixed tokens (opaque record ids
-    /// such as "wom14513028").
-    pub kind_weight_long_mixed: f32,
-    /// Character-count boundary between "compact" and "long" numeric / mixed
-    /// tokens.
-    pub long_token_len: usize,
-    /// Whether to multiply token weights by normalised corpus IDF (requires
-    /// [`HashedLexicalEncoder::fit_idf`] to have been called to take effect).
-    pub use_idf: bool,
-}
+/// Relative weight of whole-word vectors.
+const WORD_WEIGHT: f32 = 1.0;
+/// Relative weight of character-n-gram vectors (gives typo robustness).
+const NGRAM_WEIGHT: f32 = 0.35;
 
-impl Default for EncoderConfig {
-    fn default() -> Self {
-        Self {
-            dim: crate::DEFAULT_DIM,
-            tokenizer: TokenizerConfig::default(),
-            word_weight: 1.0,
-            ngram_weight: 0.35,
-            kind_weight_word: 1.0,
-            kind_weight_short: 0.55,
-            kind_weight_number: 0.7,
-            kind_weight_long_number: 0.3,
-            kind_weight_mixed: 0.7,
-            kind_weight_long_mixed: 0.35,
-            long_token_len: 4,
-            use_idf: false,
-        }
-    }
-}
+/// Pooling weight of alphabetic word tokens.
+const KIND_WEIGHT_WORD: f32 = 1.0;
+/// Pooling weight of short (< 3 chars) alphabetic tokens.
+const KIND_WEIGHT_SHORT: f32 = 0.55;
+/// Pooling weight of compact numeric tokens (at most [`LONG_TOKEN_LEN`]
+/// characters), e.g. years, postcodes, model numbers. These are single
+/// meaningful tokens for a transformer.
+const KIND_WEIGHT_NUMBER: f32 = 0.7;
+/// Pooling weight of long numeric tokens (e.g. raw coordinates, timestamps),
+/// which a transformer fragments into many low-salience sub-word pieces.
+const KIND_WEIGHT_LONG_NUMBER: f32 = 0.3;
+/// Pooling weight of compact identifier-like mixed tokens ("64gb", "s21").
+const KIND_WEIGHT_MIXED: f32 = 0.7;
+/// Pooling weight of long identifier-like mixed tokens (opaque record ids such
+/// as "wom14513028").
+const KIND_WEIGHT_LONG_MIXED: f32 = 0.35;
+/// Character-count boundary between "compact" and "long" numeric / mixed
+/// tokens.
+const LONG_TOKEN_LEN: usize = 4;
 
-impl EncoderConfig {
-    /// Pooling weight for a token of the given kind and character length.
-    ///
-    /// Numeric and identifier-like tokens longer than
-    /// [`EncoderConfig::long_token_len`] characters are treated as opaque and
-    /// receive the corresponding "long" weight, mirroring how a transformer
-    /// fragments them into many low-salience sub-word pieces.
-    pub fn kind_weight(&self, kind: TokenKind, token_len: usize) -> f32 {
-        let long = token_len > self.long_token_len;
-        match kind {
-            TokenKind::Word => self.kind_weight_word,
-            TokenKind::ShortWord => self.kind_weight_short,
-            TokenKind::Number => {
-                if long {
-                    self.kind_weight_long_number
-                } else {
-                    self.kind_weight_number
-                }
-            }
-            TokenKind::Mixed => {
-                if long {
-                    self.kind_weight_long_mixed
-                } else {
-                    self.kind_weight_mixed
-                }
-            }
-        }
+/// Pooling weight for a token of the given kind and character length.
+///
+/// Numeric and identifier-like tokens longer than [`LONG_TOKEN_LEN`]
+/// characters are treated as opaque and receive the corresponding "long"
+/// weight, mirroring how a transformer fragments them into many low-salience
+/// sub-word pieces.
+fn kind_weight(kind: TokenKind, token_len: usize) -> f32 {
+    let long = token_len > LONG_TOKEN_LEN;
+    match kind {
+        TokenKind::Word => KIND_WEIGHT_WORD,
+        TokenKind::ShortWord => KIND_WEIGHT_SHORT,
+        TokenKind::Number if long => KIND_WEIGHT_LONG_NUMBER,
+        TokenKind::Number => KIND_WEIGHT_NUMBER,
+        TokenKind::Mixed if long => KIND_WEIGHT_LONG_MIXED,
+        TokenKind::Mixed => KIND_WEIGHT_MIXED,
     }
 }
 
@@ -155,115 +111,49 @@ const NGRAM_KEY_PREFIX: u64 = fnv1a64(b"#");
 
 /// Deterministic hashed lexical encoder — the Sentence-BERT stand-in.
 ///
-/// See the crate-level documentation for the design rationale. The encoder is
-/// completely deterministic (no RNG state), cheap (no embedding table), and
-/// thread-safe, which is what allows the representation phase of MultiEM to be
-/// embarrassingly parallel.
+/// See the crate-level documentation for the design rationale. Like the
+/// pre-trained encoder it stands in for, it is a fixed function of the text:
+/// its one setting is the output dimension. It is completely deterministic
+/// (no RNG state), cheap (no embedding table), and thread-safe, which is what
+/// allows the representation phase of MultiEM to be embarrassingly parallel.
 #[derive(Debug, Clone)]
 pub struct HashedLexicalEncoder {
-    config: EncoderConfig,
-    tokenizer: Tokenizer,
-    idf: Option<IdfStatistics>,
+    dim: usize,
 }
 
 impl Default for HashedLexicalEncoder {
+    /// The paper's dimension, [`crate::DEFAULT_DIM`] (384).
     fn default() -> Self {
-        Self::new(EncoderConfig::default())
+        Self::with_dim(crate::DEFAULT_DIM)
     }
 }
 
 impl HashedLexicalEncoder {
-    /// Create an encoder with the given configuration.
-    pub fn new(config: EncoderConfig) -> Self {
-        let tokenizer = Tokenizer::new(config.tokenizer.clone());
-        Self {
-            config,
-            tokenizer,
-            idf: None,
-        }
-    }
-
-    /// Create an encoder with the default configuration but a custom dimension.
+    /// Create an encoder producing `dim`-dimensional embeddings.
     pub fn with_dim(dim: usize) -> Self {
-        Self::new(EncoderConfig {
-            dim,
-            ..EncoderConfig::default()
-        })
-    }
-
-    /// The encoder configuration.
-    pub fn config(&self) -> &EncoderConfig {
-        &self.config
-    }
-
-    /// Fit corpus IDF statistics and enable IDF weighting.
-    pub fn fit_idf<'a, I>(&mut self, docs: I)
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        self.idf = Some(IdfStatistics::fit(&self.tokenizer, docs));
-        self.config.use_idf = true;
-    }
-
-    /// The fitted IDF statistics, if any.
-    pub fn idf(&self) -> Option<&IdfStatistics> {
-        self.idf.as_ref()
-    }
-
-    /// Fold one document into the IDF statistics (creating them when absent)
-    /// and enable IDF weighting. The streaming counterpart of
-    /// [`HashedLexicalEncoder::fit_idf`]: single records can be observed as
-    /// they arrive instead of refitting over the whole corpus.
-    pub fn observe_document(&mut self, doc: &str) {
-        self.idf
-            .get_or_insert_with(IdfStatistics::default)
-            .observe(&self.tokenizer, doc);
-        self.config.use_idf = true;
-    }
-
-    fn token_weight(&self, text: &str, kind: TokenKind) -> f32 {
-        let mut w = self.config.kind_weight(kind, text.chars().count());
-        if self.config.use_idf {
-            if let Some(idf) = &self.idf {
-                w *= idf.normalized_idf(text);
-            }
-        }
-        w
+        Self { dim }
     }
 }
 
 impl EmbeddingModel for HashedLexicalEncoder {
     fn dim(&self) -> usize {
-        self.config.dim
+        self.dim
     }
 
     fn encode(&self, text: &str) -> Vec<f32> {
-        let mut acc = vec![0.0f32; self.config.dim];
-        let tokens = self.tokenizer.tokenize(text);
-        if tokens.is_empty() {
-            return acc;
-        }
-        for tok in &tokens {
-            let base = self.token_weight(&tok.text, tok.kind);
-            if base <= 0.0 {
-                continue;
-            }
+        let mut acc = vec![0.0f32; self.dim];
+        for tok in &tokenize(text) {
+            let base = kind_weight(tok.kind, tok.text.chars().count());
             // Whole-word vector.
-            accumulate_token(
-                &mut acc,
-                fnv1a64(tok.text.as_bytes()),
-                base * self.config.word_weight,
-            );
+            accumulate_token(&mut acc, fnv1a64(tok.text.as_bytes()), base * WORD_WEIGHT);
             // Character n-gram vectors (split the n-gram budget evenly so long
             // tokens do not dominate).
-            if self.config.ngram_weight > 0.0 {
-                let grams = self.tokenizer.char_ngrams(&tok.text);
-                if !grams.is_empty() {
-                    let per = base * self.config.ngram_weight / grams.len() as f32;
-                    for g in grams {
-                        let hash = fnv1a64_extend(NGRAM_KEY_PREFIX, g.as_bytes());
-                        accumulate_token(&mut acc, hash, per);
-                    }
+            let grams = char_ngrams(&tok.text);
+            if !grams.is_empty() {
+                let per = base * NGRAM_WEIGHT / grams.len() as f32;
+                for g in grams {
+                    let hash = fnv1a64_extend(NGRAM_KEY_PREFIX, g.as_bytes());
+                    accumulate_token(&mut acc, hash, per);
                 }
             }
         }
@@ -380,26 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn idf_weighting_downweights_ubiquitous_tokens() {
-        let corpus: Vec<String> = (0..50)
-            .map(|i| format!("acme widget model {i}"))
-            .chain(std::iter::once("acme sprocket deluxe".to_string()))
-            .collect();
-        let mut with_idf = enc();
-        with_idf.fit_idf(corpus.iter().map(|s| s.as_str()));
-        let without_idf = enc();
-
-        // "acme" appears everywhere; two entities sharing only "acme" should be
-        // less similar under IDF weighting than without it.
-        let a = "acme widget model 3";
-        let b = "acme sprocket deluxe";
-        let sim_with = cosine_similarity(&with_idf.encode(a), &with_idf.encode(b));
-        let sim_without = cosine_similarity(&without_idf.encode(a), &without_idf.encode(b));
-        assert!(sim_with < sim_without);
-        assert!(with_idf.idf().is_some());
-    }
-
-    #[test]
     fn custom_dimension() {
         let e = HashedLexicalEncoder::with_dim(64);
         assert_eq!(e.dim(), 64);
@@ -408,26 +278,9 @@ mod tests {
     }
 
     #[test]
-    fn disabling_ngrams_still_works() {
-        let cfg = EncoderConfig {
-            ngram_weight: 0.0,
-            tokenizer: TokenizerConfig {
-                ngram_max: 0,
-                ..TokenizerConfig::default()
-            },
-            ..EncoderConfig::default()
-        };
-        let e = HashedLexicalEncoder::new(cfg);
-        let v = e.encode("apple iphone");
-        let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
-        assert!((norm - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
     fn encoder_output_bits_are_pinned() {
         // Figure 1 and Example 1 of the paper, multi-byte text, and two
-        // inputs without a token, through a plain and an IDF-fitted encoder
-        // at three dimensions. The digest is of every output bit, so a
+        // inputs without a token, at three dimensions. The digest is of every output bit, so a
         // tokenizer, hashing or pooling change that moves one bit of one
         // embedding fails here.
         let corpus = [
@@ -442,17 +295,13 @@ mod tests {
         ];
         let mut bytes = Vec::new();
         for dim in [64, 100, 384] {
-            let plain = HashedLexicalEncoder::with_dim(dim);
-            let mut fitted = HashedLexicalEncoder::with_dim(dim);
-            fitted.fit_idf(corpus);
-            for encoder in [&plain, &fitted] {
-                for text in corpus {
-                    for x in encoder.encode(text) {
-                        bytes.extend_from_slice(&x.to_bits().to_le_bytes());
-                    }
+            let encoder = HashedLexicalEncoder::with_dim(dim);
+            for text in corpus {
+                for x in encoder.encode(text) {
+                    bytes.extend_from_slice(&x.to_bits().to_le_bytes());
                 }
             }
         }
-        assert_eq!(crate::hashing::fnv1a64(&bytes), 0x786e_a9d8_d47c_d722);
+        assert_eq!(crate::hashing::fnv1a64(&bytes), 0x5f75_7d42_4ae9_1e59);
     }
 }

@@ -21,7 +21,7 @@
 //!    semantic salience: alphabetic words count fully, numeric and
 //!    identifier-like tokens are down-weighted (this is what makes opaque `id`
 //!    columns contribute little to the embedding, reproducing Example 1 of the
-//!    paper), and an optional corpus IDF re-weights common tokens.
+//!    paper).
 //! 4. The pooled vector is L2-normalised.
 //!
 //! Any real transformer backend can be plugged in by implementing
@@ -32,13 +32,11 @@
 
 pub mod encoder;
 pub mod hashing;
-pub mod idf;
 pub mod tokenizer;
 pub mod vector;
 
-pub use encoder::{EmbeddingModel, EncoderConfig, HashedLexicalEncoder};
-pub use idf::IdfStatistics;
-pub use tokenizer::{Token, TokenKind, Tokenizer, TokenizerConfig};
+pub use encoder::{EmbeddingModel, HashedLexicalEncoder};
+pub use tokenizer::{Token, TokenKind};
 pub use vector::{cosine_distance, cosine_similarity, euclidean_distance, l2_normalize, Matrix};
 
 /// Default embedding dimensionality, matching `all-MiniLM-L12-v2` used in the

@@ -342,8 +342,8 @@ impl ClusterTable {
     /// The distances from `node` to its `k` nearest other live nodes,
     /// closest first and padded with `+∞` to `k` (a padded slot is never
     /// closer than anything). The query is the node's indexed row: its
-    /// cluster's representative, bit for bit ([`ClusterTable::check`]
-    /// asserts it).
+    /// cluster's representative, bit for bit (the test-only
+    /// `ClusterTable::check` asserts it).
     fn reverse_row(&self, node: usize, k: usize) -> Vec<f32> {
         let mut row: Vec<f32> = self
             .search_live(&[self.index.vector(node)], k, Some(node))

@@ -1,5 +1,5 @@
 //! The read path: `POST /match`, one fan-out over the shards per request
-//! ([`ShardedEntityStore::match_record_timed`]).
+//! ([`ShardedEntityStore::match_record_timed`](crate::ShardedEntityStore::match_record_timed)).
 
 use crate::obs::Stage;
 use crate::routes::{field, obj, parse_body, record_from_value, ApiError, Call};

@@ -184,11 +184,6 @@ impl Dataset {
         &self.tables
     }
 
-    /// Mutable source tables.
-    pub fn tables_mut(&mut self) -> &mut [Table] {
-        &mut self.tables
-    }
-
     /// Table with the given source id.
     pub fn table(&self, source: SourceId) -> Result<&Table> {
         self.tables

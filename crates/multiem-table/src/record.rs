@@ -128,12 +128,6 @@ impl Record {
         &self.values
     }
 
-    /// Mutable access to the values (used by the dataset corruption model and
-    /// by the attribute-shuffle step of Algorithm 1).
-    pub fn values_mut(&mut self) -> &mut [Value] {
-        &mut self.values
-    }
-
     /// Value at attribute index `attr`.
     pub fn value(&self, attr: AttrId) -> Option<&Value> {
         self.values.get(attr)

@@ -79,11 +79,6 @@ impl Table {
         &self.records
     }
 
-    /// Mutable records (used by the corruption model in `multiem-datagen`).
-    pub fn records_mut(&mut self) -> &mut [Record] {
-        &mut self.records
-    }
-
     /// Record at `row`.
     pub fn record(&self, row: usize) -> Option<&Record> {
         self.records.get(row)
