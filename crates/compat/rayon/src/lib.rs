@@ -10,15 +10,17 @@
 //! * `par_iter().map().collect()`, which cuts its input into contiguous
 //!   blocks and maps them concurrently on up to [`current_num_threads`]
 //!   threads (a map nested in another runs on its caller) while preserving
-//!   the sequential output order, so
-//!   `parallel: true` pipelines produce byte-identical results to sequential
-//!   runs (the equivalence the test-suite asserts).
+//!   the sequential output order, so a map's result does not depend on how
+//!   many threads computed it.
 //!
 //! A parallel map borrows its input, so it runs on scoped threads
 //! (`std::thread::scope`) rather than on persistent workers: forwarding
 //! non-`'static` closures to long-lived threads is not expressible in safe
 //! Rust, and this crate stays `unsafe`-free. The process-wide width is
-//! therefore a number, not a pool. A real rayon can be swapped back in by
+//! therefore a number, not a pool. [`ThreadPool::install`] sets that number
+//! for the closure it runs, as rayon's does: inside `ThreadPool::new(1)
+//! .install(op)` every map runs on the caller, which is how a
+//! single-threaded run is made. A real rayon can be swapped back in by
 //! restoring the crates.io dependency.
 
 #![forbid(unsafe_code)]
@@ -75,6 +77,20 @@ impl ThreadPool {
         }
     }
 
+    /// Run `op` on the calling thread with this pool's size as the width of
+    /// every parallel map inside it, as rayon's `install` runs `op` in its
+    /// pool: there [`current_num_threads`] returns the size, and a map,
+    /// nested or not, spreads over at most that many threads. The width in
+    /// force before is back when `op` returns or panics.
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        let _width = Installed::enter(Some(self.workers.len()));
+        op()
+    }
+
     /// Queue a job on the persistent workers.
     pub fn execute<F: FnOnce() + Send + 'static>(&self, job: F) {
         self.sender
@@ -96,10 +112,35 @@ impl Drop for ThreadPool {
 
 static WIDTH: OnceLock<usize> = OnceLock::new();
 
-/// How many threads a parallel map may use: `RAYON_NUM_THREADS`, or the
-/// available parallelism. Read once per process.
+thread_local! {
+    /// The size of the pool whose [`ThreadPool::install`] this thread is
+    /// running, if any (a map's workers inherit their caller's).
+    static INSTALLED: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// How many threads a parallel map may use: inside
+/// [`ThreadPool::install`], the pool's size; elsewhere `RAYON_NUM_THREADS`,
+/// or the available parallelism, read once per process.
 pub fn current_num_threads() -> usize {
-    *WIDTH.get_or_init(default_num_threads)
+    INSTALLED
+        .get()
+        .unwrap_or_else(|| *WIDTH.get_or_init(default_num_threads))
+}
+
+/// Sets this thread's installed width until dropped, then puts back the one
+/// it replaced (also when the closure in between panics).
+struct Installed(Option<usize>);
+
+impl Installed {
+    fn enter(width: Option<usize>) -> Self {
+        Self(INSTALLED.replace(width))
+    }
+}
+
+impl Drop for Installed {
+    fn drop(&mut self) {
+        INSTALLED.set(self.0);
+    }
 }
 
 fn default_num_threads() -> usize {
@@ -197,9 +238,17 @@ where
     // The caller is one of the `width` threads: it would only wait in `join`
     // otherwise, so `width - 1` scoped threads are spawned and the caller
     // works the same counter beside them.
+    let installed = INSTALLED.get();
     let mut blocks: Vec<(usize, Vec<R>)> = thread::scope(|scope| {
         let work = &work;
-        let handles: Vec<_> = (1..width).map(|i| scope.spawn(move || work(i))).collect();
+        let handles: Vec<_> = (1..width)
+            .map(|i| {
+                scope.spawn(move || {
+                    let _width = Installed::enter(installed);
+                    work(i)
+                })
+            })
+            .collect();
         let mut blocks = work(0);
         for handle in handles {
             blocks.extend(handle.join().expect("parallel map worker panicked"));
@@ -279,7 +328,27 @@ mod tests {
     use super::prelude::*;
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Barrier;
+    use std::sync::{Barrier, Condvar};
+    use std::time::Duration;
+
+    /// Waits until `n` callers have arrived, or five seconds have passed: a
+    /// barrier for a map's items that fails the test rather than hanging it
+    /// when the map runs on fewer threads than it should.
+    #[derive(Default)]
+    struct Rendezvous {
+        arrived: Mutex<usize>,
+        all: Condvar,
+    }
+
+    impl Rendezvous {
+        fn meet(&self, n: usize) {
+            let mut arrived = self.arrived.lock().expect("rendezvous poisoned");
+            *arrived += 1;
+            self.all.notify_all();
+            let timeout = Duration::from_secs(5);
+            let _ = self.all.wait_timeout_while(arrived, timeout, |a| *a < n);
+        }
+    }
 
     #[test]
     fn par_iter_behaves_like_iter() {
@@ -316,6 +385,73 @@ mod tests {
         }
         // Outside any map, the caller is free to fan out again.
         assert_eq!(current_thread_index(), None);
+    }
+
+    #[test]
+    fn a_one_thread_install_runs_every_map_on_its_caller_and_then_restores_the_width() {
+        let width = current_num_threads();
+        let outer: Vec<usize> = (0..64).collect();
+        let inner: Vec<usize> = (0..256).collect();
+        let pool = ThreadPool::new(1);
+        let caller = thread::current().id();
+        let threads: Vec<thread::ThreadId> = pool.install(|| {
+            assert_eq!(current_num_threads(), 1);
+            outer
+                .par_iter()
+                .map(|_| {
+                    assert_eq!(current_num_threads(), 1);
+                    let nested: Vec<thread::ThreadId> =
+                        inner.par_iter().map(|_| thread::current().id()).collect();
+                    assert!(nested.iter().all(|&t| t == caller));
+                    thread::current().id()
+                })
+                .collect()
+        });
+        assert!(threads.iter().all(|&t| t == caller));
+        assert_eq!(current_num_threads(), width);
+
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.install(|| -> () { panic!("inside install") })
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(current_num_threads(), width);
+        // Back at full width a map fans out again: `width` items that each
+        // wait for all the others meet only on `width` threads.
+        if width > 1 {
+            let rendezvous = Rendezvous::default();
+            let ids: Vec<usize> = (0..width).collect();
+            let threads: Vec<thread::ThreadId> = ids
+                .par_iter()
+                .map(|_| {
+                    rendezvous.meet(width);
+                    thread::current().id()
+                })
+                .collect();
+            assert!(threads.iter().any(|&t| t != caller));
+        }
+    }
+
+    #[test]
+    fn an_install_sets_the_width_of_its_maps_workers() {
+        // A size other than the process-wide width, and one item per
+        // thread, each waiting for all the others: every thread of the map
+        // reports the width it works under.
+        let size = current_num_threads() + 1;
+        let rendezvous = Rendezvous::default();
+        let items: Vec<usize> = (0..size).collect();
+        let threads: Vec<(thread::ThreadId, usize)> = ThreadPool::new(size).install(|| {
+            items
+                .par_iter()
+                .map(|_| {
+                    rendezvous.meet(size);
+                    (thread::current().id(), current_num_threads())
+                })
+                .collect()
+        });
+        let ids: std::collections::HashSet<thread::ThreadId> =
+            threads.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids.len(), size);
+        assert!(threads.iter().all(|&(_, width)| width == size));
     }
 
     #[test]

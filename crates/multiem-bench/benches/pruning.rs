@@ -1,11 +1,13 @@
 //! Criterion micro-benchmark: density-based pruning throughput as a function
-//! of tuple size (the P / P(p) bars of Figure 5).
+//! of tuple size, on one thread (`sequential`, inside a one-thread pool) and
+//! at the machine's width (`parallel`): the P / P(p) bars of Figure 5.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use multiem_core::{prune_merged_table, EmbeddingStore, MergeItem, MergedTable, MultiEmConfig};
 use multiem_datagen::{CorruptionConfig, Corruptor, Domain, GeneratorConfig, MultiSourceGenerator};
 use multiem_embed::{EmbeddingModel, HashedLexicalEncoder};
 use multiem_table::EntityId;
+use rayon::ThreadPool;
 
 fn bench_pruning(c: &mut Criterion) {
     let sources = 8usize;
@@ -51,35 +53,17 @@ fn bench_pruning(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("pruning");
     group.throughput(Throughput::Elements(table.items.len() as u64));
-    group.bench_with_input(
-        BenchmarkId::new("sequential", table.items.len()),
-        &table,
-        |b, t| {
-            let cfg = MultiEmConfig {
-                parallel: false,
-                ..MultiEmConfig::default()
-            };
-            b.iter(|| prune_merged_table(t, &store, &cfg))
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("parallel", table.items.len()),
-        &table,
-        |b, t| {
-            let cfg = MultiEmConfig {
-                parallel: true,
-                ..MultiEmConfig::default()
-            };
-            b.iter(|| prune_merged_table(t, &store, &cfg))
-        },
-    );
-    group.bench_with_input(
+    let prune = || prune_merged_table(&table, &store, &config);
+    let one_thread = ThreadPool::new(1);
+    group.bench_function(BenchmarkId::new("sequential", table.items.len()), |b| {
+        b.iter(|| one_thread.install(prune))
+    });
+    group.bench_function(BenchmarkId::new("parallel", table.items.len()), |b| {
+        b.iter(prune)
+    });
+    group.bench_function(
         BenchmarkId::new("singletons_noop", singleton_table.items.len()),
-        &singleton_table,
-        |b, t| {
-            let cfg = MultiEmConfig::default();
-            b.iter(|| prune_merged_table(t, &store, &cfg))
-        },
+        |b| b.iter(|| prune_merged_table(&singleton_table, &store, &config)),
     );
     group.finish();
 }

@@ -19,7 +19,10 @@
 //!   methods are skipped on datasets too large for them, reported like the
 //!   `-` / `\` entries of Tables IV–VI), and MultiEM and its ablations with
 //!   the paper's per-dataset grid search over `m`, `γ` and `ε`
-//!   ([`run_multiem_grid`]). Tables IV–VI and Figure 5 all render that pass;
+//!   ([`run_multiem_grid`]); MultiEM's grid runs inside a one-thread pool,
+//!   and its selected configuration runs once more at the machine's width
+//!   (the `MultiEM (parallel)` row). Tables IV–VI and Figure 5 all render
+//!   that pass;
 //! * renders each [`Exhibit`] as text ([`render`]).
 
 #![forbid(unsafe_code)]
@@ -36,6 +39,7 @@ use multiem_eval::{
     SamplingConfig, TextTable,
 };
 use multiem_table::{Dataset, MatchTuple};
+use rayon::ThreadPool;
 use std::time::{Duration, Instant};
 
 /// Configuration of the experiment harness.
@@ -194,9 +198,10 @@ pub struct MethodResult {
 /// MultiEM variants reported in Tables IV–VI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MultiEmVariant {
-    /// The full pipeline.
+    /// The full pipeline; [`run_methods`] runs it on one thread.
     Full,
-    /// The rayon-parallel pipeline (same output, different runtime/memory).
+    /// The same pipeline at the machine's width (same output, different
+    /// runtime, and one right-hand top-K table in flight per thread).
     Parallel,
     /// Ablation without enhanced entity representation.
     WithoutEer,
@@ -215,13 +220,9 @@ impl MultiEmVariant {
         }
     }
 
-    fn apply(&self, mut config: MultiEmConfig) -> MultiEmConfig {
+    fn apply(&self, config: MultiEmConfig) -> MultiEmConfig {
         match self {
-            MultiEmVariant::Full => config,
-            MultiEmVariant::Parallel => {
-                config.parallel = true;
-                config
-            }
+            MultiEmVariant::Full | MultiEmVariant::Parallel => config,
             MultiEmVariant::WithoutEer => config.without_attribute_selection(),
             MultiEmVariant::WithoutDp => config.without_pruning(),
         }
@@ -385,24 +386,27 @@ pub struct MethodsPass {
     pub dataset: String,
     /// The baselines, then MultiEM, MultiEM (parallel), w/o EER and w/o DP.
     pub results: Vec<MethodResult>,
-    /// MultiEM's selected grid run (Figure 5's sequential phases).
+    /// MultiEM's selected grid run, on one thread (Figure 5's S / R / M / P
+    /// and total).
     pub multiem: MultiEmOutput,
-    /// The same configuration with `parallel: true` (Figure 5's `(p)` columns).
-    pub parallel: MultiEmOutput,
+    /// The same configuration at the machine's width (Figure 5's `(p)`
+    /// columns).
+    pub full_width: MultiEmOutput,
 }
 
 /// Run every method of Tables IV–VI once on `data`. MultiEM, w/o EER and
-/// w/o DP are grid-searched; MultiEM (parallel) is one run of MultiEM's
-/// selected configuration, and it is an error naming the dataset if it
-/// matches other tuples than MultiEM did.
+/// w/o DP are grid-searched, MultiEM's grid inside a one-thread pool, so its
+/// row is a single-threaded run. MultiEM (parallel) is one run of MultiEM's
+/// selected configuration at the machine's width, and it is an error naming
+/// the dataset if it matches other tuples than MultiEM did.
 pub fn run_methods(
     data: &BenchmarkDataset,
     harness: &HarnessConfig,
 ) -> Result<MethodsPass, String> {
     let dataset = &data.dataset;
     let mut results = run_baselines(data, harness);
-    let full = run_multiem_grid(dataset, MultiEmVariant::Full);
-    let parallel = run_multiem_once(dataset, MultiEmVariant::Parallel.apply(full.config.clone()));
+    let full = ThreadPool::new(1).install(|| run_multiem_grid(dataset, MultiEmVariant::Full));
+    let parallel = run_multiem_once(dataset, full.config.clone());
     let sorted = |run: &MultiEmRun| {
         let mut tuples = run.output.tuples.clone();
         tuples.sort();
@@ -423,7 +427,7 @@ pub fn run_methods(
         dataset: data.stats.name.clone(),
         results,
         multiem: full.output,
-        parallel: parallel.output,
+        full_width: parallel.output,
     })
 }
 
@@ -752,7 +756,7 @@ fn fig5(scale: f64, passes: &[MethodsPass]) -> String {
         ],
     );
     for pass in passes {
-        let (seq, par) = (&pass.multiem, &pass.parallel);
+        let (seq, par) = (&pass.multiem, &pass.full_width);
         table.add_row([
             pass.dataset.clone(),
             format_duration(seq.phases.attribute_selection),

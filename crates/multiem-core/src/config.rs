@@ -74,14 +74,6 @@ pub struct MultiEmConfig {
     /// and the metric are the paper's constants (2 and Euclidean), from
     /// [`multiem_cluster::DbscanConfig::default`].
     pub epsilon: f32,
-
-    // --- Execution ----------------------------------------------------------
-    /// Run the merges of one level in parallel and prune tuples in parallel
-    /// (the `MultiEM (parallel)` variant of Tables V/VI). That is all it
-    /// gates: attribute selection, encoding and each merge's mutual top-K
-    /// join use the rayon pool whatever its value, so `false` is not a
-    /// single-threaded run.
-    pub parallel: bool,
 }
 
 impl Default for MultiEmConfig {
@@ -99,20 +91,11 @@ impl Default for MultiEmConfig {
             merge_seed: 0,
             pruning: true,
             epsilon: 1.0,
-            parallel: false,
         }
     }
 }
 
 impl MultiEmConfig {
-    /// The parallel variant of the default configuration.
-    pub fn parallel() -> Self {
-        Self {
-            parallel: true,
-            ..Self::default()
-        }
-    }
-
     /// The `w/o EER` ablation: skip attribute selection.
     pub fn without_attribute_selection(mut self) -> Self {
         self.attribute_selection = false;
@@ -179,7 +162,6 @@ mod tests {
         assert_eq!((dbscan.min_pts, dbscan.metric), (2, Metric::Euclidean));
         assert!(c.attribute_selection);
         assert!(c.pruning);
-        assert!(!c.parallel);
         assert!(c.validate().is_ok());
         assert_eq!(c.serialize.max_tokens, Some(64));
     }
@@ -191,8 +173,6 @@ mod tests {
         assert!(c.pruning);
         let c = MultiEmConfig::default().without_pruning();
         assert!(!c.pruning);
-        let c = MultiEmConfig::parallel();
-        assert!(c.parallel);
     }
 
     #[test]

@@ -20,9 +20,12 @@
 //!    classifying its members into core / reachable / outlier entities
 //!    (Definitions 3–5, Algorithm 4) and dropping the outliers.
 //!
-//! Both the merging and the pruning phase are embarrassingly parallel; the
-//! [`pipeline::MultiEm`] runner exposes a sequential and a rayon-parallel mode
-//! (Section III-E of the paper).
+//! Every phase spreads over the rayon pool (Section III-E of the paper):
+//! attribute selection and encoding map sources and rows, each merge's
+//! exact join maps ranges of its left rows, and pruning maps tuples. A run
+//! has one schedule; its width is the pool's, so
+//! `rayon::ThreadPool::new(1).install(|| multiem.run(&data))` is a
+//! single-threaded run with the same tuples.
 //!
 //! ```
 //! use multiem_core::{MultiEm, MultiEmConfig};

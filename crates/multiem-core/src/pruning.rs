@@ -8,8 +8,8 @@
 //! embeddings** (Euclidean distance in the paper), outliers are removed, and
 //! the tuple survives only if at least two members remain.
 //!
-//! Each tuple is pruned independently, so the phase parallelises trivially
-//! (Section III-E).
+//! Each tuple is pruned independently, so the phase maps tuples over the
+//! rayon pool (Section III-E).
 
 use crate::config::MultiEmConfig;
 use crate::merging::MergedTable;
@@ -96,9 +96,8 @@ pub struct PruneSummary {
     pub tuples_dropped: usize,
 }
 
-/// Prune every multi-member item of the integrated table.
-///
-/// Runs in parallel over items when `config.parallel` is set.
+/// Prune every multi-member item of the integrated table, items in
+/// parallel, as [`prune_members`] prunes them.
 pub fn prune_merged_table(
     table: &MergedTable,
     store: &EmbeddingStore,
@@ -116,7 +115,8 @@ pub fn prune_merged_table(
 /// phase over an integrated table given as member lists, which is how
 /// `MultiEm::run` holds it.
 ///
-/// Runs in parallel over lists when `config.parallel` is set.
+/// Lists are pruned in parallel over the rayon pool; the outcomes are
+/// summed in list order, so the result does not depend on the pool's width.
 pub fn prune_members<'a>(
     lists: impl IntoIterator<Item = &'a [EntityId]>,
     store: &EmbeddingStore,
@@ -124,17 +124,10 @@ pub fn prune_members<'a>(
 ) -> PruneSummary {
     let candidates: Vec<&[EntityId]> = lists.into_iter().filter(|m| m.len() >= 2).collect();
 
-    let outcomes: Vec<PruneOutcome> = if config.parallel {
-        candidates
-            .par_iter()
-            .map(|members| prune_item(members, store, config))
-            .collect()
-    } else {
-        candidates
-            .iter()
-            .map(|members| prune_item(members, store, config))
-            .collect()
-    };
+    let outcomes: Vec<PruneOutcome> = candidates
+        .par_iter()
+        .map(|members| prune_item(members, store, config))
+        .collect();
 
     let mut summary = PruneSummary::default();
     for outcome in outcomes {
@@ -410,34 +403,5 @@ mod tests {
             split > 200,
             "vacuous: {split} of 1200 sets lost some points"
         );
-    }
-
-    #[test]
-    fn parallel_and_sequential_pruning_agree() {
-        let (_ds, store) = dataset_with_titles(&[
-            vec!["silver river serenade", "broken mirror anthem"],
-            vec!["silver river serenade live", "makita drill 18v"],
-            vec!["silver river serenade acoustic", "samsung galaxy s21 ultra"],
-        ]);
-        let mk = |rows: &[(u32, u32)]| MergeItem {
-            members: rows.iter().map(|&(s, r)| id(s, r)).collect(),
-            embedding: vec![0.0; store.dim()],
-        };
-        let table = MergedTable {
-            items: vec![mk(&[(0, 0), (1, 0), (2, 0)]), mk(&[(0, 1), (1, 1), (2, 1)])],
-        };
-        let seq_cfg = MultiEmConfig {
-            parallel: false,
-            ..MultiEmConfig::default()
-        };
-        let par_cfg = MultiEmConfig {
-            parallel: true,
-            ..MultiEmConfig::default()
-        };
-        let mut a = prune_merged_table(&table, &store, &seq_cfg).tuples;
-        let mut b = prune_merged_table(&table, &store, &par_cfg).tuples;
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
     }
 }

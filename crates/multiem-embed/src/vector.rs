@@ -50,29 +50,6 @@ pub fn euclidean_distance(a: &[f32], b: &[f32]) -> f32 {
         .sqrt()
 }
 
-/// Mean of a set of vectors; returns a zero vector of `dim` when `rows` is empty.
-pub fn mean_vector<'a, I>(rows: I, dim: usize) -> Vec<f32>
-where
-    I: IntoIterator<Item = &'a [f32]>,
-{
-    let mut acc = vec![0.0f32; dim];
-    let mut count = 0usize;
-    for r in rows {
-        debug_assert_eq!(r.len(), dim);
-        for (a, x) in acc.iter_mut().zip(r) {
-            *a += *x;
-        }
-        count += 1;
-    }
-    if count > 0 {
-        let inv = 1.0 / count as f32;
-        for a in acc.iter_mut() {
-            *a *= inv;
-        }
-    }
-    acc
-}
-
 /// A dense row-major matrix of embeddings.
 ///
 /// Rows are stored contiguously, which keeps the mutual-top-K joins and the
@@ -98,19 +75,6 @@ impl Matrix {
             dim,
             data: Vec::with_capacity(dim * rows),
         }
-    }
-
-    /// Build from a list of equal-length rows.
-    ///
-    /// # Panics
-    /// Panics if rows have inconsistent lengths.
-    pub fn from_rows(rows: &[Vec<f32>]) -> Self {
-        let dim = rows.first().map(|r| r.len()).unwrap_or(0);
-        let mut m = Self::with_capacity(dim, rows.len());
-        for r in rows {
-            m.push_row(r);
-        }
-        m
     }
 
     /// Number of columns per row.
@@ -195,18 +159,11 @@ mod tests {
     }
 
     #[test]
-    fn mean_vector_basic_and_empty() {
-        let rows: Vec<Vec<f32>> = vec![vec![1.0, 3.0], vec![3.0, 5.0]];
-        let m = mean_vector(rows.iter().map(|r| r.as_slice()), 2);
-        assert_eq!(m, vec![2.0, 4.0]);
-        let empty = mean_vector(std::iter::empty(), 3);
-        assert_eq!(empty, vec![0.0; 3]);
-    }
-
-    #[test]
     fn matrix_round_trip() {
-        let rows = vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]];
-        let m = Matrix::from_rows(&rows);
+        let mut m = Matrix::with_capacity(2, 3);
+        for row in [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]] {
+            m.push_row(&row);
+        }
         assert_eq!(m.len(), 3);
         assert_eq!(m.dim(), 2);
         assert_eq!(m.row(1), &[3.0, 4.0]);

@@ -79,20 +79,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Render as a GitHub-flavoured markdown table.
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        if !self.title.is_empty() {
-            out.push_str(&format!("### {}\n\n", self.title));
-        }
-        out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
-        out.push_str(&format!("|{}\n", "---|".repeat(self.headers.len())));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -123,16 +109,5 @@ mod tests {
         assert_eq!(t.rows()[0].len(), 3);
         assert_eq!(t.num_rows(), 1);
         assert!(!t.render().contains("== "));
-    }
-
-    #[test]
-    fn markdown_rendering() {
-        let mut t = TextTable::new("Results", &["x", "y"]);
-        t.add_row(["1", "2"]);
-        let md = t.render_markdown();
-        assert!(md.contains("### Results"));
-        assert!(md.contains("| x | y |"));
-        assert!(md.contains("|---|---|"));
-        assert!(md.contains("| 1 | 2 |"));
     }
 }

@@ -1887,18 +1887,20 @@ mod tests {
         let meb3 = [b"MEB3".as_slice(), &good[4..]].concat();
         let meb4 = [b"MEB4".as_slice(), &good[4..]].concat();
         let meb5 = [b"MEB5".as_slice(), &good[4..]].concat();
+        let meb6 = [b"MEB6".as_slice(), &good[4..]].concat();
         for foreign in [
             &older[..],
             &b"MEB2"[..],
             &meb3[..],
             &meb4[..],
             &meb5[..],
+            &meb6[..],
             &b"MEB9 whatever"[..],
             &b"MEB"[..],
         ] {
             match restore(foreign) {
                 Err(OnlineError::Snapshot(msg)) => {
-                    assert!(msg.contains("MEB6"), "{msg}");
+                    assert!(msg.contains("MEB7"), "{msg}");
                     assert!(
                         foreign.len() < 4 || msg.contains(&format!("MEB{}", foreign[3] as char))
                     );
@@ -1925,18 +1927,18 @@ mod tests {
         // A field added, dropped, renamed or moved below changes what
         // `restore_bytes` reads: bump the version byte of `SNAPSHOT_MAGIC`
         // in the same change as these lists.
-        assert_eq!(wire::SNAPSHOT_MAGIC, b"MEB6");
+        assert_eq!(wire::SNAPSHOT_MAGIC, b"MEB7");
         let (cfg, dir) = disk_config("layout");
         let mut s = EntityStore::new(cfg, HashedLexicalEncoder::default());
         s.init_schema(title_schema()).unwrap();
         s.insert(Record::from_texts(["golden heart river"]))
             .unwrap();
         let bytes = s.snapshot_bytes().unwrap();
-        // The layouts before this one are refused by name: `MEB5` still
-        // carried a selection strategy in `config` and `index_backend`,
-        // `min_pts` and `prune_metric` in `config.base`; `MEB4` a prune
-        // counter and a dirty bit per cluster.
-        for old in ["MEB5", "MEB4"] {
+        // The layouts before this one are refused by name: `MEB6` still
+        // carried `parallel` in `config.base`; `MEB5` a selection strategy
+        // in `config` and `index_backend`, `min_pts` and `prune_metric` in
+        // `config.base`; `MEB4` a prune counter and a dirty bit per cluster.
+        for old in ["MEB6", "MEB5", "MEB4"] {
             let stale = [old.as_bytes(), &bytes[4..]].concat();
             match EntityStore::restore_bytes(&stale, HashedLexicalEncoder::default()) {
                 Err(OnlineError::Snapshot(msg)) => assert!(msg.contains(&format!("`{old}`"))),
@@ -1960,7 +1962,7 @@ mod tests {
         assert_eq!(
             keys(&["config", "base"]),
             "attribute_selection sample_ratio gamma serialize k m merge_metric \
-             hnsw_threshold hnsw merge_seed pruning epsilon parallel"
+             hnsw_threshold hnsw merge_seed pruning epsilon"
         );
         assert_eq!(
             keys(&["records"]),

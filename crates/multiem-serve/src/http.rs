@@ -85,12 +85,6 @@ impl RequestParser {
         self.buf.is_empty()
     }
 
-    /// Whether the parser holds the start of a not-yet-complete request
-    /// (after [`RequestParser::try_next`] has taken every complete one).
-    pub fn has_partial(&self) -> bool {
-        !self.buf.is_empty()
-    }
-
     /// Try to take one complete request out of the buffer. `Ok(None)` means
     /// more bytes are needed; an `InvalidData` error means the peer sent
     /// something that can never become a valid request (the connection
@@ -467,7 +461,7 @@ mod tests {
         parser.feed(b"GET /a HTTP/1.1\r\n\r\nPOST /b HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi");
         let first = parser.try_next().unwrap().unwrap();
         assert_eq!(first.path, "/a");
-        assert!(parser.has_partial());
+        assert!(!parser.is_empty());
         let second = parser.try_next().unwrap().unwrap();
         assert_eq!((second.path.as_str(), &second.body[..]), ("/b", &b"hi"[..]));
         assert!(parser.is_empty());

@@ -30,6 +30,7 @@ use crate::obs::elapsed_ns;
 use crate::sync::{lock_unpoisoned, LockClass, OrderedReadGuard, OrderedRwLock, OrderedWriteGuard};
 use crate::wal::WalOp;
 use multiem_ann::merge_ranked;
+use multiem_embed::hashing::fnv1a64;
 use multiem_embed::EmbeddingModel;
 use multiem_online::{
     EntityStore, OnlineConfig, OnlineError, SegmentStats, StorageStats, StoreStats,
@@ -534,15 +535,7 @@ pub fn route_token(record: &Record) -> String {
 /// Stable FNV-1a 64 over a record's routing key (see [`route_token`]).
 /// Records with no non-empty value hash their (empty) key to a fixed shard.
 fn record_route_hash(record: &Record) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    let token = route_token(record);
-    for byte in token.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
+    fnv1a64(route_token(record).as_bytes())
 }
 
 #[cfg(test)]
@@ -602,6 +595,30 @@ mod tests {
             seen.insert(store.shard_of(&Record::from_texts([format!("item{i} number")])));
         }
         assert!(seen.len() > 1);
+    }
+
+    /// The shard a record routes to at 2, 4 and 7 shards. WALs and
+    /// manifests name records by shard, so these may never move.
+    #[test]
+    fn routing_is_pinned() {
+        let records = [
+            vec!["apple iphone 8 plus 64gb silver"],
+            vec!["Bosch drill 18v"],
+            vec!["", "  samsung galaxy s21"],
+            vec!["LENOVO thinkpad x1"],
+            vec![""],
+        ];
+        let found: Vec<[usize; 3]> = records
+            .iter()
+            .map(|texts| {
+                let record = Record::from_texts(texts.iter().copied());
+                [2, 4, 7].map(|n| sharded(n).shard_of(&record))
+            })
+            .collect();
+        assert_eq!(
+            found,
+            [[1, 3, 1], [0, 0, 1], [1, 3, 4], [0, 2, 4], [1, 1, 2]]
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Records (entities): one row of a source table.
 
-use crate::schema::{AttrId, Schema};
+use crate::schema::AttrId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -94,7 +94,7 @@ impl fmt::Display for Value {
     }
 }
 
-/// One entity: an ordered vector of attribute values aligned with a [`Schema`].
+/// One entity: an ordered vector of attribute values aligned with a [`Schema`](crate::schema::Schema).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Record {
     values: Vec<Value>,
@@ -133,21 +133,11 @@ impl Record {
         self.values.get(attr)
     }
 
-    /// Value looked up by attribute name via the schema.
-    pub fn value_by_name<'a>(&'a self, schema: &Schema, name: &str) -> Option<&'a Value> {
-        schema.attr_id(name).and_then(|id| self.values.get(id))
-    }
-
     /// Replace the value at `attr`, returning the previous value.
     pub fn set_value(&mut self, attr: AttrId, value: Value) -> Option<Value> {
         self.values
             .get_mut(attr)
             .map(|slot| std::mem::replace(slot, value))
-    }
-
-    /// Number of non-empty values.
-    pub fn non_empty_count(&self) -> usize {
-        self.values.iter().filter(|v| !v.is_empty()).count()
     }
 }
 
@@ -172,14 +162,8 @@ mod tests {
 
     #[test]
     fn record_accessors() {
-        let schema = Schema::new(["title", "artist"]);
         let mut r = Record::from_texts(["Chameleon", "Tim O'Brien"]);
         assert_eq!(r.arity(), 2);
-        assert_eq!(
-            r.value_by_name(&schema, "artist").unwrap().render(),
-            "Tim O'Brien"
-        );
-        assert_eq!(r.value_by_name(&schema, "missing"), None);
 
         let old = r.set_value(0, Value::Text("Hitmen".into())).unwrap();
         assert_eq!(old.render(), "Chameleon");
@@ -192,15 +176,5 @@ mod tests {
         assert_eq!(Value::from("a"), Value::Text("a".into()));
         assert_eq!(Value::from(3i64), Value::Number(3.0));
         assert_eq!(Value::from(2.5f64), Value::Number(2.5));
-    }
-
-    #[test]
-    fn non_empty_count_ignores_nulls() {
-        let r = Record::new(vec![
-            Value::Null,
-            Value::Text("x".into()),
-            Value::Text(String::new()),
-        ]);
-        assert_eq!(r.non_empty_count(), 1);
     }
 }

@@ -1,7 +1,6 @@
 //! Source tables: a named collection of records sharing a schema.
 
 use crate::error::TableError;
-use crate::ids::SourceId;
 use crate::record::Record;
 use crate::schema::Schema;
 use crate::Result;
@@ -104,15 +103,6 @@ impl Table {
         }
         bytes
     }
-}
-
-/// A lightweight handle pairing a table with its dataset-assigned source id.
-#[derive(Debug, Clone, Copy)]
-pub struct SourceTable<'a> {
-    /// Dataset-assigned source id.
-    pub source: SourceId,
-    /// The table itself.
-    pub table: &'a Table,
 }
 
 #[cfg(test)]

@@ -67,24 +67,21 @@ fn main() {
     }
 
     // MultiEM itself.
-    for (label, parallel) in [("MultiEM", false), ("MultiEM (parallel)", true)] {
-        let config = MultiEmConfig {
-            m: 0.35,
-            parallel,
-            ..MultiEmConfig::default()
-        };
-        let pipeline = MultiEm::new(config, HashedLexicalEncoder::default());
-        let start = Instant::now();
-        let output = pipeline.run(dataset).expect("pipeline runs");
-        let elapsed = start.elapsed();
-        let report = evaluate(&output.tuples, gt);
-        let (_, _, f1) = report.tuple.as_percentages();
-        let (_, _, pf1) = report.pair.as_percentages();
-        println!(
-            "{:<22} {f1:>7.1} {pf1:>7.1} {:>9} {:>10}",
-            label,
-            output.tuples.len(),
-            multiem::eval::format_duration(elapsed)
-        );
-    }
+    let config = MultiEmConfig {
+        m: 0.35,
+        ..MultiEmConfig::default()
+    };
+    let pipeline = MultiEm::new(config, HashedLexicalEncoder::default());
+    let start = Instant::now();
+    let output = pipeline.run(dataset).expect("pipeline runs");
+    let elapsed = start.elapsed();
+    let report = evaluate(&output.tuples, gt);
+    let (_, _, f1) = report.tuple.as_percentages();
+    let (_, _, pf1) = report.pair.as_percentages();
+    println!(
+        "{:<22} {f1:>7.1} {pf1:>7.1} {:>9} {:>10}",
+        "MultiEM",
+        output.tuples.len(),
+        multiem::eval::format_duration(elapsed)
+    );
 }

@@ -1,10 +1,10 @@
-//! Person-record linkage at a larger scale, sequential vs parallel.
+//! Person-record linkage at a larger scale.
 //!
 //! The Person benchmark of the paper is administrative data (given name,
 //! surname, suburb, postcode) spread over five sources. This example runs the
-//! pipeline on a scaled-down analogue in both execution modes and reports the
-//! per-phase running times (the data behind Figure 5 and the
-//! MultiEM / MultiEM (parallel) rows of Table V).
+//! pipeline once on a scaled-down analogue and reports the per-phase running
+//! times (the data behind Figure 5). The one-thread and full-width rows of
+//! Table V come from the `exhibits` binary of `multiem-bench`.
 //!
 //! ```bash
 //! cargo run --release --example person_records
@@ -28,39 +28,31 @@ fn main() {
         dataset.ground_truth().map(|g| g.len()).unwrap_or(0)
     );
 
-    for parallel in [false, true] {
-        let label = if parallel {
-            "MultiEM (parallel)"
-        } else {
-            "MultiEM"
-        };
-        let config = MultiEmConfig {
-            m: 0.2,
-            sample_ratio: 0.05,
-            parallel,
-            ..MultiEmConfig::default()
-        };
-        let pipeline = MultiEm::new(config, HashedLexicalEncoder::default());
-        let output = pipeline.run(dataset).expect("pipeline runs");
-        let report = evaluate(
-            &output.tuples,
-            dataset.ground_truth().expect("ground truth"),
-        );
-        let (_, _, f1) = report.tuple.as_percentages();
-        let (_, _, pf1) = report.pair.as_percentages();
+    let config = MultiEmConfig {
+        m: 0.2,
+        sample_ratio: 0.05,
+        ..MultiEmConfig::default()
+    };
+    let pipeline = MultiEm::new(config, HashedLexicalEncoder::default());
+    let output = pipeline.run(dataset).expect("pipeline runs");
+    let report = evaluate(
+        &output.tuples,
+        dataset.ground_truth().expect("ground truth"),
+    );
+    let (_, _, f1) = report.tuple.as_percentages();
+    let (_, _, pf1) = report.pair.as_percentages();
 
-        println!("\n== {label} ==");
-        println!("total time: {}", fmt(output.total_time));
-        for (phase, d) in output.phases.as_pairs() {
-            println!("  phase {phase}: {}", fmt(d));
-        }
-        println!(
-            "memory (accounted): {}",
-            multiem::eval::format_bytes(output.total_memory_bytes())
-        );
-        println!(
-            "tuples predicted: {}   F1 {f1:.1}   pair-F1 {pf1:.1}",
-            output.tuples.len()
-        );
+    println!("\n== MultiEM ==");
+    println!("total time: {}", fmt(output.total_time));
+    for (phase, d) in output.phases.as_pairs() {
+        println!("  phase {phase}: {}", fmt(d));
     }
+    println!(
+        "memory (accounted): {}",
+        multiem::eval::format_bytes(output.total_memory_bytes())
+    );
+    println!(
+        "tuples predicted: {}   F1 {f1:.1}   pair-F1 {pf1:.1}",
+        output.tuples.len()
+    );
 }

@@ -68,25 +68,23 @@ fn ablations_degrade_music_quality() {
     );
 }
 
+/// A run inside a one-thread pool is single-threaded: every parallel map of
+/// the pipeline runs on its caller. It finds the same tuples as a run at the
+/// machine's width.
 #[test]
-fn parallel_mode_reproduces_sequential_output_on_all_domains() {
+fn a_one_thread_run_matches_a_full_width_run_on_all_domains() {
+    let one_thread = rayon::ThreadPool::new(1);
     for (name, scale) in [("geo", 0.05), ("music-20", 0.01), ("shopee", 0.01)] {
         let data = multiem::datagen::benchmark_dataset(name, scale).expect("preset exists");
-        let seq = MultiEmConfig {
+        let config = MultiEmConfig {
             m: 0.35,
-            parallel: false,
             ..MultiEmConfig::default()
         };
-        let par = MultiEmConfig {
-            m: 0.35,
-            parallel: true,
-            ..MultiEmConfig::default()
-        };
-        let (mut out_seq, _) = run(&data.dataset, seq);
-        let (mut out_par, _) = run(&data.dataset, par);
-        out_seq.tuples.sort();
-        out_par.tuples.sort();
-        assert_eq!(out_seq.tuples, out_par.tuples, "parallel differs on {name}");
+        let (mut single, _) = one_thread.install(|| run(&data.dataset, config.clone()));
+        let (mut full, _) = run(&data.dataset, config);
+        single.tuples.sort();
+        full.tuples.sort();
+        assert_eq!(single.tuples, full.tuples, "one thread differs on {name}");
     }
 }
 
