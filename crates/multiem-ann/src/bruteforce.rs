@@ -9,7 +9,7 @@
 //! search is a filtered one that accepts every row.
 
 use crate::metric::Metric;
-use crate::{for_each_group, DynamicVectorIndex, Neighbor, Rows, StateField, TopK, VectorIndex};
+use crate::{for_each_group, Neighbor, Rows, StateField, TopK, VectorIndex};
 use serde::{Deserialize, Serialize};
 
 /// Exact nearest-neighbour index backed by a flat array of vectors.
@@ -144,12 +144,6 @@ impl Deserialize for BruteForceIndex {
             data,
             norms,
         })
-    }
-}
-
-impl DynamicVectorIndex for BruteForceIndex {
-    fn insert(&mut self, vector: &[f32]) -> usize {
-        self.add(vector)
     }
 }
 
@@ -316,7 +310,7 @@ pub(crate) mod tests {
         let (dim, vectors, queries) = tie_heavy_fixture();
         let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
 
-        for metric in [Metric::Cosine, Metric::Euclidean, Metric::InnerProduct] {
+        for metric in [Metric::Cosine, Metric::Euclidean] {
             let built =
                 BruteForceIndex::from_vectors(dim, metric, vectors.iter().map(Vec::as_slice));
             let value = built.to_value();
@@ -368,7 +362,7 @@ pub(crate) mod tests {
             ("five live", |i| [0, 7, 40, 41, 113].contains(&i)),
         ];
         assert_eq!(crate::GROUP, 4, "the masks straddle the group size");
-        for metric in [Metric::Cosine, Metric::Euclidean, Metric::InnerProduct] {
+        for metric in [Metric::Cosine, Metric::Euclidean] {
             let idx = BruteForceIndex::from_vectors(dim, metric, vectors.iter().map(Vec::as_slice));
             for (name, keep) in &masks {
                 let live = (0..n).filter(|&i| keep(i)).count();

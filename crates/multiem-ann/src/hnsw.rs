@@ -10,7 +10,7 @@
 //! the sensitivity experiments (Figure 6(b)) reproducible.
 
 use crate::metric::Metric;
-use crate::{for_each_group, DynamicVectorIndex, Neighbor, Rows, StateField, VectorIndex};
+use crate::{for_each_group, Neighbor, Rows, StateField, VectorIndex};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -661,12 +661,6 @@ impl Deserialize for HnswIndex {
     }
 }
 
-impl DynamicVectorIndex for HnswIndex {
-    fn insert(&mut self, vector: &[f32]) -> usize {
-        self.add(vector)
-    }
-}
-
 impl VectorIndex for HnswIndex {
     fn dim(&self) -> usize {
         self.dim
@@ -761,7 +755,7 @@ mod tests {
 
     #[test]
     fn graph_distances_agree_with_metric_distance() {
-        for metric in [Metric::Cosine, Metric::Euclidean, Metric::InnerProduct] {
+        for metric in [Metric::Cosine, Metric::Euclidean] {
             for dim in [384, 13] {
                 let vectors = clustered_unit_vectors(4, 5, dim, 31);
                 let idx = HnswIndex::build(
@@ -840,7 +834,7 @@ mod tests {
         let fixtures = [
             (Metric::Cosine, clustered_unit_vectors(12, 30, 384, 3)),
             (Metric::Euclidean, random_vectors(400, 13, 5)),
-            (Metric::InnerProduct, random_vectors(300, 8, 7)),
+            (Metric::Cosine, random_vectors(300, 8, 7)),
         ];
         for (metric, vectors) in fixtures {
             let dim = vectors[0].len();
@@ -1239,16 +1233,5 @@ mod tests {
         // Data length inconsistent with dim * nodes.
         let bad = json.replace("\"dim\":4", "\"dim\":5");
         assert!(serde_json::from_str::<HnswIndex>(&bad).is_err());
-    }
-
-    #[test]
-    fn dynamic_insert_trait_matches_inherent_add() {
-        use crate::DynamicVectorIndex;
-        let mut a = HnswIndex::new(2, Metric::Euclidean, HnswConfig::small());
-        let mut b = HnswIndex::new(2, Metric::Euclidean, HnswConfig::small());
-        for v in [[0.0f32, 0.0], [1.0, 0.0], [0.0, 1.0]] {
-            assert_eq!(a.add(&v), DynamicVectorIndex::insert(&mut b, &v));
-        }
-        assert_eq!(a.search(&[0.1, 0.1], 3), b.search(&[0.1, 0.1], 3));
     }
 }

@@ -5,9 +5,7 @@
 //! brute-force or an HNSW index" — this enum, which serializes as part of
 //! the store's snapshot.
 
-use crate::{
-    BruteForceIndex, DynamicVectorIndex, HnswConfig, HnswIndex, Metric, Neighbor, VectorIndex,
-};
+use crate::{BruteForceIndex, HnswConfig, HnswIndex, Metric, Neighbor, VectorIndex};
 use serde::{Deserialize, Serialize};
 
 /// One field of an index's serialized state ([`AnnIndex::state_fields`]).
@@ -47,6 +45,20 @@ impl AnnIndex {
         }
     }
 
+    /// Insert a vector, returning its storage index: an append on the exact
+    /// backend, an `O(log N)` graph insertion on HNSW (the graph is built
+    /// incrementally anyway), which is what lets the online store grow its
+    /// representative index record by record.
+    ///
+    /// # Panics
+    /// If `vector.len() != self.dim()`.
+    pub fn insert(&mut self, vector: &[f32]) -> usize {
+        match self {
+            AnnIndex::Brute(i) => i.add(vector),
+            AnnIndex::Hnsw(i) => i.add(vector),
+        }
+    }
+
     /// Whether this is the HNSW backend.
     pub fn is_hnsw(&self) -> bool {
         matches!(self, AnnIndex::Hnsw(_))
@@ -66,15 +78,6 @@ impl AnnIndex {
         match self {
             AnnIndex::Brute(i) => i,
             AnnIndex::Hnsw(i) => i.as_ref(),
-        }
-    }
-}
-
-impl DynamicVectorIndex for AnnIndex {
-    fn insert(&mut self, vector: &[f32]) -> usize {
-        match self {
-            AnnIndex::Brute(i) => i.add(vector),
-            AnnIndex::Hnsw(i) => i.add(vector),
         }
     }
 }

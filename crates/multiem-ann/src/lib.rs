@@ -5,7 +5,7 @@
 //! exactly or through an ANN index over each table. The paper uses hnswlib;
 //! this crate provides:
 //!
-//! * [`Metric`] — cosine / Euclidean / inner-product distances;
+//! * [`Metric`] — cosine / Euclidean distances;
 //! * [`BruteForceIndex`] — exact k-NN, used for small inputs and as the
 //!   correctness oracle in tests and recall benchmarks;
 //! * [`HnswIndex`] — a from-scratch implementation of Hierarchical Navigable
@@ -249,20 +249,6 @@ pub(crate) fn row_norms(owner: &str, data: &[f32], dim: usize) -> Result<Vec<f32
         .chunks_exact(dim.max(1))
         .map(Metric::squared_norm)
         .collect())
-}
-
-/// Vector indexes that support online insertion after construction.
-///
-/// [`BruteForceIndex`], [`HnswIndex`] and [`AnnIndex`] implement this: HNSW insertion
-/// is `O(log N)` (the graph is built incrementally anyway), which is what the
-/// streaming entity store in `multiem-online` relies on.
-pub trait DynamicVectorIndex: VectorIndex {
-    /// Insert a vector into the (possibly already built) index, returning its
-    /// storage index.
-    ///
-    /// # Panics
-    /// Implementations panic if `vector.len() != self.dim()`.
-    fn insert(&mut self, vector: &[f32]) -> usize;
 }
 
 /// Common interface over exact and approximate vector indexes.

@@ -13,8 +13,6 @@ pub enum Metric {
     Cosine,
     /// Euclidean (L2) distance.
     Euclidean,
-    /// Negative inner product (so that smaller is closer).
-    InnerProduct,
 }
 
 impl Metric {
@@ -40,16 +38,14 @@ impl Metric {
                 .map(|(x, y)| (x - y) * (x - y))
                 .sum::<f32>()
                 .sqrt(),
-            Metric::InnerProduct => -a.iter().zip(b).map(|(x, y)| x * y).sum::<f32>(),
         }
     }
 
     /// [`Metric::distance`] with **both** squared norms precomputed, leaving
-    /// one lane-unrolled pass per pair: a dot product for
-    /// [`Metric::Cosine`] / [`Metric::InnerProduct`], a sum of squared
-    /// differences for [`Metric::Euclidean`] (the norm-expanded form
-    /// `na + nb - 2·dot` cancels catastrophically for near-duplicates, so
-    /// the norms are only used by cosine).
+    /// one lane-unrolled pass per pair: a dot product for [`Metric::Cosine`],
+    /// a sum of squared differences for [`Metric::Euclidean`] (the
+    /// norm-expanded form `na + nb - 2·dot` cancels catastrophically for
+    /// near-duplicates, so the norms are only used by cosine).
     ///
     /// Each index caches one squared norm per stored vector (`nb`) and
     /// computes the query's (`na`) once per search. Agrees with `distance`
@@ -104,7 +100,6 @@ impl Metric {
             Metric::Euclidean => {
                 tile_sum(a, b, |x, y| (x - y) * (x - y)).map(|row| row.map(f32::sqrt))
             }
-            Metric::InnerProduct => tile_sum(a, b, |x, y| x * y).map(|row| row.map(|dot| -dot)),
         }
     }
 
@@ -223,7 +218,6 @@ impl Metric {
         match self {
             Metric::Cosine => "cosine",
             Metric::Euclidean => "euclidean",
-            Metric::InnerProduct => "inner-product",
         }
     }
 }
@@ -250,14 +244,6 @@ mod tests {
         let m = Metric::Euclidean;
         assert!((m.distance(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-6);
         assert_eq!(m.distance(&[1.0, 1.0], &[1.0, 1.0]), 0.0);
-    }
-
-    #[test]
-    fn inner_product_is_negated() {
-        let m = Metric::InnerProduct;
-        assert_eq!(m.distance(&[1.0, 2.0], &[3.0, 4.0]), -11.0);
-        // Larger inner product = smaller (more negative) distance.
-        assert!(m.distance(&[1.0, 0.0], &[5.0, 0.0]) < m.distance(&[1.0, 0.0], &[1.0, 0.0]));
     }
 
     /// The pair kernel as it stood before the tile: eight lanes filled in
@@ -288,7 +274,6 @@ mod tests {
                 (1.0 - dot(a, b) / (na.sqrt() * nb.sqrt())).max(0.0)
             }
             Metric::Euclidean => lane_sum(a, b, |x, y| (x - y) * (x - y)).sqrt(),
-            Metric::InnerProduct => -dot(a, b),
         }
     }
 
@@ -322,7 +307,7 @@ mod tests {
             let b: [&[f32]; C] = std::array::from_fn(|c| right[c].as_slice());
             let na = a.map(Metric::squared_norm);
             let nb = b.map(Metric::squared_norm);
-            for metric in [Metric::Cosine, Metric::Euclidean, Metric::InnerProduct] {
+            for metric in [Metric::Cosine, Metric::Euclidean] {
                 let tile = metric.distance_tile(a, b, na, nb);
                 for r in 0..R {
                     for c in 0..C {
@@ -383,7 +368,6 @@ mod tests {
     fn names() {
         assert_eq!(Metric::Cosine.name(), "cosine");
         assert_eq!(Metric::Euclidean.name(), "euclidean");
-        assert_eq!(Metric::InnerProduct.name(), "inner-product");
         assert_eq!(Metric::default(), Metric::Cosine);
     }
 }

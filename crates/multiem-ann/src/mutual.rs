@@ -442,7 +442,7 @@ mod tests {
     use crate::bruteforce::BruteForceIndex;
     use crate::hnsw::{HnswConfig, HnswIndex};
     use crate::metric::Metric;
-    use crate::{AnnIndex, DynamicVectorIndex};
+    use crate::AnnIndex;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -625,7 +625,7 @@ mod tests {
         let lengths = [0, 1, 3, 4, 5, BLOCK + 1, 2 * BLOCK + 3, right.len()];
 
         let mut compared = 0;
-        for metric in [Metric::Cosine, Metric::Euclidean, Metric::InnerProduct] {
+        for metric in [Metric::Cosine, Metric::Euclidean] {
             for &nl in lengths.iter().chain(&[left.len()]) {
                 for &nr in &lengths {
                     let (left, right) = (slices(&left[..nl]), slices(&right[..nr]));

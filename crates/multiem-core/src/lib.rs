@@ -53,7 +53,7 @@ pub mod representation;
 pub use config::MultiEmConfig;
 pub use error::MultiEmError;
 pub use merging::{
-    hierarchical_merge, hierarchical_merge_store, two_table_merge, MergeItem, MergedTable,
+    hierarchical_merge, hierarchical_merge_store, representative, MergeItem, MergedTable,
     StoreMergeOutput,
 };
 pub use pipeline::{MultiEm, MultiEmOutput, PhaseBreakdown};

@@ -12,7 +12,12 @@
 //!    graph over each,
 //! 2. finds all **mutual top-K** item pairs with distance ≤ `m` (Eq. 1),
 //! 3. fuses matched items through transitivity (union-find) into new items,
-//!    carrying every unmatched item into the output table unchanged.
+//!    carrying every unmatched item into the output table unchanged. A fused
+//!    item's embedding is the [`representative`] of its members' rows: their
+//!    sum in ascending [`EntityId`] order, L2-normalised, i.e. the normalised
+//!    centroid of the members. The online store computes its clusters'
+//!    representatives with the same function over the same order, so a
+//!    member set has the same embedding, bit for bit, in either.
 //!
 //! Hierarchical merging (Algorithm 2) repeatedly pairs up the current tables
 //! (in a seeded random order) and merges each pair until a single integrated
@@ -26,17 +31,16 @@
 //! its caller, so that would give each join one thread and make the level
 //! wait for its largest merge.
 //!
-//! Every vector is held once. A run's items carry their members and the id
-//! of a row in one arena: an entity's own row is borrowed from where the
-//! caller keeps it (the [`EmbeddingStore`] for [`hierarchical_merge_store`],
-//! the input items for [`hierarchical_merge`]), a fused item's
-//! representative is appended once with its squared norm, and a carried item
-//! moves into the next table by its member list.
+//! Every vector is held once. A run's items carry the id of a row in one
+//! arena and their members, each beside the row it entered the run with: an
+//! entity's own row is borrowed from where the caller keeps it (the
+//! [`EmbeddingStore`] for [`hierarchical_merge_store`], the input items for
+//! [`hierarchical_merge`]), a fused item's representative is appended once
+//! with its squared norm, and a carried item moves into the next table by
+//! its member list.
 
 use crate::config::MultiEmConfig;
-use multiem_ann::{
-    mutual_top_k, mutual_top_k_exact, DynamicVectorIndex, Metric, MutualMatch, RowRefs, VectorIndex,
-};
+use multiem_ann::{mutual_top_k, mutual_top_k_exact, Metric, MutualMatch, RowRefs, VectorIndex};
 use multiem_cluster::UnionFind;
 use multiem_embed::l2_normalize;
 use multiem_table::{Dataset, EntityId, MatchTuple};
@@ -56,7 +60,8 @@ use crate::representation::EmbeddingStore;
 pub struct MergeItem {
     /// The entities merged into this item so far.
     pub members: Vec<EntityId>,
-    /// Normalised centroid embedding used for subsequent merges.
+    /// The embedding used for subsequent merges: for an item a merge fused,
+    /// the [`representative`] of its members' rows.
     pub embedding: Vec<f32>,
 }
 
@@ -153,12 +158,19 @@ fn source_rows<'s>(
     })
 }
 
-/// One item inside a run: its members and the id of its row in the
-/// run's [`Arena`].
+/// One item inside a run: the id of its row in the run's [`Arena`] and its
+/// members, each beside the arena row it entered the run with.
 #[derive(Debug, Default)]
 struct Item {
-    members: Vec<EntityId>,
+    members: Vec<(EntityId, usize)>,
     row: usize,
+}
+
+impl Item {
+    /// The member ids, without their rows.
+    fn ids(self) -> Vec<EntityId> {
+        self.members.into_iter().map(|(id, _)| id).collect()
+    }
 }
 
 /// Every row a run's items point at, each beside its squared norm
@@ -210,38 +222,32 @@ impl<'a> Arena<'a> {
     }
 }
 
-/// The member-count-weighted mean of `items`' rows, normalised: the
-/// representative of a fused item.
-fn centroid(arena: &Arena<'_>, items: &[&Item], out: &mut Vec<f32>) {
-    let start = out.len();
-    out.resize(start + arena.dim, 0.0);
-    let acc = &mut out[start..];
-    let mut total = 0usize;
-    for item in items {
-        let w = item.members.len();
-        total += w;
-        for (a, x) in acc.iter_mut().zip(arena.row(item.row)) {
-            *a += *x * w as f32;
+/// The representative of an item whose members' rows are `points`: their
+/// sum, taken in the order given, L2-normalised — the normalised centroid of
+/// the members (Algorithm 3). The one rule for a fused item's embedding:
+/// the batch merger calls it over a fused item's members in ascending
+/// [`EntityId`] order, the online store over a cluster's members in
+/// ascending sequence order, which is the same order. A zero sum stays zero.
+pub fn representative(dim: usize, points: &[&[f32]]) -> Vec<f32> {
+    let mut sum = vec![0.0f32; dim];
+    for &point in points {
+        for (a, x) in sum.iter_mut().zip(point) {
+            *a += *x;
         }
     }
-    if total > 0 {
-        let inv = 1.0 / total as f32;
-        for a in acc.iter_mut() {
-            *a *= inv;
-        }
-    }
-    l2_normalize(acc);
+    l2_normalize(&mut sum);
+    sum
 }
 
 /// Statistics of one two-table merge (used for diagnostics and memory accounting).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MergeStats {
+struct MergeStats {
     /// Number of mutual matched pairs found (|P_m| in Algorithm 3).
-    pub matched_pairs: usize,
+    matched_pairs: usize,
     /// Peak search memory of the merge: for an exact merge the two sides'
     /// row references and norms plus the join's top-K tables (no row is
     /// copied); for an HNSW merge the two graphs, rows included.
-    pub index_bytes: usize,
+    index_bytes: usize,
 }
 
 /// The mutual matches of two tables' items, and the merge's search memory.
@@ -286,17 +292,19 @@ fn join(
 }
 
 /// What one merge decided, before its output table is assembled: the item
-/// groups (indexes into the left items, then the right ones), the rows of
-/// its fused groups in group order, and its statistics.
+/// groups (indexes into the left items, then the right ones), the members
+/// (ascending) and rows of its fused groups in group order, and its
+/// statistics.
 struct Fusion {
     groups: Vec<Vec<usize>>,
+    members: Vec<Vec<(EntityId, usize)>>,
     rows: Vec<f32>,
     norms: Vec<f32>,
     stats: MergeStats,
 }
 
 /// Algorithm 3 on two tables, reading the arena: match, union, and compute
-/// every fused group's representative.
+/// every fused group's [`representative`] from its members' rows.
 fn fuse(arena: &Arena<'_>, left: &[Item], right: &[Item], config: &MultiEmConfig) -> Fusion {
     let (matches, index_bytes) = if left.is_empty() || right.is_empty() {
         (Vec::new(), 0)
@@ -313,14 +321,23 @@ fn fuse(arena: &Arena<'_>, left: &[Item], right: &[Item], config: &MultiEmConfig
         None => &left[i],
         Some(r) => &right[r],
     };
-    let (mut rows, mut norms) = (Vec::new(), Vec::new());
+    let (mut members, mut rows, mut norms) = (Vec::new(), Vec::new(), Vec::new());
     for group in groups.iter().filter(|g| g.len() > 1) {
-        let items: Vec<&Item> = group.iter().map(|&i| item(i)).collect();
-        centroid(arena, &items, &mut rows);
-        norms.push(Metric::squared_norm(&rows[rows.len() - arena.dim..]));
+        let mut fused: Vec<(EntityId, usize)> = group
+            .iter()
+            .flat_map(|&i| item(i).members.iter().copied())
+            .collect();
+        fused.sort_unstable();
+        fused.dedup_by_key(|&mut (id, _)| id);
+        let points: Vec<&[f32]> = fused.iter().map(|&(_, row)| arena.row(row)).collect();
+        let row = representative(arena.dim, &points);
+        norms.push(Metric::squared_norm(&row));
+        rows.extend_from_slice(&row);
+        members.push(fused);
     }
     Fusion {
         groups,
+        members,
         rows,
         norms,
         stats: MergeStats {
@@ -335,24 +352,15 @@ fn fuse(arena: &Arena<'_>, left: &[Item], right: &[Item], config: &MultiEmConfig
 /// fused rows are appended to.
 fn assemble(arena: &mut Arena<'_>, left: Vec<Item>, right: Vec<Item>, fusion: Fusion) -> Vec<Item> {
     let mut all: Vec<Item> = left.into_iter().chain(right).collect();
-    let mut next_row = arena.len();
+    let mut fused = fusion.members.into_iter().zip(arena.len()..);
     let items = fusion
         .groups
         .iter()
-        .map(|group| {
-            if let [only] = group[..] {
-                return std::mem::take(&mut all[only]);
-            }
-            let mut members: Vec<EntityId> = group
-                .iter()
-                .flat_map(|&i| all[i].members.iter().copied())
-                .collect();
-            members.sort_unstable();
-            members.dedup();
-            next_row += 1;
-            Item {
-                members,
-                row: next_row - 1,
+        .map(|group| match group[..] {
+            [only] => std::mem::take(&mut all[only]),
+            _ => {
+                let (members, row) = fused.next().expect("one member list per fused group");
+                Item { members, row }
             }
         })
         .collect();
@@ -425,10 +433,11 @@ fn borrow_tables<'t>(
                 .items
                 .iter()
                 .map(|item| {
+                    let row = base.len();
                     base.push(item.embedding.as_slice());
                     Item {
-                        members: item.members.clone(),
-                        row: base.len() - 1,
+                        members: item.members.iter().map(|&id| (id, row)).collect(),
+                        row,
                     }
                 })
                 .collect()
@@ -443,35 +452,10 @@ fn copy_out(items: Vec<Item>, arena: &Arena<'_>) -> MergedTable {
         .into_iter()
         .map(|item| MergeItem {
             embedding: arena.row(item.row).to_vec(),
-            members: item.members,
+            members: item.ids(),
         })
         .collect();
     MergedTable { items }
-}
-
-/// Merge two tables (Algorithm 3). Returns the merged table and statistics.
-pub fn two_table_merge_with_stats(
-    left: &MergedTable,
-    right: &MergedTable,
-    config: &MultiEmConfig,
-    dim: usize,
-) -> (MergedTable, MergeStats) {
-    let (tables, mut arena) = borrow_tables([left, right], dim);
-    let [left, right]: [Vec<Item>; 2] = tables.try_into().expect("two tables");
-    let fusion = fuse(&arena, &left, &right, config);
-    let stats = fusion.stats;
-    let items = assemble(&mut arena, left, right, fusion);
-    (copy_out(items, &arena), stats)
-}
-
-/// Merge two tables (Algorithm 3).
-pub fn two_table_merge(
-    left: &MergedTable,
-    right: &MergedTable,
-    config: &MultiEmConfig,
-    dim: usize,
-) -> MergedTable {
-    two_table_merge_with_stats(left, right, config, dim).0
 }
 
 /// Outcome of the hierarchical merging phase.
@@ -481,8 +465,9 @@ pub struct HierarchicalMergeOutput {
     pub integrated: MergedTable,
     /// Number of hierarchy levels executed (`⌈log2 S⌉` for S source tables).
     pub levels: usize,
-    /// Peak search memory across all two-table merges
-    /// ([`MergeStats::index_bytes`]).
+    /// Peak search memory across all two-table merges: for an exact merge
+    /// the two sides' row references and norms plus the join's top-K tables,
+    /// for an HNSW merge the two graphs, rows included.
     pub peak_index_bytes: usize,
     /// Total mutual matched pairs across all merges.
     pub total_matched_pairs: usize,
@@ -491,8 +476,11 @@ pub struct HierarchicalMergeOutput {
 /// Table-wise hierarchical merging (Algorithm 2).
 ///
 /// Tables are paired in a seeded random order at every level; each pair is
-/// merged as [`two_table_merge`] merges it, one pair after another, until one
-/// table remains. The input items' embeddings are the run's base rows; only
+/// merged by Algorithm 3, one pair after another, until one table remains;
+/// two tables are one level of one merge. The input items' embeddings are
+/// the run's base rows, and a member's row is the embedding of the input
+/// item it came in with: a fused item's embedding is the [`representative`]
+/// of those rows, so a multi-member input item counts once per member. Only
 /// the integrated table's rows are copied, into its items.
 pub fn hierarchical_merge(
     tables: Vec<MergedTable>,
@@ -517,8 +505,9 @@ pub struct StoreMergeOutput {
     pub members: Vec<Vec<EntityId>>,
     /// Number of hierarchy levels executed (`⌈log2 S⌉` for S source tables).
     pub levels: usize,
-    /// Peak search memory across all two-table merges
-    /// ([`MergeStats::index_bytes`]).
+    /// Peak search memory across all two-table merges: for an exact merge
+    /// the two sides' row references and norms plus the join's top-K tables,
+    /// for an HNSW merge the two graphs, rows included.
     pub peak_index_bytes: usize,
     /// Total mutual matched pairs across all merges.
     pub total_matched_pairs: usize,
@@ -561,10 +550,11 @@ pub fn hierarchical_merge_store(
         .map(|source| {
             source_rows(dataset, source, store)
                 .map(|(id, emb)| {
+                    let row = base.len();
                     base.push(emb);
                     Item {
-                        members: vec![id],
-                        row: base.len() - 1,
+                        members: vec![(id, row)],
+                        row,
                     }
                 })
                 .collect()
@@ -573,7 +563,7 @@ pub fn hierarchical_merge_store(
     let mut arena = Arena::new(store.dim(), base);
     let run = run(tables, &mut arena, config);
     StoreMergeOutput {
-        members: run.items.into_iter().map(|item| item.members).collect(),
+        members: run.items.into_iter().map(Item::ids).collect(),
         levels: run.levels,
         peak_index_bytes: run.peak_index_bytes,
         total_matched_pairs: run.total_matched_pairs,
@@ -603,8 +593,20 @@ pub(crate) mod tests {
         }
     }
 
+    /// One merge of two tables: a hierarchical merge of two is one level.
+    fn merge_two(
+        left: &MergedTable,
+        right: &MergedTable,
+        config: &MultiEmConfig,
+        dim: usize,
+    ) -> HierarchicalMergeOutput {
+        let out = hierarchical_merge(vec![left.clone(), right.clone()], config, dim);
+        assert!(out.levels <= 1);
+        out
+    }
+
     #[test]
-    fn two_table_merge_fuses_mutual_neighbors() {
+    fn a_merge_fuses_mutual_neighbors() {
         let left = MergedTable {
             items: vec![
                 item((0, 0), vec![1.0, 0.0, 0.0]),
@@ -617,7 +619,7 @@ pub(crate) mod tests {
                 item((1, 1), vec![0.0, 0.0, 1.0]),
             ],
         };
-        let merged = two_table_merge(&left, &right, &config(), 3);
+        let merged = merge_two(&left, &right, &config(), 3).integrated;
         // (0,0) matches (1,0); the other two stay singletons.
         assert_eq!(merged.len(), 3);
         let tuples = merged.tuples();
@@ -640,13 +642,13 @@ pub(crate) mod tests {
             m: 0.05,
             ..MultiEmConfig::default()
         };
-        let merged = two_table_merge(&left, &right, &strict, 2);
+        let merged = merge_two(&left, &right, &strict, 2).integrated;
         assert!(merged.tuples().is_empty());
         let loose = MultiEmConfig {
             m: 0.9,
             ..MultiEmConfig::default()
         };
-        let merged = two_table_merge(&left, &right, &loose, 2);
+        let merged = merge_two(&left, &right, &loose, 2).integrated;
         assert_eq!(merged.tuples().len(), 1);
     }
 
@@ -656,9 +658,9 @@ pub(crate) mod tests {
             items: vec![item((0, 0), vec![1.0, 0.0])],
         };
         let empty = MergedTable::default();
-        let merged = two_table_merge(&left, &empty, &config(), 2);
+        let merged = merge_two(&left, &empty, &config(), 2).integrated;
         assert_eq!(merged.len(), 1);
-        let merged = two_table_merge(&empty, &left, &config(), 2);
+        let merged = merge_two(&empty, &left, &config(), 2).integrated;
         assert_eq!(merged.len(), 1);
     }
 
@@ -670,12 +672,45 @@ pub(crate) mod tests {
         let right = MergedTable {
             items: vec![item((1, 0), vec![1.0, 0.02])],
         };
-        let merged = two_table_merge(&left, &right, &config(), 2);
+        let merged = merge_two(&left, &right, &config(), 2).integrated;
         let fused = merged.items.iter().find(|i| i.len() == 2).unwrap();
         let norm: f32 = fused.embedding.iter().map(|x| x * x).sum::<f32>().sqrt();
         assert!((norm - 1.0).abs() < 1e-4);
         // Centroid points between the two inputs (dominant first axis).
         assert!(fused.embedding[0] > 0.9);
+    }
+
+    /// Every fused item of a run over [`MergedTable::from_source`] tables
+    /// is the [`representative`] of its members' store rows, in ascending id
+    /// order, bit for bit: the rule the online store applies to a cluster.
+    /// Items of three or more members are where a mean of the fused items'
+    /// embeddings weighted by their sizes would differ, so the run must have
+    /// some.
+    #[test]
+    fn a_fused_item_is_the_representative_of_its_members_store_rows() {
+        let factory = Domain::Music.factory();
+        let corruptor = Corruptor::new(CorruptionConfig::light());
+        let ds = MultiSourceGenerator::new(GeneratorConfig::small_test("merge-par", 4))
+            .generate(factory.as_ref(), &corruptor);
+        let encoder = HashedLexicalEncoder::default();
+        let config = MultiEmConfig {
+            m: 0.4,
+            ..MultiEmConfig::default()
+        };
+        let store = EmbeddingStore::build(&ds, &encoder, &[2, 4, 5], &config);
+        let tables = (0..ds.num_sources() as u32)
+            .map(|s| MergedTable::from_source(&ds, s, &store))
+            .collect();
+        let out = hierarchical_merge(tables, &config, encoder.dim());
+        let bits = |xs: &[f32]| -> Vec<u32> { xs.iter().map(|x| x.to_bits()).collect() };
+        let mut wide = 0;
+        for item in out.integrated.items.iter().filter(|i| i.len() >= 2) {
+            let rows: Vec<&[f32]> = item.members.iter().map(|&id| store.embedding(id)).collect();
+            let want = representative(store.dim(), &rows);
+            assert_eq!(bits(&item.embedding), bits(&want), "{:?}", item.members);
+            wide += usize::from(item.len() >= 3);
+        }
+        assert!(wide >= 5, "{wide} items of three or more members");
     }
 
     #[test]
@@ -817,14 +852,20 @@ pub(crate) mod tests {
             |i: &MergeItem| -> Vec<u32> { i.embedding.iter().map(|x| x.to_bits()).collect() };
 
         for (left, right) in [(&small, &large), (&large, &small)] {
-            let (merged, stats) = two_table_merge_with_stats(left, right, &auto, dim);
+            let merged = merge_two(left, right, &auto, dim);
             // 6 rows against 30 join exactly, over the rows where they lie:
             // the search memory is norms, row references and top-K tables,
             // and does not grow with the rows.
-            let (_, wide) = two_table_merge_with_stats(&padded(left), &padded(right), &auto, 64);
-            assert_eq!(stats.index_bytes, wide.index_bytes, "a row was copied");
-            assert!(stats.index_bytes > 0);
-            let exact = two_table_merge(left, right, &brute, dim);
+            let wide = merge_two(&padded(left), &padded(right), &auto, 64);
+            assert_eq!(
+                merged.peak_index_bytes, wide.peak_index_bytes,
+                "a row was copied"
+            );
+            assert!(merged.peak_index_bytes > 0);
+            let (merged, exact) = (
+                merged.integrated,
+                merge_two(left, right, &brute, dim).integrated,
+            );
             assert!(!exact.tuples().is_empty());
             assert_eq!(merged.len(), exact.len());
             for (a, b) in merged.items.iter().zip(&exact.items) {
@@ -834,8 +875,8 @@ pub(crate) mod tests {
         }
 
         // Both sides past the threshold: graphs are still built.
-        let (_, stats) = two_table_merge_with_stats(&large, &other, &auto, dim);
-        assert!(stats.index_bytes > row_bytes(&large) + row_bytes(&other));
+        let merged = merge_two(&large, &other, &auto, dim);
+        assert!(merged.peak_index_bytes > row_bytes(&large) + row_bytes(&other));
     }
 
     #[test]
@@ -972,8 +1013,8 @@ pub(crate) mod tests {
     }
 
     /// Every member and every embedding bit of `hierarchical_merge`'s
-    /// integrated table, on each pinned case, as the merger computed them
-    /// before it kept its rows in an arena.
+    /// integrated table, on each pinned case: a fused item's embedding is
+    /// the [`representative`] of its members' store rows.
     #[test]
     fn merge_output_is_pinned() {
         let encoder = HashedLexicalEncoder::default();
@@ -991,12 +1032,12 @@ pub(crate) mod tests {
             found.push((case.name, hash, matched_pairs));
         }
         let expected = [
-            ("music", 0xc131_4ff8_276f_2ce3, 60),
-            ("music, one thread", 0xc131_4ff8_276f_2ce3, 60),
-            ("geo hnsw", 0xf73d_6a54_4db9_82c2, 59),
+            ("music", 0xc89b_797f_87b9_9bb1, 60),
+            ("music, one thread", 0xc89b_797f_87b9_9bb1, 60),
+            ("geo hnsw", 0x7e17_bde4_10fa_a8d4, 59),
             (
                 "music-20 0.05, every merge past the threshold",
-                0xa27f_17ca_0460_3146,
+                0x1ee0_c094_1248_1d00,
                 457,
             ),
         ];

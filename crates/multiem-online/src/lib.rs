@@ -15,7 +15,7 @@
 //!   [`EntityStore::insert`] appends one record; both run the paper's
 //!   mutual-top-K merging rule (Eq. 1) incrementally, checking the new record
 //!   against the current *cluster representatives* through an online ANN
-//!   index (`O(log N)` HNSW insertion, [`multiem_ann::DynamicVectorIndex`]);
+//!   index (`O(log N)` HNSW insertion, [`multiem_ann::AnnIndex::insert`]);
 //! * [`EntityStore::match_record`] answers read-only "which entities does this
 //!   record refer to?" queries without mutating the store;
 //! * density-based pruning (Algorithm 4) re-runs over a delete's survivors

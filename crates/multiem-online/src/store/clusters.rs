@@ -5,10 +5,11 @@
 //! A cluster is its members: the table states each of those facts once — a
 //! cluster's ascending member list and its `node` — and derives the rest
 //! from them: each node's row, the [`representative`] of the members'
-//! stored embeddings; `cluster_of` (record → cluster, the look-up behind
-//! every read); and `node_root` (index node → cluster, the liveness map
-//! every search filters by), with `stale_nodes` counting the dead slots of
-//! the latter. One more piece of derived state rides on the index:
+//! stored embeddings in ascending sequence order (the batch merger's rule
+//! for a fused item, over the same order); `cluster_of` (record → cluster,
+//! the look-up behind every read); and `node_root` (index node → cluster,
+//! the liveness map every search filters by), with `stale_nodes` counting
+//! the dead slots of the latter. One more piece of derived state rides on the index:
 //! `reverse`, the memo of the mutual check's reverse look-up per index node,
 //! valid for one version of the index and its liveness map (see
 //! [`ClusterTable::mutual`]). Only the operations of this file write any of
@@ -27,9 +28,8 @@ use super::StoreStats;
 use crate::config::OnlineConfig;
 use crate::storage::RecordStorage;
 use crate::wire::Field;
-use multiem_ann::{AnnIndex, DynamicVectorIndex, VectorIndex};
-use multiem_core::{prune_points, MultiEmConfig};
-use multiem_embed::l2_normalize;
+use multiem_ann::{AnnIndex, VectorIndex};
+use multiem_core::{prune_points, representative, MultiEmConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -48,21 +48,6 @@ impl Cluster {
     pub(super) fn members(&self) -> &[usize] {
         &self.members
     }
-}
-
-/// The representative of a cluster whose members' stored embeddings are
-/// `points`, in ascending sequence order: their normalised mean, as the
-/// batch merger's item embedding. Summed in that order, it is a function of
-/// the member set alone.
-pub(super) fn representative(dim: usize, points: &[&[f32]]) -> Vec<f32> {
-    let mut sum = vec![0.0f32; dim];
-    for &point in points {
-        for (a, x) in sum.iter_mut().zip(point) {
-            *a += *x;
-        }
-    }
-    l2_normalize(&mut sum);
-    sum
 }
 
 /// The `n` equal-width points `flat` holds back to back.
@@ -287,9 +272,9 @@ impl ClusterTable {
         self.index.approx_bytes() + self.reverse.bytes()
     }
 
-    /// Search the representative index for every query at once, returning
-    /// per query up to `k` *live* clusters as `(cluster, distance)`, closest
-    /// first; the node `exclude`, if any, is passed over like a tombstone.
+    /// Search the representative index for `query`, returning up to `k`
+    /// *live* clusters as `(cluster, distance)`, closest first; the node
+    /// `exclude`, if any, is passed over like a tombstone.
     ///
     /// Tombstones still occupy index slots, but the index is told which
     /// nodes are live (`node_root` is the only record of that) and never
@@ -298,20 +283,17 @@ impl ClusterTable {
     /// only passes through it.
     pub(super) fn search_live(
         &self,
-        queries: &[&[f32]],
+        query: &[f32],
         k: usize,
         exclude: Option<usize>,
-    ) -> Vec<Vec<(usize, f32)>> {
+    ) -> Vec<(usize, f32)> {
         let node_root = &self.node_root;
         let live = |node: usize| node_root[node].is_some() && Some(node) != exclude;
         self.index
-            .search_batch_filtered(queries, k, &live)
+            .search_batch_filtered(&[query], k, &live)
             .into_iter()
-            .map(|hits| {
-                hits.into_iter()
-                    .filter_map(|n| node_root[n.index].map(|id| (id, n.distance)))
-                    .collect()
-            })
+            .flatten()
+            .filter_map(|n| node_root[n.index].map(|id| (id, n.distance)))
             .collect()
     }
 
@@ -346,9 +328,8 @@ impl ClusterTable {
     /// `ClusterTable::check` asserts it).
     fn reverse_row(&self, node: usize, k: usize) -> Vec<f32> {
         let mut row: Vec<f32> = self
-            .search_live(&[self.index.vector(node)], k, Some(node))
+            .search_live(self.index.vector(node), k, Some(node))
             .into_iter()
-            .flatten()
             .map(|(_, d)| d)
             .collect();
         row.resize(k, f32::INFINITY);
@@ -729,7 +710,7 @@ mod tests {
         assert!(groups(&t).is_empty());
         assert_eq!(t.stats(), StoreStats::default());
         assert_eq!(t.cluster_of(0), None);
-        assert_eq!(t.search_live(&[&at(0.0)], 3, None), [vec![]]);
+        assert!(t.search_live(&at(0.0), 3, None).is_empty());
         t.maybe_rebuild(&config());
         assert_eq!(t.stats().rebuilds, 0);
     }
@@ -776,7 +757,7 @@ mod tests {
         assert_eq!(t.row(id), c);
         // It is what the index answers with, and the superseded singleton
         // of record 0 is passed over.
-        let hits = &t.search_live(&[&at(20.0)], 3, None)[0];
+        let hits = t.search_live(&at(20.0), 3, None);
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].0, t.cluster_of(2).unwrap());
         assert!(hits[0].1 < 1e-6);
@@ -866,7 +847,7 @@ mod tests {
         t.check(3);
         assert!(groups(&t).is_empty());
         assert_eq!(t.stats().stale_nodes, t.stats().index_nodes);
-        assert_eq!(t.search_live(&[&at(0.0)], 3, None), [vec![]]);
+        assert!(t.search_live(&at(0.0), 3, None).is_empty());
     }
 
     #[test]
@@ -902,7 +883,7 @@ mod tests {
             !t.mutual(blank, 0.0, 3),
             "an unindexed cluster accepts nothing"
         );
-        assert_eq!(t.search_live(&[&at(0.0)], 3, None)[0].len(), 1);
+        assert_eq!(t.search_live(&at(0.0), 3, None).len(), 1);
     }
 
     #[test]
@@ -913,7 +894,7 @@ mod tests {
             t.fuse(record, &at(degrees), &[]);
         }
         let zero = t.cluster_of(0).unwrap();
-        let d10 = t.search_live(&[&at(0.0)], 2, None)[0][1].1;
+        let d10 = t.search_live(&at(0.0), 2, None)[1].1;
         // With k = 1, a record farther from 0 than 1 is loses to it...
         assert!(!t.mutual(zero, d10 * 1.5, 1));
         assert!(t.mutual(zero, d10 * 0.5, 1));
@@ -931,7 +912,7 @@ mod tests {
         assert_eq!(row(&t, 2), None);
         t.check_mutual(2, 0.35);
         // Records 1 and 2, at 10 and 20 degrees, are the closest others.
-        let hits = &t.search_live(&[&at(0.0)], 3, None)[0];
+        let hits = t.search_live(&at(0.0), 3, None);
         assert_eq!(row(&t, 2), Some(vec![hits[1].1, hits[2].1]));
         assert!(t.index_bytes() > bare, "the memo's bytes count");
         assert_eq!(
@@ -987,7 +968,7 @@ mod tests {
             (stats.rebuilds, stats.stale_nodes, stats.index_nodes),
             (1, 0, 2)
         );
-        let hits = &t.search_live(&[&at(20.0)], 3, None)[0];
+        let hits = t.search_live(&at(20.0), 3, None);
         assert_eq!(hits[0].0, t.cluster_of(2).unwrap());
         assert_eq!(hits[1].0, t.cluster_of(4).unwrap());
 
@@ -1000,7 +981,7 @@ mod tests {
         assert!(t.is_hnsw());
         assert_eq!(t.stats().rebuilds, 2);
         assert_eq!(
-            t.search_live(&[&at(20.0)], 3, None)[0][0].0,
+            t.search_live(&at(20.0), 3, None)[0].0,
             t.cluster_of(2).unwrap()
         );
     }
@@ -1015,7 +996,7 @@ mod tests {
         t.check(4);
         assert_eq!(t.cluster_of(2), None);
         assert_eq!(t.members(last), [3]);
-        let hits = &t.search_live(&[&at(20.0)], 1, None)[0];
+        let hits = t.search_live(&at(20.0), 1, None);
         assert_eq!(
             hits[0].0,
             t.cluster_of(1).unwrap(),

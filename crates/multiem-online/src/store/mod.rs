@@ -5,8 +5,11 @@
 //! Batch MultiEM merges tables pairwise: a pair `(x, y)` of items is fused
 //! when each is in the other's top-K under distance threshold `m` (Eq. 1).
 //! The online store applies the same rule record-at-a-time against the
-//! current *cluster representatives* (normalised centroids, exactly the item
-//! embeddings the batch merger maintains):
+//! current *cluster representatives*: each the normalised centroid of its
+//! members' stored embeddings, computed by [`multiem_core::representative`],
+//! the function the batch merger computes a fused item's embedding with,
+//! over the members in the same order (ascending sequence, which is
+//! ascending entity id), so a member set has the same bits in both:
 //!
 //! 1. the new record's embedding queries the representative index for its
 //!    top-K clusters within `m`;
@@ -29,15 +32,16 @@
 //! their number — the policy the batch merger applies per merge, to the
 //! smaller table's size.
 //!
-//! Every search of the representative index — an insert's candidates, the
-//! mutual check's reverse look-up, a batch of `/match` queries — goes through
-//! one helper that asks the index for the `k` nearest *live* nodes
-//! ([`multiem_ann::VectorIndex::search_batch_filtered`] with the table's
-//! liveness map as the predicate); a single query is a batch of one. A
-//! tombstone therefore costs a look-up nothing on the brute-force backend
-//! (the row is skipped unscored) and only the graph steps that pass through
-//! it on HNSW; the tombstone count decides when to rebuild, not how much to
-//! fetch.
+//! An insert and a `/match` query take their candidates from one function,
+//! so the two apply Eq. 1 the same way; only an insert adds the same-source
+//! restriction. Every search of the representative index — those candidates
+//! and the mutual check's reverse look-up — goes through one helper that
+//! asks the index for the `k` nearest *live* nodes
+//! ([`multiem_ann::VectorIndex::search_batch_filtered`] over one query, with
+//! the table's liveness map as the predicate). A tombstone therefore costs a
+//! look-up nothing on the brute-force backend (the row is skipped unscored)
+//! and only the graph steps that pass through it on HNSW; the tombstone
+//! count decides when to rebuild, not how much to fetch.
 //!
 //! The mutual check's reverse look-up is memoized per index version. Its
 //! answer — the distances from a candidate's representative to the `k`
@@ -493,48 +497,18 @@ impl<E: EmbeddingModel> EntityStore<E> {
     /// distance under the merge metric), closest first. The canonical id of a
     /// cluster is its smallest member.
     pub fn match_record(&self, record: &Record) -> Vec<(EntityId, f32)> {
-        self.match_batch(std::slice::from_ref(record))
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Batched [`EntityStore::match_record`]: every query of `records` goes
-    /// to the representative index in **one** `search_batch_filtered` call, which the
-    /// brute-force backend answers by streaming its vector array through the
-    /// cache hierarchy once per batch instead of once per query.
-    /// `match_record` is a batch of one through here, so the two can never
-    /// drift in semantics.
-    pub fn match_batch(&self, records: &[Record]) -> Vec<Vec<(EntityId, f32)>> {
-        let mut out: Vec<Vec<(EntityId, f32)>> = vec![Vec::new(); records.len()];
         let Some(adopted) = &self.state.schema else {
-            return out;
+            return Vec::new();
         };
-        let (k, m) = (self.state.config.base.k, self.state.config.base.m);
-        if k == 0 {
-            return out;
+        let emb = self.embed(record, &adopted.selected);
+        // Queries with no recognised tokens match nothing.
+        if emb.iter().all(|&x| x == 0.0) {
+            return Vec::new();
         }
-        let embeddings: Vec<(usize, Vec<f32>)> = records
-            .iter()
-            .enumerate()
-            .filter_map(|(query, record)| {
-                let emb = self.embed(record, &adopted.selected);
-                // Queries with no recognised tokens match nothing.
-                emb.iter().any(|&x| x != 0.0).then_some((query, emb))
-            })
-            .collect();
-        let queries: Vec<&[f32]> = embeddings.iter().map(|(_, e)| e.as_slice()).collect();
-        let clusters = &self.state.clusters;
-        for ((query, _), hits) in embeddings
-            .iter()
-            .zip(clusters.search_live(&queries, k, None))
-        {
-            out[*query] = hits
-                .into_iter()
-                .filter(|&(cluster, dist)| dist <= m && clusters.mutual(cluster, dist, k))
-                .map(|(cluster, dist)| (self.canonical_id(cluster), dist))
-                .collect();
-        }
-        out
+        self.candidates(&emb, None)
+            .into_iter()
+            .map(|(cluster, dist)| (self.canonical_id(cluster), dist))
+            .collect()
     }
 
     /// Run density-based pruning (Algorithm 4, unless `pruning` is off) over
@@ -666,6 +640,26 @@ impl<E: EmbeddingModel> EntityStore<E> {
                 .any(|id| id.source != source)
     }
 
+    /// The clusters that `emb` matches under Eq. 1, as `(cluster,
+    /// distance)`, closest first: of its `k` nearest live representatives,
+    /// those within `m`, then, for a record from `source`, those it may
+    /// merge into directly ([`EntityStore::source_compatible`]), then those
+    /// whose own top-K it would be in ([`clusters::ClusterTable::mutual`]).
+    /// The one candidate rule of inserts and matches.
+    fn candidates(&self, emb: &[f32], source: Option<u32>) -> Vec<(usize, f32)> {
+        let (k, m) = (self.state.config.base.k, self.state.config.base.m);
+        let clusters = &self.state.clusters;
+        clusters
+            .search_live(emb, k, None)
+            .into_iter()
+            .filter(|&(cluster, dist)| {
+                dist <= m
+                    && source.is_none_or(|source| self.source_compatible(cluster, source))
+                    && clusters.mutual(cluster, dist, k)
+            })
+            .collect()
+    }
+
     /// The shared incremental insert path. Returns the id storage gave the
     /// record and whether it fused with at least one existing cluster; on
     /// `Err` storage holds nothing of it and the store is unchanged.
@@ -686,17 +680,9 @@ impl<E: EmbeddingModel> EntityStore<E> {
             return Ok((id, false));
         }
 
-        let (k, m) = (self.state.config.base.k, self.state.config.base.m);
-        let clusters = &self.state.clusters;
-        let matches: Vec<usize> = clusters
-            .search_live(&[emb], k, None)
+        let matches: Vec<usize> = self
+            .candidates(emb, Some(source))
             .into_iter()
-            .flatten()
-            .filter(|&(cluster, dist)| {
-                dist <= m
-                    && self.source_compatible(cluster, source)
-                    && clusters.mutual(cluster, dist, k)
-            })
             .map(|(cluster, _)| cluster)
             .collect();
         self.state
@@ -838,38 +824,6 @@ mod tests {
         assert!(s
             .match_record(&Record::from_texts(["bosch washing machine"]))
             .is_empty());
-    }
-
-    #[test]
-    fn match_batch_agrees_with_match_record() {
-        let schema = title_schema();
-        let mut s = store();
-        s.ingest_batch(&table(
-            "a",
-            &schema,
-            &[
-                "golden heart river",
-                "makita drill 18v",
-                "bosch jigsaw 700w",
-            ],
-        ))
-        .unwrap();
-        let probes: Vec<Record> = [
-            "golden heart river remaster",
-            "bosch washing machine",
-            "makita drill 18 v",
-            "", // no recognised tokens -> zero embedding -> no hits
-        ]
-        .iter()
-        .map(|t| Record::from_texts([*t]))
-        .collect();
-        let batched = s.match_batch(&probes);
-        assert_eq!(batched.len(), probes.len());
-        for (probe, hits) in probes.iter().zip(&batched) {
-            assert_eq!(hits, &s.match_record(probe));
-        }
-        assert!(batched[0].len() == 1 && batched[3].is_empty());
-        assert!(s.match_batch(&[]).is_empty());
     }
 
     #[test]
@@ -2238,10 +2192,9 @@ mod tests {
                         // A burst of matches reads through the memo and
                         // leaves nothing a snapshot carries behind.
                         let before = s.snapshot_bytes().unwrap();
-                        let probes: Vec<Record> = (0..8)
-                            .map(|_| pool[rng.gen_range(0..pool.len())].clone())
-                            .collect();
-                        s.match_batch(&probes);
+                        for _ in 0..8 {
+                            s.match_record(&pool[rng.gen_range(0..pool.len())]);
+                        }
                         assert_eq!(s.snapshot_bytes().unwrap(), before, "step {step}");
                     }
                     // Pruning, which splits clusters, then a rebuild if due.
