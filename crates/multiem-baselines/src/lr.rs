@@ -124,11 +124,6 @@ impl LogisticRegression {
                 .sum::<f64>();
         1.0 / (1.0 + (-z).exp())
     }
-
-    /// Hard prediction at the 0.5 threshold.
-    pub fn predict(&self, features: &[f64]) -> bool {
-        self.predict_proba(features) >= 0.5
-    }
 }
 
 #[cfg(test)]
@@ -148,8 +143,6 @@ mod tests {
     fn learns_a_separable_problem() {
         let mut lr = LogisticRegression::new(2);
         assert!(lr.fit(&linearly_separable()));
-        assert!(lr.predict(&[0.9, 0.1]));
-        assert!(!lr.predict(&[0.1, 0.9]));
         assert!(lr.predict_proba(&[0.95, 0.05]) > 0.8);
         assert!(lr.predict_proba(&[0.05, 0.95]) < 0.2);
     }
@@ -187,7 +180,7 @@ mod tests {
             .map(|i| (vec![i as f64 / 40.0, 7.0], i >= 20))
             .collect();
         assert!(lr.fit(&data));
-        assert!(lr.predict(&[0.95, 7.0]));
-        assert!(!lr.predict(&[0.05, 7.0]));
+        assert!(lr.predict_proba(&[0.95, 7.0]) > 0.5);
+        assert!(lr.predict_proba(&[0.05, 7.0]) < 0.5);
     }
 }

@@ -61,7 +61,6 @@ pub struct SupervisedMatcher {
     name: String,
     config: SupervisedConfig,
     model: LogisticRegression,
-    trained: bool,
 }
 
 impl SupervisedMatcher {
@@ -71,7 +70,6 @@ impl SupervisedMatcher {
             name: name.into(),
             config,
             model: LogisticRegression::new(4),
-            trained: false,
         }
     }
 
@@ -100,11 +98,6 @@ impl SupervisedMatcher {
         )
     }
 
-    /// Whether the model has been trained on at least one example of each class.
-    pub fn is_trained(&self) -> bool {
-        self.trained
-    }
-
     /// Train the pair classifier on the context's labelled sample.
     pub fn train(&mut self, ctx: &MatchContext<'_>) {
         let examples: Vec<(Vec<f64>, bool)> = ctx
@@ -112,7 +105,7 @@ impl SupervisedMatcher {
             .iter()
             .map(|p| (pair_features(ctx, p.a, p.b), p.label))
             .collect();
-        self.trained = self.model.fit(&examples);
+        self.model.fit(&examples);
     }
 
     /// Probability that `a` and `b` match.
@@ -200,7 +193,6 @@ mod tests {
     fn trains_and_separates_matches_from_non_matches() {
         let ds = dataset();
         let (ctx, matcher) = trained_ctx_and_matcher(&ds);
-        assert!(matcher.is_trained());
         let truth: Vec<_> = ds.ground_truth().unwrap().pairs().into_iter().collect();
         let (a, b) = truth[0];
         let p_match = matcher.match_probability(&ctx, a, b);
@@ -234,7 +226,6 @@ mod tests {
         let encoder = HashedLexicalEncoder::default();
         let ctx = MatchContext::build(&ds, &encoder, Vec::new());
         let matcher = SupervisedMatcher::promptem_like();
-        assert!(!matcher.is_trained());
         assert_eq!(matcher.name(), "PromptEM");
         // Untrained model predicts 0.5 everywhere; with threshold 0.5 it may
         // emit pairs, but it must not panic and scores stay in [0, 1].

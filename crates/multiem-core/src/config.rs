@@ -70,9 +70,11 @@ pub struct MultiEmConfig {
     // --- Density-based Pruning ---------------------------------------------
     /// Whether to run the pruning phase (the `w/o DP` ablation disables it).
     pub pruning: bool,
-    /// Neighbourhood radius `ε` (grid `{0.8, 1.0}` in the paper). `MinPts`
-    /// and the metric are the paper's constants (2 and Euclidean), from
-    /// [`multiem_cluster::DbscanConfig::default`].
+    /// Neighbourhood radius `ε` (grid `{0.8, 1.0}` in the paper): a member
+    /// survives pruning iff another member of its tuple lies within
+    /// Euclidean distance `ε`. That is Algorithm 4 at the paper's
+    /// `MinPts = 2`, which is no setting but the shape of
+    /// [`crate::prune_points`].
     pub epsilon: f32,
 }
 
@@ -157,9 +159,6 @@ mod tests {
         let c = MultiEmConfig::default();
         assert_eq!(c.k, 1);
         assert_eq!(c.merge_metric, Metric::Cosine);
-        // Pruning's `MinPts` and metric are constants, not settings.
-        let dbscan = multiem_cluster::DbscanConfig::default();
-        assert_eq!((dbscan.min_pts, dbscan.metric), (2, Metric::Euclidean));
         assert!(c.attribute_selection);
         assert!(c.pruning);
         assert!(c.validate().is_ok());

@@ -16,9 +16,10 @@
 //!    distance threshold `m` using an ANN index (Algorithm 3, Eq. 1) and fuses
 //!    matched items through transitivity, giving `O(S·k·n · log S · log n)`
 //!    total work (Lemma 3) instead of the quadratic pairwise extension.
-//! 3. **Density-based Pruning** ([`pruning`]) — each merged tuple is cleaned by
-//!    classifying its members into core / reachable / outlier entities
-//!    (Definitions 3–5, Algorithm 4) and dropping the outliers.
+//! 3. **Density-based Pruning** ([`pruning`]) — each merged tuple drops its
+//!    outliers (Definitions 3–5, Algorithm 4). At the paper's `MinPts = 2`
+//!    no member is merely reachable, so a member survives iff another member
+//!    of its tuple lies within Euclidean distance `ε` ([`prune_points`]).
 //!
 //! Every phase spreads over the rayon pool (Section III-E of the paper):
 //! attribute selection and encoding map sources and rows, each merge's

@@ -3,10 +3,11 @@
 //! Hierarchical merging only ever looks at the two tables currently being
 //! merged, so a tuple can accumulate an entity that is close to *one* member
 //! but far from the group as a whole (Figure 4). The pruning phase fixes this
-//! per tuple: members are classified into core / reachable / outlier entities
-//! with DBSCAN-style density definitions over the **original entity
-//! embeddings** (Euclidean distance in the paper), outliers are removed, and
-//! the tuple survives only if at least two members remain.
+//! per tuple: over the **original entity embeddings** (Euclidean distance in
+//! the paper), a member is kept iff another member lies within `ε` — the
+//! density classification of Definitions 3–5 at `MinPts = 2`, see
+//! [`prune_points`] — and the tuple survives only if at least two members
+//! remain.
 //!
 //! Each tuple is pruned independently, so the phase maps tuples over the
 //! rayon pool (Section III-E).
@@ -14,14 +15,14 @@
 use crate::config::MultiEmConfig;
 use crate::merging::MergedTable;
 use crate::representation::EmbeddingStore;
-use multiem_cluster::{classify_points, DbscanConfig, PointClass};
+use multiem_ann::Metric;
 use multiem_table::{EntityId, MatchTuple};
 use rayon::prelude::*;
 
 /// The result of pruning one merged item.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PruneOutcome {
-    /// Members kept (core + reachable entities).
+    /// Members kept (those with another member within `ε`).
     pub kept: Vec<EntityId>,
     /// Members removed as outliers.
     pub removed: Vec<EntityId>,
@@ -57,32 +58,34 @@ pub fn prune_item(
     }
 }
 
-/// Algorithm 4 over raw embedding points, returning `(kept, removed)` index
-/// sets. This is the storage-agnostic core of [`prune_item`]: callers that
-/// do not keep a resident [`EmbeddingStore`] (the online store's
-/// spill-to-disk backend) fetch member embeddings themselves and prune the
-/// points directly.
+/// Algorithm 4 over raw embedding points, returning the `(kept, removed)`
+/// index sets, each in index order: a point is kept iff another point lies
+/// within Euclidean distance `ε` ([`MultiEmConfig::epsilon`]) of it. This is
+/// the one implementation of the pruning phase: [`prune_item`] calls it, and
+/// so does the online store, which fetches member embeddings itself.
 ///
-/// `ε` is [`MultiEmConfig::epsilon`]; `MinPts = 2` and the Euclidean metric
-/// are the paper's constants, the defaults of [`DbscanConfig`].
+/// That rule is Definitions 3–5 at the paper's `MinPts = 2`. A point is core
+/// when its `ε`-neighbourhood, itself included, holds at least 2 points, i.e.
+/// another point; a non-core point has no point within `ε`, so no core one,
+/// and none is reachable.
+///
+/// The Euclidean distance is bitwise symmetric (`(x − y)² == (y − x)²`), so
+/// each unordered pair is scored once. A NaN distance never matches. Fewer
+/// than two points are kept as they are.
 pub fn prune_points(points: &[&[f32]], config: &MultiEmConfig) -> (Vec<usize>, Vec<usize>) {
     if points.len() < 2 {
         return ((0..points.len()).collect(), Vec::new());
     }
-    let dbscan = DbscanConfig {
-        eps: config.epsilon,
-        ..DbscanConfig::default()
-    };
-    let classes = classify_points(points, &dbscan);
-    let mut kept = Vec::with_capacity(points.len());
-    let mut removed = Vec::new();
-    for (i, class) in classes.iter().enumerate() {
-        match class {
-            PointClass::Core | PointClass::Reachable => kept.push(i),
-            PointClass::Outlier => removed.push(i),
+    let mut near = vec![false; points.len()];
+    for i in 0..points.len() {
+        for j in i + 1..points.len() {
+            if Metric::Euclidean.distance(points[i], points[j]) <= config.epsilon {
+                near[i] = true;
+                near[j] = true;
+            }
         }
     }
-    (kept, removed)
+    (0..points.len()).partition(|&i| near[i])
 }
 
 /// Summary of pruning an entire merged table.
@@ -231,6 +234,32 @@ mod tests {
         assert_eq!(outcome.kept, members);
         assert!(outcome.removed.is_empty());
         assert!(!outcome.is_tuple());
+    }
+
+    fn prune(points: &[&[f32]], epsilon: f32) -> (Vec<usize>, Vec<usize>) {
+        let config = MultiEmConfig {
+            epsilon,
+            ..MultiEmConfig::default()
+        };
+        prune_points(points, &config)
+    }
+
+    #[test]
+    fn paper_figure4_outlier_detection() {
+        // Figure 4: e1, e2, e3 close together, e4 merged in later but far away.
+        let points: [&[f32]; 4] = [&[0.0, 0.0], &[0.3, 0.0], &[0.0, 0.3], &[5.0, 5.0]];
+        assert_eq!(prune(&points, 0.5), (vec![0, 1, 2], vec![3]));
+    }
+
+    #[test]
+    fn all_isolated_points_are_outliers() {
+        let points: [&[f32]; 3] = [&[0.0], &[10.0], &[20.0]];
+        assert_eq!(prune(&points, 1.0), (vec![], vec![0, 1, 2]));
+    }
+
+    #[test]
+    fn empty_input() {
+        assert_eq!(prune(&[], 1.0), (vec![], vec![]));
     }
 
     #[test]

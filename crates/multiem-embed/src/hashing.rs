@@ -80,6 +80,11 @@ const SIGNS: [[f32; 4]; 16] = {
 /// token in the per-lane form and 192 ns as written. With the table in the
 /// source there is nothing left to choose. Every lane still receives exactly `±1.0 * scale`, so embeddings
 /// are bit-for-bit what the per-lane form computed.
+///
+/// It stays out of line on purpose. With `encode` its only non-test caller,
+/// LLVM inlined it there as scalar `mulss`/`addss` code, and encoding a
+/// music-20 record took 11.3 µs against 6.9 µs with the call (same VM).
+#[inline(never)]
 pub fn accumulate_token(acc: &mut [f32], token_hash: u64, weight: f32) {
     if weight == 0.0 || acc.is_empty() {
         return;
@@ -111,18 +116,17 @@ pub fn accumulate_token(acc: &mut [f32], token_hash: u64, weight: f32) {
     }
 }
 
-/// Materialise the pseudo-random unit vector of a token (mainly for tests and
-/// diagnostics; the hot path uses [`accumulate_token`]).
-pub fn token_vector(token_hash: u64, dim: usize) -> Vec<f32> {
-    let mut v = vec![0.0f32; dim];
-    accumulate_token(&mut v, token_hash, 1.0);
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vector::{cosine_similarity, l2_norm};
+
+    /// The pseudo-random unit vector of a token.
+    fn token_vector(token_hash: u64, dim: usize) -> Vec<f32> {
+        let mut v = vec![0.0f32; dim];
+        accumulate_token(&mut v, token_hash, 1.0);
+        v
+    }
 
     #[test]
     fn fnv_is_stable_and_discriminates() {

@@ -37,7 +37,7 @@ pub mod vector;
 
 pub use encoder::{EmbeddingModel, HashedLexicalEncoder};
 pub use tokenizer::{Token, TokenKind};
-pub use vector::{cosine_distance, cosine_similarity, euclidean_distance, l2_normalize, Matrix};
+pub use vector::{cosine_distance, cosine_similarity, l2_normalize, Matrix};
 
 /// Default embedding dimensionality, matching `all-MiniLM-L12-v2` used in the
 /// paper (384 dimensions).

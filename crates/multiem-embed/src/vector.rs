@@ -40,16 +40,6 @@ pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
     1.0 - cosine_similarity(a, b)
 }
 
-/// Euclidean (L2) distance.
-pub fn euclidean_distance(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f32>()
-        .sqrt()
-}
-
 /// A dense row-major matrix of embeddings.
 ///
 /// Rows are stored contiguously, which keeps the mutual-top-K joins and the
@@ -150,12 +140,6 @@ mod tests {
         assert!(cosine_similarity(&a, &b).abs() < 1e-6);
         assert_eq!(cosine_similarity(&a, &[0.0, 0.0]), 0.0);
         assert!((cosine_distance(&a, &b) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn euclidean_matches_hand_computed() {
-        assert!((euclidean_distance(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-6);
-        assert_eq!(euclidean_distance(&[1.0], &[1.0]), 0.0);
     }
 
     #[test]

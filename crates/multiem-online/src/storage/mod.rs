@@ -230,8 +230,6 @@ pub(crate) mod tests {
         append_range(store, 0, n);
         assert_eq!(store.len(), n);
         assert_eq!(store.num_sources(), 2);
-        assert_eq!(store.source_name(1), Some("beta"));
-        assert_eq!(store.source_name(9), None);
     }
 
     /// The id of each append of the `exercise` routing, in append order.

@@ -59,6 +59,7 @@ use crate::Result;
 use multiem_table::{EntityId, Record};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
@@ -133,6 +134,52 @@ impl SegmentMeta {
             bytes: self.bytes,
         }
     }
+}
+
+/// The `(segment, frame)` holding `seq`, if one of `segments` (ordered by
+/// `first_seq`) covers it.
+fn locate(segments: &[SegmentMeta], seq: u32) -> Option<(usize, usize)> {
+    let segment = segments
+        .partition_point(|m| m.first_seq <= seq)
+        .checked_sub(1)?;
+    Some((segment, segments[segment].frame_of(seq)?))
+}
+
+/// Why [`open_segment`] refused a file; each caller words it its own way.
+enum OpenFault {
+    /// The file would not open.
+    Missing(std::io::Error),
+    /// Its length or its header would not read.
+    Unreadable(std::io::Error),
+    /// Its length, which is not the one its index records.
+    Size(u64),
+    /// Its header is not [`wire::SEGMENT_MAGIC`].
+    Magic,
+}
+
+/// Open a segment file and check its magic header, leaving the reader at
+/// the first frame. Given `bytes`, the file's length must equal it; that is
+/// checked before the header is read.
+fn open_segment(
+    path: &Path,
+    bytes: Option<u64>,
+) -> std::result::Result<BufReader<File>, OpenFault> {
+    let file = File::open(path).map_err(OpenFault::Missing)?;
+    if let Some(bytes) = bytes {
+        let actual = file.metadata().map_err(OpenFault::Unreadable)?.len();
+        if actual != bytes {
+            return Err(OpenFault::Size(actual));
+        }
+    }
+    let mut reader = BufReader::new(file);
+    let mut magic = [0u8; 4];
+    reader
+        .read_exact(&mut magic)
+        .map_err(OpenFault::Unreadable)?;
+    if &magic != wire::SEGMENT_MAGIC {
+        return Err(OpenFault::Magic);
+    }
+    Ok(reader)
 }
 
 /// One resident record with its embedding.
@@ -256,15 +303,6 @@ impl Spill {
         self.dir().join(&meta.file)
     }
 
-    /// Index of the sealed segment covering `seq` (callers guarantee the
-    /// sequence is live and sealed, so a covering segment exists).
-    fn segment_index_of(&self, seq: u32) -> usize {
-        self.segments
-            .partition_point(|m| m.first_seq <= seq)
-            .checked_sub(1)
-            .expect("sealed sequence below first segment")
-    }
-
     /// Read one sealed record straight from its segment file.
     ///
     /// # Panics
@@ -273,15 +311,14 @@ impl Spill {
     /// corrupted out from under it. (`reopen` reports such damage as a
     /// recoverable error instead.)
     fn read_sealed(&self, seq: u32, dim: usize) -> Entry {
-        let meta = &self.segments[self.segment_index_of(seq)];
-        let frame = meta
-            .frame_of(seq)
+        let (segment, frame) = locate(&self.segments, seq)
             .unwrap_or_else(|| panic!("live sealed sequence {seq} missing from segment index"));
+        let meta = &self.segments[segment];
         let offset = meta.offsets[frame];
         let path = self.path_of(meta);
         let entry = (|| -> Result<Entry> {
-            let mut file = std::fs::File::open(&path)
-                .map_err(|e| OnlineError::Storage(format!("open failed: {e}")))?;
+            let mut file =
+                File::open(&path).map_err(|e| OnlineError::Storage(format!("open failed: {e}")))?;
             file.seek(SeekFrom::Start(offset))
                 .map_err(|e| OnlineError::Storage(format!("seek failed: {e}")))?;
             match wire::read_frame(&mut file)
@@ -322,16 +359,14 @@ impl Spill {
     fn read_segment(&self, meta: &SegmentMeta, dim: usize) -> Vec<Entry> {
         let path = self.path_of(meta);
         let decode = (|| -> Result<Vec<Entry>> {
-            let file = std::fs::File::open(&path)
-                .map_err(|e| OnlineError::Storage(format!("open failed: {e}")))?;
-            let mut reader = BufReader::new(file);
-            let mut magic = [0u8; 4];
-            reader
-                .read_exact(&mut magic)
-                .map_err(|e| OnlineError::Storage(format!("read failed: {e}")))?;
-            if &magic != wire::SEGMENT_MAGIC {
-                return Err(OnlineError::Storage("bad segment magic".into()));
-            }
+            let mut reader = open_segment(&path, None).map_err(|fault| {
+                OnlineError::Storage(match fault {
+                    OpenFault::Missing(e) => format!("open failed: {e}"),
+                    OpenFault::Unreadable(e) => format!("read failed: {e}"),
+                    OpenFault::Magic => "bad segment magic".into(),
+                    OpenFault::Size(_) => unreachable!("no length was asked for"),
+                })
+            })?;
             let mut out = Vec::with_capacity(meta.records);
             for _ in 0..meta.records {
                 match wire::read_frame(&mut reader)
@@ -360,33 +395,18 @@ impl Spill {
         let mut previous_end = 0u32;
         for meta in &mut self.segments {
             let path = Path::new(&self.config.dir).join(&meta.file);
-            let file = std::fs::File::open(&path).map_err(|e| {
-                OnlineError::Storage(format!("segment `{}` missing: {e}", path.display()))
+            let mut reader = open_segment(&path, Some(meta.bytes)).map_err(|fault| {
+                let path = path.display();
+                OnlineError::Storage(match fault {
+                    OpenFault::Missing(e) => format!("segment `{path}` missing: {e}"),
+                    OpenFault::Unreadable(e) => format!("segment `{path}` unreadable: {e}"),
+                    OpenFault::Size(actual) => format!(
+                        "segment `{path}` is {actual} bytes on disk, index says {}",
+                        meta.bytes
+                    ),
+                    OpenFault::Magic => format!("segment `{path}` has a bad magic header"),
+                })
             })?;
-            let actual = file
-                .metadata()
-                .map_err(|e| {
-                    OnlineError::Storage(format!("segment `{}` unreadable: {e}", path.display()))
-                })?
-                .len();
-            if actual != meta.bytes {
-                return Err(OnlineError::Storage(format!(
-                    "segment `{}` is {actual} bytes on disk, index says {}",
-                    path.display(),
-                    meta.bytes
-                )));
-            }
-            let mut reader = BufReader::new(file);
-            let mut magic = [0u8; 4];
-            reader.read_exact(&mut magic).map_err(|e| {
-                OnlineError::Storage(format!("segment `{}` unreadable: {e}", path.display()))
-            })?;
-            if &magic != wire::SEGMENT_MAGIC {
-                return Err(OnlineError::Storage(format!(
-                    "segment `{}` has a bad magic header",
-                    path.display()
-                )));
-            }
             // Walk frame headers only, collecting offsets without decoding
             // payloads; a short file or length mismatch is refused here so
             // runtime reads never land mid-frame.
@@ -507,7 +527,7 @@ fn write_segment_file(
     let publish = (|| -> std::io::Result<()> {
         {
             use std::io::Write;
-            let mut f = std::fs::File::create(&tmp)?;
+            let mut f = File::create(&tmp)?;
             f.write_all(&buf)?;
             f.sync_all()?;
         }
@@ -783,9 +803,9 @@ impl RecordStorage {
             }
             None => {
                 let spill = self.spill.as_mut().expect("only a spill part seals");
-                let idx = spill.segment_index_of(seq as u32);
-                debug_assert!(spill.segments[idx].frame_of(seq as u32).is_some());
-                spill.segments[idx].dead += 1;
+                let (segment, _) = locate(&spill.segments, seq as u32)
+                    .expect("live sealed sequence missing from segment index");
+                spill.segments[segment].dead += 1;
                 spill.cache.lock().remove(seq as u32);
             }
         }
@@ -811,11 +831,6 @@ impl RecordStorage {
     /// Number of opened sources.
     pub fn num_sources(&self) -> usize {
         self.seq_of.len()
-    }
-
-    /// Name a source was opened with.
-    pub fn source_name(&self, source: u32) -> Option<&str> {
-        self.names.get(source as usize).map(String::as_str)
     }
 
     /// Persist any buffered state: a store with a spill part seals its tail
@@ -863,12 +878,7 @@ impl RecordStorage {
                 // entry (but whose sequence map still marks those records
                 // live) must be refused here — `read_sealed` panics on the
                 // same damage at serving time.
-                let covered = seq as usize >= self.sealed
-                    || segments
-                        .partition_point(|m| m.first_seq <= seq)
-                        .checked_sub(1)
-                        .and_then(|idx| segments[idx].frame_of(seq))
-                        .is_some();
+                let covered = seq as usize >= self.sealed || locate(segments, seq).is_some();
                 if !covered {
                     return Err(OnlineError::Storage(format!(
                         "live sealed sequence {seq} is not covered by any segment in the \

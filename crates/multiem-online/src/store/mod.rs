@@ -59,9 +59,9 @@
 //! delete and, on [`EntityStore::refresh`], over every multi-member cluster:
 //! outliers are split off into singleton clusters, mirroring what the batch
 //! pipeline does once at the end. Inserts never prune. Algorithm 4 is
-//! idempotent — an outlier lies within `ε` of no core point, so removing it
-//! changes no kept point's class — so a refresh splits only clusters that
-//! fused since they were last pruned.
+//! idempotent — a member is kept iff another member lies within `ε`, and
+//! that member is kept too — so a refresh splits only clusters that fused
+//! since they were last pruned.
 //!
 //! Record and embedding payloads, and the map between a record's
 //! [`EntityId`] and its place in the append order (the *sequence* the cluster
@@ -200,11 +200,6 @@ impl<E: EmbeddingModel> EntityStore<E> {
     /// The embedding backend.
     pub fn encoder(&self) -> &E {
         &self.encoder
-    }
-
-    /// The attribute projection in effect, once resolved from the first data.
-    pub fn selected_attributes(&self) -> Option<&[AttrId]> {
-        Some(&self.state.schema.as_ref()?.selected)
     }
 
     /// The Algorithm 1 outcome, when `base.attribute_selection` ran it.
@@ -1043,7 +1038,7 @@ mod tests {
             // to the record, by definition rather than through the index.
             let text = serialize_record_projected(
                 record,
-                s.selected_attributes().unwrap(),
+                &s.state.schema.as_ref().unwrap().selected,
                 &s.state.config.base.serialize,
             );
             let emb = s.encoder.encode(&text);
@@ -1773,7 +1768,7 @@ mod tests {
             ));
             // Nothing was committed: no projection, no source, and an insert
             // is told there is no schema instead of finding half of one.
-            assert_eq!(s.selected_attributes(), None);
+            assert!(s.state.schema.is_none());
             assert!(s.is_empty() && s.num_sources() == 0);
             assert!(matches!(
                 s.insert(rows[0].clone()),
@@ -1786,7 +1781,7 @@ mod tests {
         let table = Table::with_records("a", two, rows.clone()).unwrap();
         assert_eq!(s.ingest_batch(&table).unwrap().records, 1);
         let scored = s.attribute_selection().expect("Algorithm 1 ran");
-        assert_eq!(s.selected_attributes(), Some(&scored.selected[..]));
+        assert_eq!(s.state.schema.as_ref().unwrap().selected, scored.selected);
         assert_eq!(s.match_record(&rows[0]).len(), 1);
     }
 

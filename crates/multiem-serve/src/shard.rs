@@ -463,11 +463,6 @@ impl<E: EmbeddingModel> ShardedEntityStore<E> {
     pub fn stats(&self) -> ShardedStats {
         ShardedStats::of(&self.shard_stats())
     }
-
-    /// Serialize one shard as a binary snapshot (read-locks it).
-    pub fn snapshot_shard(&self, shard: usize) -> Result<Vec<u8>, OnlineError> {
-        self.read_shard(shard).snapshot_bytes()
-    }
 }
 
 /// What [`apply`] did with one op.
@@ -885,7 +880,7 @@ mod tests {
                 .unwrap();
         }
         let snapshots: Vec<Option<Vec<u8>>> = (0..store.num_shards())
-            .map(|s| Some(store.snapshot_shard(s).unwrap()))
+            .map(|s| Some(store.read_shard(s).snapshot_bytes().unwrap()))
             .collect();
         let restored = ShardedEntityStore::restore(
             config(),

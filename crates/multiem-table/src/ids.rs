@@ -34,15 +34,6 @@ impl EntityId {
     pub fn as_u64(self) -> u64 {
         (u64::from(self.source) << 32) | u64::from(self.row)
     }
-
-    /// Inverse of [`EntityId::as_u64`].
-    #[inline]
-    pub fn from_u64(packed: u64) -> Self {
-        Self {
-            source: (packed >> 32) as u32,
-            row: packed as u32,
-        }
-    }
 }
 
 impl fmt::Display for EntityId {
@@ -73,11 +64,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pack_unpack_roundtrip() {
+    fn packing_keeps_source_and_row() {
         for source in [0u32, 1, 7, u32::MAX] {
             for row in [0u32, 1, 1024, u32::MAX] {
                 let id = EntityId::new(source, row);
-                assert_eq!(EntityId::from_u64(id.as_u64()), id);
+                assert_eq!(
+                    (id.as_u64() >> 32, id.as_u64() as u32),
+                    (source.into(), row)
+                );
             }
         }
     }

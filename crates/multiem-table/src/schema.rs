@@ -1,7 +1,6 @@
 //! Schemas: ordered, named attributes shared by every table of a dataset.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Index of an attribute within a [`Schema`].
@@ -29,27 +28,20 @@ impl Attribute {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Schema {
     attributes: Vec<Attribute>,
-    #[serde(skip)]
-    index: HashMap<String, AttrId>,
 }
 
 impl Schema {
-    /// Build a schema from attribute names. Duplicate names keep the first
-    /// occurrence's index.
+    /// Build a schema from attribute names.
     pub fn new<I, S>(names: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        let attributes: Vec<Attribute> = names
+        let attributes = names
             .into_iter()
             .map(|n| Attribute::new(n.into()))
             .collect();
-        let mut index = HashMap::with_capacity(attributes.len());
-        for (i, a) in attributes.iter().enumerate() {
-            index.entry(a.name.clone()).or_insert(i);
-        }
-        Self { attributes, index }
+        Self { attributes }
     }
 
     /// Wrap this schema in an [`Arc`] for sharing across tables.
@@ -77,15 +69,6 @@ impl Schema {
         self.attributes.iter().map(|a| a.name.as_str())
     }
 
-    /// Resolve an attribute name to its index.
-    pub fn attr_id(&self, name: &str) -> Option<AttrId> {
-        // The map may be empty if the schema was deserialized; fall back to a scan.
-        if self.index.is_empty() && !self.attributes.is_empty() {
-            return self.attributes.iter().position(|a| a.name == name);
-        }
-        self.index.get(name).copied()
-    }
-
     /// Name of the attribute at `id`, if any.
     pub fn name(&self, id: AttrId) -> Option<&str> {
         self.attributes.get(id).map(|a| a.name.as_str())
@@ -102,20 +85,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lookup_by_name_and_id() {
+    fn length_and_lookup_by_id() {
         let s = Schema::new(["title", "artist", "album"]);
         assert_eq!(s.len(), 3);
-        assert_eq!(s.attr_id("artist"), Some(1));
-        assert_eq!(s.attr_id("missing"), None);
         assert_eq!(s.name(2), Some("album"));
         assert_eq!(s.name(5), None);
-    }
-
-    #[test]
-    fn duplicate_names_keep_first_index() {
-        let s = Schema::new(["a", "b", "a"]);
-        assert_eq!(s.attr_id("a"), Some(0));
-        assert_eq!(s.len(), 3);
     }
 
     #[test]
@@ -132,8 +106,7 @@ mod tests {
         let s = Schema::new(["name", "longtitude", "latitude"]);
         let json = serde_json::to_string(&s).unwrap();
         let back: Schema = serde_json::from_str(&json).unwrap();
-        // Index map is skipped during serialization; lookup must still work.
-        assert_eq!(back.attr_id("latitude"), Some(2));
+        assert_eq!(back.name(2), Some("latitude"));
         assert!(s.same_shape(&back));
     }
 
@@ -141,6 +114,5 @@ mod tests {
     fn empty_schema() {
         let s = Schema::new(Vec::<String>::new());
         assert!(s.is_empty());
-        assert_eq!(s.attr_id("anything"), None);
     }
 }

@@ -39,17 +39,6 @@ impl Default for SerializeOptions {
     }
 }
 
-impl SerializeOptions {
-    /// Options that keep the raw text unmodified (no lowercasing, no truncation).
-    pub fn raw() -> Self {
-        Self {
-            lowercase: false,
-            max_tokens: None,
-            separator: ' ',
-        }
-    }
-}
-
 fn postprocess(text: String, opts: &SerializeOptions) -> String {
     let text = if opts.lowercase {
         text.to_lowercase()
@@ -246,12 +235,13 @@ mod tests {
     }
 
     #[test]
-    fn raw_options_preserve_case() {
+    fn options_without_lowercasing_preserve_case() {
         let r = Record::from_texts(["Apple iPhone"]);
-        assert_eq!(
-            serialize_record(&r, &SerializeOptions::raw()),
-            "Apple iPhone"
-        );
+        let opts = SerializeOptions {
+            lowercase: false,
+            ..SerializeOptions::default()
+        };
+        assert_eq!(serialize_record(&r, &opts), "Apple iPhone");
     }
 
     #[test]

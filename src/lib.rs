@@ -12,7 +12,7 @@
 //!   ground truth, CSV I/O);
 //! * [`embed`] — entity serialization and the embedding backend;
 //! * [`ann`] — brute-force and HNSW nearest-neighbour indexes;
-//! * [`cluster`] — the batch merger's union-find, DBSCAN, HAC and affinity
+//! * [`cluster`] — the batch merger's union-find, HAC and affinity
 //!   propagation;
 //! * [`datagen`] — synthetic multi-source benchmark datasets;
 //! * [`eval`] — tuple / pair metrics and profiling;

@@ -6,7 +6,7 @@
 //! each. Failures print the offending case so they stay reproducible.
 
 use multiem::ann::{mutual_top_k, BruteForceIndex, Metric, VectorIndex};
-use multiem::cluster::{classify_points, DbscanConfig, PointClass, UnionFind};
+use multiem::cluster::UnionFind;
 use multiem::embed::{cosine_similarity, EmbeddingModel, HashedLexicalEncoder};
 use multiem::eval::Metrics;
 use multiem::prelude::*;
@@ -168,40 +168,63 @@ fn union_find_groups_partition() {
     }
 }
 
-/// DBSCAN point classification: core points always have enough neighbours,
-/// and reachable points always have a core neighbour.
+/// Pruning is Algorithm 4 at `MinPts = 2`: it keeps the core and reachable
+/// points of Definitions 3–5 and removes the outliers. The reference below
+/// classifies by those definitions, ε-neighbourhoods counting the point
+/// itself. Duplicate points and ε set to a pair's distance (and just below
+/// it) probe the `≤ ε` boundary; fewer than two points are kept as they are.
 #[test]
-fn density_classification_is_consistent() {
+fn pruning_keeps_the_core_and_reachable_points_at_min_pts_2() {
+    use multiem::core::{prune_points, MultiEmConfig};
     let mut rng = ChaCha8Rng::seed_from_u64(0xDB5C);
-    for _ in 0..CASES {
-        let n = rng.gen_range(1usize..25);
-        let points: Vec<Vec<f32>> = (0..n).map(|_| arb_vec(&mut rng, 3)).collect();
-        let eps = rng.gen_range(0.5f32..5.0);
-        let min_pts = rng.gen_range(1usize..5);
-        let refs: Vec<&[f32]> = points.iter().map(|v| v.as_slice()).collect();
-        let cfg = DbscanConfig {
-            eps,
-            min_pts,
-            metric: Metric::Euclidean,
-        };
-        let classes = classify_points(&refs, &cfg);
-        for (i, class) in classes.iter().enumerate() {
-            let neighbours: Vec<usize> = (0..points.len())
-                .filter(|&j| Metric::Euclidean.distance(&points[i], &points[j]) <= eps)
-                .collect();
-            match class {
-                PointClass::Core => assert!(neighbours.len() >= min_pts),
-                PointClass::Reachable => {
-                    assert!(neighbours.len() < min_pts);
-                    assert!(neighbours.iter().any(|&j| classes[j] == PointClass::Core));
-                }
-                PointClass::Outlier => {
-                    assert!(neighbours.len() < min_pts);
-                    assert!(neighbours.iter().all(|&j| classes[j] != PointClass::Core));
+    let mut split = 0;
+    for case in 0..2_000 {
+        let n = rng.gen_range(2usize..8);
+        let dim = rng.gen_range(1usize..=5);
+        let mut points: Vec<Vec<f32>> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let point = if !points.is_empty() && rng.gen_range(0..5) == 0 {
+                points[rng.gen_range(0..points.len())].clone()
+            } else {
+                (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+            };
+            points.push(point);
+        }
+        let refs: Vec<&[f32]> = points.iter().map(Vec::as_slice).collect();
+        let distance = |i: usize, j: usize| Metric::Euclidean.distance(refs[i], refs[j]);
+        let epsilon = match case % 4 {
+            0 | 1 => rng.gen_range(0.05f32..2.0),
+            edge => {
+                let i = rng.gen_range(0..n - 1);
+                let d = distance(i, rng.gen_range(i + 1..n));
+                if edge == 2 {
+                    d
+                } else {
+                    d.next_down()
                 }
             }
-        }
+        };
+
+        let neighbours = |i: usize| (0..n).filter(move |&j| distance(i, j) <= epsilon);
+        let core: Vec<bool> = (0..n).map(|i| neighbours(i).count() >= 2).collect();
+        let (kept, removed): (Vec<usize>, Vec<usize>) =
+            (0..n).partition(|&i| core[i] || neighbours(i).any(|j| core[j]));
+        let config = MultiEmConfig {
+            epsilon,
+            ..MultiEmConfig::default()
+        };
+        assert_eq!(
+            prune_points(&refs, &config),
+            (kept.clone(), removed.clone()),
+            "case {case}: ε {epsilon} points {points:?}"
+        );
+        split += usize::from(!kept.is_empty() && !removed.is_empty());
     }
+    assert!(split > 200, "vacuous: {split} of 2000 sets split");
+
+    let config = MultiEmConfig::default();
+    assert_eq!(prune_points(&[], &config), (vec![], vec![]));
+    assert_eq!(prune_points(&[&[0.5, 0.5]], &config), (vec![0], vec![]));
 }
 
 /// Metrics stay within [0, 1] and F1 is between min and max of P and R.
