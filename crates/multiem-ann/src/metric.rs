@@ -1,6 +1,7 @@
 //! Distance metrics.
 
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Distance metric used by the vector indexes.
 ///
@@ -63,8 +64,10 @@ impl Metric {
     /// one pair's terms are summed, so a caller may score a pair in whatever
     /// tile it falls into and rankings do not depend on the tiling.
     ///
-    /// This is the one distance kernel of the crate: the brute-force scan,
-    /// the exact join and the HNSW neighbour expansion all score through it.
+    /// This is the one distance kernel of the crate: the brute-force scan
+    /// and the HNSW neighbour expansion score through it, and the exact join
+    /// through `Metric::distance_tile_within`, which runs the same lane
+    /// loop in two legs.
     ///
     /// What the tile buys: a pair's sum runs on eight accumulator lanes,
     /// which on the baseline x86-64 target (SSE2: four-float registers, no
@@ -88,27 +91,118 @@ impl Metric {
         match self {
             Metric::Cosine => {
                 // One square root per row and per column, not two per pair.
-                let (ra, rb) = (na.map(f32::sqrt), nb.map(f32::sqrt));
-                let mut tile = tile_sum(a, b, |x, y| x * y);
-                for (row, &ra) in tile.iter_mut().zip(&ra) {
-                    for (dot, &rb) in row.iter_mut().zip(&rb) {
-                        *dot = cosine_from_parts(*dot, ra, rb);
-                    }
-                }
-                tile
+                cosine_tile(tile_sum(a, b, dot), na.map(f32::sqrt), nb.map(f32::sqrt))
+            }
+            Metric::Euclidean => euclidean_tile(tile_sum(a, b, squared_difference)),
+        }
+    }
+
+    /// [`Metric::distance_tile`] for a caller that keeps only the pairs
+    /// within `max_distance`: `None` when the first half of the blocks
+    /// ([`LANES`]) proves that every pair of the tile lies beyond it,
+    /// otherwise the tile, bit for bit. The lanes resume from where the test
+    /// left them, so a pair's terms are summed in the one order either way.
+    ///
+    /// `roots` are the rows' L2 norms (the square roots of the norms
+    /// `distance_tile` takes) and `tails` their L2 norms over the terms the
+    /// test has not seen ([`Metric::tail_norm`]); a caller that tiles the
+    /// same rows many times computes both once per row.
+    ///
+    /// A pair is proved beyond `m` only when `ra · rb` is finite, so a row
+    /// with a NaN or an infinite component is always scored: its distance
+    /// may be NaN, and where a NaN ranks depends on its sign bit
+    /// ([`f32::total_cmp`]). Otherwise, with `p` the pair's partial sum:
+    ///
+    /// * **Cosine:** `p + ta · tb < (1 − m − δ) · ra · rb`. By
+    ///   Cauchy–Schwarz the unseen terms add at most `ta · tb` to the dot
+    ///   product, so the exact distance exceeds `m + δ`. `δ = 4 · dim · ε`
+    ///   covers the f32 rounding: an `n`-term sum is off by at most about
+    ///   `n · ε/2 · ra · rb`, and the full dot product, the partial one, the
+    ///   two tail norms and the two norms together stay under
+    ///   `2 · dim · ε · ra · rb`; the final division and subtraction add a
+    ///   few ulps of 1. So the computed distance exceeds `m` as well. A zero
+    ///   row makes both sides 0 and is never proved beyond.
+    /// * **Euclidean:** `sqrt(p) > m`, with no margin. Every term is a
+    ///   square, and adding a non-negative f32 never lowers a sum, so each
+    ///   lane, the lane tree and the trailing terms only rise from `p`: the
+    ///   computed distance is at least `sqrt(p)`.
+    #[inline]
+    pub(crate) fn distance_tile_within<const R: usize, const C: usize>(
+        &self,
+        a: [&[f32]; R],
+        b: [&[f32]; C],
+        roots: ([f32; R], [f32; C]),
+        tails: ([f32; R], [f32; C]),
+        max_distance: f32,
+    ) -> Option<[[f32; C]; R]> {
+        let ((ra, rb), (ta, tb)) = (roots, tails);
+        match self {
+            Metric::Cosine => {
+                let dim = a.first().map_or(0, |v| v.len());
+                let floor = 1.0 - max_distance - 4.0 * dim as f32 * f32::EPSILON;
+                let dots = tile_sum_unless(a, b, dot, |r, c, partial| {
+                    let scale = ra[r] * rb[c];
+                    scale.is_finite() && partial + ta[r] * tb[c] < floor * scale
+                })?;
+                Some(cosine_tile(dots, ra, rb))
             }
             Metric::Euclidean => {
-                tile_sum(a, b, |x, y| (x - y) * (x - y)).map(|row| row.map(f32::sqrt))
+                let sums = tile_sum_unless(a, b, squared_difference, |r, c, partial| {
+                    (ra[r] * rb[c]).is_finite() && partial.sqrt() > max_distance
+                })?;
+                Some(euclidean_tile(sums))
             }
         }
+    }
+
+    /// L2 norm of the terms of `row` that [`Metric::distance_tile_within`]
+    /// sums after its test: the second half of the whole [`LANES`]-blocks
+    /// and the trailing terms.
+    pub(crate) fn tail_norm(row: &[f32]) -> f32 {
+        Self::squared_norm(&row[checkpoint(row.len()) * LANES..]).sqrt()
     }
 
     /// Squared L2 norm on the lane structure of the pair kernel — the norm
     /// [`Metric::distance_prenormed`] takes for either side.
     #[inline]
     pub fn squared_norm(v: &[f32]) -> f32 {
-        tile_sum([v], [v], |x, y| x * y)[0][0]
+        tile_sum([v], [v], dot)[0][0]
     }
+}
+
+/// The term of a cosine pair's sum.
+#[inline]
+fn dot(x: f32, y: f32) -> f32 {
+    x * y
+}
+
+/// The term of a Euclidean pair's sum.
+#[inline]
+fn squared_difference(x: f32, y: f32) -> f32 {
+    (x - y) * (x - y)
+}
+
+/// Cosine distances of a tile from its dot products and the rows' norms
+/// (not squared).
+#[inline]
+fn cosine_tile<const R: usize, const C: usize>(
+    dots: [[f32; C]; R],
+    ra: [f32; R],
+    rb: [f32; C],
+) -> [[f32; C]; R] {
+    let mut tile = dots;
+    for (row, &ra) in tile.iter_mut().zip(&ra) {
+        for (dot, &rb) in row.iter_mut().zip(&rb) {
+            *dot = cosine_from_parts(*dot, ra, rb);
+        }
+    }
+    tile
+}
+
+/// Euclidean distances of a tile from its sums of squared differences.
+#[inline]
+fn euclidean_tile<const R: usize, const C: usize>(sums: [[f32; C]; R]) -> [[f32; C]; R] {
+    sums.map(|row| row.map(f32::sqrt))
 }
 
 /// Cosine distance from a dot product and the two **norms** (not squared).
@@ -145,9 +239,21 @@ fn sum_lanes(acc: [f32; LANES]) -> f32 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
 }
 
-/// The lane accumulators of every pair of the tile over the whole
-/// [`LANES`]-blocks of the vectors: `[r][c][l] = Σ term(a[r][i], b[c][i])`
-/// over `i ≡ l (mod LANES)`, in index order.
+/// Whole [`LANES`]-blocks before the test of
+/// [`Metric::distance_tile_within`]: half of them, rounded down.
+#[inline]
+fn checkpoint(dim: usize) -> usize {
+    dim / LANES / 2
+}
+
+/// Add the terms of `blocks`, a range of whole [`LANES`]-blocks of the
+/// vectors, to the lane accumulators of every pair of the tile:
+/// `lanes[r][c][l] += Σ term(a[r][i], b[c][i])` over the `i ≡ l (mod LANES)`
+/// of those blocks, in index order. This is the one distance loop of the
+/// crate, and it is resumable: [`tile_sum`] runs it from zero over every
+/// block, and [`tile_sum_unless`] runs it up to its test and then on from
+/// the lanes it stopped at, which leaves each lane with the sum one pass
+/// gives.
 ///
 /// Never inlined, on purpose. Compiled into a caller, LLVM's SLP vectorizer
 /// seeds from whatever consumes the sums (the lane tree, a top-K compare)
@@ -157,25 +263,35 @@ fn sum_lanes(acc: [f32; LANES]) -> f32 {
 /// seeds are the stores of the result, every instance compiles to the
 /// straight `load, mul, add` loop, and the `ann/kernel` bench rows measure
 /// the code every caller runs. The call costs a few ns per *tile*.
+///
+/// The accumulators are copied into a local for the loop and back after it,
+/// and in the tiles that carry the work (1×1, 1×4, 2×2) the loop has no exit
+/// but its end: with a bounds check left inside it, the accumulators were
+/// stored on every block.
 #[inline(never)]
 fn lane_sums<const R: usize, const C: usize>(
     a: [&[f32]; R],
     b: [&[f32]; C],
+    blocks: Range<usize>,
+    lanes: &mut [[[f32; LANES]; C]; R],
     term: impl Fn(f32, f32) -> f32,
-) -> [[[f32; LANES]; C]; R] {
-    let blocks = a.first().map_or(0, |v| v.len()) / LANES;
-    // Every vector cut to the same number of whole blocks up front, so the
-    // loop below indexes without bounds checks.
+) {
+    // Every vector cut to the same blocks up front, so the loop below
+    // indexes without bounds checks: one compare per vector. (Cut as
+    // `[blocks.start..][..blocks.len()]`, the loop kept a second counter, an
+    // extra compare on every block.)
+    let (from, to) = (blocks.start * LANES, blocks.end * LANES);
+    let len = to.saturating_sub(from) / LANES;
     let mut xs: [&[[f32; LANES]]; R] = [&[]; R];
     let mut ys: [&[[f32; LANES]]; C] = [&[]; C];
     for (x, v) in xs.iter_mut().zip(a) {
-        *x = &v.as_chunks().0[..blocks];
+        *x = &v[from..to].as_chunks().0[..len];
     }
     for (y, v) in ys.iter_mut().zip(b) {
-        *y = &v.as_chunks().0[..blocks];
+        *y = &v[from..to].as_chunks().0[..len];
     }
-    let mut acc = [[[0.0f32; LANES]; C]; R];
-    for i in 0..blocks {
+    let mut acc = *lanes;
+    for i in 0..len {
         for r in 0..R {
             for c in 0..C {
                 for l in 0..LANES {
@@ -184,20 +300,21 @@ fn lane_sums<const R: usize, const C: usize>(
             }
         }
     }
-    acc
+    *lanes = acc;
 }
 
-/// `Σ term(a[r]ᵢ, b[c]ᵢ)` for every pair of the tile, each in the summation
-/// order [`LANES`] defines. All vectors must have the same length.
-#[inline]
-fn tile_sum<const R: usize, const C: usize>(
+/// `Σ term(a[r]ᵢ, b[c]ᵢ)` for every pair of the tile from its lane
+/// accumulators over every whole block: the lane tree, then the trailing
+/// terms one by one. Always inlined: out of line, the exact join called it
+/// with a copy of every lane.
+#[inline(always)]
+fn sums_from_lanes<const R: usize, const C: usize>(
     a: [&[f32]; R],
     b: [&[f32]; C],
-    term: impl Fn(f32, f32) -> f32 + Copy,
+    lanes: &[[[f32; LANES]; C]; R],
+    term: impl Fn(f32, f32) -> f32,
 ) -> [[f32; C]; R] {
     let dim = a.first().map_or(0, |v| v.len());
-    debug_assert!(a.iter().chain(&b).all(|v| v.len() == dim));
-    let lanes = lane_sums(a, b, term);
     let tail = dim - dim % LANES;
     let mut sums = [[0.0f32; C]; R];
     for r in 0..R {
@@ -210,6 +327,46 @@ fn tile_sum<const R: usize, const C: usize>(
         }
     }
     sums
+}
+
+/// `Σ term(a[r]ᵢ, b[c]ᵢ)` for every pair of the tile, each in the summation
+/// order [`LANES`] defines. All vectors must have the same length.
+#[inline]
+fn tile_sum<const R: usize, const C: usize>(
+    a: [&[f32]; R],
+    b: [&[f32]; C],
+    term: impl Fn(f32, f32) -> f32 + Copy,
+) -> [[f32; C]; R] {
+    let dim = a.first().map_or(0, |v| v.len());
+    debug_assert!(a.iter().chain(&b).all(|v| v.len() == dim));
+    let mut lanes = [[[0.0; LANES]; C]; R];
+    lane_sums(a, b, 0..dim / LANES, &mut lanes, term);
+    sums_from_lanes(a, b, &lanes, term)
+}
+
+/// [`tile_sum`], or `None` if `beyond(r, c, partial)` holds for every pair
+/// `(r, c)` of the tile, `partial` being the pair's sum over the blocks
+/// before the [`checkpoint`]. The sums it returns are [`tile_sum`]'s, bit
+/// for bit.
+#[inline]
+fn tile_sum_unless<const R: usize, const C: usize>(
+    a: [&[f32]; R],
+    b: [&[f32]; C],
+    term: impl Fn(f32, f32) -> f32 + Copy,
+    beyond: impl Fn(usize, usize, f32) -> bool,
+) -> Option<[[f32; C]; R]> {
+    let dim = a.first().map_or(0, |v| v.len());
+    debug_assert!(a.iter().chain(&b).all(|v| v.len() == dim));
+    let (half, blocks) = (checkpoint(dim), dim / LANES);
+    let mut lanes = [[[0.0; LANES]; C]; R];
+    lane_sums(a, b, 0..half, &mut lanes, term);
+    // A pair's lane tree is added only when the pairs before it were beyond:
+    // where the bound does not fire, it mostly costs one tree, not `R × C`.
+    if (0..R).all(|r| (0..C).all(|c| beyond(r, c, sum_lanes(lanes[r][c])))) {
+        return None;
+    }
+    lane_sums(a, b, half..blocks, &mut lanes, term);
+    Some(sums_from_lanes(a, b, &lanes, term))
 }
 
 impl Metric {
@@ -279,7 +436,7 @@ mod tests {
 
     /// Four vectors of `dim` floats from `seed`; the ones at `zero` and
     /// `poisoned` are the zero vector and one with a NaN component.
-    fn tile_side(dim: usize, seed: f32, zero: usize, poisoned: usize) -> Vec<Vec<f32>> {
+    fn tile_side(dim: usize, seed: f32, zero: usize, poisoned: Option<usize>) -> Vec<Vec<f32>> {
         let mut x = seed;
         let mut side: Vec<Vec<f32>> = (0..4)
             .map(|_| {
@@ -292,7 +449,7 @@ mod tests {
             })
             .collect();
         side[zero] = vec![0.0; dim];
-        if let Some(component) = side[poisoned].get_mut(dim / 2) {
+        if let Some(component) = poisoned.and_then(|p| side[p].get_mut(dim / 2)) {
             *component = f32::NAN;
         }
         side
@@ -301,8 +458,8 @@ mod tests {
     /// Every tile shape the crate uses, and 4×4, against the pair kernel.
     fn assert_tile_is_the_pair_kernel<const R: usize, const C: usize>() {
         for dim in [0, 1, 7, 8, 9, 11, 384] {
-            let left = tile_side(dim, 1.0, 1, 3);
-            let right = tile_side(dim, 0.37, 2, 0);
+            let left = tile_side(dim, 1.0, 1, Some(3));
+            let right = tile_side(dim, 0.37, 2, Some(0));
             let a: [&[f32]; R] = std::array::from_fn(|r| left[r].as_slice());
             let b: [&[f32]; C] = std::array::from_fn(|c| right[c].as_slice());
             let na = a.map(Metric::squared_norm);
@@ -327,6 +484,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// [`Metric::distance_tile_within`] against [`Metric::distance_tile`]
+    /// for one tile shape, on sides with and without a NaN row, at
+    /// thresholds around every entry: it is the tile bit for bit, or `None`
+    /// with every entry past the threshold. Returns how many it dropped.
+    fn bounded_tile_drops<const R: usize, const C: usize>() -> usize {
+        let mut dropped = 0;
+        for dim in [0, 1, 7, 8, 9, 11, 16, 17, 384] {
+            for poisoned in [false, true] {
+                let left = tile_side(dim, 1.0, 1, poisoned.then_some(3));
+                let right = tile_side(dim, 0.37, 2, poisoned.then_some(0));
+                let a: [&[f32]; R] = std::array::from_fn(|r| left[r].as_slice());
+                let b: [&[f32]; C] = std::array::from_fn(|c| right[c].as_slice());
+                let (na, nb) = (a.map(Metric::squared_norm), b.map(Metric::squared_norm));
+                let roots = (na.map(f32::sqrt), nb.map(f32::sqrt));
+                let tails = (a.map(Metric::tail_norm), b.map(Metric::tail_norm));
+                let bits = |tile: [[f32; C]; R]| tile.map(|row| row.map(f32::to_bits));
+                for metric in [Metric::Cosine, Metric::Euclidean] {
+                    let tile = metric.distance_tile(a, b, na, nb);
+                    let mut thresholds = vec![f32::INFINITY, -1.0, 0.0, 0.3, 1.0];
+                    for &d in tile.iter().flatten().filter(|d| d.is_finite()) {
+                        thresholds.extend([d, d.next_down(), d.next_up()]);
+                    }
+                    for m in thresholds {
+                        let what = format!("{metric:?} {R}x{C} dim {dim} at m {m}");
+                        match metric.distance_tile_within(a, b, roots, tails, m) {
+                            Some(within) => assert_eq!(bits(within), bits(tile), "{what}"),
+                            None => {
+                                let beyond = tile.iter().flatten().all(|&d| d > m);
+                                assert!(beyond, "{what}: {tile:?}");
+                                let mut terms = a.iter().chain(&b).flat_map(|v| v.iter());
+                                assert!(!terms.any(|x| x.is_nan()), "{what}: NaN row dropped");
+                                dropped += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        dropped
+    }
+
+    #[test]
+    fn a_bounded_tile_is_the_tile_or_every_pair_is_beyond_the_threshold() {
+        let dropped = bounded_tile_drops::<1, 1>()
+            + bounded_tile_drops::<1, 2>()
+            + bounded_tile_drops::<2, 1>()
+            + bounded_tile_drops::<2, 2>();
+        assert!(dropped > 50, "only {dropped} tiles dropped: vacuous");
     }
 
     #[test]

@@ -13,6 +13,16 @@
 //! (`top_k_tiled`), and from one pass over the distance matrix when both
 //! sides are exact (`exact_join`); reciprocity, the threshold and the order
 //! of the result are decided once, after either.
+//!
+//! The exact join stops scoring a 2×2 tile of pairs halfway through the
+//! dimensions when a bound proves all four lie beyond `m`
+//! (`Metric::distance_tile_within`: Cauchy–Schwarz for cosine, a partial
+//! sum for Euclidean). The result is unchanged, bit for bit: a pair within
+//! `m` is never dropped, and neither is any row that ranks before it in
+//! either row's top-K, being closer still. So each top-K list keeps exactly
+//! its within-`m` entries, and those are all Eq. 1 reads. At the default
+//! `m` = 0.35 the bound drops 90.4% of the tiles of `shopee` ×0.1's merges
+//! and 91.6% of `music-20` ×0.3's.
 
 use crate::{Metric, Neighbor, Rows, TopK, VectorIndex};
 use rayon::prelude::*;
@@ -85,11 +95,6 @@ impl<'a> RowRefs<'a> {
             norms: rows.norms.to_vec(),
         }
     }
-
-    #[inline]
-    fn row(&self, i: usize) -> &'a [f32] {
-        self.rows[i]
-    }
 }
 
 impl<'a> FromIterator<&'a [f32]> for RowRefs<'a> {
@@ -151,9 +156,11 @@ where
 /// index built. This is what the batch merger runs for a merge on the exact
 /// backend, over rows it keeps once per run.
 ///
-/// Returns the matches, sorted by `(left, right)`, and the bytes of the
-/// top-K tables the join held: a table row per left row, and one table of
-/// the right side per range in flight (at most one per thread).
+/// Returns the matches, sorted by `(left, right)`, and the bytes the join
+/// held: the top-K tables — a table row per left row, and one table of the
+/// right side per range in flight (at most one per thread) — and two norms
+/// per row of either side for the bound that drops tiles beyond
+/// `max_distance`.
 ///
 /// # Panics
 /// Panics if the rows are not all of one length.
@@ -179,7 +186,8 @@ pub fn mutual_top_k_exact(
     let rows_per_range = RANGE_ROWS
         .max(MIN_RANGE_PAIRS.div_ceil(right.len()))
         .next_multiple_of(TILE_ROWS);
-    let (left_to_right, right_to_left, bytes) = exact_join(metric, left, right, k, rows_per_range);
+    let (left_to_right, right_to_left, bytes) =
+        exact_join(metric, left, right, k, max_distance, rows_per_range);
     (
         reciprocal(&left_to_right, &right_to_left, max_distance),
         bytes,
@@ -274,11 +282,53 @@ const RANGE_ROWS: usize = 128;
 /// 0.82 ms in the median, two threads 0.43 ms and 0.90 ms.
 const MIN_RANGE_PAIRS: usize = 1 << 15;
 
+/// One side of an exact join: its rows, and each row's L2 norm and L2 norm
+/// over the terms after the bound's test ([`Metric::distance_tile_within`]),
+/// computed once per join rather than once per tile the row is in.
+struct Side<'a> {
+    rows: &'a RowRefs<'a>,
+    roots: Vec<f32>,
+    tails: Vec<f32>,
+}
+
+impl<'a> Side<'a> {
+    fn of(rows: &'a RowRefs<'a>) -> Self {
+        Self {
+            rows,
+            roots: rows.norms.iter().map(|norm| norm.sqrt()).collect(),
+            tails: rows.rows.iter().map(|row| Metric::tail_norm(row)).collect(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Rows `first..first + N` with their two norms, cut out as arrays.
+    #[inline]
+    fn tile<const N: usize>(&self, first: usize) -> ([&'a [f32]; N], [f32; N], [f32; N]) {
+        let at = first..first + N;
+        let array = "a range of N";
+        (
+            self.rows.rows[at.clone()].try_into().expect(array),
+            self.roots[at.clone()].try_into().expect(array),
+            self.tails[at].try_into().expect(array),
+        )
+    }
+
+    /// Heap bytes of the two norms per row.
+    fn bytes(&self) -> usize {
+        (self.roots.capacity() + self.tails.capacity()) * std::mem::size_of::<f32>()
+    }
+}
+
 /// One range of left rows of an exact join against the whole right side.
 struct RangeJoin<'a> {
     metric: Metric,
-    a: &'a RowRefs<'a>,
-    b: &'a RowRefs<'a>,
+    a: &'a Side<'a>,
+    b: &'a Side<'a>,
+    /// The threshold `m`: a tile whose pairs all lie beyond it is dropped.
+    max_distance: f32,
     /// First left row of the range: `left` is indexed from it.
     first: usize,
     /// Top-K right rows of every left row of the range.
@@ -290,17 +340,23 @@ struct RangeJoin<'a> {
 
 impl RangeJoin<'_> {
     /// Score left rows `l..l + R` against right rows `r..r + C` in one
-    /// kernel tile and offer every distance to both of its rows.
+    /// kernel tile and offer every distance to both of its rows, unless the
+    /// kernel proves every pair of the tile lies beyond `max_distance`.
     #[inline]
     fn tile<const R: usize, const C: usize>(&mut self, l: usize, r: usize) {
         let ls: [usize; R] = std::array::from_fn(|i| l + i);
         let rs: [usize; C] = std::array::from_fn(|i| r + i);
-        let distances = self.metric.distance_tile(
-            ls.map(|l| self.a.row(l)),
-            rs.map(|r| self.b.row(r)),
-            ls.map(|l| self.a.norms[l]),
-            rs.map(|r| self.b.norms[r]),
-        );
+        let (a_rows, a_roots, a_tails) = self.a.tile::<R>(l);
+        let (b_rows, b_roots, b_tails) = self.b.tile::<C>(r);
+        let Some(distances) = self.metric.distance_tile_within(
+            a_rows,
+            b_rows,
+            (a_roots, b_roots),
+            (a_tails, b_tails),
+            self.max_distance,
+        ) else {
+            return;
+        };
         for (&l, row) in ls.iter().zip(&distances) {
             for (&r, &distance) in rs.iter().zip(row) {
                 self.left.offer(l - self.first, Neighbor::new(r, distance));
@@ -353,15 +409,29 @@ impl RangeJoin<'_> {
 /// `threads × |B| × k` neighbours however many ranges there are — and the
 /// tables are merged afterwards under the same rank, so ties still break by
 /// index whichever ranges met in a table. The third value is the bytes of
-/// those tables: every range's own, and one right table per range that can
-/// be in flight.
+/// those tables — every range's own, and one right table per range that can
+/// be in flight — and of the two norms per row the bound reads.
+///
+/// A tile whose pairs all lie beyond `max_distance` is dropped halfway
+/// through its dimensions, before any offer. The lists are then not the
+/// searches' but their within-`max_distance` prefixes followed by pairs
+/// beyond it, which is all [`reciprocal`] reads: a within-`m` pair is never
+/// dropped, so each row's top-K still holds every within-`m` pair that
+/// ranks in its top-K, and nothing within `m` that does not. The tests that
+/// compare these lists to index searches pass `f32::INFINITY`, at which no
+/// tile is dropped. On `ann/join`'s music-20 embeddings, one thread, best
+/// of 25 on a 2-core x86-64 VM, the 1,150 × 1,150 join took 38.2 ms before
+/// the bound, and 23.8 ms with it at `m` = 0.35 and 39.6 ms at `m = ∞`,
+/// where every tile pays for the test and none is dropped.
 fn exact_join(
     metric: Metric,
     a: &RowRefs<'_>,
     b: &RowRefs<'_>,
     k: usize,
+    max_distance: f32,
     rows_per_range: usize,
 ) -> (Vec<Vec<Neighbor>>, Vec<Vec<Neighbor>>, usize) {
+    let (a, b) = (&Side::of(a), &Side::of(b));
     let rows_per_range = rows_per_range.max(1);
     let ranges: Vec<Range<usize>> = (0..a.len())
         .step_by(rows_per_range)
@@ -380,6 +450,7 @@ fn exact_join(
                 metric,
                 a,
                 b,
+                max_distance,
                 first: range.start,
                 left: TopK::new(range.len(), left_cap),
                 right: take_table(),
@@ -400,7 +471,10 @@ fn exact_join(
         }
     }
     let in_flight = ranges.len().min(rayon::current_num_threads()).max(1);
-    let bytes = TopK::bytes(a.len(), left_cap) + in_flight * TopK::bytes(b.len(), right_cap);
+    let bytes = TopK::bytes(a.len(), left_cap)
+        + in_flight * TopK::bytes(b.len(), right_cap)
+        + a.bytes()
+        + b.bytes();
     (
         left.iter().flat_map(TopK::rows).collect(),
         right.rows().collect(),
@@ -642,6 +716,7 @@ mod tests {
                                 &left.iter().copied().collect(),
                                 &right.iter().copied().collect(),
                                 k,
+                                f32::INFINITY,
                                 rows,
                             );
                             let what =
@@ -657,6 +732,83 @@ mod tests {
             }
         }
         assert!(compared > 100_000, "only {compared} rows compared");
+    }
+
+    /// The matches of a join at `m` are those of the join at `m = ∞` (where
+    /// the exact join's bound never drops a tile) that lie within `m`, with
+    /// the same distance bits. Seeded unit vectors, a third of the right
+    /// side planted near a left row, a zero row and a NaN row on the left;
+    /// thresholds fixed and at matched pairs' distances and the float below
+    /// them; dimensions with and without trailing terms.
+    #[test]
+    fn a_join_at_m_is_the_unbounded_join_cut_at_m() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xB0_0D);
+        let mut unit = |dim: usize| -> Vec<f32> {
+            let v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+            v.iter().map(|x| x / norm).collect()
+        };
+        let bits = |m: &[MutualMatch]| -> Vec<(usize, usize, u32)> {
+            m.iter()
+                .map(|m| (m.left, m.right, m.distance.to_bits()))
+                .collect()
+        };
+        let mut cut_below_infinity = 0;
+        for dim in [16, 67, 384] {
+            let mut left: Vec<Vec<f32>> = (0..60).map(|_| unit(dim)).collect();
+            left[7] = vec![0.0; dim];
+            left[23][dim / 3] = f32::NAN;
+            let mut right: Vec<Vec<f32>> = (0..45).map(|_| unit(dim)).collect();
+            for (i, r) in right.iter_mut().enumerate().filter(|(i, _)| i % 3 == 0) {
+                // Near a left row: the left row plus noise of 1/8 to 1/2 of
+                // its norm.
+                let scale = [0.125, 0.25, 0.5][i % 9 / 3];
+                let noise = unit(dim);
+                *r = left[(i * 7) % 60]
+                    .iter()
+                    .zip(&noise)
+                    .map(|(x, n)| x + scale * n)
+                    .collect();
+            }
+            let (left, right): (RowRefs, RowRefs) = (
+                left.iter().map(Vec::as_slice).collect(),
+                right.iter().map(Vec::as_slice).collect(),
+            );
+            for metric in [Metric::Cosine, Metric::Euclidean] {
+                for k in [1, 3] {
+                    let join = |m| mutual_top_k_exact(metric, &left, &right, k, m).0;
+                    let all = join(f32::INFINITY);
+                    let mut thresholds = vec![0.05, 0.2, 0.35, 0.5, 1.0];
+                    for found in all.iter().step_by(4) {
+                        thresholds.extend([found.distance, found.distance.next_down()]);
+                    }
+                    for m in thresholds {
+                        let within: Vec<MutualMatch> =
+                            all.iter().filter(|x| x.distance <= m).copied().collect();
+                        let what = format!("{metric:?} dim {dim}, k {k}, m {m}");
+                        assert_eq!(bits(&join(m)), bits(&within), "{what}");
+                        cut_below_infinity += all.len() - within.len();
+                    }
+                }
+            }
+        }
+        assert!(cut_below_infinity > 500, "{cut_below_infinity}: vacuous");
+
+        // Two rows that differ only before the bound's checkpoint: the
+        // Euclidean partial sum is the whole distance, so at `m` equal to it
+        // the pair sits exactly on the threshold and must match.
+        let (mut u, mut v) = (vec![0.0f32; 64], vec![0.0f32; 64]);
+        for i in 0..32 {
+            (u[i], v[i]) = (0.1 * i as f32, 0.1 * i as f32 + 0.01);
+        }
+        let (u, v): (RowRefs, RowRefs) = (
+            [&u[..]].into_iter().collect(),
+            [&v[..]].into_iter().collect(),
+        );
+        let all = mutual_top_k_exact(Metric::Euclidean, &u, &v, 1, f32::INFINITY).0;
+        assert_eq!(all.len(), 1);
+        let at = mutual_top_k_exact(Metric::Euclidean, &u, &v, 1, all[0].distance).0;
+        assert_eq!(bits(&at), bits(&all));
     }
 
     /// The exact entry over borrowed rows is the join of two exact indexes

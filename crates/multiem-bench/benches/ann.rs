@@ -27,7 +27,11 @@
 //! backend from its smaller table, so both sides are exact); `mixed` is the
 //! same vectors with an HNSW 2,300-row side — that merge as the pipeline used
 //! to run it, searching each index once per row of the other side, graph
-//! build excluded. Its `elem/s` is rows per second over both sides.
+//! build excluded. Its `elem/s` is rows per second over both sides. Each
+//! `bruteforce` row runs at the pipeline's default `m` = 0.35, where the
+//! join's bound drops most tiles halfway, and beside it `bruteforce_m_inf`
+//! runs the same join at `m = ∞`, where the bound never fires: every pair
+//! is scored, as before the join had one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use multiem_ann::{
@@ -240,6 +244,11 @@ fn bench_kernel(c: &mut Criterion) {
     group.finish();
 }
 
+/// The exact join's threshold: the pipeline's default `m`, and infinity,
+/// at which the join's bound never drops a tile.
+const JOIN_THRESHOLDS: [(&str, f32); 2] =
+    [("bruteforce", 0.35), ("bruteforce_m_inf", f32::INFINITY)];
+
 fn bench_join(c: &mut Criterion) {
     let (vectors, dim) = music_embeddings();
     let rows =
@@ -249,9 +258,11 @@ fn bench_join(c: &mut Criterion) {
         let (left, rest) = vectors.split_at(n);
         let (left, right) = (rows(left), rows(&rest[..n]));
         group.throughput(Throughput::Elements(2 * n as u64));
-        group.bench_function(BenchmarkId::new("bruteforce", n), |b| {
-            b.iter(|| mutual_top_k_exact(Metric::Cosine, &left, &right, 1, 0.35))
-        });
+        for (name, m) in JOIN_THRESHOLDS {
+            group.bench_function(BenchmarkId::new(name, n), |b| {
+                b.iter(|| mutual_top_k_exact(Metric::Cosine, &left, &right, 1, m))
+            });
+        }
     }
 
     let (left, rest) = vectors.split_at(1_800);
@@ -259,9 +270,11 @@ fn bench_join(c: &mut Criterion) {
     let right_hnsw = hnsw(dim, right);
     let (left, right) = (rows(left), rows(right));
     group.throughput(Throughput::Elements((left.len() + right.len()) as u64));
-    group.bench_function("bruteforce/1800x2300", |b| {
-        b.iter(|| mutual_top_k_exact(Metric::Cosine, &left, &right, 1, 0.35))
-    });
+    for (name, m) in JOIN_THRESHOLDS {
+        group.bench_function(BenchmarkId::new(name, "1800x2300"), |b| {
+            b.iter(|| mutual_top_k_exact(Metric::Cosine, &left, &right, 1, m))
+        });
+    }
     // The merge the pipeline no longer runs: an exact side against a graph.
     let left_index =
         BruteForceIndex::from_vectors(dim, Metric::Cosine, left.rows().iter().copied());

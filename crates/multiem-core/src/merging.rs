@@ -942,8 +942,9 @@ pub(crate) mod tests {
 
     /// The merge inputs the pinned digests are taken over: `small_test`
     /// music at the machine's width and on one thread, `small_test` geo on
-    /// HNSW, and `music-20` at 0.05 with `hnsw_threshold` lowered so that
-    /// every merge has both sides past it.
+    /// HNSW, and `music-20` at 0.05 twice: with `hnsw_threshold` lowered so
+    /// that every merge has both sides past it, and with the default config,
+    /// so that every merge is an exact join.
     pub(crate) fn pinned_cases() -> Vec<PinnedCase> {
         let small = |domain: Domain, name: &str| {
             let factory = domain.factory();
@@ -982,11 +983,18 @@ pub(crate) mod tests {
             ),
             case(
                 "music-20 0.05, every merge past the threshold",
-                preset,
+                preset.clone(),
                 MultiEmConfig {
                     hnsw_threshold: 100,
                     ..MultiEmConfig::default()
                 },
+                &[2, 4, 5],
+                false,
+            ),
+            case(
+                "music-20 0.05, exact",
+                preset,
+                MultiEmConfig::default(),
                 &[2, 4, 5],
                 false,
             ),
@@ -1040,6 +1048,7 @@ pub(crate) mod tests {
                 0x1ee0_c094_1248_1d00,
                 457,
             ),
+            ("music-20 0.05, exact", 0x1ee0_c094_1248_1d00, 457),
         ];
         assert_eq!(found, expected);
     }

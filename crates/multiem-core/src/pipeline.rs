@@ -402,6 +402,7 @@ mod tests {
                 "music-20 0.05, every merge past the threshold",
                 0xe2ed_30e5_192e_3907,
             ),
+            ("music-20 0.05, exact", 0xe2ed_30e5_192e_3907),
         ];
         assert_eq!(found, expected);
     }

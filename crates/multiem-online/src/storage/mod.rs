@@ -225,8 +225,8 @@ pub(crate) mod tests {
     }
 
     fn exercise(store: &mut RecordStorage, n: usize) {
-        assert_eq!(store.open_source("alpha"), 0);
-        assert_eq!(store.open_source("beta"), 1);
+        assert_eq!(store.open_source(), 0);
+        assert_eq!(store.open_source(), 1);
         append_range(store, 0, n);
         assert_eq!(store.len(), n);
         assert_eq!(store.num_sources(), 2);
@@ -596,7 +596,7 @@ pub(crate) mod tests {
     #[test]
     fn fully_dead_segments_vanish_without_successor() {
         let (mut store, dir) = disk_store("all-dead", 5, 0);
-        let source = store.open_source("only");
+        let source = store.open_source();
         for i in 0..10 {
             store.append(source, &record(i), &embedding(i, 4)).unwrap();
         }

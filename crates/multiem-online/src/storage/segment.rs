@@ -570,8 +570,6 @@ fn write_segment_file(
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RecordStorage {
     dim: usize,
-    /// Source names, in open order.
-    names: Vec<String>,
     /// Per-source: row -> global append sequence ([`TOMBSTONE_SEQ`] for
     /// deleted rows).
     seq_of: Vec<Vec<u32>>,
@@ -621,7 +619,6 @@ impl RecordStorage {
         };
         Ok(Self {
             dim,
-            names: Vec::new(),
             seq_of: Vec::new(),
             entity_of_seq: Vec::new(),
             sealed: 0,
@@ -639,8 +636,7 @@ impl RecordStorage {
     }
 
     /// Open a new source table, returning its source id.
-    pub fn open_source(&mut self, name: &str) -> u32 {
-        self.names.push(name.to_string());
+    pub fn open_source(&mut self) -> u32 {
         self.seq_of.push(Vec::new());
         (self.seq_of.len() - 1) as u32
     }

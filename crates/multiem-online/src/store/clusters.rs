@@ -669,7 +669,7 @@ mod tests {
 
     fn table() -> Stored {
         let mut stored = RecordStorage::new(&StorageConfig::Memory, 2).unwrap();
-        stored.open_source("points");
+        stored.open_source();
         Stored {
             table: ClusterTable::new(config().base.index_for(0, 2)),
             stored,

@@ -364,7 +364,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
         // may spill them to disk as it goes.
         let embeddings = EmbeddingStore::build(dataset, &self.encoder, &selected, &base);
         for (s, table) in dataset.tables().iter().enumerate() {
-            let source = self.open_source(table.name());
+            let source = self.open_source();
             for (row, record) in table.iter() {
                 let embedding = embeddings.embedding(EntityId::new(s as u32, row));
                 self.state.records.append(source, record, embedding)?;
@@ -432,7 +432,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
         };
 
         let mut report = IngestReport {
-            source: self.open_source(table.name()),
+            source: self.open_source(),
             ..IngestReport::default()
         };
         for record in table.records() {
@@ -476,8 +476,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
         let source = match self.state.stream_source {
             Some(s) => s,
             None => {
-                let name = format!("stream-{}", self.state.records.num_sources());
-                let s = self.open_source(&name);
+                let s = self.open_source();
                 self.state.stream_source = Some(s);
                 s
             }
@@ -619,9 +618,9 @@ impl<E: EmbeddingModel> EntityStore<E> {
 
     /// Open a source. Only the newest source takes rows: whichever source
     /// single inserts were streaming into is closed to them from here on.
-    fn open_source(&mut self, name: &str) -> u32 {
+    fn open_source(&mut self) -> u32 {
         self.state.stream_source = None;
-        self.state.records.open_source(name)
+        self.state.records.open_source()
     }
 
     /// Whether a record from `source` may merge directly into the cluster:
@@ -1837,6 +1836,7 @@ mod tests {
         let meb4 = [b"MEB4".as_slice(), &good[4..]].concat();
         let meb5 = [b"MEB5".as_slice(), &good[4..]].concat();
         let meb6 = [b"MEB6".as_slice(), &good[4..]].concat();
+        let meb7 = [b"MEB7".as_slice(), &good[4..]].concat();
         for foreign in [
             &older[..],
             &b"MEB2"[..],
@@ -1844,12 +1844,13 @@ mod tests {
             &meb4[..],
             &meb5[..],
             &meb6[..],
+            &meb7[..],
             &b"MEB9 whatever"[..],
             &b"MEB"[..],
         ] {
             match restore(foreign) {
                 Err(OnlineError::Snapshot(msg)) => {
-                    assert!(msg.contains("MEB7"), "{msg}");
+                    assert!(msg.contains("MEB8"), "{msg}");
                     assert!(
                         foreign.len() < 4 || msg.contains(&format!("MEB{}", foreign[3] as char))
                     );
@@ -1876,18 +1877,19 @@ mod tests {
         // A field added, dropped, renamed or moved below changes what
         // `restore_bytes` reads: bump the version byte of `SNAPSHOT_MAGIC`
         // in the same change as these lists.
-        assert_eq!(wire::SNAPSHOT_MAGIC, b"MEB7");
+        assert_eq!(wire::SNAPSHOT_MAGIC, b"MEB8");
         let (cfg, dir) = disk_config("layout");
         let mut s = EntityStore::new(cfg, HashedLexicalEncoder::default());
         s.init_schema(title_schema()).unwrap();
         s.insert(Record::from_texts(["golden heart river"]))
             .unwrap();
         let bytes = s.snapshot_bytes().unwrap();
-        // The layouts before this one are refused by name: `MEB6` still
-        // carried `parallel` in `config.base`; `MEB5` a selection strategy
+        // The layouts before this one are refused by name: `MEB7` still
+        // carried the source names in `records`; `MEB6` `parallel` in
+        // `config.base`; `MEB5` a selection strategy
         // in `config` and `index_backend`, `min_pts` and `prune_metric` in
         // `config.base`; `MEB4` a prune counter and a dirty bit per cluster.
-        for old in ["MEB6", "MEB5", "MEB4"] {
+        for old in ["MEB7", "MEB6", "MEB5", "MEB4"] {
             let stale = [old.as_bytes(), &bytes[4..]].concat();
             match EntityStore::restore_bytes(&stale, HashedLexicalEncoder::default()) {
                 Err(OnlineError::Snapshot(msg)) => assert!(msg.contains(&format!("`{old}`"))),
@@ -1915,7 +1917,7 @@ mod tests {
         );
         assert_eq!(
             keys(&["records"]),
-            "dim names seq_of entity_of_seq sealed tail tail_dead deleted spill"
+            "dim seq_of entity_of_seq sealed tail tail_dead deleted spill"
         );
         assert_eq!(
             keys(&["records", "spill"]),

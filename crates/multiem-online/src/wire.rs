@@ -33,7 +33,7 @@ impl std::error::Error for WireError {}
 /// Magic prefix of snapshots. The last byte is the layout version: a
 /// snapshot under `MEB` and any other version is refused by name, not
 /// misread.
-pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MEB7";
+pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MEB8";
 
 /// Magic prefix of segment files written by the record store when it spills
 /// (`crate::storage::RecordStorage`).
