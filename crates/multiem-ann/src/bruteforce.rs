@@ -71,12 +71,6 @@ impl BruteForceIndex {
         self.len() - 1
     }
 
-    /// Make room for `additional` more vectors.
-    pub fn reserve(&mut self, additional: usize) {
-        self.data.reserve_exact(additional * self.dim);
-        self.norms.reserve_exact(additional);
-    }
-
     /// The stored vectors and their norms, as the distance loops read them.
     pub(crate) fn rows(&self) -> Rows<'_> {
         Rows {

@@ -226,13 +226,6 @@ impl HnswIndex {
         }
     }
 
-    /// Make room for `additional` more vectors.
-    pub fn reserve(&mut self, additional: usize) {
-        self.data.reserve_exact(additional * self.dim);
-        self.norms.reserve_exact(additional);
-        self.links.reserve_exact(additional);
-    }
-
     /// Build an index from a set of vectors.
     pub fn build<'a, I>(dim: usize, metric: Metric, config: HnswConfig, vectors: I) -> Self
     where

@@ -1,9 +1,8 @@
 //! Either index backend behind one type.
 //!
-//! The batch merger picks a backend per merge (from its smaller table) and
-//! the online store per rebuild (from its live clusters), so both hold "a
-//! brute-force or an HNSW index" — this enum, which serializes as part of
-//! the store's snapshot.
+//! The online store picks a backend per rebuild (from its live clusters), so
+//! its representative index is "a brute-force or an HNSW index" — this
+//! enum, which serializes as part of the store's snapshot.
 
 use crate::{BruteForceIndex, HnswConfig, HnswIndex, Metric, Neighbor, VectorIndex};
 use serde::{Deserialize, Serialize};
@@ -33,15 +32,6 @@ impl AnnIndex {
         match hnsw {
             Some(config) => AnnIndex::Hnsw(Box::new(HnswIndex::new(dim, metric, config))),
             None => AnnIndex::Brute(BruteForceIndex::new(dim, metric)),
-        }
-    }
-
-    /// Make room for `additional` more vectors, so a caller that knows how
-    /// many it is about to insert fills the index without regrowing it.
-    pub fn reserve(&mut self, additional: usize) {
-        match self {
-            AnnIndex::Brute(i) => i.reserve(additional),
-            AnnIndex::Hnsw(i) => i.reserve(additional),
         }
     }
 

@@ -1,22 +1,25 @@
 //! Approximate nearest-neighbour search substrate for MultiEM.
 //!
 //! The merging phase of MultiEM finds the *mutual top-K* neighbours of two
-//! tables' embeddings under a distance threshold `m` (Eq. 1 of the paper),
-//! exactly or through an ANN index over each table. The paper uses hnswlib;
-//! this crate provides:
+//! tables' embeddings under a distance threshold `m` (Eq. 1 of the paper).
+//! The paper searches an hnswlib index over each table; the batch merger
+//! here joins the two tables' rows exactly, and the online store searches
+//! an index of its cluster representatives. This crate provides:
 //!
 //! * [`Metric`] — cosine / Euclidean distances;
-//! * [`BruteForceIndex`] — exact k-NN, used for small inputs and as the
-//!   correctness oracle in tests and recall benchmarks;
+//! * [`BruteForceIndex`] — exact k-NN, the online store's index below its
+//!   HNSW threshold and the correctness oracle in tests and recall
+//!   benchmarks;
 //! * [`HnswIndex`] — a from-scratch implementation of Hierarchical Navigable
 //!   Small World graphs (Malkov & Yashunin, TPAMI 2020) with heuristic
 //!   neighbour selection, `ef_construction` / `ef_search` control and
 //!   deterministic seeding;
 //! * [`AnnIndex`] — either of the two behind one serializable type, for
 //!   callers that pick the backend from the collection size;
-//! * [`mutual_top_k`] — the mutual top-K join used by the two-table merging
-//!   strategy (Algorithm 3), and [`mutual_top_k_exact`], the same join of
-//!   two exact sides over borrowed rows ([`RowRefs`]), with no index built.
+//! * [`mutual_top_k_exact`] — the mutual top-K join of two sides given as
+//!   borrowed rows ([`RowRefs`]), with no index built: every two-table merge
+//!   of Algorithm 3; and [`mutual_top_k`], the same rule over two indexes
+//!   of any backend.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,9 +5,8 @@
 //! implements that join generically over any [`VectorIndex`] so it can run on
 //! the exact brute-force index or the HNSW index, and over borrowed rows
 //! ([`mutual_top_k_exact`]) where no index is built at all. The batch merger
-//! picks one backend per merge from its smaller table: an exact merge joins
-//! its rows where they lie, an approximate one searches two graphs; a mixed
-//! join still answers, by searches.
+//! runs the last for every merge, over the rows where they lie; a join with
+//! an HNSW side still answers, by searches.
 //!
 //! Both directions' top-K come from searches when a side is approximate
 //! (`top_k_tiled`), and from one pass over the distance matrix when both
@@ -153,8 +152,8 @@ where
 
 /// [`mutual_top_k`] of two exact sides given as borrowed rows: both
 /// directions' top-`k` from one pass over the `|A| × |B|` distances, with no
-/// index built. This is what the batch merger runs for a merge on the exact
-/// backend, over rows it keeps once per run.
+/// index built. This is what the batch merger runs for every merge, over
+/// rows it keeps once per run.
 ///
 /// Returns the matches, sorted by `(left, right)`, and the bytes the join
 /// held: the top-K tables — a table row per left row, and one table of the
@@ -232,10 +231,8 @@ const TILE: usize = 32;
 /// full tile is cut into narrower ones (300 queries on 16 threads: 19 wide,
 /// not 10 tiles of 32 with six threads idle). Results do not depend on the
 /// width. Since the exact join left this path only joins with an HNSW side
-/// come here, and from the batch merger only joins of two HNSW sides (it
-/// picks one backend per merge), i.e. sides of thousands of queries, which
-/// get full tiles on any machine the pipeline has run on; the narrow case is
-/// covered by tests, not by a measurement.
+/// come here, and the pipeline runs none; the narrow case is covered by
+/// tests, not by a measurement.
 fn tile_width(queries: usize, threads: usize) -> usize {
     TILE.min(queries.div_ceil(threads)).max(1)
 }

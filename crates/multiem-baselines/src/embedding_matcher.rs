@@ -8,7 +8,7 @@
 
 use crate::context::MatchContext;
 use crate::{MatchedPair, TwoTableMatcher};
-use multiem_ann::{BruteForceIndex, Metric};
+use multiem_ann::{mutual_top_k_exact, Metric, RowRefs};
 use multiem_table::EntityId;
 
 /// Mutual-nearest-neighbour matcher over embeddings with a cosine-similarity
@@ -44,28 +44,17 @@ impl TwoTableMatcher for EmbeddingThresholdMatcher {
         if left.is_empty() || right.is_empty() {
             return Vec::new();
         }
-        let dim = ctx.store.dim();
-        let left_index = BruteForceIndex::from_vectors(
-            dim,
-            Metric::Cosine,
-            left.iter().map(|&id| ctx.embedding(id)),
-        );
-        let right_index = BruteForceIndex::from_vectors(
-            dim,
-            Metric::Cosine,
-            right.iter().map(|&id| ctx.embedding(id)),
-        );
+        let rows =
+            |ids: &[EntityId]| -> RowRefs<'_> { ids.iter().map(|&id| ctx.embedding(id)).collect() };
         let max_distance = 1.0 - self.min_similarity;
-        let left_vecs: Vec<&[f32]> = left.iter().map(|&id| ctx.embedding(id)).collect();
-        let right_vecs: Vec<&[f32]> = right.iter().map(|&id| ctx.embedding(id)).collect();
-        multiem_ann::mutual_top_k(
-            &left_index,
-            &right_index,
-            &left_vecs,
-            &right_vecs,
+        mutual_top_k_exact(
+            Metric::Cosine,
+            &rows(left),
+            &rows(right),
             self.k,
             max_distance,
         )
+        .0
         .into_iter()
         .map(|m| MatchedPair::new(left[m.left], right[m.right], 1.0 - m.distance))
         .collect()
@@ -75,6 +64,7 @@ impl TwoTableMatcher for EmbeddingThresholdMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use multiem_ann::{mutual_top_k, BruteForceIndex};
     use multiem_datagen::{
         CorruptionConfig, Corruptor, Domain, GeneratorConfig, MultiSourceGenerator,
     };
@@ -92,6 +82,31 @@ mod tests {
         let pairs =
             matcher.match_collections(&ctx, &ctx.source_entities(0), &ctx.source_entities(1));
         assert!(!pairs.is_empty());
+        // The same pairs, scores bit for bit, as the join of two exact
+        // indexes over copies of the rows.
+        let (left, right) = (ctx.source_entities(0), ctx.source_entities(1));
+        let index = |ids: &[EntityId]| {
+            BruteForceIndex::from_vectors(
+                ctx.store.dim(),
+                Metric::Cosine,
+                ids.iter().map(|&id| ctx.embedding(id)),
+            )
+        };
+        let vectors =
+            |ids: &[EntityId]| -> Vec<&[f32]> { ids.iter().map(|&id| ctx.embedding(id)).collect() };
+        let indexed = mutual_top_k(
+            &index(&left),
+            &index(&right),
+            &vectors(&left),
+            &vectors(&right),
+            matcher.k,
+            1.0 - matcher.min_similarity,
+        );
+        assert_eq!(pairs.len(), indexed.len());
+        for (p, m) in pairs.iter().zip(&indexed) {
+            assert_eq!((p.a, p.b), (left[m.left], right[m.right]));
+            assert_eq!(p.score.to_bits(), (1.0 - m.distance).to_bits());
+        }
         // Every returned pair crosses the two collections and scores above threshold.
         for p in &pairs {
             assert_eq!(p.a.source, 0);

@@ -1,9 +1,9 @@
 //! Criterion micro-benchmark: HNSW vs brute-force nearest-neighbour search.
 //!
-//! Supports the merging-phase analysis: the ANN index is what keeps each
-//! two-table merge sub-quadratic. The benchmark measures build, per-insert
-//! and query cost for both backends at increasing collection sizes, on the
-//! vectors the pipeline really indexes: `music-20` records through the
+//! The two index backends are the online store's representative index, and
+//! the exact join (`ann/join`) is every batch merge. The benchmark measures
+//! build, per-insert and query cost for both backends at increasing
+//! collection sizes, and the join, on the vectors the pipeline really embeds: `music-20` records through the
 //! default encoder (dim 384, unit norm, duplicates clustered tightly).
 //! `ann/insert` is the kernel row under the benchmark's `ann.hnsw.insert_us`;
 //! its `elem/s` is inserts per second, so per-insert time is its inverse.
@@ -20,23 +20,18 @@
 //! is one of these.
 //! `ann/join` is the mutual top-1 join (the benchmark's `ann.mutual.join_s`
 //! row, and most of `core.merge_s`): `bruteforce/*` is the entry the merger
-//! calls for an exact merge, `mutual_top_k_exact` over borrowed rows with no
+//! calls for every merge, `mutual_top_k_exact` over borrowed rows with no
 //! index built, at the per-side sizes of `batch_many`'s (1,150) and
-//! `batch_wide`'s (2,300) largest exact merges, and `bruteforce/1800x2300`,
-//! `batch_wide`'s last merge as the pipeline runs it (a merge takes its
-//! backend from its smaller table, so both sides are exact); `mixed` is the
-//! same vectors with an HNSW 2,300-row side — that merge as the pipeline used
-//! to run it, searching each index once per row of the other side, graph
-//! build excluded. Its `elem/s` is rows per second over both sides. Each
-//! `bruteforce` row runs at the pipeline's default `m` = 0.35, where the
-//! join's bound drops most tiles halfway, and beside it `bruteforce_m_inf`
-//! runs the same join at `m = ∞`, where the bound never fires: every pair
-//! is scored, as before the join had one.
+//! `batch_wide`'s (2,300) largest merges, and `bruteforce/1800x2300`,
+//! `batch_wide`'s last merge. Its `elem/s` is rows per second over both
+//! sides. Each `bruteforce` row runs at the pipeline's default `m` = 0.35,
+//! where the join's bound drops most tiles halfway, and beside it
+//! `bruteforce_m_inf` runs the same join at `m = ∞`, where the bound never
+//! fires: every pair is scored, as before the join had one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use multiem_ann::{
-    mutual_top_k, mutual_top_k_exact, BruteForceIndex, HnswConfig, HnswIndex, Metric, RowRefs,
-    VectorIndex,
+    mutual_top_k_exact, BruteForceIndex, HnswConfig, HnswIndex, Metric, RowRefs, VectorIndex,
 };
 use multiem_core::{AttributeSelection, EmbeddingStore, MergedTable, MultiEmConfig};
 use multiem_datagen::benchmark_specs;
@@ -250,7 +245,7 @@ const JOIN_THRESHOLDS: [(&str, f32); 2] =
     [("bruteforce", 0.35), ("bruteforce_m_inf", f32::INFINITY)];
 
 fn bench_join(c: &mut Criterion) {
-    let (vectors, dim) = music_embeddings();
+    let (vectors, _) = music_embeddings();
     let rows =
         |v: &'static [Vec<f32>]| -> RowRefs<'static> { v.iter().map(Vec::as_slice).collect() };
     let mut group = c.benchmark_group("ann/join");
@@ -266,21 +261,13 @@ fn bench_join(c: &mut Criterion) {
     }
 
     let (left, rest) = vectors.split_at(1_800);
-    let right = &rest[..2_300];
-    let right_hnsw = hnsw(dim, right);
-    let (left, right) = (rows(left), rows(right));
+    let (left, right) = (rows(left), rows(&rest[..2_300]));
     group.throughput(Throughput::Elements((left.len() + right.len()) as u64));
     for (name, m) in JOIN_THRESHOLDS {
         group.bench_function(BenchmarkId::new(name, "1800x2300"), |b| {
             b.iter(|| mutual_top_k_exact(Metric::Cosine, &left, &right, 1, m))
         });
     }
-    // The merge the pipeline no longer runs: an exact side against a graph.
-    let left_index =
-        BruteForceIndex::from_vectors(dim, Metric::Cosine, left.rows().iter().copied());
-    group.bench_function("mixed/1800x2300", |b| {
-        b.iter(|| mutual_top_k(&left_index, &right_hnsw, left.rows(), right.rows(), 1, 0.35))
-    });
     group.finish();
 }
 

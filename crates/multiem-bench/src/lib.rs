@@ -106,8 +106,9 @@ impl HarnessConfig {
         Ok(cfg)
     }
 
-    /// The header line of every run: the scale and the datasets its numbers
-    /// were obtained at, and the machine they were timed on.
+    /// The header line of every run: `MULTIEM_SCALE`, the datasets its
+    /// numbers were obtained at, and the machine they were timed on. Each
+    /// preset's own scale ([`HarnessConfig::scale_for`]) is Table III's.
     pub fn announce(&self, datasets: &[BenchmarkDataset]) -> String {
         let names: Vec<&str> = datasets.iter().map(|d| d.stats.name.as_str()).collect();
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -119,14 +120,15 @@ impl HarnessConfig {
             })
             .unwrap_or_else(|| "unknown CPU".to_string());
         format!(
-            "[multiem-bench] effective MULTIEM_SCALE={}, datasets {}; {cores} cores, {cpu}\n",
+            "[multiem-bench] MULTIEM_SCALE={}, datasets {}; {cores} cores, {cpu}\n",
             self.scale,
             names.join(",")
         )
     }
 
-    /// Per-dataset scale: the huge presets (music-2000, person) get an extra
-    /// reduction so default harness runs stay laptop-sized.
+    /// Per-dataset scale: the large presets (music-200, music-2000, person)
+    /// get an extra reduction so default harness runs stay laptop-sized.
+    /// Table III prints it per preset.
     pub fn scale_for(&self, name: &str) -> f64 {
         match name {
             "music-2000" => self.scale * 0.02,
@@ -548,7 +550,7 @@ pub fn render(
     let scale = harness.scale;
     let default = MultiEmConfig::default;
     match exhibit {
-        Exhibit::Table3 => table3(scale, datasets),
+        Exhibit::Table3 => table3(harness, datasets),
         Exhibit::Table4 => table4(datasets, passes),
         Exhibit::Table5 => with_footer(
             &method_table(format!("Table V — running time (scale {scale})"), passes, |r| {
@@ -618,17 +620,21 @@ fn with_footer(table: &TextTable, footer: &str) -> String {
     format!("{}\n{footer}", table.render())
 }
 
-fn table3(scale: f64, datasets: &[BenchmarkDataset]) -> String {
+fn table3(harness: &HarnessConfig, datasets: &[BenchmarkDataset]) -> String {
     let mut table = TextTable::new(
-        format!("Table III — dataset statistics (scale {scale})"),
+        format!(
+            "Table III — dataset statistics (MULTIEM_SCALE {})",
+            harness.scale
+        ),
         &[
-            "Name", "Domain", "Srcs", "Attrs", "Entities", "Tuples", "Pairs",
+            "Name", "Scale", "Domain", "Srcs", "Attrs", "Entities", "Tuples", "Pairs",
         ],
     );
     for data in datasets {
         let s = &data.stats;
         table.add_row([
             s.name.clone(),
+            format_scale(harness.scale_for(&s.name)),
             s.domain.clone(),
             s.sources.to_string(),
             s.attributes.to_string(),
@@ -647,6 +653,12 @@ fn table3(scale: f64, datasets: &[BenchmarkDataset]) -> String {
             "   8-attribute schema listed in Table VII so attribute selection has work to do.)\n",
         ),
     )
+}
+
+/// A scale rounded to six places: `0.05 * 0.2` prints as `0.01`, not
+/// `0.010000000000000002`.
+fn format_scale(scale: f64) -> String {
+    ((scale * 1e6).round() / 1e6).to_string()
 }
 
 fn table4(datasets: &[BenchmarkDataset], passes: &[MethodsPass]) -> String {
@@ -820,6 +832,9 @@ mod tests {
         let cfg = HarnessConfig::default();
         assert!(cfg.scale_for("music-2000") < cfg.scale_for("music-20"));
         assert_eq!(cfg.scale_for("geo"), cfg.scale);
+        let scales = ["music-20", "music-200", "music-2000"].map(|p| cfg.scale_for(p));
+        assert_eq!(scales.map(format_scale), ["0.05", "0.01", "0.001"]);
+        assert_eq!(format_scale(1.0), "1");
     }
 
     #[test]

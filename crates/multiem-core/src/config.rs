@@ -1,6 +1,6 @@
 //! Configuration of the MultiEM pipeline.
 
-use multiem_ann::{AnnIndex, HnswConfig, Metric};
+use multiem_ann::{HnswConfig, Metric};
 use multiem_table::SerializeOptions;
 use serde::{Deserialize, Serialize};
 
@@ -29,39 +29,23 @@ pub struct MultiEmConfig {
     pub m: f32,
     /// Metric used in the merging phase (cosine in the paper).
     pub merge_metric: Metric,
-    /// Index size at which the vector index switches from the exact
-    /// brute-force backend to HNSW: below it, exact; at or above it, a graph.
-    /// `0` always builds HNSW and `usize::MAX` never does. A merge counts its
-    /// *smaller* table and runs both of its sides on the one backend that
-    /// selects, so it builds HNSW graphs only when both tables are past the
-    /// threshold (an exact merge builds no index at all): with one exact
-    /// side, the join scores all |A|×|B| pairs anyway, and the one-pass
-    /// exact join does it without a graph. The online store counts its live
-    /// representatives.
+    /// The online store's index policy: once its live representatives
+    /// number at least this many, its representative index is an HNSW graph
+    /// rather than the exact index (`0`: always a graph, `usize::MAX`:
+    /// never). The batch merger does not read it: every merge is the exact
+    /// join (see [`crate::merging`]).
     ///
-    /// The default (2,000) is the measured break-even of the two backends in
-    /// a merge, where every item is inserted once into its own table's index
-    /// and searched once in the other table's. Per item HNSW costs
-    /// `ann.hnsw.insert_us + ann.hnsw.search_us` — 474 µs at n = 1,143,
-    /// 638 µs at 2,296, 690 µs at 3,667 — and brute force costs
-    /// `ann.brute.search_us` = 0.285 µs × n — 315 / 655 / 1,068 µs — so the
-    /// lines cross near n ≈ 2,200. Those are rows of the benchmark's traced
-    /// runs (`benchmark/README.md`; seed 103, dim-384 embeddings, `k = 1`,
-    /// default [`HnswConfig`]) on a 2-core x86-64 VM with rustc 1.95;
-    /// re-measure before moving the threshold on other hardware. Since then
-    /// the brute-force scan runs on cached norms at 0.13–0.14 µs × n, which
-    /// put the crossing near n ≈ 5,000, and then a merge of two exact tables
-    /// stopped searching at all: `mutual_top_k` joins them in one pass over
-    /// their distance matrix, at `ann.mutual.join_s` ÷ items = 10 / 18 /
-    /// 21 µs per item at the same three sizes (about 0.009 µs × n) against
-    /// 193 / 337 / 408 µs for HNSW insert + search in the same runs — for a
-    /// merge the lines no longer cross below n ≈ 40,000 (extrapolated:
-    /// nothing has run past n ≈ 6,000). A single look-up, which is what the
-    /// online store pays, still crosses near n ≈ 3,700. The default was
-    /// deliberately not moved along with either (README, "Where the default
-    /// `hnsw_threshold` comes from").
+    /// The default (2,000) is where an insert plus a look-up cost about the
+    /// same on either backend when it was set: `ann.hnsw.insert_us +
+    /// ann.hnsw.search_us` against `ann.brute.search_us` in the benchmark's
+    /// traced runs (`benchmark/README.md`) on a 2-core x86-64 VM. The exact
+    /// scan has since become cheaper, which moved that crossing near
+    /// n ≈ 3,700; the default was not moved with it (README, "Where the
+    /// default `hnsw_threshold` comes from").
     pub hnsw_threshold: usize,
-    /// HNSW construction/search parameters.
+    /// HNSW construction/search parameters of the online store's
+    /// representative index, once [`MultiEmConfig::hnsw_threshold`] makes it
+    /// a graph.
     pub hnsw: HnswConfig,
     /// Seed controlling the random pairing order of tables in hierarchical
     /// merging (Figure 6(b) varies this seed).
@@ -110,23 +94,6 @@ impl MultiEmConfig {
         self
     }
 
-    /// Whether an index sized by `len` is an HNSW graph rather than the exact
-    /// index — the one place [`MultiEmConfig::hnsw_threshold`] is read. The
-    /// merger passes the length of a merge's smaller table, for both of its
-    /// sides (no: the exact join over its rows; yes: a graph over each); the
-    /// online store passes its count of live representatives.
-    pub fn wants_hnsw(&self, len: usize) -> bool {
-        len >= self.hnsw_threshold
-    }
-
-    /// An empty index of dimensionality `dim`, on the backend
-    /// [`MultiEmConfig::wants_hnsw`] selects for `len` (same callers, same
-    /// lengths).
-    pub fn index_for(&self, len: usize, dim: usize) -> AnnIndex {
-        let hnsw = self.wants_hnsw(len).then(|| self.hnsw.clone());
-        AnnIndex::new(dim, self.merge_metric, hnsw)
-    }
-
     /// Validate the configuration, returning a description of the first
     /// problem found.
     pub fn validate(&self) -> Result<(), String> {
@@ -172,22 +139,6 @@ mod tests {
         assert!(c.pruning);
         let c = MultiEmConfig::default().without_pruning();
         assert!(!c.pruning);
-    }
-
-    #[test]
-    fn backend_policy_follows_the_threshold() {
-        let at = |hnsw_threshold| MultiEmConfig {
-            hnsw_threshold,
-            ..MultiEmConfig::default()
-        };
-        let ten = at(10);
-        assert!(!ten.wants_hnsw(9) && ten.wants_hnsw(10));
-        assert!(!ten.index_for(9, 4).is_hnsw() && ten.index_for(10, 4).is_hnsw());
-        // `0`: HNSW even for an empty index; `usize::MAX`: never HNSW.
-        assert!(at(0).wants_hnsw(0) && at(0).index_for(0, 4).is_hnsw());
-        let never = at(usize::MAX);
-        assert!(!never.wants_hnsw(1_000_000) && !never.wants_hnsw(usize::MAX - 1));
-        assert!(!never.index_for(1_000_000, 4).is_hnsw());
     }
 
     #[test]

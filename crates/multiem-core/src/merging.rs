@@ -4,12 +4,8 @@
 //! entities or tuples produced by earlier merges. One two-table merge step
 //! (Algorithm 3):
 //!
-//! 1. scores the two tables' item rows on the backend the *smaller* table's
-//!    size selects: a merge with a side below `hnsw_threshold` runs the exact
-//!    one-pass join over the rows where they lie, with no index built,
-//!    because a join with an exact side scores every pair of the two tables
-//!    anyway; only a merge with both sides past the threshold builds an HNSW
-//!    graph over each,
+//! 1. joins the two tables' item rows where they lie, in one exact pass over
+//!    their distance matrix ([`mutual_top_k_exact`]), with no index built,
 //! 2. finds all **mutual top-K** item pairs with distance ≤ `m` (Eq. 1),
 //! 3. fuses matched items through transitivity (union-find) into new items,
 //!    carrying every unmatched item into the output table unchanged. A fused
@@ -18,6 +14,11 @@
 //!    centroid of the members. The online store computes its clusters'
 //!    representatives with the same function over the same order, so a
 //!    member set has the same embedding, bit for bit, in either.
+//!
+//! Algorithm 3 builds an HNSW index per table instead. Here the exact join is
+//! faster at every size the repository runs, and it answers Eq. 1 exactly
+//! (PAPER.md, "M", has the measurement). `hnsw_threshold` and `hnsw` do not
+//! reach the merger: they set the online store's index.
 //!
 //! Hierarchical merging (Algorithm 2) repeatedly pairs up the current tables
 //! (in a seeded random order) and merges each pair until a single integrated
@@ -40,7 +41,7 @@
 //! its member list.
 
 use crate::config::MultiEmConfig;
-use multiem_ann::{mutual_top_k, mutual_top_k_exact, Metric, MutualMatch, RowRefs, VectorIndex};
+use multiem_ann::{mutual_top_k_exact, Metric, RowRefs};
 use multiem_cluster::UnionFind;
 use multiem_embed::l2_normalize;
 use multiem_table::{Dataset, EntityId, MatchTuple};
@@ -244,51 +245,9 @@ pub fn representative(dim: usize, points: &[&[f32]]) -> Vec<f32> {
 struct MergeStats {
     /// Number of mutual matched pairs found (|P_m| in Algorithm 3).
     matched_pairs: usize,
-    /// Peak search memory of the merge: for an exact merge the two sides'
-    /// row references and norms plus the join's top-K tables (no row is
-    /// copied); for an HNSW merge the two graphs, rows included.
+    /// Peak search memory of the merge: the two sides' row references and
+    /// norms plus the join's top-K tables (no row is copied).
     index_bytes: usize,
-}
-
-/// The mutual matches of two tables' items, and the merge's search memory.
-fn join(
-    arena: &Arena<'_>,
-    left: &[Item],
-    right: &[Item],
-    config: &MultiEmConfig,
-) -> (Vec<MutualMatch>, usize) {
-    let (left, right) = (arena.side(left), arena.side(right));
-    let sides = left.approx_bytes() + right.approx_bytes();
-    // One backend for the merge, from its smaller table: with one exact
-    // side the join scores every pair anyway, so a graph on the other
-    // would be built for nothing.
-    let smaller = left.len().min(right.len());
-    if !config.wants_hnsw(smaller) {
-        let (matches, tables) =
-            mutual_top_k_exact(config.merge_metric, &left, &right, config.k, config.m);
-        return (matches, sides + tables);
-    }
-    let graph = |side: &RowRefs<'_>| {
-        let mut index = config.index_for(smaller, arena.dim);
-        index.reserve(side.len());
-        for row in side.rows() {
-            index.insert(row);
-        }
-        index
-    };
-    let (left_index, right_index) = (graph(&left), graph(&right));
-    let matches = mutual_top_k(
-        &left_index,
-        &right_index,
-        left.rows(),
-        right.rows(),
-        config.k,
-        config.m,
-    );
-    (
-        matches,
-        left_index.approx_bytes() + right_index.approx_bytes(),
-    )
 }
 
 /// What one merge decided, before its output table is assembled: the item
@@ -309,7 +268,13 @@ fn fuse(arena: &Arena<'_>, left: &[Item], right: &[Item], config: &MultiEmConfig
     let (matches, index_bytes) = if left.is_empty() || right.is_empty() {
         (Vec::new(), 0)
     } else {
-        join(arena, left, right, config)
+        let (rows_l, rows_r) = (arena.side(left), arena.side(right));
+        let (matches, tables) =
+            mutual_top_k_exact(config.merge_metric, &rows_l, &rows_r, config.k, config.m);
+        (
+            matches,
+            rows_l.approx_bytes() + rows_r.approx_bytes() + tables,
+        )
     };
     // Transitivity: union matched items (right items are offset by left.len()).
     let mut uf = UnionFind::new(left.len() + right.len());
@@ -465,9 +430,8 @@ pub struct HierarchicalMergeOutput {
     pub integrated: MergedTable,
     /// Number of hierarchy levels executed (`⌈log2 S⌉` for S source tables).
     pub levels: usize,
-    /// Peak search memory across all two-table merges: for an exact merge
-    /// the two sides' row references and norms plus the join's top-K tables,
-    /// for an HNSW merge the two graphs, rows included.
+    /// Peak search memory across all two-table merges: the two sides' row
+    /// references and norms plus the join's top-K tables.
     pub peak_index_bytes: usize,
     /// Total mutual matched pairs across all merges.
     pub total_matched_pairs: usize,
@@ -505,9 +469,8 @@ pub struct StoreMergeOutput {
     pub members: Vec<Vec<EntityId>>,
     /// Number of hierarchy levels executed (`⌈log2 S⌉` for S source tables).
     pub levels: usize,
-    /// Peak search memory across all two-table merges: for an exact merge
-    /// the two sides' row references and norms plus the join's top-K tables,
-    /// for an HNSW merge the two graphs, rows included.
+    /// Peak search memory across all two-table merges: the two sides' row
+    /// references and norms plus the join's top-K tables.
     pub peak_index_bytes: usize,
     /// Total mutual matched pairs across all merges.
     pub total_matched_pairs: usize,
@@ -804,8 +767,13 @@ pub(crate) mod tests {
         assert!(table.approx_bytes() > 0);
     }
 
+    /// A merge is the exact join whatever `hnsw_threshold` says: at `0`
+    /// (past it on every side) and at `usize::MAX` (past it on none) it
+    /// gives the same members, the same embedding bits and the same search
+    /// memory, and that memory is norms, row references and top-K tables,
+    /// which do not grow with the rows.
     #[test]
-    fn a_merge_with_a_side_below_the_threshold_builds_no_graph_and_answers_as_the_exact_merge() {
+    fn a_merge_is_the_exact_join_at_every_threshold_and_copies_no_row() {
         use rand::Rng;
         let dim = 16;
         let mut rng = ChaCha8Rng::seed_from_u64(33);
@@ -826,16 +794,10 @@ pub(crate) mod tests {
                 .collect(),
         };
         let (small, large, other) = (table(0, 6), table(1, 30), table(2, 30));
-        let auto = MultiEmConfig {
-            hnsw_threshold: 10,
+        let at = |hnsw_threshold| MultiEmConfig {
+            hnsw_threshold,
             ..config()
         };
-        let brute = MultiEmConfig {
-            hnsw_threshold: usize::MAX,
-            ..auto.clone()
-        };
-        // What the two sides' rows take as floats.
-        let row_bytes = |t: &MergedTable| t.len() * dim * std::mem::size_of::<f32>();
         // The same rows with zeros appended: the same norms and distances,
         // four times the floats.
         let padded = |t: &MergedTable| MergedTable {
@@ -851,70 +813,24 @@ pub(crate) mod tests {
         let bits =
             |i: &MergeItem| -> Vec<u32> { i.embedding.iter().map(|x| x.to_bits()).collect() };
 
-        for (left, right) in [(&small, &large), (&large, &small)] {
-            let merged = merge_two(left, right, &auto, dim);
-            // 6 rows against 30 join exactly, over the rows where they lie:
-            // the search memory is norms, row references and top-K tables,
-            // and does not grow with the rows.
-            let wide = merge_two(&padded(left), &padded(right), &auto, 64);
+        for (left, right) in [(&small, &large), (&large, &small), (&large, &other)] {
+            let exact = merge_two(left, right, &at(usize::MAX), dim);
+            assert!(!exact.integrated.tuples().is_empty());
+            assert!(exact.peak_index_bytes > 0);
+            let wide = merge_two(&padded(left), &padded(right), &at(usize::MAX), 64);
             assert_eq!(
-                merged.peak_index_bytes, wide.peak_index_bytes,
+                exact.peak_index_bytes, wide.peak_index_bytes,
                 "a row was copied"
             );
-            assert!(merged.peak_index_bytes > 0);
-            let (merged, exact) = (
-                merged.integrated,
-                merge_two(left, right, &brute, dim).integrated,
-            );
-            assert!(!exact.tuples().is_empty());
-            assert_eq!(merged.len(), exact.len());
-            for (a, b) in merged.items.iter().zip(&exact.items) {
+            let graph = merge_two(left, right, &at(0), dim);
+            assert_eq!(graph.peak_index_bytes, exact.peak_index_bytes);
+            assert_eq!(graph.total_matched_pairs, exact.total_matched_pairs);
+            assert_eq!(graph.integrated.len(), exact.integrated.len());
+            for (a, b) in graph.integrated.items.iter().zip(&exact.integrated.items) {
                 assert_eq!(a.members, b.members);
                 assert_eq!(bits(a), bits(b));
             }
         }
-
-        // Both sides past the threshold: graphs are still built.
-        let merged = merge_two(&large, &other, &auto, dim);
-        assert!(merged.peak_index_bytes > row_bytes(&large) + row_bytes(&other));
-    }
-
-    #[test]
-    fn hnsw_backend_produces_same_tuples_as_brute_force_on_small_data() {
-        let factory = Domain::Geo.factory();
-        let corruptor = Corruptor::new(CorruptionConfig::light());
-        let ds = MultiSourceGenerator::new(GeneratorConfig::small_test("geo-backend", 4))
-            .generate(factory.as_ref(), &corruptor);
-        let encoder = HashedLexicalEncoder::default();
-        let selected = vec![0];
-        let brute_cfg = MultiEmConfig {
-            hnsw_threshold: usize::MAX,
-            m: 0.4,
-            ..MultiEmConfig::default()
-        };
-        let hnsw_cfg = MultiEmConfig {
-            hnsw_threshold: 0,
-            m: 0.4,
-            ..MultiEmConfig::default()
-        };
-        let store = EmbeddingStore::build(&ds, &encoder, &selected, &brute_cfg);
-        let tables: Vec<MergedTable> = (0..ds.num_sources() as u32)
-            .map(|s| MergedTable::from_source(&ds, s, &store))
-            .collect();
-        let brute = hierarchical_merge(tables.clone(), &brute_cfg, encoder.dim());
-        let hnsw = hierarchical_merge(tables, &hnsw_cfg, encoder.dim());
-        let mut bt = brute.integrated.tuples();
-        let mut ht = hnsw.integrated.tuples();
-        bt.sort();
-        ht.sort();
-        // HNSW is approximate but on this scale the overlap should be near-total.
-        let bt_set: std::collections::BTreeSet<_> = bt.iter().collect();
-        let overlap = ht.iter().filter(|t| bt_set.contains(t)).count();
-        assert!(
-            overlap as f64 >= 0.9 * bt.len() as f64,
-            "overlap {overlap} of {}",
-            bt.len()
-        );
     }
 
     /// One input the pinned digests are taken over.
@@ -941,10 +857,11 @@ pub(crate) mod tests {
     }
 
     /// The merge inputs the pinned digests are taken over: `small_test`
-    /// music at the machine's width and on one thread, `small_test` geo on
-    /// HNSW, and `music-20` at 0.05 twice: with `hnsw_threshold` lowered so
-    /// that every merge has both sides past it, and with the default config,
-    /// so that every merge is an exact join.
+    /// music at the machine's width and on one thread, `small_test` geo with
+    /// `hnsw_threshold` 0, and `music-20` at 0.05 twice: with
+    /// `hnsw_threshold` 100, below every merge's tables, and with the
+    /// default config. The two lowered thresholds pin that the threshold
+    /// does not reach the merger: their digests are those of the exact join.
     pub(crate) fn pinned_cases() -> Vec<PinnedCase> {
         let small = |domain: Domain, name: &str| {
             let factory = domain.factory();
@@ -972,7 +889,7 @@ pub(crate) mod tests {
             case("music", music.clone(), base.clone(), &[2, 4, 5], false),
             case("music, one thread", music, base.clone(), &[2, 4, 5], true),
             case(
-                "geo hnsw",
+                "geo, hnsw_threshold 0",
                 geo,
                 MultiEmConfig {
                     hnsw_threshold: 0,
@@ -982,7 +899,7 @@ pub(crate) mod tests {
                 false,
             ),
             case(
-                "music-20 0.05, every merge past the threshold",
+                "music-20 0.05, hnsw_threshold 100",
                 preset.clone(),
                 MultiEmConfig {
                     hnsw_threshold: 100,
@@ -1042,9 +959,9 @@ pub(crate) mod tests {
         let expected = [
             ("music", 0xc89b_797f_87b9_9bb1, 60),
             ("music, one thread", 0xc89b_797f_87b9_9bb1, 60),
-            ("geo hnsw", 0x7e17_bde4_10fa_a8d4, 59),
+            ("geo, hnsw_threshold 0", 0x7e17_bde4_10fa_a8d4, 59),
             (
-                "music-20 0.05, every merge past the threshold",
+                "music-20 0.05, hnsw_threshold 100",
                 0x1ee0_c094_1248_1d00,
                 457,
             ),

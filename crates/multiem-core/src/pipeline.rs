@@ -59,9 +59,8 @@ pub struct MultiEmOutput {
     pub total_time: Duration,
     /// Byte-accounted memory per component: `embeddings` (the store),
     /// `ann-indexes` (the peak search memory of one merge: norms, row
-    /// references and top-K tables for an exact merge, both graphs for an
-    /// HNSW one) and `merged-table` (the integrated member lists and the
-    /// fused-row arena).
+    /// references and top-K tables) and `merged-table` (the integrated
+    /// member lists and the fused-row arena).
     pub memory_bytes: BTreeMap<String, usize>,
     /// Number of hierarchy levels executed by the merging phase.
     pub merge_levels: usize,
@@ -337,7 +336,7 @@ mod tests {
         assert!(out.phases.total() <= out.total_time + Duration::from_millis(50));
     }
 
-    /// An all-exact run joins every merge over the rows where they lie: its
+    /// A run joins every merge over the rows where they lie: its
     /// `ann-indexes` (the largest merge's search memory) stays below the
     /// bytes of the smaller side's rows of any merge, which hold at least as
     /// many items as the smallest source table has embedded rows.
@@ -364,10 +363,6 @@ mod tests {
             })
             .min()
             .unwrap();
-        assert!(
-            !config.wants_hnsw(ds.total_entities()),
-            "the run must be all exact"
-        );
         let row_bytes = smallest * encoder.dim() * std::mem::size_of::<f32>();
         let ann = out.memory_bytes["ann-indexes"];
         assert!(
@@ -397,11 +392,8 @@ mod tests {
         let expected = [
             ("music", 0x702d_5ced_2408_4ea6),
             ("music, one thread", 0x702d_5ced_2408_4ea6),
-            ("geo hnsw", 0xe6e3_0278_3dda_14a6),
-            (
-                "music-20 0.05, every merge past the threshold",
-                0xe2ed_30e5_192e_3907,
-            ),
+            ("geo, hnsw_threshold 0", 0xe6e3_0278_3dda_14a6),
+            ("music-20 0.05, hnsw_threshold 100", 0xe2ed_30e5_192e_3907),
             ("music-20 0.05, exact", 0xe2ed_30e5_192e_3907),
         ];
         assert_eq!(found, expected);

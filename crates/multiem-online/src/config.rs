@@ -1,5 +1,6 @@
 //! Configuration of the online entity store.
 
+use multiem_ann::AnnIndex;
 use multiem_core::MultiEmConfig;
 use serde::{Deserialize, Serialize};
 
@@ -52,12 +53,13 @@ pub struct OnlineConfig {
     /// `k` / `m` / `merge_metric` drive the mutual top-K rule, `epsilon`
     /// drives re-pruning (on a delete's survivors and on
     /// [`crate::EntityStore::refresh`]), `hnsw_threshold` / `hnsw` select the
-    /// representative index, and `attribute_selection` picks the projection:
-    /// when set, the paper's Algorithm 1 runs once over the bootstrap dataset
-    /// or, lacking one, over the first ingested batch, and later records
-    /// reuse that selection (re-running it on every batch would silently
-    /// re-embed the whole store); when clear, every attribute is embedded
-    /// (the `w/o EER` ablation).
+    /// representative index ([`OnlineConfig::index_for`]), and
+    /// `attribute_selection` picks the projection: when set, the paper's
+    /// Algorithm 1 runs once over the bootstrap dataset or, lacking one,
+    /// over the first ingested batch, and later records reuse that
+    /// selection (re-running it on every batch would silently re-embed the
+    /// whole store); when clear, every attribute is embedded (the `w/o EER`
+    /// ablation).
     pub base: MultiEmConfig,
     /// Rebuild the representative index once the fraction of tombstoned
     /// (stale) nodes exceeds this threshold. Cluster merges tombstone the
@@ -96,6 +98,20 @@ impl OnlineConfig {
     pub fn with_disk_storage(mut self, dir: impl Into<String>) -> Self {
         self.storage = StorageConfig::Disk(DiskStorageConfig::new(dir));
         self
+    }
+
+    /// Whether a representative index over `live` clusters is an HNSW graph
+    /// rather than the exact index: the one place
+    /// [`MultiEmConfig::hnsw_threshold`] is read.
+    pub fn wants_hnsw(&self, live: usize) -> bool {
+        live >= self.base.hnsw_threshold
+    }
+
+    /// An empty representative index of dimensionality `dim`, on the backend
+    /// [`OnlineConfig::wants_hnsw`] selects for `live` clusters.
+    pub fn index_for(&self, live: usize, dim: usize) -> AnnIndex {
+        let hnsw = self.wants_hnsw(live).then(|| self.base.hnsw.clone());
+        AnnIndex::new(dim, self.base.merge_metric, hnsw)
     }
 
     /// Validate the configuration.
@@ -137,6 +153,24 @@ mod tests {
         let c = OnlineConfig::default().with_all_attributes();
         assert!(!c.base.attribute_selection);
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn backend_policy_follows_the_threshold() {
+        let at = |hnsw_threshold| {
+            OnlineConfig::new(MultiEmConfig {
+                hnsw_threshold,
+                ..MultiEmConfig::default()
+            })
+        };
+        let ten = at(10);
+        assert!(!ten.wants_hnsw(9) && ten.wants_hnsw(10));
+        assert!(!ten.index_for(9, 4).is_hnsw() && ten.index_for(10, 4).is_hnsw());
+        // `0`: HNSW even for an empty index; `usize::MAX`: never HNSW.
+        assert!(at(0).wants_hnsw(0) && at(0).index_for(0, 4).is_hnsw());
+        let never = at(usize::MAX);
+        assert!(!never.wants_hnsw(1_000_000) && !never.wants_hnsw(usize::MAX - 1));
+        assert!(!never.index_for(1_000_000, 4).is_hnsw());
     }
 
     #[test]

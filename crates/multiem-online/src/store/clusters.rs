@@ -455,9 +455,8 @@ impl ClusterTable {
     /// Rebuild the representative index from the live clusters when
     /// tombstones exceed `rebuild_staleness` of it, or when the live
     /// clusters have outgrown the brute-force backend
-    /// ([`multiem_core::MultiEmConfig::wants_hnsw`]) — the backend policy the
-    /// batch merger applies per merge, to its smaller table. A cluster's row
-    /// moves over as it is: it already is the cluster's representative.
+    /// ([`OnlineConfig::wants_hnsw`]). A cluster's row moves over as it is:
+    /// it already is the cluster's representative.
     pub(super) fn maybe_rebuild(&mut self, config: &OnlineConfig) {
         let total = self.node_root.len();
         if total == 0 {
@@ -465,11 +464,11 @@ impl ClusterTable {
         }
         let live = total - self.stale_nodes;
         let staleness = self.stale_nodes as f64 / total as f64;
-        let needs_upgrade = !self.index.is_hnsw() && config.base.wants_hnsw(live);
+        let needs_upgrade = !self.index.is_hnsw() && config.wants_hnsw(live);
         if staleness <= config.rebuild_staleness && !needs_upgrade {
             return;
         }
-        let mut index = config.base.index_for(live, self.index.dim());
+        let mut index = config.index_for(live, self.index.dim());
         let mut node_root = Vec::with_capacity(live);
         for (&id, cluster) in self.clusters.iter_mut() {
             if let Some(old) = cluster.node {
@@ -671,7 +670,7 @@ mod tests {
         let mut stored = RecordStorage::new(&StorageConfig::Memory, 2).unwrap();
         stored.open_source();
         Stored {
-            table: ClusterTable::new(config().base.index_for(0, 2)),
+            table: ClusterTable::new(config().index_for(0, 2)),
             stored,
         }
     }

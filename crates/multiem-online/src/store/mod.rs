@@ -28,9 +28,8 @@
 //!
 //! Tombstones accumulate as clusters merge; once their fraction exceeds
 //! `rebuild_staleness`, the representative index is rebuilt from live
-//! clusters, on the backend [`multiem_core::MultiEmConfig::index_for`] picks for
-//! their number — the policy the batch merger applies per merge, to the
-//! smaller table's size.
+//! clusters, on the backend [`crate::OnlineConfig::index_for`] picks for
+//! their number.
 //!
 //! An insert and a `/match` query take their candidates from one function,
 //! so the two apply Eq. 1 the same way; only an insert adds the same-source
@@ -178,7 +177,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
         config.validate().map_err(OnlineError::InvalidConfig)?;
         let dim = encoder.dim();
         let records = RecordStorage::new(&config.storage, dim)?;
-        let clusters = ClusterTable::new(config.base.index_for(0, dim));
+        let clusters = ClusterTable::new(config.index_for(0, dim));
         Ok(Self {
             encoder,
             state: StoreState {

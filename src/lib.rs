@@ -11,7 +11,8 @@
 //! * [`table`] — the relational data model (schemas, records, datasets,
 //!   ground truth, CSV I/O);
 //! * [`embed`] — entity serialization and the embedding backend;
-//! * [`ann`] — brute-force and HNSW nearest-neighbour indexes;
+//! * [`ann`] — the exact mutual top-K join every batch merge runs, and the
+//!   brute-force and HNSW indexes the online store picks between;
 //! * [`cluster`] — the batch merger's union-find, HAC and affinity
 //!   propagation;
 //! * [`datagen`] — synthetic multi-source benchmark datasets;

@@ -89,29 +89,6 @@ fn a_one_thread_run_matches_a_full_width_run_on_all_domains() {
 }
 
 #[test]
-fn hnsw_backend_is_close_to_bruteforce_quality() {
-    let data = multiem::datagen::benchmark_dataset("music-20", 0.02).expect("preset exists");
-    let brute = MultiEmConfig {
-        m: 0.35,
-        hnsw_threshold: usize::MAX,
-        ..MultiEmConfig::default()
-    };
-    let hnsw = MultiEmConfig {
-        m: 0.35,
-        hnsw_threshold: 0,
-        ..MultiEmConfig::default()
-    };
-    let (_, exact) = run(&data.dataset, brute);
-    let (_, approx) = run(&data.dataset, hnsw);
-    assert!(
-        (exact.pair.f1 - approx.pair.f1).abs() < 0.08,
-        "HNSW pair-F1 {:.3} deviates too far from exact {:.3}",
-        approx.pair.f1,
-        exact.pair.f1
-    );
-}
-
-#[test]
 fn predictions_respect_dataset_bounds_and_source_diversity() {
     let data = multiem::datagen::benchmark_dataset("geo", 0.08).expect("preset exists");
     let (output, _) = run(&data.dataset, MultiEmConfig::default());
