@@ -1,12 +1,12 @@
 //! Exact k-nearest-neighbour search by linear scan.
 //!
-//! Used as the correctness oracle for [`crate::HnswIndex`], for the small
-//! per-tuple neighbourhood computations in the pruning phase, and as a simple
-//! fallback for tiny tables where building a graph index is not worth it.
+//! The online store's representative index below its HNSW threshold, the
+//! index the embedding baselines search, and the correctness oracle for
+//! [`crate::HnswIndex`] in tests and recall benchmarks.
 //!
-//! There is one scan, `BruteForceIndex::scan`: a single-query
-//! [`VectorIndex::search`] is a batch of one through it, and an unfiltered
-//! search is a filtered one that accepts every row.
+//! There is one scan, `BruteForceIndex::scan`, and it answers one query:
+//! [`VectorIndex::search`] is [`VectorIndex::search_filtered`] accepting
+//! every row.
 
 use crate::metric::Metric;
 use crate::{for_each_group, Neighbor, Rows, StateField, TopK, VectorIndex};
@@ -81,41 +81,39 @@ impl BruteForceIndex {
         }
     }
 
-    /// The scan: **one pass** over the stored vectors answers every query.
+    /// The scan: one pass over the stored vectors for one query.
     ///
-    /// It is candidates-outer / queries-inner: the rows `keep` accepts are
-    /// taken a group at a time ([`crate::GROUP`]) and the group is scored
-    /// against every query while it is cache-hot, one 1 × `GROUP` tile of
-    /// [`Metric::distance_tile`] per query (a batch of one is one tile per
-    /// group). A row `keep` rejects is skipped before the kernel: it costs
-    /// one predicate call and no distance. Each query keeps its `k` best
-    /// accepted rows in its row of a [`TopK`] table: a candidate costs one
+    /// The rows `keep` accepts are taken a group at a time
+    /// ([`crate::GROUP`]), each group scored in one 1 × `GROUP` tile of
+    /// [`Metric::distance_tile`]. A row `keep` rejects is skipped before the
+    /// kernel: it costs one predicate call and no distance. The `k` best
+    /// accepted rows are kept in a one-row [`TopK`]: a candidate costs one
     /// compare against the current worst, and one that displaces it
-    /// `O(log k)`. The result is bit-equal to scoring every accepted row
-    /// with the pair kernel, sorting by `Neighbor::rank` and truncating.
+    /// `O(log k)`. The result is bit-equal to scoring every accepted row with
+    /// the pair kernel, sorting by `Neighbor::rank` and truncating.
     ///
-    /// Generic over `keep` so the unfiltered searches compile to a loop with
+    /// Generic over `keep` so the unfiltered search compiles to a loop with
     /// no predicate in it.
-    fn scan<F>(&self, queries: &[&[f32]], k: usize, keep: F) -> Vec<Vec<Neighbor>>
+    fn scan<F>(&self, query: &[f32], k: usize, keep: F) -> Vec<Neighbor>
     where
         F: Fn(usize) -> bool,
     {
         let cap = k.min(self.len());
-        if cap == 0 || queries.is_empty() {
-            return vec![Vec::new(); queries.len()];
+        if cap == 0 {
+            return Vec::new();
         }
-        let qnorms: Vec<f32> = queries.iter().map(|q| Metric::squared_norm(q)).collect();
-        let mut best = TopK::new(queries.len(), cap);
+        let qnorm = Metric::squared_norm(query);
+        let mut best = TopK::new(1, cap);
         let rows = self.rows();
         for_each_group((0..self.len()).filter(|&i| keep(i)), |group| {
-            for (q, (query, &qnorm)) in queries.iter().zip(&qnorms).enumerate() {
-                let distances = rows.distances_to(query, qnorm, group);
-                for (&i, &distance) in group.iter().zip(&distances) {
-                    best.offer(q, Neighbor::new(i, distance));
-                }
+            let distances = rows.distances_to(query, qnorm, group);
+            for (&i, &distance) in group.iter().zip(&distances) {
+                best.offer(0, Neighbor::new(i, distance));
             }
         });
-        best.rows().collect()
+        // A local, not the tail expression: the iterator borrows `best`.
+        let hits = best.rows().next().unwrap_or_default();
+        hits
     }
 }
 
@@ -155,29 +153,21 @@ impl VectorIndex for BruteForceIndex {
     }
 
     fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.search_batch(&[query], k).pop().unwrap_or_default()
+        self.scan(query, k, |_| true)
     }
 
-    fn search_batch(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<Neighbor>> {
-        self.scan(queries, k, |_| true)
-    }
-
-    fn search_batch_filtered(
+    fn search_filtered(
         &self,
-        queries: &[&[f32]],
+        query: &[f32],
         k: usize,
         keep: &dyn Fn(usize) -> bool,
-    ) -> Vec<Vec<Neighbor>> {
-        self.scan(queries, k, keep)
+    ) -> Vec<Neighbor> {
+        self.scan(query, k, keep)
     }
 
     fn vector(&self, index: usize) -> &[f32] {
         let start = index * self.dim;
         &self.data[start..start + self.dim]
-    }
-
-    fn as_exact(&self) -> Option<&BruteForceIndex> {
-        Some(self)
     }
 
     fn approx_bytes(&self) -> usize {
@@ -302,7 +292,6 @@ pub(crate) mod tests {
     #[test]
     fn scan_agrees_with_sort_and_truncate_reference() {
         let (dim, vectors, queries) = tie_heavy_fixture();
-        let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
 
         for metric in [Metric::Cosine, Metric::Euclidean] {
             let built =
@@ -319,28 +308,24 @@ pub(crate) mod tests {
             let n = built.len();
             for idx in [&built, &restored] {
                 for k in [0, 1, 3, n / 2, n, n + 7] {
-                    let batched = idx.search_batch(&refs, k);
-                    assert_eq!(batched.len(), refs.len());
-                    for (query, hits) in refs.iter().zip(&batched) {
+                    for query in &queries {
                         let expected = reference_top_k(&built, query, k, &|_| true);
-                        assert_eq!(bits(hits), bits(&expected), "{metric:?} k={k}");
-                        assert_eq!(bits(&idx.search(query, k)), bits(&expected));
+                        let hits = idx.search(query, k);
+                        assert_eq!(bits(&hits), bits(&expected), "{metric:?} k={k}");
                     }
                 }
             }
         }
 
-        let idx =
-            BruteForceIndex::from_vectors(dim, Metric::Cosine, vectors.iter().map(Vec::as_slice));
-        assert!(idx.search_batch(&[], 3).is_empty());
         let empty = BruteForceIndex::new(dim, Metric::Cosine);
-        assert_eq!(empty.search_batch(&refs, 3), vec![Vec::new(); refs.len()]);
+        assert!(queries
+            .iter()
+            .all(|query| empty.search(query, 3).is_empty()));
     }
 
     #[test]
     fn filtered_scan_is_the_reference_over_the_accepted_rows() {
         let (dim, vectors, queries) = tie_heavy_fixture();
-        let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
         let n = vectors.len();
         // Dead shares: none, every other row, all, and all but a few — one
         // short of a kernel group, exactly one, and one past it, so the last
@@ -361,9 +346,8 @@ pub(crate) mod tests {
             for (name, keep) in &masks {
                 let live = (0..n).filter(|&i| keep(i)).count();
                 for k in [0, 1, 3, live, live + 7] {
-                    let found = idx.search_batch_filtered(&refs, k, keep);
-                    assert_eq!(found.len(), refs.len());
-                    for (query, hits) in refs.iter().zip(&found) {
+                    for query in &queries {
+                        let hits = &idx.search_filtered(query, k, keep);
                         let expected = reference_top_k(&idx, query, k, keep);
                         assert_eq!(expected.len(), k.min(live));
                         assert_eq!(bits(hits), bits(&expected), "{metric:?} {name} k={k}");
@@ -415,8 +399,8 @@ pub(crate) mod tests {
             assert!(hits.iter().all(|n| n.distance.is_nan()), "{metric:?}");
             let order: Vec<usize> = hits.iter().map(|n| n.index).collect();
             assert_eq!(order, vec![0, 1, 2, 3, 4], "{metric:?}");
-            let batched = idx.search_batch(&[&query], 5);
-            let order: Vec<usize> = batched[0].iter().map(|n| n.index).collect();
+            let filtered = idx.search_filtered(&query, 5, &|_| true);
+            let order: Vec<usize> = filtered.iter().map(|n| n.index).collect();
             assert_eq!(order, vec![0, 1, 2, 3, 4], "{metric:?}");
         }
     }

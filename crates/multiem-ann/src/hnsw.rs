@@ -50,8 +50,9 @@ impl Default for HnswConfig {
 }
 
 impl HnswConfig {
-    /// A configuration tuned for small collections (tests, tiny tables).
-    pub fn small() -> Self {
+    /// A configuration tuned for the small collections of this crate's tests.
+    #[cfg(test)]
+    pub(crate) fn small() -> Self {
         Self {
             m: 8,
             m0: 16,
@@ -236,11 +237,6 @@ impl HnswIndex {
             idx.add(v);
         }
         idx
-    }
-
-    /// The index configuration.
-    pub fn config(&self) -> &HnswConfig {
-        &self.config
     }
 
     /// [`HnswIndexState`]'s fields, in order ([`crate::AnnIndex::state_fields`]).
@@ -671,16 +667,13 @@ impl VectorIndex for HnswIndex {
         self.search_where(query, k, &|_| true)
     }
 
-    fn search_batch_filtered(
+    fn search_filtered(
         &self,
-        queries: &[&[f32]],
+        query: &[f32],
         k: usize,
         keep: &dyn Fn(usize) -> bool,
-    ) -> Vec<Vec<Neighbor>> {
-        queries
-            .iter()
-            .map(|q| self.search_where(q, k, keep))
-            .collect()
+    ) -> Vec<Neighbor> {
+        self.search_where(query, k, keep)
     }
 
     fn vector(&self, index: usize) -> &[f32] {
@@ -884,12 +877,14 @@ mod tests {
         for percent in [0, 25, 50] {
             let dead = dead_mask(hnsw.len(), percent, 5);
             let keep = |node: usize| !dead[node];
-            let approx = hnsw.search_batch_filtered(&queries, 1, &keep);
-            let truth = exact.search_batch_filtered(&queries, 1, &keep);
-            let agree = approx
+            let approx: Vec<Vec<Neighbor>> = queries
                 .iter()
-                .zip(&truth)
-                .filter(|(a, t)| a[0].index == t[0].index)
+                .map(|q| hnsw.search_filtered(q, 1, &keep))
+                .collect();
+            let agree = queries
+                .iter()
+                .zip(&approx)
+                .filter(|(q, a)| a[0].index == exact.search_filtered(q, 1, &keep)[0].index)
                 .count();
             let recall = agree as f64 / queries.len() as f64;
             assert!(recall >= 0.95, "{percent}% dead: recall@1 {recall}");
@@ -945,10 +940,10 @@ mod tests {
             .chain(&vectors[..10])
             .map(|q| q.as_slice())
             .collect();
-        let ef = idx.config().ef_search;
+        let ef = idx.config.ef_search;
         for k in [1, 5, ef + 8, live, live + 7] {
-            let found = idx.search_batch_filtered(&queries, k, &|node| !dead[node]);
-            for hits in &found {
+            for query in &queries {
+                let hits = idx.search_filtered(query, k, &|node| !dead[node]);
                 assert_eq!(hits.len(), k.min(live), "k = {k}");
                 assert!(hits.iter().all(|hit| !dead[hit.index]));
                 assert!(hits.windows(2).all(|w| w[0].rank(&w[1]).is_lt()));
@@ -958,13 +953,14 @@ mod tests {
         // Fewer live nodes than `k`: the search ends when the candidates do,
         // with every live node (the graph is connected) and nothing else.
         let few = [7usize, 150, 299];
-        for hits in idx.search_batch_filtered(&queries, 10, &|node| few.contains(&node)) {
+        for query in &queries {
+            let hits = idx.search_filtered(query, 10, &|node| few.contains(&node));
             let mut nodes: Vec<usize> = hits.iter().map(|hit| hit.index).collect();
             nodes.sort_unstable();
             assert_eq!(nodes, few);
         }
-        for hits in idx.search_batch_filtered(&queries, 10, &|_| false) {
-            assert!(hits.is_empty());
+        for query in &queries {
+            assert!(idx.search_filtered(query, 10, &|_| false).is_empty());
         }
     }
 

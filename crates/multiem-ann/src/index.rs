@@ -89,25 +89,17 @@ impl VectorIndex for AnnIndex {
         self.backend().search(query, k)
     }
 
-    fn search_batch(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<Neighbor>> {
-        self.backend().search_batch(queries, k)
-    }
-
-    fn search_batch_filtered(
+    fn search_filtered(
         &self,
-        queries: &[&[f32]],
+        query: &[f32],
         k: usize,
         keep: &dyn Fn(usize) -> bool,
-    ) -> Vec<Vec<Neighbor>> {
-        self.backend().search_batch_filtered(queries, k, keep)
+    ) -> Vec<Neighbor> {
+        self.backend().search_filtered(query, k, keep)
     }
 
     fn vector(&self, index: usize) -> &[f32] {
         self.backend().vector(index)
-    }
-
-    fn as_exact(&self) -> Option<&BruteForceIndex> {
-        self.backend().as_exact()
     }
 
     fn approx_bytes(&self) -> usize {
@@ -157,13 +149,8 @@ mod tests {
                 .map(|n| n.index)
                 .collect();
             assert_eq!(nearest, [3, 4]);
-            assert_eq!(
-                index.search_batch(&[&[3.2, 1.0], &[0.1, 1.0]], 2),
-                [index.search(&[3.2, 1.0], 2), index.search(&[0.1, 1.0], 2)]
-            );
             let odd: Vec<usize> = index
-                .search_batch_filtered(&[&[3.2, 1.0]], 2, &|node| node % 2 == 1)
-                .concat()
+                .search_filtered(&[3.2, 1.0], 2, &|node| node % 2 == 1)
                 .iter()
                 .map(|n| n.index)
                 .collect();

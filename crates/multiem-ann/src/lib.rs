@@ -18,8 +18,8 @@
 //!   callers that pick the backend from the collection size;
 //! * [`mutual_top_k_exact`] — the mutual top-K join of two sides given as
 //!   borrowed rows ([`RowRefs`]), with no index built: every two-table merge
-//!   of Algorithm 3; and [`mutual_top_k`], the same rule over two indexes
-//!   of any backend.
+//!   of Algorithm 3; and [`mutual_top_k`], the same join over the rows of
+//!   two [`BruteForceIndex`]es.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,8 +64,8 @@ impl Neighbor {
 }
 
 /// The `cap` best neighbours of each of `rows` rows under [`Neighbor::rank`]
-/// — the top-k of the brute-force scan (a row per query) and of the exact
-/// join (a row per vector of either side) — in one flat allocation: row `r`
+/// — the top-k of the brute-force scan (one row) and of the exact join (a
+/// row per vector of either side) — in one flat allocation: row `r`
 /// keeps its `len[r]` entries in `slots[r * cap..]` as a binary max-heap,
 /// the worst of them first.
 pub(crate) struct TopK {
@@ -274,43 +274,26 @@ pub trait VectorIndex: Send + Sync {
     /// increasing distance.
     fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor>;
 
-    /// [`VectorIndex::search`] for several queries at once: one result per
-    /// query, in query order, each exactly what `search` returns for it.
-    /// The default searches query by query (HNSW has no batched traversal);
-    /// [`BruteForceIndex`] answers the whole batch in one pass over its
-    /// stored vectors.
-    fn search_batch(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<Neighbor>> {
-        queries.iter().map(|q| self.search(q, k)).collect()
-    }
-
-    /// [`VectorIndex::search_batch`] over the stored vectors `keep` accepts:
-    /// per query the (up to) `k` nearest of *those*, as if the rejected ones
-    /// were not stored. This is how a caller that retires entries without
-    /// removing them (the online store's tombstones) searches what is left:
-    /// the cost follows the accepted vectors, not `k` plus the rejected ones.
+    /// [`VectorIndex::search`] over the stored vectors `keep` accepts: the
+    /// (up to) `k` nearest of *those*, as if the rejected ones were not
+    /// stored. This is how a caller that retires entries without removing
+    /// them (the online store's tombstones) searches what is left: the cost
+    /// follows the accepted vectors, not `k` plus the rejected ones.
     /// [`BruteForceIndex`] skips a rejected row before scoring it;
     /// [`HnswIndex`] walks through rejected nodes, so the graph stays
     /// navigable, but never counts one as a result.
     ///
-    /// `search` and `search_batch` are this with every vector accepted, run
-    /// through the same scan or traversal.
-    fn search_batch_filtered(
+    /// `search` is this with every vector accepted, run through the same
+    /// scan or traversal.
+    fn search_filtered(
         &self,
-        queries: &[&[f32]],
+        query: &[f32],
         k: usize,
         keep: &dyn Fn(usize) -> bool,
-    ) -> Vec<Vec<Neighbor>>;
+    ) -> Vec<Neighbor>;
 
     /// Borrow the stored vector at `index`.
     fn vector(&self, index: usize) -> &[f32];
-
-    /// The exact index behind this one, when that is what it is (the
-    /// default says it is not). [`mutual_top_k`] asks both of its sides:
-    /// two exact indexes are joined in one pass over their distance matrix
-    /// instead of one search per row and direction.
-    fn as_exact(&self) -> Option<&BruteForceIndex> {
-        None
-    }
 
     /// Approximate heap footprint of the index in bytes (memory accounting).
     fn approx_bytes(&self) -> usize;

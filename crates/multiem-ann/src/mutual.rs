@@ -2,16 +2,14 @@
 //!
 //! The two-table merging strategy of MultiEM declares a pair `(e, e')` matched
 //! when `e' ∈ topK(e)`, `e ∈ topK(e')`, **and** `dist(e, e') ≤ m`. This module
-//! implements that join generically over any [`VectorIndex`] so it can run on
-//! the exact brute-force index or the HNSW index, and over borrowed rows
-//! ([`mutual_top_k_exact`]) where no index is built at all. The batch merger
-//! runs the last for every merge, over the rows where they lie; a join with
-//! an HNSW side still answers, by searches.
+//! implements that join exactly, over borrowed rows ([`mutual_top_k_exact`],
+//! with no index built) or over the rows of two [`BruteForceIndex`]es
+//! ([`mutual_top_k`]). The batch merger runs the first for every merge, over
+//! the rows where they lie.
 //!
-//! Both directions' top-K come from searches when a side is approximate
-//! (`top_k_tiled`), and from one pass over the distance matrix when both
-//! sides are exact (`exact_join`); reciprocity, the threshold and the order
-//! of the result are decided once, after either.
+//! Both directions' top-K come from one pass over the distance matrix
+//! (`exact_join`); reciprocity, the threshold and the order of the result
+//! are decided once, after it.
 //!
 //! The exact join stops scoring a 2×2 tile of pairs halfway through the
 //! dimensions when a bound proves all four lie beyond `m`
@@ -23,7 +21,7 @@
 //! `m` = 0.35 the bound drops 90.4% of the tiles of `shopee` ×0.1's merges
 //! and 91.6% of `music-20` ×0.3's.
 
-use crate::{Metric, Neighbor, Rows, TopK, VectorIndex};
+use crate::{BruteForceIndex, Metric, Neighbor, Rows, TopK, VectorIndex};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -108,52 +106,52 @@ impl<'a> FromIterator<&'a [f32]> for RowRefs<'a> {
 /// Compute the mutual top-K matches between `left_vectors` and `right_vectors`.
 ///
 /// * `left_index` must index exactly `left_vectors` (same order); likewise for
-///   the right side. Callers can pass HNSW or brute-force indexes: an
-///   approximate side is searched once per vector of the other side; two
-///   exact sides ([`VectorIndex::as_exact`]) with one metric and
-///   dimensionality are joined by [`mutual_top_k_exact`] over their stored
-///   rows — same result, bit for bit, for half the distances.
+///   the right side. The join is [`mutual_top_k_exact`] over the indexes'
+///   stored rows and cached norms.
 /// * `k` is the top-K bound of Eq. 1 (the paper uses `k = 1`).
 /// * `max_distance` is the threshold `m`: a pair is kept only when its
 ///   distance is `<= m`, so a NaN distance never matches.
 ///
 /// The result is sorted by `(left, right)` for determinism.
-pub fn mutual_top_k<IL, IR>(
-    left_index: &IL,
-    right_index: &IR,
+///
+/// # Panics
+/// Panics if a vector slice is not as long as its index, if the two indexes
+/// have different metrics, or if their rows are not all of one length.
+pub fn mutual_top_k(
+    left_index: &BruteForceIndex,
+    right_index: &BruteForceIndex,
     left_vectors: &[&[f32]],
     right_vectors: &[&[f32]],
     k: usize,
     max_distance: f32,
-) -> Vec<MutualMatch>
-where
-    IL: VectorIndex,
-    IR: VectorIndex,
-{
-    if k == 0 || left_vectors.is_empty() || right_vectors.is_empty() {
-        return Vec::new();
-    }
-    match (left_index.as_exact(), right_index.as_exact()) {
-        (Some(left), Some(right))
-            if left.metric() == right.metric() && left.dim() == right.dim() =>
-        {
-            debug_assert_eq!(left.len(), left_vectors.len());
-            debug_assert_eq!(right.len(), right_vectors.len());
-            let (left, right) = (RowRefs::of(left.rows()), RowRefs::of(right.rows()));
-            mutual_top_k_exact(left_index.metric(), &left, &right, k, max_distance).0
-        }
-        _ => reciprocal(
-            &top_k_tiled(right_index, left_vectors, k),
-            &top_k_tiled(left_index, right_vectors, k),
-            max_distance,
-        ),
-    }
+) -> Vec<MutualMatch> {
+    assert_eq!(
+        left_index.len(),
+        left_vectors.len(),
+        "left index and vectors"
+    );
+    assert_eq!(
+        right_index.len(),
+        right_vectors.len(),
+        "right index and vectors"
+    );
+    assert_eq!(
+        left_index.metric(),
+        right_index.metric(),
+        "the two indexes of a join must share one metric"
+    );
+    let (left, right) = (
+        RowRefs::of(left_index.rows()),
+        RowRefs::of(right_index.rows()),
+    );
+    mutual_top_k_exact(left_index.metric(), &left, &right, k, max_distance).0
 }
 
-/// [`mutual_top_k`] of two exact sides given as borrowed rows: both
+/// The mutual top-K join (Eq. 1) of two sides given as borrowed rows: both
 /// directions' top-`k` from one pass over the `|A| × |B|` distances, with no
 /// index built. This is what the batch merger runs for every merge, over
-/// rows it keeps once per run.
+/// rows it keeps once per run, and what [`mutual_top_k`] runs over two
+/// indexes' rows.
 ///
 /// Returns the matches, sorted by `(left, right)`, and the bytes the join
 /// held: the top-K tables — a table row per left row, and one table of the
@@ -216,37 +214,6 @@ fn reciprocal(
     }
     matches.sort_by(|a, b| a.left.cmp(&b.left).then(a.right.cmp(&b.right)));
     matches
-}
-
-/// Most queries per [`VectorIndex::search_batch`] call of a join with an
-/// approximate side. A brute-force scan streams the whole index once per
-/// call, so wider tiles amortize that pass over more queries; 8 to 64 were
-/// measured within 5% of each other, so the width is not a cache fit (32
-/// queries of dimension 384 are 48 KB, a whole L1d) — the scan reads each
-/// group of stored rows once per query while it is hot, whatever the width.
-const TILE: usize = 32;
-
-/// Queries per tile for `queries` queries on `threads` threads. Tiles are
-/// also the unit of parallelism, so a side too short to give every thread a
-/// full tile is cut into narrower ones (300 queries on 16 threads: 19 wide,
-/// not 10 tiles of 32 with six threads idle). Results do not depend on the
-/// width. Since the exact join left this path only joins with an HNSW side
-/// come here, and the pipeline runs none; the narrow case is covered by
-/// tests, not by a measurement.
-fn tile_width(queries: usize, threads: usize) -> usize {
-    TILE.min(queries.div_ceil(threads)).max(1)
-}
-
-/// Top-`k` of every query in `index`, in query order: the queries go to
-/// `search_batch` tile by tile, tiles in parallel.
-fn top_k_tiled<I: VectorIndex>(index: &I, queries: &[&[f32]], k: usize) -> Vec<Vec<Neighbor>> {
-    let width = tile_width(queries.len(), rayon::current_num_threads());
-    let tiles: Vec<&[&[f32]]> = queries.chunks(width).collect();
-    let per_tile: Vec<Vec<Vec<Neighbor>>> = tiles
-        .par_iter()
-        .map(|tile| index.search_batch(tile, k))
-        .collect();
-    per_tile.into_iter().flatten().collect()
 }
 
 /// Shape of the exact join's distance tiles: the widest square whose
@@ -511,9 +478,7 @@ pub fn merge_ranked<T: Clone>(lists: &[Vec<(T, f32)>], k: usize) -> Vec<(T, f32)
 mod tests {
     use super::*;
     use crate::bruteforce::BruteForceIndex;
-    use crate::hnsw::{HnswConfig, HnswIndex};
     use crate::metric::Metric;
-    use crate::AnnIndex;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -592,28 +557,25 @@ mod tests {
         assert_eq!(k2.len(), 4);
     }
 
-    #[test]
-    fn tile_width_is_capped_and_shares_short_sides_among_threads() {
-        assert_eq!(tile_width(1_150, 2), TILE);
-        assert_eq!(tile_width(2 * TILE, 2), TILE);
-        assert_eq!(tile_width(300, 16), 19);
-        assert_eq!(tile_width(TILE + 1, 2), TILE / 2 + 1);
-        assert_eq!(tile_width(1, 8), 1);
-        assert_eq!(tile_width(0, 4), 1);
-    }
-
-    /// The tiled join equals Eq. 1 read query by query: `(l, r)` is a match
-    /// when `r ∈ topK(l)`, `l ∈ topK(r)` and `dist(l, r) ≤ m` — on either
-    /// backend, for side lengths around the tile boundaries (of two threads
-    /// and of one) and `k` up to past the side length.
+    /// The join equals Eq. 1 read query by query: `(l, r)` is a match when
+    /// `r ∈ topK(l)`, `l ∈ topK(r)` and `dist(l, r) ≤ m` — for side lengths
+    /// around the exact join's block boundaries and `k` up to past the side
+    /// length.
     #[test]
     fn tiled_join_equals_the_per_query_definition() {
         const DIM: usize = 6;
-        let lengths = [0, 1, TILE - 1, TILE, TILE + 1, 2 * TILE + 1, 3 * TILE + 5];
-        let backends = [None, Some(HnswConfig::small())];
+        let lengths = [
+            0,
+            1,
+            BLOCK - 1,
+            BLOCK,
+            BLOCK + 1,
+            2 * BLOCK + 1,
+            3 * BLOCK + 5,
+        ];
 
         let mut rng = ChaCha8Rng::seed_from_u64(0x711E);
-        // One vector set per (side, length), indexed once per backend.
+        // One vector set per (side, length), indexed once.
         let mut sides = Vec::new();
         for _side in 0..2 {
             let mut per_length = Vec::new();
@@ -621,56 +583,44 @@ mod tests {
                 let vectors: Vec<Vec<f32>> = (0..n)
                     .map(|_| (0..DIM).map(|_| rng.gen_range(-10.0f32..10.0)).collect())
                     .collect();
-                let indexes: Vec<AnnIndex> = backends
-                    .iter()
-                    .map(|hnsw| {
-                        let mut index = AnnIndex::new(DIM, Metric::Euclidean, hnsw.clone());
-                        for v in &vectors {
-                            index.insert(v);
-                        }
-                        index
-                    })
-                    .collect();
-                per_length.push((vectors, indexes));
+                let index = BruteForceIndex::from_vectors(DIM, Metric::Euclidean, slices(&vectors));
+                per_length.push((vectors, index));
             }
             sides.push(per_length);
         }
 
         let mut matched = 0;
-        for (left, left_indexes) in &sides[0] {
-            for (right, right_indexes) in &sides[1] {
+        for (left, li) in &sides[0] {
+            for (right, ri) in &sides[1] {
                 let (lrefs, rrefs) = (slices(left), slices(right));
-                for (lb, rb) in [(0, 0), (0, 1), (1, 1)] {
-                    let (li, ri) = (&left_indexes[lb], &right_indexes[rb]);
-                    for k in [1, 3, 4 * TILE] {
-                        // Random pairs sit about 20 apart: some pass `m`, some do not.
-                        let m = rng.gen_range(10.0f32..30.0);
-                        let backs: Vec<Vec<Neighbor>> =
-                            rrefs.iter().map(|rv| li.search(rv, k)).collect();
-                        let mut expected = Vec::new();
-                        for (l, lv) in lrefs.iter().enumerate() {
-                            for hit in ri.search(lv, k) {
-                                let back = &backs[hit.index];
-                                if hit.distance <= m && back.iter().any(|b| b.index == l) {
-                                    expected.push((l, hit.index, hit.distance.to_bits()));
-                                }
+                for k in [1, 3, 4 * BLOCK] {
+                    // Random pairs sit about 20 apart: some pass `m`, some do not.
+                    let m = rng.gen_range(10.0f32..30.0);
+                    let backs: Vec<Vec<Neighbor>> =
+                        rrefs.iter().map(|rv| li.search(rv, k)).collect();
+                    let mut expected = Vec::new();
+                    for (l, lv) in lrefs.iter().enumerate() {
+                        for hit in ri.search(lv, k) {
+                            let back = &backs[hit.index];
+                            if hit.distance <= m && back.iter().any(|b| b.index == l) {
+                                expected.push((l, hit.index, hit.distance.to_bits()));
                             }
                         }
-                        expected.sort_unstable();
-                        let joined: Vec<(usize, usize, u32)> =
-                            mutual_top_k(li, ri, &lrefs, &rrefs, k, m)
-                                .iter()
-                                .map(|x| (x.left, x.right, x.distance.to_bits()))
-                                .collect();
-                        assert_eq!(
-                            joined,
-                            expected,
-                            "{} x {} items, backends {lb}/{rb}, k {k}, m {m}",
-                            left.len(),
-                            right.len()
-                        );
-                        matched += joined.len();
                     }
+                    expected.sort_unstable();
+                    let joined: Vec<(usize, usize, u32)> =
+                        mutual_top_k(li, ri, &lrefs, &rrefs, k, m)
+                            .iter()
+                            .map(|x| (x.left, x.right, x.distance.to_bits()))
+                            .collect();
+                    assert_eq!(
+                        joined,
+                        expected,
+                        "{} x {} items, k {k}, m {m}",
+                        left.len(),
+                        right.len()
+                    );
+                    matched += joined.len();
                 }
             }
         }
@@ -853,31 +803,32 @@ mod tests {
         mutual_top_k_exact(Metric::Cosine, &left, &right, 1, 1.0);
     }
 
-    /// A vector with a NaN component matches nothing, on either path of the
-    /// join: under cosine its distances used to be clamped to 0.0, a perfect
-    /// match with whichever item had the lowest index.
+    /// A vector with a NaN component matches nothing: under cosine its
+    /// distances used to be clamped to 0.0, a perfect match with whichever
+    /// item had the lowest index.
     #[test]
     fn a_nan_vector_matches_nothing() {
         let left = vec![vec![f32::NAN, 0.0, 1.0], vec![0.0, 0.9, 0.1]];
         let right = vec![vec![1.0, 0.0, 0.0], vec![0.0, 1.0, 0.0]];
-        for hnsw in [None, Some(HnswConfig::small())] {
-            for metric in [Metric::Cosine, Metric::Euclidean] {
-                let index = |vectors: &[Vec<f32>]| {
-                    let mut index = AnnIndex::new(3, metric, hnsw.clone());
-                    for v in vectors {
-                        index.insert(v);
-                    }
-                    index
-                };
-                let (li, ri) = (index(&left), index(&right));
-                let pairs: Vec<(usize, usize)> =
-                    mutual_top_k(&li, &ri, &slices(&left), &slices(&right), 1, 0.35)
-                        .iter()
-                        .map(|m| (m.left, m.right))
-                        .collect();
-                assert_eq!(pairs, [(1, 1)], "{metric:?}, hnsw {}", hnsw.is_some());
-            }
+        for metric in [Metric::Cosine, Metric::Euclidean] {
+            let li = BruteForceIndex::from_vectors(3, metric, slices(&left));
+            let ri = BruteForceIndex::from_vectors(3, metric, slices(&right));
+            let pairs: Vec<(usize, usize)> =
+                mutual_top_k(&li, &ri, &slices(&left), &slices(&right), 1, 0.35)
+                    .iter()
+                    .map(|m| (m.left, m.right))
+                    .collect();
+            assert_eq!(pairs, [(1, 1)], "{metric:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "one metric")]
+    fn a_join_of_indexes_under_two_metrics_panics() {
+        let rows = vec![vec![0.5f32, 0.5]];
+        let li = BruteForceIndex::from_vectors(2, Metric::Cosine, slices(&rows));
+        let ri = BruteForceIndex::from_vectors(2, Metric::Euclidean, slices(&rows));
+        mutual_top_k(&li, &ri, &slices(&rows), &slices(&rows), 1, 1.0);
     }
 
     #[test]
@@ -944,31 +895,5 @@ mod tests {
         let m = mutual_top_k(&li, &ri, &slices(&left), &slices(&right), 1, 0.5);
         let pairs: Vec<(usize, usize)> = m.iter().map(|x| (x.left, x.right)).collect();
         assert_eq!(pairs, vec![(0, 0), (1, 1), (2, 2)]);
-    }
-
-    #[test]
-    fn works_with_hnsw_indexes() {
-        let left: Vec<Vec<f32>> = (0..50).map(|i| vec![i as f32, 0.0]).collect();
-        let right: Vec<Vec<f32>> = (0..50).map(|i| vec![i as f32 + 0.05, 0.0]).collect();
-        let li = HnswIndex::build(
-            2,
-            Metric::Euclidean,
-            HnswConfig::small(),
-            left.iter().map(|v| v.as_slice()),
-        );
-        let ri = HnswIndex::build(
-            2,
-            Metric::Euclidean,
-            HnswConfig::small(),
-            right.iter().map(|v| v.as_slice()),
-        );
-        let m = mutual_top_k(&li, &ri, &slices(&left), &slices(&right), 1, 0.2);
-        // Every i should match its shifted counterpart.
-        assert!(
-            m.len() >= 45,
-            "HNSW mutual join found only {} of 50 pairs",
-            m.len()
-        );
-        assert!(m.iter().all(|x| x.left == x.right));
     }
 }

@@ -64,7 +64,7 @@ impl TwoTableMatcher for EmbeddingThresholdMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use multiem_ann::{mutual_top_k, BruteForceIndex};
+    use multiem_ann::{BruteForceIndex, VectorIndex};
     use multiem_datagen::{
         CorruptionConfig, Corruptor, Domain, GeneratorConfig, MultiSourceGenerator,
     };
@@ -82,8 +82,9 @@ mod tests {
         let pairs =
             matcher.match_collections(&ctx, &ctx.source_entities(0), &ctx.source_entities(1));
         assert!(!pairs.is_empty());
-        // The same pairs, scores bit for bit, as the join of two exact
-        // indexes over copies of the rows.
+        // The same pairs, scores bit for bit, as Eq. 1 read from exact
+        // searches in both directions: `(l, r)` when `r` is among `l`'s top-K,
+        // `l` among `r`'s, and their distance is within the threshold.
         let (left, right) = (ctx.source_entities(0), ctx.source_entities(1));
         let index = |ids: &[EntityId]| {
             BruteForceIndex::from_vectors(
@@ -92,21 +93,27 @@ mod tests {
                 ids.iter().map(|&id| ctx.embedding(id)),
             )
         };
-        let vectors =
-            |ids: &[EntityId]| -> Vec<&[f32]> { ids.iter().map(|&id| ctx.embedding(id)).collect() };
-        let indexed = mutual_top_k(
-            &index(&left),
-            &index(&right),
-            &vectors(&left),
-            &vectors(&right),
-            matcher.k,
-            1.0 - matcher.min_similarity,
-        );
-        assert_eq!(pairs.len(), indexed.len());
-        for (p, m) in pairs.iter().zip(&indexed) {
-            assert_eq!((p.a, p.b), (left[m.left], right[m.right]));
-            assert_eq!(p.score.to_bits(), (1.0 - m.distance).to_bits());
+        let (li, ri) = (index(&left), index(&right));
+        let max_distance = 1.0 - matcher.min_similarity;
+        let mut expected = Vec::new();
+        for (l, &id) in left.iter().enumerate() {
+            for hit in ri.search(ctx.embedding(id), matcher.k) {
+                let back = li.search(ctx.embedding(right[hit.index]), matcher.k);
+                if hit.distance <= max_distance && back.iter().any(|b| b.index == l) {
+                    expected.push((l, hit.index, (1.0 - hit.distance).to_bits()));
+                }
+            }
         }
+        expected.sort_unstable();
+        let expected: Vec<_> = expected
+            .into_iter()
+            .map(|(l, r, score)| (left[l], right[r], score))
+            .collect();
+        let found: Vec<_> = pairs
+            .iter()
+            .map(|p| (p.a, p.b, p.score.to_bits()))
+            .collect();
+        assert_eq!(found, expected);
         // Every returned pair crosses the two collections and scores above threshold.
         for p in &pairs {
             assert_eq!(p.a.source, 0);

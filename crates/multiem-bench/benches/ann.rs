@@ -172,7 +172,7 @@ fn bench_query_dead(c: &mut Criterion) {
             group.bench_function(format!("{name}_dead{share}"), |b| {
                 b.iter(|| {
                     for q in queries {
-                        std::hint::black_box(index.search_batch_filtered(&[q], 1, &live));
+                        std::hint::black_box(index.search_filtered(q, 1, &live));
                     }
                 })
             });

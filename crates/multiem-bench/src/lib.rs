@@ -42,6 +42,12 @@ use multiem_table::{Dataset, MatchTuple};
 use rayon::ThreadPool;
 use std::time::{Duration, Instant};
 
+/// The presets run below `MULTIEM_SCALE`, each with the factor it is
+/// reduced by, so default harness runs stay laptop-sized; every other preset
+/// runs at `MULTIEM_SCALE` itself.
+const SCALE_FACTORS: [(&str, f64); 3] =
+    [("music-200", 0.2), ("music-2000", 0.02), ("person", 0.02)];
+
 /// Configuration of the experiment harness.
 #[derive(Debug, Clone)]
 pub struct HarnessConfig {
@@ -126,16 +132,14 @@ impl HarnessConfig {
         )
     }
 
-    /// Per-dataset scale: the large presets (music-200, music-2000, person)
-    /// get an extra reduction so default harness runs stay laptop-sized.
-    /// Table III prints it per preset.
+    /// Per-dataset scale: `MULTIEM_SCALE` times the preset's factor in
+    /// `SCALE_FACTORS`. Table III prints it per preset.
     pub fn scale_for(&self, name: &str) -> f64 {
-        match name {
-            "music-2000" => self.scale * 0.02,
-            "music-200" => self.scale * 0.2,
-            "person" => self.scale * 0.02,
-            _ => self.scale,
-        }
+        let factor = SCALE_FACTORS
+            .iter()
+            .find(|(preset, _)| *preset == name)
+            .map_or(1.0, |&(_, factor)| factor);
+        self.scale * factor
     }
 
     /// Generate every (selected) benchmark dataset at the configured scale.
@@ -553,7 +557,7 @@ pub fn render(
         Exhibit::Table3 => table3(harness, datasets),
         Exhibit::Table4 => table4(datasets, passes),
         Exhibit::Table5 => with_footer(
-            &method_table(format!("Table V — running time (scale {scale})"), passes, |r| {
+            &method_table(scaled_title("Table V — running time", scale), passes, |r| {
                 format_duration(r.runtime)
             }),
             concat!(
@@ -566,7 +570,7 @@ pub fn render(
         // accounted number repeats exactly for a seed.
         Exhibit::Table6 => with_footer(
             &method_table(
-                format!("Table VI — accounted memory usage (scale {scale})"),
+                scaled_title("Table VI — accounted memory usage", scale),
                 passes,
                 |r| format_bytes(r.memory_bytes),
             ),
@@ -614,6 +618,12 @@ pub fn render(
             }),
         ),
     }
+}
+
+/// The title of an exhibit over every preset: `MULTIEM_SCALE`, and where
+/// each preset's own scale is.
+fn scaled_title(exhibit: &str, scale: f64) -> String {
+    format!("{exhibit} (MULTIEM_SCALE {scale}; per-preset scale: Table III's Scale column)")
 }
 
 fn with_footer(table: &TextTable, footer: &str) -> String {
@@ -762,7 +772,7 @@ fn table7(datasets: &[BenchmarkDataset]) -> String {
 
 fn fig5(scale: f64, passes: &[MethodsPass]) -> String {
     let mut table = TextTable::new(
-        format!("Figure 5 — per-module running time (scale {scale})"),
+        scaled_title("Figure 5 — per-module running time", scale),
         &[
             "Dataset", "S", "R", "M", "M(p)", "P", "P(p)", "total", "total(p)",
         ],

@@ -290,9 +290,8 @@ impl ClusterTable {
         let node_root = &self.node_root;
         let live = |node: usize| node_root[node].is_some() && Some(node) != exclude;
         self.index
-            .search_batch_filtered(&[query], k, &live)
+            .search_filtered(query, k, &live)
             .into_iter()
-            .flatten()
             .filter_map(|n| node_root[n.index].map(|id| (id, n.distance)))
             .collect()
     }

@@ -36,8 +36,8 @@
 //! restriction. Every search of the representative index — those candidates
 //! and the mutual check's reverse look-up — goes through one helper that
 //! asks the index for the `k` nearest *live* nodes
-//! ([`multiem_ann::VectorIndex::search_batch_filtered`] over one query, with
-//! the table's liveness map as the predicate). A tombstone therefore costs a
+//! ([`multiem_ann::VectorIndex::search_filtered`], with the table's liveness
+//! map as the predicate). A tombstone therefore costs a
 //! look-up nothing on the brute-force backend (the row is skipped unscored)
 //! and only the graph steps that pass through it on HNSW; the tombstone
 //! count decides when to rebuild, not how much to fetch.
