@@ -1,16 +1,26 @@
 //! Exact k-nearest-neighbour search by linear scan.
 //!
-//! The online store's representative index below its HNSW threshold, the
-//! index the embedding baselines search, and the correctness oracle for
+//! The online store's representative index at every size, the index the
+//! embedding baselines search, and the correctness oracle for
 //! [`crate::HnswIndex`] in tests and recall benchmarks.
 //!
 //! There is one scan, `BruteForceIndex::scan`, and it answers one query:
-//! [`VectorIndex::search`] is [`VectorIndex::search_filtered`] accepting
+//! [`VectorIndex::search`] is [`BruteForceIndex::search_filtered`] accepting
 //! every row.
 
 use crate::metric::Metric;
-use crate::{for_each_group, Neighbor, Rows, StateField, TopK, VectorIndex};
+use crate::{for_each_group, Neighbor, Rows, TopK, VectorIndex};
 use serde::{Deserialize, Serialize};
+
+/// One field of an index's serialized state
+/// ([`BruteForceIndex::state_fields`]).
+pub enum StateField<'a> {
+    /// A field as its value tree gives it.
+    Value(&'a dyn Serialize),
+    /// The flat vector storage: a sequence of `f32`, which a writer can
+    /// stream instead of building its value tree (32 bytes a coordinate).
+    Floats(&'a [f32]),
+}
 
 /// Exact nearest-neighbour index backed by a flat array of vectors.
 #[derive(Debug, Clone, Serialize)]
@@ -26,9 +36,11 @@ pub struct BruteForceIndex {
 }
 
 impl BruteForceIndex {
-    /// The derived tree's fields, in order ([`crate::AnnIndex::state_fields`]).
-    pub(crate) fn state_fields(&self) -> Vec<(&'static str, StateField<'_>)> {
-        vec![
+    /// What [`Serialize::to_value`] gives, field by field and in tree
+    /// order, the vectors as [`StateField::Floats`]: a snapshot writer
+    /// streams the coordinates instead of building their tree.
+    pub fn state_fields(&self) -> [(&'static str, StateField<'_>); 3] {
+        [
             ("metric", StateField::Value(&self.metric)),
             ("dim", StateField::Value(&self.dim)),
             ("data", StateField::Floats(&self.data)),
@@ -81,6 +93,20 @@ impl BruteForceIndex {
         }
     }
 
+    /// [`VectorIndex::search`] over the stored vectors `keep` accepts: the
+    /// (up to) `k` nearest of *those*, as if the rejected ones were not
+    /// stored. This is how the online store searches past its tombstones: a
+    /// rejected row is skipped before it is scored, so the cost follows the
+    /// accepted rows, not `k` plus the rejected ones.
+    pub fn search_filtered(
+        &self,
+        query: &[f32],
+        k: usize,
+        keep: &dyn Fn(usize) -> bool,
+    ) -> Vec<Neighbor> {
+        self.scan(query, k, keep)
+    }
+
     /// The scan: one pass over the stored vectors for one query.
     ///
     /// The rows `keep` accepts are taken a group at a time
@@ -127,9 +153,23 @@ impl Deserialize for BruteForceIndex {
             data: Vec<f32>,
         }
         let Stored { metric, dim, data } = Stored::from_value(v)?;
-        // A shorter index would no longer line up with the node numbers the
-        // caller stored beside it.
-        let norms = crate::row_norms("BruteForceIndex", &data, dim)?;
+        // A malformed (hand-edited or truncated) snapshot must fail while it
+        // is read: a shorter index would no longer line up with the node
+        // numbers the caller stored beside it.
+        let whole = match dim {
+            0 => data.is_empty(),
+            _ => data.len().is_multiple_of(dim),
+        };
+        if !whole {
+            return Err(serde::Error::type_mismatch(
+                "BruteForceIndex",
+                "data length that is a multiple of dim > 0",
+            ));
+        }
+        let norms = data
+            .chunks_exact(dim.max(1))
+            .map(Metric::squared_norm)
+            .collect();
         Ok(Self {
             metric,
             dim,
@@ -154,15 +194,6 @@ impl VectorIndex for BruteForceIndex {
 
     fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
         self.scan(query, k, |_| true)
-    }
-
-    fn search_filtered(
-        &self,
-        query: &[f32],
-        k: usize,
-        keep: &dyn Fn(usize) -> bool,
-    ) -> Vec<Neighbor> {
-        self.scan(query, k, keep)
     }
 
     fn vector(&self, index: usize) -> &[f32] {
@@ -386,6 +417,19 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn state_fields_are_the_value_tree_field_by_field() {
+        let idx = index_with(&[[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]);
+        let fields = idx.state_fields().map(|(name, field)| {
+            let tree = match field {
+                StateField::Value(value) => value.to_value(),
+                StateField::Floats(xs) => xs.to_vec().to_value(),
+            };
+            (name.to_string(), tree)
+        });
+        assert_eq!(serde::Value::Map(fields.to_vec()), idx.to_value());
+    }
+
+    #[test]
     fn nan_query_is_deterministic_and_panic_free() {
         // Cosine too: its clamp used to turn the NaN distances into 0.0.
         for metric in [Metric::Euclidean, Metric::Cosine] {
@@ -406,7 +450,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn ties_break_by_index_for_determinism() {
+    fn ties_break_by_insertion_order() {
         let idx = index_with(&[[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]);
         let res = idx.search(&[0.0, 0.0], 3);
         let order: Vec<usize> = res.iter().map(|n| n.index).collect();

@@ -6,11 +6,14 @@
 //! the base layer, and the *heuristic* neighbour-selection rule (Algorithm 4 of
 //! the HNSW paper) that keeps the graph navigable on clustered data.
 //!
-//! The index is deterministic given its seed, which keeps pipeline runs and
-//! the sensitivity experiments (Figure 6(b)) reproducible.
+//! No program path searches a graph: the batch merger joins exactly and the
+//! online store scans its representatives. The index is here for what the
+//! benchmarks measure against the exact one (recall, build, insert and
+//! search time), and it is deterministic given its seed, so those runs
+//! repeat.
 
 use crate::metric::Metric;
-use crate::{for_each_group, Neighbor, Rows, StateField, VectorIndex};
+use crate::{for_each_group, Neighbor, Rows, VectorIndex};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -148,20 +151,15 @@ impl SearchScratch {
     }
 
     /// A neighbour's turn in the expansion: `reached` joins the candidates
-    /// if the results are short of `ef` or it is closer than the worst of
-    /// them, and then the results too if `keep` accepts it.
+    /// and the results if the results are short of `ef` or it is closer than
+    /// the worst of them.
     #[inline]
-    fn reach<F>(&mut self, reached: Neighbor, ef: usize, keep: &F)
-    where
-        F: Fn(usize) -> bool + ?Sized,
-    {
+    fn reach(&mut self, reached: Neighbor, ef: usize) {
         if self.results.len() < ef || reached.distance < self.worst() {
             self.candidates.push(ClosestFirst(reached));
-            if keep(reached.index) {
-                self.results.push(FarthestFirst(reached));
-                if self.results.len() > ef {
-                    self.results.pop();
-                }
+            self.results.push(FarthestFirst(reached));
+            if self.results.len() > ef {
+                self.results.pop();
             }
         }
     }
@@ -184,8 +182,7 @@ pub struct HnswIndex {
     /// Flat row-major vector storage.
     data: Vec<f32>,
     /// Squared norm of every stored vector, so a graph distance is one pass
-    /// over the pair ([`Metric::distance_prenormed`]). Derived from `data`:
-    /// never serialized, recomputed on deserialize.
+    /// over the pair ([`Metric::distance_prenormed`]).
     norms: Vec<f32>,
     /// `links[node][layer]` = neighbour list of `node` at `layer`.
     links: Vec<Vec<Vec<u32>>>,
@@ -237,19 +234,6 @@ impl HnswIndex {
             idx.add(v);
         }
         idx
-    }
-
-    /// [`HnswIndexState`]'s fields, in order ([`crate::AnnIndex::state_fields`]).
-    pub(crate) fn state_fields(&self) -> Vec<(&'static str, StateField<'_>)> {
-        vec![
-            ("config", StateField::Value(&self.config)),
-            ("metric", StateField::Value(&self.metric)),
-            ("dim", StateField::Value(&self.dim)),
-            ("data", StateField::Floats(&self.data)),
-            ("links", StateField::Value(&self.links)),
-            ("max_layer", StateField::Value(&self.max_layer)),
-            ("entry_point", StateField::Value(&self.entry_point)),
-        ]
     }
 
     /// The stored vectors and their norms, as the distance loops read them.
@@ -351,34 +335,21 @@ impl HnswIndex {
 
     /// Best-first search restricted to one layer. On entry `scratch.found`
     /// holds the entry points with their distances to `query`; on exit it
-    /// holds the up to `ef` closest nodes `keep` accepts that were reached
-    /// from them, ascending.
-    ///
-    /// A rejected node is expanded like any other — it joins `candidates`
-    /// under the same rule — so the graph stays navigable through it, but it
-    /// never enters `results`: `ef` counts accepted nodes only. With fewer
-    /// than `ef` of them reachable the search ends when `candidates` runs
-    /// out. Generic over `keep` so the unfiltered callers (every insertion)
-    /// compile to a loop with no predicate in it.
-    fn search_layer<F>(
+    /// holds the up to `ef` closest nodes reached from them, ascending.
+    fn search_layer(
         &self,
         query: &[f32],
         qnorm: f32,
         ef: usize,
         layer: usize,
-        keep: &F,
         scratch: &mut SearchScratch,
-    ) where
-        F: Fn(usize) -> bool + ?Sized,
-    {
+    ) {
         scratch.begin(self.len());
         for i in 0..scratch.found.len() {
             let ep = scratch.found[i];
             if scratch.visit(ep.index) {
                 scratch.candidates.push(ClosestFirst(ep));
-                if keep(ep.index) {
-                    scratch.results.push(FarthestFirst(ep));
-                }
+                scratch.results.push(FarthestFirst(ep));
             }
         }
 
@@ -396,7 +367,7 @@ impl HnswIndex {
                 for &nb in links {
                     if scratch.visit(nb as usize) {
                         let d = self.dist_to(query, qnorm, nb as usize);
-                        scratch.reach(Neighbor::new(nb as usize, d), ef, keep);
+                        scratch.reach(Neighbor::new(nb as usize, d), ef);
                     }
                 }
                 continue;
@@ -414,7 +385,7 @@ impl HnswIndex {
             self.distances_to(query, qnorm, nodes, &mut scratch.distances);
             for i in 0..scratch.batch.len() {
                 let reached = Neighbor::new(scratch.batch[i], scratch.distances[i]);
-                scratch.reach(reached, ef, keep);
+                scratch.reach(reached, ef);
             }
         }
 
@@ -423,13 +394,9 @@ impl HnswIndex {
         scratch.found.sort_unstable_by(Neighbor::rank);
     }
 
-    /// The one query path: greedy descent through the upper layers (which
-    /// ignores `keep` — it only picks where the base-layer search starts),
-    /// then the `ef`-bounded base-layer search over the nodes `keep` accepts.
-    fn search_where<F>(&self, query: &[f32], k: usize, keep: &F) -> Vec<Neighbor>
-    where
-        F: Fn(usize) -> bool + ?Sized,
-    {
+    /// The one query path: greedy descent through the upper layers, then
+    /// the `ef`-bounded base-layer search.
+    fn search_graph(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
         let Some(entry) = self.entry_point else {
             return Vec::new();
         };
@@ -441,7 +408,7 @@ impl HnswIndex {
         let nearest = self.descend(query, qnorm, entry, 0, &mut scratch.distances);
         scratch.found.push(nearest);
         let ef = self.config.ef_search.max(k);
-        self.search_layer(query, qnorm, ef, 0, keep, &mut scratch);
+        self.search_layer(query, qnorm, ef, 0, &mut scratch);
         scratch.found.truncate(k);
         scratch.found
     }
@@ -540,7 +507,7 @@ impl HnswIndex {
         scratch.found.push(nearest);
         let ef = self.config.ef_construction.max(1);
         for layer in (0..=level.min(self.max_layer)).rev() {
-            self.search_layer(vector, qnorm, ef, layer, &|_| true, &mut scratch);
+            self.search_layer(vector, qnorm, ef, layer, &mut scratch);
             self.select_neighbors_heuristic(&scratch.found, self.config.m, &mut scratch.selected);
             let own: Vec<u32> = scratch.selected.iter().map(|n| n.index as u32).collect();
             for &nb in &own {
@@ -559,97 +526,6 @@ impl HnswIndex {
     }
 }
 
-/// The serializable part of an [`HnswIndex`].
-///
-/// The level-assignment RNG is not stored: it is a pure function of the
-/// config seed and the number of insertions, so deserialization recreates it
-/// from the seed and replays the level draws. This keeps snapshots compact
-/// and guarantees a restored index continues the exact insertion sequence the
-/// original would have produced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct HnswIndexState {
-    config: HnswConfig,
-    metric: Metric,
-    dim: usize,
-    data: Vec<f32>,
-    links: Vec<Vec<Vec<u32>>>,
-    max_layer: usize,
-    entry_point: Option<usize>,
-}
-
-impl Serialize for HnswIndex {
-    fn to_value(&self) -> serde::Value {
-        HnswIndexState {
-            config: self.config.clone(),
-            metric: self.metric,
-            dim: self.dim,
-            data: self.data.clone(),
-            links: self.links.clone(),
-            max_layer: self.max_layer,
-            entry_point: self.entry_point,
-        }
-        .to_value()
-    }
-}
-
-impl Deserialize for HnswIndex {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let state = HnswIndexState::from_value(v)?;
-        // Cross-field validation: a malformed (e.g. hand-edited or truncated)
-        // snapshot must fail here with an error, not panic later in search.
-        let nodes = state.links.len();
-        let norms = crate::row_norms("HnswIndex", &state.data, state.dim)?;
-        if state.dim != 0 && norms.len() != nodes {
-            return Err(serde::Error::type_mismatch(
-                "HnswIndex",
-                "data length matching links length times dim",
-            ));
-        }
-        match state.entry_point {
-            Some(ep) if ep >= nodes => {
-                return Err(serde::Error::type_mismatch(
-                    "HnswIndex",
-                    "entry_point within bounds",
-                ))
-            }
-            None if nodes > 0 => {
-                return Err(serde::Error::type_mismatch(
-                    "HnswIndex",
-                    "entry_point present for a non-empty index",
-                ))
-            }
-            _ => {}
-        }
-        for layers in &state.links {
-            if layers.is_empty() || layers.len() > state.max_layer + 1 {
-                return Err(serde::Error::type_mismatch(
-                    "HnswIndex",
-                    "per-node layer lists within max_layer",
-                ));
-            }
-            for layer in layers {
-                if layer.iter().any(|&nb| nb as usize >= nodes) {
-                    return Err(serde::Error::type_mismatch(
-                        "HnswIndex",
-                        "neighbour links within bounds",
-                    ));
-                }
-            }
-        }
-        let mut index = HnswIndex::new(state.dim, state.metric, state.config);
-        index.norms = norms;
-        index.data = state.data;
-        index.links = state.links;
-        index.max_layer = state.max_layer;
-        index.entry_point = state.entry_point;
-        // Replay the level draws so future insertions continue the stream.
-        for _ in 0..nodes {
-            index.random_level();
-        }
-        Ok(index)
-    }
-}
-
 impl VectorIndex for HnswIndex {
     fn dim(&self) -> usize {
         self.dim
@@ -664,16 +540,7 @@ impl VectorIndex for HnswIndex {
     }
 
     fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.search_where(query, k, &|_| true)
-    }
-
-    fn search_filtered(
-        &self,
-        query: &[f32],
-        k: usize,
-        keep: &dyn Fn(usize) -> bool,
-    ) -> Vec<Neighbor> {
-        self.search_where(query, k, keep)
+        self.search_graph(query, k)
     }
 
     fn vector(&self, index: usize) -> &[f32] {
@@ -814,7 +681,7 @@ mod tests {
 
     /// An index built and searched with the tiled neighbour expansion is the
     /// index the one-at-a-time expansion builds, link for link, and answers
-    /// every query — filtered or not — with the same hits, bit for bit.
+    /// every query with the same hits, bit for bit.
     #[test]
     fn tiled_expansion_is_the_one_at_a_time_expansion() {
         let fixtures = [
@@ -839,7 +706,6 @@ mod tests {
                 "{metric:?}: the descent is not exercised"
             );
 
-            let dead = dead_mask(stored.len(), 30, 11);
             let bits = |hits: Vec<Neighbor>| -> Vec<(usize, u32)> {
                 hits.iter()
                     .map(|n| (n.index, n.distance.to_bits()))
@@ -854,113 +720,8 @@ mod tests {
                         bits(reference.search(query, k)),
                         "{metric:?} k {k}"
                     );
-                    assert_eq!(
-                        bits(tiled.search_where(query, k, &|node| !dead[node])),
-                        bits(reference.search_where(query, k, &|node| !dead[node])),
-                        "{metric:?} k {k}, filtered"
-                    );
                 }
             }
-        }
-    }
-
-    /// A seeded mask with about `percent` of `n` nodes dead.
-    fn dead_mask(n: usize, percent: u32, seed: u64) -> Vec<bool> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        (0..n).map(|_| rng.gen_range(0..100u32) < percent).collect()
-    }
-
-    #[test]
-    fn filtered_recall_holds_as_nodes_die() {
-        let (hnsw, exact, queries) = clustered_384d_fixture();
-        let queries: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
-        for percent in [0, 25, 50] {
-            let dead = dead_mask(hnsw.len(), percent, 5);
-            let keep = |node: usize| !dead[node];
-            let approx: Vec<Vec<Neighbor>> = queries
-                .iter()
-                .map(|q| hnsw.search_filtered(q, 1, &keep))
-                .collect();
-            let agree = queries
-                .iter()
-                .zip(&approx)
-                .filter(|(q, a)| a[0].index == exact.search_filtered(q, 1, &keep)[0].index)
-                .count();
-            let recall = agree as f64 / queries.len() as f64;
-            assert!(recall >= 0.95, "{percent}% dead: recall@1 {recall}");
-            if percent == 0 {
-                // Accepting every node is the unfiltered search.
-                for (q, hits) in queries.iter().zip(&approx) {
-                    assert_eq!(hits, &hnsw.search(q, 1));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn filtered_search_skips_the_dead_and_still_fills_k() {
-        let vectors = random_vectors(300, 8, 23);
-        let idx = HnswIndex::build(
-            8,
-            Metric::Euclidean,
-            HnswConfig::small(),
-            vectors.iter().map(|v| v.as_slice()),
-        );
-        let n = idx.len();
-        let entry = idx.entry_point.unwrap();
-
-        // The guarantee is for a connected base layer; this fixture has one.
-        let mut reached = vec![false; n];
-        let mut frontier = vec![entry];
-        reached[entry] = true;
-        while let Some(node) = frontier.pop() {
-            for &nb in &idx.links[node][0] {
-                if !std::mem::replace(&mut reached[nb as usize], true) {
-                    frontier.push(nb as usize);
-                }
-            }
-        }
-        assert!(reached.iter().all(|&r| r), "fixture graph is not connected");
-
-        // Dead: a third of the nodes, the entry point, and every neighbour
-        // the entry point has on any layer — the search starts in a hole.
-        let mut dead = dead_mask(n, 33, 9);
-        dead[entry] = true;
-        for layer in &idx.links[entry] {
-            for &nb in layer {
-                dead[nb as usize] = true;
-            }
-        }
-        let live = dead.iter().filter(|&&d| !d).count();
-        assert!(live > 100 && live < n - 20);
-
-        let probes = random_vectors(20, 8, 77);
-        let queries: Vec<&[f32]> = probes
-            .iter()
-            .chain(&vectors[..10])
-            .map(|q| q.as_slice())
-            .collect();
-        let ef = idx.config.ef_search;
-        for k in [1, 5, ef + 8, live, live + 7] {
-            for query in &queries {
-                let hits = idx.search_filtered(query, k, &|node| !dead[node]);
-                assert_eq!(hits.len(), k.min(live), "k = {k}");
-                assert!(hits.iter().all(|hit| !dead[hit.index]));
-                assert!(hits.windows(2).all(|w| w[0].rank(&w[1]).is_lt()));
-            }
-        }
-
-        // Fewer live nodes than `k`: the search ends when the candidates do,
-        // with every live node (the graph is connected) and nothing else.
-        let few = [7usize, 150, 299];
-        for query in &queries {
-            let hits = idx.search_filtered(query, 10, &|node| few.contains(&node));
-            let mut nodes: Vec<usize> = hits.iter().map(|hit| hit.index).collect();
-            nodes.sort_unstable();
-            assert_eq!(nodes, few);
-        }
-        for query in &queries {
-            assert!(idx.search_filtered(query, 10, &|_| false).is_empty());
         }
     }
 
@@ -1150,77 +911,5 @@ mod tests {
     fn add_rejects_wrong_dim() {
         let mut idx = HnswIndex::new(4, Metric::Cosine, HnswConfig::small());
         idx.add(&[1.0, 2.0]);
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_search_and_insertion_stream() {
-        let vectors = random_vectors(150, 8, 17);
-        let mut original = HnswIndex::build(
-            8,
-            Metric::Cosine,
-            HnswConfig::small(),
-            vectors[..100].iter().map(|v| v.as_slice()),
-        );
-        let json = serde_json::to_string(&original).unwrap();
-        let mut restored: HnswIndex = serde_json::from_str(&json).unwrap();
-
-        // The snapshot shape is the pre-norm-cache one (old snapshots load,
-        // new ones load in old builds); the cache is rebuilt from `data`.
-        let serde::Value::Map(fields) = original.to_value() else {
-            panic!("an index serializes as a map");
-        };
-        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            keys,
-            [
-                "config",
-                "metric",
-                "dim",
-                "data",
-                "links",
-                "max_layer",
-                "entry_point"
-            ]
-        );
-        assert_eq!(original.norms, restored.norms);
-
-        // Same graph: identical search results.
-        assert_eq!(
-            original.search(&vectors[3], 10),
-            restored.search(&vectors[3], 10)
-        );
-
-        // Same RNG position: further insertions keep the indexes identical.
-        for v in &vectors[100..] {
-            original.add(v);
-            restored.add(v);
-        }
-        assert_eq!(
-            original.search(&vectors[120], 10),
-            restored.search(&vectors[120], 10)
-        );
-        assert_eq!(original.max_layer, restored.max_layer);
-        assert_eq!(original.links, restored.links);
-    }
-
-    #[test]
-    fn deserialize_rejects_malformed_snapshots() {
-        let vectors = random_vectors(20, 4, 9);
-        let idx = HnswIndex::build(
-            4,
-            Metric::Cosine,
-            HnswConfig::small(),
-            vectors.iter().map(|v| v.as_slice()),
-        );
-        let json = serde_json::to_string(&idx).unwrap();
-        // Out-of-bounds entry point (replace whatever value it has with 999).
-        let key = "\"entry_point\":";
-        let start = json.find(key).unwrap() + key.len();
-        let end = start + json[start..].find(|c: char| !c.is_ascii_digit()).unwrap();
-        let bad = format!("{}999{}", &json[..start], &json[end..]);
-        assert!(serde_json::from_str::<HnswIndex>(&bad).is_err());
-        // Data length inconsistent with dim * nodes.
-        let bad = json.replace("\"dim\":4", "\"dim\":5");
-        assert!(serde_json::from_str::<HnswIndex>(&bad).is_err());
     }
 }

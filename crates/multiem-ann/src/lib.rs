@@ -7,15 +7,14 @@
 //! an index of its cluster representatives. This crate provides:
 //!
 //! * [`Metric`] — cosine / Euclidean distances;
-//! * [`BruteForceIndex`] — exact k-NN, the online store's index below its
-//!   HNSW threshold and the correctness oracle in tests and recall
+//! * [`BruteForceIndex`] — exact k-NN: the online store's representative
+//!   index at every size, and the correctness oracle in tests and recall
 //!   benchmarks;
 //! * [`HnswIndex`] — a from-scratch implementation of Hierarchical Navigable
 //!   Small World graphs (Malkov & Yashunin, TPAMI 2020) with heuristic
 //!   neighbour selection, `ef_construction` / `ef_search` control and
-//!   deterministic seeding;
-//! * [`AnnIndex`] — either of the two behind one serializable type, for
-//!   callers that pick the backend from the collection size;
+//!   deterministic seeding, which the recall and latency benchmarks measure
+//!   against the exact index;
 //! * [`mutual_top_k_exact`] — the mutual top-K join of two sides given as
 //!   borrowed rows ([`RowRefs`]), with no index built: every two-table merge
 //!   of Algorithm 3; and [`mutual_top_k`], the same join over the rows of
@@ -26,13 +25,11 @@
 
 pub mod bruteforce;
 pub mod hnsw;
-pub mod index;
 pub mod metric;
 pub mod mutual;
 
-pub use bruteforce::BruteForceIndex;
+pub use bruteforce::{BruteForceIndex, StateField};
 pub use hnsw::{HnswConfig, HnswIndex};
-pub use index::{AnnIndex, StateField};
 pub use metric::Metric;
 pub use mutual::{merge_ranked, mutual_top_k, mutual_top_k_exact, MutualMatch, RowRefs};
 
@@ -231,29 +228,6 @@ impl<'a> Rows<'a> {
     }
 }
 
-/// Squared norm of every `dim`-float row of a deserialized flat vector array,
-/// or an error when `data` is not a whole number of rows: a malformed
-/// (hand-edited or truncated) snapshot must fail while it is read, not come
-/// back as a shorter index or panic later in a search.
-pub(crate) fn row_norms(owner: &str, data: &[f32], dim: usize) -> Result<Vec<f32>, serde::Error> {
-    if dim == 0 && !data.is_empty() {
-        return Err(serde::Error::type_mismatch(
-            owner,
-            "dim > 0 for non-empty data",
-        ));
-    }
-    if dim != 0 && !data.len().is_multiple_of(dim) {
-        return Err(serde::Error::type_mismatch(
-            owner,
-            "data length that is a multiple of dim",
-        ));
-    }
-    Ok(data
-        .chunks_exact(dim.max(1))
-        .map(Metric::squared_norm)
-        .collect())
-}
-
 /// Common interface over exact and approximate vector indexes.
 pub trait VectorIndex: Send + Sync {
     /// Dimensionality of indexed vectors.
@@ -273,24 +247,6 @@ pub trait VectorIndex: Send + Sync {
     /// Return (up to) the `k` nearest stored vectors to `query`, ordered by
     /// increasing distance.
     fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor>;
-
-    /// [`VectorIndex::search`] over the stored vectors `keep` accepts: the
-    /// (up to) `k` nearest of *those*, as if the rejected ones were not
-    /// stored. This is how a caller that retires entries without removing
-    /// them (the online store's tombstones) searches what is left: the cost
-    /// follows the accepted vectors, not `k` plus the rejected ones.
-    /// [`BruteForceIndex`] skips a rejected row before scoring it;
-    /// [`HnswIndex`] walks through rejected nodes, so the graph stays
-    /// navigable, but never counts one as a result.
-    ///
-    /// `search` is this with every vector accepted, run through the same
-    /// scan or traversal.
-    fn search_filtered(
-        &self,
-        query: &[f32],
-        k: usize,
-        keep: &dyn Fn(usize) -> bool,
-    ) -> Vec<Neighbor>;
 
     /// Borrow the stored vector at `index`.
     fn vector(&self, index: usize) -> &[f32];

@@ -1,14 +1,15 @@
 //! Criterion micro-benchmark: HNSW vs brute-force nearest-neighbour search.
 //!
-//! The two index backends are the online store's representative index, and
+//! The brute-force index is the online store's representative index, the
+//! graph is what the benchmark's `ann.hnsw.*` rows measure against it, and
 //! the exact join (`ann/join`) is every batch merge. The benchmark measures
 //! build, per-insert and query cost for both backends at increasing
 //! collection sizes, and the join, on the vectors the pipeline really embeds: `music-20` records through the
 //! default encoder (dim 384, unit norm, duplicates clustered tightly).
 //! `ann/insert` is the kernel row under the benchmark's `ann.hnsw.insert_us`;
 //! its `elem/s` is inserts per second, so per-insert time is its inverse.
-//! `ann/query_top1` is the online store's look-up past tombstones, filtered
-//! search beside the over-fetch it replaced.
+//! `ann/query_top1` is the online store's look-up past tombstones, the
+//! filtered scan beside the over-fetch it replaced.
 //! `ann/kernel` is `Metric::distance_tile` alone, walked the way the exact
 //! join walks it (every group of left rows against one 16-row block of right
 //! rows): its `elem/s` is 384-d pairs per second, so ns per pair is its
@@ -146,18 +147,16 @@ fn bench_query(c: &mut Criterion) {
 }
 
 /// The online store's look-up: the nearest *live* node of an index in which
-/// 0%, 25% and 50% of the nodes are tombstones. `<backend>_dead<share>` is
-/// the filtered search the store runs; `..._overfetch` beside it is what it
+/// 0%, 25% and 50% of the nodes are tombstones. `bruteforce_dead<share>` is
+/// the filtered scan the store runs; `..._overfetch` beside it is what it
 /// ran before — fetch `k` plus the tombstone count unfiltered, drop the dead,
 /// cut to `k` — kept here for the ratio.
 fn bench_query_dead(c: &mut Criterion) {
     let (vectors, dim) = music_embeddings();
     let (indexed, rest) = vectors.split_at(3_000);
     let queries = &rest[..100];
-    let hnsw = hnsw(dim, indexed);
     let brute =
         BruteForceIndex::from_vectors(dim, Metric::Cosine, indexed.iter().map(|v| v.as_slice()));
-    let backends: [(&str, &dyn VectorIndex); 2] = [("bruteforce", &brute), ("hnsw", &hnsw)];
 
     let mut group = c.benchmark_group("ann/query_top1");
     group.throughput(Throughput::Elements(queries.len() as u64));
@@ -168,26 +167,24 @@ fn bench_query_dead(c: &mut Criterion) {
             .collect();
         let stale = dead.iter().filter(|&&d| d).count();
         let live = |node: usize| !dead[node];
-        for (name, index) in backends {
-            group.bench_function(format!("{name}_dead{share}"), |b| {
-                b.iter(|| {
-                    for q in queries {
-                        std::hint::black_box(index.search_filtered(q, 1, &live));
-                    }
-                })
-            });
-            group.bench_function(format!("{name}_dead{share}_overfetch"), |b| {
-                b.iter(|| {
-                    for q in queries {
-                        let nearest = index
-                            .search(q, 1 + stale)
-                            .into_iter()
-                            .find(|hit| live(hit.index));
-                        std::hint::black_box(nearest);
-                    }
-                })
-            });
-        }
+        group.bench_function(format!("bruteforce_dead{share}"), |b| {
+            b.iter(|| {
+                for q in queries {
+                    std::hint::black_box(brute.search_filtered(q, 1, &live));
+                }
+            })
+        });
+        group.bench_function(format!("bruteforce_dead{share}_overfetch"), |b| {
+            b.iter(|| {
+                for q in queries {
+                    let nearest = brute
+                        .search(q, 1 + stale)
+                        .into_iter()
+                        .find(|hit| live(hit.index));
+                    std::hint::black_box(nearest);
+                }
+            })
+        });
     }
     group.finish();
 }

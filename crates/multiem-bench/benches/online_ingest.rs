@@ -4,8 +4,9 @@
 //!
 //! This is the hot path of the online subsystem: each insert encodes one
 //! record, queries the representative index for mutual top-K candidates and
-//! maintains the cluster partition. Throughput should degrade sub-linearly
-//! with store size thanks to the `O(log N)` HNSW insertion path.
+//! maintains the cluster partition. The index is exact, so an insert scans
+//! every live representative and its cost grows linearly with the number
+//! of clusters in the store.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use multiem_core::MultiEmConfig;

@@ -29,23 +29,11 @@ pub struct MultiEmConfig {
     pub m: f32,
     /// Metric used in the merging phase (cosine in the paper).
     pub merge_metric: Metric,
-    /// The online store's index policy: once its live representatives
-    /// number at least this many, its representative index is an HNSW graph
-    /// rather than the exact index (`0`: always a graph, `usize::MAX`:
-    /// never). The batch merger does not read it: every merge is the exact
-    /// join (see [`crate::merging`]).
-    ///
-    /// The default (2,000) is where an insert plus a look-up cost about the
-    /// same on either backend when it was set: `ann.hnsw.insert_us +
-    /// ann.hnsw.search_us` against `ann.brute.search_us` in the benchmark's
-    /// traced runs (`benchmark/README.md`) on a 2-core x86-64 VM. The exact
-    /// scan has since become cheaper, which moved that crossing near
-    /// n ≈ 3,700; the default was not moved with it (README, "Where the
-    /// default `hnsw_threshold` comes from").
-    pub hnsw_threshold: usize,
-    /// HNSW construction/search parameters of the online store's
-    /// representative index, once [`MultiEmConfig::hnsw_threshold`] makes it
-    /// a graph.
+    /// HNSW construction/search parameters. No program path builds a
+    /// graph: every merge is the exact join (see [`crate::merging`]) and the
+    /// online store's representative index is exact at every size. It is
+    /// read only by the benchmark's `ann.hnsw.*` rows, which build a graph
+    /// with it to measure against the exact index.
     pub hnsw: HnswConfig,
     /// Seed controlling the random pairing order of tables in hierarchical
     /// merging (Figure 6(b) varies this seed).
@@ -72,7 +60,6 @@ impl Default for MultiEmConfig {
             k: 1,
             m: 0.35,
             merge_metric: Metric::Cosine,
-            hnsw_threshold: 2_000,
             hnsw: HnswConfig::default(),
             merge_seed: 0,
             pruning: true,

@@ -17,8 +17,7 @@
 //!
 //! Algorithm 3 builds an HNSW index per table instead. Here the exact join is
 //! faster at every size the repository runs, and it answers Eq. 1 exactly
-//! (PAPER.md, "M", has the measurement). `hnsw_threshold` and `hnsw` do not
-//! reach the merger: they set the online store's index.
+//! (PAPER.md, "M", has the measurement).
 //!
 //! Hierarchical merging (Algorithm 2) repeatedly pairs up the current tables
 //! (in a seeded random order) and merges each pair until a single integrated
@@ -767,13 +766,11 @@ pub(crate) mod tests {
         assert!(table.approx_bytes() > 0);
     }
 
-    /// A merge is the exact join whatever `hnsw_threshold` says: at `0`
-    /// (past it on every side) and at `usize::MAX` (past it on none) it
-    /// gives the same members, the same embedding bits and the same search
-    /// memory, and that memory is norms, row references and top-K tables,
-    /// which do not grow with the rows.
+    /// A merge's search memory is norms, row references and top-K tables,
+    /// which do not grow with the rows: the same rows with zeros appended
+    /// cost the same.
     #[test]
-    fn a_merge_is_the_exact_join_at_every_threshold_and_copies_no_row() {
+    fn a_merge_copies_no_row() {
         use rand::Rng;
         let dim = 16;
         let mut rng = ChaCha8Rng::seed_from_u64(33);
@@ -794,10 +791,6 @@ pub(crate) mod tests {
                 .collect(),
         };
         let (small, large, other) = (table(0, 6), table(1, 30), table(2, 30));
-        let at = |hnsw_threshold| MultiEmConfig {
-            hnsw_threshold,
-            ..config()
-        };
         // The same rows with zeros appended: the same norms and distances,
         // four times the floats.
         let padded = |t: &MergedTable| MergedTable {
@@ -810,26 +803,15 @@ pub(crate) mod tests {
                 })
                 .collect(),
         };
-        let bits =
-            |i: &MergeItem| -> Vec<u32> { i.embedding.iter().map(|x| x.to_bits()).collect() };
-
         for (left, right) in [(&small, &large), (&large, &small), (&large, &other)] {
-            let exact = merge_two(left, right, &at(usize::MAX), dim);
+            let exact = merge_two(left, right, &config(), dim);
             assert!(!exact.integrated.tuples().is_empty());
             assert!(exact.peak_index_bytes > 0);
-            let wide = merge_two(&padded(left), &padded(right), &at(usize::MAX), 64);
+            let wide = merge_two(&padded(left), &padded(right), &config(), 64);
             assert_eq!(
                 exact.peak_index_bytes, wide.peak_index_bytes,
                 "a row was copied"
             );
-            let graph = merge_two(left, right, &at(0), dim);
-            assert_eq!(graph.peak_index_bytes, exact.peak_index_bytes);
-            assert_eq!(graph.total_matched_pairs, exact.total_matched_pairs);
-            assert_eq!(graph.integrated.len(), exact.integrated.len());
-            for (a, b) in graph.integrated.items.iter().zip(&exact.integrated.items) {
-                assert_eq!(a.members, b.members);
-                assert_eq!(bits(a), bits(b));
-            }
         }
     }
 
@@ -857,11 +839,8 @@ pub(crate) mod tests {
     }
 
     /// The merge inputs the pinned digests are taken over: `small_test`
-    /// music at the machine's width and on one thread, `small_test` geo with
-    /// `hnsw_threshold` 0, and `music-20` at 0.05 twice: with
-    /// `hnsw_threshold` 100, below every merge's tables, and with the
-    /// default config. The two lowered thresholds pin that the threshold
-    /// does not reach the merger: their digests are those of the exact join.
+    /// music at the machine's width and on one thread, `small_test` geo, and
+    /// `music-20` at 0.05 with the default config.
     pub(crate) fn pinned_cases() -> Vec<PinnedCase> {
         let small = |domain: Domain, name: &str| {
             let factory = domain.factory();
@@ -888,28 +867,9 @@ pub(crate) mod tests {
         vec![
             case("music", music.clone(), base.clone(), &[2, 4, 5], false),
             case("music, one thread", music, base.clone(), &[2, 4, 5], true),
+            case("geo", geo, base, &[0], false),
             case(
-                "geo, hnsw_threshold 0",
-                geo,
-                MultiEmConfig {
-                    hnsw_threshold: 0,
-                    ..base
-                },
-                &[0],
-                false,
-            ),
-            case(
-                "music-20 0.05, hnsw_threshold 100",
-                preset.clone(),
-                MultiEmConfig {
-                    hnsw_threshold: 100,
-                    ..MultiEmConfig::default()
-                },
-                &[2, 4, 5],
-                false,
-            ),
-            case(
-                "music-20 0.05, exact",
+                "music-20 0.05",
                 preset,
                 MultiEmConfig::default(),
                 &[2, 4, 5],
@@ -959,13 +919,8 @@ pub(crate) mod tests {
         let expected = [
             ("music", 0xc89b_797f_87b9_9bb1, 60),
             ("music, one thread", 0xc89b_797f_87b9_9bb1, 60),
-            ("geo, hnsw_threshold 0", 0x7e17_bde4_10fa_a8d4, 59),
-            (
-                "music-20 0.05, hnsw_threshold 100",
-                0x1ee0_c094_1248_1d00,
-                457,
-            ),
-            ("music-20 0.05, exact", 0x1ee0_c094_1248_1d00, 457),
+            ("geo", 0x7e17_bde4_10fa_a8d4, 59),
+            ("music-20 0.05", 0x1ee0_c094_1248_1d00, 457),
         ];
         assert_eq!(found, expected);
     }

@@ -392,9 +392,8 @@ mod tests {
         let expected = [
             ("music", 0x702d_5ced_2408_4ea6),
             ("music, one thread", 0x702d_5ced_2408_4ea6),
-            ("geo, hnsw_threshold 0", 0xe6e3_0278_3dda_14a6),
-            ("music-20 0.05, hnsw_threshold 100", 0xe2ed_30e5_192e_3907),
-            ("music-20 0.05, exact", 0xe2ed_30e5_192e_3907),
+            ("geo", 0xe6e3_0278_3dda_14a6),
+            ("music-20 0.05", 0xe2ed_30e5_192e_3907),
         ];
         assert_eq!(found, expected);
     }

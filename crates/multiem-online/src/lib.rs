@@ -14,8 +14,9 @@
 //! * [`EntityStore::ingest_batch`] appends a whole table and
 //!   [`EntityStore::insert`] appends one record; both run the paper's
 //!   mutual-top-K merging rule (Eq. 1) incrementally, checking the new record
-//!   against the current *cluster representatives* through an online ANN
-//!   index (`O(log N)` HNSW insertion, [`multiem_ann::AnnIndex::insert`]);
+//!   against the current *cluster representatives* through an exact index
+//!   of them ([`multiem_ann::BruteForceIndex`]: an insert appends one row,
+//!   a look-up scans every live one);
 //! * [`EntityStore::match_record`] answers read-only "which entities does this
 //!   record refer to?" queries without mutating the store;
 //! * density-based pruning (Algorithm 4) re-runs over a delete's survivors

@@ -28,7 +28,7 @@ use super::StoreStats;
 use crate::config::OnlineConfig;
 use crate::storage::RecordStorage;
 use crate::wire::Field;
-use multiem_ann::{AnnIndex, VectorIndex};
+use multiem_ann::{BruteForceIndex, Metric, VectorIndex};
 use multiem_core::{prune_points, representative, MultiEmConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -149,8 +149,9 @@ impl ReverseMemo {
 pub(super) struct ClusterTable {
     clusters: BTreeMap<usize, Cluster>,
     /// One node per indexed cluster, plus the tombstones of clusters since
-    /// fused, split or emptied.
-    index: AnnIndex,
+    /// fused, split or emptied. Exact at every size: every search scans the
+    /// live nodes.
+    index: BruteForceIndex,
     /// Times the index has been rebuilt.
     rebuilds: usize,
     /// Record -> cluster (`None` = deleted). Derived from the member lists.
@@ -169,11 +170,12 @@ pub(super) struct ClusterTable {
 }
 
 impl ClusterTable {
-    /// An empty table over an empty representative index.
-    pub(super) fn new(index: AnnIndex) -> Self {
+    /// An empty table over an empty representative index of `dim`-float
+    /// rows under `metric`.
+    pub(super) fn new(dim: usize, metric: Metric) -> Self {
         Self {
             clusters: BTreeMap::new(),
-            index,
+            index: BruteForceIndex::new(dim, metric),
             rebuilds: 0,
             cluster_of: Vec::new(),
             node_root: Vec::new(),
@@ -276,11 +278,9 @@ impl ClusterTable {
     /// *live* clusters as `(cluster, distance)`, closest first; the node
     /// `exclude`, if any, is passed over like a tombstone.
     ///
-    /// Tombstones still occupy index slots, but the index is told which
+    /// Tombstones still occupy index slots, but the scan is told which
     /// nodes are live (`node_root` is the only record of that) and never
-    /// returns a dead one, so the look-up asks for exactly `k`: the
-    /// brute-force scan does not score a tombstone, and the HNSW traversal
-    /// only passes through it.
+    /// scores a dead one, so the look-up asks for exactly `k`.
     pub(super) fn search_live(
         &self,
         query: &[f32],
@@ -305,8 +305,7 @@ impl ClusterTable {
     /// only, not on the record, so it runs once per candidate per index
     /// version: its row of distances is kept in `reverse` until the next
     /// write, and every check in between counts over the kept row. A kept
-    /// row is the one a fresh look-up would return, bit for bit, on either
-    /// backend.
+    /// row is the one a fresh look-up would return, bit for bit.
     pub(super) fn mutual(&self, candidate: usize, dist: f32, k: usize) -> bool {
         let Some(node) = self.clusters[&candidate].node else {
             return false;
@@ -354,7 +353,7 @@ impl ClusterTable {
         }
         let row = representative(self.index.dim(), points);
         let node = row.iter().any(|&x| x != 0.0).then(|| {
-            let node = self.index.insert(&row);
+            let node = self.index.add(&row);
             debug_assert_eq!(node, self.node_root.len());
             self.node_root.push(Some(id));
             node
@@ -452,26 +451,22 @@ impl ClusterTable {
     }
 
     /// Rebuild the representative index from the live clusters when
-    /// tombstones exceed `rebuild_staleness` of it, or when the live
-    /// clusters have outgrown the brute-force backend
-    /// ([`OnlineConfig::wants_hnsw`]). A cluster's row moves over as it is:
-    /// it already is the cluster's representative.
+    /// tombstones exceed `rebuild_staleness` of it. A cluster's row moves
+    /// over as it is: it already is the cluster's representative.
     pub(super) fn maybe_rebuild(&mut self, config: &OnlineConfig) {
         let total = self.node_root.len();
         if total == 0 {
             return;
         }
-        let live = total - self.stale_nodes;
         let staleness = self.stale_nodes as f64 / total as f64;
-        let needs_upgrade = !self.index.is_hnsw() && config.wants_hnsw(live);
-        if staleness <= config.rebuild_staleness && !needs_upgrade {
+        if staleness <= config.rebuild_staleness {
             return;
         }
-        let mut index = config.index_for(live, self.index.dim());
-        let mut node_root = Vec::with_capacity(live);
+        let mut index = BruteForceIndex::new(self.index.dim(), self.index.metric());
+        let mut node_root = Vec::with_capacity(total - self.stale_nodes);
         for (&id, cluster) in self.clusters.iter_mut() {
             if let Some(old) = cluster.node {
-                let node = index.insert(self.index.vector(old));
+                let node = index.add(self.index.vector(old));
                 debug_assert_eq!(node, node_root.len());
                 node_root.push(Some(id));
                 cluster.node = Some(node);
@@ -494,19 +489,14 @@ pub(super) fn stored_representative(stored: &RecordStorage, members: &[usize]) -
 
 #[cfg(test)]
 impl Cluster {
-    /// Whether the cluster has a node in the representative index.
-    pub(super) fn is_indexed(&self) -> bool {
-        self.node.is_some()
+    /// The cluster's live node in the representative index, if indexed.
+    pub(super) fn node(&self) -> Option<usize> {
+        self.node
     }
 }
 
 #[cfg(test)]
 impl ClusterTable {
-    /// Whether the representative index is an HNSW graph.
-    pub(super) fn is_hnsw(&self) -> bool {
-        self.index.is_hnsw()
-    }
-
     /// Assert the table's invariants over the records `stored` holds: the
     /// derived maps are exactly what [`ClusterTable::reindex`] derives from
     /// the clusters — each live record in one member list, ascending, and
@@ -669,7 +659,7 @@ mod tests {
         let mut stored = RecordStorage::new(&StorageConfig::Memory, 2).unwrap();
         stored.open_source();
         Stored {
-            table: ClusterTable::new(config().index_for(0, 2)),
+            table: ClusterTable::new(2, config().base.merge_metric),
             stored,
         }
     }
@@ -946,7 +936,7 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_drops_tombstones_and_upgrades_the_backend() {
+    fn rebuild_drops_tombstones() {
         let mut config = config();
         config.rebuild_staleness = 0.4;
         let mut t = singletons(4);
@@ -969,19 +959,6 @@ mod tests {
         let hits = t.search_live(&at(20.0), 3, None);
         assert_eq!(hits[0].0, t.cluster_of(2).unwrap());
         assert_eq!(hits[1].0, t.cluster_of(4).unwrap());
-
-        // Outgrowing the brute-force backend rebuilds onto HNSW, tombstones
-        // or not.
-        config.base.hnsw_threshold = 2;
-        assert!(!t.is_hnsw());
-        t.maybe_rebuild(&config);
-        t.check(5);
-        assert!(t.is_hnsw());
-        assert_eq!(t.stats().rebuilds, 2);
-        assert_eq!(
-            t.search_live(&at(20.0), 3, None)[0].0,
-            t.cluster_of(2).unwrap()
-        );
     }
 
     #[test]

@@ -26,21 +26,21 @@
 //! those; it asks the table to add, fuse, prune or remove, and the table
 //! keeps them in step.
 //!
+//! The representative index is exact at every size: a
+//! [`multiem_ann::BruteForceIndex`], so a look-up scans every live
+//! representative and the store answers Eq. 1 exactly, not approximately.
 //! Tombstones accumulate as clusters merge; once their fraction exceeds
-//! `rebuild_staleness`, the representative index is rebuilt from live
-//! clusters, on the backend [`crate::OnlineConfig::index_for`] picks for
-//! their number.
+//! `rebuild_staleness`, the index is rebuilt from the live clusters.
 //!
 //! An insert and a `/match` query take their candidates from one function,
 //! so the two apply Eq. 1 the same way; only an insert adds the same-source
 //! restriction. Every search of the representative index — those candidates
 //! and the mutual check's reverse look-up — goes through one helper that
 //! asks the index for the `k` nearest *live* nodes
-//! ([`multiem_ann::VectorIndex::search_filtered`], with the table's liveness
-//! map as the predicate). A tombstone therefore costs a
-//! look-up nothing on the brute-force backend (the row is skipped unscored)
-//! and only the graph steps that pass through it on HNSW; the tombstone
-//! count decides when to rebuild, not how much to fetch.
+//! ([`multiem_ann::BruteForceIndex::search_filtered`], with the table's
+//! liveness map as the predicate). A tombstone therefore costs a look-up
+//! nothing (the row is skipped unscored); the tombstone count decides when
+//! to rebuild, not how much to fetch.
 //!
 //! The mutual check's reverse look-up is memoized per index version. Its
 //! answer — the distances from a candidate's representative to the `k`
@@ -49,8 +49,7 @@
 //! of those, the query, `k` and the excluded node. So the table keeps each
 //! candidate's row until the next write to either (every such write bumps
 //! one version number), and a kept row is the row a fresh look-up would
-//! return, bit for bit, on both backends: no match or insert decision
-//! changes. Between writes, a match whose candidates were checked before
+//! return, bit for bit: no match or insert decision changes. Between writes, a match whose candidates were checked before
 //! costs one search of the index instead of one plus one per candidate; a
 //! write drops every kept row.
 //!
@@ -177,7 +176,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
         config.validate().map_err(OnlineError::InvalidConfig)?;
         let dim = encoder.dim();
         let records = RecordStorage::new(&config.storage, dim)?;
-        let clusters = ClusterTable::new(config.index_for(0, dim));
+        let clusters = ClusterTable::new(dim, config.base.merge_metric);
         Ok(Self {
             encoder,
             state: StoreState {
@@ -691,6 +690,7 @@ mod tests {
     use super::*;
     use crate::storage::tests::at;
     use crate::wire;
+    use multiem_ann::Metric;
     use multiem_core::MultiEmConfig;
     use multiem_datagen::{
         CorruptionConfig, Corruptor, Domain, GeneratorConfig, MultiSourceGenerator,
@@ -957,39 +957,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_backend_upgrades_to_hnsw_past_threshold() {
-        let schema = title_schema();
-        let mut cfg = config();
-        cfg.base.hnsw_threshold = 4;
-        let mut s = EntityStore::new(cfg, HashedLexicalEncoder::default());
-        s.ingest_batch(&table(
-            "a",
-            &schema,
-            &[
-                "golden heart river",
-                "makita drill 18v",
-                "sony bravia tv",
-                "dyson v11 vacuum",
-            ],
-        ))
-        .unwrap();
-        s.ingest_batch(&table(
-            "b",
-            &schema,
-            &["golden heart river live", "crimson ballad"],
-        ))
-        .unwrap();
-        assert!(
-            s.state.clusters.is_hnsw(),
-            "auto backend should have upgraded to HNSW"
-        );
-        // Matching still works on the upgraded index.
-        let hits = s.match_record(&Record::from_texts(["golden heart river remaster"]));
-        assert_eq!(hits.len(), 1);
-        assert_eq!(s.tuples().len(), 1);
-    }
-
-    #[test]
     fn insert_and_match_see_the_same_candidates_past_tombstones() {
         let ds = music_dataset(13);
         let mut cfg = config();
@@ -1004,12 +971,11 @@ mod tests {
 
         // The same store with its tombstones compacted away answers every
         // probe identically: a search past tombstones is a search of the
-        // live nodes, exactly (this index is the brute-force one).
+        // live nodes, exactly.
         s.refresh(); // prune now, so the copy's refresh only rebuilds
         let mut compacted = s.clone();
         compacted.state.config.rebuild_staleness = 0.0;
         compacted.refresh();
-        assert!(!s.state.clusters.is_hnsw() && !compacted.state.clusters.is_hnsw());
         assert!(s.stats().stale_nodes > 10 && s.stats().rebuilds == 0);
         assert_eq!(compacted.stats().stale_nodes, 0);
         assert_eq!(compacted.stats().rebuilds, 1);
@@ -1040,15 +1006,15 @@ mod tests {
                 &s.state.config.base.serialize,
             );
             let emb = s.encoder.encode(&text);
-            let qnorm = multiem_ann::Metric::squared_norm(&emb);
+            let qnorm = Metric::squared_norm(&emb);
             let mut live: Vec<(u32, EntityId)> = s
                 .state
                 .clusters
                 .iter()
-                .filter(|(_, cluster)| cluster.is_indexed())
+                .filter(|(_, cluster)| cluster.node().is_some())
                 .map(|(id, cluster)| {
                     let c = clusters::stored_representative(&s.state.records, cluster.members());
-                    let cnorm = multiem_ann::Metric::squared_norm(&c);
+                    let cnorm = Metric::squared_norm(&c);
                     let d = metric.distance_prenormed(&emb, &c, qnorm, cnorm);
                     (d.to_bits(), s.canonical_id(id))
                 })
@@ -1078,47 +1044,23 @@ mod tests {
     #[test]
     fn snapshot_keeps_the_index_shape() {
         let schema = title_schema();
-        let mut cfg = config();
-        cfg.base.hnsw_threshold = 3;
-        let mut s = EntityStore::new(cfg, HashedLexicalEncoder::default());
-        let index_entry = |s: &EntityStore<HashedLexicalEncoder>| {
-            let snapshot = s.state.to_value();
-            // Streamed field by field, the bytes are still this tree's.
-            let whole = wire::value_to_bytes(&snapshot);
-            let bytes = s.snapshot_bytes().expect("snapshot");
-            assert_eq!(bytes, [wire::SNAPSHOT_MAGIC.as_slice(), &whole].concat());
-            let clusters = serde::__get_field(&snapshot, "clusters").expect("cluster table");
-            let index = serde::__get_field(clusters, "index").expect("index field");
-            let (variant, payload) = index.as_single_entry_map().expect("variant entry");
-            let keys: Vec<String> = payload
-                .as_map()
-                .expect("index fields")
-                .iter()
-                .map(|(k, _)| k.clone())
-                .collect();
-            (variant.to_string(), keys)
-        };
+        let mut s = store();
         s.ingest_batch(&table("a", &schema, &["golden heart river", "sony tv"]))
             .unwrap();
-        let (variant, keys) = index_entry(&s);
-        assert_eq!(variant, "Brute");
+        let snapshot = s.state.to_value();
+        // Streamed field by field, the bytes are still this tree's.
+        let whole = wire::value_to_bytes(&snapshot);
+        let bytes = s.snapshot_bytes().expect("snapshot");
+        assert_eq!(bytes, [wire::SNAPSHOT_MAGIC.as_slice(), &whole].concat());
+        let clusters = serde::__get_field(&snapshot, "clusters").expect("cluster table");
+        let index = serde::__get_field(clusters, "index").expect("index field");
+        let keys: Vec<&str> = index
+            .as_map()
+            .expect("index fields")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
         assert_eq!(keys, ["metric", "dim", "data"]);
-        s.ingest_batch(&table("b", &schema, &["makita drill 18v", "dyson v11"]))
-            .unwrap();
-        let (variant, keys) = index_entry(&s);
-        assert_eq!(variant, "Hnsw");
-        assert_eq!(
-            keys,
-            [
-                "config",
-                "metric",
-                "dim",
-                "data",
-                "links",
-                "max_layer",
-                "entry_point"
-            ]
-        );
     }
 
     #[test]
@@ -1836,6 +1778,7 @@ mod tests {
         let meb5 = [b"MEB5".as_slice(), &good[4..]].concat();
         let meb6 = [b"MEB6".as_slice(), &good[4..]].concat();
         let meb7 = [b"MEB7".as_slice(), &good[4..]].concat();
+        let meb8 = [b"MEB8".as_slice(), &good[4..]].concat();
         for foreign in [
             &older[..],
             &b"MEB2"[..],
@@ -1844,12 +1787,13 @@ mod tests {
             &meb5[..],
             &meb6[..],
             &meb7[..],
-            &b"MEB9 whatever"[..],
+            &meb8[..],
+            &b"MEBX whatever"[..],
             &b"MEB"[..],
         ] {
             match restore(foreign) {
                 Err(OnlineError::Snapshot(msg)) => {
-                    assert!(msg.contains("MEB8"), "{msg}");
+                    assert!(msg.contains("MEB9"), "{msg}");
                     assert!(
                         foreign.len() < 4 || msg.contains(&format!("MEB{}", foreign[3] as char))
                     );
@@ -1876,19 +1820,21 @@ mod tests {
         // A field added, dropped, renamed or moved below changes what
         // `restore_bytes` reads: bump the version byte of `SNAPSHOT_MAGIC`
         // in the same change as these lists.
-        assert_eq!(wire::SNAPSHOT_MAGIC, b"MEB8");
+        assert_eq!(wire::SNAPSHOT_MAGIC, b"MEB9");
         let (cfg, dir) = disk_config("layout");
         let mut s = EntityStore::new(cfg, HashedLexicalEncoder::default());
         s.init_schema(title_schema()).unwrap();
         s.insert(Record::from_texts(["golden heart river"]))
             .unwrap();
         let bytes = s.snapshot_bytes().unwrap();
-        // The layouts before this one are refused by name: `MEB7` still
-        // carried the source names in `records`; `MEB6` `parallel` in
-        // `config.base`; `MEB5` a selection strategy
-        // in `config` and `index_backend`, `min_pts` and `prune_metric` in
-        // `config.base`; `MEB4` a prune counter and a dirty bit per cluster.
-        for old in ["MEB7", "MEB6", "MEB5", "MEB4"] {
+        // The layouts before this one are refused by name: `MEB8` carried
+        // the HNSW size threshold in `config.base` and an index backend
+        // variant; `MEB7` the source
+        // names in `records`; `MEB6` `parallel` in `config.base`; `MEB5` a
+        // selection strategy in `config` and `index_backend`, `min_pts` and
+        // `prune_metric` in `config.base`; `MEB4` a prune counter and a
+        // dirty bit per cluster.
+        for old in ["MEB8", "MEB7", "MEB6", "MEB5", "MEB4"] {
             let stale = [old.as_bytes(), &bytes[4..]].concat();
             match EntityStore::restore_bytes(&stale, HashedLexicalEncoder::default()) {
                 Err(OnlineError::Snapshot(msg)) => assert!(msg.contains(&format!("`{old}`"))),
@@ -1912,7 +1858,7 @@ mod tests {
         assert_eq!(
             keys(&["config", "base"]),
             "attribute_selection sample_ratio gamma serialize k m merge_metric \
-             hnsw_threshold hnsw merge_seed pruning epsilon"
+             hnsw merge_seed pruning epsilon"
         );
         assert_eq!(
             keys(&["records"]),
@@ -1927,6 +1873,8 @@ mod tests {
             "dir segment_records cache_records"
         );
         assert_eq!(keys(&["clusters"]), "clusters index rebuilds");
+        // The index is the exact one, with no backend variant around it.
+        assert_eq!(keys(&["clusters", "index"]), "metric dim data");
         // A cluster is its members: it carries no embedding of its own.
         assert_eq!(keys(&["clusters", "clusters", "0", "1"]), "members node");
         std::fs::remove_dir_all(&dir).ok();
@@ -2008,7 +1956,7 @@ mod tests {
         for (id, cluster) in table.iter() {
             assert_eq!(table.members(id), cluster.members());
             clustered += cluster.members().len();
-            indexed += usize::from(cluster.is_indexed());
+            indexed += usize::from(cluster.node().is_some());
             tuples += usize::from(cluster.members().len() >= 2);
         }
 
@@ -2024,6 +1972,67 @@ mod tests {
         assert_eq!(s.storage_stats().deleted_records, stats.deleted);
     }
 
+    /// The store answers Eq. 1 exactly: its candidates for `probe` are,
+    /// ids and distance bits, what the rule gives over every live
+    /// representative with no index in between. Of the `k` nearest, by
+    /// distance and then index node, those within `m` whose own `k` nearest
+    /// other live representatives it would be among. Returns how many
+    /// candidates there were.
+    fn check_candidates_are_eq_1<E: EmbeddingModel>(s: &EntityStore<E>, probe: &Record) -> usize {
+        let Some(adopted) = &s.state.schema else {
+            return 0;
+        };
+        let base = &s.state.config.base;
+        let (k, m, metric) = (base.k, base.m, base.merge_metric);
+        let distance = |from: &[f32], to: &[f32]| {
+            let (a, b) = (Metric::squared_norm(from), Metric::squared_norm(to));
+            metric.distance_prenormed(from, to, a, b)
+        };
+        // (node, cluster, representative) of every live representative.
+        let mut live: Vec<(usize, usize, Vec<f32>)> = s
+            .state
+            .clusters
+            .iter()
+            .filter_map(|(id, cluster)| {
+                let row = clusters::stored_representative(&s.state.records, cluster.members());
+                cluster.node().map(|node| (node, id, row))
+            })
+            .collect();
+        live.sort_unstable_by_key(|&(node, ..)| node);
+        let nearest = |query: &[f32], skip: Option<usize>| -> Vec<(usize, f32)> {
+            let mut all: Vec<(usize, f32)> = live
+                .iter()
+                .filter(|&&(node, ..)| Some(node) != skip)
+                .map(|(_, id, row)| (*id, distance(query, row)))
+                .collect();
+            // Stable: a tie keeps node order.
+            all.sort_by(|a, b| a.1.total_cmp(&b.1));
+            all.truncate(k);
+            all
+        };
+
+        let emb = s.embed(probe, &adopted.selected);
+        let reference: Vec<(usize, u32)> = nearest(&emb, None)
+            .into_iter()
+            .filter(|&(id, dist)| {
+                let (node, _, row) = live.iter().find(|(_, c, _)| *c == id).unwrap();
+                let closer = nearest(row, Some(*node))
+                    .iter()
+                    .filter(|&&(_, d)| d < dist)
+                    .count();
+                dist <= m && closer < k
+            })
+            .map(|(id, dist)| (id, dist.to_bits()))
+            .collect();
+        let found: Vec<(usize, u32)> = s
+            .candidates(&emb, None)
+            .into_iter()
+            .map(|(id, dist)| (id, dist.to_bits()))
+            .collect();
+        assert_eq!(found, reference, "k = {k}");
+        found.len()
+    }
+
     #[test]
     fn seeded_op_sequences_keep_the_invariants_and_backends_agree() {
         use rand::{Rng, SeedableRng};
@@ -2036,18 +2045,11 @@ mod tests {
             .flat_map(Table::records)
             .cloned()
             .collect();
-        for (seed, hnsw) in [(1u64, false), (2, true)] {
+        for (seed, k) in [(1u64, 1), (2, 3)] {
             let (mut disk_cfg, dir) = disk_config(&format!("ops-{seed}"));
             disk_cfg.match_within_source = true;
             disk_cfg.base.m = 0.5;
-            if hnsw {
-                // Low enough that the run upgrades the backend, then
-                // rebuilds the graph again for staleness.
-                disk_cfg.base.hnsw_threshold = 24;
-                disk_cfg.rebuild_staleness = 0.2;
-            } else {
-                disk_cfg.base.hnsw_threshold = usize::MAX;
-            }
+            disk_cfg.base.k = k;
             let mut mem_cfg = disk_cfg.clone();
             mem_cfg.storage = crate::config::StorageConfig::Memory;
             let encoder = || HashedLexicalEncoder::with_dim(64);
@@ -2057,8 +2059,11 @@ mod tests {
             ];
 
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            // Probes come from a stream of their own, so the ops are the
+            // ones this seed always ran.
+            let mut probes = ChaCha8Rng::seed_from_u64(!seed);
             let mut ids: Vec<EntityId> = Vec::new();
-            let mut counts = [0usize; 5];
+            let (mut counts, mut candidates) = ([0usize; 5], 0);
             for step in 0..220 {
                 let op = if step == 0 {
                     1 // the first data fixes the schema
@@ -2105,13 +2110,16 @@ mod tests {
                         }
                     }
                 }
+                let probe = &pool[probes.gen_range(0..pool.len())];
                 for s in &stores {
                     check_invariants(s);
+                    candidates += check_candidates_are_eq_1(s, probe);
                 }
                 assert_eq!(stores[0].stats(), stores[1].stats(), "step {step}");
             }
 
             assert!(counts.iter().all(|&c| c >= 5), "every op ran: {counts:?}");
+            assert!(candidates > 100, "vacuous: {candidates} candidates");
             let [mem, disk] = &stores;
             let (mut a, mut b) = (mem.tuples(), disk.tuples());
             a.sort();
@@ -2121,10 +2129,6 @@ mod tests {
             let stats = disk.stats();
             assert!(stats.deleted > 10 && stats.stale_nodes + stats.rebuilds > 0);
             assert!(disk.storage_stats().spilled_records > 0, "must spill");
-            assert_eq!(disk.state.clusters.is_hnsw(), hnsw);
-            if hnsw {
-                assert!(stats.rebuilds >= 2, "an upgrade and a staleness rebuild");
-            }
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -2141,20 +2145,13 @@ mod tests {
             .flat_map(Table::records)
             .cloned()
             .collect();
-        let runs = [(false, 1), (false, 3), (true, 1), (true, 3)];
-        for (seed, (hnsw, k)) in (1u64..).zip(runs) {
+        for (seed, k) in [(1u64, 1), (2, 3)] {
             let mut cfg = config();
             cfg.base.k = k;
             cfg.base.m = 0.5;
             // Tight enough that pruning splits clusters.
             cfg.base.epsilon = 0.4;
             cfg.match_within_source = true;
-            if hnsw {
-                // Low enough that the run upgrades the backend part-way.
-                cfg.base.hnsw_threshold = 24;
-            } else {
-                cfg.base.hnsw_threshold = usize::MAX;
-            }
             let encoder = || HashedLexicalEncoder::with_dim(64);
             let mut s = EntityStore::new(cfg, encoder());
             s.init_schema(ds.schema().clone()).unwrap();
@@ -2162,7 +2159,6 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let mut ids: Vec<EntityId> = Vec::new();
             let mut counts = [0usize; 6];
-            let mut was_brute = false;
             for step in 0..160 {
                 let op = match rng.gen_range(0..100) {
                     0..=49 => 0,
@@ -2173,7 +2169,6 @@ mod tests {
                     _ => 5,
                 };
                 counts[op] += 1;
-                was_brute |= !s.state.clusters.is_hnsw();
                 match op {
                     0 => ids.push(
                         s.insert(pool[rng.gen_range(0..pool.len())].clone())
@@ -2220,7 +2215,6 @@ mod tests {
                 stats.pruned_outliers > 0 && stats.rebuilds >= 2,
                 "{stats:?}"
             );
-            assert!(was_brute && s.state.clusters.is_hnsw() == hnsw);
         }
     }
 }

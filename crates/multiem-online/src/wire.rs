@@ -14,7 +14,7 @@
 //!   frame (a process killed mid-append) reads back as [`Frame::Torn`] so
 //!   replay stops cleanly instead of erroring.
 
-use multiem_ann::{AnnIndex, StateField};
+use multiem_ann::{BruteForceIndex, StateField};
 use serde::{Serialize, Value};
 use std::io::{self, Read, Write};
 
@@ -33,7 +33,7 @@ impl std::error::Error for WireError {}
 /// Magic prefix of snapshots. The last byte is the layout version: a
 /// snapshot under `MEB` and any other version is refused by name, not
 /// misread.
-pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MEB8";
+pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MEB9";
 
 /// Magic prefix of segment files written by the record store when it spills
 /// (`crate::storage::RecordStorage`).
@@ -168,8 +168,8 @@ pub(crate) enum Field<'a> {
     /// A field that is itself a struct, written entry by entry.
     Struct(&'a [(&'a str, Field<'a>)]),
     /// An index as its value tree gives it, its vectors written one
-    /// coordinate at a time ([`AnnIndex::state_fields`]).
-    Index(&'a AnnIndex),
+    /// coordinate at a time ([`BruteForceIndex::state_fields`]).
+    Index(&'a BruteForceIndex),
 }
 
 /// Append the binary encoding of the map `fields` serialize to — the bytes
@@ -186,9 +186,7 @@ pub(crate) fn write_fields(out: &mut Vec<u8>, fields: &[(&str, Field<'_>)]) {
             Field::Value(value) => write_value(out, &value.to_value()),
             Field::Struct(inner) => write_fields(out, inner),
             Field::Index(index) => {
-                let (variant, fields) = index.state_fields();
-                write_map_header(out, 1);
-                write_key(out, variant);
+                let fields = index.state_fields();
                 write_map_header(out, fields.len());
                 for (key, field) in fields {
                     write_key(out, key);

@@ -11,8 +11,9 @@
 //! * [`table`] — the relational data model (schemas, records, datasets,
 //!   ground truth, CSV I/O);
 //! * [`embed`] — entity serialization and the embedding backend;
-//! * [`ann`] — the exact mutual top-K join every batch merge runs, and the
-//!   brute-force and HNSW indexes the online store picks between;
+//! * [`ann`] — the exact mutual top-K join every batch merge runs, the
+//!   brute-force index the online store searches, and an HNSW index the
+//!   benchmarks measure against it;
 //! * [`cluster`] — the batch merger's union-find, HAC and affinity
 //!   propagation;
 //! * [`datagen`] — synthetic multi-source benchmark datasets;
