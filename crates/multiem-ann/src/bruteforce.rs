@@ -6,11 +6,16 @@
 //!
 //! There is one scan, `BruteForceIndex::scan`, and it answers one query:
 //! [`VectorIndex::search`] is [`BruteForceIndex::search_filtered`] accepting
-//! every row.
+//! every row at `max_distance = ∞`. It scores through the bounded kernel
+//! (`Metric::distance_tile_within`), so a group of rows proved beyond what
+//! the scan could still keep costs half of its dimensions: beyond the
+//! caller's `max_distance` (the online store passes its `m`), or beyond the
+//! top-k's current worst once `k` rows are held.
 
 use crate::metric::Metric;
-use crate::{for_each_group, Neighbor, Rows, TopK, VectorIndex};
+use crate::{for_each_group, Neighbor, Rows, TopK, VectorIndex, GROUP};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// One field of an index's serialized state
 /// ([`BruteForceIndex::state_fields`]).
@@ -33,6 +38,10 @@ pub struct BruteForceIndex {
     /// serialized, recomputed on deserialize.
     #[serde(skip)]
     norms: Vec<f32>,
+    /// L2 norm of every stored vector over the terms the bounded kernel
+    /// sums after its test ([`Metric::tail_norm`]). Derived like `norms`.
+    #[serde(skip)]
+    tails: Vec<f32>,
 }
 
 impl BruteForceIndex {
@@ -54,6 +63,7 @@ impl BruteForceIndex {
             dim,
             data: Vec::new(),
             norms: Vec::new(),
+            tails: Vec::new(),
         }
     }
 
@@ -80,6 +90,7 @@ impl BruteForceIndex {
         assert_eq!(vector.len(), self.dim, "vector dimensionality mismatch");
         self.data.extend_from_slice(vector);
         self.norms.push(Metric::squared_norm(vector));
+        self.tails.push(Metric::tail_norm(vector));
         self.len() - 1
     }
 
@@ -93,34 +104,56 @@ impl BruteForceIndex {
         }
     }
 
-    /// [`VectorIndex::search`] over the stored vectors `keep` accepts: the
-    /// (up to) `k` nearest of *those*, as if the rejected ones were not
-    /// stored. This is how the online store searches past its tombstones: a
-    /// rejected row is skipped before it is scored, so the cost follows the
-    /// accepted rows, not `k` plus the rejected ones.
+    /// [`VectorIndex::search`] over the stored vectors `keep` accepts whose
+    /// distance is not beyond `max_distance`: the (up to) `k` nearest of
+    /// *those*, as if the others were not stored. A NaN distance is never
+    /// beyond it, so it ranks as in an unbounded search.
+    ///
+    /// This is how the online store searches past its tombstones, and
+    /// within its threshold `m`: a rejected row is skipped before it is
+    /// scored, so the cost follows the accepted rows, not `k` plus the
+    /// rejected ones; and a group of rows proved beyond `max_distance` costs
+    /// half its dimensions. At `max_distance = ∞` this is the unbounded
+    /// search over the accepted rows; below it, that search's list cut at
+    /// `max_distance`, wherever no NaN distance ranks after one beyond it
+    /// (a NaN ranks after every number unless its sign bit is set).
     pub fn search_filtered(
         &self,
         query: &[f32],
         k: usize,
+        max_distance: f32,
         keep: &dyn Fn(usize) -> bool,
     ) -> Vec<Neighbor> {
-        self.scan(query, k, keep)
+        self.scan(query, k, max_distance, keep)
     }
 
     /// The scan: one pass over the stored vectors for one query.
     ///
-    /// The rows `keep` accepts are taken a group at a time
-    /// ([`crate::GROUP`]), each group scored in one 1 × `GROUP` tile of
-    /// [`Metric::distance_tile`]. A row `keep` rejects is skipped before the
-    /// kernel: it costs one predicate call and no distance. The `k` best
-    /// accepted rows are kept in a one-row [`TopK`]: a candidate costs one
+    /// The rows `keep` accepts are taken a group at a time ([`GROUP`]). A
+    /// row `keep` rejects is skipped before the kernel: it costs one
+    /// predicate call and no distance. The `k` best accepted rows within
+    /// `max_distance` are kept in a one-row [`TopK`]: a candidate costs one
     /// compare against the current worst, and one that displaces it
-    /// `O(log k)`. The result is bit-equal to scoring every accepted row with
-    /// the pair kernel, sorting by `Neighbor::rank` and truncating.
+    /// `O(log k)`.
+    ///
+    /// A full group is one 1 × `GROUP` tile of the bounded kernel
+    /// (`Metric::distance_tile_within`) at the lower of `max_distance` and
+    /// the top-k's bound, and the group is skipped when the kernel proves
+    /// all four rows beyond it; a short last group goes through the pair
+    /// kernel. The query's root and tail norm are computed once per scan,
+    /// the rows' come from the index. Nothing the unbounded scan would keep
+    /// is lost: a row is dropped only when it lies strictly beyond
+    /// `max_distance`, where the final filter drops it anyway, or strictly
+    /// beyond the top-k's current worst, where [`TopK::offer`] turns it
+    /// away whatever its index; and every row ranked before a kept one is
+    /// closer still, so it is never dropped either. The result is bit-equal
+    /// to scoring every accepted row with the pair kernel, keeping those
+    /// with `!(d > max_distance)`, sorting by `Neighbor::rank` and
+    /// truncating to `k`.
     ///
     /// Generic over `keep` so the unfiltered search compiles to a loop with
     /// no predicate in it.
-    fn scan<F>(&self, query: &[f32], k: usize, keep: F) -> Vec<Neighbor>
+    fn scan<F>(&self, query: &[f32], k: usize, max_distance: f32, keep: F) -> Vec<Neighbor>
     where
         F: Fn(usize) -> bool,
     {
@@ -129,12 +162,35 @@ impl BruteForceIndex {
             return Vec::new();
         }
         let qnorm = Metric::squared_norm(query);
+        let (qroot, qtail) = (qnorm.sqrt(), Metric::tail_norm(query));
         let mut best = TopK::new(1, cap);
-        let rows = self.rows();
-        for_each_group((0..self.len()).filter(|&i| keep(i)), |group| {
-            let distances = rows.distances_to(query, qnorm, group);
-            for (&i, &distance) in group.iter().zip(&distances) {
+        let offer = |best: &mut TopK, i: usize, distance: f32| {
+            // Not `distance <= max_distance`: a NaN is kept, as unbounded.
+            if distance.partial_cmp(&max_distance) != Some(Ordering::Greater) {
                 best.offer(0, Neighbor::new(i, distance));
+            }
+        };
+        for_each_group((0..self.len()).filter(|&i| keep(i)), |group| {
+            let Ok(full) = <[usize; GROUP]>::try_from(group) else {
+                for &i in group {
+                    let distance =
+                        self.metric
+                            .distance_prenormed(query, self.vector(i), qnorm, self.norms[i]);
+                    offer(&mut best, i, distance);
+                }
+                return;
+            };
+            let within = self.metric.distance_tile_within(
+                [query],
+                full.map(|i| self.vector(i)),
+                ([qroot], full.map(|i| self.norms[i].sqrt())),
+                ([qtail], full.map(|i| self.tails[i])),
+                max_distance.min(best.bound(0)),
+            );
+            if let Some([distances]) = within {
+                for (i, distance) in full.into_iter().zip(distances) {
+                    offer(&mut best, i, distance);
+                }
             }
         });
         // A local, not the tail expression: the iterator borrows `best`.
@@ -166,15 +222,15 @@ impl Deserialize for BruteForceIndex {
                 "data length that is a multiple of dim > 0",
             ));
         }
-        let norms = data
-            .chunks_exact(dim.max(1))
-            .map(Metric::squared_norm)
-            .collect();
+        let rows = || data.chunks_exact(dim.max(1));
+        let norms = rows().map(Metric::squared_norm).collect();
+        let tails = rows().map(Metric::tail_norm).collect();
         Ok(Self {
             metric,
             dim,
             data,
             norms,
+            tails,
         })
     }
 }
@@ -193,7 +249,7 @@ impl VectorIndex for BruteForceIndex {
     }
 
     fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.scan(query, k, |_| true)
+        self.scan(query, k, f32::INFINITY, |_| true)
     }
 
     fn vector(&self, index: usize) -> &[f32] {
@@ -202,7 +258,8 @@ impl VectorIndex for BruteForceIndex {
     }
 
     fn approx_bytes(&self) -> usize {
-        (self.data.capacity() + self.norms.capacity()) * std::mem::size_of::<f32>()
+        (self.data.capacity() + self.norms.capacity() + self.tails.capacity())
+            * std::mem::size_of::<f32>()
             + std::mem::size_of::<Self>()
     }
 }
@@ -335,6 +392,7 @@ pub(crate) mod tests {
             assert_eq!(keys, ["metric", "dim", "data"], "the norm cache is derived");
             let restored = BruteForceIndex::from_value(&value).unwrap();
             assert_eq!(restored.norms, built.norms);
+            assert_eq!(restored.tails, built.tails);
 
             let n = built.len();
             for idx in [&built, &restored] {
@@ -354,31 +412,33 @@ pub(crate) mod tests {
             .all(|query| empty.search(query, 3).is_empty()));
     }
 
+    type Keep = fn(usize) -> bool;
+
+    /// Dead shares: none, every other row, all, and all but a few — one
+    /// short of a kernel group, exactly one, and one past it, so the last
+    /// group of the scan is empty, partial and full.
+    const MASKS: [(&str, Keep); 7] = [
+        ("none dead", |_| true),
+        ("half dead", |i| i % 2 == 1),
+        ("all dead", |_| false),
+        ("one live", |i| i == 40),
+        ("three live", |i| [7, 40, 41].contains(&i)),
+        ("four live", |i| [0, 7, 40, 113].contains(&i)),
+        ("five live", |i| [0, 7, 40, 41, 113].contains(&i)),
+    ];
+
     #[test]
     fn filtered_scan_is_the_reference_over_the_accepted_rows() {
         let (dim, vectors, queries) = tie_heavy_fixture();
         let n = vectors.len();
-        // Dead shares: none, every other row, all, and all but a few — one
-        // short of a kernel group, exactly one, and one past it, so the last
-        // group of the scan is empty, partial and full.
-        type Keep = fn(usize) -> bool;
-        let masks: [(&str, Keep); 7] = [
-            ("none dead", |_| true),
-            ("half dead", |i| i % 2 == 1),
-            ("all dead", |_| false),
-            ("one live", |i| i == 40),
-            ("three live", |i| [7, 40, 41].contains(&i)),
-            ("four live", |i| [0, 7, 40, 113].contains(&i)),
-            ("five live", |i| [0, 7, 40, 41, 113].contains(&i)),
-        ];
-        assert_eq!(crate::GROUP, 4, "the masks straddle the group size");
+        assert_eq!(GROUP, 4, "the masks straddle the group size");
         for metric in [Metric::Cosine, Metric::Euclidean] {
             let idx = BruteForceIndex::from_vectors(dim, metric, vectors.iter().map(Vec::as_slice));
-            for (name, keep) in &masks {
+            for (name, keep) in &MASKS {
                 let live = (0..n).filter(|&i| keep(i)).count();
                 for k in [0, 1, 3, live, live + 7] {
                     for query in &queries {
-                        let hits = &idx.search_filtered(query, k, keep);
+                        let hits = &idx.search_filtered(query, k, f32::INFINITY, keep);
                         let expected = reference_top_k(&idx, query, k, keep);
                         assert_eq!(expected.len(), k.min(live));
                         assert_eq!(bits(hits), bits(&expected), "{metric:?} {name} k={k}");
@@ -395,6 +455,54 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    /// The store's look-up: at a threshold `m`, the scan returns the
+    /// unbounded reference list cut at `m` — the entries with
+    /// `!(d > m)`, so a NaN distance stays — ids and distance bits, at
+    /// thresholds below, at and above every distance it can return.
+    #[test]
+    fn a_bounded_scan_is_the_unbounded_scan_cut_at_m() {
+        let (dim, vectors, queries) = tie_heavy_fixture();
+        let n = vectors.len();
+        let (mut kept, mut cut) = (0, 0);
+        for metric in [Metric::Cosine, Metric::Euclidean] {
+            let idx = BruteForceIndex::from_vectors(dim, metric, vectors.iter().map(Vec::as_slice));
+            for (name, keep) in &MASKS {
+                let live = (0..n).filter(|&i| keep(i)).count();
+                for k in [0, 1, 3, live, live + 7] {
+                    for query in &queries {
+                        let unbounded = reference_top_k(&idx, query, k, keep);
+                        let mut thresholds = vec![-1.0, 0.0, 0.35, f32::INFINITY];
+                        for hit in &unbounded {
+                            let d = hit.distance;
+                            thresholds.extend([d, d.next_up(), d.next_down()]);
+                        }
+                        thresholds.sort_by(f32::total_cmp);
+                        thresholds.dedup_by(|a, b| a.to_bits() == b.to_bits());
+                        for m in thresholds {
+                            let expected: Vec<Neighbor> = unbounded
+                                .iter()
+                                .copied()
+                                .filter(|hit| {
+                                    hit.distance.partial_cmp(&m) != Some(Ordering::Greater)
+                                })
+                                .collect();
+                            let hits = idx.search_filtered(query, k, m, keep);
+                            assert_eq!(
+                                bits(&hits),
+                                bits(&expected),
+                                "{metric:?} {name} k={k} m={m}"
+                            );
+                            kept += expected.iter().filter(|h| h.distance.is_nan()).count();
+                            cut += unbounded.len() - expected.len();
+                        }
+                    }
+                }
+            }
+        }
+        assert!(kept > 0, "no NaN distance was kept: vacuous");
+        assert!(cut > 0, "no entry was cut: vacuous");
     }
 
     #[test]
@@ -443,7 +551,7 @@ pub(crate) mod tests {
             assert!(hits.iter().all(|n| n.distance.is_nan()), "{metric:?}");
             let order: Vec<usize> = hits.iter().map(|n| n.index).collect();
             assert_eq!(order, vec![0, 1, 2, 3, 4], "{metric:?}");
-            let filtered = idx.search_filtered(&query, 5, &|_| true);
+            let filtered = idx.search_filtered(&query, 5, f32::INFINITY, &|_| true);
             let order: Vec<usize> = filtered.iter().map(|n| n.index).collect();
             assert_eq!(order, vec![0, 1, 2, 3, 4], "{metric:?}");
         }

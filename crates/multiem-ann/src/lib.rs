@@ -106,6 +106,14 @@ impl TopK {
         })
     }
 
+    /// A distance no entry that could still get into `row` exceeds: a
+    /// candidate strictly beyond it is turned away by [`TopK::offer`]
+    /// whatever its index, so a scan need not score it.
+    #[inline]
+    pub(crate) fn bound(&self, row: usize) -> f32 {
+        self.bound[row]
+    }
+
     /// Offer `found` to `row`: kept if the row is not full or `found` ranks
     /// before its worst entry, which it then displaces. The order of offers
     /// does not matter: the rank is total, so the `cap` best of a set are
@@ -159,10 +167,11 @@ impl TopK {
 }
 
 /// Stored vectors scored per kernel call against one query: a full group is
-/// one 1 × `GROUP` tile of [`Metric::distance_tile`]. Four pairs are eight
-/// accumulator registers on the baseline target (`ann/kernel` bench rows;
-/// see `LANES` in `metric.rs`); rows of five and six still fit its sixteen
-/// but measured slower than four.
+/// one 1 × `GROUP` tile ([`Metric::distance_tile`] in the HNSW neighbour
+/// expansion, `Metric::distance_tile_within` in the brute-force scan).
+/// Four pairs are eight accumulator registers on the baseline target
+/// (`ann/kernel` bench rows; see `LANES` in `metric.rs`); rows of five and
+/// six still fit its sixteen but measured slower than four.
 pub(crate) const GROUP: usize = 4;
 
 /// Hand `nodes` to `f` in groups of [`GROUP`], in order; the last group may
@@ -184,9 +193,9 @@ pub(crate) fn for_each_group(nodes: impl Iterator<Item = usize>, mut f: impl FnM
 }
 
 /// What both indexes store — a flat row-major array of `dim`-float vectors
-/// and one cached squared norm per row — as every loop that scores stored
-/// vectors reads it: the brute-force scan and the HNSW neighbour expansion
-/// (the exact join of two indexes borrows it as [`RowRefs`]).
+/// and one cached squared norm per row — as the loops that score stored
+/// vectors read it (the exact join of two indexes borrows it as
+/// [`RowRefs`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Rows<'a> {
     pub(crate) metric: Metric,
@@ -211,6 +220,11 @@ impl<'a> Rows<'a> {
     /// in group order, in the first `group.len()` slots of the result: one
     /// tile when the group is full, the pair kernel row by row when it is
     /// not. Every entry is bit-equal to the pair kernel's either way.
+    ///
+    /// The HNSW neighbour expansion's kernel call. The brute-force scan does
+    /// not call it: it keeps only entries within a bound, so it scores its
+    /// groups through `Metric::distance_tile_within` instead
+    /// ([`BruteForceIndex::search_filtered`]).
     #[inline]
     pub(crate) fn distances_to(&self, query: &[f32], qnorm: f32, group: &[usize]) -> [f32; GROUP] {
         if let Ok(full) = <[usize; GROUP]>::try_from(group) {

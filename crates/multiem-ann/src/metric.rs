@@ -64,9 +64,9 @@ impl Metric {
     /// one pair's terms are summed, so a caller may score a pair in whatever
     /// tile it falls into and rankings do not depend on the tiling.
     ///
-    /// This is the one distance kernel of the crate: the brute-force scan
-    /// and the HNSW neighbour expansion score through it, and the exact join
-    /// through `Metric::distance_tile_within`, which runs the same lane
+    /// This is the one distance kernel of the crate: the HNSW neighbour
+    /// expansion scores through it, and the exact join and the brute-force
+    /// scan through `Metric::distance_tile_within`, which runs the same lane
     /// loop in two legs.
     ///
     /// What the tile buys: a pair's sum runs on eight accumulator lanes,
@@ -103,10 +103,16 @@ impl Metric {
     /// otherwise the tile, bit for bit. The lanes resume from where the test
     /// left them, so a pair's terms are summed in the one order either way.
     ///
+    /// Its callers are every reader that keeps only what lies within a
+    /// bound: the exact join's 2×2 tiles, at `m`, and the brute-force
+    /// scan's 1×4 groups, at the lower of its `max_distance` and its top-k's
+    /// current worst distance. Neither keeps a pair the test proves beyond.
+    ///
     /// `roots` are the rows' L2 norms (the square roots of the norms
     /// `distance_tile` takes) and `tails` their L2 norms over the terms the
     /// test has not seen ([`Metric::tail_norm`]); a caller that tiles the
-    /// same rows many times computes both once per row.
+    /// same rows many times computes both once per row (the join once per
+    /// join, the index once per stored row).
     ///
     /// A pair is proved beyond `m` only when `ra · rb` is finite, so a row
     /// with a NaN or an infinite component is always scored: its distance
@@ -532,7 +538,8 @@ mod tests {
         let dropped = bounded_tile_drops::<1, 1>()
             + bounded_tile_drops::<1, 2>()
             + bounded_tile_drops::<2, 1>()
-            + bounded_tile_drops::<2, 2>();
+            + bounded_tile_drops::<2, 2>()
+            + bounded_tile_drops::<1, 4>();
         assert!(dropped > 50, "only {dropped} tiles dropped: vacuous");
     }
 

@@ -8,14 +8,16 @@
 //! default encoder (dim 384, unit norm, duplicates clustered tightly).
 //! `ann/insert` is the kernel row under the benchmark's `ann.hnsw.insert_us`;
 //! its `elem/s` is inserts per second, so per-insert time is its inverse.
-//! `ann/query_top1` is the online store's look-up past tombstones, the
-//! filtered scan beside the over-fetch it replaced.
+//! `ann/query_top1` is the online store's look-up past tombstones: the
+//! filtered scan with no threshold, and beside it (`_m035`) within the
+//! store's default `m` = 0.35, the call the store makes.
 //! `ann/kernel` is `Metric::distance_tile` alone, walked the way the exact
 //! join walks it (every group of left rows against one 16-row block of right
 //! rows): its `elem/s` is 384-d pairs per second, so ns per pair is its
 //! inverse. 1×1 is the pair kernel (`distance_prenormed`), 1×4 the tile of
-//! the scan and of the HNSW neighbour expansion, 2×2 the tile of the exact
-//! join; 4×4 is there to show why it is not used (its accumulators spill).
+//! the scan (run in two legs, with the bound between them) and of the HNSW
+//! neighbour expansion, 2×2 the tile of the exact join; 4×4 is there to
+//! show why it is not used (its accumulators spill).
 //! Every distance under the benchmark's `ann.mutual.join_s`,
 //! `ann.brute.search_us`, `ann.hnsw.search_us` and `ann.hnsw.insert_us` rows
 //! is one of these.
@@ -148,9 +150,9 @@ fn bench_query(c: &mut Criterion) {
 
 /// The online store's look-up: the nearest *live* node of an index in which
 /// 0%, 25% and 50% of the nodes are tombstones. `bruteforce_dead<share>` is
-/// the filtered scan the store runs; `..._overfetch` beside it is what it
-/// ran before — fetch `k` plus the tombstone count unfiltered, drop the dead,
-/// cut to `k` — kept here for the ratio.
+/// the filtered scan with no threshold, which the top-k's bound alone
+/// prunes; `..._m035` beside it is the call the store makes, within its
+/// default `m` = 0.35.
 fn bench_query_dead(c: &mut Criterion) {
     let (vectors, dim) = music_embeddings();
     let (indexed, rest) = vectors.split_at(3_000);
@@ -165,26 +167,16 @@ fn bench_query_dead(c: &mut Criterion) {
         let dead: Vec<bool> = (0..indexed.len())
             .map(|i| i.wrapping_mul(2_654_435_761) % 100 < share)
             .collect();
-        let stale = dead.iter().filter(|&&d| d).count();
         let live = |node: usize| !dead[node];
-        group.bench_function(format!("bruteforce_dead{share}"), |b| {
-            b.iter(|| {
-                for q in queries {
-                    std::hint::black_box(brute.search_filtered(q, 1, &live));
-                }
-            })
-        });
-        group.bench_function(format!("bruteforce_dead{share}_overfetch"), |b| {
-            b.iter(|| {
-                for q in queries {
-                    let nearest = brute
-                        .search(q, 1 + stale)
-                        .into_iter()
-                        .find(|hit| live(hit.index));
-                    std::hint::black_box(nearest);
-                }
-            })
-        });
+        for (name, m) in [("", f32::INFINITY), ("_m035", 0.35)] {
+            group.bench_function(format!("bruteforce_dead{share}{name}"), |b| {
+                b.iter(|| {
+                    for q in queries {
+                        std::hint::black_box(brute.search_filtered(q, 1, m, &live));
+                    }
+                })
+            });
+        }
     }
     group.finish();
 }

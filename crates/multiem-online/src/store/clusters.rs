@@ -9,13 +9,14 @@
 //! for a fused item, over the same order); `cluster_of` (record → cluster,
 //! the look-up behind every read); and `node_root` (index node → cluster,
 //! the liveness map every search filters by), with `stale_nodes` counting
-//! the dead slots of the latter. One more piece of derived state rides on the index:
-//! `reverse`, the memo of the mutual check's reverse look-up per index node,
-//! valid for one version of the index and its liveness map (see
-//! [`ClusterTable::mutual`]). Only the operations of this file write any of
-//! them, each keeping all of them in step; a snapshot carries the clusters
-//! and the index, [`ClusterTable::reindex`] derives the maps on restore, and
-//! a restored or cloned table starts with an empty memo.
+//! the dead slots of the latter. One more piece of derived state rides on the
+//! index: `reverse`, the memo of the mutual check's reverse look-up per index
+//! node, capped at the threshold `m` and valid for one version of the index
+//! and its liveness map (see [`ClusterTable::mutual`]). Only the operations
+//! of this file write any of them, each keeping all of them in step; a
+//! snapshot carries the clusters and the index, [`ClusterTable::reindex`]
+//! derives the maps on restore, and a restored or cloned table starts with an
+//! empty memo.
 //!
 //! A cluster id is one past the largest live id when the cluster is made. An
 //! id can therefore come back after its cluster is gone, which is sound
@@ -57,10 +58,11 @@ fn as_points(flat: &[f32], n: usize) -> Vec<&[f32]> {
 }
 
 /// The memo of the mutual check's reverse look-up: per index node, the
-/// distances of its `k` nearest other live nodes, each row valid for the
-/// version of the index it was looked up in. Readers fill it under `&self`,
-/// hence the lock; a write to the index bumps the version, so invalidating
-/// every row is one increment and nothing is reallocated.
+/// distances of its (up to) `k` nearest other live nodes within `m`, each
+/// row valid for the version of the index it was looked up in. Readers fill
+/// it under `&self`, hence the lock; a write to the index bumps the
+/// version, so invalidating every row is one increment and nothing is
+/// reallocated.
 #[derive(Debug)]
 struct ReverseMemo(Mutex<ReverseRows>);
 
@@ -70,7 +72,9 @@ struct ReverseRows {
     version: u64,
     /// Row width: the `k` the rows were looked up with.
     k: usize,
-    /// `k` distances per node, `+∞`-padded.
+    /// Bits of the threshold `m` the rows were looked up within.
+    m: u32,
+    /// `k` distances per node, the `k` nearest within `m`, `+∞`-padded.
     dists: Vec<f32>,
     /// The version each node's row was looked up in (0: never).
     stamps: Vec<u64>,
@@ -81,6 +85,7 @@ impl Default for ReverseMemo {
         Self(Mutex::new(ReverseRows {
             version: 1,
             k: 0,
+            m: f32::INFINITY.to_bits(),
             dists: Vec::new(),
             stamps: Vec::new(),
         }))
@@ -110,20 +115,22 @@ impl ReverseMemo {
             .version += 1;
     }
 
-    /// `f` of `node`'s row, if one was looked up for `k` in this version.
-    fn read<R>(&self, node: usize, k: usize, f: impl FnOnce(&[f32]) -> R) -> Option<R> {
+    /// `f` of `node`'s row, if one was looked up for `k` within `m` in this
+    /// version.
+    fn read<R>(&self, node: usize, k: usize, m: f32, f: impl FnOnce(&[f32]) -> R) -> Option<R> {
         let rows = self.rows();
-        (rows.k == k && rows.stamps.get(node) == Some(&rows.version))
+        (rows.k == k && rows.m == m.to_bits() && rows.stamps.get(node) == Some(&rows.version))
             .then(|| f(&rows.dists[node * k..(node + 1) * k]))
     }
 
-    /// Keep `row`, looked up in this version, as `node`'s.
-    fn fill(&self, node: usize, row: &[f32]) {
+    /// Keep `row`, looked up within `m` in this version, as `node`'s.
+    fn fill(&self, node: usize, m: f32, row: &[f32]) {
         let k = row.len();
         let mut guard = self.rows();
         let rows = &mut *guard;
-        if rows.k != k {
+        if rows.k != k || rows.m != m.to_bits() {
             rows.k = k;
+            rows.m = m.to_bits();
             rows.stamps.clear();
             rows.dists.clear();
         }
@@ -275,22 +282,33 @@ impl ClusterTable {
     }
 
     /// Search the representative index for `query`, returning up to `k`
-    /// *live* clusters as `(cluster, distance)`, closest first; the node
-    /// `exclude`, if any, is passed over like a tombstone.
+    /// *live* clusters within `max_distance` as `(cluster, distance)`,
+    /// closest first; the node `exclude`, if any, is passed over like a
+    /// tombstone.
     ///
     /// Tombstones still occupy index slots, but the scan is told which
     /// nodes are live (`node_root` is the only record of that) and never
     /// scores a dead one, so the look-up asks for exactly `k`.
+    ///
+    /// The store passes its `m`, and the scan stops scoring a group of
+    /// representatives once half of its dimensions prove all of them lie
+    /// beyond it ([`BruteForceIndex::search_filtered`]). That is exact for
+    /// every reader: a representative within `m` is never dropped, and
+    /// neither is any ranked before it, being closer still, so the list is
+    /// the unbounded look-up's within-`m` entries, and nothing read beyond
+    /// `m` is ever needed (`EntityStore::candidates` keeps `dist <= m`
+    /// only, and [`ClusterTable::mutual`] is only asked about those).
     pub(super) fn search_live(
         &self,
         query: &[f32],
         k: usize,
+        max_distance: f32,
         exclude: Option<usize>,
     ) -> Vec<(usize, f32)> {
         let node_root = &self.node_root;
         let live = |node: usize| node_root[node].is_some() && Some(node) != exclude;
         self.index
-            .search_filtered(query, k, &live)
+            .search_filtered(query, k, max_distance, &live)
             .into_iter()
             .filter_map(|n| node_root[n.index].map(|id| (id, n.distance)))
             .collect()
@@ -301,32 +319,39 @@ impl ClusterTable {
     /// representatives are closer to the candidate than the record is — the
     /// reverse direction of Eq. 1.
     ///
-    /// The look-up behind it depends on the index and its liveness map
-    /// only, not on the record, so it runs once per candidate per index
-    /// version: its row of distances is kept in `reverse` until the next
-    /// write, and every check in between counts over the kept row. A kept
-    /// row is the one a fresh look-up would return, bit for bit.
-    pub(super) fn mutual(&self, candidate: usize, dist: f32, k: usize) -> bool {
+    /// The answer is exact for every `dist <= m`, the only distances the
+    /// store asks about. The look-up behind it reads only representatives
+    /// within `m` ([`ClusterTable::search_live`]): one closer than such a
+    /// `dist` is within `m` too, and it ranks before every one that is
+    /// not, so the capped row holds each of them that the unbounded row
+    /// holds. Beyond `m` the count is over the capped row.
+    ///
+    /// The look-up depends on the index and its liveness map only, not on
+    /// the record, so it runs once per candidate per index version: its row
+    /// of distances is kept in `reverse` until the next write, and every
+    /// check in between counts over the kept row. A kept row is the one a
+    /// fresh look-up within the same `m` would return, bit for bit.
+    pub(super) fn mutual(&self, candidate: usize, dist: f32, k: usize, m: f32) -> bool {
         let Some(node) = self.clusters[&candidate].node else {
             return false;
         };
         let closer = |row: &[f32]| row.iter().filter(|&&d| d < dist).count();
-        let count = self.reverse.read(node, k, closer).unwrap_or_else(|| {
-            let row = self.reverse_row(node, k);
-            self.reverse.fill(node, &row);
+        let count = self.reverse.read(node, k, m, closer).unwrap_or_else(|| {
+            let row = self.reverse_row(node, k, m);
+            self.reverse.fill(node, m, &row);
             closer(&row)
         });
         count < k
     }
 
-    /// The distances from `node` to its `k` nearest other live nodes,
-    /// closest first and padded with `+∞` to `k` (a padded slot is never
-    /// closer than anything). The query is the node's indexed row: its
-    /// cluster's representative, bit for bit (the test-only
-    /// `ClusterTable::check` asserts it).
-    fn reverse_row(&self, node: usize, k: usize) -> Vec<f32> {
+    /// The distances from `node` to its (up to) `k` nearest other live
+    /// nodes within `m`, closest first and padded with `+∞` to `k` (a
+    /// padded slot is never closer than anything). The query is the node's
+    /// indexed row: its cluster's representative, bit for bit (the
+    /// test-only `ClusterTable::check` asserts it).
+    fn reverse_row(&self, node: usize, k: usize, m: f32) -> Vec<f32> {
         let mut row: Vec<f32> = self
-            .search_live(self.index.vector(node), k, Some(node))
+            .search_live(self.index.vector(node), k, m, Some(node))
             .into_iter()
             .map(|(_, d)| d)
             .collect();
@@ -532,33 +557,37 @@ impl ClusterTable {
         }
     }
 
-    /// Assert that [`ClusterTable::mutual`] answers for every cluster as the
-    /// unmemoized check would — a fresh look-up from the cluster's row — at
+    /// Assert that [`ClusterTable::mutual`] answers for every cluster at
     /// `0`, `m`, `+∞`, NaN, and every distance the memo held before the call
-    /// or the fresh look-up returns, each with its neighbours `next_up` /
-    /// `next_down`. Leaves every indexed cluster's row in the memo, equal to
-    /// the fresh row bit for bit.
+    /// or a fresh look-up returns, each with its neighbours `next_up` /
+    /// `next_down`: at every probe `<= m` as Eq. 1 does by definition — a
+    /// fresh, unbounded look-up from the cluster's row — and beyond `m` as
+    /// the unmemoized check would, a fresh look-up within `m`. Leaves every
+    /// indexed cluster's row in the memo, equal to the fresh row within `m`
+    /// bit for bit.
     pub(super) fn check_mutual(&self, k: usize, m: f32) {
         for (id, cluster) in self.iter() {
             let Some(node) = cluster.node else {
-                assert!(!self.mutual(id, 0.0, k), "an unindexed cluster");
+                assert!(!self.mutual(id, 0.0, k, m), "an unindexed cluster");
                 continue;
             };
-            let fresh = self.reverse_row(node, k);
-            let kept = self.reverse.read(node, k, <[f32]>::to_vec);
+            let unbounded = self.reverse_row(node, k, f32::INFINITY);
+            let fresh = self.reverse_row(node, k, m);
+            let kept = self.reverse.read(node, k, m, <[f32]>::to_vec);
             let mut probes = vec![0.0, m, f32::INFINITY, f32::NAN];
-            for &d in kept.iter().flatten().chain(&fresh) {
+            for &d in kept.iter().flatten().chain(&fresh).chain(&unbounded) {
                 probes.extend([d, d.next_up(), d.next_down()]);
             }
             for dist in probes {
-                let reference = fresh.iter().filter(|&&d| d < dist).count() < k;
+                let row = if dist <= m { &unbounded } else { &fresh };
+                let reference = row.iter().filter(|&&d| d < dist).count() < k;
                 assert_eq!(
-                    self.mutual(id, dist, k),
+                    self.mutual(id, dist, k, m),
                     reference,
                     "cluster {id} at {dist}"
                 );
             }
-            let kept = self.reverse.read(node, k, <[f32]>::to_vec);
+            let kept = self.reverse.read(node, k, m, <[f32]>::to_vec);
             assert_eq!(
                 kept.as_deref().map(bits),
                 Some(bits(&fresh)),
@@ -698,7 +727,7 @@ mod tests {
         assert!(groups(&t).is_empty());
         assert_eq!(t.stats(), StoreStats::default());
         assert_eq!(t.cluster_of(0), None);
-        assert!(t.search_live(&at(0.0), 3, None).is_empty());
+        assert!(t.search_live(&at(0.0), 3, f32::INFINITY, None).is_empty());
         t.maybe_rebuild(&config());
         assert_eq!(t.stats().rebuilds, 0);
     }
@@ -745,7 +774,7 @@ mod tests {
         assert_eq!(t.row(id), c);
         // It is what the index answers with, and the superseded singleton
         // of record 0 is passed over.
-        let hits = t.search_live(&at(20.0), 3, None);
+        let hits = t.search_live(&at(20.0), 3, f32::INFINITY, None);
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].0, t.cluster_of(2).unwrap());
         assert!(hits[0].1 < 1e-6);
@@ -835,7 +864,7 @@ mod tests {
         t.check(3);
         assert!(groups(&t).is_empty());
         assert_eq!(t.stats().stale_nodes, t.stats().index_nodes);
-        assert!(t.search_live(&at(0.0), 3, None).is_empty());
+        assert!(t.search_live(&at(0.0), 3, f32::INFINITY, None).is_empty());
     }
 
     #[test]
@@ -868,10 +897,10 @@ mod tests {
         assert_eq!(t.stats().index_nodes, 1);
         let blank = t.cluster_of(1).unwrap();
         assert!(
-            !t.mutual(blank, 0.0, 3),
+            !t.mutual(blank, 0.0, 3, f32::INFINITY),
             "an unindexed cluster accepts nothing"
         );
-        assert_eq!(t.search_live(&at(0.0), 3, None).len(), 1);
+        assert_eq!(t.search_live(&at(0.0), 3, f32::INFINITY, None).len(), 1);
     }
 
     #[test]
@@ -882,31 +911,36 @@ mod tests {
             t.fuse(record, &at(degrees), &[]);
         }
         let zero = t.cluster_of(0).unwrap();
-        let d10 = t.search_live(&at(0.0), 2, None)[1].1;
+        let d10 = t.search_live(&at(0.0), 2, f32::INFINITY, None)[1].1;
         // With k = 1, a record farther from 0 than 1 is loses to it...
-        assert!(!t.mutual(zero, d10 * 1.5, 1));
-        assert!(t.mutual(zero, d10 * 0.5, 1));
+        assert!(!t.mutual(zero, d10 * 1.5, 1, f32::INFINITY));
+        assert!(t.mutual(zero, d10 * 0.5, 1, f32::INFINITY));
         // ...unless 1 is gone: tombstones do not count.
         t.remove_member(1, &at(10.0));
-        assert!(t.mutual(zero, d10 * 1.5, 1));
+        assert!(t.mutual(zero, d10 * 1.5, 1, f32::INFINITY));
     }
 
     #[test]
     fn the_memo_lives_for_one_index_version_and_one_table() {
         let mut t = singletons(4);
         let node = t.clusters[&t.cluster_of(0).unwrap()].node.unwrap();
-        let row = |t: &ClusterTable, k| t.reverse.read(node, k, <[f32]>::to_vec);
+        let row = |t: &ClusterTable, k| t.reverse.read(node, k, 0.35, <[f32]>::to_vec);
         let bare = t.index_bytes();
         assert_eq!(row(&t, 2), None);
         t.check_mutual(2, 0.35);
         // Records 1 and 2, at 10 and 20 degrees, are the closest others.
-        let hits = t.search_live(&at(0.0), 3, None);
+        let hits = t.search_live(&at(0.0), 3, f32::INFINITY, None);
         assert_eq!(row(&t, 2), Some(vec![hits[1].1, hits[2].1]));
         assert!(t.index_bytes() > bare, "the memo's bytes count");
         assert_eq!(
             row(&t, 1),
             None,
             "a row is kept for the k it was looked up with"
+        );
+        assert_eq!(
+            t.reverse.read(node, 2, f32::INFINITY, <[f32]>::to_vec),
+            None,
+            "and for the m it was looked up within"
         );
         assert_eq!(row(&t.clone(), 2), None, "a copy starts empty");
 
@@ -956,7 +990,7 @@ mod tests {
             (stats.rebuilds, stats.stale_nodes, stats.index_nodes),
             (1, 0, 2)
         );
-        let hits = t.search_live(&at(20.0), 3, None);
+        let hits = t.search_live(&at(20.0), 3, f32::INFINITY, None);
         assert_eq!(hits[0].0, t.cluster_of(2).unwrap());
         assert_eq!(hits[1].0, t.cluster_of(4).unwrap());
     }
@@ -971,7 +1005,7 @@ mod tests {
         t.check(4);
         assert_eq!(t.cluster_of(2), None);
         assert_eq!(t.members(last), [3]);
-        let hits = t.search_live(&at(20.0), 1, None);
+        let hits = t.search_live(&at(20.0), 1, f32::INFINITY, None);
         assert_eq!(
             hits[0].0,
             t.cluster_of(1).unwrap(),

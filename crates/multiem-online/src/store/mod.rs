@@ -36,22 +36,28 @@
 //! so the two apply Eq. 1 the same way; only an insert adds the same-source
 //! restriction. Every search of the representative index — those candidates
 //! and the mutual check's reverse look-up — goes through one helper that
-//! asks the index for the `k` nearest *live* nodes
+//! asks the index for the `k` nearest *live* nodes within `m`
 //! ([`multiem_ann::BruteForceIndex::search_filtered`], with the table's
 //! liveness map as the predicate). A tombstone therefore costs a look-up
 //! nothing (the row is skipped unscored); the tombstone count decides when
-//! to rebuild, not how much to fetch.
+//! to rebuild, not how much to fetch. Nothing beyond `m` is ever read — a
+//! candidate is kept only within `m`, and the mutual check is asked only
+//! about a candidate's distance — so the scan stops scoring a group of
+//! representatives once half of their dimensions prove all of them lie
+//! beyond `m`. That drops nothing the rule reads: every representative
+//! ranked before one within `m` is within `m` too.
 //!
 //! The mutual check's reverse look-up is memoized per index version. Its
 //! answer — the distances from a candidate's representative to the `k`
-//! nearest other live ones — depends on the index and the liveness map
-//! alone, not on the record being matched, and the helper is a pure function
-//! of those, the query, `k` and the excluded node. So the table keeps each
-//! candidate's row until the next write to either (every such write bumps
-//! one version number), and a kept row is the row a fresh look-up would
-//! return, bit for bit: no match or insert decision changes. Between writes, a match whose candidates were checked before
-//! costs one search of the index instead of one plus one per candidate; a
-//! write drops every kept row.
+//! nearest other live ones within `m` — depends on the index and the liveness
+//! map alone, not on the record being matched, and the helper is a pure
+//! function of those, the query, `k`, `m` and the excluded node. So the table
+//! keeps each candidate's row until the next write to either (every such
+//! write bumps one version number), and a kept row is the row a fresh look-up
+//! would return, bit for bit: no match or insert decision changes. Between
+//! writes, a match whose candidates were checked before costs one search of
+//! the index instead of one plus one per candidate; a write drops every kept
+//! row.
 //!
 //! Density-based pruning (Algorithm 4) runs over the survivors of every
 //! delete and, on [`EntityStore::refresh`], over every multi-member cluster:
@@ -634,7 +640,8 @@ impl<E: EmbeddingModel> EntityStore<E> {
 
     /// The clusters that `emb` matches under Eq. 1, as `(cluster,
     /// distance)`, closest first: of its `k` nearest live representatives,
-    /// those within `m`, then, for a record from `source`, those it may
+    /// those within `m` (the look-up is told `m`, and this keeps
+    /// `dist <= m`, which a NaN distance is not), then, for a record from `source`, those it may
     /// merge into directly ([`EntityStore::source_compatible`]), then those
     /// whose own top-K it would be in ([`clusters::ClusterTable::mutual`]).
     /// The one candidate rule of inserts and matches.
@@ -642,12 +649,12 @@ impl<E: EmbeddingModel> EntityStore<E> {
         let (k, m) = (self.state.config.base.k, self.state.config.base.m);
         let clusters = &self.state.clusters;
         clusters
-            .search_live(emb, k, None)
+            .search_live(emb, k, m, None)
             .into_iter()
             .filter(|&(cluster, dist)| {
                 dist <= m
                     && source.is_none_or(|source| self.source_compatible(cluster, source))
-                    && clusters.mutual(cluster, dist, k)
+                    && clusters.mutual(cluster, dist, k, m)
             })
             .collect()
     }
