@@ -4,13 +4,13 @@
 //! embedding baselines search, and the correctness oracle for
 //! [`crate::HnswIndex`] in tests and recall benchmarks.
 //!
-//! There is one scan, `BruteForceIndex::scan`, and it answers one query:
-//! [`VectorIndex::search`] is [`BruteForceIndex::search_filtered`] accepting
-//! every row at `max_distance = ∞`. It scores through the bounded kernel
-//! (`Metric::distance_tile_within`), so a group of rows proved beyond what
-//! the scan could still keep costs half of its dimensions: beyond the
-//! caller's `max_distance` (the online store passes its `m`), or beyond the
-//! top-k's current worst once `k` rows are held.
+//! There is one scan, [`BruteForceIndex::search_within`], and it answers one
+//! query: [`VectorIndex::search`] is that scan at `max_distance = ∞`. It
+//! scores through the bounded kernel (`Metric::distance_tile_within`), so a
+//! group of rows proved beyond what the scan could still keep costs half of
+//! its dimensions: beyond the caller's `max_distance` (the online store
+//! passes its `m`), or beyond the top-k's current worst once `k` rows are
+//! held.
 
 use crate::metric::Metric;
 use crate::{for_each_group, Neighbor, Rows, TopK, VectorIndex, GROUP};
@@ -104,37 +104,32 @@ impl BruteForceIndex {
         }
     }
 
-    /// [`VectorIndex::search`] over the stored vectors `keep` accepts whose
-    /// distance is not beyond `max_distance`: the (up to) `k` nearest of
-    /// *those*, as if the others were not stored. A NaN distance is never
-    /// beyond it, so it ranks as in an unbounded search.
+    /// Remove the vector at `index`, moving the last one into its place:
+    /// the semantics of `Vec::swap_remove`, at `O(dim)` cost. Every other
+    /// vector keeps its index.
     ///
-    /// This is how the online store searches past its tombstones, and
-    /// within its threshold `m`: a rejected row is skipped before it is
-    /// scored, so the cost follows the accepted rows, not `k` plus the
-    /// rejected ones; and a group of rows proved beyond `max_distance` costs
-    /// half its dimensions. At `max_distance = ∞` this is the unbounded
-    /// search over the accepted rows; below it, that search's list cut at
-    /// `max_distance`, wherever no NaN distance ranks after one beyond it
-    /// (a NaN ranks after every number unless its sign bit is set).
-    pub fn search_filtered(
-        &self,
-        query: &[f32],
-        k: usize,
-        max_distance: f32,
-        keep: &dyn Fn(usize) -> bool,
-    ) -> Vec<Neighbor> {
-        self.scan(query, k, max_distance, keep)
+    /// # Panics
+    /// Panics if `index` is out of bounds.
+    pub fn swap_remove(&mut self, index: usize) {
+        self.norms.swap_remove(index);
+        self.tails.swap_remove(index);
+        let (dim, last) = (self.dim, self.norms.len());
+        self.data.copy_within(last * dim.., index * dim);
+        self.data.truncate(last * dim);
     }
 
-    /// The scan: one pass over the stored vectors for one query.
+    /// [`VectorIndex::search`] over the stored vectors whose distance is not
+    /// beyond `max_distance`: the (up to) `k` nearest of *those*. A NaN
+    /// distance is never beyond it, so it ranks as in an unbounded search.
+    /// At `max_distance = ∞` this is the unbounded search; below it, that
+    /// search's list cut at `max_distance`, wherever no NaN distance ranks
+    /// after one beyond it (a NaN ranks after every number unless its sign
+    /// bit is set). The online store searches within its threshold `m`.
     ///
-    /// The rows `keep` accepts are taken a group at a time ([`GROUP`]). A
-    /// row `keep` rejects is skipped before the kernel: it costs one
-    /// predicate call and no distance. The `k` best accepted rows within
-    /// `max_distance` are kept in a one-row [`TopK`]: a candidate costs one
-    /// compare against the current worst, and one that displaces it
-    /// `O(log k)`.
+    /// The scan takes the rows a group at a time (`GROUP`). The `k` best
+    /// rows within `max_distance` are kept in a one-row `TopK`: a
+    /// candidate costs one compare against the current worst, and one that
+    /// displaces it `O(log k)`.
     ///
     /// A full group is one 1 × `GROUP` tile of the bounded kernel
     /// (`Metric::distance_tile_within`) at the lower of `max_distance` and
@@ -144,19 +139,13 @@ impl BruteForceIndex {
     /// the rows' come from the index. Nothing the unbounded scan would keep
     /// is lost: a row is dropped only when it lies strictly beyond
     /// `max_distance`, where the final filter drops it anyway, or strictly
-    /// beyond the top-k's current worst, where [`TopK::offer`] turns it
+    /// beyond the top-k's current worst, where `TopK::offer` turns it
     /// away whatever its index; and every row ranked before a kept one is
     /// closer still, so it is never dropped either. The result is bit-equal
-    /// to scoring every accepted row with the pair kernel, keeping those
-    /// with `!(d > max_distance)`, sorting by `Neighbor::rank` and
-    /// truncating to `k`.
-    ///
-    /// Generic over `keep` so the unfiltered search compiles to a loop with
-    /// no predicate in it.
-    fn scan<F>(&self, query: &[f32], k: usize, max_distance: f32, keep: F) -> Vec<Neighbor>
-    where
-        F: Fn(usize) -> bool,
-    {
+    /// to scoring every row with the pair kernel, keeping those with
+    /// `!(d > max_distance)`, sorting by `Neighbor::rank` and truncating to
+    /// `k`.
+    pub fn search_within(&self, query: &[f32], k: usize, max_distance: f32) -> Vec<Neighbor> {
         let cap = k.min(self.len());
         if cap == 0 {
             return Vec::new();
@@ -170,7 +159,7 @@ impl BruteForceIndex {
                 best.offer(0, Neighbor::new(i, distance));
             }
         };
-        for_each_group((0..self.len()).filter(|&i| keep(i)), |group| {
+        for_each_group(0..self.len(), |group| {
             let Ok(full) = <[usize; GROUP]>::try_from(group) else {
                 for &i in group {
                     let distance =
@@ -249,7 +238,7 @@ impl VectorIndex for BruteForceIndex {
     }
 
     fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.scan(query, k, f32::INFINITY, |_| true)
+        self.search_within(query, k, f32::INFINITY)
     }
 
     fn vector(&self, index: usize) -> &[f32] {
@@ -319,17 +308,10 @@ pub(crate) mod tests {
         idx.add(&[1.0, 2.0]);
     }
 
-    /// Top-`k` by definition: score every stored vector `keep` accepts,
-    /// sort, truncate.
-    fn reference_top_k(
-        idx: &BruteForceIndex,
-        query: &[f32],
-        k: usize,
-        keep: &dyn Fn(usize) -> bool,
-    ) -> Vec<Neighbor> {
+    /// Top-`k` by definition: score every stored vector, sort, truncate.
+    fn reference_top_k(idx: &BruteForceIndex, query: &[f32], k: usize) -> Vec<Neighbor> {
         let qnorm = Metric::squared_norm(query);
         let mut all: Vec<Neighbor> = (0..idx.len())
-            .filter(|&i| keep(i))
             .map(|i| {
                 let stored = idx.vector(i);
                 let norm = Metric::squared_norm(stored);
@@ -398,7 +380,7 @@ pub(crate) mod tests {
             for idx in [&built, &restored] {
                 for k in [0, 1, 3, n / 2, n, n + 7] {
                     for query in &queries {
-                        let expected = reference_top_k(&built, query, k, &|_| true);
+                        let expected = reference_top_k(&built, query, k);
                         let hits = idx.search(query, k);
                         assert_eq!(bits(&hits), bits(&expected), "{metric:?} k={k}");
                     }
@@ -414,65 +396,90 @@ pub(crate) mod tests {
 
     type Keep = fn(usize) -> bool;
 
-    /// Dead shares: none, every other row, all, and all but a few — one
+    /// Removed shares: none, every other row, all, and all but a few — one
     /// short of a kernel group, exactly one, and one past it, so the last
     /// group of the scan is empty, partial and full.
     const MASKS: [(&str, Keep); 7] = [
-        ("none dead", |_| true),
-        ("half dead", |i| i % 2 == 1),
-        ("all dead", |_| false),
-        ("one live", |i| i == 40),
-        ("three live", |i| [7, 40, 41].contains(&i)),
-        ("four live", |i| [0, 7, 40, 113].contains(&i)),
-        ("five live", |i| [0, 7, 40, 41, 113].contains(&i)),
+        ("none removed", |_| true),
+        ("half removed", |i| i % 2 == 1),
+        ("all removed", |_| false),
+        ("one left", |i| i == 40),
+        ("three left", |i| [7, 40, 41].contains(&i)),
+        ("four left", |i| [0, 7, 40, 113].contains(&i)),
+        ("five left", |i| [0, 7, 40, 41, 113].contains(&i)),
     ];
 
+    /// `idx` with every row `keep` rejects swap-removed, the highest first,
+    /// so the row moved into a freed slot is always one `keep` accepts.
+    fn keeping(idx: &BruteForceIndex, keep: Keep) -> BruteForceIndex {
+        let mut out = idx.clone();
+        for i in (0..idx.len()).rev().filter(|&i| !keep(i)) {
+            out.swap_remove(i);
+        }
+        out
+    }
+
+    /// `swap_remove` is `Vec::swap_remove` on the rows, and leaves the index
+    /// a fresh build of the rows it holds would be: the same norms and tail
+    /// norms, bit for bit, and so the same answers.
     #[test]
-    fn filtered_scan_is_the_reference_over_the_accepted_rows() {
+    fn swap_remove_is_vec_swap_remove() {
         let (dim, vectors, queries) = tie_heavy_fixture();
-        let n = vectors.len();
-        assert_eq!(GROUP, 4, "the masks straddle the group size");
         for metric in [Metric::Cosine, Metric::Euclidean] {
-            let idx = BruteForceIndex::from_vectors(dim, metric, vectors.iter().map(Vec::as_slice));
-            for (name, keep) in &MASKS {
-                let live = (0..n).filter(|&i| keep(i)).count();
-                for k in [0, 1, 3, live, live + 7] {
-                    for query in &queries {
-                        let hits = &idx.search_filtered(query, k, f32::INFINITY, keep);
-                        let expected = reference_top_k(&idx, query, k, keep);
-                        assert_eq!(expected.len(), k.min(live));
-                        assert_eq!(bits(hits), bits(&expected), "{metric:?} {name} k={k}");
-                        // What the store used to do: fetch `k` plus the dead
-                        // count unfiltered, drop the dead, cut to `k`.
-                        let overfetched: Vec<Neighbor> = idx
-                            .search(query, k + (n - live))
-                            .into_iter()
-                            .filter(|hit| keep(hit.index))
-                            .take(k)
-                            .collect();
-                        assert_eq!(bits(hits), bits(&overfetched), "{metric:?} {name} k={k}");
+            let mut idx =
+                BruteForceIndex::from_vectors(dim, metric, vectors.iter().map(Vec::as_slice));
+            let mut model = vectors.clone();
+            // The last row, the first, one in the middle, and so on down to
+            // none: every position a removal can free.
+            while !model.is_empty() {
+                let at = (model.len() * 7 / 13) % model.len();
+                for at in [model.len() - 1, 0, at] {
+                    if at < model.len() {
+                        idx.swap_remove(at);
+                        model.swap_remove(at);
                     }
                 }
+                let fresh =
+                    BruteForceIndex::from_vectors(dim, metric, model.iter().map(Vec::as_slice));
+                assert_eq!(idx.data, fresh.data, "{metric:?}");
+                assert_eq!(bits_of(&idx.norms), bits_of(&fresh.norms));
+                assert_eq!(bits_of(&idx.tails), bits_of(&fresh.tails));
+                for query in &queries {
+                    let hits = idx.search_within(query, 3, 0.35);
+                    assert_eq!(bits(&hits), bits(&fresh.search_within(query, 3, 0.35)));
+                }
             }
+            assert!(idx.is_empty());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "index")]
+    fn swap_remove_rejects_an_index_past_the_end() {
+        index_with(&[[0.0, 0.0]]).swap_remove(1);
+    }
+
+    fn bits_of(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
     }
 
     /// The store's look-up: at a threshold `m`, the scan returns the
     /// unbounded reference list cut at `m` — the entries with
     /// `!(d > m)`, so a NaN distance stays — ids and distance bits, at
-    /// thresholds below, at and above every distance it can return.
+    /// thresholds below, at and above every distance it can return, over
+    /// indexes rows were swap-removed from.
     #[test]
     fn a_bounded_scan_is_the_unbounded_scan_cut_at_m() {
         let (dim, vectors, queries) = tie_heavy_fixture();
-        let n = vectors.len();
         let (mut kept, mut cut) = (0, 0);
         for metric in [Metric::Cosine, Metric::Euclidean] {
-            let idx = BruteForceIndex::from_vectors(dim, metric, vectors.iter().map(Vec::as_slice));
-            for (name, keep) in &MASKS {
-                let live = (0..n).filter(|&i| keep(i)).count();
+            let all = BruteForceIndex::from_vectors(dim, metric, vectors.iter().map(Vec::as_slice));
+            for (name, keep) in MASKS {
+                let idx = keeping(&all, keep);
+                let live = idx.len();
                 for k in [0, 1, 3, live, live + 7] {
                     for query in &queries {
-                        let unbounded = reference_top_k(&idx, query, k, keep);
+                        let unbounded = reference_top_k(&idx, query, k);
                         let mut thresholds = vec![-1.0, 0.0, 0.35, f32::INFINITY];
                         for hit in &unbounded {
                             let d = hit.distance;
@@ -488,7 +495,7 @@ pub(crate) mod tests {
                                     hit.distance.partial_cmp(&m) != Some(Ordering::Greater)
                                 })
                                 .collect();
-                            let hits = idx.search_filtered(query, k, m, keep);
+                            let hits = idx.search_within(query, k, m);
                             assert_eq!(
                                 bits(&hits),
                                 bits(&expected),
@@ -551,8 +558,8 @@ pub(crate) mod tests {
             assert!(hits.iter().all(|n| n.distance.is_nan()), "{metric:?}");
             let order: Vec<usize> = hits.iter().map(|n| n.index).collect();
             assert_eq!(order, vec![0, 1, 2, 3, 4], "{metric:?}");
-            let filtered = idx.search_filtered(&query, 5, f32::INFINITY, &|_| true);
-            let order: Vec<usize> = filtered.iter().map(|n| n.index).collect();
+            let within = idx.search_within(&query, 5, f32::INFINITY);
+            let order: Vec<usize> = within.iter().map(|n| n.index).collect();
             assert_eq!(order, vec![0, 1, 2, 3, 4], "{metric:?}");
         }
     }

@@ -224,7 +224,7 @@ impl<'a> Rows<'a> {
     /// The HNSW neighbour expansion's kernel call. The brute-force scan does
     /// not call it: it keeps only entries within a bound, so it scores its
     /// groups through `Metric::distance_tile_within` instead
-    /// ([`BruteForceIndex::search_filtered`]).
+    /// ([`BruteForceIndex::search_within`]).
     #[inline]
     pub(crate) fn distances_to(&self, query: &[f32], qnorm: f32, group: &[usize]) -> [f32; GROUP] {
         if let Ok(full) = <[usize; GROUP]>::try_from(group) {

@@ -8,8 +8,8 @@
 //! default encoder (dim 384, unit norm, duplicates clustered tightly).
 //! `ann/insert` is the kernel row under the benchmark's `ann.hnsw.insert_us`;
 //! its `elem/s` is inserts per second, so per-insert time is its inverse.
-//! `ann/query_top1` is the online store's look-up past tombstones: the
-//! filtered scan with no threshold, and beside it (`_m035`) within the
+//! `ann/query_top1` is the online store's look-up: `bruteforce` is the scan
+//! with no threshold, and beside it `bruteforce_m035` is the scan within the
 //! store's default `m` = 0.35, the call the store makes.
 //! `ann/kernel` is `Metric::distance_tile` alone, walked the way the exact
 //! join walks it (every group of left rows against one 16-row block of right
@@ -148,12 +148,11 @@ fn bench_query(c: &mut Criterion) {
     group.finish();
 }
 
-/// The online store's look-up: the nearest *live* node of an index in which
-/// 0%, 25% and 50% of the nodes are tombstones. `bruteforce_dead<share>` is
-/// the filtered scan with no threshold, which the top-k's bound alone
-/// prunes; `..._m035` beside it is the call the store makes, within its
-/// default `m` = 0.35.
-fn bench_query_dead(c: &mut Criterion) {
+/// The online store's look-up: the nearest node of a 3,000-node index.
+/// `bruteforce` is the scan with no threshold, which the top-k's bound alone
+/// prunes; `bruteforce_m035` beside it is the call the store makes, within
+/// its default `m` = 0.35.
+fn bench_query_top1(c: &mut Criterion) {
     let (vectors, dim) = music_embeddings();
     let (indexed, rest) = vectors.split_at(3_000);
     let queries = &rest[..100];
@@ -162,21 +161,14 @@ fn bench_query_dead(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("ann/query_top1");
     group.throughput(Throughput::Elements(queries.len() as u64));
-    for share in [0usize, 25, 50] {
-        // A multiplicative hash spreads the tombstones over the clusters.
-        let dead: Vec<bool> = (0..indexed.len())
-            .map(|i| i.wrapping_mul(2_654_435_761) % 100 < share)
-            .collect();
-        let live = |node: usize| !dead[node];
-        for (name, m) in [("", f32::INFINITY), ("_m035", 0.35)] {
-            group.bench_function(format!("bruteforce_dead{share}{name}"), |b| {
-                b.iter(|| {
-                    for q in queries {
-                        std::hint::black_box(brute.search_filtered(q, 1, m, &live));
-                    }
-                })
-            });
-        }
+    for (name, m) in [("bruteforce", f32::INFINITY), ("bruteforce_m035", 0.35)] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for q in queries {
+                    std::hint::black_box(brute.search_within(q, 1, m));
+                }
+            })
+        });
     }
     group.finish();
 }
@@ -263,6 +255,6 @@ fn bench_join(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_build, bench_insert, bench_query, bench_query_dead, bench_kernel, bench_join
+    targets = bench_build, bench_insert, bench_query, bench_query_top1, bench_kernel, bench_join
 }
 criterion_main!(benches);

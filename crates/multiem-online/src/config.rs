@@ -58,10 +58,6 @@ pub struct OnlineConfig {
     /// would silently re-embed the whole store); when clear, every attribute
     /// is embedded (the `w/o EER` ablation).
     pub base: MultiEmConfig,
-    /// Rebuild the representative index once the fraction of tombstoned
-    /// (stale) nodes exceeds this threshold. Cluster merges tombstone the
-    /// merged representatives, so without rebuilds searches degrade.
-    pub rebuild_staleness: f64,
     /// Whether a new record may merge *directly* into a cluster whose members
     /// all come from the record's own source table. The batch pipeline never
     /// compares two items of the same source table directly (tables are
@@ -78,7 +74,6 @@ impl OnlineConfig {
     pub fn new(base: MultiEmConfig) -> Self {
         Self {
             base,
-            rebuild_staleness: 0.5,
             match_within_source: false,
             storage: StorageConfig::Memory,
         }
@@ -100,9 +95,6 @@ impl OnlineConfig {
     /// Validate the configuration.
     pub fn validate(&self) -> Result<(), String> {
         self.base.validate()?;
-        if !(0.0..=1.0).contains(&self.rebuild_staleness) {
-            return Err("rebuild_staleness must be in [0, 1]".into());
-        }
         if let StorageConfig::Disk(disk) = &self.storage {
             if disk.dir.trim().is_empty() {
                 return Err("disk storage needs a non-empty directory".into());
@@ -140,11 +132,6 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_values() {
-        let c = OnlineConfig {
-            rebuild_staleness: 1.5,
-            ..OnlineConfig::default()
-        };
-        assert!(c.validate().is_err());
         let c = OnlineConfig::new(MultiEmConfig {
             k: 0,
             ..MultiEmConfig::default()

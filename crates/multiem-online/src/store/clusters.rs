@@ -1,32 +1,38 @@
 //! The cluster table: the one owner of the store's partition.
 //!
 //! Every live record belongs to exactly one cluster, and every cluster with
-//! a non-zero representative has one live node in the representative index.
-//! A cluster is its members: the table states each of those facts once — a
-//! cluster's ascending member list and its `node` — and derives the rest
-//! from them: each node's row, the [`representative`] of the members'
-//! stored embeddings in ascending sequence order (the batch merger's rule
-//! for a fused item, over the same order); `cluster_of` (record → cluster,
-//! the look-up behind every read); and `node_root` (index node → cluster,
-//! the liveness map every search filters by), with `stale_nodes` counting
-//! the dead slots of the latter. One more piece of derived state rides on the
-//! index: `reverse`, the memo of the mutual check's reverse look-up per index
-//! node, capped at the threshold `m` and valid for one version of the index
-//! and its liveness map (see [`ClusterTable::mutual`]). Only the operations
-//! of this file write any of them, each keeping all of them in step; a
-//! snapshot carries the clusters and the index, [`ClusterTable::reindex`]
-//! derives the maps on restore, and a restored or cloned table starts with an
-//! empty memo.
+//! a non-zero representative has one node in the representative index; the
+//! index holds no other row. A cluster is its members: the table states each
+//! of those facts once — a cluster's ascending member list and its `node` —
+//! and derives the rest from them: each node's row, the [`representative`]
+//! of the members' stored embeddings in ascending sequence order (the batch
+//! merger's rule for a fused item, over the same order); `cluster_of`
+//! (record → cluster, the look-up behind every read); and `node_root`
+//! (index node → cluster, how a search's hits name their clusters). One
+//! more piece of derived state rides on the index: `reverse`, the memo of
+//! the mutual check's reverse look-up per index node, capped at the
+//! threshold `m` and valid for one version of the index (see
+//! [`ClusterTable::mutual`]). Only the operations of this file write any of
+//! them, each keeping all of them in step; a snapshot carries the clusters
+//! and the index, [`ClusterTable::reindex`] derives the maps on restore, and
+//! a restored or cloned table starts with an empty memo.
+//!
+//! A superseded representative leaves the index on the spot
+//! ([`ClusterTable::take`]): the index's last row moves into the freed slot
+//! (`BruteForceIndex::swap_remove`) and its cluster's `node` follows it, so
+//! the index is always exactly the indexed clusters' rows, in no particular
+//! order. A look-up ranks representatives at exactly equal distance by
+//! their place in the index, which is what Eq. 1's top-K reads when it has
+//! to cut between them; the rule itself does not order ties.
 //!
 //! A cluster id is one past the largest live id when the cluster is made. An
 //! id can therefore come back after its cluster is gone, which is sound
 //! because [`ClusterTable::take`] leaves no reference to it behind: the node
-//! is tombstoned, and every caller re-homes the members it took. Ids are a
+//! is removed, and every caller re-homes the members it took. Ids are a
 //! function of the live set alone, so a restored table hands out the ids the
 //! original would have.
 
 use super::StoreStats;
-use crate::config::OnlineConfig;
 use crate::storage::RecordStorage;
 use crate::wire::Field;
 use multiem_ann::{BruteForceIndex, Metric, VectorIndex};
@@ -58,7 +64,7 @@ fn as_points(flat: &[f32], n: usize) -> Vec<&[f32]> {
 }
 
 /// The memo of the mutual check's reverse look-up: per index node, the
-/// distances of its (up to) `k` nearest other live nodes within `m`, each
+/// distances of its (up to) `k` nearest other nodes within `m`, each
 /// row valid for the version of the index it was looked up in. Readers fill
 /// it under `&self`, hence the lock; a write to the index bumps the
 /// version, so invalidating every row is one increment and nothing is
@@ -68,7 +74,7 @@ struct ReverseMemo(Mutex<ReverseRows>);
 
 #[derive(Debug)]
 struct ReverseRows {
-    /// Version of the index and its liveness map; starts at 1.
+    /// Version of the index; starts at 1.
     version: u64,
     /// Row width: the `k` the rows were looked up with.
     k: usize,
@@ -107,7 +113,7 @@ impl ReverseMemo {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Every row is out of date: the index or its liveness map changed.
+    /// Every row is out of date: the index changed.
     fn invalidate(&mut self) {
         self.0
             .get_mut()
@@ -155,22 +161,15 @@ impl ReverseMemo {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(super) struct ClusterTable {
     clusters: BTreeMap<usize, Cluster>,
-    /// One node per indexed cluster, plus the tombstones of clusters since
-    /// fused, split or emptied. Exact at every size: every search scans the
-    /// live nodes.
+    /// One node per indexed cluster and nothing else. Exact at every size:
+    /// every search scans every node.
     index: BruteForceIndex,
-    /// Times the index has been rebuilt.
-    rebuilds: usize,
     /// Record -> cluster (`None` = deleted). Derived from the member lists.
     #[serde(skip)]
     cluster_of: Vec<Option<usize>>,
-    /// Index node -> cluster (`None` = tombstone). Derived from the
-    /// clusters' nodes.
+    /// Index node -> cluster. Derived from the clusters' nodes.
     #[serde(skip)]
-    node_root: Vec<Option<usize>>,
-    /// Tombstones in `node_root`: what `rebuild_staleness` bounds.
-    #[serde(skip)]
-    stale_nodes: usize,
+    node_root: Vec<usize>,
     /// The mutual check's reverse look-ups in the current index version.
     #[serde(skip)]
     reverse: ReverseMemo,
@@ -183,10 +182,8 @@ impl ClusterTable {
         Self {
             clusters: BTreeMap::new(),
             index: BruteForceIndex::new(dim, metric),
-            rebuilds: 0,
             cluster_of: Vec::new(),
             node_root: Vec::new(),
-            stale_nodes: 0,
             reverse: ReverseMemo::default(),
         }
     }
@@ -194,19 +191,18 @@ impl ClusterTable {
     /// The entries the derived `Serialize` produces, in its order, so a
     /// binary snapshot can write them one tree at a time
     /// ([`crate::wire::write_fields`]).
-    pub(super) fn fields(&self) -> [(&'static str, Field<'_>); 3] {
+    pub(super) fn fields(&self) -> [(&'static str, Field<'_>); 2] {
         [
             ("clusters", Field::Value(&self.clusters)),
             // The index's coordinates one at a time.
             ("index", Field::Index(&self.index)),
-            ("rebuilds", Field::Value(&self.rebuilds)),
         ]
     }
 
-    /// Derive `cluster_of`, `node_root` and the tombstone count of a
-    /// deserialized table over `records` records, of which storage still
-    /// holds those `live` says, refusing clusters that could not have come
-    /// from this file's operations.
+    /// Derive `cluster_of` and `node_root` of a deserialized table over
+    /// `records` records, of which storage still holds those `live` says,
+    /// refusing clusters, and index rows, that could not have come from this
+    /// file's operations.
     pub(super) fn reindex(
         &mut self,
         records: usize,
@@ -238,7 +234,11 @@ impl ClusterTable {
                 }
             }
         }
-        self.stale_nodes = node_root.iter().filter(|root| root.is_none()).count();
+        let node_root = node_root
+            .into_iter()
+            .enumerate()
+            .map(|(node, root)| root.ok_or(format!("index row {node} belongs to no cluster")))
+            .collect::<Result<_, _>>()?;
         self.cluster_of = cluster_of;
         self.node_root = node_root;
         self.reverse.invalidate();
@@ -269,8 +269,6 @@ impl ClusterTable {
             clusters: self.clusters.len(),
             tuples: self.iter().filter(|(_, c)| c.members.len() >= 2).count(),
             index_nodes: self.node_root.len(),
-            stale_nodes: self.stale_nodes,
-            rebuilds: self.rebuilds,
             ..StoreStats::default()
         }
     }
@@ -282,54 +280,41 @@ impl ClusterTable {
     }
 
     /// Search the representative index for `query`, returning up to `k`
-    /// *live* clusters within `max_distance` as `(cluster, distance)`,
-    /// closest first; the node `exclude`, if any, is passed over like a
-    /// tombstone.
-    ///
-    /// Tombstones still occupy index slots, but the scan is told which
-    /// nodes are live (`node_root` is the only record of that) and never
-    /// scores a dead one, so the look-up asks for exactly `k`.
+    /// clusters within `max_distance` as `(cluster, distance)`, closest
+    /// first.
     ///
     /// The store passes its `m`, and the scan stops scoring a group of
     /// representatives once half of its dimensions prove all of them lie
-    /// beyond it ([`BruteForceIndex::search_filtered`]). That is exact for
+    /// beyond it ([`BruteForceIndex::search_within`]). That is exact for
     /// every reader: a representative within `m` is never dropped, and
     /// neither is any ranked before it, being closer still, so the list is
     /// the unbounded look-up's within-`m` entries, and nothing read beyond
     /// `m` is ever needed (`EntityStore::candidates` keeps `dist <= m`
     /// only, and [`ClusterTable::mutual`] is only asked about those).
-    pub(super) fn search_live(
-        &self,
-        query: &[f32],
-        k: usize,
-        max_distance: f32,
-        exclude: Option<usize>,
-    ) -> Vec<(usize, f32)> {
-        let node_root = &self.node_root;
-        let live = |node: usize| node_root[node].is_some() && Some(node) != exclude;
+    pub(super) fn search(&self, query: &[f32], k: usize, max_distance: f32) -> Vec<(usize, f32)> {
         self.index
-            .search_filtered(query, k, max_distance, &live)
+            .search_within(query, k, max_distance)
             .into_iter()
-            .filter_map(|n| node_root[n.index].map(|id| (id, n.distance)))
+            .map(|n| (self.node_root[n.index], n.distance))
             .collect()
     }
 
     /// Would a record at `dist` from the representative of `candidate` be
-    /// within the candidate's top-K? True when fewer than `k` other live
+    /// within the candidate's top-K? True when fewer than `k` other
     /// representatives are closer to the candidate than the record is — the
     /// reverse direction of Eq. 1.
     ///
     /// The answer is exact for every `dist <= m`, the only distances the
     /// store asks about. The look-up behind it reads only representatives
-    /// within `m` ([`ClusterTable::search_live`]): one closer than such a
+    /// within `m` ([`ClusterTable::search`]): one closer than such a
     /// `dist` is within `m` too, and it ranks before every one that is
     /// not, so the capped row holds each of them that the unbounded row
     /// holds. Beyond `m` the count is over the capped row.
     ///
-    /// The look-up depends on the index and its liveness map only, not on
-    /// the record, so it runs once per candidate per index version: its row
-    /// of distances is kept in `reverse` until the next write, and every
-    /// check in between counts over the kept row. A kept row is the one a
+    /// The look-up depends on the index only, not on the record, so it runs
+    /// once per candidate per index version: its row of distances is kept
+    /// in `reverse` until the next write, and every check in between counts
+    /// over the kept row. A kept row is the one a
     /// fresh look-up within the same `m` would return, bit for bit.
     pub(super) fn mutual(&self, candidate: usize, dist: f32, k: usize, m: f32) -> bool {
         let Some(node) = self.clusters[&candidate].node else {
@@ -344,17 +329,21 @@ impl ClusterTable {
         count < k
     }
 
-    /// The distances from `node` to its (up to) `k` nearest other live
-    /// nodes within `m`, closest first and padded with `+∞` to `k` (a
-    /// padded slot is never closer than anything). The query is the node's
-    /// indexed row: its cluster's representative, bit for bit (the
-    /// test-only `ClusterTable::check` asserts it).
+    /// The distances from `node` to its (up to) `k` nearest other nodes
+    /// within `m`, closest first and padded with `+∞` to `k` (a padded slot
+    /// is never closer than anything). The query is the node's indexed row:
+    /// its cluster's representative, bit for bit (the test-only
+    /// `ClusterTable::check` asserts it).
+    ///
+    /// The look-up asks for `k + 1` and drops `node` itself: under
+    /// `Neighbor::rank`'s total order the `k + 1` nearest hold the `k`
+    /// nearest others whether or not they hold `node`, so dropping it when
+    /// present, else the last, leaves exactly those `k`.
     fn reverse_row(&self, node: usize, k: usize, m: f32) -> Vec<f32> {
-        let mut row: Vec<f32> = self
-            .search_live(self.index.vector(node), k, m, Some(node))
-            .into_iter()
-            .map(|(_, d)| d)
-            .collect();
+        let mut hits = self.index.search_within(self.index.vector(node), k + 1, m);
+        hits.retain(|n| n.index != node);
+        hits.truncate(k);
+        let mut row: Vec<f32> = hits.into_iter().map(|n| n.distance).collect();
         row.resize(k, f32::INFINITY);
         row
     }
@@ -380,14 +369,15 @@ impl ClusterTable {
         let node = row.iter().any(|&x| x != 0.0).then(|| {
             let node = self.index.add(&row);
             debug_assert_eq!(node, self.node_root.len());
-            self.node_root.push(Some(id));
+            self.node_root.push(id);
             node
         });
         self.clusters.insert(id, Cluster { members, node });
     }
 
-    /// Remove a cluster this table named, tombstoning its node. The caller
-    /// re-homes the members.
+    /// Remove a cluster this table named, and its node from the index: the
+    /// last row moves into the freed slot, and its cluster's `node` with it.
+    /// The caller re-homes the members.
     fn take(&mut self, id: usize) -> Cluster {
         self.reverse.invalidate();
         let cluster = self
@@ -395,8 +385,12 @@ impl ClusterTable {
             .remove(&id)
             .expect("cluster ids come from this table");
         if let Some(node) = cluster.node {
-            self.node_root[node] = None;
-            self.stale_nodes += 1;
+            self.index.swap_remove(node);
+            self.node_root.swap_remove(node);
+            if let Some(&moved) = self.node_root.get(node) {
+                let moved = self.clusters.get_mut(&moved).expect("a node's cluster");
+                moved.node = Some(node);
+            }
         }
         cluster
     }
@@ -474,35 +468,6 @@ impl ClusterTable {
             None => 0,
         }
     }
-
-    /// Rebuild the representative index from the live clusters when
-    /// tombstones exceed `rebuild_staleness` of it. A cluster's row moves
-    /// over as it is: it already is the cluster's representative.
-    pub(super) fn maybe_rebuild(&mut self, config: &OnlineConfig) {
-        let total = self.node_root.len();
-        if total == 0 {
-            return;
-        }
-        let staleness = self.stale_nodes as f64 / total as f64;
-        if staleness <= config.rebuild_staleness {
-            return;
-        }
-        let mut index = BruteForceIndex::new(self.index.dim(), self.index.metric());
-        let mut node_root = Vec::with_capacity(total - self.stale_nodes);
-        for (&id, cluster) in self.clusters.iter_mut() {
-            if let Some(old) = cluster.node {
-                let node = index.add(self.index.vector(old));
-                debug_assert_eq!(node, node_root.len());
-                node_root.push(Some(id));
-                cluster.node = Some(node);
-            }
-        }
-        self.index = index;
-        self.node_root = node_root;
-        self.stale_nodes = 0;
-        self.rebuilds += 1;
-        self.reverse.invalidate();
-    }
 }
 
 /// The [`representative`] of `members` (ascending), read from storage.
@@ -514,7 +479,7 @@ pub(super) fn stored_representative(stored: &RecordStorage, members: &[usize]) -
 
 #[cfg(test)]
 impl Cluster {
-    /// The cluster's live node in the representative index, if indexed.
+    /// The cluster's node in the representative index, if indexed.
     pub(super) fn node(&self) -> Option<usize> {
         self.node
     }
@@ -526,8 +491,8 @@ impl ClusterTable {
     /// derived maps are exactly what [`ClusterTable::reindex`] derives from
     /// the clusters — each live record in one member list, ascending, and
     /// `cluster_of` naming it, each indexed cluster's node mapping back to
-    /// it, the tombstone count equal to the dead `node_root` slots — the
-    /// index holds one vector per `node_root` slot, and a cluster is indexed
+    /// it and every node owned — the index holds one vector per indexed
+    /// cluster and per `node_root` slot, and a cluster is indexed
     /// exactly when the [`representative`] of its members' stored
     /// embeddings is non-zero, under that representative, bit for bit (the
     /// mutual check's look-up queries with the row).
@@ -538,8 +503,9 @@ impl ClusterTable {
             .expect("a table the operations built");
         assert_eq!(self.cluster_of, derived.cluster_of);
         assert_eq!(self.node_root, derived.node_root);
-        assert_eq!(self.stale_nodes, derived.stale_nodes);
         assert_eq!(self.index.len(), self.node_root.len());
+        let indexed = self.iter().filter(|(_, c)| c.node.is_some()).count();
+        assert_eq!(self.index.len(), indexed);
         for (id, cluster) in self.iter() {
             let want = stored_representative(stored, &cluster.members);
             assert_eq!(
@@ -616,10 +582,6 @@ mod tests {
         vec![r.cos(), r.sin()]
     }
 
-    fn config() -> OnlineConfig {
-        OnlineConfig::new(MultiEmConfig::default())
-    }
-
     /// A table with the storage its members' embeddings live in, as the
     /// store keeps them side by side: a record is appended to storage as
     /// it is fused, and leaves storage after it leaves its cluster.
@@ -660,7 +622,7 @@ mod tests {
             }
             let pruned = self
                 .table
-                .remove_member(record, &self.stored, &config().base);
+                .remove_member(record, &self.stored, &MultiEmConfig::default());
             if live {
                 assert!(self.stored.delete(self.stored.id_at(record)).unwrap());
             }
@@ -669,7 +631,8 @@ mod tests {
 
         /// Algorithm 4 over cluster `id`.
         fn prune(&mut self, id: usize) -> usize {
-            self.table.prune(id, None, &self.stored, &config().base)
+            self.table
+                .prune(id, None, &self.stored, &MultiEmConfig::default())
         }
 
         /// [`ClusterTable::check`], after `records` appends.
@@ -688,7 +651,7 @@ mod tests {
         let mut stored = RecordStorage::new(&StorageConfig::Memory, 2).unwrap();
         stored.open_source();
         Stored {
-            table: ClusterTable::new(2, config().base.merge_metric),
+            table: ClusterTable::new(2, MultiEmConfig::default().merge_metric),
             stored,
         }
     }
@@ -722,14 +685,12 @@ mod tests {
 
     #[test]
     fn empty_table() {
-        let mut t = table();
+        let t = table();
         t.check(0);
         assert!(groups(&t).is_empty());
         assert_eq!(t.stats(), StoreStats::default());
         assert_eq!(t.cluster_of(0), None);
-        assert!(t.search_live(&at(0.0), 3, f32::INFINITY, None).is_empty());
-        t.maybe_rebuild(&config());
-        assert_eq!(t.stats().rebuilds, 0);
+        assert!(t.search(&at(0.0), 3, f32::INFINITY).is_empty());
     }
 
     #[test]
@@ -747,7 +708,7 @@ mod tests {
         assert!(together(&t, 0, 3) && together(&t, 2, 3) && !together(&t, 1, 3));
         let stats = t.stats();
         assert_eq!((stats.clusters, stats.tuples), (2, 1));
-        assert_eq!((stats.index_nodes, stats.stale_nodes), (4, 2));
+        assert_eq!(stats.index_nodes, 2, "the fused singletons' nodes are gone");
 
         // The table keeps growing after fuses, and a fused cluster fuses on.
         t.fuse(4, &at(40.0), &[]);
@@ -774,7 +735,7 @@ mod tests {
         assert_eq!(t.row(id), c);
         // It is what the index answers with, and the superseded singleton
         // of record 0 is passed over.
-        let hits = t.search_live(&at(20.0), 3, f32::INFINITY, None);
+        let hits = t.search(&at(20.0), 3, f32::INFINITY);
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].0, t.cluster_of(2).unwrap());
         assert!(hits[0].1 < 1e-6);
@@ -863,8 +824,8 @@ mod tests {
         t.remove_member(1, &at(10.0));
         t.check(3);
         assert!(groups(&t).is_empty());
-        assert_eq!(t.stats().stale_nodes, t.stats().index_nodes);
-        assert!(t.search_live(&at(0.0), 3, f32::INFINITY, None).is_empty());
+        assert_eq!(t.stats().index_nodes, 0);
+        assert!(t.search(&at(0.0), 3, f32::INFINITY).is_empty());
     }
 
     #[test]
@@ -882,8 +843,10 @@ mod tests {
         let mut t = singletons(1);
         t.fuse(1, &at(40.0), &[t.cluster_of(0).unwrap()]);
         t.fuse(2, &at(80.0), &[t.cluster_of(0).unwrap()]);
-        let mut base = config().base;
-        base.pruning = false;
+        let base = MultiEmConfig {
+            pruning: false,
+            ..MultiEmConfig::default()
+        };
         assert_eq!(t.table.remove_member(1, &t.stored, &base), 0);
         assert_eq!(groups(&t), [vec![0, 2]]);
     }
@@ -900,7 +863,7 @@ mod tests {
             !t.mutual(blank, 0.0, 3, f32::INFINITY),
             "an unindexed cluster accepts nothing"
         );
-        assert_eq!(t.search_live(&at(0.0), 3, f32::INFINITY, None).len(), 1);
+        assert_eq!(t.search(&at(0.0), 3, f32::INFINITY).len(), 1);
     }
 
     #[test]
@@ -911,11 +874,11 @@ mod tests {
             t.fuse(record, &at(degrees), &[]);
         }
         let zero = t.cluster_of(0).unwrap();
-        let d10 = t.search_live(&at(0.0), 2, f32::INFINITY, None)[1].1;
+        let d10 = t.search(&at(0.0), 2, f32::INFINITY)[1].1;
         // With k = 1, a record farther from 0 than 1 is loses to it...
         assert!(!t.mutual(zero, d10 * 1.5, 1, f32::INFINITY));
         assert!(t.mutual(zero, d10 * 0.5, 1, f32::INFINITY));
-        // ...unless 1 is gone: tombstones do not count.
+        // ...unless 1 is gone: a removed representative does not count.
         t.remove_member(1, &at(10.0));
         assert!(t.mutual(zero, d10 * 1.5, 1, f32::INFINITY));
     }
@@ -929,7 +892,7 @@ mod tests {
         assert_eq!(row(&t, 2), None);
         t.check_mutual(2, 0.35);
         // Records 1 and 2, at 10 and 20 degrees, are the closest others.
-        let hits = t.search_live(&at(0.0), 3, f32::INFINITY, None);
+        let hits = t.search(&at(0.0), 3, f32::INFINITY);
         assert_eq!(row(&t, 2), Some(vec![hits[1].1, hits[2].1]));
         assert!(t.index_bytes() > bare, "the memo's bytes count");
         assert_eq!(
@@ -948,51 +911,42 @@ mod tests {
         t.fuse(4, &at(180.0), &[]);
         assert_eq!(row(&t, 2), None);
         t.check_mutual(2, 0.35);
-        t.maybe_rebuild(&OnlineConfig {
-            rebuild_staleness: 0.0,
-            ..config()
-        });
-        assert_eq!(
-            t.stats().rebuilds,
-            0,
-            "no tombstones, no rebuild: the rows stand"
-        );
         assert!(row(&t, 2).is_some());
-        t.remove_member(4, &at(180.0));
+        // So does a removal, which moves the last row into the freed slot.
+        t.remove_member(1, &at(10.0));
         assert_eq!(row(&t, 2), None);
         t.check_mutual(2, 0.35);
-        t.maybe_rebuild(&OnlineConfig {
-            rebuild_staleness: 0.0,
-            ..config()
-        });
-        assert_eq!(t.stats().rebuilds, 1);
-        assert_eq!(row(&t, 2), None, "a rebuild renumbers the nodes");
     }
 
     #[test]
-    fn rebuild_drops_tombstones() {
-        let mut config = config();
-        config.rebuild_staleness = 0.4;
+    fn a_removed_node_leaves_the_index_and_the_last_row_takes_its_slot() {
         let mut t = singletons(4);
+        let last = t.cluster_of(3).unwrap();
+        assert_eq!(t.clusters[&last].node, Some(3));
+        // Record 1's node is freed: record 3's row, the last, moves into it.
+        t.remove_member(1, &at(10.0));
+        t.check(4);
+        assert_eq!(t.stats().index_nodes, 3);
+        assert_eq!(t.clusters[&last].node, Some(1));
+        let hits = t.search(&at(30.0), 4, f32::INFINITY);
+        let order: Vec<usize> = hits.iter().map(|&(id, _)| id).collect();
+        assert_eq!(
+            order,
+            [last, t.cluster_of(2).unwrap(), t.cluster_of(0).unwrap()]
+        );
+        // Removing the last node moves nothing; a fuse removes both of its
+        // clusters' nodes and appends one.
+        t.remove_member(2, &at(20.0));
+        t.check(4);
+        assert_eq!(t.clusters[&last].node, Some(1));
         t.fuse(
             4,
             &at(5.0),
-            &[t.cluster_of(0).unwrap(), t.cluster_of(1).unwrap()],
+            &[t.cluster_of(0).unwrap(), t.cluster_of(3).unwrap()],
         );
-        // 2 of 5 nodes are tombstones: at the bound, not over it.
-        t.maybe_rebuild(&config);
-        assert_eq!((t.stats().rebuilds, t.stats().stale_nodes), (0, 2));
-        t.remove_member(3, &at(30.0));
-        t.maybe_rebuild(&config);
         t.check(5);
-        let stats = t.stats();
-        assert_eq!(
-            (stats.rebuilds, stats.stale_nodes, stats.index_nodes),
-            (1, 0, 2)
-        );
-        let hits = t.search_live(&at(20.0), 3, f32::INFINITY, None);
-        assert_eq!(hits[0].0, t.cluster_of(2).unwrap());
-        assert_eq!(hits[1].0, t.cluster_of(4).unwrap());
+        assert_eq!(t.stats().index_nodes, 1);
+        assert_eq!(t.clusters[&t.cluster_of(4).unwrap()].node, Some(0));
     }
 
     #[test]
@@ -1005,11 +959,11 @@ mod tests {
         t.check(4);
         assert_eq!(t.cluster_of(2), None);
         assert_eq!(t.members(last), [3]);
-        let hits = t.search_live(&at(20.0), 1, f32::INFINITY, None);
+        let hits = t.search(&at(20.0), 1, f32::INFINITY);
         assert_eq!(
             hits[0].0,
             t.cluster_of(1).unwrap(),
-            "record 2's node is dead"
+            "record 2's node is gone"
         );
     }
 
@@ -1061,6 +1015,14 @@ mod tests {
             r.clusters.get_mut(&id).unwrap().node = Some(99);
         })
         .is_err());
+        assert!(
+            broken(&|r| {
+                let id = first(r);
+                r.clusters.get_mut(&id).unwrap().node = None;
+            })
+            .is_err(),
+            "an index row no cluster owns"
+        );
         assert!(broken(&|r| {
             let node = r.clusters.values().last().unwrap().node;
             let id = first(r);

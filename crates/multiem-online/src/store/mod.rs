@@ -14,46 +14,45 @@
 //! 1. the new record's embedding queries the representative index for its
 //!    top-K clusters within `m`;
 //! 2. a candidate cluster accepts the record only if the record would also be
-//!    in the *cluster's* top-K — i.e. fewer than K other live representatives
+//!    in the *cluster's* top-K — i.e. fewer than K other representatives
 //!    are closer to the candidate than the new record (the mutual check);
 //! 3. the record and every cluster that accepted it become one cluster
 //!    (matches are transitive) under a fresh representative, and the
-//!    superseded representatives are tombstoned.
+//!    superseded representatives leave the index.
 //!
 //! The partition lives in one place, the cluster table (`clusters.rs`):
-//! member lists, the representative index and its liveness map, and the
-//! record → cluster look-up derived from them. This file never touches
+//! member lists, the representative index, and the maps derived from them
+//! (record → cluster, index node → cluster). This file never touches
 //! those; it asks the table to add, fuse, prune or remove, and the table
 //! keeps them in step.
 //!
 //! The representative index is exact at every size: a
-//! [`multiem_ann::BruteForceIndex`], so a look-up scans every live
-//! representative and the store answers Eq. 1 exactly, not approximately.
-//! Tombstones accumulate as clusters merge; once their fraction exceeds
-//! `rebuild_staleness`, the index is rebuilt from the live clusters.
+//! [`multiem_ann::BruteForceIndex`] holding one row per indexed cluster and
+//! nothing else, so a look-up scans every representative and the store
+//! answers Eq. 1 exactly, not approximately. A representative superseded by
+//! a fuse, a prune or a delete is removed on the spot: the index's last row
+//! takes its slot.
 //!
 //! An insert and a `/match` query take their candidates from one function,
 //! so the two apply Eq. 1 the same way; only an insert adds the same-source
 //! restriction. Every search of the representative index — those candidates
-//! and the mutual check's reverse look-up — goes through one helper that
-//! asks the index for the `k` nearest *live* nodes within `m`
-//! ([`multiem_ann::BruteForceIndex::search_filtered`], with the table's
-//! liveness map as the predicate). A tombstone therefore costs a look-up
-//! nothing (the row is skipped unscored); the tombstone count decides when
-//! to rebuild, not how much to fetch. Nothing beyond `m` is ever read — a
-//! candidate is kept only within `m`, and the mutual check is asked only
-//! about a candidate's distance — so the scan stops scoring a group of
-//! representatives once half of their dimensions prove all of them lie
-//! beyond `m`. That drops nothing the rule reads: every representative
-//! ranked before one within `m` is within `m` too.
+//! and the mutual check's reverse look-up — asks the index for the `k`
+//! nearest nodes within `m` ([`multiem_ann::BruteForceIndex::search_within`];
+//! the reverse look-up asks for `k + 1` and drops the candidate's own
+//! node). Nothing beyond `m` is ever read — a candidate is kept only within
+//! `m`, and the mutual check is asked only about a candidate's distance —
+//! so the scan stops scoring a group of representatives once half of their
+//! dimensions prove all of them lie beyond `m`. That drops nothing the rule
+//! reads: every representative ranked before one within `m` is within `m`
+//! too.
 //!
 //! The mutual check's reverse look-up is memoized per index version. Its
 //! answer — the distances from a candidate's representative to the `k`
-//! nearest other live ones within `m` — depends on the index and the liveness
-//! map alone, not on the record being matched, and the helper is a pure
-//! function of those, the query, `k`, `m` and the excluded node. So the table
-//! keeps each candidate's row until the next write to either (every such
-//! write bumps one version number), and a kept row is the row a fresh look-up
+//! nearest other ones within `m` — depends on the index alone, not on the
+//! record being matched, and the look-up is a pure function of it, the
+//! query, `k`, `m` and the candidate's node. So the table keeps each
+//! candidate's row until the next write to the index (every such write
+//! bumps one version number), and a kept row is the row a fresh look-up
 //! would return, bit for bit: no match or insert decision changes. Between
 //! writes, a match whose candidates were checked before costs one search of
 //! the index instead of one plus one per candidate; a write drops every kept
@@ -117,13 +116,9 @@ pub struct StoreStats {
     pub clusters: usize,
     /// Clusters with at least two members (matched tuples).
     pub tuples: usize,
-    /// Nodes in the representative index (live + tombstoned).
+    /// Nodes in the representative index: one per cluster with a non-zero
+    /// representative, a superseded one being removed on the spot.
     pub index_nodes: usize,
-    /// Tombstoned representative nodes awaiting a rebuild. Searches skip
-    /// them; their share of `index_nodes` is what `rebuild_staleness` bounds.
-    pub stale_nodes: usize,
-    /// Times the representative index has been rebuilt.
-    pub rebuilds: usize,
     /// Records removed from clusters by re-pruning so far.
     pub pruned_outliers: usize,
 }
@@ -299,7 +294,6 @@ impl<E: EmbeddingModel> EntityStore<E> {
         let base = &state.config.base;
         state.pruned_outliers += state.clusters.remove_member(seq, &state.records, base);
         state.records.delete(id)?;
-        state.clusters.maybe_rebuild(&state.config);
         Ok(true)
     }
 
@@ -510,10 +504,9 @@ impl<E: EmbeddingModel> EntityStore<E> {
     }
 
     /// Run density-based pruning (Algorithm 4, unless `pruning` is off) over
-    /// every multi-member cluster now, then rebuild the representative index
-    /// if it got too stale. Inserts never prune, so this is where a cluster
-    /// the merge rule grew past `ε` splits; a cluster pruned before and
-    /// unchanged since loses nothing.
+    /// every multi-member cluster now. Inserts never prune, so this is where
+    /// a cluster the merge rule grew past `ε` splits; a cluster pruned
+    /// before and unchanged since loses nothing.
     pub fn refresh(&mut self) {
         let state = &mut self.state;
         if state.config.base.pruning {
@@ -528,7 +521,6 @@ impl<E: EmbeddingModel> EntityStore<E> {
                 state.pruned_outliers += state.clusters.prune(id, None, &state.records, base);
             }
         }
-        state.clusters.maybe_rebuild(&state.config);
     }
 
     /// Prepare an empty store to accept single-record
@@ -639,7 +631,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
     }
 
     /// The clusters that `emb` matches under Eq. 1, as `(cluster,
-    /// distance)`, closest first: of its `k` nearest live representatives,
+    /// distance)`, closest first: of its `k` nearest representatives,
     /// those within `m` (the look-up is told `m`, and this keeps
     /// `dist <= m`, which a NaN distance is not), then, for a record from `source`, those it may
     /// merge into directly ([`EntityStore::source_compatible`]), then those
@@ -649,7 +641,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
         let (k, m) = (self.state.config.base.k, self.state.config.base.m);
         let clusters = &self.state.clusters;
         clusters
-            .search_live(emb, k, m, None)
+            .search(emb, k, m)
             .into_iter()
             .filter(|&(cluster, dist)| {
                 dist <= m
@@ -687,7 +679,6 @@ impl<E: EmbeddingModel> EntityStore<E> {
         self.state
             .clusters
             .fuse(seq, emb, &matches, &self.state.records);
-        self.state.clusters.maybe_rebuild(&self.state.config);
         Ok((id, !matches.is_empty()))
     }
 }
@@ -938,74 +929,21 @@ mod tests {
     }
 
     #[test]
-    fn index_rebuild_preserves_matching() {
-        let schema = title_schema();
-        let mut cfg = config();
-        cfg.rebuild_staleness = 0.0; // rebuild eagerly after every merge
-        let mut s = EntityStore::new(cfg, HashedLexicalEncoder::default());
-        s.ingest_batch(&table(
-            "a",
-            &schema,
-            &["golden heart river", "makita drill 18v"],
-        ))
-        .unwrap();
-        s.ingest_batch(&table(
-            "b",
-            &schema,
-            &["golden heart river live", "makita drill 18 v"],
-        ))
-        .unwrap();
-        assert_eq!(s.tuples().len(), 2);
-        assert!(s.stats().rebuilds > 0);
-        assert_eq!(s.stats().stale_nodes, 0);
-        // Matching still works after rebuilds.
-        let hits = s.match_record(&Record::from_texts(["golden heart river remaster"]));
-        assert_eq!(hits.len(), 1);
-    }
-
-    #[test]
-    fn insert_and_match_see_the_same_candidates_past_tombstones() {
+    fn insert_and_match_see_the_same_candidates() {
         let ds = music_dataset(13);
-        let mut cfg = config();
-        cfg.rebuild_staleness = 1.0; // never rebuild: tombstones pile up
-        let mut s = EntityStore::new(cfg, HashedLexicalEncoder::default());
+        let mut s = store();
         let (probes, ingested) = ds.tables().split_last().unwrap();
         for table in ingested {
             s.ingest_batch(table).unwrap();
         }
-        assert!(s.stats().stale_nodes > 10, "the index must hold tombstones");
-        assert_eq!(s.stats().rebuilds, 0);
-
-        // The same store with its tombstones compacted away answers every
-        // probe identically: a search past tombstones is a search of the
-        // live nodes, exactly.
-        s.refresh(); // prune now, so the copy's refresh only rebuilds
-        let mut compacted = s.clone();
-        compacted.state.config.rebuild_staleness = 0.0;
-        compacted.refresh();
-        assert!(s.stats().stale_nodes > 10 && s.stats().rebuilds == 0);
-        assert_eq!(compacted.stats().stale_nodes, 0);
-        assert_eq!(compacted.stats().rebuilds, 1);
-        assert_eq!(
-            compacted.stats().index_nodes,
-            s.stats().index_nodes - s.stats().stale_nodes
-        );
-        for record in probes.records() {
-            let bits = |hits: Vec<(EntityId, f32)>| -> Vec<(EntityId, u32)> {
-                hits.into_iter().map(|(id, d)| (id, d.to_bits())).collect()
-            };
-            assert_eq!(
-                bits(s.match_record(record)),
-                bits(compacted.match_record(record))
-            );
-        }
+        s.refresh();
 
         let metric = s.state.config.base.merge_metric;
         let (k, m) = (s.state.config.base.k, s.state.config.base.m);
         let mut merged = 0;
         for record in probes.records() {
             let hits = s.match_record(record);
-            // What `match_record` may return: the `k` live clusters closest
+            // What `match_record` may return: the `k` clusters closest
             // to the record, by definition rather than through the index.
             let text = serialize_record_projected(
                 record,
@@ -1529,7 +1467,7 @@ mod tests {
             .unwrap();
         let good = s.snapshot_bytes().unwrap();
         let restore_with = |path: &[&str], field: serde::Value| {
-            let mut value = wire::value_from_bytes(&good[4..]).unwrap();
+            let mut value = wire::value_from_bytes(&good[wire::SNAPSHOT_MAGIC.len()..]).unwrap();
             *at(&mut value, path) = field;
             let bytes = [
                 wire::SNAPSHOT_MAGIC.as_slice(),
@@ -1545,11 +1483,6 @@ mod tests {
                 &["config", "base", "m"][..],
                 serde::Value::Float(f64::NAN),
                 "m must",
-            ),
-            (
-                &["config", "rebuild_staleness"][..],
-                serde::Value::Float(7.0),
-                "rebuild_staleness must",
             ),
         ] {
             match restore_with(path, field).map(|s| s.stats()) {
@@ -1765,7 +1698,7 @@ mod tests {
         s.ingest_batch(&table("b", &schema, &["golden heart river live"]))
             .unwrap();
         let good = s.snapshot_bytes().unwrap();
-        assert_eq!(&good[..4], wire::SNAPSHOT_MAGIC);
+        assert!(good.starts_with(wire::SNAPSHOT_MAGIC));
         let restore = |bytes: &[u8]| {
             EntityStore::restore_bytes(bytes, HashedLexicalEncoder::default()).map(|s| s.stats())
         };
@@ -1780,30 +1713,24 @@ mod tests {
             &mut older,
             &serde::Value::Map(vec![("uf".into(), serde::Value::Null)]),
         );
-        let meb3 = [b"MEB3".as_slice(), &good[4..]].concat();
-        let meb4 = [b"MEB4".as_slice(), &good[4..]].concat();
-        let meb5 = [b"MEB5".as_slice(), &good[4..]].concat();
-        let meb6 = [b"MEB6".as_slice(), &good[4..]].concat();
-        let meb7 = [b"MEB7".as_slice(), &good[4..]].concat();
-        let meb8 = [b"MEB8".as_slice(), &good[4..]].concat();
-        for foreign in [
-            &older[..],
-            &b"MEB2"[..],
-            &meb3[..],
-            &meb4[..],
-            &meb5[..],
-            &meb6[..],
-            &meb7[..],
-            &meb8[..],
-            &b"MEBX whatever"[..],
-            &b"MEB"[..],
-        ] {
-            match restore(foreign) {
+        let payload = &good[wire::SNAPSHOT_MAGIC.len()..];
+        let named = |magic: &str| [magic.as_bytes(), payload].concat();
+        let layouts = [
+            "MEB3", "MEB4", "MEB5", "MEB6", "MEB7", "MEB8", "MEB9", "MEB11",
+        ];
+        let mut foreign: Vec<(Vec<u8>, &str)> = layouts.map(|old| (named(old), old)).into();
+        foreign.extend([
+            (older, "MEB1"),
+            (b"MEB2".to_vec(), "MEB2"),
+            (b"MEB1".to_vec(), "MEB1"),
+            (b"MEBX whatever".to_vec(), "MEBX"),
+            (b"MEB".to_vec(), "MEB"),
+        ]);
+        for (bytes, name) in foreign {
+            match restore(&bytes) {
                 Err(OnlineError::Snapshot(msg)) => {
-                    assert!(msg.contains("MEB9"), "{msg}");
-                    assert!(
-                        foreign.len() < 4 || msg.contains(&format!("MEB{}", foreign[3] as char))
-                    );
+                    assert!(msg.contains("`MEB10`"), "{msg}");
+                    assert!(msg.contains(&format!("`{name}`")), "{msg}");
                 }
                 other => panic!("expected a snapshot error, got {other:?}"),
             }
@@ -1825,30 +1752,30 @@ mod tests {
     #[test]
     fn snapshot_layout_is_pinned_to_its_magic() {
         // A field added, dropped, renamed or moved below changes what
-        // `restore_bytes` reads: bump the version byte of `SNAPSHOT_MAGIC`
+        // `restore_bytes` reads: bump the layout version of `SNAPSHOT_MAGIC`
         // in the same change as these lists.
-        assert_eq!(wire::SNAPSHOT_MAGIC, b"MEB9");
+        assert_eq!(wire::SNAPSHOT_MAGIC, b"MEB10");
         let (cfg, dir) = disk_config("layout");
         let mut s = EntityStore::new(cfg, HashedLexicalEncoder::default());
         s.init_schema(title_schema()).unwrap();
         s.insert(Record::from_texts(["golden heart river"]))
             .unwrap();
         let bytes = s.snapshot_bytes().unwrap();
-        // The layouts before this one are refused by name: `MEB8` carried
-        // the HNSW size threshold in `config.base` and an index backend
-        // variant; `MEB7` the source
-        // names in `records`; `MEB6` `parallel` in `config.base`; `MEB5` a
-        // selection strategy in `config` and `index_backend`, `min_pts` and
-        // `prune_metric` in `config.base`; `MEB4` a prune counter and a
-        // dirty bit per cluster.
-        for old in ["MEB8", "MEB7", "MEB6", "MEB5", "MEB4"] {
-            let stale = [old.as_bytes(), &bytes[4..]].concat();
+        // The layouts before this one are refused by name: `MEB9` carried
+        // the index's staleness bound in `config` and a rebuild counter in
+        // `clusters`; `MEB8` the HNSW size threshold in `config.base` and an
+        // index backend variant; `MEB7` the source names in `records`;
+        // `MEB6` `parallel` in `config.base`; `MEB5` a selection strategy in
+        // `config` and `index_backend`, `min_pts` and `prune_metric` in
+        // `config.base`; `MEB4` a prune counter and a dirty bit per cluster.
+        for old in ["MEB9", "MEB8", "MEB7", "MEB6", "MEB5", "MEB4"] {
+            let stale = [old.as_bytes(), &bytes[wire::SNAPSHOT_MAGIC.len()..]].concat();
             match EntityStore::restore_bytes(&stale, HashedLexicalEncoder::default()) {
                 Err(OnlineError::Snapshot(msg)) => assert!(msg.contains(&format!("`{old}`"))),
                 other => panic!("expected a snapshot error, got {other:?}"),
             }
         }
-        let mut value = wire::value_from_bytes(&bytes[4..]).unwrap();
+        let mut value = wire::value_from_bytes(&bytes[wire::SNAPSHOT_MAGIC.len()..]).unwrap();
         let mut keys = |path: &[&str]| -> String {
             let fields = at(&mut value, path).as_map().expect("a struct");
             let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
@@ -1858,10 +1785,7 @@ mod tests {
             keys(&[]),
             "config schema records stream_source clusters pruned_outliers"
         );
-        assert_eq!(
-            keys(&["config"]),
-            "base rebuild_staleness match_within_source storage"
-        );
+        assert_eq!(keys(&["config"]), "base match_within_source storage");
         assert_eq!(
             keys(&["config", "base"]),
             "attribute_selection sample_ratio gamma serialize k m merge_metric \
@@ -1879,7 +1803,7 @@ mod tests {
             keys(&["records", "spill", "config"]),
             "dir segment_records cache_records"
         );
-        assert_eq!(keys(&["clusters"]), "clusters index rebuilds");
+        assert_eq!(keys(&["clusters"]), "clusters index");
         // The index is the exact one, with no backend variant around it.
         assert_eq!(keys(&["clusters", "index"]), "metric dim data");
         // A cluster is its members: it carries no embedding of its own.
@@ -1901,7 +1825,7 @@ mod tests {
 
         let good = s.snapshot_bytes().unwrap();
         let restore_edited = |edit: &dyn Fn(&mut serde::Value)| {
-            let mut value = wire::value_from_bytes(&good[4..]).unwrap();
+            let mut value = wire::value_from_bytes(&good[wire::SNAPSHOT_MAGIC.len()..]).unwrap();
             edit(&mut value);
             let bytes = [
                 wire::SNAPSHOT_MAGIC.as_slice(),
@@ -1974,7 +1898,7 @@ mod tests {
         assert_eq!(stats.clusters, table.iter().count());
         assert_eq!(stats.tuples, tuples);
         assert_eq!(s.tuples().len(), tuples);
-        assert_eq!(stats.index_nodes - stats.stale_nodes, indexed);
+        assert_eq!(stats.index_nodes, indexed);
         assert_eq!(s.storage_stats().records, records);
         assert_eq!(s.storage_stats().deleted_records, stats.deleted);
     }
@@ -2134,9 +2058,73 @@ mod tests {
             assert_eq!(a, b, "mem and disk must end in the same tuples");
             assert!(a.len() > 10, "vacuous: {} tuples", a.len());
             let stats = disk.stats();
-            assert!(stats.deleted > 10 && stats.stale_nodes + stats.rebuilds > 0);
+            assert!(stats.deleted > 10, "{stats:?}");
             assert!(disk.storage_stats().spilled_records > 0, "must spill");
             std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// Twin representatives lie at exactly equal distance from any query:
+    /// copies of one title in one source never fuse directly, so each copy
+    /// is a singleton under the same row, bit for bit. Where Eq. 1's top-K
+    /// cuts between twins, the look-up ranks them by index row, and the
+    /// mutual check's `k + 1` look-up drops the candidate's own row from
+    /// among them; both must still be the rule by definition, before and
+    /// after removals have moved rows around.
+    #[test]
+    fn twins_at_exactly_equal_distance_answer_eq_1() {
+        let schema = title_schema();
+        let (golden, drill, tv) = ("golden heart river", "makita drill 18v", "sony bravia tv");
+        let probes = [
+            golden,
+            drill,
+            tv,
+            "golden heart river live",
+            "makita drill 18 v",
+        ]
+        .map(|title| Record::from_texts([title]));
+        for k in [1, 3] {
+            let mut cfg = config();
+            cfg.base.k = k;
+            assert!(!cfg.match_within_source);
+            let m = cfg.base.m;
+            let mut s = EntityStore::new(cfg, HashedLexicalEncoder::default());
+            let titles = [golden, drill, golden, tv, golden, drill, golden, tv, golden];
+            s.ingest_batch(&table("a", &schema, &titles)).unwrap();
+            assert_eq!(s.stats().index_nodes, titles.len(), "no copy fused");
+
+            let emb = s.embed(&probes[0], &s.state.schema.as_ref().unwrap().selected);
+            let hits = s.state.clusters.search(&emb, k + 1, m);
+            assert_eq!(hits.len(), k + 1);
+            assert_eq!(
+                hits[k - 1].1.to_bits(),
+                hits[k].1.to_bits(),
+                "a tie at the cut"
+            );
+
+            let mut candidates = 0;
+            let mut check = |s: &EntityStore<HashedLexicalEncoder>| {
+                check_invariants(s);
+                for probe in &probes {
+                    candidates += check_candidates_are_eq_1(s, probe);
+                }
+                s.state.clusters.check_mutual(k, m);
+            };
+            check(&s);
+            // The first copy and one in the middle go: each frees a slot
+            // the last row moves into.
+            for row in [0, 4, 5] {
+                assert!(s.delete_record(EntityId::new(0, row)).unwrap());
+                check(&s);
+            }
+            // Another source's copies meet the twins at equal distance.
+            s.ingest_batch(&table("b", &schema, &[golden, tv])).unwrap();
+            check(&s);
+            s.refresh();
+            check(&s);
+            assert!(s.delete_record(EntityId::new(1, 0)).unwrap());
+            check(&s);
+            assert!(candidates > 10, "k = {k}: vacuous, {candidates} candidates");
         }
     }
 
@@ -2165,15 +2153,14 @@ mod tests {
 
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let mut ids: Vec<EntityId> = Vec::new();
-            let mut counts = [0usize; 6];
+            let mut counts = [0usize; 5];
             for step in 0..160 {
                 let op = match rng.gen_range(0..100) {
                     0..=49 => 0,
                     50..=62 => 1,
                     63..=77 => 2,
-                    78..=85 => 3,
-                    86..=93 => 4,
-                    _ => 5,
+                    78..=89 => 3,
+                    _ => 4,
                 };
                 counts[op] += 1;
                 match op {
@@ -2195,14 +2182,8 @@ mod tests {
                         }
                         assert_eq!(s.snapshot_bytes().unwrap(), before, "step {step}");
                     }
-                    // Pruning, which splits clusters, then a rebuild if due.
+                    // Pruning, which splits clusters.
                     3 => s.refresh(),
-                    4 => {
-                        // A staleness rebuild with no write right before it.
-                        let mut eager = s.config().clone();
-                        eager.rebuild_staleness = 0.0;
-                        s.state.clusters.maybe_rebuild(&eager);
-                    }
                     _ => {
                         let bytes = s.snapshot_bytes().unwrap();
                         s = EntityStore::restore_bytes(&bytes, encoder()).unwrap();
@@ -2218,10 +2199,7 @@ mod tests {
             assert!(counts.iter().all(|&c| c >= 5), "every op ran: {counts:?}");
             let stats = s.stats();
             assert!(stats.tuples > 5, "vacuous: {stats:?}");
-            assert!(
-                stats.pruned_outliers > 0 && stats.rebuilds >= 2,
-                "{stats:?}"
-            );
+            assert!(stats.pruned_outliers > 0, "{stats:?}");
         }
     }
 }

@@ -4,8 +4,8 @@
 //! A snapshot is the store's `StoreState` — everything but the encoder — in
 //! the binary value codec of [`crate::wire`] behind [`wire::SNAPSHOT_MAGIC`].
 //! It carries each fact once: the id <-> sequence map as storage's, the
-//! partition as the clusters' member lists and the index liveness as their
-//! nodes; the reverse maps are derived on restore.
+//! partition as the clusters' member lists and each index row's owner as
+//! their nodes; the reverse maps are derived on restore.
 
 use super::{EntityStore, StoreState};
 use crate::error::OnlineError;
@@ -49,13 +49,17 @@ impl<E: EmbeddingModel> EntityStore<E> {
     pub fn restore_bytes(bytes: &[u8], encoder: E) -> Result<Self> {
         let magic = wire::SNAPSHOT_MAGIC.as_slice();
         let Some(payload) = bytes.strip_prefix(magic) else {
-            if !bytes.starts_with(&magic[..3]) {
+            let Some(rest) = bytes.strip_prefix(&magic[..3]) else {
                 return Err(failed("not a snapshot: the `MEB` magic is missing"));
-            }
+            };
+            // The layout version: the digits after `MEB`, else the one byte
+            // there (a payload starts with a tag below any digit).
+            let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+            let found = &bytes[..3 + digits.max(1).min(rest.len())];
             return Err(OnlineError::Snapshot(format!(
                 "snapshot has binary layout `{}`, this build reads `{}` only; \
                  restore it with the build that wrote it",
-                String::from_utf8_lossy(&bytes[..bytes.len().min(magic.len())]),
+                String::from_utf8_lossy(found),
                 String::from_utf8_lossy(magic),
             )));
         };

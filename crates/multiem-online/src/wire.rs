@@ -30,10 +30,10 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Magic prefix of snapshots. The last byte is the layout version: a
-/// snapshot under `MEB` and any other version is refused by name, not
-/// misread.
-pub const SNAPSHOT_MAGIC: &[u8; 4] = b"MEB9";
+/// Magic prefix of snapshots. The digits after `MEB` are the layout
+/// version: a snapshot under `MEB` and any other version is refused by name,
+/// not misread.
+pub const SNAPSHOT_MAGIC: &[u8; 5] = b"MEB10";
 
 /// Magic prefix of segment files written by the record store when it spills
 /// (`crate::storage::RecordStorage`).

@@ -122,7 +122,8 @@ fn main() {
                      \x20 --ready-max-backlog N   /readyz answers 503 past N queued\n\
                      \x20                    ingest records (0 disables)\n\
                      \x20 --ready-max-fsync-ms N  /readyz answers 503 past N ms\n\
-                     \x20                    windowed p99 fsync latency (0 disables)\n\
+                     \x20                    windowed p99 fsync latency (0 disables;\n\
+                     \x20                    refused with --no-telemetry)\n\
                      \x20 --log-rotate-bytes N  rotate --log-file / --access-log\n\
                      \x20                    at N bytes (0 disables rotation), keeping\n\
                      \x20                    3 rotated generations"

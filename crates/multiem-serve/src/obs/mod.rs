@@ -91,7 +91,9 @@ pub struct ObsConfig {
     /// (`0` disables the check).
     pub ready_max_backlog: u64,
     /// `/readyz` degrades (503) past this windowed p99 fsync latency in
-    /// milliseconds (`0` disables the check).
+    /// milliseconds (`0` disables the check). The latency is the analytics
+    /// layer's, so a non-zero value needs `telemetry`: `MatchServer::bind`
+    /// refuses one without it.
     pub ready_max_fsync_ms: u64,
     /// Rotate `--log-file`/`--access-log` once they reach this many bytes
     /// (`0` disables rotation).

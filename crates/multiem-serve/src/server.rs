@@ -115,6 +115,15 @@ impl<E: EmbeddingModel + Clone + 'static> MatchServer<E> {
                 "schema needs at least one attribute".into(),
             ));
         }
+        // The fsync check reads the windowed p99 from the analytics layer,
+        // which telemetry off leaves out: the threshold would never trip.
+        if !config.obs.telemetry && config.obs.ready_max_fsync_ms > 0 {
+            return Err(ServeError::Config(
+                "--ready-max-fsync-ms needs telemetry: --no-telemetry turns off \
+                 the windowed fsync latency it reads"
+                    .into(),
+            ));
+        }
         let schema = Schema::new(config.attributes.iter().map(String::as_str)).shared();
         // Telemetry comes up first so restore/replay warnings already go
         // through the structured logger (and a bad --log-file/--access-log

@@ -7,7 +7,7 @@
 
 use multiem_embed::HashedLexicalEncoder;
 use multiem_serve::http::{read_response, HttpClient};
-use multiem_serve::{MatchServer, ServeConfig, ServerHandle, ShardedEntityStore};
+use multiem_serve::{MatchServer, ServeConfig, ServeError, ServerHandle, ShardedEntityStore};
 use multiem_table::{Record, Schema};
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -581,6 +581,27 @@ fn damaged_manifests_are_refused_not_reinterpreted() {
         assert!(refused.to_string().contains("MANIFEST.json"), "{refused}");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_fsync_readiness_threshold_without_telemetry_is_refused() {
+    let bind = |telemetry: bool, ready_max_fsync_ms: u64| {
+        let mut config = ServeConfig::default();
+        config.obs.telemetry = telemetry;
+        config.obs.ready_max_fsync_ms = ready_max_fsync_ms;
+        MatchServer::bind(config, HashedLexicalEncoder::default(), "127.0.0.1:0").map(|_| ())
+    };
+    // The threshold reads the windowed fsync p99, which only telemetry
+    // keeps: without it the check could never trip, so start-up says so.
+    let refused = bind(false, 50).expect_err("a threshold that cannot trip");
+    assert!(matches!(refused, ServeError::Config(_)), "{refused}");
+    let msg = refused.to_string();
+    assert!(
+        msg.contains("--ready-max-fsync-ms") && msg.contains("--no-telemetry"),
+        "{msg}"
+    );
+    bind(false, 0).expect("no threshold, no telemetry");
+    bind(true, 50).expect("a threshold with telemetry");
 }
 
 /// `/healthz`'s `storage` and `/stats`' `storage.backend`: the backend the

@@ -88,14 +88,8 @@ fn main() {
     store.refresh();
     let stats = store.stats();
     println!(
-        "store: {} records, {} clusters ({} tuples), index {} nodes ({} stale, {} rebuilds), {} pruned outliers",
-        stats.records,
-        stats.clusters,
-        stats.tuples,
-        stats.index_nodes,
-        stats.stale_nodes,
-        stats.rebuilds,
-        stats.pruned_outliers
+        "store: {} records, {} clusters ({} tuples), index {} nodes, {} pruned outliers",
+        stats.records, stats.clusters, stats.tuples, stats.index_nodes, stats.pruned_outliers
     );
 
     let truth = dataset
