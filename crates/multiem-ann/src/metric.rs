@@ -70,16 +70,20 @@ impl Metric {
     /// loop in two legs.
     ///
     /// What the tile buys: a pair's sum runs on eight accumulator lanes,
-    /// which on the baseline x86-64 target (SSE2: four-float registers, no
-    /// fused multiply-add, sixteen registers) are two registers, i.e. two
-    /// dependent add chains, so a lone pair is bound by add latency. A tile
-    /// runs `R × C` pairs' chains side by side and loads each vector's block
-    /// once for a whole row or column of pairs. The `2 · R · C` accumulator
-    /// registers have to fit beside the loaded blocks: 1×4 and 2×2 (eight)
-    /// do; 4×4 (thirty-two) spills every accumulator on every block.
-    /// Measured on 384-d vectors (`cargo bench -p multiem-bench --bench ann`,
-    /// `ann/kernel`, four runs on a shared two-core VM): 1×1 43–58 ns per
-    /// pair, 1×4 30–38 ns, 2×2 30–46 ns, 4×4 50–79 ns.
+    /// which on the workspace's x86-64-v3 target (`.cargo/config.toml`:
+    /// AVX2, sixteen eight-float `ymm` registers) are one register, i.e. one
+    /// dependent add chain, so a lone pair is bound by add latency. (The
+    /// target has FMA, but Rust never contracts `a * b + c` into one, so the
+    /// bits are a baseline SSE2 build's.) A tile runs `R × C` pairs' chains
+    /// side by side and loads each vector's block once for a whole row or
+    /// column of pairs. The `R · C` accumulator registers have to fit beside
+    /// the `R + C` loaded blocks: 1×4 and 2×2 take eight of the sixteen; 4×4
+    /// needs twenty-four and spills, and gains nothing end to end (see
+    /// `TILE_ROWS` in `mutual.rs`). Measured on 384-d vectors (`cargo bench
+    /// -p multiem-bench --bench ann`, `ann/kernel`, two runs on a shared
+    /// two-core VM), ns per pair at v3: 1×1 52–54, 1×4 34–37, 2×2 26–30,
+    /// 4×4 25–31; a baseline SSE2 build measured alongside: 75–77, 49–51,
+    /// 46–49, 42–74.
     #[inline]
     pub fn distance_tile<const R: usize, const C: usize>(
         &self,
@@ -235,9 +239,10 @@ fn cosine_from_parts(dot: f32, norm_a: f32, norm_b: f32) -> f32 {
 /// ([`sum_lanes`]), then the `len % LANES` trailing terms one by one. That
 /// order is part of the result (f32 addition does not associate) and is the
 /// same in every tile shape, which is why a tile is bit-equal to the pair
-/// kernel. More lanes would change every sum, and do not help: on SSE2 the
-/// lanes of one pair are still chains of dependent adds, and what hides
-/// their latency is other pairs' chains ([`Metric::distance_tile`]).
+/// kernel. Eight is one `ymm` register on the x86-64-v3 target (two `xmm`
+/// registers on baseline SSE2). More lanes would change every sum, and do
+/// not help: a pair's lanes are still one chain of dependent adds, and what
+/// hides their latency is other pairs' chains ([`Metric::distance_tile`]).
 const LANES: usize = 8;
 
 #[inline]

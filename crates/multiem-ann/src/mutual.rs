@@ -217,8 +217,12 @@ fn reciprocal(
 }
 
 /// Shape of the exact join's distance tiles: the widest square whose
-/// accumulators stay in registers on the baseline target (`ann/kernel`
-/// bench rows; see `LANES` in `metric.rs`).
+/// accumulators stay in registers. On the x86-64-v3 target a pair's lanes
+/// are one of the sixteen `ymm` registers, so 2×2 holds four accumulators
+/// beside four loaded blocks (see `LANES` in `metric.rs`). Measured at v3 on
+/// the ledger's batch workloads (`op_p50_ms` medians, `batch_many` /
+/// `batch_wide`, 8 / 6 seeds): 2×2 77.6 / 244 ms, 4×4 75.8 / 263 ms (no
+/// better), 2×4 285 / 751 ms (about 3x slower).
 const TILE_ROWS: usize = 2;
 const TILE_COLS: usize = 2;
 

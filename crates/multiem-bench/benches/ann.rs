@@ -17,7 +17,8 @@
 //! inverse. 1×1 is the pair kernel (`distance_prenormed`), 1×4 the tile of
 //! the scan (run in two legs, with the bound between them) and of the HNSW
 //! neighbour expansion, 2×2 the tile of the exact join; 4×4 is there to
-//! show why it is not used (its accumulators spill).
+//! show why it is not used (its accumulators spill: on the x86-64-v3 build
+//! it ties 2×2 here and gains nothing on the ledger's batch workloads).
 //! Every distance under the benchmark's `ann.mutual.join_s`,
 //! `ann.brute.search_us`, `ann.hnsw.search_us` and `ann.hnsw.insert_us` rows
 //! is one of these.

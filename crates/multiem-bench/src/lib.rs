@@ -113,7 +113,8 @@ impl HarnessConfig {
     }
 
     /// The header line of every run: `MULTIEM_SCALE`, the datasets its
-    /// numbers were obtained at, and the machine they were timed on. Each
+    /// numbers were obtained at, the machine they were timed on and the
+    /// instruction set the binary was compiled for (`target_level`). Each
     /// preset's own scale ([`HarnessConfig::scale_for`]) is Table III's.
     pub fn announce(&self, datasets: &[BenchmarkDataset]) -> String {
         let names: Vec<&str> = datasets.iter().map(|d| d.stats.name.as_str()).collect();
@@ -126,9 +127,10 @@ impl HarnessConfig {
             })
             .unwrap_or_else(|| "unknown CPU".to_string());
         format!(
-            "[multiem-bench] MULTIEM_SCALE={}, datasets {}; {cores} cores, {cpu}\n",
+            "[multiem-bench] MULTIEM_SCALE={}, datasets {}; {cores} cores, {cpu}; built for {}\n",
             self.scale,
-            names.join(",")
+            names.join(","),
+            target_level()
         )
     }
 
@@ -155,6 +157,24 @@ impl HarnessConfig {
                 benchmark_dataset(&spec.name, self.scale_for(&spec.name)).expect("preset exists")
             })
             .collect()
+    }
+}
+
+/// The x86-64 microarchitecture level this binary was compiled for (the
+/// root `.cargo/config.toml` asks for v3), named by the widest extension
+/// each level adds, or the architecture's name elsewhere. The time cells
+/// depend on it; the quality cells must not.
+fn target_level() -> &'static str {
+    if !cfg!(target_arch = "x86_64") {
+        std::env::consts::ARCH
+    } else if cfg!(target_feature = "avx512f") {
+        "x86-64-v4"
+    } else if cfg!(target_feature = "avx2") {
+        "x86-64-v3"
+    } else if cfg!(target_feature = "sse4.2") {
+        "x86-64-v2"
+    } else {
+        "x86-64"
     }
 }
 
