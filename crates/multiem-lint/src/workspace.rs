@@ -175,6 +175,10 @@ mod tests {
         assert!(f.hot_path);
         let f = classify(root, &src, src.join("bin/serve.rs"));
         assert!(f.is_crate_root && f.is_bin && !f.hot_path);
+        // A module the binaries share is bin code (it may `eprintln!`),
+        // but no crate root.
+        let f = classify(root, &src, src.join("bin/cli/mod.rs"));
+        assert!(!f.is_crate_root && f.is_bin && !f.hot_path);
         let other = root.join("crates/multiem-core/src");
         let f = classify(root, &other, other.join("matcher.rs"));
         assert!(!f.is_crate_root && !f.is_bin && !f.hot_path);

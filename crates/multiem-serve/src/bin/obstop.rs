@@ -15,6 +15,9 @@
 
 #![forbid(unsafe_code)]
 
+mod cli;
+
+use cli::{fail, parse, Flag};
 use multiem_serve::http::HttpClient;
 use serde::Value;
 
@@ -27,6 +30,15 @@ struct Options {
     no_clear: bool,
 }
 
+/// Every flag of `obstop`, one row each: the parser and `--help` both read it.
+#[rustfmt::skip]
+const FLAGS: &[Flag<Options>] = &[
+    Flag { name: "--addr", value: "HOST:PORT", help: "server to watch (required)", set: |o, v| { o.addr = v.to_string(); Ok(()) } },
+    Flag { name: "--interval-ms", value: "N", help: "refresh interval (default 2000)", set: |o, v| parse(v, "--interval-ms").map(|n| o.interval_ms = n) },
+    Flag { name: "--iterations", value: "N", help: "render N frames then exit (default: forever)", set: |o, v| parse(v, "--iterations").map(|n| o.iterations = n) },
+    Flag { name: "--no-clear", value: "", help: "do not clear the screen between frames", set: |o, _| { o.no_clear = true; Ok(()) } },
+];
+
 fn main() {
     let mut opts = Options {
         addr: String::new(),
@@ -34,31 +46,11 @@ fn main() {
         iterations: 0,
         no_clear: false,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| fail(&format!("{name} needs a value")))
-        };
-        match arg.as_str() {
-            "--addr" => opts.addr = value("--addr"),
-            "--interval-ms" => opts.interval_ms = parse(&value("--interval-ms"), "--interval-ms"),
-            "--iterations" => opts.iterations = parse(&value("--iterations"), "--iterations"),
-            "--no-clear" => opts.no_clear = true,
-            "--help" | "-h" => {
-                println!(
-                    "obstop: live terminal dashboard over a multiem-serve instance\n\n\
-                     options:\n\
-                     \x20 --addr HOST:PORT  server to watch (required)\n\
-                     \x20 --interval-ms N   refresh interval (default 2000)\n\
-                     \x20 --iterations N    render N frames then exit (default: forever)\n\
-                     \x20 --no-clear        do not clear the screen between frames"
-                );
-                return;
-            }
-            other => fail(&format!("unknown flag `{other}` (try --help)")),
-        }
-    }
+    cli::apply(
+        "obstop: live terminal dashboard over a multiem-serve instance",
+        FLAGS,
+        &mut opts,
+    );
     if opts.addr.is_empty() {
         fail("--addr is required (try --help)");
     }
@@ -249,14 +241,4 @@ fn num(value: &Value, name: &str) -> f64 {
 
 fn int(value: &Value, name: &str) -> u64 {
     field(value, name).and_then(Value::as_u64).unwrap_or(0)
-}
-
-fn parse<T: std::str::FromStr>(text: &str, flag: &str) -> T {
-    text.parse()
-        .unwrap_or_else(|_| fail(&format!("invalid value `{text}` for {flag}")))
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
 }

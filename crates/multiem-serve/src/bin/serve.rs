@@ -8,137 +8,77 @@
 
 #![forbid(unsafe_code)]
 
+mod cli;
+
+use cli::{fail, parse, Flag};
 use multiem_embed::HashedLexicalEncoder;
 use multiem_online::StorageConfig;
 use multiem_serve::obs::Level;
 use multiem_serve::{FsyncPolicy, MatchServer, ServeConfig};
 use serde::Value;
 use std::io::Write;
-use std::path::PathBuf;
+
+/// What the command line sets.
+struct Options {
+    config: ServeConfig,
+    addr: String,
+    /// `--io-threads` was given: warned about once the logger is up.
+    io_threads: bool,
+}
+
+/// Every flag of `serve`, one row each: the parser and `--help` both read it.
+#[rustfmt::skip]
+const FLAGS: &[Flag<Options>] = &[
+    Flag { name: "--addr", value: "HOST:PORT", help: "bind address (default 127.0.0.1:7878)", set: |o, v| { o.addr = v.to_string(); Ok(()) } },
+    Flag { name: "--shards", value: "N", help: "store shards (default 4)", set: |o, v| parse(v, "--shards").map(|n| o.config.shards = n) },
+    Flag { name: "--workers", value: "N", help: "request-execution worker threads (default 4)", set: |o, v| parse(v, "--workers").map(|n| o.config.workers = n) },
+    // Only warned about (every connection has its own reader); kept because
+    // existing command lines, the benchmark's among them, pass it.
+    Flag { name: "--io-threads", value: "N", help: "ignored (each connection has its own\nreader thread); logs a warning", set: |o, v| parse::<usize>(v, "--io-threads").map(|_| o.io_threads = true) },
+    Flag { name: "--data-dir", value: "PATH", help: "enable WAL + checkpoints under PATH", set: |o, v| { o.config.data_dir = Some(v.into()); Ok(()) } },
+    Flag { name: "--attrs", value: "a,b,c", help: "schema attribute names (default `title`)", set: |o, v| { o.config.attributes = v.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect(); Ok(()) } },
+    Flag { name: "--m", value: "FLOAT", help: "merge distance threshold (default 0.35)", set: |o, v| parse(v, "--m").map(|m| o.config.online.base.m = m) },
+    // `bind` roots a disk backend under --data-dir.
+    Flag { name: "--storage", value: "mem|disk", help: "record storage of a new data dir (disk spills\nto segments under --data-dir; default mem)",
+        set: |o, v| match v {
+            "mem" | "memory" => { o.config.online.storage = StorageConfig::Memory; Ok(()) }
+            "disk" => { o.config.online = o.config.online.clone().with_disk_storage(""); Ok(()) }
+            other => Err(format!("unknown storage backend `{other}` (expected mem or disk)")),
+        } },
+    Flag { name: "--fsync", value: "POLICY", help: "WAL fsync: never, interval or always\n(default interval)", set: |o, v| FsyncPolicy::parse(v).map(|p| o.config.fsync = p) },
+    Flag { name: "--queue-depth", value: "N", help: "per-shard ingest queue bound; full shards\nanswer 429 + Retry-After (default 4096)", set: |o, v| parse(v, "--queue-depth").map(|n| o.config.queue_depth = n) },
+    Flag { name: "--log-level", value: "LVL", help: "structured-log level: error, warn, info\nor debug (default info)", set: |o, v| Level::parse(v).map(|l| o.config.obs.log_level = l) },
+    Flag { name: "--log-file", value: "PATH", help: "write structured JSON logs to PATH\ninstead of stderr", set: |o, v| { o.config.obs.log_file = Some(v.into()); Ok(()) } },
+    Flag { name: "--access-log", value: "PATH", help: "append one JSON access line per request", set: |o, v| { o.config.obs.access_log = Some(v.into()); Ok(()) } },
+    Flag { name: "--trace-sample-rate", value: "R", help: "emit the trace of every ~1/R-th\nrequest as a JSON line (0 disables)",
+        set: |o, v| match parse::<f64>(v, "--trace-sample-rate")? {
+            rate if rate.is_finite() => { o.config.obs.trace_sample_rate = rate; Ok(()) }
+            _ => Err(format!("invalid value `{v}` for --trace-sample-rate")),
+        } },
+    Flag { name: "--slow-request-ms", value: "N", help: "force-emit traces of requests slower\nthan N ms, sampled or not (0 disables)", set: |o, v| parse(v, "--slow-request-ms").map(|n| o.config.obs.slow_request_ms = n) },
+    Flag { name: "--no-telemetry", value: "", help: "disable histograms, traces, the access\nlog and the /debug/* analytics (60 s\nwindow; counters stay on)", set: |o, _| { o.config.obs.telemetry = false; Ok(()) } },
+    Flag { name: "--ready-max-backlog", value: "N", help: "/readyz answers 503 past N queued\ningest records (0 disables)", set: |o, v| parse(v, "--ready-max-backlog").map(|n| o.config.obs.ready_max_backlog = n) },
+    Flag { name: "--ready-max-fsync-ms", value: "N", help: "/readyz answers 503 past N ms\nwindowed p99 fsync latency (0 disables;\nrefused with --no-telemetry)", set: |o, v| parse(v, "--ready-max-fsync-ms").map(|n| o.config.obs.ready_max_fsync_ms = n) },
+    Flag { name: "--log-rotate-bytes", value: "N", help: "rotate --log-file / --access-log\nat N bytes (0 disables rotation), keeping\n3 rotated generations", set: |o, v| parse(v, "--log-rotate-bytes").map(|n| o.config.obs.log_rotate_bytes = n) },
+];
 
 fn main() {
-    let mut config = ServeConfig::default();
-    let mut addr = "127.0.0.1:7878".to_string();
-    let mut io_threads_given = false;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| fail(&format!("{name} needs a value")))
-        };
-        match arg.as_str() {
-            "--addr" => addr = value("--addr"),
-            "--shards" => config.shards = parse(&value("--shards"), "--shards"),
-            "--workers" => config.workers = parse(&value("--workers"), "--workers"),
-            // Accepted and ignored: every connection has its own reader.
-            "--io-threads" => {
-                parse::<usize>(&value("--io-threads"), "--io-threads");
-                io_threads_given = true;
-            }
-            "--data-dir" => config.data_dir = Some(PathBuf::from(value("--data-dir"))),
-            "--attrs" => {
-                config.attributes = value("--attrs")
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect();
-            }
-            "--m" => config.online.base.m = parse(&value("--m"), "--m"),
-            // `bind` roots a disk backend under --data-dir.
-            "--storage" => match value("--storage").as_str() {
-                "mem" | "memory" => config.online.storage = StorageConfig::Memory,
-                "disk" => config.online = config.online.with_disk_storage(""),
-                other => fail(&format!(
-                    "unknown storage backend `{other}` (expected mem or disk)"
-                )),
-            },
-            "--fsync" => {
-                config.fsync = FsyncPolicy::parse(&value("--fsync")).unwrap_or_else(|e| fail(&e));
-            }
-            "--queue-depth" => {
-                config.queue_depth = parse(&value("--queue-depth"), "--queue-depth");
-            }
-            "--log-level" => {
-                config.obs.log_level =
-                    Level::parse(&value("--log-level")).unwrap_or_else(|e| fail(&e));
-            }
-            "--log-file" => config.obs.log_file = Some(PathBuf::from(value("--log-file"))),
-            "--access-log" => config.obs.access_log = Some(PathBuf::from(value("--access-log"))),
-            "--trace-sample-rate" => {
-                let text = value("--trace-sample-rate");
-                config.obs.trace_sample_rate = parse(&text, "--trace-sample-rate");
-                if !config.obs.trace_sample_rate.is_finite() {
-                    fail(&format!("invalid value `{text}` for --trace-sample-rate"));
-                }
-            }
-            "--slow-request-ms" => {
-                config.obs.slow_request_ms =
-                    parse(&value("--slow-request-ms"), "--slow-request-ms");
-            }
-            "--no-telemetry" => config.obs.telemetry = false,
-            "--ready-max-backlog" => {
-                config.obs.ready_max_backlog =
-                    parse(&value("--ready-max-backlog"), "--ready-max-backlog");
-            }
-            "--ready-max-fsync-ms" => {
-                config.obs.ready_max_fsync_ms =
-                    parse(&value("--ready-max-fsync-ms"), "--ready-max-fsync-ms");
-            }
-            "--log-rotate-bytes" => {
-                config.obs.log_rotate_bytes =
-                    parse(&value("--log-rotate-bytes"), "--log-rotate-bytes");
-            }
-            "--help" | "-h" => {
-                println!(
-                    "multiem-serve: sharded entity-matching service\n\n\
-                     options:\n\
-                     \x20 --addr HOST:PORT   bind address (default 127.0.0.1:7878)\n\
-                     \x20 --shards N         store shards (default 4)\n\
-                     \x20 --workers N        request-execution worker threads (default 4)\n\
-                     \x20 --io-threads N     ignored (each connection has its own\n\
-                     \x20                    reader thread); logs a warning\n\
-                     \x20 --data-dir PATH    enable WAL + checkpoints under PATH\n\
-                     \x20 --attrs a,b,c      schema attribute names (default `title`)\n\
-                     \x20 --m FLOAT          merge distance threshold (default 0.35)\n\
-                     \x20 --storage mem|disk record storage of a new data dir (disk spills\n\
-                     \x20                    to segments under --data-dir; default mem)\n\
-                     \x20 --fsync POLICY     WAL fsync: never, interval or always\n\
-                     \x20                    (default interval)\n\
-                     \x20 --queue-depth N    per-shard ingest queue bound; full shards\n\
-                     \x20                    answer 429 + Retry-After (default 4096)\n\
-                     \x20 --log-level LVL    structured-log level: error, warn, info\n\
-                     \x20                    or debug (default info)\n\
-                     \x20 --log-file PATH    write structured JSON logs to PATH\n\
-                     \x20                    instead of stderr\n\
-                     \x20 --access-log PATH  append one JSON access line per request\n\
-                     \x20 --trace-sample-rate R  emit the trace of every ~1/R-th\n\
-                     \x20                    request as a JSON line (0 disables)\n\
-                     \x20 --slow-request-ms N  force-emit traces of requests slower\n\
-                     \x20                    than N ms, sampled or not (0 disables)\n\
-                     \x20 --no-telemetry     disable histograms, traces, the access\n\
-                     \x20                    log and the /debug/* analytics (60 s\n\
-                     \x20                    window; counters stay on)\n\
-                     \x20 --ready-max-backlog N   /readyz answers 503 past N queued\n\
-                     \x20                    ingest records (0 disables)\n\
-                     \x20 --ready-max-fsync-ms N  /readyz answers 503 past N ms\n\
-                     \x20                    windowed p99 fsync latency (0 disables;\n\
-                     \x20                    refused with --no-telemetry)\n\
-                     \x20 --log-rotate-bytes N  rotate --log-file / --access-log\n\
-                     \x20                    at N bytes (0 disables rotation), keeping\n\
-                     \x20                    3 rotated generations"
-                );
-                return;
-            }
-            other => fail(&format!("unknown flag `{other}` (try --help)")),
-        }
-    }
-
-    let server = match MatchServer::bind(config, HashedLexicalEncoder::default(), &addr) {
+    let mut options = Options {
+        config: ServeConfig::default(),
+        addr: "127.0.0.1:7878".to_string(),
+        io_threads: false,
+    };
+    cli::apply(
+        "multiem-serve: sharded entity-matching service",
+        FLAGS,
+        &mut options,
+    );
+    let encoder = HashedLexicalEncoder::default();
+    let server = match MatchServer::bind(options.config, encoder, &options.addr) {
         Ok(server) => server,
         Err(e) => fail(&format!("startup failed: {e}")),
     };
-    if io_threads_given {
+    if options.io_threads {
         server.logger().warn(
             "flag_ignored",
             &[
@@ -163,14 +103,4 @@ fn main() {
         std::io::stdout().lock(),
         "multiem-serve: drained and flushed; exiting"
     );
-}
-
-fn parse<T: std::str::FromStr>(text: &str, flag: &str) -> T {
-    text.parse()
-        .unwrap_or_else(|_| fail(&format!("invalid value `{text}` for {flag}")))
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
 }

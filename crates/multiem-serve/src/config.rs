@@ -60,10 +60,12 @@ pub struct ServeConfig {
     /// Attribute names of the served schema (positional).
     pub attributes: Vec<String>,
     /// Store configuration shared by every shard, data-free: attribute
-    /// selection off ([`OnlineConfig::with_all_attributes`]). Its `storage`
-    /// is where ingested records live (`--storage`): a disk backend needs
-    /// `data_dir` and is rooted at `<data_dir>/segments`, and a populated
-    /// data dir keeps the backend it was created with.
+    /// selection off ([`OnlineConfig::with_all_attributes`]). Every shard
+    /// runs it with `match_within_source` forced on, whatever it says here
+    /// ([`ShardedEntityStore::new`](crate::ShardedEntityStore::new)). Its
+    /// `storage` is where ingested records live (`--storage`): a disk
+    /// backend needs `data_dir` and is rooted at `<data_dir>/segments`, and
+    /// a populated data dir keeps the backend it was created with.
     pub online: OnlineConfig,
     /// Durability directory (WAL + checkpoints). `None` serves from memory
     /// only.
@@ -72,7 +74,8 @@ pub struct ServeConfig {
     pub fsync: FsyncPolicy,
     /// Per-shard bound on records admitted but not yet applied: `POST
     /// /records` answers `429` with `Retry-After` when a target shard is
-    /// full. `0` rejects every write (useful for drain/maintenance).
+    /// full. `0` rejects every ingest (useful for drain/maintenance);
+    /// deletes are not queued, so they are never refused.
     pub queue_depth: u64,
     /// Observability: metrics, tracing and structured logging (see
     /// [`ObsConfig`]).

@@ -31,12 +31,9 @@
 //!   record from its cluster; tombstoned records are reclaimed from disk
 //!   by the checkpoint-time segment compaction
 //!   ([`multiem_online::RecordStorage::compact`]);
-//! * [`MatchServer`] — a dependency-free HTTP/1.1 server exposing
-//!   `POST /records`, `POST /records/delete`, `DELETE /records/{id}`,
-//!   `POST /match`, `POST /snapshot`, `POST /admin/shutdown`, `GET /stats`,
-//!   `GET /healthz`, `GET /readyz`, `GET /metrics` and the `GET /debug/*`
-//!   introspection surface (`window`, `top`, `slow`, `storage`) — the rows
-//!   of one route table ([`MatchServer::routes`] lists them) — fronted by
+//! * [`MatchServer`] — a dependency-free HTTP/1.1 server whose routes are
+//!   the rows of one route table ([`MatchServer::routes`] lists them;
+//!   README's endpoint table is checked against it), fronted by
 //!   the [`Reactor`] in [`net`]: an acceptor hands each keep-alive
 //!   connection to a reader thread blocked in `read`, so a request is parsed
 //!   as soon as its bytes arrive (incremental parsing, pipelining, responses

@@ -255,12 +255,11 @@ impl<E: EmbeddingModel + Clone> ShardedEntityStore<E> {
     /// shares one stream source, so the batch pipeline's same-source
     /// restriction would veto every merge in a serving deployment.
     pub fn new(
-        mut config: OnlineConfig,
+        config: OnlineConfig,
         schema: Arc<Schema>,
         num_shards: usize,
         encoder: E,
     ) -> Result<Self, OnlineError> {
-        config.match_within_source = true;
         config.validate().map_err(OnlineError::InvalidConfig)?;
         // Every shard starts as `restore` leaves one it has no snapshot of.
         let empty = vec![None; num_shards.clamp(1, 4096)];

@@ -957,7 +957,7 @@ fn seeded_scripts_restarted_equals_never_killed() {
 
 #[test]
 fn full_ingest_queue_answers_429_with_retry_after() {
-    // queue_depth 0: every write is refused (the drain/maintenance mode),
+    // queue_depth 0: every ingest is refused (the drain/maintenance mode),
     // which makes the backpressure path deterministic to observe.
     let (handle, addr) = spawn_server(ServeConfig {
         queue_depth: 0,
@@ -1032,7 +1032,8 @@ fn batch_larger_than_queue_depth_gets_terminal_400() {
 
 #[test]
 fn stats_counters_are_the_metric_registry() {
-    // `queue_depth: 0` refuses every write, so the ingests are the 429s.
+    // `queue_depth: 0` refuses every ingest, so the ingests are the 429s;
+    // deletes are not queued, so the delete is the store's 404.
     let (handle, addr) = spawn_server(ServeConfig {
         queue_depth: 0,
         ..ServeConfig::default()
@@ -2657,6 +2658,50 @@ fn no_reader_thread_outlives_its_connection() {
 }
 
 #[test]
+fn obstop_renders_a_frame_of_a_running_server() {
+    use std::process::{Command, Output};
+
+    let obstop = |args: &[&str]| -> Output {
+        Command::new(env!("CARGO_BIN_EXE_obstop"))
+            .args(args)
+            .output()
+            .expect("obstop runs")
+    };
+    // One frame of a server that has taken one ingest.
+    let frame = |config: ServeConfig| -> String {
+        let (handle, addr) = spawn_server(config);
+        let mut client = HttpClient::connect(&addr).unwrap();
+        post_records(&mut client, &["apple iphone 8"]);
+        let run = obstop(&["--addr", &addr, "--iterations", "1", "--no-clear"]);
+        handle.shutdown();
+        assert!(run.status.success(), "{run:?}");
+        String::from_utf8(run.stdout).unwrap()
+    };
+
+    let on = frame(ServeConfig::default());
+    let window = on
+        .split("[window]")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no [window] section: {on}"));
+    assert!(
+        window
+            .lines()
+            .any(|line| line.trim_start().starts_with("records ")),
+        "no `records` row in the window: {on}"
+    );
+
+    let mut config = ServeConfig::default();
+    config.obs.telemetry = false;
+    let off = frame(config);
+    assert!(off.contains("[window]  analytics disabled"), "{off}");
+
+    let bogus = obstop(&["--bogus"]);
+    assert_eq!(bogus.status.code(), Some(2), "{bogus:?}");
+    let stderr = String::from_utf8_lossy(&bogus.stderr);
+    assert!(stderr.contains("unknown flag"), "{stderr}");
+}
+
+#[test]
 fn every_flag_serve_help_prints_is_one_its_parser_knows() {
     use std::process::{Command, Output};
 
@@ -2683,7 +2728,13 @@ fn every_flag_serve_help_prints_is_one_its_parser_knows() {
         "{flags:?}"
     );
 
+    let readme = include_str!("../../../README.md");
     for flag in flags {
+        // Named whole: `--m` is not documented by `--match`.
+        let named = readme.match_indices(flag).any(|(at, _)| {
+            !readme[at + flag.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+        });
+        assert!(named, "README does not document {flag}");
         let run = serve(&["--addr", UNBINDABLE, flag]);
         let stderr = String::from_utf8_lossy(&run.stderr);
         assert!(!stderr.contains("unknown flag"), "{flag}: {stderr}");
