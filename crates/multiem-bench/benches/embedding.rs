@@ -2,15 +2,16 @@
 //!
 //! Supports the representation-phase (R) timings of Figure 5: how fast the
 //! hashed lexical encoder turns serialized entities into embeddings, as a
-//! function of batch size and embedding dimension. `embedding/accumulate_token`
-//! is the sign kernel alone (one token into a 384-d accumulator), and
+//! function of batch size and embedding dimension. `embedding/accumulate_tokens`
+//! is the sign kernel alone (66 tokens, a music row's count, into a 384-d
+//! accumulator), and
 //! `embedding/encode/all_attributes` encodes whole 8-attribute `music-20` rows
 //! one at a time on one thread: the text Algorithm 1 embeds once per sampled
 //! entity and again once per shuffled attribute.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use multiem_datagen::benchmark_dataset;
-use multiem_embed::hashing::{accumulate_token, fnv1a64};
+use multiem_embed::hashing::{accumulate_tokens, splitmix64};
 use multiem_embed::{EmbeddingModel, HashedLexicalEncoder};
 use multiem_table::{serialize_record, SerializeOptions};
 
@@ -53,15 +54,13 @@ fn bench_dimensions(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_accumulate_token(c: &mut Criterion) {
-    let mut group = c.benchmark_group("embedding/accumulate_token");
-    let dim = 384usize;
-    group.bench_with_input(BenchmarkId::from_parameter(dim), &dim, |b, &dim| {
-        let mut acc = vec![0.0f32; dim];
-        let hash = fnv1a64(b"iphone");
-        b.iter(|| accumulate_token(&mut acc, black_box(hash), 0.05));
+fn bench_accumulate_tokens(c: &mut Criterion) {
+    let mut state = 66u64;
+    let tokens: Vec<(u64, f32)> = (0..66).map(|_| (splitmix64(&mut state), 0.05)).collect();
+    let mut acc = vec![0.0f32; 384];
+    c.bench_function("embedding/accumulate_tokens", |b| {
+        b.iter(|| accumulate_tokens(&mut acc, black_box(&tokens)))
     });
-    group.finish();
 }
 
 fn bench_encode_rows(c: &mut Criterion) {
@@ -82,6 +81,6 @@ fn bench_encode_rows(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_encode_batch, bench_dimensions, bench_accumulate_token, bench_encode_rows
+    targets = bench_encode_batch, bench_dimensions, bench_accumulate_tokens, bench_encode_rows
 }
 criterion_main!(benches);

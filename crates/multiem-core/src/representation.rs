@@ -25,6 +25,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Significance measurement of one attribute.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -77,6 +78,10 @@ impl AttributeSelection {
     }
 }
 
+/// Sample blocks per thread in [`select_attributes`]: a few, so a thread that
+/// loses its core for a while holds back a fraction of its share.
+const BLOCKS_PER_THREAD: usize = 4;
+
 /// Run the automated attribute selection (Algorithm 1).
 ///
 /// * `sample_ratio` is the paper's `r`: the fraction of (concatenated) entities
@@ -115,12 +120,26 @@ pub fn select_attributes(
     let sample: Vec<&Record> = indices.iter().map(|&i| all[i].1).collect();
 
     let all_attrs: Vec<AttrId> = (0..schema.len()).collect();
-    // Original embeddings of the sample (all attributes).
-    let original_texts: Vec<String> = sample
-        .par_iter()
-        .map(|r| serialize_record_projected(r, &all_attrs, &config.serialize))
+    // The sample's blocks, a few per thread: each block serializes, encodes
+    // and scores its own rows, so no text crosses threads.
+    let block_len = sample
+        .len()
+        .div_ceil(rayon::current_num_threads() * BLOCKS_PER_THREAD);
+    let ranges: Vec<Range<usize>> = (0..sample.len())
+        .step_by(block_len)
+        .map(|start| start..(start + block_len).min(sample.len()))
         .collect();
-    let original = encoder.encode_batch(&original_texts);
+    // Each block's rows with their original embeddings (all attributes).
+    let blocks: Vec<(Range<usize>, Matrix)> = ranges
+        .par_iter()
+        .map(|rows| {
+            let texts: Vec<String> = sample[rows.clone()]
+                .iter()
+                .map(|r| serialize_record_projected(r, &all_attrs, &config.serialize))
+                .collect();
+            (rows.clone(), encoder.encode_batch(&texts))
+        })
+        .collect();
 
     let mut scores = Vec::with_capacity(schema.len());
     for attr in 0..schema.len() {
@@ -132,21 +151,30 @@ pub fn select_attributes(
             .collect();
         values.shuffle(&mut rng);
 
-        let pairs: Vec<(&Record, &Value)> = sample.iter().copied().zip(values).collect();
-        let shuffled_texts: Vec<String> = pairs
+        let similarities: Vec<Vec<f64>> = blocks
             .par_iter()
-            .map(|&(r, v)| serialize_record_substituted(r, attr, v, &all_attrs, &config.serialize))
+            .map(|(rows, original)| {
+                let texts: Vec<String> = sample[rows.clone()]
+                    .iter()
+                    .zip(&values[rows.clone()])
+                    .map(|(r, v)| {
+                        serialize_record_substituted(r, attr, v, &all_attrs, &config.serialize)
+                    })
+                    .collect();
+                let shuffled = encoder.encode_batch(&texts);
+                original
+                    .rows()
+                    .zip(shuffled.rows())
+                    .map(|(a, b)| f64::from(cosine_similarity(a, b)))
+                    .collect()
+            })
             .collect();
-        let shuffled = encoder.encode_batch(&shuffled_texts);
-
-        let mut total = 0.0f64;
-        for i in 0..original.len() {
-            total += f64::from(cosine_similarity(original.row(i), shuffled.row(i)));
-        }
-        let mean_similarity = if original.is_empty() {
+        // Summed in sample order, so the mean does not depend on the blocks.
+        let total: f64 = similarities.iter().flatten().fold(0.0, |sum, s| sum + s);
+        let mean_similarity = if sample.is_empty() {
             1.0
         } else {
-            total / original.len() as f64
+            total / sample.len() as f64
         };
         scores.push(AttributeSignificance {
             attr,
@@ -367,6 +395,41 @@ mod tests {
         let encoder = HashedLexicalEncoder::default();
         let err = select_attributes(&ds, &encoder, &MultiEmConfig::default());
         assert!(err.is_err());
+    }
+
+    /// Algorithm 1's scores do not depend on how many threads, and so how
+    /// many sample blocks, computed them: on the music fixture, and on a
+    /// `music-20` sample of 97 rows (prime, so no block count divides it and
+    /// the last block is short), one thread, three and full width give the
+    /// same bits.
+    #[test]
+    fn mean_similarities_are_the_same_at_every_width() {
+        let encoder = HashedLexicalEncoder::default();
+        let preset = benchmark_dataset("music-20", 0.05).unwrap().dataset;
+        let entities = preset.concat().len();
+        let ragged = MultiEmConfig {
+            sample_ratio: 96.5 / entities as f64,
+            ..MultiEmConfig::default()
+        };
+        assert_eq!((entities as f64 * ragged.sample_ratio).ceil(), 97.0);
+        for (ds, config) in [
+            (music_dataset(), MultiEmConfig::default()),
+            (preset, ragged),
+        ] {
+            let bits = || -> Vec<u64> {
+                let selection = select_attributes(&ds, &encoder, &config).unwrap();
+                selection
+                    .scores
+                    .iter()
+                    .map(|s| s.mean_similarity.to_bits())
+                    .collect()
+            };
+            let full = bits();
+            for width in [1, 3] {
+                let narrow = rayon::ThreadPool::new(width).install(bits);
+                assert_eq!(narrow, full, "{} at {width} thread(s)", ds.name());
+            }
+        }
     }
 
     /// Every attribute's `mean_similarity`, as bits, on the music fixture

@@ -1,6 +1,6 @@
 //! The embedding model trait and the hashed lexical encoder.
 
-use crate::hashing::{accumulate_token, fnv1a64, fnv1a64_extend};
+use crate::hashing::{accumulate_tokens, fnv1a64, fnv1a64_extend};
 use crate::tokenizer::{char_ngrams, tokenize, TokenKind};
 use crate::vector::{l2_normalize, Matrix};
 use rayon::prelude::*;
@@ -140,23 +140,32 @@ impl EmbeddingModel for HashedLexicalEncoder {
         self.dim
     }
 
+    /// Lowercases `text` once, lists every token's `(hash, weight)` from
+    /// slices of it, then adds all of them in one [`accumulate_tokens`] call.
     fn encode(&self, text: &str) -> Vec<f32> {
-        let mut acc = vec![0.0f32; self.dim];
-        for tok in &tokenize(text) {
-            let base = kind_weight(tok.kind, tok.text.chars().count());
+        let lowercased = text.to_lowercase();
+        // A token of `c` chars adds at most `c` entries: never reallocates.
+        let mut tokens: Vec<(u64, f32)> = Vec::with_capacity(lowercased.len());
+        for (token, kind) in tokenize(&lowercased) {
+            let base = kind_weight(kind, token.chars().count());
             // Whole-word vector.
-            accumulate_token(&mut acc, fnv1a64(tok.text.as_bytes()), base * WORD_WEIGHT);
+            tokens.push((fnv1a64(token.as_bytes()), base * WORD_WEIGHT));
             // Character n-gram vectors (split the n-gram budget evenly so long
-            // tokens do not dominate).
-            let grams = char_ngrams(&tok.text);
-            if !grams.is_empty() {
-                let per = base * NGRAM_WEIGHT / grams.len() as f32;
-                for g in grams {
-                    let hash = fnv1a64_extend(NGRAM_KEY_PREFIX, g.as_bytes());
-                    accumulate_token(&mut acc, hash, per);
+            // tokens do not dominate): hashed first, weighted once counted.
+            let first = tokens.len();
+            tokens.extend(
+                char_ngrams(token).map(|g| (fnv1a64_extend(NGRAM_KEY_PREFIX, g.as_bytes()), 0.0)),
+            );
+            let grams = tokens.len() - first;
+            if grams > 0 {
+                let per = base * NGRAM_WEIGHT / grams as f32;
+                for (_, weight) in &mut tokens[first..] {
+                    *weight = per;
                 }
             }
         }
+        let mut acc = vec![0.0f32; self.dim];
+        accumulate_tokens(&mut acc, &tokens);
         l2_normalize(&mut acc);
         acc
     }

@@ -7,6 +7,13 @@
 //! receive (nearly) orthogonal vectors in expectation, while the same token
 //! always receives the same vector — exactly the property needed for
 //! overlap-based similarity.
+//!
+//! This is the hashing trick of Weinberger et al. ("Feature Hashing for
+//! Large Scale Multitask Learning", ICML 2009) with signed ±1/√dim token
+//! vectors: each output lane is a sum of `±weight / √dim` terms taken in
+//! token order, and no lane reads another. [`accumulate_tokens`] therefore
+//! computes it lane-major, a 64-lane block at a time over every token, and
+//! gets the bits a token-at-a-time loop gets.
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -42,14 +49,14 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Lane signs of one 4-lane quad, indexed by the quad's four sign bits:
-/// `SIGNS[bits][i]` is `1.0` when bit `i` of `bits` is set, else `-1.0`.
-const SIGNS: [[f32; 4]; 16] = {
-    let mut table = [[-1.0f32; 4]; 16];
+/// Lane signs of one 8-lane group, indexed by the group's eight sign bits:
+/// `SIGNS8[bits][i]` is `1.0` when bit `i` of `bits` is set, else `-1.0`.
+const SIGNS8: [[f32; 8]; 256] = {
+    let mut table = [[-1.0f32; 8]; 256];
     let mut bits = 0;
-    while bits < 16 {
+    while bits < 256 {
         let mut lane = 0;
-        while lane < 4 {
+        while lane < 8 {
             if (bits >> lane) & 1 == 1 {
                 table[bits][lane] = 1.0;
             }
@@ -60,58 +67,76 @@ const SIGNS: [[f32; 4]; 16] = {
     table
 };
 
-/// Add `weight * v_token` to `acc`, where `v_token` is the pseudo-random
-/// ±1/√dim unit vector derived from `token_hash`: lane `i` gets
-/// `±weight / √dim`, positive when bit `i % 64` of the token's `i / 64`-th
-/// SplitMix64 draw is set. Nothing is allocated per token.
+/// Draw `block` of a token's SplitMix64 stream, the signs of lanes
+/// `64 block .. 64 block + 64`: SplitMix64's state after `n` steps is its
+/// seed plus `n` times the increment, so any draw is reachable directly.
+#[inline]
+fn sign_draw(token_hash: u64, block: usize) -> u64 {
+    let mut state = (token_hash ^ 0xA076_1D64_78BD_642F)
+        .wrapping_add((block as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    splitmix64(&mut state)
+}
+
+/// Add `weight * v_token` to `acc` for every `(token_hash, weight)` of
+/// `tokens`, in order, where `v_token` is the pseudo-random ±1/√dim unit
+/// vector derived from `token_hash`: lane `i` gets `±weight / √dim`,
+/// positive when bit `i % 64` of the token's `i / 64`-th SplitMix64 draw is
+/// set. Zero-weight tokens add nothing. Nothing is allocated.
 ///
-/// The loop is written as the table kernel it should compile to: one draw
-/// covers 16 quads of 4 lanes, and each quad adds
-/// `SIGNS[bits & 0xF][i] * scale` before `bits` shifts by 4; the `dim % 4`
-/// tail reads the same table. Spelled as a per-lane
-/// `if bit { 1.0 } else { -1.0 }`, the same arithmetic left the choice to
-/// LLVM's vectorizer, which did not make it the same way in every build:
-/// the `benchmark` and `serve` binaries compiled `encode` to a per-lane
-/// variable-shift emulation (8 `psllq`, no `mulps`), a root-workspace build
-/// of the same source to a 16-entry sign table with `mulps`. On the same
-/// texts (2-core x86-64 VM) an encode took 45 µs in the shift form against
-/// 15–22 µs in the table form, and `#[inline(never)]` did not change the
-/// binaries' choice; `embedding/accumulate_token/384` measured 579 ns per
-/// token in the per-lane form and 192 ns as written. With the table in the
-/// source there is nothing left to choose. Every lane still receives exactly `±1.0 * scale`, so embeddings
-/// are bit-for-bit what the per-lane form computed.
+/// The loop is lane-major: it walks `acc` one 64-lane draw at a time, holds
+/// those 64 lanes in eight 8-lane registers across every token, and adds
+/// `SIGNS8[byte] * scale` for each byte of the token's draw. Every lane
+/// still receives the same adds in the same order (token order, each
+/// exactly `±1.0 * scale`) as one token at a time over the whole
+/// accumulator would give it, so the result is bit for bit the per-lane
+/// definition; only the order in which *different* lanes are visited
+/// changed, and no lane's sum depends on another's. A dimension that is
+/// not a multiple of 64 ends in a short block, lane by lane.
 ///
-/// It stays out of line on purpose. With `encode` its only non-test caller,
-/// LLVM inlined it there as scalar `mulss`/`addss` code, and encoding a
-/// music-20 record took 11.3 µs against 6.9 µs with the call (same VM).
+/// Token-major, the same arithmetic loaded and stored the whole accumulator
+/// once per token (96 4-lane quads at 384 lanes): on a 2-core x86-64 VM, 66
+/// tokens into 384 lanes (`embedding/accumulate_tokens`) took 10–12 µs that
+/// way and take 3.9 µs lane-major. The signs are a table
+/// because, spelled as a per-lane `if bit { 1.0 } else { -1.0 }`, LLVM's
+/// vectorizer compiled the `benchmark` and `serve` binaries to a per-lane
+/// variable-shift emulation (`psllq`, no `mulps`) 2–3x slower than the
+/// table, while a root-workspace build of the same source chose the table.
+/// It stays out of line on purpose: inlined into `encode`, its one
+/// non-test caller, LLVM compiled the earlier token-major form to scalar
+/// `mulss`/`addss` code.
 #[inline(never)]
-pub fn accumulate_token(acc: &mut [f32], token_hash: u64, weight: f32) {
-    if weight == 0.0 || acc.is_empty() {
+pub fn accumulate_tokens(acc: &mut [f32], tokens: &[(u64, f32)]) {
+    let root = (acc.len() as f32).sqrt();
+    let (blocks, tail) = acc.as_chunks_mut::<64>();
+    for (b, block) in blocks.iter_mut().enumerate() {
+        let mut lanes = *block;
+        for &(hash, weight) in tokens {
+            if weight == 0.0 {
+                continue;
+            }
+            let scale = weight / root;
+            let bits = sign_draw(hash, b);
+            let (groups, _) = lanes.as_chunks_mut::<8>();
+            for (g, group) in groups.iter_mut().enumerate() {
+                let signs = &SIGNS8[(bits >> (8 * g)) as u8 as usize];
+                for (lane, sign) in group.iter_mut().zip(signs) {
+                    *lane += sign * scale;
+                }
+            }
+        }
+        *block = lanes;
+    }
+    if tail.is_empty() {
         return;
     }
-    let scale = weight / (acc.len() as f32).sqrt();
-    let mut state = token_hash ^ 0xA076_1D64_78BD_642F;
-    let (quads, tail) = acc.as_chunks_mut::<4>();
-    let mut bits = 0;
-    for block in quads.chunks_mut(16) {
-        bits = splitmix64(&mut state);
-        for quad in block {
-            let signs = &SIGNS[(bits & 0xF) as usize];
-            for (lane, sign) in quad.iter_mut().zip(signs) {
-                *lane += sign * scale;
-            }
-            bits >>= 4;
+    for &(hash, weight) in tokens {
+        if weight == 0.0 {
+            continue;
         }
-    }
-    if !tail.is_empty() {
-        // The tail continues the last draw, or opens the next one when the
-        // quads used up all 64 bits.
-        if quads.len() % 16 == 0 {
-            bits = splitmix64(&mut state);
-        }
-        let signs = &SIGNS[(bits & 0xF) as usize];
-        for (lane, sign) in tail.iter_mut().zip(signs) {
-            *lane += sign * scale;
+        let scale = weight / root;
+        let bits = sign_draw(hash, blocks.len());
+        for (i, lane) in tail.iter_mut().enumerate() {
+            *lane += SIGNS8[(bits >> (i / 8 * 8)) as u8 as usize][i % 8] * scale;
         }
     }
 }
@@ -124,7 +149,7 @@ mod tests {
     /// The pseudo-random unit vector of a token.
     fn token_vector(token_hash: u64, dim: usize) -> Vec<f32> {
         let mut v = vec![0.0f32; dim];
-        accumulate_token(&mut v, token_hash, 1.0);
+        accumulate_tokens(&mut v, &[(token_hash, 1.0)]);
         v
     }
 
@@ -173,15 +198,16 @@ mod tests {
     #[test]
     fn accumulate_respects_weight_and_zero() {
         let mut acc = vec![0.0f32; 64];
-        accumulate_token(&mut acc, fnv1a64(b"tok"), 0.0);
+        accumulate_tokens(&mut acc, &[(fnv1a64(b"tok"), 0.0)]);
         assert!(acc.iter().all(|&x| x == 0.0));
-        accumulate_token(&mut acc, fnv1a64(b"tok"), 2.0);
+        accumulate_tokens(&mut acc, &[(fnv1a64(b"tok"), 2.0)]);
         let doubled = l2_norm(&acc);
         assert!((doubled - 2.0).abs() < 1e-4);
     }
 
-    /// `accumulate_token` by its definition, one lane at a time: lane `i`
-    /// gets `±scale`, `+` when bit `i % 64` of draw `i / 64` is set.
+    /// One token of `accumulate_tokens` by its definition, one lane at a
+    /// time: lane `i` gets `±scale`, `+` when bit `i % 64` of draw `i / 64`
+    /// is set.
     fn accumulate_by_definition(acc: &mut [f32], token_hash: u64, weight: f32) {
         if weight == 0.0 || acc.is_empty() {
             return;
@@ -201,22 +227,46 @@ mod tests {
         }
     }
 
+    /// The lane-major kernel against the definition applied token after
+    /// token over the whole accumulator: no token, one, three (one of them
+    /// zero-weight, one negative), and 66 seeded tokens of mixed weights, a
+    /// music row's count, whose sums round differently in any other order.
     #[test]
     fn the_table_kernel_equals_its_definition_bit_for_bit() {
-        let tokens = [
-            (fnv1a64(b"apple"), 1.0f32),
-            (fnv1a64(b"#iph"), 0.35 / 7.0),
-            (fnv1a64(b"wom14513028"), -0.5),
+        let mut state = 7u64;
+        let seeded: Vec<(u64, f32)> = (0..66)
+            .map(|_| {
+                let hash = splitmix64(&mut state);
+                let weight = (splitmix64(&mut state) >> 40) as f32 / (1u32 << 24) as f32 - 0.3;
+                (hash, weight)
+            })
+            .collect();
+        let lists: [&[(u64, f32)]; 4] = [
+            &[],
+            &[(fnv1a64(b"apple"), 1.0)],
+            &[
+                (fnv1a64(b"apple"), 1.0),
+                (fnv1a64(b"#iph"), 0.0),
+                (fnv1a64(b"wom14513028"), -0.5),
+            ],
+            &seeded,
         ];
-        for dim in [1, 3, 4, 63, 64, 65, 100, 384, 768] {
-            let mut table = vec![0.0f32; dim];
-            let mut reference = vec![0.0f32; dim];
-            for &(hash, weight) in &tokens {
-                accumulate_token(&mut table, hash, weight);
-                accumulate_by_definition(&mut reference, hash, weight);
+        for tokens in lists {
+            for dim in [1, 3, 4, 63, 64, 65, 100, 384, 768] {
+                let mut table = vec![0.0f32; dim];
+                let mut reference = vec![0.0f32; dim];
+                accumulate_tokens(&mut table, tokens);
+                for &(hash, weight) in tokens {
+                    accumulate_by_definition(&mut reference, hash, weight);
+                }
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&table),
+                    bits(&reference),
+                    "{} tokens, dim {dim}",
+                    tokens.len()
+                );
             }
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&table), bits(&reference), "dim {dim}");
         }
     }
 

@@ -36,7 +36,7 @@ pub mod tokenizer;
 pub mod vector;
 
 pub use encoder::{EmbeddingModel, HashedLexicalEncoder};
-pub use tokenizer::{Token, TokenKind};
+pub use tokenizer::TokenKind;
 pub use vector::{cosine_distance, cosine_similarity, l2_normalize, Matrix};
 
 /// Default embedding dimensionality, matching `all-MiniLM-L12-v2` used in the

@@ -1,10 +1,12 @@
 //! Tokenization of serialized entities.
 //!
-//! [`tokenize`] lowercases, splits on any non-alphanumeric character, and
+//! [`tokenize`] splits lowercased text on any non-alphanumeric character and
 //! classifies every token (alphabetic word / number / identifier-like mix).
 //! [`char_ngrams`] gives the character trigrams of a token separately, so the
 //! encoder can give partial credit to near-matching tokens ("iphone" vs
-//! "iphon8e"), which plays the role of BERT's sub-word pieces.
+//! "iphon8e"), which plays the role of BERT's sub-word pieces. Both are
+//! iterators of slices of their input: the encoder lowercases a text once
+//! and allocates nothing per token or per n-gram.
 
 use serde::{Deserialize, Serialize};
 
@@ -28,15 +30,6 @@ pub enum TokenKind {
     Mixed,
 }
 
-/// A token together with its kind.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Token {
-    /// Normalised (lowercased) token text.
-    pub text: String,
-    /// Lexical class.
-    pub kind: TokenKind,
-}
-
 /// Classify a normalised token.
 fn classify(token: &str) -> TokenKind {
     let has_alpha = token.chars().any(|c| c.is_alphabetic());
@@ -57,42 +50,47 @@ fn classify(token: &str) -> TokenKind {
     }
 }
 
-/// Lowercase `text` and split it into classified tokens.
-pub fn tokenize(text: &str) -> Vec<Token> {
-    text.to_lowercase()
+/// Split `lowercased` (text already passed through [`str::to_lowercase`])
+/// into its tokens, in order, each a slice of it with its kind.
+pub fn tokenize(lowercased: &str) -> impl Iterator<Item = (&str, TokenKind)> {
+    lowercased
         .split(|c: char| !c.is_alphanumeric())
         .filter(|t| !t.is_empty())
-        .map(|t| Token {
-            text: t.to_string(),
-            kind: classify(t),
-        })
-        .collect()
+        .map(|t| (t, classify(t)))
 }
 
 /// Character trigrams of a single token: every run of 3 consecutive chars,
 /// in order, as a slice of `token` cut at `char_indices` boundaries (so
 /// multi-byte chars stay whole). Nothing is copied; a token shorter than 4
 /// chars has no n-grams.
-pub fn char_ngrams(token: &str) -> Vec<&str> {
-    if token.chars().count() < NGRAM_TOKEN_MIN_LEN {
-        return Vec::new();
-    }
-    let starts = || token.char_indices().map(|(i, _)| i);
+pub fn char_ngrams(token: &str) -> impl Iterator<Item = &str> {
+    let long_enough = token.chars().nth(NGRAM_TOKEN_MIN_LEN - 1).is_some();
+    let starts = token.char_indices().map(|(i, _)| i);
     // Gram `k` runs from char `k` to char `k + 3`; zipping stops at the last
     // gram that fits.
-    let ends = starts().chain(std::iter::once(token.len())).skip(NGRAM_LEN);
-    starts()
+    let ends = starts
+        .clone()
+        .chain(std::iter::once(token.len()))
+        .skip(NGRAM_LEN);
+    starts
         .zip(ends)
         .map(|(start, end)| &token[start..end])
-        .collect()
+        .take(if long_enough { usize::MAX } else { 0 })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The tokens of `text`, lowercased first as the encoder does.
     fn texts(text: &str) -> Vec<String> {
-        tokenize(text).into_iter().map(|t| t.text).collect()
+        tokenize(&text.to_lowercase())
+            .map(|(t, _)| t.to_string())
+            .collect()
+    }
+
+    fn grams(token: &str) -> Vec<&str> {
+        char_ngrams(token).collect()
     }
 
     #[test]
@@ -119,15 +117,15 @@ mod tests {
 
     #[test]
     fn empty_and_punctuation_only_input() {
-        assert!(tokenize("").is_empty());
-        assert!(tokenize("--- ,,, !!!").is_empty());
+        assert!(texts("").is_empty());
+        assert!(texts("--- ,,, !!!").is_empty());
     }
 
     #[test]
     fn char_ngrams_are_trigrams_of_long_enough_tokens() {
-        assert_eq!(char_ngrams("iphone"), vec!["iph", "pho", "hon", "one"]);
+        assert_eq!(grams("iphone"), vec!["iph", "pho", "hon", "one"]);
         // Token below the minimum length yields no n-grams.
-        assert!(char_ngrams("ace").is_empty());
+        assert!(grams("ace").is_empty());
     }
 
     #[test]
@@ -141,18 +139,18 @@ mod tests {
         };
         // "café" is exactly `NGRAM_TOKEN_MIN_LEN` (4) chars long.
         for token in ["naïve", "東京都庁", "café", "iphone"] {
-            assert_eq!(char_ngrams(token), by_windows(token), "{token}");
+            assert_eq!(grams(token), by_windows(token), "{token}");
         }
-        assert_eq!(char_ngrams("naïve"), vec!["naï", "aïv", "ïve"]);
-        assert_eq!(char_ngrams("東京都庁"), vec!["東京都", "京都庁"]);
-        assert_eq!(char_ngrams("café"), vec!["caf", "afé"]);
-        assert!(char_ngrams("東京都").is_empty());
+        assert_eq!(grams("naïve"), vec!["naï", "aïv", "ïve"]);
+        assert_eq!(grams("東京都庁"), vec!["東京都", "京都庁"]);
+        assert_eq!(grams("café"), vec!["caf", "afé"]);
+        assert!(grams("東京都").is_empty());
     }
 
     #[test]
     fn unicode_tokens_survive() {
-        let toks = tokenize("café naïve 東京");
+        let toks: Vec<(&str, TokenKind)> = tokenize("café naïve 東京").collect();
         assert_eq!(toks.len(), 3);
-        assert_eq!(toks[0].text, "café");
+        assert_eq!(toks[0], ("café", TokenKind::Word));
     }
 }

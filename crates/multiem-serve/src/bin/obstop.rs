@@ -11,7 +11,10 @@
 //! ```
 //!
 //! `--iterations N` renders N frames and exits (use `1` for a one-shot
-//! snapshot in scripts); the default runs until interrupted.
+//! snapshot in scripts); the default runs until interrupted. A bounded run
+//! exits 0 when its last frame was fetched and 1 when it was not (the
+//! server could not be reached or answered an error); a bad command line
+//! exits 2.
 
 #![forbid(unsafe_code)]
 
@@ -20,6 +23,7 @@ mod cli;
 use cli::{fail, parse, Flag};
 use multiem_serve::http::HttpClient;
 use serde::Value;
+use std::process::ExitCode;
 
 struct Options {
     addr: String,
@@ -39,7 +43,7 @@ const FLAGS: &[Flag<Options>] = &[
     Flag { name: "--no-clear", value: "", help: "do not clear the screen between frames", set: |o, _| { o.no_clear = true; Ok(()) } },
 ];
 
-fn main() {
+fn main() -> ExitCode {
     let mut opts = Options {
         addr: String::new(),
         interval_ms: 2_000,
@@ -58,18 +62,26 @@ fn main() {
     let mut frame = 0u64;
     loop {
         frame += 1;
-        match render_frame(&opts) {
+        let fetched = match render_frame(&opts) {
             Ok(text) => {
                 if !opts.no_clear {
                     // Clear + home; the dashboard repaints in place.
                     print!("\x1b[2J\x1b[H");
                 }
                 println!("{text}");
+                true
             }
-            Err(e) => println!("obstop: {} unreachable: {e}", opts.addr),
-        }
+            Err(e) => {
+                println!("obstop: {} unreachable: {e}", opts.addr);
+                false
+            }
+        };
         if opts.iterations > 0 && frame >= opts.iterations {
-            return;
+            return if fetched {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::FAILURE
+            };
         }
         std::thread::sleep(std::time::Duration::from_millis(opts.interval_ms.max(100)));
     }

@@ -2702,6 +2702,25 @@ fn obstop_renders_a_frame_of_a_running_server() {
 }
 
 #[test]
+fn a_bounded_obstop_run_whose_last_frame_failed_exits_1() {
+    // An address that refuses connections: bound once, then released.
+    let addr = {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.local_addr().unwrap().to_string()
+    };
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_obstop"))
+        .args(["--addr", &addr, "--iterations", "1", "--no-clear"])
+        .output()
+        .expect("obstop runs");
+    assert_eq!(run.status.code(), Some(1), "{run:?}");
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(
+        stdout.contains(&format!("obstop: {addr} unreachable")),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn every_flag_serve_help_prints_is_one_its_parser_knows() {
     use std::process::{Command, Output};
 
