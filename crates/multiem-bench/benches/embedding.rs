@@ -7,13 +7,19 @@
 //! accumulator), and
 //! `embedding/encode/all_attributes` encodes whole 8-attribute `music-20` rows
 //! one at a time on one thread: the text Algorithm 1 embeds once per sampled
-//! entity and again once per shuffled attribute.
+//! entity and again once per shuffled attribute. `embedding/encode_variants`
+//! is that work for one row: `shared` encodes a `music-20` row and its 8
+//! shuffled variants in one `encode_variants` call, `separate` makes the 9
+//! `encode` calls it stands for.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use multiem_datagen::benchmark_dataset;
 use multiem_embed::hashing::{accumulate_tokens, splitmix64};
 use multiem_embed::{EmbeddingModel, HashedLexicalEncoder};
-use multiem_table::{serialize_record, SerializeOptions};
+use multiem_table::{
+    serialize_record, serialize_record_projected, serialize_record_substituted, AttrId,
+    SerializeOptions,
+};
 
 /// Serialized `music-20` rows, every attribute, as the pipeline serializes
 /// them.
@@ -78,9 +84,42 @@ fn bench_encode_rows(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_encode_variants(c: &mut Criterion) {
+    let data = benchmark_dataset("music-20", 0.02).expect("preset");
+    let rows = data.dataset.concat();
+    let (row, donor) = (rows[0].1, rows[1].1);
+    let opts = SerializeOptions::default();
+    let attrs: Vec<AttrId> = (0..data.dataset.schema().len()).collect();
+    let base = serialize_record_projected(row, &attrs, &opts);
+    // Each attribute in turn takes another row's value, as a shuffle would.
+    let variants: Vec<String> = attrs
+        .iter()
+        .map(|&a| {
+            let value = donor.value(a).expect("attr within schema");
+            serialize_record_substituted(row, a, value, &attrs, &opts)
+        })
+        .collect();
+    let encoder = HashedLexicalEncoder::default();
+    let mut group = c.benchmark_group("embedding/encode_variants");
+    group.throughput(Throughput::Elements(1 + variants.len() as u64));
+    group.bench_function("shared", |b| {
+        b.iter(|| encoder.encode_variants(black_box(&base), black_box(&variants)))
+    });
+    group.bench_function("separate", |b| {
+        b.iter(|| {
+            black_box(encoder.encode(black_box(&base)));
+            for text in &variants {
+                black_box(encoder.encode(black_box(text)));
+            }
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_encode_batch, bench_dimensions, bench_accumulate_tokens, bench_encode_rows
+    targets = bench_encode_batch, bench_dimensions, bench_accumulate_tokens, bench_encode_rows,
+        bench_encode_variants
 }
 criterion_main!(benches);

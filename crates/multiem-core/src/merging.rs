@@ -47,6 +47,7 @@ use multiem_table::{Dataset, EntityId, MatchTuple};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use rayon::prelude::*;
 
 use crate::representation::EmbeddingStore;
 
@@ -249,15 +250,20 @@ struct MergeStats {
     index_bytes: usize,
 }
 
+/// A group of items one merge fused: its members (ascending, each once),
+/// their [`representative`] and its squared norm.
+struct FusedGroup {
+    members: Vec<(EntityId, usize)>,
+    row: Vec<f32>,
+    norm: f32,
+}
+
 /// What one merge decided, before its output table is assembled: the item
-/// groups (indexes into the left items, then the right ones), the members
-/// (ascending) and rows of its fused groups in group order, and its
-/// statistics.
+/// groups (indexes into the left items, then the right ones), its fused
+/// groups in group order, and its statistics.
 struct Fusion {
     groups: Vec<Vec<usize>>,
-    members: Vec<Vec<(EntityId, usize)>>,
-    rows: Vec<f32>,
-    norms: Vec<f32>,
+    fused: Vec<FusedGroup>,
     stats: MergeStats,
 }
 
@@ -285,25 +291,30 @@ fn fuse(arena: &Arena<'_>, left: &[Item], right: &[Item], config: &MultiEmConfig
         None => &left[i],
         Some(r) => &right[r],
     };
-    let (mut members, mut rows, mut norms) = (Vec::new(), Vec::new(), Vec::new());
-    for group in groups.iter().filter(|g| g.len() > 1) {
-        let mut fused: Vec<(EntityId, usize)> = group
-            .iter()
-            .flat_map(|&i| item(i).members.iter().copied())
-            .collect();
-        fused.sort_unstable();
-        fused.dedup_by_key(|&mut (id, _)| id);
-        let points: Vec<&[f32]> = fused.iter().map(|&(_, row)| arena.row(row)).collect();
-        let row = representative(arena.dim, &points);
-        norms.push(Metric::squared_norm(&row));
-        rows.extend_from_slice(&row);
-        members.push(fused);
-    }
+    // Each fused group's members (ascending, each once), representative and
+    // squared norm, in parallel; the map keeps the groups' order.
+    let fused_groups: Vec<&Vec<usize>> = groups.iter().filter(|g| g.len() > 1).collect();
+    let fused: Vec<FusedGroup> = fused_groups
+        .par_iter()
+        .map(|group| {
+            let mut members: Vec<(EntityId, usize)> = group
+                .iter()
+                .flat_map(|&i| item(i).members.iter().copied())
+                .collect();
+            members.sort_unstable();
+            members.dedup_by_key(|&mut (id, _)| id);
+            let points: Vec<&[f32]> = members.iter().map(|&(_, row)| arena.row(row)).collect();
+            let row = representative(arena.dim, &points);
+            FusedGroup {
+                norm: Metric::squared_norm(&row),
+                members,
+                row,
+            }
+        })
+        .collect();
     Fusion {
         groups,
-        members,
-        rows,
-        norms,
+        fused,
         stats: MergeStats {
             matched_pairs: matches.len(),
             index_bytes,
@@ -316,21 +327,24 @@ fn fuse(arena: &Arena<'_>, left: &[Item], right: &[Item], config: &MultiEmConfig
 /// fused rows are appended to.
 fn assemble(arena: &mut Arena<'_>, left: Vec<Item>, right: Vec<Item>, fusion: Fusion) -> Vec<Item> {
     let mut all: Vec<Item> = left.into_iter().chain(right).collect();
-    let mut fused = fusion.members.into_iter().zip(arena.len()..);
-    let items = fusion
+    let mut fused = fusion.fused.into_iter();
+    fusion
         .groups
         .iter()
         .map(|group| match group[..] {
             [only] => std::mem::take(&mut all[only]),
             _ => {
-                let (members, row) = fused.next().expect("one member list per fused group");
-                Item { members, row }
+                let group = fused.next().expect("one entry per fused group");
+                let item = Item {
+                    members: group.members,
+                    row: arena.len(),
+                };
+                arena.fused.extend_from_slice(&group.row);
+                arena.norms.push(group.norm);
+                item
             }
         })
-        .collect();
-    arena.fused.extend_from_slice(&fusion.rows);
-    arena.norms.extend_from_slice(&fusion.norms);
-    items
+        .collect()
 }
 
 /// Outcome of a run of the merging engine.
@@ -365,8 +379,8 @@ fn run(mut tables: Vec<Vec<Item>>, arena: &mut Arena<'_>, config: &MultiEmConfig
             .collect();
 
         tables = Vec::with_capacity(pairs.len() + 1);
-        let fused: usize = fusions.iter().map(|f| f.rows.len()).sum();
-        arena.fused.reserve_exact(fused);
+        let fused: usize = fusions.iter().map(|f| f.fused.len()).sum();
+        arena.fused.reserve_exact(fused * arena.dim);
         for ((a, b), fusion) in pairs.into_iter().zip(fusions) {
             peak_index_bytes = peak_index_bytes.max(fusion.stats.index_bytes);
             total_matched_pairs += fusion.stats.matched_pairs;

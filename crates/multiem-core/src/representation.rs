@@ -119,9 +119,23 @@ pub fn select_attributes(
     indices.truncate(sample_size);
     let sample: Vec<&Record> = indices.iter().map(|&i| all[i].1).collect();
 
+    // Every attribute's values shuffled across the sample, attribute by
+    // attribute, so the draws do not depend on how the texts are built.
+    let shuffled: Vec<Vec<&Value>> = (0..schema.len())
+        .map(|attr| {
+            let mut values: Vec<&Value> = sample
+                .iter()
+                .map(|r| r.value(attr).expect("attr within schema"))
+                .collect();
+            values.shuffle(&mut rng);
+            values
+        })
+        .collect();
+
     let all_attrs: Vec<AttrId> = (0..schema.len()).collect();
-    // The sample's blocks, a few per thread: each block serializes, encodes
-    // and scores its own rows, so no text crosses threads.
+    // The sample's blocks, a few per thread: each block serializes every row
+    // and its shuffled variants, encodes them together and scores each
+    // variant against the row, so no text crosses threads.
     let block_len = sample
         .len()
         .div_ceil(rayon::current_num_threads() * BLOCKS_PER_THREAD);
@@ -129,48 +143,40 @@ pub fn select_attributes(
         .step_by(block_len)
         .map(|start| start..(start + block_len).min(sample.len()))
         .collect();
-    // Each block's rows with their original embeddings (all attributes).
-    let blocks: Vec<(Range<usize>, Matrix)> = ranges
+    // Each block's similarities, row-major: one per (row, attribute).
+    let similarities: Vec<Vec<f64>> = ranges
         .par_iter()
         .map(|rows| {
-            let texts: Vec<String> = sample[rows.clone()]
-                .iter()
-                .map(|r| serialize_record_projected(r, &all_attrs, &config.serialize))
-                .collect();
-            (rows.clone(), encoder.encode_batch(&texts))
+            let mut out = Vec::with_capacity(rows.len() * schema.len());
+            for i in rows.clone() {
+                let record = sample[i];
+                let base = serialize_record_projected(record, &all_attrs, &config.serialize);
+                let variants: Vec<String> = (0..schema.len())
+                    .map(|attr| {
+                        let value = shuffled[attr][i];
+                        serialize_record_substituted(
+                            record,
+                            attr,
+                            value,
+                            &all_attrs,
+                            &config.serialize,
+                        )
+                    })
+                    .collect();
+                let m = encoder.encode_variants(&base, &variants);
+                out.extend((1..m.len()).map(|j| f64::from(cosine_similarity(m.row(0), m.row(j)))));
+            }
+            out
         })
         .collect();
 
     let mut scores = Vec::with_capacity(schema.len());
     for attr in 0..schema.len() {
-        // Shuffle this attribute's values across the sample (attribute by
-        // attribute, so the draws do not depend on how the texts are built).
-        let mut values: Vec<&Value> = sample
-            .iter()
-            .map(|r| r.value(attr).expect("attr within schema"))
-            .collect();
-        values.shuffle(&mut rng);
-
-        let similarities: Vec<Vec<f64>> = blocks
-            .par_iter()
-            .map(|(rows, original)| {
-                let texts: Vec<String> = sample[rows.clone()]
-                    .iter()
-                    .zip(&values[rows.clone()])
-                    .map(|(r, v)| {
-                        serialize_record_substituted(r, attr, v, &all_attrs, &config.serialize)
-                    })
-                    .collect();
-                let shuffled = encoder.encode_batch(&texts);
-                original
-                    .rows()
-                    .zip(shuffled.rows())
-                    .map(|(a, b)| f64::from(cosine_similarity(a, b)))
-                    .collect()
-            })
-            .collect();
         // Summed in sample order, so the mean does not depend on the blocks.
-        let total: f64 = similarities.iter().flatten().fold(0.0, |sum, s| sum + s);
+        let total: f64 = similarities
+            .iter()
+            .flat_map(|block| block.iter().skip(attr).step_by(schema.len()))
+            .fold(0.0, |sum, s| sum + s);
         let mean_similarity = if sample.is_empty() {
             1.0
         } else {

@@ -2,8 +2,9 @@
 
 use crate::hashing::{accumulate_tokens, fnv1a64, fnv1a64_extend};
 use crate::tokenizer::{char_ngrams, tokenize, TokenKind};
-use crate::vector::{l2_normalize, Matrix};
+use crate::vector::{l2_normalize, l2_normalize_rows, Matrix};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// A sentence/entity embedding model.
 ///
@@ -47,6 +48,21 @@ pub trait EmbeddingModel: Send + Sync {
         let mut m = Matrix::with_capacity(self.dim(), texts.len());
         for block in &encoded {
             m.append(block);
+        }
+        m
+    }
+
+    /// Encode `base` and each of `variants`, texts that differ from it in
+    /// one part (Algorithm 1's rows with one attribute shuffled): row 0 is
+    /// `encode(base)` and row `1 + j` is `encode(&variants[j])`, bit for
+    /// bit. The default implementation calls [`EmbeddingModel::encode`] on
+    /// each; a backend that can share the unchanged parts' work overrides
+    /// it.
+    fn encode_variants(&self, base: &str, variants: &[String]) -> Matrix {
+        let mut m = Matrix::with_capacity(self.dim(), 1 + variants.len());
+        m.push_row(&self.encode(base));
+        for variant in variants {
+            m.push_row(&self.encode(variant));
         }
         m
     }
@@ -109,6 +125,72 @@ fn kind_weight(kind: TokenKind, token_len: usize) -> f32 {
 /// word hash spaces apart: an n-gram hashes as `fnv1a64("#" ++ gram)`.
 const NGRAM_KEY_PREFIX: u64 = fnv1a64(b"#");
 
+/// Append the `(hash, weight)` entries of every token of `lowercased` (text
+/// already passed through [`str::to_lowercase`]) to `entries`, in token
+/// order: the token's word vector, then its character n-grams, which split
+/// the n-gram budget evenly so long tokens do not dominate. With `spans`,
+/// each token's byte range in `lowercased` and the new length of `entries`
+/// after it are pushed there too.
+fn list_tokens(
+    lowercased: &str,
+    entries: &mut Vec<(u64, f32)>,
+    mut spans: Option<&mut Vec<(Range<usize>, usize)>>,
+) {
+    for (token, kind) in tokenize(lowercased) {
+        let base = kind_weight(kind, token.chars().count());
+        entries.push((fnv1a64(token.as_bytes()), base * WORD_WEIGHT));
+        // Hashed first, weighted once counted.
+        let first = entries.len();
+        entries.extend(
+            char_ngrams(token).map(|g| (fnv1a64_extend(NGRAM_KEY_PREFIX, g.as_bytes()), 0.0)),
+        );
+        let grams = entries.len() - first;
+        if grams > 0 {
+            let per = base * NGRAM_WEIGHT / grams as f32;
+            for (_, weight) in &mut entries[first..] {
+                *weight = per;
+            }
+        }
+        if let Some(spans) = spans.as_deref_mut() {
+            let start = token.as_ptr().addr() - lowercased.as_ptr().addr();
+            spans.push((start..start + token.len(), entries.len()));
+        }
+    }
+}
+
+/// The byte lengths of the longest common prefix and suffix of `a` and `b`,
+/// each backed off to a char boundary of both, the suffix no longer than
+/// what the prefix leaves of the shorter text.
+fn common_ends(a: &str, b: &str) -> (usize, usize) {
+    let boundary = |i: usize, j: usize| a.is_char_boundary(i) && b.is_char_boundary(j);
+    let mut prefix = a.bytes().zip(b.bytes()).take_while(|(x, y)| x == y).count();
+    while !boundary(prefix, prefix) {
+        prefix -= 1;
+    }
+    let room = a.len().min(b.len()) - prefix;
+    let mut suffix = (a.bytes().rev().zip(b.bytes().rev()))
+        .take(room)
+        .take_while(|(x, y)| x == y)
+        .count();
+    while !boundary(a.len() - suffix, b.len() - suffix) {
+        suffix -= 1;
+    }
+    (prefix, suffix)
+}
+
+/// What one variant of [`HashedLexicalEncoder::encode_variants`] shares with
+/// its base.
+struct Shared {
+    /// The variant, lowercased.
+    lowercased: String,
+    /// The base entries the variant starts with.
+    head: usize,
+    /// The bytes of `lowercased` between the shared head and tail tokens.
+    middle: Range<usize>,
+    /// Where the base entries the variant ends with start.
+    tail: usize,
+}
+
 /// Deterministic hashed lexical encoder — the Sentence-BERT stand-in.
 ///
 /// See the crate-level documentation for the design rationale. Like the
@@ -146,28 +228,80 @@ impl EmbeddingModel for HashedLexicalEncoder {
         let lowercased = text.to_lowercase();
         // A token of `c` chars adds at most `c` entries: never reallocates.
         let mut tokens: Vec<(u64, f32)> = Vec::with_capacity(lowercased.len());
-        for (token, kind) in tokenize(&lowercased) {
-            let base = kind_weight(kind, token.chars().count());
-            // Whole-word vector.
-            tokens.push((fnv1a64(token.as_bytes()), base * WORD_WEIGHT));
-            // Character n-gram vectors (split the n-gram budget evenly so long
-            // tokens do not dominate): hashed first, weighted once counted.
-            let first = tokens.len();
-            tokens.extend(
-                char_ngrams(token).map(|g| (fnv1a64_extend(NGRAM_KEY_PREFIX, g.as_bytes()), 0.0)),
-            );
-            let grams = tokens.len() - first;
-            if grams > 0 {
-                let per = base * NGRAM_WEIGHT / grams as f32;
-                for (_, weight) in &mut tokens[first..] {
-                    *weight = per;
-                }
-            }
-        }
+        list_tokens(&lowercased, &mut tokens, None);
         let mut acc = vec![0.0f32; self.dim];
         accumulate_tokens(&mut acc, &tokens);
         l2_normalize(&mut acc);
         acc
+    }
+
+    /// Lists the base's tokens once, and each variant's only between the
+    /// prefix and suffix it shares with the base (of the lowercased texts,
+    /// at char boundaries). A base token that ends strictly before the
+    /// prefix's end is followed by the same separator in the variant, so it
+    /// is the variant's token too, as is one that starts strictly after the
+    /// suffix's start. An embedding is a fold of per-token sign vectors in
+    /// token order, so a variant's accumulator resumes from the base's state
+    /// after the shared head (snapshotted while the base accumulates, the
+    /// variants in order of head length) and adds its middle and then the
+    /// base's shared tail entries: every lane gets the adds `encode` would
+    /// give it, in the same order.
+    fn encode_variants(&self, base: &str, variants: &[String]) -> Matrix {
+        let dim = self.dim;
+        if dim == 0 {
+            return Matrix::new(dim);
+        }
+        let base = base.to_lowercase();
+        let mut entries: Vec<(u64, f32)> = Vec::with_capacity(base.len());
+        // Each base token's bytes and where its entries end.
+        let mut spans: Vec<(Range<usize>, usize)> = Vec::new();
+        list_tokens(&base, &mut entries, Some(&mut spans));
+        let entries_before = |token: usize| token.checked_sub(1).map_or(0, |t| spans[t].1);
+        let shared: Vec<Shared> = variants
+            .iter()
+            .map(|variant| {
+                let lowercased = variant.to_lowercase();
+                let (prefix, suffix) = common_ends(&base, &lowercased);
+                // A variant equal to the base shares every token, the last too.
+                let same = prefix == base.len() && prefix == lowercased.len();
+                let head = spans.partition_point(|(bytes, _)| same || bytes.end < prefix);
+                let tail = spans.partition_point(|(bytes, _)| bytes.start <= base.len() - suffix);
+                let start = head.checked_sub(1).map_or(0, |t| spans[t].0.end);
+                let end = spans.get(tail).map_or(lowercased.len(), |(bytes, _)| {
+                    lowercased.len() - (base.len() - bytes.start)
+                });
+                Shared {
+                    head: entries_before(head),
+                    middle: start..end,
+                    tail: entries_before(tail),
+                    lowercased,
+                }
+            })
+            .collect();
+
+        let mut data = vec![0.0f32; (1 + variants.len()) * dim];
+        let (acc, rows) = data.split_at_mut(dim);
+        let mut order: Vec<usize> = (0..shared.len()).collect();
+        order.sort_by_key(|&j| shared[j].head);
+        let mut added = 0;
+        for j in order {
+            let head = shared[j].head;
+            if head > added {
+                accumulate_tokens(acc, &entries[added..head]);
+                added = head;
+            }
+            rows[j * dim..][..dim].copy_from_slice(acc);
+        }
+        accumulate_tokens(acc, &entries[added..]);
+        let mut rest: Vec<(u64, f32)> = Vec::new();
+        for (variant, row) in shared.iter().zip(rows.chunks_exact_mut(dim)) {
+            rest.clear();
+            list_tokens(&variant.lowercased[variant.middle.clone()], &mut rest, None);
+            rest.extend_from_slice(&entries[variant.tail..]);
+            accumulate_tokens(row, &rest);
+        }
+        l2_normalize_rows(&mut data, dim);
+        Matrix::from_data(dim, data)
     }
 
     fn name(&self) -> &str {
@@ -276,6 +410,94 @@ mod tests {
                 assert!(m.rows().eq(rows.iter().map(Vec::as_slice)), "{n} texts");
             }
         }
+    }
+
+    /// The symbols a seeded case draws its parts from: ASCII letters and
+    /// digits, separators, Greek sigmas (whose lowercase depends on their
+    /// neighbours), letters whose lowercase is longer or another char, and
+    /// `×`, `é`, `è` and `É`, which share a UTF-8 lead byte.
+    const SYMBOLS: &[&str] = &[
+        "a", "B", "c", "x", "Y", "z", "0", "7", "9", " ", "\t", "-", "'", "’", "Σ", "σ", "ς", "İ",
+        "ß", "ǅ", "Ω", "×", "é", "è", "É",
+    ];
+
+    /// A seeded draw below `n`.
+    fn below(state: &mut u64, n: usize) -> usize {
+        (crate::hashing::splitmix64(state) % n as u64) as usize
+    }
+
+    /// A part of 0 to 5 symbols.
+    fn part(state: &mut u64) -> String {
+        let len = below(state, 6);
+        (0..len)
+            .map(|_| SYMBOLS[below(state, SYMBOLS.len())])
+            .collect()
+    }
+
+    /// The hashed encoder's `encode` behind the trait's default
+    /// `encode_variants`, which encodes every text alone.
+    struct OneByOne(HashedLexicalEncoder);
+
+    impl EmbeddingModel for OneByOne {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+
+        fn encode(&self, text: &str) -> Vec<f32> {
+            self.0.encode(text)
+        }
+    }
+
+    /// The hashed encoder's `encode_variants` against the default, one
+    /// `encode` per text, over 20,000 seeded cases of 1 to 4 parts, each
+    /// with variants that replace, extend or insert a part and one identical
+    /// to the base, at four dimensions. Backing the prefix off to a byte
+    /// instead of a char boundary of both texts fails it: `7× yß` and
+    /// `7éé 7× yß` share `7` and the lead byte of `×` and `é`, so the token
+    /// `7` would seem to end inside the shared prefix.
+    #[test]
+    fn encode_variants_equals_encode_bit_for_bit() {
+        let encoders = [16, 64, 100, 384].map(|dim| OneByOne(HashedLexicalEncoder::with_dim(dim)));
+        let mut state = 56u64;
+        let mut mismatches = Vec::new();
+        for case in 0..20_000 {
+            let parts: Vec<String> = (0..1 + below(&mut state, 4))
+                .map(|_| part(&mut state))
+                .collect();
+            let mut variants = vec![parts.join(" ")];
+            for _ in 0..4 {
+                let mut edited = parts.clone();
+                let at = below(&mut state, parts.len() + 1);
+                match below(&mut state, 3) {
+                    0 if at < parts.len() => edited[at] = part(&mut state),
+                    1 if at < parts.len() => edited[at].push_str(&part(&mut state)),
+                    _ => edited.insert(at, part(&mut state)),
+                }
+                variants.push(edited.join(" "));
+            }
+            let base = parts.join(" ");
+            let one_by_one = &encoders[case % encoders.len()];
+            let shared = one_by_one.0.encode_variants(&base, &variants);
+            let expected = one_by_one.encode_variants(&base, &variants);
+            assert_eq!(shared.len(), 1 + variants.len());
+            let texts = std::iter::once(&base).chain(&variants);
+            for ((row, want), text) in shared.rows().zip(expected.rows()).zip(texts) {
+                if row
+                    .iter()
+                    .zip(want)
+                    .any(|(x, y)| x.to_bits() != y.to_bits())
+                {
+                    mismatches.push((base.clone(), text.clone()));
+                }
+            }
+        }
+        assert_eq!(enc().encode_variants("", &[]).len(), 1);
+        assert!(
+            mismatches.is_empty(),
+            "{} mismatches, first {:?}",
+            mismatches.len(),
+            &mismatches[..mismatches.len().min(4)]
+        );
     }
 
     #[test]

@@ -25,14 +25,59 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Cosine similarity in `[-1, 1]`. Returns 0 when either vector is zero.
+/// Cosine similarity in `[-1, 1]` of two equal-length vectors. Returns 0
+/// when either vector is zero.
+///
+/// One loop carries the dot product and both squared norms side by side, so
+/// the three dependent chains overlap instead of running one after another.
+/// Each is still summed in lane order from `-0.0`, where
+/// `Iterator::sum::<f32>` starts, so the result has the bits of
+/// `dot(a, b) / (l2_norm(a) * l2_norm(b))`: a dot product whose every
+/// product is `-0.0` stays `-0.0`.
 pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
-    let na = l2_norm(a);
-    let nb = l2_norm(b);
+    debug_assert_eq!(a.len(), b.len());
+    let (mut ab, mut aa, mut bb) = (-0.0f32, -0.0f32, -0.0f32);
+    for (x, y) in a.iter().zip(b) {
+        ab += x * y;
+        aa += x * x;
+        bb += y * y;
+    }
+    let (na, nb) = (aa.sqrt(), bb.sqrt());
     if na == 0.0 || nb == 0.0 {
         return 0.0;
     }
-    (dot(a, b) / (na * nb)).clamp(-1.0, 1.0)
+    (ab / (na * nb)).clamp(-1.0, 1.0)
+}
+
+/// Rows normalised together by [`l2_normalize_rows`].
+const NORM_CHAINS: usize = 8;
+
+/// [`l2_normalize`] every `dim`-lane row of `rows`, bit for bit, with the
+/// norm chains of [`NORM_CHAINS`] rows interleaved: each row's squares are
+/// still summed in lane order from `-0.0`, but eight independent chains
+/// advance together instead of one waiting on its own last add.
+pub(crate) fn l2_normalize_rows(rows: &mut [f32], dim: usize) {
+    if dim == 0 {
+        return;
+    }
+    for group in rows.chunks_mut(NORM_CHAINS * dim) {
+        let mut sums = [-0.0f32; NORM_CHAINS];
+        let sums = &mut sums[..group.len() / dim];
+        for lane in 0..dim {
+            for (row, sum) in sums.iter_mut().enumerate() {
+                let x = group[row * dim + lane];
+                *sum += x * x;
+            }
+        }
+        for (row, sum) in group.chunks_exact_mut(dim).zip(sums) {
+            let norm = sum.sqrt();
+            if norm > 0.0 {
+                for x in row {
+                    *x /= norm;
+                }
+            }
+        }
+    }
 }
 
 /// Cosine distance `1 - cosine_similarity`, in `[0, 2]`.
@@ -65,6 +110,12 @@ impl Matrix {
             dim,
             data: Vec::with_capacity(dim * rows),
         }
+    }
+
+    /// A matrix of `dim`-column rows laid end to end in `data`.
+    pub(crate) fn from_data(dim: usize, data: Vec<f32>) -> Self {
+        debug_assert!(data.len().is_multiple_of(dim));
+        Self { dim, data }
     }
 
     /// Number of columns per row.
@@ -140,6 +191,39 @@ mod tests {
         assert!(cosine_similarity(&a, &b).abs() < 1e-6);
         assert_eq!(cosine_similarity(&a, &[0.0, 0.0]), 0.0);
         assert!((cosine_distance(&a, &b) - 1.0).abs() < 1e-6);
+    }
+
+    /// Every product `-0.0`: the dot product stays `-0.0`, as a sum from
+    /// `-0.0` gives it, and so does the cosine.
+    #[test]
+    fn cosine_keeps_the_sign_of_a_negative_zero_dot_product() {
+        let a = [1.0, -0.0, 0.0];
+        let b = [-0.0, 1.0, -2.0];
+        let definition = (dot(&a, &b) / (l2_norm(&a) * l2_norm(&b))).clamp(-1.0, 1.0);
+        assert_eq!(definition.to_bits(), (-0.0f32).to_bits());
+        assert_eq!(cosine_similarity(&a, &b).to_bits(), definition.to_bits());
+    }
+
+    #[test]
+    fn rows_normalise_as_each_row_alone() {
+        let mut state = 3u64;
+        for dim in [1, 3, 64, 100, 384] {
+            for rows in [0, 1, 7, 8, 9, 17] {
+                let mut data: Vec<f32> = (0..rows * dim)
+                    .map(|_| (crate::hashing::splitmix64(&mut state) >> 40) as f32 / 1e6 - 4.0)
+                    .collect();
+                if rows > 2 {
+                    data[dim..2 * dim].fill(0.0);
+                }
+                let mut expected = data.clone();
+                for row in expected.chunks_exact_mut(dim) {
+                    l2_normalize(row);
+                }
+                l2_normalize_rows(&mut data, dim);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&data), bits(&expected), "{rows} rows of {dim}");
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use multiem_embed::HashedLexicalEncoder;
 use multiem_serve::http::{read_response, HttpClient};
 use multiem_serve::{MatchServer, ServeConfig, ServeError, ServerHandle, ShardedEntityStore};
 use multiem_table::{Record, Schema};
-use std::io::{BufReader, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -2174,21 +2174,37 @@ fn windowed_p99_agrees_with_the_client_observed_p99() {
     let mut client = HttpClient::connect(&addr).unwrap();
 
     // Batched ingests cost the server tens of milliseconds each, in a
-    // release build too; at that scale one log-linear bucket is ~6% wide,
-    // so the dispatch, loopback and scheduling delay the client measures on
-    // top of the server-side latency (a few milliseconds while the rest of
-    // the suite runs) cannot push its view past one bucket.
+    // release build too; at that scale one log-linear bucket is ~6% wide.
+    // The client's clock runs from when a request's last byte is written
+    // to when the reply's first byte is read, with the request built
+    // before it starts: building the body, writing it and reading the
+    // reply are not the server's latency, and a thread descheduled during
+    // them (the suite's other tests share the cores) would count them.
     const REQUESTS: usize = 10;
     const PER_BATCH: usize = 200;
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut client_ns: Vec<u64> = (0..REQUESTS)
         .map(|batch| {
             let titles: Vec<String> = (0..PER_BATCH)
                 .map(|i| format!("corpus item {} batch {batch}", batch * PER_BATCH + i))
                 .collect();
-            let refs: Vec<&str> = titles.iter().map(String::as_str).collect();
-            let started = std::time::Instant::now();
-            post_records(&mut client, &refs);
-            started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
+            let body = records_body(&titles);
+            let request = format!(
+                "POST /records HTTP/1.1\r\nHost: multiem\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            stream.write_all(request.as_bytes()).unwrap();
+            let written = std::time::Instant::now();
+            reader.fill_buf().unwrap();
+            let elapsed = written.elapsed();
+            let (status, _, response) = read_response(&mut reader).unwrap();
+            assert_eq!(status, 200, "ingest failed: {response}");
+            elapsed.as_nanos().min(u128::from(u64::MAX)) as u64
         })
         .collect();
     client_ns.sort_unstable();

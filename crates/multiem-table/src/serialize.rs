@@ -15,6 +15,7 @@
 use crate::record::{Record, Value};
 use crate::schema::AttrId;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Options controlling entity serialization.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -128,14 +129,20 @@ fn serialize_values<'v>(
     let mut text = String::new();
     for &a in attrs {
         let Some(v) = value_of(a) else { continue };
-        let rendered = v.render();
-        if rendered.trim().is_empty() {
+        // A text value is appended from where it lies; only the others are
+        // rendered.
+        let rendered = match v {
+            Value::Text(s) => Cow::Borrowed(s.as_str()),
+            other => Cow::Owned(other.render()),
+        };
+        let trimmed = rendered.trim();
+        if trimmed.is_empty() {
             continue;
         }
         if !text.is_empty() {
             text.push(opts.separator);
         }
-        text.push_str(rendered.trim());
+        text.push_str(trimmed);
     }
     postprocess(text, opts)
 }
